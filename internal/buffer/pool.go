@@ -30,7 +30,9 @@ type Frame struct {
 func (f *Frame) ID() storage.PageID { return f.id }
 
 // Data returns the page image. The slice is valid while the frame is
-// pinned; callers must not retain it past Unpin.
+// pinned; callers must not retain it past Unpin — the pool hands an
+// evicted frame's image to the next page it loads, and Data of the
+// evicted frame returns nil.
 func (f *Frame) Data() []byte { return f.data }
 
 // MarkDirty records that the page image was modified and must reach the
@@ -117,17 +119,16 @@ func (p *Pool) Fetch(id storage.PageID) (*Frame, error) {
 	}
 
 	p.stats.Misses++
-	if len(p.frames) >= p.capacity {
-		if err := p.evictOneLocked(); err != nil {
-			p.mu.Unlock()
-			return nil, err
-		}
+	data, err := p.frameDataLocked()
+	if err != nil {
+		p.mu.Unlock()
+		return nil, err
 	}
-	f := &Frame{id: id, data: make([]byte, PageSize), pins: 1, ready: make(chan struct{})}
+	f := &Frame{id: id, data: data, pins: 1, ready: make(chan struct{})}
 	p.frames[id] = f
 	p.mu.Unlock()
 
-	err := p.store.Read(id, f.data)
+	err = p.store.Read(id, f.data)
 
 	p.mu.Lock()
 	if err != nil {
@@ -154,14 +155,25 @@ func (p *Pool) Allocate() (*Frame, error) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.frames) >= p.capacity {
-		if err := p.evictOneLocked(); err != nil {
-			return nil, err
-		}
+	data, err := p.frameDataLocked()
+	if err != nil {
+		return nil, err
 	}
-	f := &Frame{id: id, data: make([]byte, PageSize), pins: 1}
+	clear(data) // a recycled image still holds the evicted page
+	f := &Frame{id: id, data: data, pins: 1}
 	p.frames[id] = f
 	return f, nil
+}
+
+// frameDataLocked returns the PageSize buffer for a frame about to be
+// loaded: a fresh one while the pool is below capacity, otherwise the
+// image of the frame evicted to make room. Recycling the image keeps a
+// scan that misses on every page from allocating 8 KiB per page.
+func (p *Pool) frameDataLocked() ([]byte, error) {
+	if len(p.frames) < p.capacity {
+		return make([]byte, PageSize), nil
+	}
+	return p.evictOneLocked()
 }
 
 // Unpin releases one pin on the frame. When the pin count reaches zero
@@ -179,25 +191,31 @@ func (p *Pool) Unpin(f *Frame) {
 }
 
 // evictOneLocked writes back and drops the least recently used unpinned
-// frame. It fails if every frame is pinned.
-func (p *Pool) evictOneLocked() error {
+// frame and returns its page image for the incoming page to reuse. The
+// evicted Frame loses its image, so a use after Unpin panics instead of
+// reading another page's bytes. It fails if every frame is pinned, or if
+// the victim's writeback fails — the victim then stays resident at the
+// front of the LRU list, still evictable once the store recovers.
+func (p *Pool) evictOneLocked() ([]byte, error) {
 	el := p.evict.Front()
 	if el == nil {
-		return fmt.Errorf("buffer: pool exhausted: all %d frames pinned", p.capacity)
+		return nil, fmt.Errorf("buffer: pool exhausted: all %d frames pinned", p.capacity)
 	}
 	f := el.Value.(*Frame)
-	p.evict.Remove(el)
-	f.lru = nil
 	if f.dirty {
 		if err := p.store.Write(f.id, f.data); err != nil {
-			return fmt.Errorf("buffer: writeback of page %d: %w", f.id, err)
+			return nil, fmt.Errorf("buffer: writeback of page %d: %w", f.id, err)
 		}
 		p.stats.Flushes++
 		f.dirty = false
 	}
+	p.evict.Remove(el)
+	f.lru = nil
 	delete(p.frames, f.id)
 	p.stats.Evictions++
-	return nil
+	data := f.data
+	f.data = nil
+	return data, nil
 }
 
 // FlushAll writes every dirty frame back to the store. Pinned frames are

@@ -47,9 +47,13 @@ type IndexBuffer struct {
 	// uncovered[p]; see Counter.
 	uncovered []int
 
-	parts  []*Partition
-	open   *Partition // partition currently filling (X_p < P), if any
-	byPage map[storage.PageID]*Partition
+	parts []*Partition
+	open  *Partition // partition currently filling (X_p < P), if any
+	// byPage[p] is the partition covering page p, nil when p is not
+	// buffered. Heap page ids are dense ordinals, so a slice indexed by
+	// page id replaces a map; it grows on demand and pages past its end
+	// are unbuffered. Read it through partOf.
+	byPage []*Partition
 	nextID int
 
 	// scanPins counts indexing scans currently using this buffer; a
@@ -104,12 +108,12 @@ func (b *IndexBuffer) CounterSnapshot() *CounterSnap { return b.snap.Load() }
 // snapshot and swaps it in, retiring the displaced one through the
 // epoch domain. Called under b.mu at every consistent boundary; the
 // copy is O(pages), the same cost class as the maintenance walks that
-// precede it.
+// precede it, and a walk over two dense slices.
 func (b *IndexBuffer) publishCountersLocked() {
 	c := make([]int32, len(b.uncovered))
-	for p := range b.uncovered {
-		if _, buffered := b.byPage[storage.PageID(p)]; !buffered {
-			c[p] = int32(b.uncovered[p])
+	for p, n := range b.uncovered {
+		if p >= len(b.byPage) || b.byPage[p] == nil {
+			c[p] = int32(n)
 		}
 	}
 	old := b.snap.Swap(&CounterSnap{counters: c})
@@ -183,13 +187,19 @@ func (b *IndexBuffer) Counter(p storage.PageID) int {
 }
 
 func (b *IndexBuffer) counterLocked(p storage.PageID) int {
-	if int(p) >= len(b.uncovered) {
-		return 0
-	}
-	if _, buffered := b.byPage[p]; buffered {
+	if int(p) >= len(b.uncovered) || b.partOf(p) != nil {
 		return 0
 	}
 	return b.uncovered[p]
+}
+
+// partOf returns the partition covering page p, nil when p is not
+// buffered. Callers hold b.mu.
+func (b *IndexBuffer) partOf(p storage.PageID) *Partition {
+	if int(p) >= len(b.byPage) {
+		return nil
+	}
+	return b.byPage[p]
 }
 
 // Uncovered returns the raw uncovered-tuple count of page p, independent
@@ -207,8 +217,7 @@ func (b *IndexBuffer) Uncovered(p storage.PageID) int {
 func (b *IndexBuffer) PageBuffered(p storage.PageID) bool {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	_, ok := b.byPage[p]
-	return ok
+	return b.partOf(p) != nil
 }
 
 // EntryCount returns the number of entries across all partitions.
@@ -419,7 +428,7 @@ func (b *IndexBuffer) BeginPage(p storage.PageID) error {
 }
 
 func (b *IndexBuffer) beginPageLocked(p storage.PageID) error {
-	if _, dup := b.byPage[p]; dup {
+	if b.partOf(p) != nil {
 		return fmt.Errorf("core: page %d already buffered in %s", p, b.name)
 	}
 	if b.open == nil || b.open.complete(b.cfg.P) {
@@ -428,6 +437,9 @@ func (b *IndexBuffer) beginPageLocked(p storage.PageID) error {
 		b.parts = append(b.parts, b.open)
 	}
 	b.open.pages[p] = struct{}{}
+	for int(p) >= len(b.byPage) {
+		b.byPage = append(b.byPage, nil)
+	}
 	b.byPage[p] = b.open
 	return nil
 }
@@ -438,8 +450,8 @@ func (b *IndexBuffer) beginPageLocked(p storage.PageID) error {
 func (b *IndexBuffer) AddEntry(p storage.PageID, key storage.Value, rid storage.RID) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	part, ok := b.byPage[p]
-	if !ok {
+	part := b.partOf(p)
+	if part == nil {
 		return fmt.Errorf("core: AddEntry on unbuffered page %d in %s", p, b.name)
 	}
 	if part.insert(key, rid) {
@@ -486,7 +498,7 @@ func (b *IndexBuffer) ApplyPage(p storage.PageID, entries []PageEntry) error {
 // covered.
 func (b *IndexBuffer) FinishPage(p storage.PageID) {
 	b.mu.Lock()
-	if _, ok := b.byPage[p]; ok {
+	if b.partOf(p) != nil {
 		b.publishCountersLocked()
 	}
 	b.mu.Unlock()
@@ -509,8 +521,8 @@ type PageEntry struct {
 func (b *IndexBuffer) AbortPage(p storage.PageID, added []PageEntry) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	part, ok := b.byPage[p]
-	if !ok {
+	part := b.partOf(p)
+	if part == nil {
 		return
 	}
 	for _, e := range added {
@@ -519,7 +531,7 @@ func (b *IndexBuffer) AbortPage(p storage.PageID, added []PageEntry) {
 		}
 	}
 	delete(part.pages, p)
-	delete(b.byPage, p)
+	b.byPage[p] = nil
 	if len(part.pages) == 0 {
 		b.dropPartitionLocked(part)
 	}
@@ -540,7 +552,7 @@ func (b *IndexBuffer) dropPartitionLocked(part *Partition) {
 		b.open = nil
 	}
 	for pg := range part.pages {
-		delete(b.byPage, pg)
+		b.byPage[pg] = nil
 	}
 	b.charge(-part.EntryCount())
 }

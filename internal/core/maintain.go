@@ -36,7 +36,7 @@ func (b *IndexBuffer) maintainInsertLocked(v storage.Value, rid storage.RID, inI
 		return // covered tuples never concern the buffer
 	}
 	b.uncovered[rid.Page]++
-	if part, ok := b.byPage[rid.Page]; ok {
+	if part := b.partOf(rid.Page); part != nil {
 		// The page stays fully indexed by absorbing the new tuple.
 		if part.insert(v, rid) {
 			b.charge(1)
@@ -60,7 +60,7 @@ func (b *IndexBuffer) maintainDeleteLocked(v storage.Value, rid storage.RID, was
 	if int(rid.Page) < len(b.uncovered) && b.uncovered[rid.Page] > 0 {
 		b.uncovered[rid.Page]--
 	}
-	if part, ok := b.byPage[rid.Page]; ok {
+	if part := b.partOf(rid.Page); part != nil {
 		if part.remove(v, rid) {
 			b.charge(-1)
 		}

@@ -162,7 +162,6 @@ func (s *Space) CreateBufferFor(name string, uncovered []int, tenant *Tenant) (*
 		cfg:       &s.cfg,
 		tenant:    tenant,
 		uncovered: append([]int(nil), uncovered...),
-		byPage:    make(map[storage.PageID]*Partition),
 		hist:      newHistory(s.cfg.K, &s.clock),
 	}
 	b.publishCountersLocked() // b is unshared here; no lock needed yet

@@ -73,10 +73,16 @@ type QueryStats struct {
 // Heap is the table access the executor needs: page-at-a-time scans and
 // RID materialization. *heap.Table implements it; tests substitute
 // fault-injecting wrappers.
+//
+// ScanPage is the key-first scan kernel (heap.Table.ScanPage): it hands
+// over each live tuple's value of column col plus its encoded bytes, and
+// the executor decodes the whole tuple (storage.DecodeTuple with Schema)
+// only when some attached query matches the key.
 type Heap interface {
 	NumPages() int
+	Schema() *storage.Schema
 	Get(rid storage.RID) (storage.Tuple, error)
-	ScanPage(p storage.PageID, fn func(rid storage.RID, tu storage.Tuple) error) error
+	ScanPage(p storage.PageID, col int, fn func(rid storage.RID, key storage.Value, raw []byte) error) error
 }
 
 var _ Heap = (*heap.Table)(nil)
@@ -184,6 +190,18 @@ func FetchHit(a Access, key storage.Value, rids []storage.RID) ([]Match, QuerySt
 	}
 	stats.Matches = len(m)
 	return m, stats, nil
+}
+
+// materialize decodes a scanned tuple's bytes into *tu unless an earlier
+// match on the same tuple already did: a scan decodes each tuple at most
+// once, and only when some attached query matches its key.
+func materialize(schema *storage.Schema, raw []byte, tu *storage.Tuple) error {
+	if tu.Len() > 0 { // schemas have at least one column
+		return nil
+	}
+	var err error
+	*tu, err = storage.DecodeTuple(schema, raw)
+	return err
 }
 
 // fetchRIDs materializes tuples for a posting list, page by page. Pages

@@ -18,6 +18,14 @@ func iv(v int64) storage.Value { return storage.Int64Value(v) }
 // few tuples fit per page).
 func buildTable(t *testing.T, rows int) *heap.Table {
 	t.Helper()
+	tb, _ := buildTablePool(t, rows)
+	return tb
+}
+
+// buildTablePool is buildTable also returning the table's pool, for
+// tests that damage page images in place.
+func buildTablePool(t *testing.T, rows int) (*heap.Table, *buffer.Pool) {
+	t.Helper()
 	d := buffer.NewSimDisk()
 	pool, err := buffer.NewPool(d, 64)
 	if err != nil {
@@ -35,7 +43,7 @@ func buildTable(t *testing.T, rows int) *heap.Table {
 			t.Fatal(err)
 		}
 	}
-	return tb
+	return tb, pool
 }
 
 func TestEqualNoIndexNoBuffer(t *testing.T) {

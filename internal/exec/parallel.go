@@ -70,6 +70,7 @@ type pageResult struct {
 // parallelScan is the shared state of one fan-out.
 type parallelScan struct {
 	a      Access
+	schema *storage.Schema
 	qs     []SharedQuery
 	states []scanState
 	scanQ  []int
@@ -89,6 +90,7 @@ type parallelScan struct {
 func newParallelScan(a Access, qs []SharedQuery, states []scanState, scanQ []int, inI map[storage.PageID]bool, snap *core.CounterSnap, numPages, workers int) *parallelScan {
 	return &parallelScan{
 		a:        a,
+		schema:   a.Table.Schema(),
 		qs:       qs,
 		states:   states,
 		scanQ:    scanQ,
@@ -187,10 +189,13 @@ func (s *parallelScan) scanOne(pg storage.PageID) error {
 		return nil
 	}
 	indexThis := s.inI != nil && s.inI[pg]
-	return s.a.Table.ScanPage(pg, func(rid storage.RID, tu storage.Tuple) error {
-		v := tu.Value(s.a.Column)
+	return s.a.Table.ScanPage(pg, s.a.Column, func(rid storage.RID, v storage.Value, raw []byte) error {
+		var tu storage.Tuple
 		for k, qi := range s.scanQ {
 			if !s.canceled[k].Load() && s.qs[qi].matches(v) {
+				if err := materialize(s.schema, raw, &tu); err != nil {
+					return err
+				}
 				res.matches = append(res.matches, qMatch{q: k, m: Match{RID: rid, Tuple: tu}})
 			}
 		}

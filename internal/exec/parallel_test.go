@@ -137,12 +137,12 @@ type raceFaultHeap struct {
 	armed     atomic.Bool
 }
 
-func (f *raceFaultHeap) ScanPage(p storage.PageID, fn func(storage.RID, storage.Tuple) error) error {
-	return f.Table.ScanPage(p, func(rid storage.RID, tu storage.Tuple) error {
+func (f *raceFaultHeap) ScanPage(p storage.PageID, col int, fn func(storage.RID, storage.Value, []byte) error) error {
+	return f.Table.ScanPage(p, col, func(rid storage.RID, key storage.Value, raw []byte) error {
 		if f.armed.Load() && f.remaining.Add(-1) < 0 {
 			return errInjected
 		}
-		return fn(rid, tu)
+		return fn(rid, key, raw)
 	})
 }
 

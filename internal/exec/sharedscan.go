@@ -187,6 +187,22 @@ func failActive(err error, outs []SharedOutcome, states []scanState, scanQ []int
 	}
 }
 
+// demuxMatches appends one scanned tuple to every active attachee whose
+// predicate its key v satisfies — the serial loops' share of the scan
+// kernel. The whole tuple is decoded only on the first match.
+func demuxMatches(schema *storage.Schema, qs []SharedQuery, outs []SharedOutcome, states []scanState, scanQ []int, rid storage.RID, v storage.Value, raw []byte) error {
+	var tu storage.Tuple
+	for _, i := range scanQ {
+		if states[i].active && qs[i].matches(v) {
+			if err := materialize(schema, raw, &tu); err != nil {
+				return err
+			}
+			outs[i].Matches = append(outs[i].Matches, Match{RID: rid, Tuple: tu})
+		}
+	}
+	return nil
+}
+
 // sharedFullScan answers the scanning queries with one full table scan —
 // the no-buffer fallback (baseline engines with the Index Buffer
 // disabled, or a buffer dropped between planning and execution).
@@ -206,6 +222,10 @@ func sharedFullScan(a Access, qs []SharedQuery, outs []SharedOutcome, states []s
 		}
 		return
 	}
+	schema := a.Table.Schema()
+	scan := func(rid storage.RID, v storage.Value, raw []byte) error {
+		return demuxMatches(schema, qs, outs, states, scanQ, rid, v, raw)
+	}
 	for p := 0; p < numPages; p++ {
 		if !pollCancel(outs, states, scanQ) {
 			return
@@ -216,16 +236,7 @@ func sharedFullScan(a Access, qs []SharedQuery, outs []SharedOutcome, states []s
 				states[i].seen.read(&outs[i].Stats, pg)
 			}
 		}
-		err := a.Table.ScanPage(pg, func(rid storage.RID, tu storage.Tuple) error {
-			v := tu.Value(a.Column)
-			for _, i := range scanQ {
-				if states[i].active && qs[i].matches(v) {
-					outs[i].Matches = append(outs[i].Matches, Match{RID: rid, Tuple: tu})
-				}
-			}
-			return nil
-		})
-		if err != nil {
+		if err := a.Table.ScanPage(pg, a.Column, scan); err != nil {
 			failActive(err, outs, states, scanQ)
 			return
 		}
@@ -364,12 +375,32 @@ func serialIndexingPass(a Access, qs []SharedQuery, outs []SharedOutcome, states
 	entriesAdded := 0
 	skipped := make(map[storage.PageID]bool)
 	aborted := false
+	// The kernel callback is built once per pass; the loop below sets the
+	// page it is working on.
+	schema := a.Table.Schema()
+	var (
+		pg        storage.PageID
+		indexThis bool
+		added     []core.PageEntry // this page's entries: AbortPage's undo log
+	)
+	scan := func(rid storage.RID, v storage.Value, raw []byte) error {
+		if err := demuxMatches(schema, qs, outs, states, scanQ, rid, v, raw); err != nil {
+			return err
+		}
+		if indexThis && (a.Index == nil || !a.Index.Covers(v)) {
+			if err := a.Buffer.AddEntry(pg, v, rid); err != nil {
+				return err
+			}
+			added = append(added, core.PageEntry{Key: v, RID: rid})
+		}
+		return nil
+	}
 	for p := 0; p < numPages && !aborted; p++ {
 		if !pollCancel(outs, states, scanQ) {
 			aborted = true // every attachee canceled; keep the consistent prefix
 			break
 		}
-		pg := storage.PageID(p)
+		pg = storage.PageID(p)
 		if snap.At(pg) == 0 {
 			skipped[pg] = true
 			for _, i := range scanQ {
@@ -379,7 +410,7 @@ func serialIndexingPass(a Access, qs []SharedQuery, outs []SharedOutcome, states
 			}
 			continue
 		}
-		indexThis := inI[pg]
+		indexThis = inI[pg]
 		if indexThis {
 			if err := a.Buffer.BeginPage(pg); err != nil {
 				failActive(err, outs, states, scanQ)
@@ -392,23 +423,8 @@ func serialIndexingPass(a Access, qs []SharedQuery, outs []SharedOutcome, states
 				states[i].seen.read(&outs[i].Stats, pg)
 			}
 		}
-		var added []core.PageEntry
-		err := a.Table.ScanPage(pg, func(rid storage.RID, tu storage.Tuple) error {
-			v := tu.Value(a.Column)
-			for _, i := range scanQ {
-				if states[i].active && qs[i].matches(v) {
-					outs[i].Matches = append(outs[i].Matches, Match{RID: rid, Tuple: tu})
-				}
-			}
-			if indexThis && (a.Index == nil || !a.Index.Covers(v)) {
-				if err := a.Buffer.AddEntry(pg, v, rid); err != nil {
-					return err
-				}
-				added = append(added, core.PageEntry{Key: v, RID: rid})
-			}
-			return nil
-		})
-		if err != nil {
+		added = added[:0]
+		if err := a.Table.ScanPage(pg, a.Column, scan); err != nil {
 			if indexThis {
 				// Mid-page failure: BeginPage assigned the page to a
 				// partition but only part of its tuples were inserted —

@@ -3,8 +3,11 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/heap"
 	"repro/internal/index"
@@ -23,8 +26,8 @@ type faultHeap struct {
 	failedPage storage.PageID
 }
 
-func (f *faultHeap) ScanPage(p storage.PageID, fn func(storage.RID, storage.Tuple) error) error {
-	return f.Table.ScanPage(p, func(rid storage.RID, tu storage.Tuple) error {
+func (f *faultHeap) ScanPage(p storage.PageID, col int, fn func(storage.RID, storage.Value, []byte) error) error {
+	return f.Table.ScanPage(p, col, func(rid storage.RID, key storage.Value, raw []byte) error {
 		if f.armed {
 			if f.remaining == 0 {
 				f.armed = false
@@ -33,7 +36,7 @@ func (f *faultHeap) ScanPage(p storage.PageID, fn func(storage.RID, storage.Tupl
 			}
 			f.remaining--
 		}
-		return fn(rid, tu)
+		return fn(rid, key, raw)
 	})
 }
 
@@ -44,8 +47,8 @@ func scanFixture(t *testing.T, tb Heap) Access {
 	ix := index.NewPartial("k", 0, index.IntRange(0, 4))
 	uncovered := make([]int, tb.NumPages())
 	for p := 0; p < tb.NumPages(); p++ {
-		err := tb.ScanPage(storage.PageID(p), func(rid storage.RID, tu storage.Tuple) error {
-			if !ix.Add(tu.Value(0), rid) {
+		err := tb.ScanPage(storage.PageID(p), 0, func(rid storage.RID, key storage.Value, _ []byte) error {
+			if !ix.Add(key, rid) {
 				uncovered[rid.Page]++
 			}
 			return nil
@@ -72,8 +75,7 @@ func checkCounterInvariant(t *testing.T, tb *heap.Table, a Access) {
 		if a.Buffer.Counter(pg) != 0 {
 			continue
 		}
-		err := tb.ScanPage(pg, func(rid storage.RID, tu storage.Tuple) error {
-			v := tu.Value(0)
+		err := tb.ScanPage(pg, 0, func(rid storage.RID, v storage.Value, _ []byte) error {
 			if a.Index.Covers(v) {
 				return nil
 			}
@@ -95,6 +97,9 @@ func TestMidPageFailureRollsBackPage(t *testing.T) {
 	real := buildTable(t, 300)
 	fh := &faultHeap{Table: real}
 	a := scanFixture(t, fh)
+	// AbortPage is the serial pass's rollback, and faultHeap's countdown
+	// is not safe for the parallel pass's workers.
+	a.Parallelism = 1
 	fh.remaining, fh.armed = 25, true // fails on the 3rd page, mid-page
 
 	_, stats, err := Equal(context.Background(), a, iv(8))
@@ -207,5 +212,121 @@ func TestExecuteSharedCancelOne(t *testing.T) {
 	// The scan survived the cancellation and still built the buffer.
 	if a.Buffer.EntryCount() == 0 {
 		t.Error("scan aborted: buffer empty after one query canceled")
+	}
+}
+
+// truncHeap hands the executor every tuple whose key is key one byte
+// short. The kernel has already checked the real bytes' framing, so the
+// fault fires only when the executor materialises a match.
+type truncHeap struct {
+	*heap.Table
+	key storage.Value
+}
+
+func (h *truncHeap) ScanPage(p storage.PageID, col int, fn func(storage.RID, storage.Value, []byte) error) error {
+	return h.Table.ScanPage(p, col, func(rid storage.RID, key storage.Value, raw []byte) error {
+		if key.Equal(h.key) {
+			raw = raw[:len(raw)-1]
+		}
+		return fn(rid, key, raw)
+	})
+}
+
+// corruptNonMatch shrinks the VARCHAR length prefix of a key-3 tuple on
+// page 2 — a tuple the partial index covers and a query for 8 never
+// materialises — so only the kernel's framing check can notice it.
+// Returns the damaged page.
+func corruptNonMatch(t *testing.T, tb *heap.Table, pool *buffer.Pool) storage.PageID {
+	t.Helper()
+	victim := storage.InvalidRID
+	_ = tb.Scan(func(rid storage.RID, tu storage.Tuple) error {
+		if !victim.IsValid() && rid.Page == 2 && tu.Value(0).Int64() == 3 {
+			victim = rid
+		}
+		return nil
+	})
+	if !victim.IsValid() {
+		t.Fatal("no key-3 tuple on page 2")
+	}
+	f, err := pool.Fetch(victim.Page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Unpin(f)
+	sp, err := heap.AsPage(f.Data())
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := sp.Tuple(int(victim.Slot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[8]-- // low byte of the pad column's length prefix: one trailing byte
+	f.MarkDirty()
+	return victim.Page
+}
+
+// checkRolledBack asserts a failed scan left the buffer consistent: the
+// Space budget matches the entries held and, on the parallel pass, no
+// entry or counter moved at all. Pages in untouched are additionally
+// held to C[p] == uncovered (the serial pass's AbortPage).
+func checkRolledBack(t *testing.T, a Access, untouched ...storage.PageID) {
+	t.Helper()
+	if used, entries := a.Space.Used(), a.Buffer.EntryCount(); used != entries {
+		t.Errorf("Space.Used() = %d, buffer holds %d entries", used, entries)
+	}
+	if a.Parallelism > 1 {
+		if n := a.Buffer.EntryCount(); n != 0 {
+			t.Errorf("buffer holds %d entries after aborted parallel scan", n)
+		}
+		untouched = untouched[:0]
+		for p := 0; p < a.Table.NumPages(); p++ {
+			untouched = append(untouched, storage.PageID(p))
+		}
+	}
+	for _, p := range untouched {
+		if got, want := a.Buffer.Counter(p), a.Buffer.Uncovered(p); got != want {
+			t.Errorf("C[%d] = %d after the failed scan, want uncovered %d", p, got, want)
+		}
+	}
+}
+
+// TestScanFaultsRollBack covers the two faults the key-first kernel
+// relocates, on the serial and the parallel pass: a corrupt tuple no
+// query wants must still fail the scan (the kernel kept the framing
+// check), and a failure materialising a match must roll back like any
+// mid-page fault — AbortPage on the serial pass, an untouched buffer on
+// the parallel one.
+func TestScanFaultsRollBack(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("corrupt-nonmatch/p%d", par), func(t *testing.T) {
+			tb, pool := buildTablePool(t, 300)
+			a := scanFixture(t, tb)
+			a.Parallelism = par
+			bad := corruptNonMatch(t, tb, pool)
+			_, _, err := Equal(context.Background(), a, iv(8))
+			if err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+				t.Fatalf("err = %v, want the corrupt tuple's framing error", err)
+			}
+			checkRolledBack(t, a, bad)
+		})
+		t.Run(fmt.Sprintf("materialize/p%d", par), func(t *testing.T) {
+			real := buildTable(t, 300)
+			a := scanFixture(t, &truncHeap{Table: real, key: iv(8)})
+			a.Parallelism = par
+			_, _, err := Equal(context.Background(), a, iv(8))
+			if err == nil || !strings.Contains(err.Error(), "short buffer") {
+				t.Fatalf("err = %v, want the match's decode error", err)
+			}
+			checkRolledBack(t, a)
+			checkCounterInvariant(t, real, a)
+
+			a.Table = real // fault cleared
+			got, _, err := Equal(context.Background(), a, iv(8))
+			if err != nil || len(got) != 30 {
+				t.Fatalf("after the fault: %d matches, err %v; want 30", len(got), err)
+			}
+			checkCounterInvariant(t, real, a)
+		})
 	}
 }

@@ -288,15 +288,31 @@ func (t *Table) PageLiveCount(p storage.PageID) (int, error) {
 	return sp.LiveCount(), nil
 }
 
-// ScanPage invokes fn for every live tuple in page p, in slot order.
-// Returning a non-nil error from fn stops the scan and propagates.
-func (t *Table) ScanPage(p storage.PageID, fn func(storage.RID, storage.Tuple) error) error {
+// ScanPage is the key-first page kernel of every table scan: it invokes
+// fn for every live tuple in page p, in slot order, with the tuple's RID,
+// its value of column col, and its encoded bytes. Every tuple's framing
+// is checked (storage.DecodeColumn), so a corrupt tuple fails the scan
+// whether or not the caller ever materialises it, but only col is
+// decoded; a caller wanting the whole tuple decodes raw with
+// storage.DecodeTuple. raw aliases the pinned page and is valid only
+// during the call. Returning a non-nil error from fn stops the scan and
+// propagates.
+func (t *Table) ScanPage(p storage.PageID, col int, fn func(rid storage.RID, key storage.Value, raw []byte) error) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.scanPageLocked(p, fn)
+	return t.scanPageLocked(p, func(rid storage.RID, raw []byte) error {
+		key, err := storage.DecodeColumn(t.schema, raw, col)
+		if err != nil {
+			return err
+		}
+		return fn(rid, key, raw)
+	})
 }
 
-func (t *Table) scanPageLocked(p storage.PageID, fn func(storage.RID, storage.Tuple) error) error {
+// scanPageLocked is the page loop under ScanPage and Scan: it pins and
+// validates page p and hands fn every live slot's bytes, which alias the
+// pinned page.
+func (t *Table) scanPageLocked(p storage.PageID, fn func(rid storage.RID, raw []byte) error) error {
 	if int(p) >= t.numPages {
 		return fmt.Errorf("heap: page %d out of range (table has %d pages)", p, t.numPages)
 	}
@@ -320,24 +336,27 @@ func (t *Table) scanPageLocked(p storage.PageID, fn func(storage.RID, storage.Tu
 		if err != nil {
 			return err
 		}
-		tu, err := storage.DecodeTuple(t.schema, raw)
-		if err != nil {
-			return err
-		}
-		if err := fn(storage.RID{Page: p, Slot: uint16(s)}, tu); err != nil {
+		if err := fn(storage.RID{Page: p, Slot: uint16(s)}, raw); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Scan invokes fn for every live tuple in the table, in page then slot
-// order — a full table scan.
+// Scan invokes fn for every live tuple in the table, fully decoded, in
+// page then slot order — a full table scan.
 func (t *Table) Scan(fn func(storage.RID, storage.Tuple) error) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	decode := func(rid storage.RID, raw []byte) error {
+		tu, err := storage.DecodeTuple(t.schema, raw)
+		if err != nil {
+			return err
+		}
+		return fn(rid, tu)
+	}
 	for p := 0; p < t.numPages; p++ {
-		if err := t.scanPageLocked(storage.PageID(p), fn); err != nil {
+		if err := t.scanPageLocked(storage.PageID(p), decode); err != nil {
 			return err
 		}
 	}

@@ -126,7 +126,7 @@ func TestTableUpdateInPlaceAndMove(t *testing.T) {
 	// Grow the first tuple to more than a page's remaining space: find a
 	// tuple on page 0 and grow it hugely.
 	var victim storage.RID
-	_ = tb.ScanPage(0, func(r storage.RID, _ storage.Tuple) error {
+	_ = tb.ScanPage(0, 0, func(r storage.RID, _ storage.Value, _ []byte) error {
 		victim = r
 		return fmt.Errorf("stop")
 	})
@@ -190,7 +190,7 @@ func TestTableScanOrder(t *testing.T) {
 
 func TestTableScanPageErrors(t *testing.T) {
 	tb, _ := newTable(t, 8)
-	if err := tb.ScanPage(0, func(storage.RID, storage.Tuple) error { return nil }); err == nil {
+	if err := tb.ScanPage(0, 0, func(storage.RID, storage.Value, []byte) error { return nil }); err == nil {
 		t.Error("scan of nonexistent page should fail")
 	}
 	if _, err := tb.PageLiveCount(0); err == nil {
@@ -393,5 +393,66 @@ func TestOpenTableReattaches(t *testing.T) {
 	pool3, _ := buffer.NewPool(d, 8)
 	if _, err := OpenTable(testSchema(), pool3, tb.NumPages()); err == nil {
 		t.Error("reopen over corrupt page should fail")
+	}
+}
+
+// TestScanPageKeyFirst checks the key-first kernel against the full
+// decode: every column it hands out equals the decoded tuple's, raw
+// decodes to that tuple, and a tuple corrupt only outside the key column
+// still fails the scan.
+func TestScanPageKeyFirst(t *testing.T) {
+	tb, _ := newTable(t, 8)
+	for i := 0; i < 40; i++ {
+		if _, err := tb.Insert(row(int64(i), strings.Repeat("p", 100+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full := map[storage.RID]storage.Tuple{}
+	if err := tb.Scan(func(r storage.RID, tu storage.Tuple) error {
+		full[r] = tu
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for col := 0; col < 2; col++ {
+		seen := 0
+		for p := 0; p < tb.NumPages(); p++ {
+			err := tb.ScanPage(storage.PageID(p), col, func(r storage.RID, key storage.Value, raw []byte) error {
+				seen++
+				want := full[r]
+				if !key.Equal(want.Value(col)) {
+					t.Errorf("col %d at %v: key %v, want %v", col, r, key, want.Value(col))
+				}
+				tu, err := storage.DecodeTuple(testSchema(), raw)
+				if err != nil || tu.String() != want.String() {
+					t.Errorf("col %d at %v: raw decodes to %v (%v), want %v", col, r, tu, err, want)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if seen != len(full) {
+			t.Errorf("col %d: kernel saw %d tuples, Scan %d", col, seen, len(full))
+		}
+	}
+
+	// Shrink slot 0's VARCHAR length prefix: its key still decodes, but
+	// the tuple now has trailing bytes.
+	f, err := tb.pool.Fetch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, _ := AsPage(f.Data())
+	raw, err := sp.Tuple(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[8]-- // low byte of the payload's length prefix
+	tb.pool.Unpin(f)
+	err = tb.ScanPage(0, 0, func(storage.RID, storage.Value, []byte) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+		t.Errorf("scan over a tuple with corrupt framing: err = %v, want trailing-bytes error", err)
 	}
 }

@@ -114,13 +114,54 @@ func DecodeTuple(s *Schema, buf []byte) (Tuple, error) {
 	for i := 0; i < s.NumColumns(); i++ {
 		v, n, err := decodeValue(s.Column(i).Kind, buf[off:])
 		if err != nil {
-			return Tuple{}, fmt.Errorf("storage: column %q: %w", s.Column(i).Name, err)
+			return Tuple{}, columnError(s, i, err)
 		}
 		values[i] = v
 		off += n
 	}
 	if off != len(buf) {
-		return Tuple{}, fmt.Errorf("storage: %d trailing bytes after tuple", len(buf)-off)
+		return Tuple{}, trailingError(len(buf) - off)
 	}
 	return Tuple{values: values}, nil
+}
+
+// DecodeColumn parses only column col of a tuple of schema s from buf.
+// It checks every column's framing exactly as DecodeTuple does — the same
+// bounds checks, the same trailing-byte check, the same errors — so it
+// fails exactly when DecodeTuple fails and otherwise returns
+// DecodeTuple(s, buf).Value(col). Only col is materialised: an INTEGER
+// column costs no allocation. This is the key-first half of a page scan,
+// which needs the predicate column of every tuple but the whole tuple
+// only of those that match.
+func DecodeColumn(s *Schema, buf []byte, col int) (Value, error) {
+	if col < 0 || col >= s.NumColumns() {
+		return Value{}, fmt.Errorf("storage: column %d out of range (schema has %d columns)", col, s.NumColumns())
+	}
+	var v Value
+	off := 0
+	for i := 0; i < s.NumColumns(); i++ {
+		var n int
+		var err error
+		if i == col {
+			v, n, err = decodeValue(s.Column(i).Kind, buf[off:])
+		} else {
+			n, err = valueLen(s.Column(i).Kind, buf[off:])
+		}
+		if err != nil {
+			return Value{}, columnError(s, i, err)
+		}
+		off += n
+	}
+	if off != len(buf) {
+		return Value{}, trailingError(len(buf) - off)
+	}
+	return v, nil
+}
+
+func columnError(s *Schema, i int, err error) error {
+	return fmt.Errorf("storage: column %q: %w", s.Column(i).Name, err)
+}
+
+func trailingError(n int) error {
+	return fmt.Errorf("storage: %d trailing bytes after tuple", n)
 }

@@ -162,25 +162,39 @@ func (v Value) AppendEncode(buf []byte) []byte {
 // carry. The paper's payload column is VARCHAR(512), far below this.
 const maxStringLen = 1<<16 - 1
 
-// decodeValue reads one value of the given kind from buf, returning the
-// value and the number of bytes consumed.
-func decodeValue(kind Kind, buf []byte) (Value, int, error) {
+// valueLen checks the framing of one encoded value of the given kind at
+// the start of buf and returns its length in bytes, without
+// materialising it.
+func valueLen(kind Kind, buf []byte) (int, error) {
 	switch kind {
 	case KindInt64:
 		if len(buf) < 8 {
-			return Value{}, 0, fmt.Errorf("storage: short buffer decoding INTEGER: have %d bytes", len(buf))
+			return 0, fmt.Errorf("storage: short buffer decoding INTEGER: have %d bytes", len(buf))
 		}
-		return Int64Value(int64(binary.LittleEndian.Uint64(buf))), 8, nil
+		return 8, nil
 	case KindString:
 		if len(buf) < 2 {
-			return Value{}, 0, fmt.Errorf("storage: short buffer decoding VARCHAR length: have %d bytes", len(buf))
+			return 0, fmt.Errorf("storage: short buffer decoding VARCHAR length: have %d bytes", len(buf))
 		}
 		n := int(binary.LittleEndian.Uint16(buf))
 		if len(buf) < 2+n {
-			return Value{}, 0, fmt.Errorf("storage: short buffer decoding VARCHAR body: want %d, have %d", n, len(buf)-2)
+			return 0, fmt.Errorf("storage: short buffer decoding VARCHAR body: want %d, have %d", n, len(buf)-2)
 		}
-		return StringValue(string(buf[2 : 2+n])), 2 + n, nil
+		return 2 + n, nil
 	default:
-		return Value{}, 0, fmt.Errorf("storage: cannot decode kind %v", kind)
+		return 0, fmt.Errorf("storage: cannot decode kind %v", kind)
 	}
+}
+
+// decodeValue reads one value of the given kind from buf, returning the
+// value and the number of bytes consumed.
+func decodeValue(kind Kind, buf []byte) (Value, int, error) {
+	n, err := valueLen(kind, buf)
+	if err != nil {
+		return Value{}, 0, err
+	}
+	if kind == KindInt64 {
+		return Int64Value(int64(binary.LittleEndian.Uint64(buf))), n, nil
+	}
+	return StringValue(string(buf[2:n])), n, nil
 }
