@@ -72,14 +72,14 @@ type Options struct {
 	SpaceLimit int
 	// PoolPages is the buffer-pool capacity per table.
 	PoolPages int
-	// ScanParallelism bounds the worker pool every table-scan stage
-	// (indexing scans and full scans) fans out to: 1 forces the serial
-	// scan, n > 1 splits the page range into contiguous chunks read by at
-	// most n goroutines, and 0 (the default) uses GOMAXPROCS. Query
-	// results, QueryStats, and Index Buffer state are identical across
-	// settings — parallelism changes wall-clock time only. Each worker
-	// pins one buffer-pool page, so keep PoolPages comfortably above the
-	// parallelism.
+	// ScanParallelism bounds the workers that read pages in every table
+	// scan (indexing scans and full scans): 1 reads them on the querying
+	// goroutine, n > 1 splits the page range into contiguous chunks read
+	// by at most n goroutines, and 0 (the default) uses GOMAXPROCS. Every
+	// setting runs the same scan pass, so query results, QueryStats, and
+	// Index Buffer state are identical across settings — parallelism
+	// changes wall-clock time only. Each worker pins one buffer-pool page,
+	// so keep PoolPages comfortably above the parallelism.
 	ScanParallelism int
 	// Structure selects the buffer's index structure.
 	Structure Structure

@@ -132,7 +132,7 @@ func BenchmarkTableIMaintenance(b *testing.B) {
 		b.Fatal(err)
 	}
 	for p := 0; p < 128; p++ { // half the pages buffered
-		if err := buf.BeginPage(storage.PageID(p)); err != nil {
+		if err := buf.ApplyPage(storage.PageID(p), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -69,9 +69,10 @@ type Options struct {
 	// shape of the paper's per-query milliseconds.
 	ReadLatency time.Duration
 
-	// ScanParallelism bounds the worker fan-out of every table-scan
-	// stage: 1 forces the serial scan, 0 uses GOMAXPROCS. Results are
-	// identical across settings; only wall-clock time changes.
+	// ScanParallelism bounds the page-reading workers of every table
+	// scan: 1 reads on the querying goroutine, 0 uses GOMAXPROCS. Every
+	// setting runs the same scan pass, so results are identical across
+	// settings; only wall-clock time changes.
 	ScanParallelism int
 }
 

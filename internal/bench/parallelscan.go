@@ -9,8 +9,8 @@ import (
 )
 
 // ParallelScanOptions configures RunParallelScan. ScanParallelism (in
-// the embedded Options) selects serial (1) versus parallel (>1 or 0 for
-// GOMAXPROCS) scan execution; Goroutines adds client-side contention.
+// the embedded Options) selects one scan worker (1) versus a pool (>1 or
+// 0 for GOMAXPROCS); Goroutines adds client-side contention.
 type ParallelScanOptions struct {
 	Options
 

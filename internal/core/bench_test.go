@@ -21,12 +21,9 @@ func BenchmarkBufferLookup(b *testing.B) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	for p := 0; p < 1000; p++ {
-		if err := buf.BeginPage(storage.PageID(p)); err != nil {
+		es := synthEntries(storage.PageID(p), 20, func(int) int64 { return rng.Int63n(50000) })
+		if err := buf.ApplyPage(storage.PageID(p), es); err != nil {
 			b.Fatal(err)
-		}
-		for k := 0; k < 20; k++ {
-			_ = buf.AddEntry(storage.PageID(p), storage.Int64Value(rng.Int63n(50000)),
-				storage.RID{Page: storage.PageID(p), Slot: uint16(k)})
 		}
 	}
 	b.ResetTimer()
@@ -69,7 +66,7 @@ func BenchmarkBenefit(b *testing.B) {
 		b.Fatal(err)
 	}
 	for p := 0; p < 2000; p++ {
-		_ = buf.BeginPage(storage.PageID(p))
+		_ = buf.ApplyPage(storage.PageID(p), nil)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

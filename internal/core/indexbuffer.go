@@ -22,11 +22,13 @@ import (
 //
 // Concurrency: every exported method takes the buffer's own RWMutex, so
 // probes (Lookup, Counter) from index-hit queries and displacement drops
-// initiated by scans on *other* tables interleave safely. The mutating
-// scan protocol (BeginPage/AddEntry) is not itself serialized here — the
-// engine guarantees at most one indexing scan per buffer at a time by
-// holding the owning table's write lock, and pins the buffer against
-// displacement for the scan's duration (Space.PinForScan). Lock order:
+// initiated by scans on *other* tables interleave safely. An indexing
+// scan applies each selected page with one ApplyPage call; successive
+// calls are not serialized here — the engine guarantees at most one
+// indexing scan per buffer at a time by holding the owning table's write
+// lock, and pins the buffer against displacement for the scan's duration
+// (Space.PinForScan). A scan that fails before its merge applies nothing,
+// so a page is either fully buffered or untouched. Lock order:
 // Space.mu → IndexBuffer.mu → History.mu; the buffer never acquires
 // Space.mu (the shared entry budget is atomic).
 type IndexBuffer struct {
@@ -418,15 +420,8 @@ func (b *IndexBuffer) LookupRange(lo, hi storage.Value) []storage.RID {
 	return out
 }
 
-// BeginPage assigns page p to the filling partition, opening a new one
-// when the current is complete (X_p == P). Called by the indexing scan
-// for each page in the selected set I before its tuples are added.
-func (b *IndexBuffer) BeginPage(p storage.PageID) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.beginPageLocked(p)
-}
-
+// beginPageLocked assigns page p to the filling partition, opening a new
+// one when the current is complete (X_p == P). Callers hold b.mu.
 func (b *IndexBuffer) beginPageLocked(p storage.PageID) error {
 	if b.partOf(p) != nil {
 		return fmt.Errorf("core: page %d already buffered in %s", p, b.name)
@@ -444,31 +439,15 @@ func (b *IndexBuffer) beginPageLocked(p storage.PageID) error {
 	return nil
 }
 
-// AddEntry inserts an uncovered tuple of a buffered page into the page's
-// partition, charging the Space budget. The page must have been assigned
-// via BeginPage.
-func (b *IndexBuffer) AddEntry(p storage.PageID, key storage.Value, rid storage.RID) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	part := b.partOf(p)
-	if part == nil {
-		return fmt.Errorf("core: AddEntry on unbuffered page %d in %s", p, b.name)
-	}
-	if part.insert(key, rid) {
-		b.charge(1)
-	}
-	return nil
-}
-
-// ApplyPage is BeginPage plus the page's complete entry set under one
-// lock acquisition: the page is assigned to the filling partition and
-// every entry inserted atomically with respect to concurrent probes. A
-// parallel scan's workers collect each selected page's uncovered tuples
-// off-lock and the ordered merge step applies them here, so readers
-// (Lookup, Counter) never observe a page that is buffered but only
-// partially inserted — the same all-or-nothing view the serial
-// BeginPage/AddEntry loop provides under the table's write lock, without
-// per-entry lock traffic.
+// ApplyPage indexes page p of the selected set I: under one lock
+// acquisition the page is assigned to the filling partition, every
+// entry of its complete entry set is inserted (charging the Space
+// budget), and the counter snapshot with C[p] == 0 is published. The
+// indexing scan collects each selected page's uncovered tuples off-lock
+// and its ordered merge step applies them here, so readers (Lookup,
+// Counter, the snapshot) never observe a page that is buffered but only
+// partially inserted. Fails, changing nothing, when p is already
+// buffered.
 func (b *IndexBuffer) ApplyPage(p storage.PageID, entries []PageEntry) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -489,53 +468,11 @@ func (b *IndexBuffer) ApplyPage(p storage.PageID, entries []PageEntry) error {
 	return nil
 }
 
-// FinishPage publishes a fresh counter snapshot after the serial
-// BeginPage/AddEntry loop completes page p — the point where C[p]
-// becomes 0 for lock-free skip decisions. BeginPage deliberately does
-// not publish: between BeginPage and FinishPage the page is buffered
-// but possibly half-inserted, and only the locked probe path (which
-// sees the all-or-nothing partition state under b.mu) may treat it as
-// covered.
-func (b *IndexBuffer) FinishPage(p storage.PageID) {
-	b.mu.Lock()
-	if b.partOf(p) != nil {
-		b.publishCountersLocked()
-	}
-	b.mu.Unlock()
-}
-
-// PageEntry records one entry inserted for a page during an indexing
-// scan — the undo log AbortPage needs to roll the page back.
+// PageEntry is one Index Buffer entry of a page being indexed: an
+// uncovered tuple's key and RID.
 type PageEntry struct {
 	Key storage.Value
 	RID storage.RID
-}
-
-// AbortPage rolls back a BeginPage assignment after a mid-page failure:
-// the entries inserted so far are removed (refunding the Space budget),
-// the page leaves its partition, and C[p] reverts to the uncovered
-// count. Without this a page interrupted between BeginPage and the end
-// of its scan would read C[p] == 0 while only part of its uncovered
-// tuples are buffered, and every later scan would silently skip the
-// rest. A partition left with no pages is dropped entirely.
-func (b *IndexBuffer) AbortPage(p storage.PageID, added []PageEntry) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	part := b.partOf(p)
-	if part == nil {
-		return
-	}
-	for _, e := range added {
-		if part.remove(e.Key, e.RID) {
-			b.charge(-1)
-		}
-	}
-	delete(part.pages, p)
-	b.byPage[p] = nil
-	if len(part.pages) == 0 {
-		b.dropPartitionLocked(part)
-	}
-	b.publishCountersLocked()
 }
 
 // dropPartition removes part from the buffer: its pages lose their

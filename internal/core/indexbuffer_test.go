@@ -52,28 +52,38 @@ func TestCountersInitialAndGrow(t *testing.T) {
 	}
 }
 
-func TestBeginPageAndAddEntry(t *testing.T) {
+// pageEntries is page p's entry set: one entry per key, at slots 0, 1, ...
+func pageEntries(p int, keys ...int64) []PageEntry {
+	es := make([]PageEntry, len(keys))
+	for s, k := range keys {
+		es[s] = PageEntry{Key: iv(k), RID: rid(p, s)}
+	}
+	return es
+}
+
+// synthEntries is page p's entry set of n synthetic entries at slots
+// 0..n-1, entry k keyed key(k).
+func synthEntries(p storage.PageID, n int, key func(k int) int64) []PageEntry {
+	es := make([]PageEntry, n)
+	for k := range es {
+		es[k] = PageEntry{Key: iv(key(k)), RID: storage.RID{Page: p, Slot: uint16(k)}}
+	}
+	return es
+}
+
+func TestApplyPage(t *testing.T) {
 	s, b := newBuf(t, Config{P: 2}, []int{2, 1, 1, 1})
-	if err := b.BeginPage(0); err != nil {
+	if err := b.ApplyPage(0, pageEntries(0, 10, 20)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.BeginPage(0); err == nil {
-		t.Error("double BeginPage should fail")
-	}
-	if err := b.AddEntry(0, iv(10), rid(0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddEntry(0, iv(20), rid(0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddEntry(3, iv(30), rid(3, 0)); err == nil {
-		t.Error("AddEntry on unassigned page should fail")
+	if err := b.ApplyPage(0, pageEntries(0, 30)); err == nil {
+		t.Error("ApplyPage on a page already buffered should fail")
 	}
 	if !b.PageBuffered(0) || b.PageBuffered(1) {
 		t.Error("PageBuffered wrong")
 	}
-	if b.Counter(0) != 0 {
-		t.Errorf("buffered page counter = %d, want 0", b.Counter(0))
+	if b.Counter(0) != 0 || b.CounterSnapshot().At(0) != 0 {
+		t.Errorf("buffered page counter = %d (published %d), want 0", b.Counter(0), b.CounterSnapshot().At(0))
 	}
 	if b.Uncovered(0) != 2 {
 		t.Errorf("raw uncovered = %d, want 2 (unchanged)", b.Uncovered(0))
@@ -84,15 +94,15 @@ func TestBeginPageAndAddEntry(t *testing.T) {
 	if got := b.Lookup(iv(10)); len(got) != 1 || got[0] != rid(0, 0) {
 		t.Errorf("lookup = %v", got)
 	}
-	if b.Lookup(iv(99)) != nil {
-		t.Error("missing key should be nil")
+	if b.Lookup(iv(30)) != nil || b.Lookup(iv(99)) != nil {
+		t.Error("rejected or missing key should be nil")
 	}
 }
 
 func TestPartitionFillingRespectsP(t *testing.T) {
 	_, b := newBuf(t, Config{P: 2}, []int{1, 1, 1, 1, 1})
 	for p := 0; p < 5; p++ {
-		if err := b.BeginPage(storage.PageID(p)); err != nil {
+		if err := b.ApplyPage(storage.PageID(p), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -126,10 +136,8 @@ func TestPartitionFillingRespectsP(t *testing.T) {
 
 func TestLookupSpansPartitions(t *testing.T) {
 	_, b := newBuf(t, Config{P: 1}, []int{1, 1})
-	_ = b.BeginPage(0)
-	_ = b.BeginPage(1)
-	_ = b.AddEntry(0, iv(7), rid(0, 0))
-	_ = b.AddEntry(1, iv(7), rid(1, 0))
+	_ = b.ApplyPage(0, pageEntries(0, 7))
+	_ = b.ApplyPage(1, pageEntries(1, 7))
 	got := b.Lookup(iv(7))
 	if len(got) != 2 {
 		t.Fatalf("lookup across partitions = %v", got)
@@ -138,13 +146,8 @@ func TestLookupSpansPartitions(t *testing.T) {
 
 func TestDropPartitionRestoresCounters(t *testing.T) {
 	s, b := newBuf(t, Config{P: 2}, []int{3, 2, 4})
-	_ = b.BeginPage(0)
-	_ = b.BeginPage(1)
-	_ = b.AddEntry(0, iv(1), rid(0, 0))
-	_ = b.AddEntry(0, iv(2), rid(0, 1))
-	_ = b.AddEntry(0, iv(3), rid(0, 2))
-	_ = b.AddEntry(1, iv(4), rid(1, 0))
-	_ = b.AddEntry(1, iv(5), rid(1, 1))
+	_ = b.ApplyPage(0, pageEntries(0, 1, 2, 3))
+	_ = b.ApplyPage(1, pageEntries(1, 4, 5))
 	if s.Used() != 5 {
 		t.Fatalf("used = %d", s.Used())
 	}
@@ -163,8 +166,8 @@ func TestDropPartitionRestoresCounters(t *testing.T) {
 	if b.PageBuffered(0) || b.PageBuffered(1) {
 		t.Error("pages still marked buffered after drop")
 	}
-	// The open partition pointer was cleared; a new BeginPage works.
-	if err := b.BeginPage(2); err != nil {
+	// The open partition pointer was cleared; a new page applies.
+	if err := b.ApplyPage(2, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -172,8 +175,7 @@ func TestDropPartitionRestoresCounters(t *testing.T) {
 func TestReset(t *testing.T) {
 	s, b := newBuf(t, Config{P: 1}, []int{1, 1, 1})
 	for p := 0; p < 3; p++ {
-		_ = b.BeginPage(storage.PageID(p))
-		_ = b.AddEntry(storage.PageID(p), iv(int64(p)), rid(p, 0))
+		_ = b.ApplyPage(storage.PageID(p), pageEntries(p, int64(p)))
 	}
 	b.Reset()
 	if b.PartitionCount() != 0 || b.EntryCount() != 0 || s.Used() != 0 {
@@ -189,7 +191,7 @@ func TestReset(t *testing.T) {
 func TestBenefitUsesHistory(t *testing.T) {
 	_, b := newBuf(t, Config{P: 2, K: 2}, []int{1, 1, 1, 1})
 	for p := 0; p < 4; p++ {
-		_ = b.BeginPage(storage.PageID(p))
+		_ = b.ApplyPage(storage.PageID(p), nil)
 	}
 	// 2 partitions × 2 pages, fresh history (T=1): benefit = 4.
 	if got := b.Benefit(); got != 4 {
@@ -208,73 +210,12 @@ func TestBenefitUsesHistory(t *testing.T) {
 func TestDropBuffer(t *testing.T) {
 	s := NewSpace(Config{P: 1})
 	b, _ := s.CreateBuffer("t.a", []int{1})
-	_ = b.BeginPage(0)
-	_ = b.AddEntry(0, iv(1), rid(0, 0))
+	_ = b.ApplyPage(0, pageEntries(0, 1))
 	s.DropBuffer("t.a")
 	if s.Buffer("t.a") != nil || s.Used() != 0 || len(s.Buffers()) != 0 {
 		t.Error("DropBuffer did not clean up")
 	}
 	s.DropBuffer("missing") // no-op
-}
-
-func TestAbortPageRollsBackAssignment(t *testing.T) {
-	s, b := newBuf(t, Config{P: 10}, []int{2, 3})
-
-	// Page 0 fully buffered, page 1 interrupted after two entries.
-	if err := b.BeginPage(0); err != nil {
-		t.Fatal(err)
-	}
-	_ = b.AddEntry(0, iv(1), rid(0, 0))
-	_ = b.AddEntry(0, iv(2), rid(0, 1))
-	if err := b.BeginPage(1); err != nil {
-		t.Fatal(err)
-	}
-	_ = b.AddEntry(1, iv(3), rid(1, 0))
-	_ = b.AddEntry(1, iv(4), rid(1, 1))
-
-	b.AbortPage(1, []PageEntry{{Key: iv(3), RID: rid(1, 0)}, {Key: iv(4), RID: rid(1, 1)}})
-
-	// The aborted page reverts; the completed page is untouched.
-	if b.Counter(1) != 3 {
-		t.Errorf("C[1] = %d, want 3 (uncovered count restored)", b.Counter(1))
-	}
-	if b.Counter(0) != 0 {
-		t.Errorf("C[0] = %d, want 0", b.Counter(0))
-	}
-	if b.PageBuffered(1) {
-		t.Error("aborted page still buffered")
-	}
-	if got := b.Lookup(iv(3)); len(got) != 0 {
-		t.Errorf("aborted entries still visible: %v", got)
-	}
-	if got := b.Lookup(iv(1)); len(got) != 1 {
-		t.Errorf("surviving entries lost: %v", got)
-	}
-	// The Space budget refunds exactly the aborted entries.
-	if s.Used() != b.EntryCount() || s.Used() != 2 {
-		t.Errorf("Used = %d, EntryCount = %d, want 2", s.Used(), b.EntryCount())
-	}
-	// Both pages shared one partition, so it survives with one page.
-	if b.PartitionCount() != 1 {
-		t.Errorf("partitions = %d, want 1", b.PartitionCount())
-	}
-
-	// Aborting the only page of a partition drops the partition.
-	s2, b2 := newBuf(t, Config{P: 10}, []int{1})
-	if err := b2.BeginPage(0); err != nil {
-		t.Fatal(err)
-	}
-	_ = b2.AddEntry(0, iv(9), rid(0, 0))
-	b2.AbortPage(0, []PageEntry{{Key: iv(9), RID: rid(0, 0)}})
-	if b2.PartitionCount() != 0 || s2.Used() != 0 || b2.Counter(0) != 1 {
-		t.Errorf("empty-partition abort: parts=%d used=%d C[0]=%d", b2.PartitionCount(), s2.Used(), b2.Counter(0))
-	}
-
-	// AbortPage on a page never begun is a no-op.
-	b2.AbortPage(0, nil)
-	if b2.Counter(0) != 1 {
-		t.Errorf("no-op abort changed C[0] to %d", b2.Counter(0))
-	}
 }
 
 // TestEntryBytesAccounting pins the exact-byte occupancy bookkeeping:
@@ -286,13 +227,7 @@ func TestEntryBytesAccounting(t *testing.T) {
 	if b.EntryBytes() != 0 {
 		t.Fatalf("fresh buffer holds %d bytes", b.EntryBytes())
 	}
-	if err := b.BeginPage(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddEntry(0, iv(10), rid(0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddEntry(0, iv(20), rid(0, 1)); err != nil {
+	if err := b.ApplyPage(0, pageEntries(0, 10, 20)); err != nil {
 		t.Fatal(err)
 	}
 	per := iv(10).EncodedSize() + 6 // key bytes + RID (uint32 page + uint16 slot)

@@ -11,15 +11,17 @@ import (
 // matrixFixture builds a buffer over four pages: pages 0 and 1 are
 // buffered (in B), pages 2 and 3 are not. Each page starts with one
 // uncovered tuple (value 100+page) already accounted; buffered pages have
-// the corresponding buffer entry, per the invariant.
-func matrixFixture(t *testing.T) (*Space, *IndexBuffer) {
+// the corresponding buffer entry, per the invariant. extra are further
+// entries of page 0, applied with it.
+func matrixFixture(t *testing.T, extra ...PageEntry) (*Space, *IndexBuffer) {
 	t.Helper()
 	s, b := newBuf(t, Config{P: 2}, []int{1, 1, 1, 1})
 	for p := 0; p < 2; p++ {
-		if err := b.BeginPage(storage.PageID(p)); err != nil {
-			t.Fatal(err)
+		es := pageEntries(p, int64(100+p))
+		if p == 0 {
+			es = append(es, extra...)
 		}
-		if err := b.AddEntry(storage.PageID(p), iv(int64(100+p)), rid(p, 0)); err != nil {
+		if err := b.ApplyPage(storage.PageID(p), es); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,7 +52,6 @@ func TestMaintenanceMatrixTableI(t *testing.T) {
 					name := fmt.Sprintf("told∈IX=%v tnew∈IX=%v pold∈B=%v pnew∈B=%v",
 						oldInIX, newInIX, pOldInB, pNewInB)
 					t.Run(name, func(t *testing.T) {
-						_, b := matrixFixture(t)
 						pOld, pNew := pageFor(pOldInB, true), pageFor(pNewInB, false)
 						oldRID := rid(int(pOld), 5)
 						newRID := rid(int(pNew), 6)
@@ -58,13 +59,13 @@ func TestMaintenanceMatrixTableI(t *testing.T) {
 
 						// Precondition: if the old tuple is uncovered, it
 						// must be accounted — in the buffer when its page
-						// is buffered, in the counter otherwise.
+						// (then page 0) is buffered, and in the raw count.
+						var extra []PageEntry
+						if !oldInIX && pOldInB {
+							extra = []PageEntry{{Key: oldVal, RID: oldRID}}
+						}
+						_, b := matrixFixture(t, extra...)
 						if !oldInIX {
-							if pOldInB {
-								if err := b.AddEntry(pOld, oldVal, oldRID); err != nil {
-									t.Fatal(err)
-								}
-							}
 							b.uncovered[pOld]++
 						}
 						entriesBefore := b.EntryCount()
@@ -258,7 +259,7 @@ func TestMaintenanceInvariantRandomized(t *testing.T) {
 
 	// Buffer pages 0..3.
 	for p := 0; p < 4; p++ {
-		_ = b.BeginPage(storage.PageID(p))
+		_ = b.ApplyPage(storage.PageID(p), nil)
 	}
 
 	randVal := func() storage.Value { return iv(rng.Int63n(100)) }

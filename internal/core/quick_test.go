@@ -116,16 +116,10 @@ func TestMultiBufferSelectionBudgetProperty(t *testing.T) {
 			s.OnQuery(b, rng.Intn(3) == 0)
 			pages := s.SelectPagesForBuffer(b, 30)
 			for _, pg := range pages {
-				n := b.Counter(pg)
-				if err := b.BeginPage(pg); err != nil {
-					t.Logf("BeginPage: %v", err)
+				es := synthEntries(pg, b.Counter(pg), func(int) int64 { return rng.Int63n(50) })
+				if err := b.ApplyPage(pg, es); err != nil {
+					t.Logf("ApplyPage: %v", err)
 					return false
-				}
-				for k := 0; k < n; k++ {
-					if err := b.AddEntry(pg, storage.Int64Value(rng.Int63n(50)), storage.RID{Page: pg, Slot: uint16(r*16 + k)}); err != nil {
-						t.Logf("AddEntry: %v", err)
-						return false
-					}
 				}
 			}
 			if s.Used() > limit {

@@ -108,11 +108,7 @@ func TestVictimPolicyProtectsHotBuffer(t *testing.T) {
 		fill := func(b *IndexBuffer, pages int) {
 			sel := s.SelectPagesForBuffer(b, pages)
 			for _, pg := range sel {
-				n := b.Counter(pg)
-				_ = b.BeginPage(pg)
-				for k := 0; k < n; k++ {
-					_ = b.AddEntry(pg, storage.Int64Value(int64(pg)*10+int64(k)), storage.RID{Page: pg, Slot: uint16(k)})
-				}
+				_ = b.ApplyPage(pg, synthEntries(pg, b.Counter(pg), func(k int) int64 { return int64(pg)*10 + int64(k) }))
 			}
 		}
 		fill(hot, 10)
@@ -165,11 +161,7 @@ func TestSelectionSeedDeterminism(t *testing.T) {
 			sel := s.SelectPagesForBuffer(b, len(counters))
 			rounds = append(rounds, sel)
 			for _, pg := range sel {
-				n := b.Counter(pg)
-				_ = b.BeginPage(pg)
-				for k := 0; k < n; k++ {
-					_ = b.AddEntry(pg, storage.Int64Value(int64(pg)), storage.RID{Page: pg, Slot: uint16(k)})
-				}
+				_ = b.ApplyPage(pg, synthEntries(pg, b.Counter(pg), func(int) int64 { return int64(pg) }))
 			}
 		}
 		return rounds
@@ -225,8 +217,7 @@ func TestSelectionStreamIndependence(t *testing.T) {
 		d1, d2, target := mk("t.d1"), mk("t.d2"), mk("t.t")
 		fill := func(b *IndexBuffer) {
 			for _, pg := range s.SelectPagesForBuffer(b, 6) {
-				_ = b.BeginPage(pg)
-				_ = b.AddEntry(pg, storage.Int64Value(int64(pg)), storage.RID{Page: pg, Slot: 0})
+				_ = b.ApplyPage(pg, synthEntries(pg, 1, func(int) int64 { return int64(pg) }))
 			}
 		}
 		fill(d1)
@@ -267,11 +258,7 @@ func TestDisplacementJitterDeterminismAndEffect(t *testing.T) {
 		}
 		fill := func(b *IndexBuffer) {
 			for _, pg := range s.SelectPagesForBuffer(b, len(counters)) {
-				n := b.Counter(pg)
-				_ = b.BeginPage(pg)
-				for k := 0; k < n; k++ {
-					_ = b.AddEntry(pg, storage.Int64Value(int64(pg)), storage.RID{Page: pg, Slot: uint16(k)})
-				}
+				_ = b.ApplyPage(pg, synthEntries(pg, b.Counter(pg), func(int) int64 { return int64(pg) }))
 			}
 		}
 		// Build the victim to the budget (5 rounds of 2 pages).

@@ -8,12 +8,11 @@ import (
 )
 
 // TestCounterSnapshotProperty drives a buffer through a seeded random
-// sequence of every operation that moves C[p] — ApplyPage, the serial
-// BeginPage/AddEntry/FinishPage loop, AbortPage, Table I maintenance,
-// GrowPages past the page array, and displacement by a competing buffer
-// — and after each one checks that the published snapshot equals the
-// locked counters on every page, and that C[p] is 0 for a buffered page
-// and the uncovered count for an unbuffered one.
+// sequence of every operation that moves C[p] — ApplyPage, Table I
+// maintenance, GrowPages past the page array, and displacement by a
+// competing buffer — and after each one checks that the published
+// snapshot equals the locked counters on every page, and that C[p] is 0
+// for a buffered page and the uncovered count for an unbuffered one.
 func TestCounterSnapshotProperty(t *testing.T) {
 	displaced := uint64(0)
 	for seed := int64(1); seed <= 20; seed++ {
@@ -63,7 +62,7 @@ func TestCounterSnapshotProperty(t *testing.T) {
 
 		for op := 0; op < 300; op++ {
 			var name string
-			switch rng.Intn(8) {
+			switch rng.Intn(6) {
 			case 0:
 				name = "ApplyPage"
 				if p, ok := unbuffered(); ok {
@@ -72,38 +71,11 @@ func TestCounterSnapshotProperty(t *testing.T) {
 					}
 				}
 			case 1:
-				name = "BeginPage/AddEntry/FinishPage"
-				if p, ok := unbuffered(); ok {
-					if err := b.BeginPage(p); err != nil {
-						t.Fatalf("seed %d op %d: %v", seed, op, err)
-					}
-					for _, e := range entries(p, b.Uncovered(p)) {
-						if err := b.AddEntry(p, e.Key, e.RID); err != nil {
-							t.Fatalf("seed %d op %d: %v", seed, op, err)
-						}
-					}
-					b.FinishPage(p)
-				}
-			case 2:
-				name = "AbortPage"
-				if p, ok := unbuffered(); ok {
-					if err := b.BeginPage(p); err != nil {
-						t.Fatalf("seed %d op %d: %v", seed, op, err)
-					}
-					added := entries(p, rng.Intn(b.Uncovered(p)+1))
-					for _, e := range added {
-						if err := b.AddEntry(p, e.Key, e.RID); err != nil {
-							t.Fatalf("seed %d op %d: %v", seed, op, err)
-						}
-					}
-					b.AbortPage(p, added)
-				}
-			case 3:
 				name = "MaintainInsert"
 				tu := newTuple()
 				b.MaintainInsert(tu.v, tu.rid, tu.inIX)
 				live = append(live, tu)
-			case 4:
+			case 2:
 				name = "MaintainDelete"
 				if len(live) > 0 {
 					k := rng.Intn(len(live))
@@ -111,7 +83,7 @@ func TestCounterSnapshotProperty(t *testing.T) {
 					b.MaintainDelete(tu.v, tu.rid, tu.inIX)
 					live = append(live[:k], live[k+1:]...)
 				}
-			case 5:
+			case 3:
 				name = "MaintainUpdate"
 				if len(live) > 0 {
 					k := rng.Intn(len(live))
@@ -122,10 +94,10 @@ func TestCounterSnapshotProperty(t *testing.T) {
 					b.MaintainUpdate(old.v, tu.v, old.rid, tu.rid, old.inIX, tu.inIX)
 					live[k] = tu
 				}
-			case 6:
+			case 4:
 				name = "GrowPages"
 				b.GrowPages(b.NumPages() + 1 + rng.Intn(3))
-			case 7:
+			case 5:
 				name = "displacement"
 				s.OnQuery(other, false)
 				for _, p := range s.SelectPagesForBuffer(other, other.NumPages()) {

@@ -12,14 +12,9 @@ import (
 func indexPages(t *testing.T, b *IndexBuffer, pages []storage.PageID) {
 	t.Helper()
 	for _, pg := range pages {
-		n := b.Counter(pg)
-		if err := b.BeginPage(pg); err != nil {
+		es := synthEntries(pg, b.Counter(pg), func(s int) int64 { return int64(pg)*100 + int64(s) })
+		if err := b.ApplyPage(pg, es); err != nil {
 			t.Fatal(err)
-		}
-		for s := 0; s < n; s++ {
-			if err := b.AddEntry(pg, iv(int64(pg)*100+int64(s)), storage.RID{Page: pg, Slot: uint16(s)}); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 }

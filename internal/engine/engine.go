@@ -54,13 +54,13 @@ type Config struct {
 	// rand); see core.Config.
 	Space core.Config
 
-	// ScanParallelism bounds the worker pool of every table-scan stage
-	// (indexing scans and full scans): 1 forces the serial path, n > 1
-	// fans page-range chunks out to at most n goroutines, 0 defaults to
-	// GOMAXPROCS. Results and Index Buffer state are identical across
-	// settings; see exec's parallel scan. Parallel scans pin one pool
-	// page per worker, so PoolPages should comfortably exceed the
-	// parallelism.
+	// ScanParallelism bounds the page-reading workers of every table scan
+	// (indexing scans and full scans): 1 reads on the calling goroutine,
+	// n > 1 fans page-range chunks out to at most n goroutines, 0
+	// defaults to GOMAXPROCS. Every setting runs the same two-phase pass,
+	// so results and Index Buffer state are identical across settings;
+	// see exec's parallel.go. Scans pin one pool page per worker, so
+	// PoolPages should comfortably exceed the parallelism.
 	ScanParallelism int
 
 	// DisableIndexBuffer turns the Index Buffer machinery off: partial
@@ -155,7 +155,8 @@ func (e *Engine) ParallelScanStats() metrics.ParallelScanStats {
 }
 
 // noteScanWorkers attributes one executed scan's fan-out to the
-// engine-wide counters. Serial scans (0 or 1 workers) are not counted.
+// engine-wide counters. Scans that did not fan out (0 or 1 workers) are
+// not counted.
 func (e *Engine) noteScanWorkers(stats exec.QueryStats) {
 	if stats.ScanWorkers > 1 {
 		e.parallelScans.Scans.Add(1)

@@ -9,8 +9,8 @@
 // size one, and the engine's admission layer coalesces concurrent
 // buffer misses on the same table/column into larger batches.
 //
-// Execution is context-aware: the page-at-a-time loops of the indexing
-// scan and the full scan check for cancellation between page reads, so a
+// Execution is context-aware: the page loop shared by the indexing scan
+// and the full scan checks for cancellation between page reads, so a
 // long scan over a cold table can be abandoned mid-flight. The caller
 // (the engine) provides the isolation: an indexing scan must run with the
 // table's write lock held, everything else is safe under a read lock.
@@ -61,10 +61,11 @@ type QueryStats struct {
 	PagesSelected int // pages newly indexed this scan (|I|)
 	EntriesAdded  int // Index Buffer entries inserted this scan
 
-	// ScanWorkers is the number of goroutines the table-scan stage fanned
-	// out to: 1 for the serial path, >1 when the scan ran in parallel.
-	// Like the maintenance counters, a shared scan attributes it to the
-	// batch's first scanning query. Zero when no table scan ran.
+	// ScanWorkers is the number of phase-1 workers the table scan ran
+	// with: 1 when the calling goroutine read every page itself, >1 when
+	// the scan fanned out to a pool. Like the maintenance counters, a
+	// shared scan attributes it to the batch's first scanning query. Zero
+	// when no table scan ran.
 	ScanWorkers int
 
 	Duration time.Duration
@@ -97,16 +98,17 @@ type Access struct {
 	Buffer *core.IndexBuffer
 	Space  *core.Space
 
-	// Parallelism bounds the worker pool of the table-scan stage: 1 (or
-	// a single-page table) runs the serial path, n > 1 fans page-range
-	// chunks out to at most n goroutines, and 0 defaults to GOMAXPROCS.
-	// Results, stats, and buffer maintenance are bit-identical across
-	// settings; see parallel.go for the execution scheme.
+	// Parallelism bounds the phase-1 workers of the table scan: 1 (or a
+	// single-page table) reads every page on the calling goroutine, n > 1
+	// fans page-range chunks out to at most n goroutines, and 0 defaults
+	// to GOMAXPROCS. Every setting runs the same two-phase pass, so
+	// results, stats, and buffer maintenance are bit-identical across
+	// settings; see parallel.go.
 	Parallelism int
 
 	// ReadOnly degrades a miss to an unindexed scan: the Index Buffer is
 	// consulted (lookups, C[p] == 0 page skips) but never mutated — no
-	// page selection, no BeginPage/AddEntry, no displacement. The engine
+	// page selection, no ApplyPage, no displacement. The engine
 	// sets it for misses of tenants whose quota is exhausted; because the
 	// pass mutates nothing it may run under the table's read lock. The
 	// buffer is still pinned against displacement for the pass's

@@ -26,6 +26,17 @@ func buildTable(t *testing.T, rows int) *heap.Table {
 // tests that damage page images in place.
 func buildTablePool(t *testing.T, rows int) (*heap.Table, *buffer.Pool) {
 	t.Helper()
+	keys := make([]int64, rows)
+	for i := range keys {
+		keys[i] = int64(i % 10)
+	}
+	return buildTableKeys(t, keys)
+}
+
+// buildTableKeys builds buildTable's padded layout with one tuple per
+// given key, in order.
+func buildTableKeys(t *testing.T, keys []int64) (*heap.Table, *buffer.Pool) {
+	t.Helper()
 	d := buffer.NewSimDisk()
 	pool, err := buffer.NewPool(d, 64)
 	if err != nil {
@@ -37,8 +48,8 @@ func buildTablePool(t *testing.T, rows int) (*heap.Table, *buffer.Pool) {
 	)
 	tb := heap.NewTable(schema, pool)
 	pad := strings.Repeat("p", 700) // ~11 tuples per page
-	for i := 0; i < rows; i++ {
-		tu := storage.NewTuple(iv(int64(i%10)), storage.StringValue(pad))
+	for _, k := range keys {
+		tu := storage.NewTuple(iv(k), storage.StringValue(pad))
 		if _, err := tb.Insert(tu); err != nil {
 			t.Fatal(err)
 		}

@@ -3,19 +3,89 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/heap"
 	"repro/internal/storage"
 )
 
-// The parallel scan's contract is bit-identical results: for any batch,
-// an Access with Parallelism > 1 must produce the same outcomes and
-// leave the same Index Buffer state as the serial scan. The tests here
-// hold the serial path as the oracle and diff everything observable.
+// The table-scan pass runs the same two phases at every worker count, so
+// the tests here hold every count to the same contracts, at parallelism
+// 1 (phase 1 inline on the caller) and n > 1 (a worker pool): results,
+// stats and counters equal the reference Algorithm 1 of
+// reference_test.go and do not depend on the worker count, and a fault
+// or whole-batch cancellation in phase 1 leaves the Index Buffer exactly
+// as it was.
+
+// raceFaultHeap runs fault on every tuple scanned after a set number of
+// tuples, with atomic state so concurrent workers may hit it. A nil
+// fault fails the scan with errInjected.
+type raceFaultHeap struct {
+	*heap.Table
+	remaining atomic.Int64
+	armed     atomic.Bool
+	fault     func() error
+}
+
+func (f *raceFaultHeap) ScanPage(p storage.PageID, col int, fn func(storage.RID, storage.Value, []byte) error) error {
+	return f.Table.ScanPage(p, col, func(rid storage.RID, key storage.Value, raw []byte) error {
+		if f.armed.Load() && f.remaining.Add(-1) < 0 {
+			if f.fault == nil {
+				return errInjected
+			}
+			if err := f.fault(); err != nil {
+				return err
+			}
+		}
+		return fn(rid, key, raw)
+	})
+}
+
+// checkMidPageFault injects a fault mid-page (the 26th tuple, on the
+// third page) into a scan at the given parallelism and checks that the
+// aborted scan applied nothing — no partial page, no counter movement,
+// no Space usage — and that the disarmed query then answers correctly.
+func checkMidPageFault(t *testing.T, par int) {
+	t.Helper()
+	fh := &raceFaultHeap{Table: buildTable(t, 300)}
+	a := scanFixture(t, fh)
+	a.Parallelism = par
+	fh.remaining.Store(25)
+	fh.armed.Store(true)
+
+	_, stats, err := Equal(context.Background(), a, iv(8))
+	if !errors.Is(err, errInjected) {
+		t.Fatalf("err = %v, want injected fault", err)
+	}
+	if stats.Duration <= 0 {
+		t.Error("Duration not recorded on the error path")
+	}
+	checkUntouched(t, a)
+
+	fh.armed.Store(false)
+	got, stats, err := Equal(context.Background(), a, iv(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 30 || stats.ScanWorkers != par {
+		t.Errorf("recovery: %d matches, %d workers; want 30, %d", len(got), stats.ScanWorkers, par)
+	}
+	checkCounterInvariant(t, fh.Table, a)
+}
+
+// TestMidPageFailureRollsBackPage runs the mid-page fault at parallelism
+// 1, where the caller reads every page itself.
+func TestMidPageFailureRollsBackPage(t *testing.T) { checkMidPageFault(t, 1) }
+
+// TestParallelFaultLeavesBufferUntouched runs the mid-page fault at
+// parallelism 4, where a worker pool reads the chunks.
+func TestParallelFaultLeavesBufferUntouched(t *testing.T) { checkMidPageFault(t, 4) }
 
 // normStats strips the two fields that legitimately differ across
 // parallelism settings: wall time and the fan-out itself.
@@ -25,65 +95,16 @@ func normStats(s QueryStats) QueryStats {
 	return s
 }
 
-// oracleFixtures builds two identical table+buffer fixtures, one for the
-// serial oracle and one for the parallel run under test.
-func oracleFixtures(t *testing.T, rows, parallelism int) (serial, par Access) {
-	t.Helper()
-	serial = scanFixture(t, buildTable(t, rows))
-	serial.Parallelism = 1
-	par = scanFixture(t, buildTable(t, rows))
-	par.Parallelism = parallelism
-	return serial, par
-}
-
-// diffOutcomes asserts the parallel batch outcome equals the serial one.
-func diffOutcomes(t *testing.T, label string, serial, par []SharedOutcome) {
-	t.Helper()
-	for i := range serial {
-		s, p := serial[i], par[i]
-		if (s.Err == nil) != (p.Err == nil) {
-			t.Fatalf("%s query %d: serial err %v, parallel err %v", label, i, s.Err, p.Err)
-		}
-		if !reflect.DeepEqual(normStats(s.Stats), normStats(p.Stats)) {
-			t.Errorf("%s query %d stats:\nserial   %+v\nparallel %+v", label, i, normStats(s.Stats), normStats(p.Stats))
-		}
-		if len(s.Matches) != len(p.Matches) {
-			t.Fatalf("%s query %d: %d serial matches, %d parallel", label, i, len(s.Matches), len(p.Matches))
-		}
-		for j := range s.Matches {
-			if s.Matches[j].RID != p.Matches[j].RID {
-				t.Fatalf("%s query %d match %d: serial %v, parallel %v", label, i, j, s.Matches[j].RID, p.Matches[j].RID)
-			}
-		}
-	}
-}
-
-// diffBuffers asserts the two fixtures' Index Buffer states are
-// identical: every page counter, the entry totals, and the Space budget.
-func diffBuffers(t *testing.T, label string, serial, par Access, numPages int) {
-	t.Helper()
-	for p := 0; p < numPages; p++ {
-		pg := storage.PageID(p)
-		if s, g := serial.Buffer.Counter(pg), par.Buffer.Counter(pg); s != g {
-			t.Errorf("%s: C[%d] serial %d, parallel %d", label, p, s, g)
-		}
-		if c := par.Buffer.Counter(pg); c < 0 {
-			t.Errorf("%s: C[%d] = %d negative", label, p, c)
-		}
-	}
-	if s, g := serial.Buffer.EntryCount(), par.Buffer.EntryCount(); s != g {
-		t.Errorf("%s: entries serial %d, parallel %d", label, s, g)
-	}
-	if s, g := serial.Space.Used(), par.Space.Used(); s != g {
-		t.Errorf("%s: space used serial %d, parallel %d", label, s, g)
-	}
-}
-
-// TestParallelMatchesSerialOracle runs the standard shared batch at
-// parallelism 4 against the serial oracle, then repeats it so the
-// second round exercises the all-pages-skipped path in parallel too.
+// TestParallelMatchesSerialOracle runs the standard shared batch on two
+// identical fixtures, one at parallelism 1 (the serial oracle) and one
+// at 4, and diffs every outcome, every C[p], the entry totals and the
+// Space budget. The second round repeats the batch, so the
+// all-pages-skipped path is diffed too.
 func TestParallelMatchesSerialOracle(t *testing.T) {
-	sa, pa := oracleFixtures(t, 300, 4)
+	sa := scanFixture(t, buildTable(t, 300))
+	sa.Parallelism = 1
+	pa := scanFixture(t, buildTable(t, 300))
+	pa.Parallelism = 4
 	batch := []SharedQuery{
 		{Lo: iv(8), Hi: iv(8), Equality: true},
 		{Lo: iv(9), Hi: iv(9), Equality: true},
@@ -96,94 +117,35 @@ func TestParallelMatchesSerialOracle(t *testing.T) {
 		if round == 0 && po[0].Stats.ScanWorkers != 4 {
 			t.Errorf("parallel leader reports %d workers, want 4", po[0].Stats.ScanWorkers)
 		}
-		diffOutcomes(t, label, so, po)
-		diffBuffers(t, label, sa, pa, sa.Table.NumPages())
-	}
-}
-
-// TestParallelOracleRandomized drives both fixtures through the same
-// seeded random batch stream — mixed equality and range predicates, in
-// and out of index coverage — and diffs outcomes and buffer state after
-// every batch. Seeded, so failures replay exactly.
-func TestParallelOracleRandomized(t *testing.T) {
-	for _, parallelism := range []int{2, 4} {
-		sa, pa := oracleFixtures(t, 400, parallelism)
-		numPages := sa.Table.NumPages()
-		rng := rand.New(rand.NewSource(42))
-		for round := 0; round < 12; round++ {
-			batch := make([]SharedQuery, 1+rng.Intn(4))
-			for i := range batch {
-				lo := int64(rng.Intn(12) - 1) // keys are 0..9; stray outside on purpose
-				if rng.Intn(2) == 0 {
-					batch[i] = SharedQuery{Lo: iv(lo), Hi: iv(lo), Equality: true}
-				} else {
-					batch[i] = SharedQuery{Lo: iv(lo), Hi: iv(lo + int64(rng.Intn(5)))}
+		for i := range so {
+			s, p := so[i], po[i]
+			if s.Err != nil || p.Err != nil {
+				t.Fatalf("%s query %d: serial err %v, parallel err %v", label, i, s.Err, p.Err)
+			}
+			if !reflect.DeepEqual(normStats(s.Stats), normStats(p.Stats)) {
+				t.Errorf("%s query %d stats:\nserial   %+v\nparallel %+v", label, i, normStats(s.Stats), normStats(p.Stats))
+			}
+			if len(s.Matches) != len(p.Matches) {
+				t.Fatalf("%s query %d: %d serial matches, %d parallel", label, i, len(s.Matches), len(p.Matches))
+			}
+			for j := range s.Matches {
+				if s.Matches[j].RID != p.Matches[j].RID {
+					t.Fatalf("%s query %d match %d: serial %v, parallel %v", label, i, j, s.Matches[j].RID, p.Matches[j].RID)
 				}
 			}
-			so := ExecuteShared(sa, batch)
-			po := ExecuteShared(pa, batch)
-			label := string(rune('a' + round))
-			diffOutcomes(t, label, so, po)
-			diffBuffers(t, label, sa, pa, numPages)
+		}
+		for pg := 0; pg < sa.Table.NumPages(); pg++ {
+			if s, g := sa.Buffer.Counter(storage.PageID(pg)), pa.Buffer.Counter(storage.PageID(pg)); s != g {
+				t.Errorf("%s: C[%d] serial %d, parallel %d", label, pg, s, g)
+			}
+		}
+		if s, g := sa.Buffer.EntryCount(), pa.Buffer.EntryCount(); s != g {
+			t.Errorf("%s: entries serial %d, parallel %d", label, s, g)
+		}
+		if s, g := sa.Space.Used(), pa.Space.Used(); s != g {
+			t.Errorf("%s: space used serial %d, parallel %d", label, s, g)
 		}
 	}
-}
-
-// raceFaultHeap injects a fault after a set number of scanned tuples,
-// like faultHeap, but with atomic state so concurrent workers may hit it.
-type raceFaultHeap struct {
-	*heap.Table
-	remaining atomic.Int64
-	armed     atomic.Bool
-}
-
-func (f *raceFaultHeap) ScanPage(p storage.PageID, col int, fn func(storage.RID, storage.Value, []byte) error) error {
-	return f.Table.ScanPage(p, col, func(rid storage.RID, key storage.Value, raw []byte) error {
-		if f.armed.Load() && f.remaining.Add(-1) < 0 {
-			return errInjected
-		}
-		return fn(rid, key, raw)
-	})
-}
-
-// TestParallelFaultLeavesBufferUntouched checks the parallel path's
-// all-or-nothing failure contract: a fault during phase 1 aborts before
-// the merge, so the Index Buffer holds nothing — no partial page, no
-// counter movement, no Space usage.
-func TestParallelFaultLeavesBufferUntouched(t *testing.T) {
-	fh := &raceFaultHeap{Table: buildTable(t, 300)}
-	a := scanFixture(t, fh)
-	a.Parallelism = 4
-	fh.remaining.Store(25)
-	fh.armed.Store(true)
-
-	_, _, err := Equal(context.Background(), a, iv(8))
-	if !errors.Is(err, errInjected) {
-		t.Fatalf("err = %v, want injected fault", err)
-	}
-	if n := a.Buffer.EntryCount(); n != 0 {
-		t.Errorf("buffer holds %d entries after aborted parallel scan", n)
-	}
-	if used := a.Space.Used(); used != 0 {
-		t.Errorf("Space.Used() = %d after aborted parallel scan", used)
-	}
-	for p := 0; p < fh.NumPages(); p++ {
-		pg := storage.PageID(p)
-		if got, want := a.Buffer.Counter(pg), a.Buffer.Uncovered(pg); got != want {
-			t.Errorf("C[%d] = %d after abort, want untouched %d", p, got, want)
-		}
-	}
-
-	// Disarmed, the same query completes and matches the fixture oracle.
-	fh.armed.Store(false)
-	got, stats, err := Equal(context.Background(), a, iv(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 30 || stats.ScanWorkers != 4 {
-		t.Errorf("recovery: %d matches, %d workers", len(got), stats.ScanWorkers)
-	}
-	checkCounterInvariant(t, fh.Table, a)
 }
 
 // TestParallelCancelOne mirrors TestExecuteSharedCancelOne at
@@ -209,26 +171,89 @@ func TestParallelCancelOne(t *testing.T) {
 	}
 }
 
-// TestParallelCancelAll: when every attached query's context is expired
-// the pool aborts in phase 1 and, like the fault path, applies nothing.
+// TestParallelCancelAll cancels every attached query mid-scan, on the
+// third page: phase 1 stops at the next page boundary and, like the
+// fault path, applies nothing.
 func TestParallelCancelAll(t *testing.T) {
-	a := scanFixture(t, buildTable(t, 300))
-	a.Parallelism = 4
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
-	outs := ExecuteShared(a, []SharedQuery{
-		{Lo: iv(8), Hi: iv(8), Equality: true, Ctx: canceled},
-		{Lo: iv(9), Hi: iv(9), Equality: true, Ctx: canceled},
-	})
-	for i, o := range outs {
-		if !errors.Is(o.Err, context.Canceled) || o.Matches != nil {
-			t.Errorf("query %d: err=%v matches=%d", i, o.Err, len(o.Matches))
-		}
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("p%d", par), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			fh := &raceFaultHeap{Table: buildTable(t, 300), fault: func() error { cancel(); return nil }}
+			a := scanFixture(t, fh)
+			a.Parallelism = par
+			fh.remaining.Store(25)
+			fh.armed.Store(true)
+			outs := ExecuteShared(a, []SharedQuery{
+				{Lo: iv(8), Hi: iv(8), Equality: true, Ctx: ctx},
+				{Lo: iv(9), Hi: iv(9), Equality: true, Ctx: ctx},
+			})
+			for i, o := range outs {
+				if !errors.Is(o.Err, context.Canceled) || o.Matches != nil {
+					t.Errorf("query %d: err=%v matches=%d", i, o.Err, len(o.Matches))
+				}
+			}
+			checkUntouched(t, a)
+		})
 	}
-	if n := a.Buffer.EntryCount(); n != 0 {
-		t.Errorf("buffer holds %d entries after fully-canceled scan", n)
+}
+
+// TestParallelOracleRandomized diffs ExecuteShared against the reference
+// Algorithm 1 over a seeded stream of batches — equality and range
+// predicates, in and out of index coverage, empty ranges — at
+// parallelism 1, 2 and 4: every query's matches and stats, then every
+// C[p] and the buffer's size. With IMax 3 on a 37-page table, I is a
+// strict subset of the candidates until the buffer covers the table,
+// after which every page is skipped.
+func TestParallelOracleRandomized(t *testing.T) {
+	keyRNG := rand.New(rand.NewSource(7))
+	keys := make([]int64, 400)
+	for i := range keys {
+		keys[i] = keyRNG.Int63n(10)
 	}
-	if used := a.Space.Used(); used != 0 {
-		t.Errorf("Space.Used() = %d after fully-canceled scan", used)
+	for _, par := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+			tb, _ := buildTableKeys(t, keys)
+			a := spaceFixture(t, tb, core.Config{IMax: 3, P: 4})
+			a.Parallelism = par
+			ref := newRefAlg1(t, tb, 3, func(k int64) bool { return k >= 0 && k <= 4 })
+			rng := rand.New(rand.NewSource(42))
+			for round := 0; round < 24; round++ {
+				batch := make([]SharedQuery, 1+rng.Intn(4))
+				for i := range batch {
+					lo := int64(rng.Intn(12) - 1) // keys are 0..9; stray outside on purpose
+					batch[i] = SharedQuery{Lo: iv(lo), Hi: iv(lo + int64(rng.Intn(6)) - 1)}
+					if rng.Intn(2) == 0 {
+						batch[i] = SharedQuery{Lo: iv(lo), Hi: iv(lo), Equality: true}
+					}
+				}
+				outs := ExecuteShared(a, batch)
+				wantRIDs, wantStats := ref.batch(batch, par)
+				for i, o := range outs {
+					var got []storage.RID
+					for _, m := range o.Matches {
+						got = append(got, m.RID)
+					}
+					sortRIDs(got)
+					o.Stats.Duration = 0
+					if o.Err != nil || !slices.Equal(got, wantRIDs[i]) || !reflect.DeepEqual(o.Stats, wantStats[i]) {
+						t.Fatalf("round %d query %d %+v: err %v\ngot  %v\n     %+v\nwant %v\n     %+v",
+							round, i, batch[i], o.Err, got, o.Stats, wantRIDs[i], wantStats[i])
+					}
+				}
+				entries := 0
+				for p := range ref.uncovered {
+					if got, want := a.Buffer.Counter(storage.PageID(p)), ref.counter(p); got != want {
+						t.Fatalf("round %d: C[%d] = %d, reference %d", round, p, got, want)
+					}
+					if ref.buffered[p] {
+						entries += ref.uncovered[p]
+					}
+				}
+				if n, used := a.Buffer.EntryCount(), a.Space.Used(); n != entries || used != entries {
+					t.Fatalf("round %d: %d entries, Space.Used %d; reference %d", round, n, used, entries)
+				}
+			}
+		})
 	}
 }

@@ -17,9 +17,9 @@ import (
 // (Graefe et al., "Concurrency Control for Adaptive Indexing", make the
 // same move for database cracking): the batch scans the heap once,
 // demultiplexes matching tuples to every attached query, and performs
-// the buffer maintenance (page selection, BeginPage/AddEntry) exactly
-// once. The engine's admission layer decides which queries form a batch;
-// this file only executes one.
+// the buffer maintenance (page selection, ApplyPage) exactly once. The
+// engine's admission layer decides which queries form a batch; this file
+// only executes one.
 
 // SharedQuery is one predicate attached to a shared scan: the equality
 // query column = Lo when Equality is set, else the range
@@ -147,31 +147,18 @@ func ExecuteShared(a Access, qs []SharedQuery) []SharedOutcome {
 		return outs
 	}
 	if a.Buffer == nil {
-		sharedFullScan(a, qs, outs, states, scanQ)
+		// The no-buffer fallback (baseline engines with the Index Buffer
+		// disabled, or a buffer dropped between planning and execution):
+		// the same pass with no page set I, so nothing is skipped or
+		// indexed.
+		for _, i := range scanQ {
+			outs[i].Stats.FullScan = true
+		}
+		scanTable(a, qs, outs, states, scanQ, nil, nil)
 	} else {
 		sharedIndexingScan(a, qs, outs, states, scanQ)
 	}
 	return outs
-}
-
-// pollCancel deactivates attached queries whose context expired and
-// reports whether any query remains active. A canceled query keeps its
-// ctx error; its partial matches are discarded.
-func pollCancel(outs []SharedOutcome, states []scanState, scanQ []int) bool {
-	any := false
-	for _, i := range scanQ {
-		if !states[i].active {
-			continue
-		}
-		if err := states[i].ctx.Err(); err != nil {
-			outs[i].Err = err
-			outs[i].Matches = nil
-			states[i].active = false
-			continue
-		}
-		any = true
-	}
-	return any
 }
 
 // failActive ends the scan for every still-attached query with err —
@@ -183,67 +170,6 @@ func failActive(err error, outs []SharedOutcome, states []scanState, scanQ []int
 			outs[i].Err = err
 			outs[i].Matches = nil
 			states[i].active = false
-		}
-	}
-}
-
-// demuxMatches appends one scanned tuple to every active attachee whose
-// predicate its key v satisfies — the serial loops' share of the scan
-// kernel. The whole tuple is decoded only on the first match.
-func demuxMatches(schema *storage.Schema, qs []SharedQuery, outs []SharedOutcome, states []scanState, scanQ []int, rid storage.RID, v storage.Value, raw []byte) error {
-	var tu storage.Tuple
-	for _, i := range scanQ {
-		if states[i].active && qs[i].matches(v) {
-			if err := materialize(schema, raw, &tu); err != nil {
-				return err
-			}
-			outs[i].Matches = append(outs[i].Matches, Match{RID: rid, Tuple: tu})
-		}
-	}
-	return nil
-}
-
-// sharedFullScan answers the scanning queries with one full table scan —
-// the no-buffer fallback (baseline engines with the Index Buffer
-// disabled, or a buffer dropped between planning and execution).
-func sharedFullScan(a Access, qs []SharedQuery, outs []SharedOutcome, states []scanState, scanQ []int) {
-	for _, i := range scanQ {
-		outs[i].Stats.FullScan = true
-	}
-	numPages := a.Table.NumPages()
-	workers := a.scanWorkers(numPages)
-	outs[scanQ[0]].Stats.ScanWorkers = workers
-	if workers > 1 {
-		parallelFullScan(a, qs, outs, states, scanQ, numPages, workers)
-		for _, i := range scanQ {
-			if states[i].active {
-				outs[i].Stats.Matches = len(outs[i].Matches)
-			}
-		}
-		return
-	}
-	schema := a.Table.Schema()
-	scan := func(rid storage.RID, v storage.Value, raw []byte) error {
-		return demuxMatches(schema, qs, outs, states, scanQ, rid, v, raw)
-	}
-	for p := 0; p < numPages; p++ {
-		if !pollCancel(outs, states, scanQ) {
-			return
-		}
-		pg := storage.PageID(p)
-		for _, i := range scanQ {
-			if states[i].active {
-				states[i].seen.read(&outs[i].Stats, pg)
-			}
-		}
-		if err := a.Table.ScanPage(pg, a.Column, scan); err != nil {
-			failActive(err, outs, states, scanQ)
-			return
-		}
-	}
-	for _, i := range scanQ {
-		if states[i].active {
-			outs[i].Stats.Matches = len(outs[i].Matches)
 		}
 	}
 }
@@ -261,14 +187,13 @@ func sharedIndexingScan(a Access, qs []SharedQuery, outs []SharedOutcome, states
 	// snapshot is taken once at scan start and stays valid for every
 	// page: the only mutator running (we hold the table's write lock and
 	// the buffer is pinned against displacement) is this scan itself,
-	// and it mutates a page's counter state only after that page's own
-	// skip check. The epoch pin keeps reclamation — triggered by this
-	// scan's own FinishPage/ApplyPage publications — from nilling the
-	// scan-start snapshot mid-pass.
+	// and its ApplyPage merge starts only after every skip decision was
+	// taken. The epoch pin keeps reclamation — triggered by those
+	// ApplyPage publications — from nilling the scan-start snapshot
+	// mid-pass.
 	unpinEpoch := a.Space.PinEpoch()
 	defer unpinEpoch()
 
-	numPages := a.Table.NumPages()
 	var selected []storage.PageID
 	if a.ReadOnly {
 		// Quota-degraded pass: I stays empty, so the page walk below never
@@ -281,7 +206,7 @@ func sharedIndexingScan(a Access, qs []SharedQuery, outs []SharedOutcome, states
 			outs[i].Stats.QuotaDegraded = true
 		}
 	} else {
-		selected = a.Space.SelectPagesForBufferObserved(a.Buffer, numPages, a.SpaceObs) // I ← SelectPagesForBuffer()
+		selected = a.Space.SelectPagesForBufferObserved(a.Buffer, a.Table.NumPages(), a.SpaceObs) // I ← SelectPagesForBuffer()
 	}
 	inI := make(map[storage.PageID]bool, len(selected))
 	for _, p := range selected {
@@ -306,22 +231,20 @@ func sharedIndexingScan(a Access, qs []SharedQuery, outs []SharedOutcome, states
 		outs[i].Stats.BufferMatches = len(m)
 	}
 
-	// Table scan (lines 11–17): skip pages with C[p] == 0, index the
-	// selected pages exactly once, demux matches to every attachee. With
-	// parallelism the page walk fans out to a worker pool and the buffer
-	// maintenance is applied in one ordered merge (see parallel.go);
-	// results and C[p] transitions are identical either way.
+	scanTable(a, qs, outs, states, scanQ, inI, a.Buffer.CounterSnapshot())
+}
+
+// scanTable is Algorithm 1's table scan (lines 11–17) for the scanning
+// queries: skip pages with C[p] == 0, index the pages in I exactly once,
+// demux matches to every attachee (see parallel.go for the two-phase
+// pass that does it). inI == nil is the plain full scan. Afterwards it
+// recovers covered range matches on skipped pages and fills in the
+// per-query result stats.
+func scanTable(a Access, qs []SharedQuery, outs []SharedOutcome, states []scanState, scanQ []int, inI map[storage.PageID]bool, snap *core.CounterSnap) {
+	numPages := a.Table.NumPages()
 	workers := a.scanWorkers(numPages)
 	outs[scanQ[0]].Stats.ScanWorkers = workers
-	snap := a.Buffer.CounterSnapshot()
-	var entriesAdded int
-	var skipped map[storage.PageID]bool
-	var aborted bool
-	if workers > 1 {
-		skipped, entriesAdded, aborted = parallelIndexingPass(a, qs, outs, states, scanQ, inI, snap, numPages, workers)
-	} else {
-		skipped, entriesAdded, aborted = serialIndexingPass(a, qs, outs, states, scanQ, inI, snap, numPages)
-	}
+	skipped, entriesAdded, aborted := runPass(a, qs, outs, states, scanQ, inI, snap, numPages, workers)
 
 	// Recover covered matches on skipped pages for range queries: a range
 	// straddling the coverage predicate has covered matches sitting
@@ -351,7 +274,7 @@ func sharedIndexingScan(a Access, qs []SharedQuery, outs []SharedOutcome, states
 	// Attribute the batch-wide maintenance work to the first scanning
 	// query, so per-query stats sum to the work actually performed.
 	leader := scanQ[0]
-	outs[leader].Stats.PagesSelected = len(selected)
+	outs[leader].Stats.PagesSelected = len(inI)
 	outs[leader].Stats.EntriesAdded = entriesAdded
 
 	for _, i := range scanQ {
@@ -359,93 +282,4 @@ func sharedIndexingScan(a Access, qs []SharedQuery, outs []SharedOutcome, states
 			outs[i].Stats.Matches = len(outs[i].Matches)
 		}
 	}
-}
-
-// serialIndexingPass is the single-goroutine table-scan stage of
-// Algorithm 1 (lines 11–17): skip pages with C[p] == 0, index the
-// selected pages exactly once, demux matches to every attachee. It is
-// the oracle the parallel pass (parallel.go) must be bit-identical to.
-// Skip decisions read the scan-start counter snapshot — identical to
-// the live counters at each page's check, since this scan is the only
-// running mutator and touches a page's counter state only after the
-// check. Returns the pages skipped, the entries added, and whether the
-// scan aborted (fault, or every attachee canceled — the consistent
-// prefix of indexed pages is kept either way).
-func serialIndexingPass(a Access, qs []SharedQuery, outs []SharedOutcome, states []scanState, scanQ []int, inI map[storage.PageID]bool, snap *core.CounterSnap, numPages int) (map[storage.PageID]bool, int, bool) {
-	entriesAdded := 0
-	skipped := make(map[storage.PageID]bool)
-	aborted := false
-	// The kernel callback is built once per pass; the loop below sets the
-	// page it is working on.
-	schema := a.Table.Schema()
-	var (
-		pg        storage.PageID
-		indexThis bool
-		added     []core.PageEntry // this page's entries: AbortPage's undo log
-	)
-	scan := func(rid storage.RID, v storage.Value, raw []byte) error {
-		if err := demuxMatches(schema, qs, outs, states, scanQ, rid, v, raw); err != nil {
-			return err
-		}
-		if indexThis && (a.Index == nil || !a.Index.Covers(v)) {
-			if err := a.Buffer.AddEntry(pg, v, rid); err != nil {
-				return err
-			}
-			added = append(added, core.PageEntry{Key: v, RID: rid})
-		}
-		return nil
-	}
-	for p := 0; p < numPages && !aborted; p++ {
-		if !pollCancel(outs, states, scanQ) {
-			aborted = true // every attachee canceled; keep the consistent prefix
-			break
-		}
-		pg = storage.PageID(p)
-		if snap.At(pg) == 0 {
-			skipped[pg] = true
-			for _, i := range scanQ {
-				if states[i].active {
-					outs[i].Stats.PagesSkipped++
-				}
-			}
-			continue
-		}
-		indexThis = inI[pg]
-		if indexThis {
-			if err := a.Buffer.BeginPage(pg); err != nil {
-				failActive(err, outs, states, scanQ)
-				aborted = true
-				break
-			}
-		}
-		for _, i := range scanQ {
-			if states[i].active {
-				states[i].seen.read(&outs[i].Stats, pg)
-			}
-		}
-		added = added[:0]
-		if err := a.Table.ScanPage(pg, a.Column, scan); err != nil {
-			if indexThis {
-				// Mid-page failure: BeginPage assigned the page to a
-				// partition but only part of its tuples were inserted —
-				// without this rollback C[pg] would read 0 and every later
-				// scan would skip tuples that were never buffered.
-				a.Buffer.AbortPage(pg, added)
-			}
-			failActive(err, outs, states, scanQ)
-			aborted = true
-			break
-		}
-		entriesAdded += len(added)
-		if indexThis {
-			// The page's C[p] → 0 transition becomes visible to lock-free
-			// readers only now, with the entry set complete — BeginPage
-			// deliberately does not publish the half-inserted state.
-			a.Buffer.FinishPage(pg)
-			if a.Span != nil {
-				a.Span("page-complete", int(pg), len(added))
-			}
-		}
-	}
-	return skipped, entriesAdded, aborted
 }

@@ -11,13 +11,17 @@ import (
 	"repro/internal/storage"
 )
 
-// This file is the serial-oracle property harness for parallel scan
-// execution: two engines differing only in Options.ScanParallelism are
-// driven through the same seeded stream of queries and DML, and every
+// This file checks that scan results do not depend on the worker count:
+// two engines differing only in Options.ScanParallelism are driven
+// through the same seeded stream of queries and DML, and every
 // observable — result sets, query stats, the per-page counter table
-// C[p] — must stay identical after every operation. The serial engine
-// (parallelism 1) is the oracle; any divergence is a parallel-scan bug.
-// CI runs this under -race as the parallel-scan stress step.
+// C[p] — must stay identical after every operation. Both engines run
+// the same two-phase table-scan pass and differ only in how its read
+// phase is chunked — at parallelism 1 the caller reads every page
+// itself, at n > 1 a pool reads the chunks — so a divergence means the
+// chunking leaked into a result. The pass's correctness is held against
+// a reference Algorithm 1 in internal/exec/reference_test.go. CI runs
+// this under -race as the parallel-scan stress step.
 
 // oracleHarness is one engine of the property-test pair plus its live
 // RID book-keeping.
@@ -108,9 +112,9 @@ func diffQuery(t *testing.T, op string, sRows, pRows []Row, sStats, pStats Query
 	}
 }
 
-// TestParallelSerialOracleProperty drives the serial engine and a
-// parallel engine through the same randomized mixed query/DML stream and
-// checks identity after every operation. Runs at parallelism 1 (harness
+// TestParallelSerialOracleProperty drives a one-worker engine and an
+// n-worker engine through the same randomized mixed query/DML stream and
+// checks identity after every operation. Runs at n = 1 (harness
 // self-check), 2, and NumCPU; the seed is fixed so failures replay.
 func TestParallelSerialOracleProperty(t *testing.T) {
 	const (
