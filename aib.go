@@ -57,8 +57,9 @@ import (
 )
 
 // Options configures a database. The zero value gives the paper's
-// defaults: B+-tree buffers, I^MAX = 5000 pages, P = 10000 pages,
-// LRU-2 histories, unlimited Index Buffer Space.
+// defaults: I^MAX = 5000 pages, P = 10000 pages, LRU-2 histories,
+// unlimited Index Buffer Space. Every Index Buffer is a B+-tree; the
+// paper calls the structure choice not essential (§III).
 type Options struct {
 	// IMax caps pages indexed per table scan (paper I^MAX).
 	IMax int
@@ -81,8 +82,6 @@ type Options struct {
 	// changes wall-clock time only. Each worker pins one buffer-pool page,
 	// so keep PoolPages comfortably above the parallelism.
 	ScanParallelism int
-	// Structure selects the buffer's index structure.
-	Structure Structure
 	// Selection orders the page candidates of Algorithm 2's selection.
 	// The zero value is the paper's ascending-counter policy; see
 	// SelectRandom for the workloads where determinism backfires.
@@ -103,20 +102,10 @@ type Options struct {
 	// DisableIndexBuffer turns the contribution off (baseline mode):
 	// partial-index misses degrade to full scans.
 	DisableIndexBuffer bool
-	// DisableEpochReadPath turns the epoch-based lock-free read path off,
-	// forcing every query through the table RWMutex. Results and counters
-	// are identical either way; the flag exists as the RWMutex baseline
-	// arm of the contended-read benchmarks (cmd/aibench -epoch).
-	DisableEpochReadPath bool
 	// DataDir, when non-empty, stores table pages in real files under
 	// the directory instead of the in-memory simulated disk. Call Close
 	// to flush and release them.
 	DataDir string
-	// ReadLatency and WriteLatency, when positive, charge each simulated
-	// disk access with a sleep so wall-clock behavior (and contention)
-	// takes a real device's shape. Ignored for DataDir-backed tables.
-	ReadLatency  time.Duration
-	WriteLatency time.Duration
 	// WAL configures crash-consistent durability for DataDir-backed
 	// databases: every acknowledged DML is written ahead to a log, and
 	// OpenExisting replays it so a crash — process kill, power cut —
@@ -145,11 +134,6 @@ type WALOptions struct {
 	// SegmentBytes overrides the log segment rotation threshold
 	// (default 4 MiB).
 	SegmentBytes int
-	// SyncDelay charges every log fsync with an extra sleep — the same
-	// simulated-device convention as Options.WriteLatency — so
-	// group-commit experiments keep a real device's shape on fast
-	// filesystems.
-	SyncDelay time.Duration
 	// CheckpointEvery, when positive, runs a background checkpoint at
 	// this period, bounding both recovery time and log size. Zero means
 	// checkpoints happen only on DDL, Save, Close, and Checkpoint calls.
@@ -190,18 +174,12 @@ func (s SyncPolicy) policy() wal.SyncPolicy {
 	}
 }
 
-// Tenant declares one budget domain for Options.Tenants / CreateTenant.
-type Tenant struct {
-	// Name identifies the tenant; it must be unique and non-empty ("" is
-	// the default tenant, which always exists and has no quota).
-	Name string
-	// Quota is the tenant's Index Buffer entry budget carved from
-	// SpaceLimit; 0 means unlimited.
-	Quota int
-	// Strict makes over-quota misses fail with ErrQuotaExceeded instead
-	// of degrading to unindexed scans.
-	Strict bool
-}
+// Tenant declares one budget domain for Options.Tenants / CreateTenant:
+// a unique non-empty Name, an entry Quota carved from SpaceLimit (0 =
+// unlimited), and Strict, which makes over-quota misses fail with
+// ErrQuotaExceeded instead of degrading to unindexed scans; see
+// engine.TenantSpec.
+type Tenant = engine.TenantSpec
 
 // SelectionPolicy enumerates the page-selection orderings of
 // Algorithm 2 — which candidate pages an indexing scan buffers first.
@@ -234,31 +212,6 @@ func (s SelectionPolicy) order() core.SelectionOrder {
 	}
 }
 
-// Structure enumerates the index structures an Index Buffer can use —
-// the three the paper names.
-type Structure int
-
-const (
-	// BTree is the default (the paper's B*-tree).
-	BTree Structure = iota
-	// CSBTree is the cache-sensitive B+-tree variant.
-	CSBTree
-	// HashTable is a chained hash index.
-	HashTable
-)
-
-// factory maps the enum to the core factory.
-func (s Structure) factory() core.StructureFactory {
-	switch s {
-	case CSBTree:
-		return core.NewCSBTreeStructure
-	case HashTable:
-		return core.NewHashStructure
-	default:
-		return core.NewBTreeStructure
-	}
-}
-
 // DB is a database instance.
 type DB struct {
 	eng *engine.Engine
@@ -279,11 +232,11 @@ func OpenExisting(o Options) (*DB, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	eng, err := engine.Load(engineConfig(o))
+	eng, err := engine.Load(engineConfig(o), o.Tenants...)
 	if err != nil {
 		return nil, err
 	}
-	return newDB(eng, o)
+	return &DB{eng: eng, sh: shell.New(eng)}, nil
 }
 
 // Open creates a new database (in-memory unless o.DataDir is set). It
@@ -296,7 +249,7 @@ func Open(o Options) (*DB, error) {
 	return newDB(engine.New(engineConfig(o)), o)
 }
 
-// newDB wraps a constructed engine, registering the declared tenants.
+// newDB wraps a new engine, registering the declared tenants.
 func newDB(eng *engine.Engine, o Options) (*DB, error) {
 	db := &DB{eng: eng, sh: shell.New(eng)}
 	for _, tn := range o.Tenants {
@@ -336,11 +289,6 @@ func (o Options) validate() error {
 	case o.DisplacementJitter < 0 || o.DisplacementJitter > 1:
 		return fmt.Errorf("repro: Options.DisplacementJitter %v is outside [0, 1]", o.DisplacementJitter)
 	}
-	switch o.Structure {
-	case BTree, CSBTree, HashTable:
-	default:
-		return fmt.Errorf("repro: unknown Options.Structure %d", o.Structure)
-	}
 	switch o.Selection {
 	case SelectAscending, SelectDescending, SelectRandom:
 	default:
@@ -354,8 +302,6 @@ func (o Options) validate() error {
 	switch {
 	case o.WAL.SegmentBytes < 0:
 		return fmt.Errorf("repro: Options.WAL.SegmentBytes %d is negative", o.WAL.SegmentBytes)
-	case o.WAL.SyncDelay < 0:
-		return fmt.Errorf("repro: Options.WAL.SyncDelay %v is negative", o.WAL.SyncDelay)
 	case o.WAL.CheckpointEvery < 0:
 		return fmt.Errorf("repro: Options.WAL.CheckpointEvery %v is negative", o.WAL.CheckpointEvery)
 	}
@@ -380,25 +326,20 @@ func engineConfig(o Options) engine.Config {
 		PoolPages:       o.PoolPages,
 		ScanParallelism: o.ScanParallelism,
 		DataDir:         o.DataDir,
-		ReadLatency:     o.ReadLatency,
-		WriteLatency:    o.WriteLatency,
 		Space: core.Config{
 			IMax:               o.IMax,
 			P:                  o.PartitionPages,
 			K:                  o.HistoryDepth,
 			SpaceLimit:         o.SpaceLimit,
-			NewStructure:       o.Structure.factory(),
 			Selection:          o.Selection.order(),
 			DisplacementJitter: o.DisplacementJitter,
 			Seed:               o.Seed,
 		},
-		DisableIndexBuffer:   o.DisableIndexBuffer,
-		DisableEpochReadPath: o.DisableEpochReadPath,
+		DisableIndexBuffer: o.DisableIndexBuffer,
 		WAL: engine.WALConfig{
 			Disable:         o.WAL.Disable,
 			SyncPolicy:      o.WAL.Sync.policy(),
 			SegmentBytes:    o.WAL.SegmentBytes,
-			SyncDelay:       o.WAL.SyncDelay,
 			CheckpointEvery: o.WAL.CheckpointEvery,
 			DisableQueryLog: o.WAL.DisableQueryLog,
 		},

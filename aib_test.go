@@ -219,38 +219,6 @@ func TestPublicAPISetIndexAndStats(t *testing.T) {
 	}
 }
 
-func TestStructureOptions(t *testing.T) {
-	for _, st := range []Structure{BTree, CSBTree, HashTable} {
-		db := MustOpen(Options{Structure: st, IMax: 1000, PartitionPages: 10})
-		tb, err := db.CreateTable("t", Int64Column("k"), StringColumn("pad"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pad := strings.Repeat("x", 200)
-		for i := 0; i < 500; i++ {
-			if _, err := tb.Insert(int64(i%50), pad); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := tb.CreatePartialRangeIndex("k", 0, 24); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := tb.Query("k", 40); err != nil {
-			t.Fatal(err)
-		}
-		rows, s, err := tb.Query("k", 40)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rows) != 10 {
-			t.Errorf("structure %d: %d rows, want 10", st, len(rows))
-		}
-		if s.PagesSkipped == 0 {
-			t.Errorf("structure %d: no skips on second query", st)
-		}
-	}
-}
-
 func TestDisableIndexBuffer(t *testing.T) {
 	db := MustOpen(Options{DisableIndexBuffer: true})
 	tb, err := db.CreateTable("t", Int64Column("k"), StringColumn("pad"))

@@ -193,42 +193,6 @@ func benchEngine(b *testing.B, cfg core.Config) (*engine.Engine, *engine.Table) 
 	return eng, tb
 }
 
-// BenchmarkAblationStructure compares the three buffer structures the
-// paper names (§III) on the same workload.
-func BenchmarkAblationStructure(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		st   Structure
-	}{{"btree", BTree}, {"csbtree", CSBTree}, {"hash", HashTable}} {
-		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				db := MustOpen(Options{Structure: c.st, IMax: 200, PartitionPages: 300, Seed: 9})
-				tb, err := db.CreateTable("data", Int64Column("k"), StringColumn("payload"))
-				if err != nil {
-					b.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(31))
-				pad := strings.Repeat("b", 220)
-				for r := 0; r < benchRows; r++ {
-					if _, err := tb.Insert(int64(1+rng.Intn(2000)), pad); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := tb.CreatePartialRangeIndex("k", 1, 200); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				for q := 0; q < 60; q++ {
-					if _, _, err := tb.Query("k", int64(201+rng.Intn(1800))); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationSelectionOrder compares the paper's ascending-counter
 // page selection against descending and random under a tight space
 // budget, where the choice determines how many pages the budget buys.
@@ -554,14 +518,13 @@ func BenchmarkSharedScan(b *testing.B) {
 	)
 	for _, g := range []int{1, 8} {
 		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
-			db := MustOpen(Options{
+			db := openTuned(b, Options{
 				Seed:           9,
 				SpaceLimit:     64,
 				IMax:           64,
 				PartitionPages: 8,
 				PoolPages:      32,
-				ReadLatency:    20 * time.Microsecond,
-			})
+			}, false, func(c *engine.Config) { c.ReadLatency = 20 * time.Microsecond })
 			defer db.Close()
 			tb, err := db.CreateTable("data", Int64Column("k"), StringColumn("pad"))
 			if err != nil {
@@ -719,32 +682,6 @@ func BenchmarkTraceOverhead(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkGroupCommit measures the WAL sync-policy arms under
-// concurrent writers (one table per writer, simulated fsync latency):
-// the batch arm's higher ops/sec and batch_factor > 1 are the
-// group-commit win; the suite's acceptance gate holds the ratio to
-// ≥ 2x (see internal/bench.DurabilityResult.Check).
-func BenchmarkGroupCommit(b *testing.B) {
-	for _, arm := range []string{"fsync-per-commit", "group-commit"} {
-		b.Run(arm, func(b *testing.B) {
-			var ops, factor float64
-			for i := 0; i < b.N; i++ {
-				r, err := bench.RunDurability(bench.Options{Queries: 40})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, a := range r.Arms {
-					if a.Arm == arm {
-						ops, factor = a.OpsPerSec, a.BatchFactor
-					}
-				}
-			}
-			b.ReportMetric(ops, "ops/sec")
-			b.ReportMetric(factor, "batch_factor")
 		})
 	}
 }

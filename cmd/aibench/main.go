@@ -9,6 +9,7 @@
 //	aibench -fig 8 -rows 500000    # experiment 3 at the paper's full size
 //	aibench -fig all -format plot  # every figure as ASCII plots
 //	aibench -fig 3 -format tsv > fig3.tsv
+//	aibench -robustness -baseline BENCH_robustness.json
 package main
 
 import (
@@ -39,12 +40,16 @@ func main() {
 		telemetry  = flag.String("telemetry", "", "stream structured telemetry (spans + timeline samples) as JSONL to this file")
 		verify     = flag.String("verify-telemetry", "", "validate a telemetry JSONL file and exit (no experiments run)")
 		robustness = flag.Bool("robustness", false, "run the workload-robustness scenario suite instead of figures")
-		durability = flag.Bool("durability", false, "run the group-commit durability benchmark instead of figures")
-		epoch      = flag.Bool("epoch", false, "run the contended-read epoch benchmark instead of figures")
-		out        = flag.String("out", "", "robustness/durability/epoch: write the result as JSON to this file")
-		baseline   = flag.String("baseline", "", "robustness/durability/epoch: compare against this committed baseline JSON and fail on regression")
+		out        = flag.String("out", "", "robustness: write the result as JSON to this file")
+		baseline   = flag.String("baseline", "", "robustness: compare against this committed baseline JSON and fail on regression")
 	)
 	flag.Parse()
+
+	if err := checkRobustnessFlags(*robustness, *out, *baseline); err != nil {
+		fmt.Fprintln(os.Stderr, "aibench:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *verify != "" {
 		if err := verifyTelemetry(*verify); err != nil {
@@ -69,34 +74,6 @@ func main() {
 		})
 		if err := runRobustness(o, *out, *baseline); err != nil {
 			fmt.Fprintln(os.Stderr, "aibench: robustness:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *durability {
-		o := bench.Options{Seed: *seed}
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "queries" {
-				o.Queries = *queries
-			}
-		})
-		if err := runDurability(o, *out, *baseline); err != nil {
-			fmt.Fprintln(os.Stderr, "aibench: durability:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *epoch {
-		o := bench.Options{Seed: *seed}
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "queries" {
-				o.Queries = *queries
-			}
-		})
-		if err := runEpoch(o, *out, *baseline); err != nil {
-			fmt.Fprintln(os.Stderr, "aibench: epoch:", err)
 			os.Exit(1)
 		}
 		return
@@ -244,102 +221,17 @@ func runRobustness(o bench.Options, out, baseline string) error {
 	return nil
 }
 
-// runDurability measures the group-commit arms, prints them, enforces
-// the 2x speedup criterion, and optionally writes the JSON artifact and
-// diffs it against a committed baseline.
-func runDurability(o bench.Options, out, baseline string) error {
-	r, err := bench.RunDurability(o)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("== Group-commit durability: %d writers x %d commits, %dus simulated fsync ==\n",
-		r.Workers, r.OpsPerWorker, r.SyncDelayMicros)
-	for _, a := range r.Arms {
-		fmt.Printf("  %-18s %8.0f ops/sec  (%d commits, %d fsyncs, batch factor %.2f)\n",
-			a.Arm, a.OpsPerSec, a.Commits, a.Syncs, a.BatchFactor)
-	}
-	fmt.Printf("group-commit speedup: %.2fx\n\n", r.BatchSpeedup)
-
-	if out != "" {
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("durability result -> %s\n", out)
-	}
-	if err := r.Check(); err != nil {
-		return err
-	}
-	fmt.Println("durability criterion: ok (group commit >= 2x fsync-per-commit)")
-	if baseline != "" {
-		data, err := os.ReadFile(baseline)
-		if err != nil {
-			return err
-		}
-		var base bench.DurabilityResult
-		if err := json.Unmarshal(data, &base); err != nil {
-			return fmt.Errorf("baseline %s: %w", baseline, err)
-		}
-		if regs := r.CompareBaseline(&base); len(regs) > 0 {
-			for _, reg := range regs {
-				fmt.Fprintln(os.Stderr, "regression:", reg)
-			}
-			return fmt.Errorf("%d regression(s) vs baseline %s", len(regs), baseline)
-		}
-		fmt.Printf("baseline %s: no regressions\n", baseline)
-	}
-	return nil
-}
-
-// runEpoch measures both read-path arms under an active writer, prints
-// them, enforces the 2x read-speedup criterion, and optionally writes
-// the JSON artifact and diffs it against a committed baseline.
-func runEpoch(o bench.Options, out, baseline string) error {
-	r, err := bench.RunEpoch(o)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("== Epoch read path: %d readers x %d covered reads, one writer, %dus simulated fsync ==\n",
-		r.Readers, r.ReadsPerReader, r.SyncDelayMicros)
-	for _, a := range r.Arms {
-		fmt.Printf("  %-8s %10.0f reads/sec  (%d reads, %d writer commits, %d fast hits, %d fallbacks)\n",
-			a.Arm, a.ReadsPerSec, a.Reads, a.Writes, a.FastHits, a.Fallbacks)
-	}
-	fmt.Printf("contended read speedup: %.2fx\n\n", r.ReadSpeedup)
-
-	if out != "" {
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("epoch result -> %s\n", out)
-	}
-	if err := r.Check(); err != nil {
-		return err
-	}
-	fmt.Println("epoch criterion: ok (lock-free reads >= 2x the RWMutex arm under a committing writer)")
-	if baseline != "" {
-		data, err := os.ReadFile(baseline)
-		if err != nil {
-			return err
-		}
-		var base bench.EpochResult
-		if err := json.Unmarshal(data, &base); err != nil {
-			return fmt.Errorf("baseline %s: %w", baseline, err)
-		}
-		if regs := r.CompareBaseline(&base); len(regs) > 0 {
-			for _, reg := range regs {
-				fmt.Fprintln(os.Stderr, "regression:", reg)
-			}
-			return fmt.Errorf("%d regression(s) vs baseline %s", len(regs), baseline)
-		}
-		fmt.Printf("baseline %s: no regressions\n", baseline)
+// checkRobustnessFlags rejects -out and -baseline without -robustness:
+// the figure runs write no JSON, so either flag alone would be silently
+// ignored.
+func checkRobustnessFlags(robustness bool, out, baseline string) error {
+	switch {
+	case robustness:
+		return nil
+	case out != "":
+		return fmt.Errorf("-out requires -robustness")
+	case baseline != "":
+		return fmt.Errorf("-baseline requires -robustness")
 	}
 	return nil
 }

@@ -41,3 +41,27 @@ func TestRunAllFigures(t *testing.T) {
 		t.Error("unknown figure should fail")
 	}
 }
+
+// TestCheckRobustnessFlags pins which -out/-baseline combinations the
+// CLI accepts: both are robustness-only.
+func TestCheckRobustnessFlags(t *testing.T) {
+	for _, c := range []struct {
+		robustness    bool
+		out, baseline string
+		ok            bool
+	}{
+		{false, "", "", true},
+		{true, "", "", true},
+		{true, "x.json", "", true},
+		{true, "", "BENCH_robustness.json", true},
+		{true, "x.json", "BENCH_robustness.json", true},
+		{false, "x.json", "", false},
+		{false, "", "BENCH_robustness.json", false},
+		{false, "x.json", "BENCH_robustness.json", false},
+	} {
+		err := checkRobustnessFlags(c.robustness, c.out, c.baseline)
+		if (err == nil) != c.ok {
+			t.Errorf("checkRobustnessFlags(%v, %q, %q) = %v, want ok=%v", c.robustness, c.out, c.baseline, err, c.ok)
+		}
+	}
+}

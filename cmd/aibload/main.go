@@ -1,8 +1,8 @@
 // Command aibload is the load harness for aibserver: it populates one
 // table per tenant over the wire, replays seeded query streams from
 // many concurrent connections, and reports client-side latency
-// percentiles plus the engine-side saved-scan fraction as JSON
-// (BENCH_server.json).
+// percentiles plus the engine-side saved-scan fraction as JSON on
+// stdout.
 //
 // By default it runs self-contained — an in-process server over a fresh
 // database — so the report includes engine-side stats and the
@@ -10,8 +10,8 @@
 // violation exits nonzero). With -addr it drives an external aibserver
 // instead, reporting client-side numbers only.
 //
-//	$ aibload -conns 1000 -queries 50 -space 60000 \
-//	    -tenants 'acme:40000,tiny:500' -out BENCH_server.json
+//	$ aibload -conns 200 -queries 20 -rows 2000 -space 60000 \
+//	    -tenants 'acme:40000,tiny:500'
 package main
 
 import (
@@ -40,10 +40,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "base seed; per-connection streams use fixed offsets")
 	space := flag.Int("space", 60000, "SpaceLimit for the in-process database (0 = unlimited)")
 	workers := flag.Int("workers", 0, "server worker-pool size (in-process mode)")
-	readlat := flag.Duration("readlat", 0, "simulated-disk read latency per page (in-process mode)")
 	poolPages := flag.Int("poolpages", 0, "buffer-pool pages per table, 0 = engine default (in-process mode)")
 	addr := flag.String("addr", "", "drive an external server at this address instead of an in-process one")
-	out := flag.String("out", "", "write the JSON report here (default stdout only)")
 	flag.Parse()
 
 	cfg := server.DefaultLoadConfig()
@@ -66,10 +64,9 @@ func main() {
 		}
 		cfg.Tenants = tenantNames(specs)
 		db, err = repro.Open(repro.Options{
-			SpaceLimit:  *space,
-			Tenants:     specs,
-			ReadLatency: *readlat,
-			PoolPages:   *poolPages,
+			SpaceLimit: *space,
+			Tenants:    specs,
+			PoolPages:  *poolPages,
 		})
 		if err != nil {
 			fatal(fmt.Errorf("open: %w", err))
@@ -112,11 +109,6 @@ func main() {
 		fatal(err)
 	}
 	fmt.Println(string(enc))
-	if *out != "" {
-		if err := os.WriteFile(*out, append(enc, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-	}
 	fmt.Fprintf(os.Stderr, "aibload: %d conns, latency ms p50 %.2f p90 %.2f p99 %.2f max %.2f, saved-scan fraction %.3f\n",
 		rep.Conns, rep.P50MS, rep.P90MS, rep.P99MS, rep.MaxMS, rep.SavedScanFraction)
 	for _, tl := range rep.TenantLatency {

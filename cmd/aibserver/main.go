@@ -21,8 +21,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/signal"
 	"strconv"
@@ -88,12 +90,18 @@ func main() {
 }
 
 // open reopens a DataDir-backed catalog when one exists, else starts
-// fresh — the same fallback aibshell uses.
+// fresh — the same fallback aibshell uses. A catalog that fails to
+// reopen (for example, one naming an undeclared tenant) is an error,
+// never a reason to start over on top of it.
 func open(opts repro.Options) (*repro.DB, error) {
 	if opts.DataDir != "" {
-		if db, err := repro.OpenExisting(opts); err == nil {
+		db, err := repro.OpenExisting(opts)
+		if err == nil {
 			fmt.Println("reopened database from", opts.DataDir)
 			return db, nil
+		}
+		if !errors.Is(err, fs.ErrNotExist) {
+			return nil, err
 		}
 	}
 	return repro.Open(opts)

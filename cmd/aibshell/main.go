@@ -21,9 +21,11 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"math/rand"
 	"os"
 	"strings"
@@ -35,15 +37,23 @@ func main() {
 	demo := flag.Bool("demo", false, "preload a populated flights table")
 	data := flag.String("data", "", "directory for persistent storage (reopened if a catalog exists)")
 	listen := flag.String("listen", "", "serve /metrics, /timeline and /debug/pprof on this address (e.g. localhost:9090); also enables span recording and timeline sampling")
-	tenant := flag.String("tenant", "", "run as this tenant (registered on the fly with an unlimited quota)")
+	tenant := flag.String("tenant", "", "run as this tenant (declared with an unlimited quota)")
 	flag.Parse()
 
 	opts := repro.Options{IMax: 2000, PartitionPages: 500, DataDir: *data}
+	if *tenant != "" {
+		opts.Tenants = []repro.Tenant{{Name: *tenant}}
+	}
 	var db *repro.DB
 	var err error
 	if *data != "" {
+		// Start fresh only when there is no catalog to reopen; any other
+		// failure must not be papered over by an empty database.
 		if db, err = repro.OpenExisting(opts); err == nil {
 			fmt.Println("reopened database from", *data)
+		} else if !errors.Is(err, fs.ErrNotExist) {
+			fmt.Fprintln(os.Stderr, "aibshell: reopen:", err)
+			os.Exit(1)
 		}
 	}
 	if db == nil {
@@ -76,10 +86,6 @@ func main() {
 
 	exec := db.Exec
 	if *tenant != "" {
-		if err := db.CreateTenant(repro.Tenant{Name: *tenant}); err != nil {
-			fmt.Fprintln(os.Stderr, "aibshell: tenant:", err)
-			os.Exit(1)
-		}
 		sess, err := db.Session(*tenant)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "aibshell: tenant:", err)

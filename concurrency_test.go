@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/storage"
 )
 
@@ -321,14 +322,13 @@ func TestSharedScanBurst(t *testing.T) {
 	// PoolPages is far below the table size so every scan stays
 	// device-bound: ReadLatency then gives each pass a real duration for
 	// concurrent misses to pile up against.
-	db := MustOpen(Options{
+	db := openTuned(t, Options{
 		Seed:           5,
 		SpaceLimit:     40,
 		IMax:           40,
 		PartitionPages: 8,
 		PoolPages:      16,
-		ReadLatency:    200 * time.Microsecond,
-	})
+	}, false, func(c *engine.Config) { c.ReadLatency = 200 * time.Microsecond })
 	defer db.Close()
 	tb, err := db.CreateTable("t", Int64Column("k"), StringColumn("pad"))
 	if err != nil {
@@ -435,7 +435,7 @@ func TestOpenValidation(t *testing.T) {
 		{HistoryDepth: -2},
 		{SpaceLimit: -100},
 		{PoolPages: -1},
-		{Structure: Structure(42)},
+		{Selection: SelectionPolicy(42)},
 	}
 	for _, o := range bad {
 		if _, err := Open(o); err == nil {
@@ -454,12 +454,11 @@ func TestOpenValidation(t *testing.T) {
 // the path the epoch-based read path takes off the per-table RWMutex.
 // The uncontended arms show reader-reader scaling; the contended arms
 // run one writer goroutine inserting throughout the read phase, the
-// convoy case: under the rwmutex arm (DisableEpochReadPath) every read
-// queues behind every commit's exclusive section, while the epoch arm's
-// hits never touch the lock. The gated version of the contended
-// comparison — with a synchronous WAL charging the writer real fsync
-// latency — is `aibench -epoch` (BENCH_epoch.json in CI); this
-// benchmark is the quick in-memory view of the same effect.
+// convoy case: under the rwmutex arm (engine.Config.DisableEpochReadPath)
+// every read queues behind every commit's exclusive section, while the
+// epoch arm's hits never touch the lock. TestEpochReaderWriterConvoy
+// pins the same effect with a synchronous WAL charging the writer fsync
+// latency; this benchmark is the quick in-memory view.
 func BenchmarkParallelQuery(b *testing.B) {
 	const (
 		numTables = 4
@@ -467,7 +466,7 @@ func BenchmarkParallelQuery(b *testing.B) {
 		rows      = 1000
 	)
 	build := func(b *testing.B, disableEpoch bool) (*DB, []*Table) {
-		db := MustOpen(Options{Seed: 1, PoolPages: 4096, DisableEpochReadPath: disableEpoch})
+		db := openTuned(b, Options{Seed: 1, PoolPages: 4096}, false, func(c *engine.Config) { c.DisableEpochReadPath = disableEpoch })
 		var tabs []*Table
 		for i := 0; i < numTables; i++ {
 			tb, err := db.CreateTable(fmt.Sprintf("t%d", i), Int64Column("k"), StringColumn("pad"))

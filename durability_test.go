@@ -137,7 +137,6 @@ func TestWALOptionsValidation(t *testing.T) {
 	for _, o := range []Options{
 		{WAL: WALOptions{Sync: SyncPolicy(9)}},
 		{WAL: WALOptions{SegmentBytes: -1}},
-		{WAL: WALOptions{SyncDelay: -time.Second}},
 		{WAL: WALOptions{CheckpointEvery: -time.Second}},
 	} {
 		if _, err := Open(o); err == nil {

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // This file is the epoch read-path arm of the serial-oracle property
@@ -29,20 +31,19 @@ import (
 func newEpochHarness(t *testing.T, parallelism int, disableEpoch, wal bool, rows, keyDomain, covered int) *oracleHarness {
 	t.Helper()
 	o := Options{
-		IMax:                 60,
-		PartitionPages:       8,
-		SpaceLimit:           220, // tight: steady displacement under the stream below
-		PoolPages:            48,
-		Seed:                 11,
-		ScanParallelism:      parallelism,
-		DisableEpochReadPath: disableEpoch,
+		IMax:            60,
+		PartitionPages:  8,
+		SpaceLimit:      220, // tight: steady displacement under the stream below
+		PoolPages:       48,
+		Seed:            11,
+		ScanParallelism: parallelism,
 	}
 	if wal {
 		o.DataDir = t.TempDir()
 	} else {
 		o.WAL.Disable = true
 	}
-	db := MustOpen(o)
+	db := openTuned(t, o, false, func(c *engine.Config) { c.DisableEpochReadPath = disableEpoch })
 	t.Cleanup(func() { db.Close() })
 	tb, err := db.CreateTable("data", Int64Column("k"), Int64Column("v"), StringColumn("pad"))
 	if err != nil {

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // TestEpochReaderWriterConvoy is the convoy-elimination stress test: a
@@ -55,18 +57,12 @@ func TestEpochReaderWriterConvoy(t *testing.T) {
 	if err := loader.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db, err := OpenExisting(Options{
+	db := openTuned(t, Options{
 		PoolPages: 64,
 		Seed:      7,
 		DataDir:   dir,
-		WAL: WALOptions{
-			Sync:      SyncAlways,
-			SyncDelay: syncDelay,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+		WAL:       WALOptions{Sync: SyncAlways},
+	}, true, func(c *engine.Config) { c.WAL.SyncDelay = syncDelay })
 	defer db.Close()
 	tb = db.Table("data")
 	if tb == nil {

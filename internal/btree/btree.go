@@ -1,9 +1,8 @@
 // Package btree implements an in-memory B+-tree mapping column values to
 // posting lists of record identifiers. It is the index structure behind
-// both the partial secondary indexes and (by default) the Index Buffer —
-// the paper builds on "a normal B*-Tree" and notes the concrete structure
-// is interchangeable (§III); see internal/csbtree and internal/hashindex
-// for the alternatives it names.
+// both the partial secondary indexes and every Index Buffer partition —
+// the paper builds on "a normal B*-Tree" and calls the concrete
+// structure not essential (§III).
 //
 // The tree supports duplicate keys via per-key posting lists kept in RID
 // order, ordered iteration, and full delete rebalancing (borrow/merge).

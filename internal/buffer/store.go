@@ -57,21 +57,18 @@ type SimDisk struct {
 	mu    sync.RWMutex
 	pages [][]byte
 
-	readLatency  atomic.Int64 // ns charged per Read
-	writeLatency atomic.Int64 // ns charged per Write
+	readLatency atomic.Int64 // ns charged per Read
 
 	reads  atomic.Uint64
 	writes atomic.Uint64
 	allocs atomic.Uint64
 }
 
-// SetLatency makes every subsequent Read/Write sleep for the given
-// durations, so wall-clock measurements take the shape of a real
-// device's (the paper's curves are per-query milliseconds on an SSD).
-// Zero disables the charge.
-func (d *SimDisk) SetLatency(read, write time.Duration) {
-	d.readLatency.Store(int64(read))
-	d.writeLatency.Store(int64(write))
+// SetReadLatency makes every subsequent Read sleep for d, so wall-clock
+// measurements take the shape of a real device's (the paper's curves are
+// per-query milliseconds on an SSD). Zero disables the charge.
+func (d *SimDisk) SetReadLatency(lat time.Duration) {
+	d.readLatency.Store(int64(lat))
 }
 
 // NewSimDisk returns an empty simulated disk.
@@ -107,9 +104,6 @@ func (d *SimDisk) Write(id storage.PageID, buf []byte) error {
 	}
 	copy(d.pages[id], buf)
 	d.writes.Add(1)
-	if lat := d.writeLatency.Load(); lat > 0 {
-		time.Sleep(time.Duration(lat))
-	}
 	return nil
 }
 

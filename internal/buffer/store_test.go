@@ -91,19 +91,14 @@ func TestSimDiskLatency(t *testing.T) {
 	d := NewSimDisk()
 	id, _ := d.Allocate()
 	buf := make([]byte, PageSize)
-	d.SetLatency(2*time.Millisecond, time.Millisecond)
+	d.SetReadLatency(2 * time.Millisecond)
 	start := time.Now()
 	_ = d.Read(id, buf)
 	if got := time.Since(start); got < 2*time.Millisecond {
 		t.Errorf("read took %v, want >= 2ms", got)
 	}
-	start = time.Now()
-	_ = d.Write(id, buf)
-	if got := time.Since(start); got < time.Millisecond {
-		t.Errorf("write took %v, want >= 1ms", got)
-	}
 	// Disabling restores full speed.
-	d.SetLatency(0, 0)
+	d.SetReadLatency(0)
 	start = time.Now()
 	for i := 0; i < 100; i++ {
 		_ = d.Read(id, buf)

@@ -34,7 +34,10 @@ type Catalog struct {
 
 // TableMeta describes one table.
 type TableMeta struct {
-	Name     string       `json:"name"`
+	Name string `json:"name"`
+	// Tenant names the owning tenant; empty is the default tenant (and
+	// every table of a catalog written before tenants were recorded).
+	Tenant   string       `json:"tenant,omitempty"`
 	Columns  []ColumnMeta `json:"columns"`
 	NumPages int          `json:"num_pages"`
 	Indexes  []IndexMeta  `json:"indexes"`

@@ -77,10 +77,6 @@ type Config struct {
 	// Index Buffers. Zero means unlimited — the paper's experiment 1.
 	SpaceLimit int
 
-	// NewStructure creates the index structure backing each partition.
-	// Nil means NewBTreeStructure (the paper's B*-tree).
-	NewStructure StructureFactory
-
 	// Selection orders page candidates during Algorithm 2; the zero
 	// value is the paper's ascending-counter policy.
 	Selection SelectionOrder
@@ -150,9 +146,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.K <= 0 {
 		c.K = DefaultK
-	}
-	if c.NewStructure == nil {
-		c.NewStructure = NewBTreeStructure
 	}
 	if c.Seed == 0 {
 		c.Seed = DefaultSeed

@@ -1,3 +1,12 @@
+// Package core implements the paper's primary contribution: the Adaptive
+// Index Buffer. An Index Buffer is a volatile, memory-resident scratch-pad
+// index that complements a partial secondary index. During table scans
+// caused by partial-index misses it indexes the not-yet-covered tuples of
+// selected pages (Algorithm 1), so those pages become fully indexed and
+// can be skipped by later scans. All Index Buffers live in the Index
+// Buffer Space, a bounded share of the database buffer managed by benefit
+// (partition page coverage ÷ LRU-K mean access interval) and size
+// (Algorithm 2, Tables I and II of the paper).
 package core
 
 import (
@@ -378,44 +387,17 @@ func (b *IndexBuffer) Lookup(key storage.Value) []storage.RID {
 	return out
 }
 
-// rangeScanner is the optional Structure extension for ordered range
-// iteration (the tree structures); structures without it (hash) fall
-// back to the unordered enumerator.
-type rangeScanner interface {
-	AscendRange(lo, hi storage.Value, fn func(key storage.Value, post []storage.RID) bool)
-}
-
-// enumerator is the unordered fallback for range lookups.
-type enumerator interface {
-	ForEach(fn func(key storage.Value, post []storage.RID) bool)
-}
-
 // LookupRange returns the RIDs of buffered tuples with keys in [lo, hi],
-// collected across all partitions. Tree-backed partitions use ordered
-// range scans; hash-backed partitions filter a full enumeration — the
-// structural trade-off the paper alludes to when it permits a hash table
-// as the buffer structure.
+// collected across all partitions by ordered range scans.
 func (b *IndexBuffer) LookupRange(lo, hi storage.Value) []storage.RID {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	var out []storage.RID
 	for _, p := range b.parts {
-		switch st := p.structure.(type) {
-		case rangeScanner:
-			st.AscendRange(lo, hi, func(_ storage.Value, post []storage.RID) bool {
-				out = append(out, post...)
-				return true
-			})
-		case enumerator:
-			st.ForEach(func(k storage.Value, post []storage.RID) bool {
-				if k.Compare(lo) >= 0 && k.Compare(hi) <= 0 {
-					out = append(out, post...)
-				}
-				return true
-			})
-		default:
-			panic(fmt.Sprintf("core: structure %T supports neither range scan nor enumeration", p.structure))
-		}
+		p.structure.AscendRange(lo, hi, func(_ storage.Value, post []storage.RID) bool {
+			out = append(out, post...)
+			return true
+		})
 	}
 	return out
 }
@@ -427,7 +409,7 @@ func (b *IndexBuffer) beginPageLocked(p storage.PageID) error {
 		return fmt.Errorf("core: page %d already buffered in %s", p, b.name)
 	}
 	if b.open == nil || b.open.complete(b.cfg.P) {
-		b.open = newPartition(b.nextID, b.cfg.NewStructure)
+		b.open = newPartition(b.nextID)
 		b.nextID++
 		b.parts = append(b.parts, b.open)
 	}

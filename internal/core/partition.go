@@ -1,24 +1,26 @@
 package core
 
-import "repro/internal/storage"
+import (
+	"repro/internal/btree"
+	"repro/internal/storage"
+)
 
 // Partition is one displacement unit of an Index Buffer (paper §IV,
-// Fig. 5). Each partition has its own index structure and covers a
-// disjoint set of table pages; every buffered entry whose tuple lives in
-// one of those pages is in this partition. Discarding always removes
-// whole partitions, so a drop cleanly un-indexes a page set without
-// leaving useless sibling entries behind.
+// Fig. 5). Each partition has its own B+-tree and covers a disjoint set
+// of table pages; every buffered entry whose tuple lives in one of those
+// pages is in this partition. Discarding always removes whole
+// partitions, so a drop cleanly un-indexes a page set without leaving
+// useless sibling entries behind.
 type Partition struct {
 	id        int
-	structure Structure
+	structure *btree.Tree
 	pages     map[storage.PageID]struct{}
 
 	// bytes is the exact encoded payload size of the partition's
 	// entries — Σ (key.EncodedSize() + ridBytes) over live entries —
 	// maintained by insert/remove so occupancy-in-bytes is O(1) to
-	// read. Structure overhead (tree nodes, hash tables) is not
-	// counted; this is the paper's budget unit (entries) expressed in
-	// bytes.
+	// read. Tree node overhead is not counted; this is the paper's
+	// budget unit (entries) expressed in bytes.
 	bytes int
 }
 
@@ -29,8 +31,8 @@ const ridBytes = 6
 // entryBytes is the encoded payload size of one (key, rid) entry.
 func entryBytes(key storage.Value) int { return key.EncodedSize() + ridBytes }
 
-func newPartition(id int, f StructureFactory) *Partition {
-	return &Partition{id: id, structure: f(), pages: make(map[storage.PageID]struct{})}
+func newPartition(id int) *Partition {
+	return &Partition{id: id, structure: btree.NewDefault(), pages: make(map[storage.PageID]struct{})}
 }
 
 // ID returns the partition's identifier, unique within its buffer.
@@ -47,9 +49,8 @@ func (p *Partition) EntryCount() int { return p.structure.EntryCount() }
 // partition's entries.
 func (p *Partition) EntryBytes() int { return p.bytes }
 
-// insert adds one entry through the structure, keeping the byte count
-// in step. Reports whether the entry was actually added (the structure
-// dedupes).
+// insert adds one entry through the tree, keeping the byte count in
+// step. Reports whether the entry was actually added (the tree dedupes).
 func (p *Partition) insert(key storage.Value, rid storage.RID) bool {
 	if p.structure.Insert(key, rid) {
 		p.bytes += entryBytes(key)
@@ -58,8 +59,8 @@ func (p *Partition) insert(key storage.Value, rid storage.RID) bool {
 	return false
 }
 
-// remove deletes one entry through the structure, keeping the byte
-// count in step. Reports whether the entry was present.
+// remove deletes one entry through the tree, keeping the byte count in
+// step. Reports whether the entry was present.
 func (p *Partition) remove(key storage.Value, rid storage.RID) bool {
 	if p.structure.Delete(key, rid) {
 		p.bytes -= entryBytes(key)

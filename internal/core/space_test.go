@@ -265,8 +265,8 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.IMax != DefaultIMax || cfg.P != DefaultP || cfg.K != DefaultK {
 		t.Errorf("defaults = %+v", cfg)
 	}
-	if cfg.NewStructure == nil || cfg.Rand == nil {
-		t.Error("factory/rand defaults missing")
+	if cfg.Rand == nil {
+		t.Error("rand default missing")
 	}
 }
 

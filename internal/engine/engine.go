@@ -50,8 +50,8 @@ type Config struct {
 	// scans are disk-bound as in the paper. Zero means the default.
 	PoolPages int
 
-	// Space configures the Index Buffer Space (I^MAX, P, K, L, structure,
-	// rand); see core.Config.
+	// Space configures the Index Buffer Space (I^MAX, P, K, L, rand); see
+	// core.Config.
 	Space core.Config
 
 	// ScanParallelism bounds the page-reading workers of every table scan
@@ -69,9 +69,10 @@ type Config struct {
 	DisableIndexBuffer bool
 
 	// DisableEpochReadPath forces every query through the table-lock
-	// read path, turning the epoch-based lock-free hit path off. The
-	// benchmark's RWMutex baseline arm; results are identical either
-	// way (see readpath.go).
+	// read path, turning the epoch-based lock-free hit path off. It is
+	// the reference arm the epoch oracle and convoy tests compare the
+	// lock-free path against; results are identical either way (see
+	// readpath.go).
 	DisableEpochReadPath bool
 
 	// DataDir, when non-empty, backs each table with a real file
@@ -79,12 +80,11 @@ type Config struct {
 	// The files are truncated on creation; Close releases them.
 	DataDir string
 
-	// ReadLatency and WriteLatency, when positive, charge each simulated
-	// device access with a sleep so wall-clock curves take a real
+	// ReadLatency, when positive, charges each simulated device read with
+	// a sleep so the figure runners' wall-clock curves take a real
 	// device's shape. Ignored for file-backed tables (they have real
 	// latency).
-	ReadLatency  time.Duration
-	WriteLatency time.Duration
+	ReadLatency time.Duration
 
 	// TimelineCapacity bounds each adaptation-timeline series' sample
 	// ring. Zero means timeline.DefaultCapacity.
@@ -434,9 +434,7 @@ func (e *Engine) createTable(tn *core.Tenant, name string, schema *storage.Schem
 		store = fs
 	} else {
 		sd := buffer.NewSimDisk()
-		if e.cfg.ReadLatency > 0 || e.cfg.WriteLatency > 0 {
-			sd.SetLatency(e.cfg.ReadLatency, e.cfg.WriteLatency)
-		}
+		sd.SetReadLatency(e.cfg.ReadLatency)
 		store = sd
 	}
 	if e.cfg.wrapStore != nil {

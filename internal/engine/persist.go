@@ -67,6 +67,9 @@ func (t *Table) saveMetaLocked(cat *catalog.Catalog) error {
 		}
 	}
 	tm := catalog.TableMeta{Name: n, NumPages: t.heap.NumPages()}
+	if t.tenant != nil {
+		tm.Tenant = t.tenant.Name()
+	}
 	for c := 0; c < t.schema.NumColumns(); c++ {
 		col := t.schema.Column(c)
 		kind, err := catalog.EncodeKind(col.Kind)
@@ -96,13 +99,17 @@ func (t *Table) saveMetaLocked(cat *catalog.Catalog) error {
 // exist yet.
 type loadingTable struct {
 	tm     catalog.TableMeta
+	tenant *core.Tenant // owner, resolved from tm.Tenant
 	schema *storage.Schema
 	fs     *buffer.FileStore
 	pages  int // heap page count after redo (starts at tm.NumPages)
 }
 
-// Load opens a previously saved database from cfg.DataDir. Recovery is
-// ARIES-style redo, physical variant:
+// Load opens a previously saved database from cfg.DataDir, registering
+// tenants before any table is reattached so each table (and its rebuilt
+// Index Buffers) is bound to the owner its catalog entry records. A
+// cataloged owner missing from tenants fails with ErrTenantUnknown.
+// Recovery is ARIES-style redo, physical variant:
 //
 //  1. Each table's page file is reopened, repairing a torn trailing
 //     partial page and truncating any whole pages past the catalog's
@@ -123,7 +130,7 @@ type loadingTable struct {
 // A post-recovery checkpoint then makes the redone state durable and
 // truncates the log. On any error every file opened so far is closed
 // before returning. RecoveryStats reports what recovery did.
-func Load(cfg Config) (*Engine, error) {
+func Load(cfg Config, tenants ...TenantSpec) (*Engine, error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("engine: Load requires a DataDir")
 	}
@@ -133,6 +140,11 @@ func Load(cfg Config) (*Engine, error) {
 	}
 	e := newEngine(cfg)
 	e.recovery.CheckpointLSN = cat.CheckpointLSN
+	for _, ts := range tenants {
+		if _, err := e.CreateTenant(ts.Name, ts.Quota, ts.Strict); err != nil {
+			return nil, err
+		}
+	}
 
 	// Phase 1: reattach and repair page files. Track every opened store
 	// so any failure below releases them all (nothing leaks on a partial
@@ -145,6 +157,11 @@ func Load(cfg Config) (*Engine, error) {
 		}
 	}
 	for _, tm := range cat.Tables {
+		owner, err := e.TenantFor(tm.Tenant)
+		if err != nil {
+			closeAll()
+			return nil, fmt.Errorf("engine: loading %s: %w", tm.Name, err)
+		}
 		cols := make([]storage.Column, len(tm.Columns))
 		for i, cm := range tm.Columns {
 			kind, err := catalog.DecodeKind(cm.Kind)
@@ -175,7 +192,7 @@ func Load(cfg Config) (*Engine, error) {
 			tm.NumPages = mp
 			e.recovery.VacuumRepairs++
 		}
-		lt := &loadingTable{tm: tm, schema: schema, fs: fs, pages: tm.NumPages}
+		lt := &loadingTable{tm: tm, tenant: owner, schema: schema, fs: fs, pages: tm.NumPages}
 		loading = append(loading, lt)
 		byName[tm.Name] = lt
 		e.recovery.TornPageBytes += torn
@@ -282,6 +299,7 @@ func Load(cfg Config) (*Engine, error) {
 		t := &Table{
 			engine:  e,
 			name:    lt.tm.Name,
+			tenant:  lt.tenant,
 			schema:  lt.schema,
 			store:   store,
 			pool:    pool,

@@ -19,6 +19,19 @@ import (
 // core.Space.SelectPagesForBuffer for the two-level displacement
 // competition, and QueryEqualCtx for over-quota admission).
 
+// TenantSpec declares one budget domain for CreateTenant or Load.
+type TenantSpec struct {
+	// Name identifies the tenant; it must be unique and non-empty ("" is
+	// the default tenant, which always exists and has no quota).
+	Name string
+	// Quota is the tenant's Index Buffer entry budget carved from
+	// SpaceLimit; 0 means unlimited.
+	Quota int
+	// Strict makes over-quota misses fail with ErrQuotaExceeded instead
+	// of degrading to unindexed scans.
+	Strict bool
+}
+
 // CreateTenant registers a budget domain carved from the Index Buffer
 // Space. quota is the tenant's entry budget (<= 0 = unlimited); strict
 // makes over-quota misses fail with ErrQuotaExceeded instead of

@@ -31,8 +31,9 @@ type WALConfig struct {
 	SegmentBytes int
 
 	// SyncDelay charges every log fsync with an extra sleep, the same
-	// simulated-device convention as Config.ReadLatency, so group-commit
-	// experiments keep a real device's shape on fast filesystems.
+	// simulated-device convention as Config.ReadLatency, so the
+	// group-commit and convoy tests keep a real device's shape on fast
+	// filesystems.
 	SyncDelay time.Duration
 
 	// CheckpointEvery, when positive, runs a background checkpoint loop

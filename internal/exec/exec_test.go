@@ -244,7 +244,7 @@ func TestExplainEqual(t *testing.T) {
 }
 
 func TestExplainRange(t *testing.T) {
-	a := rangeFixture(t, 300, 99, nil)
+	a := rangeFixture(t, 300, 99)
 	plan := ExplainRange(a, iv(10), iv(20))
 	if !plan.PartialHit {
 		t.Errorf("covered range plan = %+v", plan)

@@ -15,7 +15,7 @@ import (
 
 // rangeFixture builds a table with keys 0..rows-1 (sequential), a partial
 // index covering [0, covHi], and an Index Buffer.
-func rangeFixture(t *testing.T, rows int, covHi int64, structure core.StructureFactory) Access {
+func rangeFixture(t *testing.T, rows int, covHi int64) Access {
 	t.Helper()
 	d := buffer.NewSimDisk()
 	pool, err := buffer.NewPool(d, 64)
@@ -41,7 +41,7 @@ func rangeFixture(t *testing.T, rows int, covHi int64, structure core.StructureF
 		}
 		return nil
 	})
-	space := core.NewSpace(core.Config{IMax: 10000, P: 100, NewStructure: structure})
+	space := core.NewSpace(core.Config{IMax: 10000, P: 100})
 	buf, err := space.CreateBuffer("t.k", uncovered)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func keysOf(t *testing.T, ms []Match) map[int64]bool {
 }
 
 func TestRangeCoveredHit(t *testing.T) {
-	a := rangeFixture(t, 300, 99, nil)
+	a := rangeFixture(t, 300, 99)
 	got, stats, err := Range(context.Background(), a, iv(10), iv(20))
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestRangeCoveredHit(t *testing.T) {
 }
 
 func TestRangeStraddlingCoverageMisses(t *testing.T) {
-	a := rangeFixture(t, 300, 99, nil)
+	a := rangeFixture(t, 300, 99)
 	// [90, 110] straddles the coverage edge: must NOT be a hit even
 	// though part of it is covered.
 	got, stats, err := Range(context.Background(), a, iv(90), iv(110))
@@ -102,7 +102,7 @@ func TestRangeStraddlingCoverageMisses(t *testing.T) {
 }
 
 func TestRangeSecondQuerySkips(t *testing.T) {
-	a := rangeFixture(t, 300, 99, nil)
+	a := rangeFixture(t, 300, 99)
 	if _, _, err := Range(context.Background(), a, iv(150), iv(160)); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestRangeSecondQuerySkips(t *testing.T) {
 }
 
 func TestRangeEmptyAndInverted(t *testing.T) {
-	a := rangeFixture(t, 100, 49, nil)
+	a := rangeFixture(t, 100, 49)
 	got, stats, err := Range(context.Background(), a, iv(20), iv(10)) // inverted
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestRangeEmptyAndInverted(t *testing.T) {
 }
 
 func TestRangeNoIndexNoBuffer(t *testing.T) {
-	a := rangeFixture(t, 200, 99, nil)
+	a := rangeFixture(t, 200, 99)
 	a.Index = nil
 	a.Buffer = nil
 	a.Space = nil
@@ -156,45 +156,40 @@ func TestRangeNoIndexNoBuffer(t *testing.T) {
 	}
 }
 
-// TestRangeAllStructures checks that tree- and hash-backed buffers give
-// identical range results (the hash path exercises the unordered
-// enumeration fallback).
+// TestRangeAllStructures checks that a range served from the buffer's
+// ordered range scans returns exactly the keys in the range. The B+-tree
+// is the only buffer structure; its case keeps the subtest name it has
+// always run under.
 func TestRangeAllStructures(t *testing.T) {
-	for name, f := range map[string]core.StructureFactory{
-		"btree":   core.NewBTreeStructure,
-		"csbtree": core.NewCSBTreeStructure,
-		"hash":    core.NewHashStructure,
-	} {
-		t.Run(name, func(t *testing.T) {
-			a := rangeFixture(t, 300, 99, f)
-			if _, _, err := Range(context.Background(), a, iv(120), iv(130)); err != nil { // build
-				t.Fatal(err)
+	t.Run("btree", func(t *testing.T) {
+		a := rangeFixture(t, 300, 99)
+		if _, _, err := Range(context.Background(), a, iv(120), iv(130)); err != nil { // build
+			t.Fatal(err)
+		}
+		got, stats, err := Range(context.Background(), a, iv(140), iv(180))
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := keysOf(t, got)
+		if len(keys) != 41 {
+			t.Fatalf("matches = %d, want 41", len(keys))
+		}
+		for k := int64(140); k <= 180; k++ {
+			if !keys[k] {
+				t.Errorf("missing key %d", k)
 			}
-			got, stats, err := Range(context.Background(), a, iv(140), iv(180))
-			if err != nil {
-				t.Fatal(err)
-			}
-			keys := keysOf(t, got)
-			if len(keys) != 41 {
-				t.Fatalf("matches = %d, want 41", len(keys))
-			}
-			for k := int64(140); k <= 180; k++ {
-				if !keys[k] {
-					t.Errorf("missing key %d", k)
-				}
-			}
-			if stats.PagesSkipped == 0 {
-				t.Error("no skips on second range query")
-			}
-		})
-	}
+		}
+		if stats.PagesSkipped == 0 {
+			t.Error("no skips on second range query")
+		}
+	})
 }
 
 // TestRangeRandomizedGroundTruth compares random range queries against a
 // naive scan while the buffer builds and serves.
 func TestRangeRandomizedGroundTruth(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
-	a := rangeFixture(t, 400, 99, nil)
+	a := rangeFixture(t, 400, 99)
 	for q := 0; q < 50; q++ {
 		lo := rng.Int63n(450)
 		hi := lo + rng.Int63n(60)

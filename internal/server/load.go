@@ -68,7 +68,7 @@ func DefaultLoadConfig() LoadConfig {
 	}
 }
 
-// LoadReport is the JSON document a load run produces (BENCH_server.json).
+// LoadReport is the JSON document a load run produces.
 type LoadReport struct {
 	Conns          int     `json:"conns"`
 	QueriesPerConn int     `json:"queries_per_conn"`

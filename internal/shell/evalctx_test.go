@@ -33,21 +33,6 @@ func TestEvalCtxCanceled(t *testing.T) {
 	}
 }
 
-// TestEvalDeprecatedDelegates pins that the legacy Eval entry point is a
-// pure wrapper over EvalCtx — same results, no second statement path.
-func TestEvalDeprecatedDelegates(t *testing.T) {
-	s := newShell(t)
-	mustEval(t, s, "CREATE TABLE t (a INT, b VARCHAR)")
-	r, err := s.Eval("INSERT INTO t VALUES (7, 'seven')")
-	if err != nil || r.Rows != 1 {
-		t.Fatalf("Eval insert = %+v, %v", r, err)
-	}
-	rc, err := s.EvalCtx(context.Background(), "SELECT * FROM t WHERE a = 7")
-	if err != nil || rc.Rows != 1 || rc.Stats == nil {
-		t.Fatalf("EvalCtx select = %+v, %v", rc, err)
-	}
-}
-
 // TestTenantShellScopes checks NewTenant's namespacing and the tenant
 // ledger line in SHOW BUFFERS.
 func TestTenantShellScopes(t *testing.T) {

@@ -1,6 +1,7 @@
 package shell
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -21,17 +22,18 @@ func FuzzEval(f *testing.F) {
 	f.Add("insert into values values values")
 
 	f.Fuzz(func(t *testing.T, line string) {
+		ctx := context.Background()
 		s := New(engine.New(engine.Config{Space: core.Config{IMax: 10, P: 5}}))
 		// Prepare a small table so data-dependent paths are reachable.
-		if _, err := s.Eval("CREATE TABLE t (a INT, b VARCHAR)"); err != nil {
+		if _, err := s.EvalCtx(ctx, "CREATE TABLE t (a INT, b VARCHAR)"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Eval("INSERT INTO t VALUES (1, 'x'), (2, 'y')"); err != nil {
+		if _, err := s.EvalCtx(ctx, "INSERT INTO t VALUES (1, 'x'), (2, 'y')"); err != nil {
 			t.Fatal(err)
 		}
-		_, _ = s.Eval(line) // must not panic
+		_, _ = s.EvalCtx(ctx, line) // must not panic
 		// The shell must remain usable after any input.
-		if _, err := s.Eval("SELECT * FROM t WHERE a = 1"); err != nil {
+		if _, err := s.EvalCtx(ctx, "SELECT * FROM t WHERE a = 1"); err != nil {
 			t.Fatalf("shell broken after %q: %v", line, err)
 		}
 	})

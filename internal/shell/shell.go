@@ -50,14 +50,6 @@ type Result struct {
 	Quit   bool             // the user asked to leave
 }
 
-// Eval parses and executes one command line without a context.
-//
-// Deprecated: use EvalCtx, which cancels long scans mid-statement. Eval
-// remains for callers with no context to thread.
-func (s *Shell) Eval(line string) (Result, error) {
-	return s.EvalCtx(context.Background(), line)
-}
-
 // EvalCtx parses and executes one command line. Empty lines and comments
 // (lines starting with --) are no-ops. ctx is checked up front and
 // threaded into the query paths (SELECT, the lookups of DELETE and

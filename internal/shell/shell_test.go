@@ -1,6 +1,7 @@
 package shell
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,17 +17,17 @@ func newShell(t *testing.T) *Shell {
 // mustEval evaluates a command, failing the test on error.
 func mustEval(t *testing.T, s *Shell, cmd string) Result {
 	t.Helper()
-	r, err := s.Eval(cmd)
+	r, err := s.EvalCtx(context.Background(), cmd)
 	if err != nil {
-		t.Fatalf("Eval(%q): %v", cmd, err)
+		t.Fatalf("EvalCtx(%q): %v", cmd, err)
 	}
 	return r
 }
 
 func mustFail(t *testing.T, s *Shell, cmd string) {
 	t.Helper()
-	if _, err := s.Eval(cmd); err == nil {
-		t.Fatalf("Eval(%q) should fail", cmd)
+	if _, err := s.EvalCtx(context.Background(), cmd); err == nil {
+		t.Fatalf("EvalCtx(%q) should fail", cmd)
 	}
 }
 

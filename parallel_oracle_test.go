@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/storage"
 )
 
@@ -219,12 +220,11 @@ func TestParallelScanCancellationNoLeaks(t *testing.T) {
 	// The pool is far smaller than the table so the scan stays
 	// device-bound: with LRU and a sequential walk, essentially every
 	// page fetch pays the simulated read latency.
-	db := MustOpen(Options{
+	db := openTuned(t, Options{
 		PoolPages:       12,
 		Seed:            3,
 		ScanParallelism: 8,
-		ReadLatency:     2 * time.Millisecond,
-	})
+	}, false, func(c *engine.Config) { c.ReadLatency = 2 * time.Millisecond })
 	defer db.Close()
 	tb, err := db.CreateTable("data", Int64Column("k"), StringColumn("pad"))
 	if err != nil {

@@ -220,6 +220,60 @@ func TestStrictTenantQuotaError(t *testing.T) {
 	}
 }
 
+// TestTenantTablesSurviveReopen closes and reopens a DataDir database
+// whose tenant owns a table: the table must come back owned by that
+// tenant — listed by its session, hidden from the default one — and its
+// rebuilt buffer must charge the tenant's quota. Reopening without
+// declaring the owner fails with ErrTenantUnknown naming the table.
+func TestTenantTablesSurviveReopen(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	o := Options{DataDir: dir, SpaceLimit: 10000, Tenants: []Tenant{{Name: "acme", Quota: 500}}}
+	db := MustOpen(o)
+	acme, err := db.Session("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillTenantTable(t, acme.Exec, 200, 50, 5)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = OpenExisting(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acme, err = db.Session("acme"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := acme.Exec(ctx, "SHOW TABLES")
+	if err != nil || res.Rows != 1 || !strings.HasPrefix(res.Output, "t ") {
+		t.Fatalf("acme SHOW TABLES after reopen = %+v, %v", res, err)
+	}
+	if res, err := db.Exec(ctx, "SHOW TABLES"); err != nil || res.Output != "no tables" {
+		t.Fatalf("default SHOW TABLES after reopen = %+v, %v", res, err)
+	}
+	if tn := db.eng.Table("acme:t").Tenant(); tn == nil || tn.Name() != "acme" {
+		t.Fatalf("acme:t tenant after reopen = %v", tn)
+	}
+	if _, err := acme.Exec(ctx, "SELECT * FROM t WHERE a = 20"); err != nil {
+		t.Fatal(err)
+	}
+	if st := db.TenantStats(); len(st) != 1 || st[0].Used == 0 || st[0].Used != db.SpaceUsed() {
+		t.Fatalf("miss after reopen not charged to acme: stats %+v, space used %d", st, db.SpaceUsed())
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if db, err := OpenExisting(Options{DataDir: dir}); !errors.Is(err, ErrTenantUnknown) || !strings.Contains(fmt.Sprint(err), "acme:t") {
+		if err == nil {
+			db.Close()
+		}
+		t.Fatalf("reopen without acme: err = %v, want ErrTenantUnknown naming acme:t", err)
+	}
+}
+
 // TestTimelineTenantFilter drives two tenants, then checks the
 // /timeline endpoint's ?tenant= filter over the qualified table names.
 func TestTimelineTenantFilter(t *testing.T) {
