@@ -106,11 +106,11 @@ type Options struct {
 	// the directory instead of the in-memory simulated disk. Call Close
 	// to flush and release them.
 	DataDir string
-	// WAL configures crash-consistent durability for DataDir-backed
-	// databases: every acknowledged DML is written ahead to a log, and
+	// WAL configures the write-ahead log every DataDir-backed database
+	// runs: every acknowledged DML is written ahead to the log, and
 	// OpenExisting replays it so a crash — process kill, power cut —
-	// loses nothing that was acknowledged. The zero value enables the
-	// log with group commit. Ignored for in-memory databases.
+	// loses nothing that was acknowledged. The zero value is group
+	// commit. Ignored for in-memory databases.
 	WAL WALOptions
 	// Tenants declares the database's budget domains: each tenant's
 	// Index Buffers compete within the tenant's entry quota before the
@@ -124,10 +124,6 @@ type Options struct {
 
 // WALOptions configures the write-ahead log (Options.WAL).
 type WALOptions struct {
-	// Disable turns the WAL off, reverting to snapshot-only persistence:
-	// only Save/Close write durable state, and anything after the last
-	// Save is lost on a crash.
-	Disable bool
 	// Sync selects the commit durability protocol; the zero value is
 	// SyncBatch (group commit).
 	Sync SyncPolicy
@@ -136,13 +132,9 @@ type WALOptions struct {
 	SegmentBytes int
 	// CheckpointEvery, when positive, runs a background checkpoint at
 	// this period, bounding both recovery time and log size. Zero means
-	// checkpoints happen only on DDL, Save, Close, and Checkpoint calls.
+	// checkpoints happen only on DDL, Vacuum, Close, and Checkpoint
+	// calls.
 	CheckpointEvery time.Duration
-	// DisableQueryLog stops logging query descriptors. They are never
-	// needed for redo correctness — they only feed Rewarm's
-	// post-recovery buffer warm-up — so this trades restart warmth for
-	// log volume.
-	DisableQueryLog bool
 }
 
 // SyncPolicy selects when a committed DML operation's log record is
@@ -221,11 +213,10 @@ type DB struct {
 	sink *timeline.Sink
 }
 
-// OpenExisting reopens a database previously persisted into o.DataDir.
-// With the WAL enabled (the default) this runs crash recovery: torn
-// page and log tails are repaired, and every acknowledged operation
-// since the last checkpoint is replayed from the log — even after an
-// unclean shutdown. Tables and partial indexes are restored; Index
+// OpenExisting reopens a database previously persisted into o.DataDir
+// and runs crash recovery: torn page and log tails are repaired, and
+// every acknowledged operation since the last checkpoint is replayed
+// from the log — even after an unclean shutdown. Tables and partial indexes are restored; Index
 // Buffers start fresh (use Rewarm to warm them from the recovered
 // query tail). RecoveryStats reports what recovery did.
 func OpenExisting(o Options) (*DB, error) {
@@ -337,11 +328,9 @@ func engineConfig(o Options) engine.Config {
 		},
 		DisableIndexBuffer: o.DisableIndexBuffer,
 		WAL: engine.WALConfig{
-			Disable:         o.WAL.Disable,
 			SyncPolicy:      o.WAL.Sync.policy(),
 			SegmentBytes:    o.WAL.SegmentBytes,
 			CheckpointEvery: o.WAL.CheckpointEvery,
-			DisableQueryLog: o.WAL.DisableQueryLog,
 		},
 	}
 	return cfg
@@ -559,9 +548,9 @@ func (t *Table) RedefineRangeIndex(column string, lo, hi any) error {
 	return t.t.RedefineIndex(i, index.RangeCoverage{Lo: lv, Hi: hv})
 }
 
-// Query answers column = key, maintaining the Index Buffer machinery as
-// a side effect, and reports the query's cost profile. It is QueryCtx
-// with context.Background().
+// Query answers column = key — the range [key, key] — maintaining the
+// Index Buffer machinery as a side effect, and reports the query's cost
+// profile. It is QueryCtx with context.Background().
 func (t *Table) Query(column string, key any) ([]Row, QueryStats, error) {
 	return t.QueryCtx(context.Background(), column, key)
 }
@@ -572,26 +561,14 @@ func (t *Table) Query(column string, key any) ([]Row, QueryStats, error) {
 // passes or the context is canceled. Index-covered queries are a handful
 // of page fetches and complete regardless.
 func (t *Table) QueryCtx(ctx context.Context, column string, key any) ([]Row, QueryStats, error) {
-	i, err := t.columnIndex(column)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	kv, err := toValue(key)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	matches, stats, err := t.t.QueryEqualCtx(ctx, i, kv)
-	if err != nil {
-		return nil, stats, err
-	}
-	return t.rows(matches), stats, nil
+	return t.QueryRangeCtx(ctx, column, key, key)
 }
 
 // QueryRange answers lo <= column <= hi. The partial index serves the
 // query only when its predicate covers the entire interval; any other
-// range runs through the same indexing-scan machinery as a point miss,
-// building the Index Buffer as a side effect. It is QueryRangeCtx with
-// context.Background().
+// range runs an indexing scan, building the Index Buffer as a side
+// effect. A key whose type does not match the column's is refused. It
+// is QueryRangeCtx with context.Background().
 func (t *Table) QueryRange(column string, lo, hi any) ([]Row, QueryStats, error) {
 	return t.QueryRangeCtx(context.Background(), column, lo, hi)
 }
@@ -630,18 +607,10 @@ func (t *Table) rows(matches []exec.Match) []Row {
 	return rows
 }
 
-// Explain plans column = key without executing or touching any Index
-// Buffer state.
+// Explain plans column = key — the range [key, key] — without executing
+// or touching any Index Buffer state.
 func (t *Table) Explain(column string, key any) (Plan, error) {
-	i, err := t.columnIndex(column)
-	if err != nil {
-		return Plan{}, err
-	}
-	kv, err := toValue(key)
-	if err != nil {
-		return Plan{}, err
-	}
-	return t.t.ExplainEqual(i, kv)
+	return t.ExplainRange(column, key, key)
 }
 
 // ExplainRange plans lo <= column <= hi without executing.
@@ -904,8 +873,8 @@ func (db *DB) DurabilityHealth() DurabilityHealth { return db.eng.DurabilityHeal
 // segment count and the sticky sync error; see wal.Telemetry.
 type WALTelemetry = wal.Telemetry
 
-// WALTelemetry reads the log writer's telemetry; ok is false when the
-// WAL is off.
+// WALTelemetry reads the log writer's telemetry; ok is false for an
+// in-memory database.
 func (db *DB) WALTelemetry() (WALTelemetry, bool) { return db.eng.WALTelemetry() }
 
 // CheckpointStats reports checkpoint activity: completed count, last
@@ -920,17 +889,12 @@ func (db *DB) CheckpointStats() CheckpointStats { return db.eng.CheckpointStats(
 // databases need no Close, but calling it is always safe.
 func (db *DB) Close() error { return db.eng.Close() }
 
-// Save persists the database's catalog and flushes all pages. It
-// requires a DataDir-backed database. With the WAL enabled (the
-// default) Save is a checkpoint — see Checkpoint. Index Buffers are
+// Checkpoint is the persistence call: it flushes every table's dirty
+// pages, writes a catalog consistent with them, and truncates the
+// write-ahead log behind the checkpoint. Queries are not blocked while
+// it runs. It requires a DataDir-backed database. Index Buffers are
 // never persisted — they are volatile scratch-pad structures (paper
 // §III) and start empty after OpenExisting.
-func (db *DB) Save() error { return db.eng.Save() }
-
-// Checkpoint flushes every table's dirty pages, writes a catalog
-// consistent with them, and truncates the write-ahead log behind the
-// checkpoint. Queries are not blocked while it runs. It requires a
-// WAL-backed database (DataDir set, WAL not disabled).
 func (db *DB) Checkpoint() error { return db.eng.Checkpoint() }
 
 // RecoveryStats describes what OpenExisting's recovery pass did: the
@@ -944,7 +908,7 @@ type RecoveryStats = engine.RecoveryStats
 func (db *DB) RecoveryStats() RecoveryStats { return db.eng.RecoveryStats() }
 
 // WALStats reports write-ahead-log counters — appends, commits, fsyncs,
-// bytes, segments — or zeros when the WAL is off. The Commits/Syncs
+// bytes, segments — or zeros for an in-memory database. The Commits/Syncs
 // ratio is the group-commit batching factor.
 type WALStats = wal.Stats
 

@@ -1,8 +1,11 @@
 package repro
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/storage"
 )
 
 func openFlights(t *testing.T, o Options) *Table {
@@ -423,7 +426,7 @@ func TestPublicAPIPersistence(t *testing.T) {
 	if err := tb.CreatePartialRangeIndex("delay", 0, 49); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Save(); err != nil {
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -450,9 +453,9 @@ func TestPublicAPIPersistence(t *testing.T) {
 	if err != nil || a != airportFor(25) {
 		t.Errorf("airport = %q, %v", a, err)
 	}
-	// Saving an in-memory database fails cleanly.
-	if err := MustOpen(Options{}).Save(); err == nil {
-		t.Error("Save without DataDir should fail")
+	// Checkpointing an in-memory database fails cleanly.
+	if err := MustOpen(Options{}).Checkpoint(); err == nil {
+		t.Error("Checkpoint without DataDir should fail")
 	}
 	if _, err := OpenExisting(Options{}); err == nil {
 		t.Error("OpenExisting without DataDir should fail")
@@ -519,5 +522,70 @@ func TestTraceReportThroughDB(t *testing.T) {
 	rep := db.TraceReport()
 	if !strings.Contains(rep, "t.k") {
 		t.Errorf("report = %q", rep)
+	}
+}
+
+// TestQueryKeyTypeMismatch pins that a query key whose type does not
+// match its column is refused — at the engine, the facade and the shell,
+// for queries and EXPLAIN alike — before any scan runs, as INSERT
+// refuses such a value. Without the check a string key on an INTEGER
+// column ran an indexing scan that buffered the whole table on the way
+// to an empty answer, and a mixed-type range matched by kind order.
+func TestQueryKeyTypeMismatch(t *testing.T) {
+	db := MustOpen(Options{})
+	defer db.Close()
+	tb, err := db.CreateTable("t", Int64Column("k"), StringColumn("s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		if _, err := tb.Insert(int64(i%200), "x"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tb.CreatePartialRangeIndex("k", 0, 100); err != nil {
+		t.Fatal(err)
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "schema wants") {
+			t.Errorf("%s: err = %v, want a type mismatch", what, err)
+		}
+	}
+
+	ctx := context.Background()
+	_, _, err = tb.t.QueryRangeCtx(ctx, 0, storage.StringValue("abc"), storage.StringValue("abc"))
+	refused("engine QueryRangeCtx", err)
+	_, err = tb.t.ExplainRange(0, storage.Int64Value(5), storage.StringValue("a"))
+	refused("engine ExplainRange", err)
+
+	_, _, err = tb.Query("k", "abc")
+	refused(`Query("k", "abc")`, err)
+	_, _, err = tb.QueryRange("k", 5, "a")
+	refused(`QueryRange("k", 5, "a")`, err)
+	_, _, err = tb.Query("s", 7)
+	refused(`Query("s", 7)`, err)
+	_, err = tb.Explain("k", "abc")
+	refused(`Explain("k", "abc")`, err)
+
+	for _, stmt := range []string{
+		"SELECT * FROM t WHERE k = 'zz'",
+		"SELECT * FROM t WHERE k BETWEEN 1 AND 'z'",
+		"EXPLAIN SELECT * FROM t WHERE k = 'zz'",
+		"DELETE FROM t WHERE k = 'zz'",
+	} {
+		_, err := db.Exec(ctx, stmt)
+		refused(stmt, err)
+	}
+
+	if used := db.SpaceUsed(); used != 0 {
+		t.Errorf("refused queries indexed %d Index Buffer entries", used)
+	}
+	if n, _ := tb.Count(); n != 2000 {
+		t.Errorf("Count = %d after refused statements, want 2000", n)
+	}
+	rows, _, err := tb.Query("k", 150)
+	if err != nil || len(rows) != 10 {
+		t.Errorf("well-typed query: %d rows, err %v", len(rows), err)
 	}
 }

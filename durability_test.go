@@ -2,8 +2,12 @@ package repro
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/catalog"
 )
 
 // TestDurabilityRoundTrip exercises the public durability surface: a
@@ -48,7 +52,7 @@ func TestDurabilityRoundTrip(t *testing.T) {
 		t.Fatalf("WALStats shows no durable commits: %+v", ws)
 	}
 
-	// Crash: walk away. No Close, no Save.
+	// Crash: walk away. No Close, no Checkpoint.
 	db2, err := OpenExisting(Options{DataDir: dir, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -101,34 +105,66 @@ func TestDurabilityRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDurabilityDisabled keeps the old snapshot-only contract reachable:
-// with the WAL off, Save is the durability boundary.
-func TestDurabilityDisabled(t *testing.T) {
+// TestOpenExistingWithoutWALDir reopens a DataDir that has a catalog
+// and page files but no wal/ directory — the shape snapshot-only
+// persistence (a catalog written with no checkpoint LSN, no log) left
+// behind. Recovery must restore the rows and start a log, and the log
+// must carry later writes across a crash.
+func TestOpenExistingWithoutWALDir(t *testing.T) {
 	dir := t.TempDir()
-	db := MustOpen(Options{DataDir: dir, WAL: WALOptions{Disable: true}})
+	db := MustOpen(Options{DataDir: dir})
 	tb, err := db.CreateTable("t", Int64Column("k"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tb.Insert(int64(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Save(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Checkpoint(); err == nil {
-		t.Fatal("Checkpoint on a WAL-disabled database should fail")
+	for i := 0; i < 50; i++ {
+		if _, err := tb.Insert(int64(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := OpenExisting(Options{DataDir: dir, WAL: WALOptions{Disable: true}})
+	if err := os.RemoveAll(filepath.Join(dir, "wal")); err != nil {
+		t.Fatal(err)
+	}
+	cat, err := catalog.Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db2.Close()
-	if n, _ := db2.Table("t").Count(); n != 1 {
-		t.Fatalf("Count = %d, want 1", n)
+	cat.CheckpointLSN = 0
+	if err := catalog.Save(dir, cat); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := OpenExisting(Options{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := db2.Table("t").Count(); n != 50 {
+		t.Fatalf("Count = %d, want 50", n)
+	}
+	if rs := db2.RecoveryStats(); rs.RedoRecords != 0 {
+		t.Fatalf("recovery replayed %d records from an absent log", rs.RedoRecords)
+	}
+	if _, err := db2.Table("t").Insert(int64(50)); err != nil {
+		t.Fatal(err)
+	}
+	if ws := db2.WALStats(); ws.Commits == 0 {
+		t.Fatalf("reopened database logs nothing: %+v", ws)
+	}
+
+	// Crash: walk away without Close. The insert survives through the log.
+	db3, err := OpenExisting(Options{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db3.Close()
+	if rs := db3.RecoveryStats(); rs.RedoRecords == 0 {
+		t.Fatalf("second recovery replayed nothing: %+v", rs)
+	}
+	if n, _ := db3.Table("t").Count(); n != 51 {
+		t.Fatalf("Count after crash = %d, want 51", n)
 	}
 }
 
@@ -146,7 +182,7 @@ func TestWALOptionsValidation(t *testing.T) {
 }
 
 // TestBackgroundCheckpointer verifies the periodic checkpoint loop
-// truncates the log without an explicit Save.
+// truncates the log without an explicit Checkpoint.
 func TestBackgroundCheckpointer(t *testing.T) {
 	dir := t.TempDir()
 	db := MustOpen(Options{DataDir: dir, WAL: WALOptions{CheckpointEvery: 10 * time.Millisecond, SegmentBytes: 4096}})

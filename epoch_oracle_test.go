@@ -18,8 +18,8 @@ import (
 // through the same seeded mixed stream of queries, DML, index
 // redefinitions and displacement-inducing buffer pressure, and every
 // observable — result sets, query stats, the per-page counter table
-// C[p] — must stay bit-identical after every operation, with the WAL
-// on and off. Any divergence is a fast-path bug: a probe served from a
+// C[p] — must stay bit-identical after every operation, in memory and
+// on a DataDir with its write-ahead log. Any divergence is a fast-path bug: a probe served from a
 // stale snapshot, a side effect applied twice or not at all, a torn
 // read that validated. CI runs this under -race as the epoch stress
 // step.
@@ -40,8 +40,6 @@ func newEpochHarness(t *testing.T, parallelism int, disableEpoch, wal bool, rows
 	}
 	if wal {
 		o.DataDir = t.TempDir()
-	} else {
-		o.WAL.Disable = true
 	}
 	db := openTuned(t, o, false, func(c *engine.Config) { c.DisableEpochReadPath = disableEpoch })
 	t.Cleanup(func() { db.Close() })
@@ -87,7 +85,7 @@ func drainEpochs(t *testing.T, h *oracleHarness) {
 // TestEpochSerialOracleBattery drives the locked oracle and the
 // lock-free subject through the same seeded mixed stream and checks
 // identity after every operation, at subject parallelism 1, 2 and
-// NumCPU, with the WAL off and on. The covered fraction is large enough
+// NumCPU, in memory (wal=false) and on a DataDir (wal=true). The covered fraction is large enough
 // that a healthy subject serves a meaningful share of the stream on the
 // fast path — asserted at the end, alongside epoch-domain hygiene.
 func TestEpochSerialOracleBattery(t *testing.T) {

@@ -1,9 +1,10 @@
-// Persistence: tables and partial index definitions survive a restart
-// via Save/OpenExisting, while the Index Buffer — volatile by design,
-// "without need for recovery" (paper §III) — starts empty and simply
-// rebuilds itself from the first few misses. The output shows the cost
-// profile before shutdown, right after reopening, and after the buffer
-// has warmed back up.
+// Persistence: every DataDir database writes ahead to a log, so tables
+// and partial index definitions survive a restart via
+// Checkpoint/OpenExisting (or a crash, via log replay), while the Index
+// Buffer — volatile by design, "without need for recovery" (paper §III)
+// — starts empty and simply rebuilds itself from the first few misses.
+// The output shows the cost profile before shutdown, right after
+// reopening, and after the buffer has warmed back up.
 package main
 
 import (
@@ -22,7 +23,7 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// Session 1: create, load, index, warm the buffer, save.
+	// Session 1: create, load, index, warm the buffer, checkpoint.
 	db, err := repro.Open(repro.Options{DataDir: dir, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
@@ -50,13 +51,13 @@ func main() {
 	fmt.Println("session 1:")
 	show("  miss (builds the buffer)", t, 3000)
 	show("  repeat miss (skips)", t, 3001)
-	if err := db.Save(); err != nil {
+	if err := db.Checkpoint(); err != nil {
 		log.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("saved to %s and closed\n\n", dir)
+	fmt.Printf("checkpointed to %s and closed\n\n", dir)
 
 	// Session 2: reopen. Data and index are back; the buffer is empty.
 	db2, err := repro.OpenExisting(repro.Options{DataDir: dir, Seed: 1})

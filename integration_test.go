@@ -220,7 +220,7 @@ func TestFullSystemScenario(t *testing.T) {
 
 	// Phase 4: persistence round trip preserves everything durable.
 	wantCount := len(model)
-	if err := db.Save(); err != nil {
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {

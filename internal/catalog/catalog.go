@@ -27,8 +27,9 @@ type Catalog struct {
 
 	// CheckpointLSN is the WAL position this catalog is consistent with:
 	// every logged change at or below it has reached the page files, so
-	// recovery redoes only records above it. Zero means "no WAL" (a
-	// snapshot-only save) and replays the whole log if one exists.
+	// recovery redoes only records above it. Zero — a catalog written
+	// before any record was logged, or by a version without a WAL —
+	// replays the whole log if one exists.
 	CheckpointLSN uint64 `json:"checkpoint_lsn,omitempty"`
 }
 

@@ -128,7 +128,7 @@ type Engine struct {
 	sharedScans   metrics.SharedScanCounters
 	parallelScans metrics.ParallelScanCounters
 
-	// Durability (nil / zero for in-memory or WAL-disabled engines).
+	// Durability (nil / zero for in-memory engines).
 	wal      *wal.Writer
 	walErr   error         // WAL failed to initialize; DML refuses
 	ckptMu   sync.Mutex    // serializes checkpoints
@@ -183,16 +183,15 @@ const (
 	flightSlowCap   = 128
 )
 
-// New creates an empty engine. With a DataDir and the WAL enabled (the
-// default), a fresh log is initialized under <DataDir>/wal — any
-// existing segments there are cleared, mirroring how table page files
-// are truncated on creation. A WAL that fails to initialize does not
-// fail New (its signature predates durability); instead the engine
-// refuses DML with the initialization error, so nothing runs silently
-// non-durable.
+// New creates an empty engine. With a DataDir, a fresh write-ahead log
+// is initialized under <DataDir>/wal — any existing segments there are
+// cleared, mirroring how table page files are truncated on creation. A
+// WAL that fails to initialize does not fail New (its signature
+// predates durability); instead the engine refuses DML with the
+// initialization error, so nothing runs silently non-durable.
 func New(cfg Config) *Engine {
 	e := newEngine(cfg)
-	if cfg.DataDir != "" && !cfg.WAL.Disable {
+	if cfg.DataDir != "" {
 		w, err := wal.Create(walDir(cfg.DataDir), walOptions(cfg))
 		if err != nil {
 			e.walErr = err
@@ -845,17 +844,30 @@ func (t *Table) Count() (int, error) {
 	return n, err
 }
 
-// QueryEqual answers column = key through the best available access
-// path, maintaining the Index Buffer machinery as a side effect.
+// QueryEqual answers column = key: the range query [key, key].
 func (t *Table) QueryEqual(column int, key storage.Value) ([]exec.Match, exec.QueryStats, error) {
-	return t.QueryEqualCtx(context.Background(), column, key)
+	return t.QueryRangeCtx(context.Background(), column, key, key)
 }
 
-// QueryEqualCtx is QueryEqual honoring ctx: a long indexing or full scan
+// QueryEqualCtx is QueryEqual honoring ctx.
+func (t *Table) QueryEqualCtx(ctx context.Context, column int, key storage.Value) ([]exec.Match, exec.QueryStats, error) {
+	return t.QueryRangeCtx(ctx, column, key, key)
+}
+
+// QueryRange answers lo <= column <= hi through the best available
+// access path, maintaining the Index Buffer machinery as a side effect.
+// The partial index serves the query only when its predicate covers the
+// whole interval.
+func (t *Table) QueryRange(column int, lo, hi storage.Value) ([]exec.Match, exec.QueryStats, error) {
+	return t.QueryRangeCtx(context.Background(), column, lo, hi)
+}
+
+// QueryRangeCtx is QueryRange honoring ctx: a long indexing or full scan
 // checks for cancellation between page reads and returns ctx.Err().
 //
-// Locking: the query is first planned under the table's read lock. A
-// partial-index hit or a plain full scan executes right there — multiple
+// Locking: a partial-index hit is first tried on the lock-free read path
+// (readpath.go). Otherwise the query is planned under the table's read
+// lock, and a hit or a plain full scan executes right there — multiple
 // such readers run in parallel, and no engine-wide exclusive lock is
 // taken. Only a buffer miss that needs an indexing scan (a mutation of
 // the Index Buffer) goes through the scan-sharing admission layer, where
@@ -863,76 +875,12 @@ func (t *Table) QueryEqual(column int, key storage.Value) ([]exec.Match, exec.Qu
 // forming on the same column (see queryShared); the plan is implicitly
 // re-validated because exec.ExecuteShared re-dispatches on the state it
 // finds under the write lock.
-func (t *Table) QueryEqualCtx(ctx context.Context, column int, key storage.Value) ([]exec.Match, exec.QueryStats, error) {
-	matches, stats, err := t.queryEqualCtx(ctx, column, key)
-	if err == nil {
-		// Best-effort query record (no Commit; rides the next fsync) so
-		// recovery can replay the workload tail and re-warm the buffers.
-		t.logQuery(column, true, key, key)
-	}
-	return matches, stats, err
-}
-
-func (t *Table) queryEqualCtx(ctx context.Context, column int, key storage.Value) ([]exec.Match, exec.QueryStats, error) {
-	if err := t.engine.checkOpen(); err != nil {
-		return nil, exec.QueryStats{}, err
-	}
-
-	// Epoch-based lock-free hit path first; only probes the immutable
-	// snapshots cannot answer fall through to the lock (readpath.go).
-	if !t.engine.cfg.DisableEpochReadPath {
-		if m, stats, ok := t.fastEqual(column, key); ok {
-			t.noteFlight(ctx, column, stats, false)
-			return m, stats, nil
-		}
-	}
-
-	t.mu.RLock()
-	a, err := t.accessLocked(ctx, column)
-	if err != nil {
-		t.mu.RUnlock()
-		return nil, exec.QueryStats{}, err
-	}
-	if !a.NeedsIndexingScan(key) {
-		defer t.mu.RUnlock()
-		return t.runEqual(ctx, a, column, key)
-	}
-	if degrade, err := t.admitMiss(&a); err != nil {
-		t.mu.RUnlock()
-		return nil, exec.QueryStats{}, err
-	} else if degrade {
-		defer t.mu.RUnlock()
-		return t.runEqual(ctx, a, column, key)
-	}
-	t.mu.RUnlock()
-
-	return t.queryShared(ctx, column, key, key, true)
-}
-
-func (t *Table) runEqual(ctx context.Context, a exec.Access, column int, key storage.Value) ([]exec.Match, exec.QueryStats, error) {
-	matches, stats, err := exec.Equal(ctx, a, key)
-	if err == nil {
-		t.engine.noteScanWorkers(stats)
-		t.engine.tracer.Record(t.name, t.schema.Column(column).Name, stats)
-		t.sampleTimeline(column, stats, false, a.Buffer)
-		t.noteFlight(ctx, column, stats, false)
-	}
-	return matches, stats, err
-}
-
-// QueryRange answers lo <= column <= hi. The partial index serves the
-// query only when its predicate covers the whole interval; otherwise the
-// query runs through the same indexing-scan machinery as a point miss.
-func (t *Table) QueryRange(column int, lo, hi storage.Value) ([]exec.Match, exec.QueryStats, error) {
-	return t.QueryRangeCtx(context.Background(), column, lo, hi)
-}
-
-// QueryRangeCtx is QueryRange honoring ctx; see QueryEqualCtx for the
-// locking protocol.
 func (t *Table) QueryRangeCtx(ctx context.Context, column int, lo, hi storage.Value) ([]exec.Match, exec.QueryStats, error) {
 	matches, stats, err := t.queryRangeCtx(ctx, column, lo, hi)
 	if err == nil {
-		t.logQuery(column, false, lo, hi)
+		// Best-effort query record (no Commit; rides the next fsync) so
+		// recovery can replay the workload tail and re-warm the buffers.
+		t.logQuery(column, lo, hi)
 	}
 	return matches, stats, err
 }
@@ -941,9 +889,14 @@ func (t *Table) queryRangeCtx(ctx context.Context, column int, lo, hi storage.Va
 	if err := t.engine.checkOpen(); err != nil {
 		return nil, exec.QueryStats{}, err
 	}
+	if err := t.checkKeys(column, lo, hi); err != nil {
+		return nil, exec.QueryStats{}, err
+	}
 
+	// Epoch-based lock-free hit path first; only probes the immutable
+	// snapshots cannot answer fall through to the lock (readpath.go).
 	if !t.engine.cfg.DisableEpochReadPath {
-		if m, stats, ok := t.fastRange(column, lo, hi); ok {
+		if m, stats, ok := t.fastQuery(column, lo, hi); ok {
 			t.noteFlight(ctx, column, stats, false)
 			return m, stats, nil
 		}
@@ -968,7 +921,7 @@ func (t *Table) queryRangeCtx(ctx context.Context, column int, lo, hi storage.Va
 	}
 	t.mu.RUnlock()
 
-	return t.queryShared(ctx, column, lo, hi, false)
+	return t.queryShared(ctx, column, lo, hi)
 }
 
 func (t *Table) runRange(ctx context.Context, a exec.Access, column int, lo, hi storage.Value) ([]exec.Match, exec.QueryStats, error) {
@@ -982,19 +935,12 @@ func (t *Table) runRange(ctx context.Context, a exec.Access, column int, lo, hi 
 	return matches, stats, err
 }
 
-// ExplainEqual plans column = key without executing or mutating state.
-func (t *Table) ExplainEqual(column int, key storage.Value) (exec.Plan, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	a, err := t.accessLocked(context.Background(), column)
-	if err != nil {
+// ExplainRange plans lo <= column <= hi (a point query is [k, k])
+// without executing or mutating state.
+func (t *Table) ExplainRange(column int, lo, hi storage.Value) (exec.Plan, error) {
+	if err := t.checkKeys(column, lo, hi); err != nil {
 		return exec.Plan{}, err
 	}
-	return exec.ExplainEqual(a, key), nil
-}
-
-// ExplainRange plans lo <= column <= hi without executing.
-func (t *Table) ExplainRange(column int, lo, hi storage.Value) (exec.Plan, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	a, err := t.accessLocked(context.Background(), column)
@@ -1002,6 +948,23 @@ func (t *Table) ExplainRange(column int, lo, hi storage.Value) (exec.Plan, error
 		return exec.Plan{}, err
 	}
 	return exec.ExplainRange(a, lo, hi), nil
+}
+
+// checkKeys validates a query's column and the kinds of its bounds
+// against the schema, as Schema.Validate checks an inserted tuple: a key
+// of the wrong type can match no row, and must not run a scan that
+// indexes pages on the way to an empty answer.
+func (t *Table) checkKeys(column int, lo, hi storage.Value) error {
+	if err := t.checkColumn(column); err != nil {
+		return err
+	}
+	c := t.schema.Column(column)
+	for _, v := range [...]storage.Value{lo, hi} {
+		if v.Kind() != c.Kind {
+			return fmt.Errorf("engine: column %q: query value is %v, schema wants %v", c.Name, v.Kind(), c.Kind)
+		}
+	}
+	return nil
 }
 
 func (t *Table) accessLocked(ctx context.Context, column int) (exec.Access, error) {

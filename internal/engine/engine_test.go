@@ -602,7 +602,7 @@ func TestSaveAndLoadRoundTrip(t *testing.T) {
 	}
 	wantPages := tb.NumPages()
 
-	if err := e.Save(); err != nil {
+	if err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Close(); err != nil {
@@ -678,10 +678,12 @@ func TestSaveAndLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveRequiresDataDir pins that persisting needs a DataDir:
+// Checkpoint, the persistence call, fails on an in-memory engine.
 func TestSaveRequiresDataDir(t *testing.T) {
 	e := New(Config{})
-	if err := e.Save(); err == nil {
-		t.Error("Save on in-memory engine should fail")
+	if err := e.Checkpoint(); err == nil {
+		t.Error("Checkpoint on in-memory engine should fail")
 	}
 	if _, err := Load(Config{}); err == nil {
 		t.Error("Load without DataDir should fail")
@@ -702,21 +704,21 @@ func TestEngineExplainAndIntrospection(t *testing.T) {
 	if e.Space() == nil {
 		t.Error("Space accessor nil")
 	}
-	plan, err := tb.ExplainEqual(0, iv(25))
+	plan, err := tb.ExplainRange(0, iv(25), iv(25))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !plan.PartialHit {
 		t.Errorf("plan = %+v", plan)
 	}
-	plan, err = tb.ExplainEqual(0, iv(90))
+	plan, err = tb.ExplainRange(0, iv(90), iv(90))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Mechanism != "indexing scan" {
 		t.Errorf("plan = %+v", plan)
 	}
-	if _, err := tb.ExplainEqual(99, iv(1)); err == nil {
+	if _, err := tb.ExplainRange(99, iv(1), iv(1)); err == nil {
 		t.Error("bad column should fail")
 	}
 	rp, err := tb.ExplainRange(0, iv(10), iv(20))

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 
@@ -14,44 +13,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
-
-// Save persists the engine's catalog and flushes every table's pages.
-// On WAL-backed engines Save is a checkpoint: the log is fsynced first
-// (write-ahead rule), the flushed state is named by a checkpoint LSN in
-// the catalog, and the log is truncated behind it. The engine must have
-// been created with a DataDir; in-memory engines have nothing durable
-// to save. Index Buffers are not persisted — they are volatile by
-// design (paper §III) and start empty after Load.
-func (e *Engine) Save() error {
-	if err := e.checkOpen(); err != nil {
-		return err
-	}
-	if e.cfg.DataDir == "" {
-		return fmt.Errorf("engine: Save requires a DataDir-backed engine")
-	}
-	if e.wal != nil {
-		return e.checkpoint()
-	}
-
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	var cat catalog.Catalog
-	names := make([]string, 0, len(e.tables))
-	for n := range e.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		t := e.tables[n]
-		t.mu.RLock()
-		err := t.saveMetaLocked(&cat)
-		t.mu.RUnlock()
-		if err != nil {
-			return err
-		}
-	}
-	return catalog.Save(e.cfg.DataDir, cat)
-}
 
 // saveMetaLocked flushes one table and appends its catalog entry; the
 // caller holds the table's lock (shared suffices: the pool is internally
@@ -216,70 +177,54 @@ func Load(cfg Config, tenants ...TenantSpec) (*Engine, error) {
 	// Phase 2: redo. Replay every record past the checkpoint, writing
 	// page images directly to the stores (pools do not exist yet), and
 	// collect the query tail for Rewarm.
-	if !cfg.WAL.Disable || walDirExists(cfg.DataDir) {
-		info, err := wal.Replay(walDir(cfg.DataDir), wal.LSN(cat.CheckpointLSN), func(rec *wal.Record) error {
-			if rec.Kind == wal.KindQuery {
-				lt := byName[rec.Table]
-				if lt == nil || rec.Column < 0 || rec.Column >= lt.schema.NumColumns() {
-					return nil // tail for a table/column dropped since logging
-				}
-				e.rewarm = append(e.rewarm, rewarmQuery{
-					table: rec.Table, column: rec.Column, equal: rec.Equal, lo: rec.Lo, hi: rec.Hi,
-				})
-				return nil
-			}
+	info, err := wal.Replay(walDir(cfg.DataDir), wal.LSN(cat.CheckpointLSN), func(rec *wal.Record) error {
+		if rec.Kind == wal.KindQuery {
 			lt := byName[rec.Table]
-			if lt == nil {
-				// DDL forces a checkpoint, so post-checkpoint DML always
-				// names a cataloged table; anything else is corruption.
-				return fmt.Errorf("engine: redo record %d names unknown table %q", rec.LSN, rec.Table)
+			if lt == nil || rec.Column < 0 || rec.Column >= lt.schema.NumColumns() {
+				return nil // tail for a table/column dropped since logging
 			}
-			for _, im := range rec.Images {
-				for int(im.Page) >= lt.fs.NumPages() {
-					if _, err := lt.fs.Allocate(); err != nil {
-						return err
-					}
-				}
-				if err := lt.fs.Write(im.Page, im.Data); err != nil {
+			e.rewarm = append(e.rewarm, rewarmQuery{table: rec.Table, column: rec.Column, lo: rec.Lo, hi: rec.Hi})
+			return nil
+		}
+		lt := byName[rec.Table]
+		if lt == nil {
+			// DDL forces a checkpoint, so post-checkpoint DML always
+			// names a cataloged table; anything else is corruption.
+			return fmt.Errorf("engine: redo record %d names unknown table %q", rec.LSN, rec.Table)
+		}
+		for _, im := range rec.Images {
+			for int(im.Page) >= lt.fs.NumPages() {
+				if _, err := lt.fs.Allocate(); err != nil {
 					return err
 				}
-				e.recovery.RedoPages++
 			}
-			lt.pages = rec.Pages
-			e.recovery.RedoRecords++
-			return nil
-		})
-		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("engine: redo: %w", err)
+			if err := lt.fs.Write(im.Page, im.Data); err != nil {
+				return err
+			}
+			e.recovery.RedoPages++
 		}
-		e.recovery.TornWALBytes = info.TornBytes
-		e.recovery.QueryTail = len(e.rewarm)
-
-		if !cfg.WAL.Disable {
-			w, err := wal.Open(walDir(cfg.DataDir), walOptions(cfg), info.Next)
-			if err != nil {
-				closeAll()
-				return nil, err
-			}
-			e.wal = w
-		} else {
-			// The log has been applied; with the WAL disabled going
-			// forward nothing will keep it consistent with new writes, so
-			// a stale replay later would corrupt. Remove it.
-			if err := os.RemoveAll(walDir(cfg.DataDir)); err != nil {
-				closeAll()
-				return nil, fmt.Errorf("engine: clearing wal: %w", err)
-			}
-		}
+		lt.pages = rec.Pages
+		e.recovery.RedoRecords++
+		return nil
+	})
+	if err != nil {
+		closeAll()
+		return nil, fmt.Errorf("engine: redo: %w", err)
 	}
+	e.recovery.TornWALBytes = info.TornBytes
+	e.recovery.QueryTail = len(e.rewarm)
+
+	w, err := wal.Open(walDir(cfg.DataDir), walOptions(cfg), info.Next)
+	if err != nil {
+		closeAll()
+		return nil, err
+	}
+	e.wal = w
 
 	// Phase 3: reattach heaps at their post-redo extents and rebuild
 	// indexes and (empty, volatile) Index Buffers.
 	fail := func(err error) (*Engine, error) {
-		if e.wal != nil {
-			e.wal.Close()
-		}
+		e.wal.Close()
 		closeAll()
 		return nil, err
 	}
@@ -324,24 +269,15 @@ func Load(cfg Config, tenants ...TenantSpec) (*Engine, error) {
 		}
 	}
 
-	// Make the recovered state durable and reclaim the log. The
-	// WAL-disabled path rewrites the catalog snapshot instead, so
-	// repairs made above — truncated tails, vacuum-commit extents — are
-	// published rather than re-derived (or refused) on the next Load.
-	if e.wal != nil {
-		if err := e.checkpoint(); err != nil {
-			ce := e.Close()
-			_ = ce
-			return nil, fmt.Errorf("engine: post-recovery checkpoint: %w", err)
-		}
-		e.startCheckpointer()
-	} else {
-		if err := e.Save(); err != nil {
-			ce := e.Close()
-			_ = ce
-			return nil, fmt.Errorf("engine: post-recovery save: %w", err)
-		}
+	// Make the recovered state durable and reclaim the log; the
+	// checkpoint also publishes the repairs made above — truncated tails,
+	// vacuum-commit extents — rather than leaving the next Load to
+	// re-derive (or refuse) them.
+	if err := e.checkpoint(); err != nil {
+		_ = e.Close()
+		return nil, fmt.Errorf("engine: post-recovery checkpoint: %w", err)
 	}
+	e.startCheckpointer()
 	// The catalog now names every table's true extent; retire any
 	// vacuum-commit markers (consumed above, or stale from a vacuum
 	// whose catalog update did land).
@@ -349,12 +285,4 @@ func Load(cfg Config, tenants ...TenantSpec) (*Engine, error) {
 		removeVacuumMarker(cfg.DataDir, lt.tm.Name)
 	}
 	return e, nil
-}
-
-// walDirExists reports whether a log directory is present — the
-// WAL-disabled Load still applies and then clears an existing log, so
-// acknowledged operations are not silently dropped.
-func walDirExists(dataDir string) bool {
-	fi, err := os.Stat(walDir(dataDir))
-	return err == nil && fi.IsDir()
 }

@@ -176,12 +176,15 @@ func (e *Engine) EpochStats() EpochStats {
 // assert reclamation).
 func (e *Engine) EpochDomain() *epoch.Domain { return e.epochs }
 
-// fastEqual attempts column = key on the lock-free read path. ok
-// reports success; on false the caller runs the locked path, which
-// also owns all error reporting (the fast path never surfaces errors —
-// a validated heap fault falls back so the locked path reproduces it
-// under the lock).
-func (t *Table) fastEqual(column int, key storage.Value) (m []exec.Match, stats exec.QueryStats, ok bool) {
+// fastQuery attempts lo <= column <= hi (a point query is [k, k]) on the
+// lock-free read path. ok reports success; on false the caller runs the
+// locked path, which also owns all error reporting (the fast path never
+// surfaces errors — a validated heap fault falls back so the locked path
+// reproduces it under the lock). The hit itself is exec.FetchHit, the
+// function the locked path's ExecuteShared calls; the empty range is
+// answered for free, mirroring ExecuteShared's early continue (stats
+// carry only the key, no history advance, no probe).
+func (t *Table) fastQuery(column int, lo, hi storage.Value) (m []exec.Match, stats exec.QueryStats, ok bool) {
 	e := t.engine
 	start := time.Now()
 	unpin := e.space.PinEpoch()
@@ -191,56 +194,6 @@ func (t *Table) fastEqual(column int, key storage.Value) (m []exec.Match, stats 
 		if s1&1 != 0 {
 			if !t.awaitEven(&spins) {
 				break // long window (DDL, vacuum): wait on the lock
-			}
-			continue
-		}
-		rs := t.read.Load()
-		if rs == nil {
-			return nil, exec.QueryStats{}, false
-		}
-		ix := rs.indexes[column]
-		if ix == nil {
-			return nil, exec.QueryStats{}, false // no index (or bad column): locked path decides
-		}
-		snap := ix.Snapshot()
-		if !snap.Covers(key) {
-			return nil, exec.QueryStats{}, false // miss: needs the indexing-scan machinery
-		}
-		matches, stats, err := exec.FetchHit(exec.Access{Table: rs.heap, Column: column}, key, snap.Lookup(key))
-		if t.seq.Load() != s1 {
-			attempt++
-			continue // a mutator overlapped the probe; everything read is suspect
-		}
-		if err != nil {
-			// Validated fault (e.g. vacuum closed the store between
-			// publications): no side effects were applied, so the locked
-			// path re-executes and reports cleanly.
-			e.fastFallbacks.Add(1)
-			return nil, exec.QueryStats{}, false
-		}
-		t.commitFastHit(column, &stats, snap, rs, start)
-		return matches, stats, true
-	}
-	e.fastFallbacks.Add(1)
-	return nil, exec.QueryStats{}, false
-}
-
-// fastRange is fastEqual for lo <= column <= hi, including the empty
-// range answered for free (mirroring ExecuteShared's early continue:
-// stats carry only the key, no history advance, no probe).
-func (t *Table) fastRange(column int, lo, hi storage.Value) (m []exec.Match, stats exec.QueryStats, ok bool) {
-	e := t.engine
-	if t.checkColumn(column) != nil {
-		return nil, exec.QueryStats{}, false // locked path owns the error
-	}
-	start := time.Now()
-	unpin := e.space.PinEpoch()
-	defer unpin()
-	for attempt, spins := 0, 0; attempt < fastAttempts; {
-		s1 := t.seq.Load()
-		if s1&1 != 0 {
-			if !t.awaitEven(&spins) {
-				break
 			}
 			continue
 		}
@@ -261,18 +214,21 @@ func (t *Table) fastRange(column int, lo, hi storage.Value) (m []exec.Match, sta
 		}
 		ix := rs.indexes[column]
 		if ix == nil {
-			return nil, exec.QueryStats{}, false
+			return nil, exec.QueryStats{}, false // no index: the locked path decides
 		}
 		snap := ix.Snapshot()
 		if !snap.CoversRange(lo, hi) {
-			return nil, exec.QueryStats{}, false
+			return nil, exec.QueryStats{}, false // miss: needs the indexing-scan machinery
 		}
-		matches, stats, err := exec.FetchHit(exec.Access{Table: rs.heap, Column: column}, lo, snap.LookupRange(lo, hi))
+		matches, stats, err := exec.FetchHit(exec.Access{Table: rs.heap, Column: column}, snap, lo, hi)
 		if t.seq.Load() != s1 {
 			attempt++
-			continue
+			continue // a mutator overlapped the probe; everything read is suspect
 		}
 		if err != nil {
+			// Validated fault (e.g. vacuum closed the store between
+			// publications): no side effects were applied, so the locked
+			// path re-executes and reports cleanly.
 			e.fastFallbacks.Add(1)
 			return nil, exec.QueryStats{}, false
 		}

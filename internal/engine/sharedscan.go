@@ -42,9 +42,8 @@ type scanBatch struct {
 // written by the leader before it closes done and read by the owning
 // goroutine after <-done; the channel close orders the two.
 type attachedQuery struct {
-	ctx      context.Context
-	lo, hi   storage.Value
-	equality bool
+	ctx    context.Context
+	lo, hi storage.Value
 
 	// canceled is set by a follower that gave up on ctx cancellation; the
 	// leader then skips tracing the query's outcome (its caller already
@@ -97,13 +96,13 @@ func (s *scanAdmission) seal(column int, b *scanBatch) []*attachedQuery {
 // abandon the wait for the write lock, but its own predicate is dropped
 // the same way once the scan starts, and the scan aborts early only if
 // every attached query is canceled.
-func (t *Table) queryShared(ctx context.Context, column int, lo, hi storage.Value, equality bool) ([]exec.Match, exec.QueryStats, error) {
+func (t *Table) queryShared(ctx context.Context, column int, lo, hi storage.Value) ([]exec.Match, exec.QueryStats, error) {
 	counters := &t.engine.sharedScans
 	counters.Misses.Add(1)
 	fa := t.engine.flightActive(ctx)
 	t.noteSpan(fa, trace.SpanMissAdmit, column, -1, 0)
 
-	q := &attachedQuery{ctx: ctx, lo: lo, hi: hi, equality: equality}
+	q := &attachedQuery{ctx: ctx, lo: lo, hi: hi}
 	batch, leader := t.scans.attach(column, q)
 	if !leader {
 		counters.Attached.Add(1)
@@ -153,7 +152,7 @@ func (t *Table) queryShared(ctx context.Context, column int, lo, hi storage.Valu
 func (t *Table) runShared(a exec.Access, column int, attached []*attachedQuery) {
 	qs := make([]exec.SharedQuery, len(attached))
 	for i, aq := range attached {
-		qs[i] = exec.SharedQuery{Lo: aq.lo, Hi: aq.hi, Equality: aq.equality, Ctx: aq.ctx}
+		qs[i] = exec.SharedQuery{Lo: aq.lo, Hi: aq.hi, Ctx: aq.ctx}
 	}
 	outs := exec.ExecuteShared(a, qs)
 	// The batch's first scanning query carries the scan-stage fan-out.

@@ -47,7 +47,7 @@ func newKeyed(t *testing.T, rows, domain int, cover int64) (*Engine, *Table) {
 func TestSharedScanCoalescesConcurrentMisses(t *testing.T) {
 	e, tb := newKeyed(t, 300, 50, 9)
 
-	blocker := &attachedQuery{ctx: context.Background(), lo: iv(10), hi: iv(10), equality: true}
+	blocker := &attachedQuery{ctx: context.Background(), lo: iv(10), hi: iv(10)}
 	batch, leader := tb.scans.attach(0, blocker)
 	if !leader {
 		t.Fatal("fresh table already has a pending batch")
@@ -128,7 +128,7 @@ func TestSharedScanCoalescesConcurrentMisses(t *testing.T) {
 func TestSharedScanFollowerCancellation(t *testing.T) {
 	e, tb := newKeyed(t, 300, 50, 9)
 
-	blocker := &attachedQuery{ctx: context.Background(), lo: iv(10), hi: iv(10), equality: true}
+	blocker := &attachedQuery{ctx: context.Background(), lo: iv(10), hi: iv(10)}
 	batch, leader := tb.scans.attach(0, blocker)
 	if !leader {
 		t.Fatal("fresh table already has a pending batch")

@@ -17,7 +17,7 @@ import (
 // families distinguish tenants for free; buffers created for a tenant's
 // indexes are charged against the tenant's entry quota (see
 // core.Space.SelectPagesForBuffer for the two-level displacement
-// competition, and QueryEqualCtx for over-quota admission).
+// competition, and QueryRangeCtx for over-quota admission).
 
 // TenantSpec declares one budget domain for CreateTenant or Load.
 type TenantSpec struct {

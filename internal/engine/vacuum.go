@@ -123,16 +123,8 @@ func (t *Table) Vacuum() (pagesBefore, pagesAfter int, err error) {
 	if err != nil {
 		return pagesBefore, pagesAfter, err
 	}
-	if t.engine.wal != nil {
-		if err := t.engine.checkpoint(); err != nil {
-			return pagesBefore, pagesAfter, fmt.Errorf("engine: checkpoint after vacuum of %s: %w", t.name, err)
-		}
-	} else if t.engine.cfg.DataDir != "" {
-		// Snapshot-only engines have the same crash window between the
-		// file swap and the next Save; publish the catalog now.
-		if err := t.engine.Save(); err != nil {
-			return pagesBefore, pagesAfter, fmt.Errorf("engine: save after vacuum of %s: %w", t.name, err)
-		}
+	if err := t.engine.checkpointIfWAL(); err != nil {
+		return pagesBefore, pagesAfter, fmt.Errorf("engine: checkpoint after vacuum of %s: %w", t.name, err)
 	}
 	removeVacuumMarker(t.engine.cfg.DataDir, t.name)
 	return pagesBefore, pagesAfter, nil

@@ -144,7 +144,7 @@ func TestVacuumFileBackedPersists(t *testing.T) {
 	if after >= before {
 		t.Errorf("no shrink: %d -> %d", before, after)
 	}
-	if err := e.Save(); err != nil {
+	if err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Close(); err != nil {

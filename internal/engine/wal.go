@@ -14,15 +14,10 @@ import (
 	"repro/internal/wal"
 )
 
-// WALConfig configures the engine's write-ahead log. It only takes
-// effect on DataDir-backed engines; in-memory engines have nothing
+// WALConfig configures the engine's write-ahead log. Every
+// DataDir-backed engine runs one; in-memory engines have nothing
 // durable to log.
 type WALConfig struct {
-	// Disable turns the WAL off, reverting to PR-era snapshot-only
-	// persistence: Save/Close write a point-in-time image and anything
-	// after the last Save is lost on a crash.
-	Disable bool
-
 	// SyncPolicy selects the Commit durability protocol (group commit by
 	// default); see wal.SyncPolicy.
 	SyncPolicy wal.SyncPolicy
@@ -37,14 +32,9 @@ type WALConfig struct {
 	SyncDelay time.Duration
 
 	// CheckpointEvery, when positive, runs a background checkpoint loop
-	// at this period. Zero means checkpoints happen only on DDL, Save,
+	// at this period. Zero means checkpoints happen only on DDL, vacuum,
 	// Close, and explicit Checkpoint calls.
 	CheckpointEvery time.Duration
-
-	// DisableQueryLog stops logging query descriptors. Queries are never
-	// needed for redo correctness — they only feed post-recovery buffer
-	// re-warming — so this trades restart warmth for log volume.
-	DisableQueryLog bool
 }
 
 // walSubdir is the log's directory under DataDir.
@@ -91,7 +81,8 @@ type RecoveryStats struct {
 // during redo. Zero for engines created with New.
 func (e *Engine) RecoveryStats() RecoveryStats { return e.recovery }
 
-// WALStats returns log-writer counters, or zeros when the WAL is off.
+// WALStats returns log-writer counters, or zeros for an engine with no
+// log (in-memory, or a WAL that failed to initialize).
 func (e *Engine) WALStats() wal.Stats {
 	if e.wal == nil {
 		return wal.Stats{}
@@ -100,7 +91,8 @@ func (e *Engine) WALStats() wal.Stats {
 }
 
 // WALTelemetry returns the log writer's full observability snapshot;
-// ok is false when the WAL is off (in-memory or disabled engines).
+// ok is false when there is no log (in-memory engines, or a WAL that
+// failed to initialize).
 func (e *Engine) WALTelemetry() (wal.Telemetry, bool) {
 	if e.wal == nil {
 		return wal.Telemetry{}, false
@@ -144,9 +136,11 @@ const checkpointStallFactor = 4
 // DurabilityHealth is the WAL/checkpoint health summary `/healthz`
 // serves — and the condition under which it returns 503.
 type DurabilityHealth struct {
-	// WALEnabled is false for in-memory or WAL-disabled engines; all
-	// other fields are zero then and the engine counts as healthy (there
-	// is no durability to be unhealthy about).
+	// WALEnabled is false for in-memory engines — every DataDir-backed
+	// engine runs the WAL; all other fields are zero then and the engine
+	// counts as healthy (there is no durability to be unhealthy about).
+	// A DataDir engine whose WAL failed to initialize reports false with
+	// WALInitError set and is unhealthy.
 	WALEnabled bool   `json:"wal_enabled"`
 	SyncPolicy string `json:"sync_policy,omitempty"`
 	// SyncError is the writer's sticky fsync error ("" while healthy).
@@ -298,24 +292,25 @@ func (t *Table) logDML(fa *flight.Active, kind wal.Kind, rid, oldRID storage.RID
 // Best-effort and async: the record rides the next fsync (a lost query
 // record costs a little restart warmth, never correctness), and errors
 // are swallowed for the same reason.
-func (t *Table) logQuery(column int, equal bool, lo, hi storage.Value) {
+func (t *Table) logQuery(column int, lo, hi storage.Value) {
 	w := t.engine.wal
-	if w == nil || t.engine.cfg.WAL.DisableQueryLog {
+	if w == nil {
 		return
 	}
 	_, _ = w.Append(&wal.Record{
 		Kind:   wal.KindQuery,
 		Table:  t.name,
 		Column: column,
-		Equal:  equal,
 		Lo:     lo,
 		Hi:     hi,
 	})
 }
 
-// Checkpoint flushes every table's dirty pages, writes a catalog
-// consistent with them, and truncates the log up to the captured
-// position. Readers are not blocked: only shared table locks are taken
+// Checkpoint is the persistence call: it flushes every table's dirty
+// pages, writes a catalog consistent with them, and truncates the log
+// up to the captured position. Index Buffers are not persisted — they
+// are volatile by design (paper §III) and start empty after Load.
+// Readers are not blocked: only shared table locks are taken
 // (the pool is internally synchronized), so queries proceed while the
 // checkpoint runs; DML on a table briefly waits for that table's flush.
 func (e *Engine) Checkpoint() error {
@@ -428,7 +423,6 @@ func (e *Engine) stopCheckpointer() {
 type rewarmQuery struct {
 	table  string
 	column int
-	equal  bool
 	lo, hi storage.Value
 }
 
@@ -470,13 +464,7 @@ func (e *Engine) Rewarm(ctx context.Context) (int, error) {
 			reset[name] = true
 			obs.SpaceEvent("buffer-reset", name, -1, 0)
 		}
-		var err error
-		if q.equal {
-			_, _, err = t.QueryEqualCtx(ctx, q.column, q.lo)
-		} else {
-			_, _, err = t.QueryRangeCtx(ctx, q.column, q.lo, q.hi)
-		}
-		if err != nil {
+		if _, _, err := t.QueryRangeCtx(ctx, q.column, q.lo, q.hi); err != nil {
 			return n, fmt.Errorf("engine: rewarm replay on %s: %w", q.table, err)
 		}
 		n++

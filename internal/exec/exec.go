@@ -5,9 +5,10 @@
 // 0), and opportunistically indexes the pages selected by Algorithm 2.
 //
 // Every query runs through ExecuteShared, which executes Algorithm 1
-// once for a whole batch of predicates: Equal and Range are batches of
-// size one, and the engine's admission layer coalesces concurrent
-// buffer misses on the same table/column into larger batches.
+// once for a whole batch of closed-range predicates (a point query is
+// the range [k, k]): Range is a batch of size one, and the engine's
+// admission layer coalesces concurrent buffer misses on the same
+// table/column into larger batches.
 //
 // Execution is context-aware: the page loop shared by the indexing scan
 // and the full scan checks for cancellation between page reads, so a
@@ -88,7 +89,7 @@ type Heap interface {
 
 var _ Heap = (*heap.Table)(nil)
 
-// Access bundles the storage objects a point query needs. Index and
+// Access bundles the storage objects a query needs. Index and
 // Buffer may be nil (no partial index / no Index Buffer on the column);
 // Space must be non-nil whenever Buffer is.
 type Access struct {
@@ -150,14 +151,9 @@ func (a Access) scanWorkers(numPages int) int {
 	return w
 }
 
-// NeedsIndexingScan reports whether the equality query column = key would
-// run an indexing scan — the only execution path that mutates the Index
-// Buffer and therefore needs exclusive access to the table.
-func (a Access) NeedsIndexingScan(key storage.Value) bool {
-	return a.Buffer != nil && !(a.Index != nil && a.Index.Covers(key))
-}
-
-// NeedsIndexingScanRange is NeedsIndexingScan for lo <= column <= hi.
+// NeedsIndexingScanRange reports whether the query lo <= column <= hi
+// would run an indexing scan — the only execution path that mutates the
+// Index Buffer and therefore needs exclusive access to the table.
 func (a Access) NeedsIndexingScanRange(lo, hi storage.Value) bool {
 	if hi.Compare(lo) < 0 {
 		return false
@@ -165,28 +161,34 @@ func (a Access) NeedsIndexingScanRange(lo, hi storage.Value) bool {
 	return a.Buffer != nil && !(a.Index != nil && a.Index.CoversRange(lo, hi))
 }
 
-// Equal answers the equality query column = key, maintaining the Index
-// Buffer along the way: partial-index hit → index scan; miss with a
-// buffer → Algorithm 1; miss without → full scan. It is a shared scan
-// with a single attached query; ctx is honored between page reads of the
-// scanning paths.
-func Equal(ctx context.Context, a Access, key storage.Value) ([]Match, QueryStats, error) {
-	o := ExecuteShared(a, []SharedQuery{{Lo: key, Hi: key, Equality: true, Ctx: ctx}})[0]
+// Range answers the query lo <= column <= hi; a point query is the
+// range [k, k]. The partial index answers it only when its predicate
+// covers the whole interval; otherwise it runs an indexing table scan
+// (Algorithm 1 with a range predicate) or, without a buffer, a full
+// scan. Beyond the page scan, two sources feed the result: the Index
+// Buffer (uncovered tuples of fully indexed pages) and, for a range
+// straddling the coverage predicate, the index postings sitting on
+// skipped pages — the paper's §II observation "tuples referenced in the
+// index will not be part of the result set" holds only for a point
+// miss. Range is a shared scan with a single attached query; ctx is
+// honored between page reads of the scanning paths.
+func Range(ctx context.Context, a Access, lo, hi storage.Value) ([]Match, QueryStats, error) {
+	o := ExecuteShared(a, []SharedQuery{{Lo: lo, Hi: hi, Ctx: ctx}})[0]
 	return o.Matches, o.Stats, o.Err
 }
 
-// FetchHit materializes a partial-index hit from its posting list,
-// reproducing the hit path of ExecuteShared bit for bit: RIDs are
-// fetched in sorted order, PagesRead counts each distinct page once,
-// and the stats carry Key/PartialHit/Matches. rids may alias immutable
-// index state — it is copied before sorting. The engine's epoch-based
-// read path resolves a probe against an index snapshot and calls this
-// to materialize it without entering the shared-scan machinery; only
-// a.Table and a.Column are consulted, so a read-path Access with nil
-// Index/Buffer/Space is fine. Duration is left to the caller.
-func FetchHit(a Access, key storage.Value, rids []storage.RID) ([]Match, QueryStats, error) {
-	stats := QueryStats{Key: key, PartialHit: true}
-	m, err := fetchRIDs(a, rids, &stats, pageSet{})
+// FetchHit serves a partial-index hit on lo <= column <= hi from one
+// index snapshot whose coverage the caller has checked contains the
+// range: it fetches the posting list's tuples in RID order, counting
+// each distinct page once in PagesRead. It is the one hit path —
+// ExecuteShared calls it under the table lock and the engine's
+// lock-free read path against a published snapshot, so the two agree by
+// construction. It counts no index probe (the caller calls
+// Snapshot.NoteProbe once the result is used) and leaves Duration to
+// the caller; only a.Table is consulted.
+func FetchHit(a Access, snap index.Snapshot, lo, hi storage.Value) ([]Match, QueryStats, error) {
+	stats := QueryStats{Key: lo, PartialHit: true}
+	m, err := fetchRIDs(a, snap.LookupRange(lo, hi), &stats, pageSet{})
 	if err != nil {
 		return nil, stats, err
 	}

@@ -57,9 +57,11 @@ func buildTableKeys(t *testing.T, keys []int64) (*heap.Table, *buffer.Pool) {
 	return tb, pool
 }
 
+// TestEqualNoIndexNoBuffer and TestEqualIndexOnlyNoBuffer run point
+// queries, the range [k, k], without an Index Buffer.
 func TestEqualNoIndexNoBuffer(t *testing.T) {
 	tb := buildTable(t, 200)
-	got, stats, err := Equal(context.Background(), Access{Table: tb, Column: 0}, iv(3))
+	got, stats, err := Range(context.Background(), Access{Table: tb, Column: 0}, iv(3), iv(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestEqualIndexOnlyNoBuffer(t *testing.T) {
 	a := Access{Table: tb, Column: 0, Index: ix}
 
 	// Covered key: index scan fetches only match pages.
-	got, stats, err := Equal(context.Background(), a, iv(2))
+	got, stats, err := Range(context.Background(), a, iv(2), iv(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +101,7 @@ func TestEqualIndexOnlyNoBuffer(t *testing.T) {
 	}
 
 	// Uncovered key: full scan.
-	_, stats, err = Equal(context.Background(), a, iv(7))
+	_, stats, err = Range(context.Background(), a, iv(7), iv(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,14 +157,14 @@ func TestIndexingScanSecondQuerySkips(t *testing.T) {
 	}
 	a := Access{Table: tb, Column: 0, Index: ix, Buffer: buf, Space: space}
 
-	_, s1, err := Equal(context.Background(), a, iv(8))
+	_, s1, err := Range(context.Background(), a, iv(8), iv(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s1.PagesSelected != tb.NumPages() || s1.EntriesAdded == 0 {
 		t.Errorf("first scan: selected=%d entries=%d", s1.PagesSelected, s1.EntriesAdded)
 	}
-	got, s2, err := Equal(context.Background(), a, iv(9))
+	got, s2, err := Range(context.Background(), a, iv(9), iv(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,6 +183,7 @@ func TestIndexingScanSecondQuerySkips(t *testing.T) {
 	}
 }
 
+// TestExplainEqual plans point queries: the range [k, k].
 func TestExplainEqual(t *testing.T) {
 	tb := buildTable(t, 300)
 	ix := index.NewPartial("k", 0, index.IntRange(0, 4))
@@ -199,7 +202,7 @@ func TestExplainEqual(t *testing.T) {
 	a := Access{Table: tb, Column: 0, Index: ix, Buffer: buf, Space: space}
 
 	// Covered key: hit plan, no mutation.
-	plan := ExplainEqual(a, iv(2))
+	plan := ExplainRange(a, iv(2), iv(2))
 	if !plan.PartialHit || plan.Mechanism != "partial index hit" {
 		t.Errorf("plan = %+v", plan)
 	}
@@ -208,7 +211,7 @@ func TestExplainEqual(t *testing.T) {
 	}
 
 	// Uncovered, empty buffer: indexing scan of every page.
-	plan = ExplainEqual(a, iv(8))
+	plan = ExplainRange(a, iv(8), iv(8))
 	if plan.Mechanism != "indexing scan" || plan.EstimatedPagesRead != tb.NumPages() {
 		t.Errorf("plan = %+v", plan)
 	}
@@ -217,15 +220,15 @@ func TestExplainEqual(t *testing.T) {
 	}
 
 	// After a real query, the plan predicts skips.
-	if _, _, err := Equal(context.Background(), a, iv(8)); err != nil {
+	if _, _, err := Range(context.Background(), a, iv(8), iv(8)); err != nil {
 		t.Fatal(err)
 	}
-	plan = ExplainEqual(a, iv(9))
+	plan = ExplainRange(a, iv(9), iv(9))
 	if plan.SkippablePages != tb.NumPages() {
 		t.Errorf("skippable = %d of %d", plan.SkippablePages, tb.NumPages())
 	}
 	// Estimate matches the real cost.
-	_, stats, err := Equal(context.Background(), a, iv(9))
+	_, stats, err := Range(context.Background(), a, iv(9), iv(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +237,7 @@ func TestExplainEqual(t *testing.T) {
 	}
 
 	// No index, no buffer: full scan plan.
-	plan = ExplainEqual(Access{Table: tb, Column: 0}, iv(1))
+	plan = ExplainRange(Access{Table: tb, Column: 0}, iv(1), iv(1))
 	if plan.Mechanism != "full scan" || plan.EstimatedPagesRead != tb.NumPages() {
 		t.Errorf("plan = %+v", plan)
 	}

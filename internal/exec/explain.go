@@ -32,36 +32,8 @@ func (p Plan) String() string {
 		p.Mechanism, p.EstimatedPagesRead, p.TablePages, p.SkippablePages)
 }
 
-// ExplainEqual plans the equality query column = key.
-func ExplainEqual(a Access, key storage.Value) Plan {
-	numPages := a.Table.NumPages()
-	p := Plan{TablePages: numPages}
-
-	if a.Index != nil && a.Index.Covers(key) {
-		p.Mechanism = "partial index hit"
-		p.PartialHit = true
-		p.EstimatedPagesRead = countDistinctPages(a.Index.Lookup(key))
-		return p
-	}
-	if a.Buffer == nil {
-		p.Mechanism = "full scan"
-		p.EstimatedPagesRead = numPages
-		return p
-	}
-	p.Mechanism = "indexing scan"
-	scanPages := 0
-	for pg := 0; pg < numPages; pg++ {
-		if a.Buffer.Counter(storage.PageID(pg)) == 0 {
-			p.SkippablePages++
-		} else {
-			scanPages++
-		}
-	}
-	p.EstimatedPagesRead = scanPages + countDistinctPages(a.Buffer.Lookup(key))
-	return p
-}
-
-// ExplainRange plans the range query lo <= column <= hi.
+// ExplainRange plans the query lo <= column <= hi (a point query is
+// the range [k, k]).
 func ExplainRange(a Access, lo, hi storage.Value) Plan {
 	numPages := a.Table.NumPages()
 	p := Plan{TablePages: numPages}

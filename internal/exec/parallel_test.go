@@ -59,7 +59,7 @@ func checkMidPageFault(t *testing.T, par int) {
 	fh.remaining.Store(25)
 	fh.armed.Store(true)
 
-	_, stats, err := Equal(context.Background(), a, iv(8))
+	_, stats, err := Range(context.Background(), a, iv(8), iv(8))
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want injected fault", err)
 	}
@@ -69,7 +69,7 @@ func checkMidPageFault(t *testing.T, par int) {
 	checkUntouched(t, a)
 
 	fh.armed.Store(false)
-	got, stats, err := Equal(context.Background(), a, iv(8))
+	got, stats, err := Range(context.Background(), a, iv(8), iv(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +106,10 @@ func TestParallelMatchesSerialOracle(t *testing.T) {
 	pa := scanFixture(t, buildTable(t, 300))
 	pa.Parallelism = 4
 	batch := []SharedQuery{
-		{Lo: iv(8), Hi: iv(8), Equality: true},
-		{Lo: iv(9), Hi: iv(9), Equality: true},
-		{Lo: iv(2), Hi: iv(2), Equality: true}, // covered: index hit
-		{Lo: iv(5), Hi: iv(9)},                 // range straddling coverage
+		{Lo: iv(8), Hi: iv(8)},
+		{Lo: iv(9), Hi: iv(9)},
+		{Lo: iv(2), Hi: iv(2)}, // covered: index hit
+		{Lo: iv(5), Hi: iv(9)}, // range straddling coverage
 	}
 	for round, label := range []string{"cold", "buffered"} {
 		so := ExecuteShared(sa, batch)
@@ -157,8 +157,8 @@ func TestParallelCancelOne(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	outs := ExecuteShared(a, []SharedQuery{
-		{Lo: iv(8), Hi: iv(8), Equality: true, Ctx: canceled},
-		{Lo: iv(9), Hi: iv(9), Equality: true},
+		{Lo: iv(8), Hi: iv(8), Ctx: canceled},
+		{Lo: iv(9), Hi: iv(9)},
 	})
 	if !errors.Is(outs[0].Err, context.Canceled) || outs[0].Matches != nil {
 		t.Errorf("canceled query: err=%v matches=%d", outs[0].Err, len(outs[0].Matches))
@@ -185,8 +185,8 @@ func TestParallelCancelAll(t *testing.T) {
 			fh.remaining.Store(25)
 			fh.armed.Store(true)
 			outs := ExecuteShared(a, []SharedQuery{
-				{Lo: iv(8), Hi: iv(8), Equality: true, Ctx: ctx},
-				{Lo: iv(9), Hi: iv(9), Equality: true, Ctx: ctx},
+				{Lo: iv(8), Hi: iv(8), Ctx: ctx},
+				{Lo: iv(9), Hi: iv(9), Ctx: ctx},
 			})
 			for i, o := range outs {
 				if !errors.Is(o.Err, context.Canceled) || o.Matches != nil {
@@ -224,7 +224,7 @@ func TestParallelOracleRandomized(t *testing.T) {
 					lo := int64(rng.Intn(12) - 1) // keys are 0..9; stray outside on purpose
 					batch[i] = SharedQuery{Lo: iv(lo), Hi: iv(lo + int64(rng.Intn(6)) - 1)}
 					if rng.Intn(2) == 0 {
-						batch[i] = SharedQuery{Lo: iv(lo), Hi: iv(lo), Equality: true}
+						batch[i] = SharedQuery{Lo: iv(lo), Hi: iv(lo)}
 					}
 				}
 				outs := ExecuteShared(a, batch)

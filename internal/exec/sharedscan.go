@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/index"
 	"repro/internal/storage"
 )
 
@@ -21,24 +22,20 @@ import (
 // engine's admission layer decides which queries form a batch; this file
 // only executes one.
 
-// SharedQuery is one predicate attached to a shared scan: the equality
-// query column = Lo when Equality is set, else the range
-// Lo <= column <= Hi. Ctx (nil means context.Background) cancels only
-// this query: the scan drops the query's demux slot at the next page
-// boundary and keeps serving the other attachees; the pass itself aborts
-// early only once every attached query has been canceled.
+// SharedQuery is one predicate attached to a shared scan: the closed
+// range Lo <= column <= Hi (a point query has Lo == Hi). Ctx (nil means
+// context.Background) cancels only this query: the scan drops the
+// query's demux slot at the next page boundary and keeps serving the
+// other attachees; the pass itself aborts early only once every
+// attached query has been canceled.
 type SharedQuery struct {
-	Lo, Hi   storage.Value
-	Equality bool
-	Ctx      context.Context
+	Lo, Hi storage.Value
+	Ctx    context.Context
 }
 
 // matches reports whether a tuple value satisfies the query's predicate.
 func (q *SharedQuery) matches(v storage.Value) bool {
-	if q.Equality {
-		return v.Equal(q.Lo)
-	}
-	return v.Compare(q.Lo) >= 0 && v.Compare(q.Hi) <= 0
+	return v.Between(q.Lo, q.Hi)
 }
 
 // SharedOutcome is one attached query's result: its matches, its own
@@ -84,8 +81,7 @@ func (s pageSet) read(stats *QueryStats, p storage.PageID) {
 //
 // The caller must hold the owning table's write lock whenever the batch
 // can mutate the Index Buffer — the same contract as a private indexing
-// scan. A batch of size one is exactly the old single-query execution;
-// Equal and Range are wrappers over it.
+// scan. Range is the batch of size one.
 func ExecuteShared(a Access, qs []SharedQuery) []SharedOutcome {
 	start := time.Now()
 	outs := make([]SharedOutcome, len(qs))
@@ -107,16 +103,14 @@ func ExecuteShared(a Access, qs []SharedQuery) []SharedOutcome {
 		}
 		st.seen = pageSet{}
 		outs[i].Stats.Key = q.Lo
-		if !q.Equality && q.Hi.Compare(q.Lo) < 0 {
+		if q.Hi.Compare(q.Lo) < 0 {
 			continue // empty range: answered without any access
 		}
+		var snap index.Snapshot
 		hit := false
 		if a.Index != nil {
-			if q.Equality {
-				hit = a.Index.Covers(q.Lo)
-			} else {
-				hit = a.Index.CoversRange(q.Lo, q.Hi)
-			}
+			snap = a.Index.Snapshot()
+			hit = snap.CoversRange(q.Lo, q.Hi)
 		}
 		outs[i].Stats.PartialHit = hit
 		if a.Space != nil {
@@ -125,19 +119,8 @@ func ExecuteShared(a Access, qs []SharedQuery) []SharedOutcome {
 			a.Space.OnQuery(a.Buffer, hit)
 		}
 		if hit {
-			var rids []storage.RID
-			if q.Equality {
-				rids = a.Index.Lookup(q.Lo)
-			} else {
-				rids = a.Index.LookupRange(q.Lo, q.Hi)
-			}
-			m, err := fetchRIDs(a, rids, &outs[i].Stats, st.seen)
-			if err != nil {
-				outs[i].Err = err
-				continue
-			}
-			outs[i].Matches = m
-			outs[i].Stats.Matches = len(m)
+			snap.NoteProbe()
+			outs[i].Matches, outs[i].Stats, outs[i].Err = FetchHit(a, snap, q.Lo, q.Hi)
 			continue
 		}
 		st.active = true
@@ -215,13 +198,7 @@ func sharedIndexingScan(a Access, qs []SharedQuery, outs []SharedOutcome, states
 
 	// Index Buffer scan (lines 8–10), demultiplexed per query.
 	for _, i := range scanQ {
-		var rids []storage.RID
-		if qs[i].Equality {
-			rids = a.Buffer.Lookup(qs[i].Lo)
-		} else {
-			rids = a.Buffer.LookupRange(qs[i].Lo, qs[i].Hi)
-		}
-		m, err := fetchRIDs(a, rids, &outs[i].Stats, states[i].seen)
+		m, err := fetchRIDs(a, a.Buffer.LookupRange(qs[i].Lo, qs[i].Hi), &outs[i].Stats, states[i].seen)
 		if err != nil {
 			outs[i].Err = err
 			states[i].active = false
@@ -246,12 +223,13 @@ func scanTable(a Access, qs []SharedQuery, outs []SharedOutcome, states []scanSt
 	outs[scanQ[0]].Stats.ScanWorkers = workers
 	skipped, entriesAdded, aborted := runPass(a, qs, outs, states, scanQ, inI, snap, numPages, workers)
 
-	// Recover covered matches on skipped pages for range queries: a range
-	// straddling the coverage predicate has covered matches sitting
-	// unreachable on skipped pages (see Range).
+	// Recover covered matches on skipped pages: a range straddling the
+	// coverage predicate has covered matches sitting unreachable on
+	// skipped pages (see Range). A point miss has none — its key is
+	// uncovered, so the index holds no postings for it.
 	if !aborted && a.Index != nil && len(skipped) > 0 {
 		for _, i := range scanQ {
-			if !states[i].active || qs[i].Equality {
+			if !states[i].active {
 				continue
 			}
 			var missing []storage.RID

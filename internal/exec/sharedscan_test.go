@@ -80,10 +80,10 @@ func TestExecuteSharedBatch(t *testing.T) {
 	a := scanFixture(t, tb)
 
 	outs := ExecuteShared(a, []SharedQuery{
-		{Lo: iv(8), Hi: iv(8), Equality: true}, // miss — batch leader
-		{Lo: iv(9), Hi: iv(9), Equality: true}, // miss
-		{Lo: iv(2), Hi: iv(2), Equality: true}, // covered: served from the index
-		{Lo: iv(5), Hi: iv(9)},                 // range miss straddling coverage
+		{Lo: iv(8), Hi: iv(8)}, // miss — batch leader
+		{Lo: iv(9), Hi: iv(9)}, // miss
+		{Lo: iv(2), Hi: iv(2)}, // covered: served from the index
+		{Lo: iv(5), Hi: iv(9)}, // range miss straddling coverage
 	})
 	want := []int{30, 30, 30, 150}
 	for i, o := range outs {
@@ -121,7 +121,7 @@ func TestExecuteSharedBatch(t *testing.T) {
 	}
 
 	// One pass buffered every page: the next miss skips the whole table.
-	got, s2, err := Equal(context.Background(), a, iv(9))
+	got, s2, err := Range(context.Background(), a, iv(9), iv(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +137,8 @@ func TestExecuteSharedCancelOne(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	outs := ExecuteShared(a, []SharedQuery{
-		{Lo: iv(8), Hi: iv(8), Equality: true, Ctx: canceled},
-		{Lo: iv(9), Hi: iv(9), Equality: true},
+		{Lo: iv(8), Hi: iv(8), Ctx: canceled},
+		{Lo: iv(9), Hi: iv(9)},
 	})
 
 	if !errors.Is(outs[0].Err, context.Canceled) || outs[0].Matches != nil {
@@ -230,7 +230,7 @@ func TestScanFaultsRollBack(t *testing.T) {
 			a := scanFixture(t, tb)
 			a.Parallelism = par
 			corruptNonMatch(t, tb, pool)
-			_, _, err := Equal(context.Background(), a, iv(8))
+			_, _, err := Range(context.Background(), a, iv(8), iv(8))
 			if err == nil || !strings.Contains(err.Error(), "trailing bytes") {
 				t.Fatalf("err = %v, want the corrupt tuple's framing error", err)
 			}
@@ -240,14 +240,14 @@ func TestScanFaultsRollBack(t *testing.T) {
 			real := buildTable(t, 300)
 			a := scanFixture(t, &truncHeap{Table: real, key: iv(8)})
 			a.Parallelism = par
-			_, _, err := Equal(context.Background(), a, iv(8))
+			_, _, err := Range(context.Background(), a, iv(8), iv(8))
 			if err == nil || !strings.Contains(err.Error(), "short buffer") {
 				t.Fatalf("err = %v, want the match's decode error", err)
 			}
 			checkUntouched(t, a)
 
 			a.Table = real // fault cleared
-			got, _, err := Equal(context.Background(), a, iv(8))
+			got, _, err := Range(context.Background(), a, iv(8), iv(8))
 			if err != nil || len(got) != 30 {
 				t.Fatalf("after the fault: %d matches, err %v; want 30", len(got), err)
 			}

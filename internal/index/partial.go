@@ -90,7 +90,8 @@ func (p *Partial) Stats() Stats {
 
 // Snapshot is a stable view of the index at one instant: a coverage
 // predicate and a persistent tree that no later mutation will touch.
-// The epoch-based read path resolves a whole probe against one Snapshot
+// A partial-index hit — on the engine's lock-free read path and under
+// the table lock alike — resolves its whole probe against one Snapshot
 // and defers the only side effect (the probe counter) to NoteProbe, so
 // a validation failure can retry or fall back without having counted
 // anything.
@@ -102,25 +103,14 @@ type Snapshot struct {
 // Snapshot returns the current index state without taking any lock.
 func (p *Partial) Snapshot() Snapshot { return Snapshot{st: p.state.Load(), p: p} }
 
-// Covers reports whether v is covered by the snapshot's predicate.
-func (s Snapshot) Covers(v storage.Value) bool { return s.st.cov.Covers(v) }
-
 // CoversRange reports whether [lo, hi] is entirely covered.
 func (s Snapshot) CoversRange(lo, hi storage.Value) bool {
 	return CoversWholeRange(s.st.cov, lo, hi)
 }
 
-// EntryCount returns the snapshot's entry count.
-func (s Snapshot) EntryCount() int { return s.st.tree.EntryCount() }
-
-// Lookup returns the posting list for v. The caller must have checked
-// Covers; no probe is counted — call NoteProbe once the result is
-// actually used. The returned slice aliases the immutable tree and must
-// not be modified.
-func (s Snapshot) Lookup(v storage.Value) []storage.RID { return s.st.tree.Lookup(v) }
-
 // LookupRange returns the RIDs with values in [lo, hi]. The caller must
-// have checked CoversRange; no probe is counted.
+// have checked CoversRange; no probe is counted — call NoteProbe once
+// the result is actually used.
 func (s Snapshot) LookupRange(lo, hi storage.Value) []storage.RID {
 	var out []storage.RID
 	s.st.tree.AscendRange(lo, hi, func(_ storage.Value, post []storage.RID) bool {

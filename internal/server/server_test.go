@@ -127,6 +127,9 @@ func TestServerProtocol(t *testing.T) {
 	if r := c.do("garbage statement !!"); r.OK || r.Code != CodeBadStatement {
 		t.Fatalf("bad statement: got %+v", r)
 	}
+	if r := c.do("SELECT * FROM t WHERE a = 'two'"); r.OK || r.Code != CodeBadStatement {
+		t.Fatalf("key of the wrong type: got %+v", r)
+	}
 	// The tenant's table is invisible to a fresh default-tenant session.
 	c2 := dialProto(t, addr)
 	if r := c2.do("SELECT * FROM t WHERE a = 1"); r.OK {

@@ -171,7 +171,7 @@ func (s *Shell) evalCtx(ctx context.Context, trimmed string) (Result, error) {
 		}
 		return Result{Output: fmt.Sprintf("vacuumed %s: %d -> %d pages", tname, before, after)}, nil
 	case "SAVE":
-		if err := s.eng.Save(); err != nil {
+		if err := s.eng.Checkpoint(); err != nil {
 			return Result{}, err
 		}
 		return Result{Output: "database saved"}, nil
@@ -194,7 +194,7 @@ const helpText = `commands:
   SHOW TABLES | SHOW BUFFERS | SHOW INDEXES | SHOW STATS | SHOW TIMELINE
   SHOW SLOW [n]   (slowest captured statements from the flight recorder)
   VACUUM table
-  SAVE   (persist a DataDir-backed database)
+  SAVE   (checkpoint a DataDir-backed database)
   HELP | EXIT`
 
 // table resolves a table name within the shell's tenant.
@@ -338,11 +338,7 @@ func (s *Shell) evalCreateIndex(p *parser) (Result, error) {
 		p.pos++
 		var vals []storage.Value
 		for {
-			lt, err := p.next()
-			if err != nil {
-				return Result{}, err
-			}
-			v, err := value(lt)
+			v, err := p.literal()
 			if err != nil {
 				return Result{}, err
 			}
@@ -360,22 +356,14 @@ func (s *Shell) evalCreateIndex(p *parser) (Result, error) {
 		}
 		cov = index.NewSetCoverage(vals...)
 	} else {
-		loTok, err := p.next()
-		if err != nil {
-			return Result{}, err
-		}
-		lo, err := value(loTok)
+		lo, err := p.literal()
 		if err != nil {
 			return Result{}, err
 		}
 		if err := p.word("TO"); err != nil {
 			return Result{}, err
 		}
-		hiTok, err := p.next()
-		if err != nil {
-			return Result{}, err
-		}
-		hi, err := value(hiTok)
+		hi, err := p.literal()
 		if err != nil {
 			return Result{}, err
 		}
@@ -409,11 +397,7 @@ func (s *Shell) evalInsert(ctx context.Context, p *parser) (Result, error) {
 		}
 		var vals []storage.Value
 		for {
-			lt, err := p.next()
-			if err != nil {
-				return Result{}, err
-			}
-			v, err := value(lt)
+			v, err := p.literal()
 			if err != nil {
 				return Result{}, err
 			}
@@ -460,11 +444,7 @@ func (s *Shell) wherePredicate(p *parser, t *engine.Table) (int, storage.Value, 
 	if err := p.punct("="); err != nil {
 		return 0, storage.Value{}, err
 	}
-	lt, err := p.next()
-	if err != nil {
-		return 0, storage.Value{}, err
-	}
-	key, err := value(lt)
+	key, err := p.literal()
 	if err != nil {
 		return 0, storage.Value{}, err
 	}
@@ -522,11 +502,7 @@ func (s *Shell) evalUpdate(ctx context.Context, p *parser) (Result, error) {
 	if err := p.punct("="); err != nil {
 		return Result{}, err
 	}
-	lt, err := p.next()
-	if err != nil {
-		return Result{}, err
-	}
-	newVal, err := value(lt)
+	newVal, err := p.literal()
 	if err != nil {
 		return Result{}, err
 	}
@@ -580,68 +556,39 @@ func (s *Shell) evalSelect(ctx context.Context, p *parser, explain bool) (Result
 		return Result{}, err
 	}
 
-	var rows []rowOut
-	var stats exec.QueryStats
+	// "= v" is the range [v, v]; the two forms differ only in parsing.
+	var lo, hi storage.Value
 	switch {
 	case op.kind == tokPunct && op.text == "=":
-		lt, err := p.next()
-		if err != nil {
+		if lo, err = p.literal(); err != nil {
 			return Result{}, err
 		}
-		key, err := value(lt)
-		if err != nil {
-			return Result{}, err
-		}
-		if explain {
-			plan, err := t.ExplainEqual(col, key)
-			if err != nil {
-				return Result{}, err
-			}
-			return Result{Output: plan.String()}, nil
-		}
-		matches, st, err := t.QueryEqualCtx(ctx, col, key)
-		if err != nil {
-			return Result{}, err
-		}
-		rows = renderMatches(t, matches)
-		stats = st
+		hi = lo
 	case op.kind == tokWord && op.text == "BETWEEN":
-		loTok, err := p.next()
-		if err != nil {
-			return Result{}, err
-		}
-		lo, err := value(loTok)
-		if err != nil {
+		if lo, err = p.literal(); err != nil {
 			return Result{}, err
 		}
 		if err := p.word("AND"); err != nil {
 			return Result{}, err
 		}
-		hiTok, err := p.next()
-		if err != nil {
+		if hi, err = p.literal(); err != nil {
 			return Result{}, err
 		}
-		hi, err := value(hiTok)
-		if err != nil {
-			return Result{}, err
-		}
-		if explain {
-			plan, err := t.ExplainRange(col, lo, hi)
-			if err != nil {
-				return Result{}, err
-			}
-			return Result{Output: plan.String()}, nil
-		}
-		matches, st, err := t.QueryRangeCtx(ctx, col, lo, hi)
-		if err != nil {
-			return Result{}, err
-		}
-		rows = renderMatches(t, matches)
-		stats = st
 	default:
 		return Result{}, fmt.Errorf("expected = or BETWEEN, got %q", op.text)
 	}
-
+	if explain {
+		plan, err := t.ExplainRange(col, lo, hi)
+		if err != nil {
+			return Result{}, err
+		}
+		return Result{Output: plan.String()}, nil
+	}
+	matches, stats, err := t.QueryRangeCtx(ctx, col, lo, hi)
+	if err != nil {
+		return Result{}, err
+	}
+	rows := renderMatches(t, matches)
 	var sb strings.Builder
 	for _, r := range rows {
 		sb.WriteString(r.line)

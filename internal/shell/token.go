@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+
+	"repro/internal/storage"
 )
 
 // tokenKind classifies lexer output.
@@ -149,4 +151,13 @@ func (p *parser) ident() (string, error) {
 		return "", fmt.Errorf("expected identifier, got %q", t.text)
 	}
 	return strings.ToLower(t.text), nil
+}
+
+// literal consumes a number or string literal as a storage value.
+func (p *parser) literal() (storage.Value, error) {
+	t, err := p.next()
+	if err != nil {
+		return storage.Value{}, err
+	}
+	return value(t)
 }

@@ -112,6 +112,15 @@ func (v Value) Compare(o Value) int {
 // Equal reports v == o under Compare semantics.
 func (v Value) Equal(o Value) bool { return v.Compare(o) == 0 }
 
+// Between reports lo <= v <= hi under Compare semantics. It is the scan
+// kernel's per-tuple predicate, so three integers compare inline.
+func (v Value) Between(lo, hi Value) bool {
+	if v.kind == KindInt64 && lo.kind == KindInt64 && hi.kind == KindInt64 {
+		return lo.i <= v.i && v.i <= hi.i
+	}
+	return v.Compare(lo) >= 0 && v.Compare(hi) <= 0
+}
+
 // String renders the value for logs and test failures.
 func (v Value) String() string {
 	switch v.kind {

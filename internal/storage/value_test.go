@@ -159,3 +159,20 @@ func TestValueCompareProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestValueBetween holds Between to its definition in Compare, across
+// integers, strings and mixed kinds.
+func TestValueBetween(t *testing.T) {
+	vals := []Value{{}, Int64Value(math.MinInt64), Int64Value(-1), Int64Value(0), Int64Value(3), Int64Value(math.MaxInt64),
+		StringValue(""), StringValue("a"), StringValue("b")}
+	for _, v := range vals {
+		for _, lo := range vals {
+			for _, hi := range vals {
+				want := v.Compare(lo) >= 0 && v.Compare(hi) <= 0
+				if got := v.Between(lo, hi); got != want {
+					t.Errorf("%v.Between(%v, %v) = %v, want %v", v, lo, hi, got, want)
+				}
+			}
+		}
+	}
+}

@@ -53,9 +53,10 @@ const (
 	// location, RID the (possibly relocated) result; Images holds one
 	// or two dirtied pages.
 	KindUpdate Kind = 3
-	// KindQuery logs one query descriptor (equal or range) for
-	// post-recovery buffer re-warming. Query records carry no page
-	// images and are never needed for redo correctness.
+	// KindQuery logs one query descriptor, the range [Lo, Hi] (a point
+	// query has Lo == Hi), for post-recovery buffer re-warming. Query
+	// records carry no page images and are never needed for redo
+	// correctness.
 	KindQuery Kind = 4
 )
 
@@ -81,7 +82,7 @@ type PageImage struct {
 }
 
 // Record is one log record. DML kinds use Pages/RID/OldRID/Images;
-// KindQuery uses Column/Equal/Lo/Hi.
+// KindQuery uses Column/Lo/Hi.
 type Record struct {
 	LSN   LSN
 	Kind  Kind
@@ -95,7 +96,6 @@ type Record struct {
 	Images []PageImage
 
 	Column int
-	Equal  bool
 	Lo, Hi storage.Value
 }
 
@@ -201,11 +201,7 @@ func encodePayload(buf []byte, r *Record) ([]byte, error) {
 		}
 	case KindQuery:
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Column))
-		if r.Equal {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
+		buf = append(buf, 0) // flag byte: unused, kept for format compatibility
 		buf = appendValue(buf, r.Lo)
 		buf = appendValue(buf, r.Hi)
 	default:
@@ -265,8 +261,7 @@ func decodePayload(buf []byte, r *Record) error {
 			return fmt.Errorf("wal: truncated query record")
 		}
 		r.Column = int(binary.LittleEndian.Uint32(buf))
-		r.Equal = buf[4] != 0
-		buf = buf[5:]
+		buf = buf[5:] // the flag byte is ignored
 		var err error
 		if r.Lo, buf, err = readValue(buf); err != nil {
 			return err

@@ -38,7 +38,7 @@ func TestRoundTrip(t *testing.T) {
 		var rec *Record
 		if i%4 == 3 {
 			rec = &Record{
-				Kind: KindQuery, Table: "t", Column: 2, Equal: i%2 == 0,
+				Kind: KindQuery, Table: "t", Column: 2,
 				Lo: storage.Int64Value(int64(i)), Hi: storage.StringValue(fmt.Sprintf("v%d", i)),
 			}
 		} else {
@@ -75,7 +75,7 @@ func TestRoundTrip(t *testing.T) {
 		g, wnt := got[i], want[i]
 		if g.LSN != LSN(i+1) || g.Kind != wnt.Kind || g.Table != wnt.Table ||
 			g.Pages != wnt.Pages || g.RID != wnt.RID || g.OldRID != wnt.OldRID ||
-			g.Column != wnt.Column || g.Equal != wnt.Equal ||
+			g.Column != wnt.Column ||
 			!g.Lo.Equal(wnt.Lo) && g.Lo.IsValid() != wnt.Lo.IsValid() {
 			t.Fatalf("record %d: got %+v want %+v", i, g, wnt)
 		}
@@ -87,6 +87,31 @@ func TestRoundTrip(t *testing.T) {
 				t.Fatalf("record %d image %d mismatch", i, j)
 			}
 		}
+	}
+}
+
+// TestQueryRecordFlagByte pins the query record's layout: the byte after
+// the column is written 0 and ignored on read, so a log that carries 1
+// there (a point query's former equality flag) still decodes to the
+// same [Lo, Hi] record.
+func TestQueryRecordFlagByte(t *testing.T) {
+	rec := Record{LSN: 7, Kind: KindQuery, Table: "t", Column: 1, Lo: storage.Int64Value(5), Hi: storage.Int64Value(5)}
+	buf, err := encodePayload(nil, &rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flag := 8 + 1 + 2 + len(rec.Table) + 4 // lsn, kind, name length, name, column
+	if buf[flag] != 0 {
+		t.Fatalf("flag byte = %d, want 0", buf[flag])
+	}
+	buf[flag] = 1
+	var got Record
+	if err := decodePayload(buf, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.LSN != rec.LSN || got.Kind != rec.Kind || got.Table != rec.Table || got.Column != rec.Column ||
+		!got.Lo.Equal(rec.Lo) || !got.Hi.Equal(rec.Hi) {
+		t.Fatalf("decoded %+v, want %+v", got, rec)
 	}
 }
 
