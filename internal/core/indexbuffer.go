@@ -14,7 +14,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/storage"
 )
@@ -56,7 +55,7 @@ type IndexBuffer struct {
 	// array "initialized during the creation of the partial index").
 	// The effective counter is C[p] = 0 when p is buffered, else
 	// uncovered[p]; see Counter.
-	uncovered []int
+	uncovered []int32
 
 	parts []*Partition
 	open  *Partition // partition currently filling (X_p < P), if any
@@ -72,64 +71,44 @@ type IndexBuffer struct {
 	// space.mu, not b.mu (victim selection runs under space.mu).
 	scanPins int
 
-	// snap is the published counter snapshot: an immutable copy of the
-	// effective counter array C[p], swapped wholesale at every
-	// consistent boundary (page completion, DML maintenance,
-	// displacement, reset — never mid-page). Lock-free consumers (the
-	// indexing scan's skip decisions) read it inside an epoch
-	// Pin/Unpin bracket; the displaced snapshot is retired through the
-	// Space's epoch domain and reclaimed only once every such reader
-	// has unpinned. See publishCountersLocked.
-	snap atomic.Pointer[CounterSnap]
-
 	hist *History
 }
 
-// CounterSnap is one immutable published copy of a buffer's effective
-// counters. Pages beyond the array read as 0, matching Counter's
-// convention for unknown pages.
-type CounterSnap struct {
-	counters []int32
+// NonZeroPages walks the effective counters of pages [0, numPages) once
+// and returns, ascending, the pages with C[p] != 0: the pages an
+// indexing scan must read. Pages past the counter array read as 0, as
+// in Counter. It is the indexing scan's skip view, taken once at scan
+// start, and it stays exact for the whole pass: the scan holds the
+// table's write lock (no DML) and Space.PinForScan (no displacement), so
+// the only C[p] transitions before the pass ends are its own merge's
+// ApplyPage calls, which start after every page was read. A converged
+// buffer returns nil without allocating.
+func (b *IndexBuffer) NonZeroPages(numPages int) []storage.PageID {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	var out []storage.PageID
+	b.eachNonZeroLocked(numPages, func(p storage.PageID, _ int) { out = append(out, p) })
+	return out
 }
 
-// At returns the snapshot's C[p].
-func (s *CounterSnap) At(p storage.PageID) int {
-	if s == nil || int(p) >= len(s.counters) {
-		return 0
-	}
-	return int(s.counters[p])
-}
-
-// NumPages returns the snapshot's counter-array size.
-func (s *CounterSnap) NumPages() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.counters)
-}
-
-// CounterSnapshot returns the buffer's current published counter
-// snapshot without taking any lock. Callers that outlive a single
-// load — an indexing scan consulting the snapshot page by page — must
-// hold an epoch pin on the Space's domain for as long as they read it;
-// reclamation nils the displaced array once every pinned reader left.
-func (b *IndexBuffer) CounterSnapshot() *CounterSnap { return b.snap.Load() }
-
-// publishCountersLocked copies the effective counter array into a fresh
-// snapshot and swaps it in, retiring the displaced one through the
-// epoch domain. Called under b.mu at every consistent boundary; the
-// copy is O(pages), the same cost class as the maintenance walks that
-// precede it, and a walk over two dense slices.
-func (b *IndexBuffer) publishCountersLocked() {
-	c := make([]int32, len(b.uncovered))
-	for p, n := range b.uncovered {
-		if p >= len(b.byPage) || b.byPage[p] == nil {
-			c[p] = int32(n)
+// eachNonZeroLocked calls fn(p, C[p]) for every page p < numPages with
+// C[p] != 0, in ascending page order. It is the one walk over the counter
+// array, shared by the scan's skip view and Algorithm 2's candidates.
+// Pages past byPage are unbuffered, so the walk splits there, and a
+// buffered page costs one read of byPage: on a converged buffer the walk
+// is one pass over one dense slice. Callers hold b.mu.
+func (b *IndexBuffer) eachNonZeroLocked(numPages int, fn func(p storage.PageID, c int)) {
+	n := min(numPages, len(b.uncovered))
+	byPage := b.byPage[:min(n, len(b.byPage))]
+	for p, part := range byPage {
+		if part == nil && b.uncovered[p] != 0 {
+			fn(storage.PageID(p), int(b.uncovered[p]))
 		}
 	}
-	old := b.snap.Swap(&CounterSnap{counters: c})
-	if old != nil && b.space != nil && b.space.epochs != nil {
-		b.space.epochs.Retire(func() { old.counters = nil })
+	for p := len(byPage); p < n; p++ {
+		if b.uncovered[p] != 0 {
+			fn(storage.PageID(p), int(b.uncovered[p]))
+		}
 	}
 }
 
@@ -179,7 +158,6 @@ func (b *IndexBuffer) NumPages() int {
 func (b *IndexBuffer) GrowPages(numPages int) {
 	b.mu.Lock()
 	b.growPagesLocked(numPages)
-	b.publishCountersLocked()
 	b.mu.Unlock()
 }
 
@@ -201,7 +179,7 @@ func (b *IndexBuffer) counterLocked(p storage.PageID) int {
 	if int(p) >= len(b.uncovered) || b.partOf(p) != nil {
 		return 0
 	}
-	return b.uncovered[p]
+	return int(b.uncovered[p])
 }
 
 // partOf returns the partition covering page p, nil when p is not
@@ -221,7 +199,7 @@ func (b *IndexBuffer) Uncovered(p storage.PageID) int {
 	if int(p) >= len(b.uncovered) {
 		return 0
 	}
-	return b.uncovered[p]
+	return int(b.uncovered[p])
 }
 
 // PageBuffered reports whether page p is covered by a partition.
@@ -422,14 +400,13 @@ func (b *IndexBuffer) beginPageLocked(p storage.PageID) error {
 }
 
 // ApplyPage indexes page p of the selected set I: under one lock
-// acquisition the page is assigned to the filling partition, every
-// entry of its complete entry set is inserted (charging the Space
-// budget), and the counter snapshot with C[p] == 0 is published. The
-// indexing scan collects each selected page's uncovered tuples off-lock
-// and its ordered merge step applies them here, so readers (Lookup,
-// Counter, the snapshot) never observe a page that is buffered but only
-// partially inserted. Fails, changing nothing, when p is already
-// buffered.
+// acquisition the page is assigned to the filling partition (C[p] becomes
+// 0) and every entry of its complete entry set is inserted (charging the
+// Space budget). The indexing scan collects each selected page's
+// uncovered tuples off-lock and its ordered merge step applies them
+// here, so readers (Lookup, Counter) never observe a page that is
+// buffered but only partially inserted. Fails, changing nothing, when p
+// is already buffered.
 func (b *IndexBuffer) ApplyPage(p storage.PageID, entries []PageEntry) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -446,7 +423,6 @@ func (b *IndexBuffer) ApplyPage(p storage.PageID, entries []PageEntry) error {
 	if added > 0 {
 		b.charge(added)
 	}
-	b.publishCountersLocked()
 	return nil
 }
 
@@ -480,7 +456,6 @@ func (b *IndexBuffer) dropPartitionLocked(part *Partition) {
 func (b *IndexBuffer) dropPartition(part *Partition) {
 	b.mu.Lock()
 	b.dropPartitionLocked(part)
-	b.publishCountersLocked()
 	b.mu.Unlock()
 }
 
@@ -493,5 +468,4 @@ func (b *IndexBuffer) Reset() {
 	for len(b.parts) > 0 {
 		b.dropPartitionLocked(b.parts[0])
 	}
-	b.publishCountersLocked()
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/storage"
@@ -82,8 +83,8 @@ func TestApplyPage(t *testing.T) {
 	if !b.PageBuffered(0) || b.PageBuffered(1) {
 		t.Error("PageBuffered wrong")
 	}
-	if b.Counter(0) != 0 || b.CounterSnapshot().At(0) != 0 {
-		t.Errorf("buffered page counter = %d (published %d), want 0", b.Counter(0), b.CounterSnapshot().At(0))
+	if got := b.NonZeroPages(4); b.Counter(0) != 0 || !slices.Equal(got, []storage.PageID{1, 2, 3}) {
+		t.Errorf("buffered page counter = %d (scan view %v), want 0 (view [1 2 3])", b.Counter(0), got)
 	}
 	if b.Uncovered(0) != 2 {
 		t.Errorf("raw uncovered = %d, want 2 (unchanged)", b.Uncovered(0))

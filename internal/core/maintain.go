@@ -27,7 +27,6 @@ func (b *IndexBuffer) MaintainInsert(v storage.Value, rid storage.RID, inIX bool
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.maintainInsertLocked(v, rid, inIX)
-	b.publishCountersLocked()
 }
 
 func (b *IndexBuffer) maintainInsertLocked(v storage.Value, rid storage.RID, inIX bool) {
@@ -50,7 +49,6 @@ func (b *IndexBuffer) MaintainDelete(v storage.Value, rid storage.RID, wasInIX b
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.maintainDeleteLocked(v, rid, wasInIX)
-	b.publishCountersLocked()
 }
 
 func (b *IndexBuffer) maintainDeleteLocked(v storage.Value, rid storage.RID, wasInIX bool) {
@@ -93,5 +91,4 @@ func (b *IndexBuffer) MaintainUpdate(old, new storage.Value, oldRID, newRID stor
 	defer b.mu.Unlock()
 	b.maintainDeleteLocked(old, oldRID, oldInIX)
 	b.maintainInsertLocked(new, newRID, newInIX)
-	b.publishCountersLocked()
 }

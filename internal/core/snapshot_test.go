@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/storage"
@@ -10,9 +11,10 @@ import (
 // TestCounterSnapshotProperty drives a buffer through a seeded random
 // sequence of every operation that moves C[p] — ApplyPage, Table I
 // maintenance, GrowPages past the page array, and displacement by a
-// competing buffer — and after each one checks that the published
-// snapshot equals the locked counters on every page, and that C[p] is 0
-// for a buffered page and the uncovered count for an unbuffered one.
+// competing buffer — and after each one checks that the indexing scan's
+// scan-start view (NonZeroPages) is exactly the pages whose locked
+// counter is non-zero, and that C[p] is 0 for a buffered page and the
+// uncovered count for an unbuffered one.
 func TestCounterSnapshotProperty(t *testing.T) {
 	displaced := uint64(0)
 	for seed := int64(1); seed <= 20; seed++ {
@@ -124,21 +126,31 @@ func TestCounterSnapshotProperty(t *testing.T) {
 	}
 }
 
-// checkSnapshot asserts the published counter snapshot of buf equals its
-// locked counters on every page (and reads 0 past the array), and that
-// C[p] is 0 on buffered pages and the uncovered count elsewhere.
+// checkSnapshot asserts the scan-start view of buf lists, ascending,
+// exactly the pages whose locked counter is non-zero (pages past the
+// array read as 0, and a shorter scan range sees a prefix of the view),
+// and that C[p] is 0 on buffered pages and the uncovered count
+// elsewhere.
 func checkSnapshot(t *testing.T, buf *IndexBuffer, seed int64, op int, name string) {
 	t.Helper()
-	snap := buf.CounterSnapshot()
-	if snap.NumPages() != buf.NumPages() {
-		t.Fatalf("seed %d op %d (%s) %s: snapshot has %d pages, buffer %d", seed, op, name, buf.Name(), snap.NumPages(), buf.NumPages())
+	pages := buf.NumPages() + 2
+	var want []storage.PageID
+	for p := 0; p < pages; p++ {
+		if buf.Counter(storage.PageID(p)) != 0 {
+			want = append(want, storage.PageID(p))
+		}
 	}
-	for p := 0; p < buf.NumPages()+2; p++ {
+	if view := buf.NonZeroPages(pages); !slices.Equal(view, want) {
+		t.Fatalf("seed %d op %d (%s) %s: scan view %v, non-zero counters on %v", seed, op, name, buf.Name(), view, want)
+	}
+	half := buf.NumPages() / 2
+	n, _ := slices.BinarySearch(want, storage.PageID(half))
+	if view, prefix := buf.NonZeroPages(half), want[:n]; !slices.Equal(view, prefix) {
+		t.Fatalf("seed %d op %d (%s) %s: scan view of %d pages %v, want %v", seed, op, name, buf.Name(), half, view, prefix)
+	}
+	for p := 0; p < pages; p++ {
 		pg := storage.PageID(p)
 		c := buf.Counter(pg)
-		if got := snap.At(pg); got != c {
-			t.Fatalf("seed %d op %d (%s) %s: snapshot C[%d] = %d, Counter = %d", seed, op, name, buf.Name(), p, got, c)
-		}
 		want := buf.Uncovered(pg)
 		if buf.PageBuffered(pg) {
 			want = 0

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/epoch"
 	"repro/internal/storage"
 )
 
@@ -31,12 +30,6 @@ type Space struct {
 	// the old under-mutex walk of every buffer, so OnQuery is safe from
 	// the engine's lock-free read path.
 	clock atomic.Uint64
-
-	// epochs, when set, receives the counter snapshots that buffer
-	// mutations displace (publishCountersLocked); nil means retired
-	// snapshots are simply dropped for the garbage collector. Set once
-	// at engine construction, before any traffic.
-	epochs *epoch.Domain
 
 	mu      sync.Mutex
 	buffers map[string]*IndexBuffer
@@ -69,30 +62,6 @@ func (s *Space) SetObserver(o Observer) {
 	s.mu.Lock()
 	s.obs = o
 	s.mu.Unlock()
-}
-
-// SetEpochDomain attaches the epoch-reclamation domain that receives
-// retired counter snapshots. Must be called before any buffer traffic
-// (the engine does it at construction); the field is read without
-// synchronization afterwards.
-func (s *Space) SetEpochDomain(d *epoch.Domain) { s.epochs = d }
-
-// EpochDomain returns the attached epoch domain, nil when none.
-func (s *Space) EpochDomain() *epoch.Domain { return s.epochs }
-
-// PinEpoch pins the Space's epoch domain and returns the unpin
-// function. Any reader that holds a CounterSnap (or other
-// epoch-retired object) across more than one instant must bracket the
-// use with PinEpoch — an indexing scan consulting its scan-start
-// snapshot page by page, the engine's lock-free probe path — or
-// reclamation may nil the snapshot out from under it. A no-op when no
-// domain is attached.
-func (s *Space) PinEpoch() func() {
-	if s.epochs == nil {
-		return func() {}
-	}
-	g := s.epochs.Pin()
-	return g.Unpin
 }
 
 // SpaceStats counts management activity. CrossTenantEntriesDropped is
@@ -161,10 +130,12 @@ func (s *Space) CreateBufferFor(name string, uncovered []int, tenant *Tenant) (*
 		space:     s,
 		cfg:       &s.cfg,
 		tenant:    tenant,
-		uncovered: append([]int(nil), uncovered...),
+		uncovered: make([]int32, len(uncovered)),
 		hist:      newHistory(s.cfg.K, &s.clock),
 	}
-	b.publishCountersLocked() // b is unshared here; no lock needed yet
+	for p, n := range uncovered {
+		b.uncovered[p] = int32(n)
+	}
 	s.buffers[name] = b
 	s.order = append(s.order, name)
 	return b, nil
@@ -289,12 +260,7 @@ func (s *Space) SelectPagesForBufferObserved(target *IndexBuffer, numPages int, 
 	var cands []cand
 	target.mu.Lock()
 	target.growPagesLocked(numPages)
-	for p := 0; p < numPages; p++ {
-		pg := storage.PageID(p)
-		if c := target.counterLocked(pg); c > 0 {
-			cands = append(cands, cand{pg, c})
-		}
-	}
+	target.eachNonZeroLocked(numPages, func(p storage.PageID, c int) { cands = append(cands, cand{p, c}) })
 	target.mu.Unlock()
 	switch s.cfg.Selection {
 	case DescendingCounter:

@@ -220,9 +220,6 @@ func newEngine(cfg Config) *Engine {
 		started:  time.Now(),
 		epochs:   epoch.NewDomain(),
 	}
-	// Retired counter snapshots flow through the engine's epoch domain,
-	// reclaimed only once every pinned reader has moved on.
-	e.space.SetEpochDomain(e.epochs)
 	// Route the Space's management events (Algorithm-2 page selection,
 	// displacement) into the tracer's span ring and the adaptation
 	// timeline; both consumers gate on their own atomic enable flag, so

@@ -45,11 +45,10 @@ import (
 //     which point the side effects (probe counter, LRU-K history,
 //     tracer, timeline) are applied exactly once, through the same
 //     internally synchronized structures the locked path uses.
-//   - The epoch pin (Space.PinEpoch) covers reclamation, not
-//     atomicity: retired snapshots — displaced counter arrays, and any
-//     other epoch-retired object — are freed only after every reader
-//     epoch has advanced past their retirement, so a pinned reader can
-//     never observe reclaimed memory. See internal/epoch.
+//   - The epoch pin (Engine.epochs) covers reclamation, not atomicity:
+//     an epoch-retired object is freed only after every reader epoch
+//     has advanced past its retirement, so a pinned reader can never
+//     observe reclaimed memory. See internal/epoch.
 //
 // The serial-oracle guarantee is preserved: for a serially driven
 // stream the fast path performs the same probes and the same side
@@ -187,8 +186,8 @@ func (e *Engine) EpochDomain() *epoch.Domain { return e.epochs }
 func (t *Table) fastQuery(column int, lo, hi storage.Value) (m []exec.Match, stats exec.QueryStats, ok bool) {
 	e := t.engine
 	start := time.Now()
-	unpin := e.space.PinEpoch()
-	defer unpin()
+	g := e.epochs.Pin()
+	defer g.Unpin()
 	for attempt, spins := 0, 0; attempt < fastAttempts; {
 		s1 := t.seq.Load()
 		if s1&1 != 0 {

@@ -63,10 +63,10 @@ type QueryStats struct {
 	EntriesAdded  int // Index Buffer entries inserted this scan
 
 	// ScanWorkers is the number of phase-1 workers the table scan ran
-	// with: 1 when the calling goroutine read every page itself, >1 when
-	// the scan fanned out to a pool. Like the maintenance counters, a
-	// shared scan attributes it to the batch's first scanning query. Zero
-	// when no table scan ran.
+	// with: 1 when the calling goroutine read every page itself (always
+	// so when every page was skipped), >1 when the scan fanned out to a
+	// pool. Like the maintenance counters, a shared scan attributes it to
+	// the batch's first scanning query. Zero when no table scan ran.
 	ScanWorkers int
 
 	Duration time.Duration
@@ -100,11 +100,11 @@ type Access struct {
 	Space  *core.Space
 
 	// Parallelism bounds the phase-1 workers of the table scan: 1 (or a
-	// single-page table) reads every page on the calling goroutine, n > 1
-	// fans page-range chunks out to at most n goroutines, and 0 defaults
-	// to GOMAXPROCS. Every setting runs the same two-phase pass, so
-	// results, stats, and buffer maintenance are bit-identical across
-	// settings; see parallel.go.
+	// pass with at most one page to read) reads every page on the calling
+	// goroutine, n > 1 fans chunks of the pages to read out to at most n
+	// goroutines, and 0 defaults to GOMAXPROCS. Every setting runs the
+	// same two-phase pass, so results, stats, and buffer maintenance are
+	// bit-identical across settings; see parallel.go.
 	Parallelism int
 
 	// ReadOnly degrades a miss to an unindexed scan: the Index Buffer is
@@ -134,16 +134,16 @@ type Access struct {
 	SpaceObs core.Observer
 }
 
-// scanWorkers resolves the effective worker count for a scan over
-// numPages pages: Parallelism when positive (GOMAXPROCS when zero),
-// never more than the page count.
-func (a Access) scanWorkers(numPages int) int {
+// scanWorkers resolves the effective worker count for a pass that reads
+// `pages` pages: Parallelism when positive (GOMAXPROCS when zero), never
+// more than the pages to read, and 1 when there is none.
+func (a Access) scanWorkers(pages int) int {
 	w := a.Parallelism
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > numPages {
-		w = numPages
+	if w > pages {
+		w = pages
 	}
 	if w < 1 {
 		w = 1
@@ -188,7 +188,7 @@ func Range(ctx context.Context, a Access, lo, hi storage.Value) ([]Match, QueryS
 // the caller; only a.Table is consulted.
 func FetchHit(a Access, snap index.Snapshot, lo, hi storage.Value) ([]Match, QueryStats, error) {
 	stats := QueryStats{Key: lo, PartialHit: true}
-	m, err := fetchRIDs(a, snap.LookupRange(lo, hi), &stats, pageSet{})
+	m, err := fetchRIDs(a, snap.LookupRange(lo, hi), &stats, nil)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -210,8 +210,10 @@ func materialize(schema *storage.Schema, raw []byte, tu *storage.Tuple) error {
 
 // fetchRIDs materializes tuples for a posting list, page by page. Pages
 // are charged to stats through seen, so a page the query already fetched
-// in another stage is not double-counted.
-func fetchRIDs(a Access, rids []storage.RID, stats *QueryStats, seen pageSet) ([]Match, error) {
+// in another stage is not double-counted. A nil seen means this fetch is
+// the query's only stage (a hit): the list is sorted, so each distinct
+// page is charged where it first appears, and no set is built.
+func fetchRIDs(a Access, rids []storage.RID, stats *QueryStats, seen *pageSet) ([]Match, error) {
 	if len(rids) == 0 {
 		return nil, nil
 	}
@@ -219,8 +221,12 @@ func fetchRIDs(a Access, rids []storage.RID, stats *QueryStats, seen pageSet) ([
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
 
 	var out []Match
-	for _, rid := range sorted {
-		seen.read(stats, rid.Page)
+	for k, rid := range sorted {
+		if seen != nil {
+			seen.read(stats, rid.Page)
+		} else if k == 0 || rid.Page != sorted[k-1].Page {
+			stats.PagesRead++
+		}
 		tu, err := a.Table.Get(rid)
 		if err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,7 +36,7 @@ func buildTablePool(t *testing.T, rows int) (*heap.Table, *buffer.Pool) {
 
 // buildTableKeys builds buildTable's padded layout with one tuple per
 // given key, in order.
-func buildTableKeys(t *testing.T, keys []int64) (*heap.Table, *buffer.Pool) {
+func buildTableKeys(t testing.TB, keys []int64) (*heap.Table, *buffer.Pool) {
 	t.Helper()
 	d := buffer.NewSimDisk()
 	pool, err := buffer.NewPool(d, 64)
@@ -122,20 +123,31 @@ func TestFetchRIDsCountsDistinctPages(t *testing.T) {
 		}
 		return nil
 	})
-	var stats QueryStats
-	got, err := fetchRIDs(Access{Table: tb, Column: 0}, rids, &stats, pageSet{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(rids) {
-		t.Errorf("fetched %d, want %d", len(got), len(rids))
-	}
-	if stats.PagesRead != len(pages) {
-		t.Errorf("PagesRead = %d, want %d distinct pages", stats.PagesRead, len(pages))
+	// Reversed, so the fetch has to sort. A nil set is the single-stage
+	// (hit) mode; a set also dedups against other stages.
+	slices.Reverse(rids)
+	for i, seen := range []*pageSet{nil, {}, {pages: tb.NumPages()}} {
+		var stats QueryStats
+		got, err := fetchRIDs(Access{Table: tb, Column: 0}, rids, &stats, seen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(rids) {
+			t.Errorf("set %d: fetched %d, want %d", i, len(got), len(rids))
+		}
+		if stats.PagesRead != len(pages) {
+			t.Errorf("set %d: PagesRead = %d, want %d distinct pages", i, stats.PagesRead, len(pages))
+		}
+		if seen == nil {
+			continue
+		}
+		if _, err := fetchRIDs(Access{Table: tb, Column: 0}, rids, &stats, seen); err != nil || stats.PagesRead != len(pages) {
+			t.Errorf("set %d: a second stage over the same pages: PagesRead = %d, err %v", i, stats.PagesRead, err)
+		}
 	}
 	// Empty posting: zero cost.
 	var empty QueryStats
-	if out, err := fetchRIDs(Access{Table: tb}, nil, &empty, pageSet{}); err != nil || out != nil || empty.PagesRead != 0 {
+	if out, err := fetchRIDs(Access{Table: tb}, nil, &empty, &pageSet{}); err != nil || out != nil || empty.PagesRead != 0 {
 		t.Error("empty fetch should be free")
 	}
 }

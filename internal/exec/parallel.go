@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -13,16 +14,22 @@ import (
 // that dominates every miss (the paper's §III cost model counts pages
 // read, and Fig. 6's runtime is exactly that walk). Every table scan, the
 // Algorithm-1 indexing scan and the no-buffer full scan alike, runs it in
-// two phases:
+// two phases over a visit list: the pages the scan reads, ascending. For
+// the indexing scan that is the pages with C[p] != 0 at scan start
+// (IndexBuffer.NonZeroPages); for a full scan, every page. A skipped page
+// costs the pass nothing, so a converged miss, whose visit list is
+// empty, pays only for the pages its matches live on.
 //
-// Phase 1 (read-only): the page range [0, numPages) is split into
-// contiguous chunks (heap.Chunks) claimed off a shared cursor. With one
+// Phase 1 (read-only): the visit list is split into contiguous chunks
+// (heap.Chunks over list positions) claimed off a shared cursor. With one
 // worker the calling goroutine walks them itself; with n > 1 a pool of n
-// goroutines does. Workers read pages, evaluate every attached query's
-// predicate, and — for pages in the Algorithm-2 selection set I — collect
-// the page's candidate Index Buffer entries. Nothing is mutated: workers
-// share only the per-query cancellation flags and the per-page result
-// slots (each page is written by exactly one worker).
+// goroutines does. The worker count is sized from the list's length, so a
+// pass with nothing to read runs inline. Workers read pages, evaluate
+// every attached query's predicate, and — for pages in the Algorithm-2
+// selection set I — collect the page's candidate Index Buffer entries.
+// Nothing is mutated: workers share only the per-query cancellation flags
+// and the per-page result slots (each slot is written by exactly one
+// worker).
 //
 // Phase 2 (serial, ordered merge): pages are folded in ascending page
 // order into per-query stats, match lists, and the Index Buffer
@@ -33,12 +40,11 @@ import (
 // property TestParallelOracleRandomized checks against the reference
 // Algorithm 1 of reference_test.go.
 //
-// Skip-safety: workers read the scan-start counter snapshot, which is
-// lock-free and identical across workers. The only C[p] transitions
-// during a scan are the ones this scan's merge performs (the caller holds
-// the table's write lock, and Space.PinForScan keeps displacement away),
-// and phase 2 starts strictly after phase 1 has finished — so a page's
-// skip decision never races its own indexing.
+// Skip-safety: the visit list is taken once, before phase 1. The only
+// C[p] transitions during a scan are the ones this scan's merge performs
+// (the caller holds the table's write lock, and Space.PinForScan keeps
+// displacement away), and phase 2 starts strictly after phase 1 has
+// finished — so a page's skip decision never races its own indexing.
 //
 // Failure: a table-level fault or whole-batch cancellation in phase 1
 // aborts before phase 2, leaving the Index Buffer exactly as it was at
@@ -48,9 +54,9 @@ import (
 // partially indexed page to roll back: C[p] == 0 only when every
 // uncovered tuple of p is buffered.
 
-// chunksPerWorker over-partitions the page range so a worker that lands
-// on cheap chunks (skipped or pool-resident pages) claims more work
-// instead of idling behind a worker stuck on cold pages.
+// chunksPerWorker over-partitions the visit list so a worker that lands
+// on cheap chunks (pool-resident pages) claims more work instead of
+// idling behind a worker stuck on cold pages.
 const chunksPerWorker = 4
 
 // qMatch is one matching tuple tagged with the position (in scanQ) of
@@ -60,12 +66,13 @@ type qMatch struct {
 	m Match
 }
 
-// pageResult is one page's phase-1 output, written by exactly one
-// worker and read only after phase 1 has finished.
+// pageResult is one visited page's phase-1 output, written by exactly
+// one worker and read only after phase 1 has finished.
 type pageResult struct {
-	skipped bool // C[p] == 0: page not read
+	page    storage.PageID
+	index   bool // p ∈ I: collect the page's candidate entries
 	matches []qMatch
-	entries []core.PageEntry // candidate entries when the page is in I
+	entries []core.PageEntry
 }
 
 // scanPass is the shared state of one table-scan pass.
@@ -75,67 +82,67 @@ type scanPass struct {
 	qs     []SharedQuery
 	states []scanState
 	scanQ  []int
-	inI    map[storage.PageID]bool // nil for a full scan
-	snap   *core.CounterSnap       // scan-start counters; nil for a full scan
 
-	results  []pageResult
-	canceled []atomic.Bool // by position in scanQ
-	chunks   []heap.PageRange
-	next     atomic.Int64 // chunk cursor
+	results  []pageResult     // one slot per visited page, ascending
+	canceled []atomic.Bool    // by position in scanQ
+	chunks   []heap.PageRange // ranges of positions in results
+	next     atomic.Int64     // chunk cursor
 	abort    atomic.Bool
 
 	errMu sync.Mutex
 	err   error // first table-level fault
 }
 
-// runPass runs both phases over pages [0, numPages) with `workers`
-// phase-1 workers. inI is the Algorithm-2 page set and snap the
-// scan-start counters; a full scan passes nil for both, so it skips
-// nothing and applies nothing. Returns the pages skipped, the entries
-// added, and whether the scan aborted.
-func runPass(a Access, qs []SharedQuery, outs []SharedOutcome, states []scanState, scanQ []int, inI map[storage.PageID]bool, snap *core.CounterSnap, numPages, workers int) (skipped map[storage.PageID]bool, entriesAdded int, aborted bool) {
+// runPass runs both phases over visit, the ascending pages to read, with
+// `workers` phase-1 workers. inI is the Algorithm-2 page set, ascending;
+// only its pages in visit are indexed, and a full scan passes nil, so it
+// applies nothing. Returns the entries added and whether the scan
+// aborted.
+func runPass(a Access, qs []SharedQuery, outs []SharedOutcome, states []scanState, scanQ []int, visit, inI []storage.PageID, workers int) (entriesAdded int, aborted bool) {
 	s := &scanPass{
 		a:        a,
 		schema:   a.Table.Schema(),
 		qs:       qs,
 		states:   states,
 		scanQ:    scanQ,
-		inI:      inI,
-		snap:     snap,
-		results:  make([]pageResult, numPages),
+		results:  make([]pageResult, len(visit)),
 		canceled: make([]atomic.Bool, len(scanQ)),
-		chunks:   heap.Chunks(numPages, workers*chunksPerWorker),
+		chunks:   heap.Chunks(len(visit), workers*chunksPerWorker),
+	}
+	for i, p := range visit {
+		s.results[i].page = p
+		_, s.results[i].index = slices.BinarySearch(inI, p)
 	}
 	if s.finish(s.run(workers), outs) {
-		return nil, 0, true // aborted in phase 1: the buffer is untouched
+		return 0, true // aborted in phase 1: the buffer is untouched
 	}
-	skipped = make(map[storage.PageID]bool)
-	for p := range s.results {
-		pg := storage.PageID(p)
-		res := &s.results[p]
-		if res.skipped {
-			skipped[pg] = true
-		}
-		s.mergeMatches(pg, res, outs)
-		if !res.skipped && inI[pg] {
-			if err := a.Buffer.ApplyPage(pg, res.entries); err != nil {
+	for i := range s.results {
+		res := &s.results[i]
+		s.mergeMatches(res, outs)
+		if res.index {
+			if err := a.Buffer.ApplyPage(res.page, res.entries); err != nil {
 				failActive(err, outs, states, scanQ)
-				return skipped, entriesAdded, true
+				return entriesAdded, true
 			}
 			entriesAdded += len(res.entries)
 			if a.Span != nil {
-				a.Span("page-complete", int(pg), len(res.entries))
+				a.Span("page-complete", int(res.page), len(res.entries))
 			}
 		}
 	}
-	return skipped, entriesAdded, false
+	return entriesAdded, false
 }
 
 // run executes phase 1 and returns the first table-level fault, if any.
 // One worker runs inline on the calling goroutine; more fan out to a
 // pool, and run waits for every goroutine to exit — none outlives the
-// scan.
+// scan. Cancellation is polled once up front as well as before every
+// page, so a query canceled before the pass fails even when the visit
+// list is empty.
 func (s *scanPass) run(workers int) error {
+	if !s.pollCancel() {
+		return nil // every attached query canceled; finish reports it
+	}
 	if workers == 1 {
 		s.worker()
 	} else {
@@ -195,7 +202,7 @@ func (s *scanPass) worker() {
 			return
 		}
 		r := s.chunks[ci]
-		for p := r.Lo; p < r.Hi; p++ {
+		for i := r.Lo; i < r.Hi; i++ {
 			if s.abort.Load() {
 				return
 			}
@@ -203,7 +210,7 @@ func (s *scanPass) worker() {
 				s.abort.Store(true) // every attached query canceled
 				return
 			}
-			if err := s.scanOne(p); err != nil {
+			if err := s.scanOne(&s.results[i]); err != nil {
 				s.fail(err)
 				return
 			}
@@ -211,17 +218,11 @@ func (s *scanPass) worker() {
 	}
 }
 
-// scanOne reads page pg and records its result slot: the skip check
-// against C[p], predicate evaluation for each live attached query, and
-// candidate-entry collection for pages in I. It mutates nothing shared.
-func (s *scanPass) scanOne(pg storage.PageID) error {
-	res := &s.results[pg]
-	if s.inI != nil && s.snap.At(pg) == 0 {
-		res.skipped = true
-		return nil
-	}
-	indexThis := s.inI != nil && s.inI[pg]
-	return s.a.Table.ScanPage(pg, s.a.Column, func(rid storage.RID, v storage.Value, raw []byte) error {
+// scanOne reads one visited page into its result slot: predicate
+// evaluation for each live attached query, and candidate-entry
+// collection for pages in I. It mutates nothing shared.
+func (s *scanPass) scanOne(res *pageResult) error {
+	return s.a.Table.ScanPage(res.page, s.a.Column, func(rid storage.RID, v storage.Value, raw []byte) error {
 		var tu storage.Tuple
 		for k, qi := range s.scanQ {
 			if !s.canceled[k].Load() && s.qs[qi].matches(v) {
@@ -231,7 +232,7 @@ func (s *scanPass) scanOne(pg storage.PageID) error {
 				res.matches = append(res.matches, qMatch{q: k, m: Match{RID: rid, Tuple: tu}})
 			}
 		}
-		if indexThis && (s.a.Index == nil || !s.a.Index.Covers(v)) {
+		if res.index && (s.a.Index == nil || !s.a.Index.Covers(v)) {
 			res.entries = append(res.entries, core.PageEntry{Key: v, RID: rid})
 		}
 		return nil
@@ -261,20 +262,12 @@ func (s *scanPass) finish(err error, outs []SharedOutcome) (aborted bool) {
 	return !any
 }
 
-// mergeMatches folds one completed page's demuxed matches and read/skip
+// mergeMatches folds one visited page's demuxed matches and read
 // accounting into the outcomes.
-func (s *scanPass) mergeMatches(pg storage.PageID, res *pageResult, outs []SharedOutcome) {
-	if res.skipped {
-		for _, qi := range s.scanQ {
-			if s.states[qi].active {
-				outs[qi].Stats.PagesSkipped++
-			}
-		}
-		return
-	}
+func (s *scanPass) mergeMatches(res *pageResult, outs []SharedOutcome) {
 	for _, qi := range s.scanQ {
 		if s.states[qi].active {
-			s.states[qi].seen.read(&outs[qi].Stats, pg)
+			s.states[qi].seen.read(&outs[qi].Stats, res.page)
 		}
 	}
 	for _, m := range res.matches {

@@ -203,22 +203,28 @@ func TestParallelCancelAll(t *testing.T) {
 // predicates, in and out of index coverage, empty ranges — at
 // parallelism 1, 2 and 4: every query's matches and stats, then every
 // C[p] and the buffer's size. With IMax 3 on a 37-page table, I is a
-// strict subset of the candidates until the buffer covers the table,
-// after which every page is skipped.
+// strict subset of the candidates until the buffer covers the table.
+// The stream then runs on in a fully converged phase, where every page
+// is skipped and the pass has nothing to read. Throughout, ranges that
+// straddle the coverage predicate find covered matches on skipped pages,
+// which only the pass's recovery step can return; the test checks both
+// shapes actually occurred.
 func TestParallelOracleRandomized(t *testing.T) {
 	keyRNG := rand.New(rand.NewSource(7))
 	keys := make([]int64, 400)
 	for i := range keys {
 		keys[i] = keyRNG.Int63n(10)
 	}
+	covered := func(k int64) bool { return k >= 0 && k <= 4 }
 	for _, par := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
 			tb, _ := buildTableKeys(t, keys)
 			a := spaceFixture(t, tb, core.Config{IMax: 3, P: 4})
 			a.Parallelism = par
-			ref := newRefAlg1(t, tb, 3, func(k int64) bool { return k >= 0 && k <= 4 })
+			ref := newRefAlg1(t, tb, 3, covered)
 			rng := rand.New(rand.NewSource(42))
-			for round := 0; round < 24; round++ {
+			convergedMisses, recovered := 0, 0
+			for round := 0; round < 40; round++ {
 				batch := make([]SharedQuery, 1+rng.Intn(4))
 				for i := range batch {
 					lo := int64(rng.Intn(12) - 1) // keys are 0..9; stray outside on purpose
@@ -227,7 +233,26 @@ func TestParallelOracleRandomized(t *testing.T) {
 						batch[i] = SharedQuery{Lo: iv(lo), Hi: iv(lo)}
 					}
 				}
+				skippedAtStart := make([]bool, len(ref.uncovered))
+				converged := true
+				for p := range skippedAtStart {
+					skippedAtStart[p] = ref.counter(p) == 0
+					converged = converged && skippedAtStart[p]
+				}
 				outs := ExecuteShared(a, batch)
+				for _, o := range outs {
+					if o.Stats.PartialHit || o.Err != nil {
+						continue
+					}
+					for _, m := range o.Matches {
+						if covered(m.Tuple.Value(0).Int64()) && skippedAtStart[m.RID.Page] {
+							recovered++
+						}
+					}
+					if converged && o.Stats.ScanWorkers > 0 {
+						convergedMisses++
+					}
+				}
 				wantRIDs, wantStats := ref.batch(batch, par)
 				for i, o := range outs {
 					var got []storage.RID
@@ -253,6 +278,11 @@ func TestParallelOracleRandomized(t *testing.T) {
 				if n, used := a.Buffer.EntryCount(), a.Space.Used(); n != entries || used != entries {
 					t.Fatalf("round %d: %d entries, Space.Used %d; reference %d", round, n, used, entries)
 				}
+			}
+			t.Logf("%d misses on a converged buffer, %d covered matches recovered from skipped pages", convergedMisses, recovered)
+			if convergedMisses < 10 || recovered == 0 {
+				t.Errorf("stream too tame: %d misses on a converged buffer (want >= 10), %d covered matches recovered from skipped pages (want > 0)",
+					convergedMisses, recovered)
 			}
 		})
 	}

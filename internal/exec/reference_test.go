@@ -97,7 +97,8 @@ func (r *refAlg1) batch(qs []SharedQuery, workers int) ([][]storage.RID, []Query
 			}
 			if !scanned { // the first scanning query carries the batch's maintenance
 				scanned = true
-				st.PagesSelected, st.ScanWorkers = len(sel), workers
+				// Workers are sized from the pages to read; none runs inline.
+				st.PagesSelected, st.ScanWorkers = len(sel), max(1, min(workers, len(cands)))
 				for _, p := range sel {
 					st.EntriesAdded += c[p]
 				}

@@ -2,9 +2,9 @@ package exec
 
 import (
 	"context"
+	"slices"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/storage"
 )
@@ -58,13 +58,23 @@ type scanState struct {
 // PagesRead counts each page once per query no matter how many execution
 // stages (buffer materialization, table scan, skipped-page index
 // recovery) touch it — a page fetched twice must not inflate the logical
-// I/O the paper's runtime curves are shaped by.
-type pageSet map[storage.PageID]bool
+// I/O the paper's runtime curves are shaped by. It is a bitset keyed by
+// page id, allocated on the first read at the table's size, so a query
+// that reads no page allocates nothing and one that reads any pays one
+// allocation, whatever it reads.
+type pageSet struct {
+	pages int // table size at query start: the bitset's initial length
+	bits  []uint64
+}
 
 // read charges page p to stats unless the query already read it.
-func (s pageSet) read(stats *QueryStats, p storage.PageID) {
-	if !s[p] {
-		s[p] = true
+func (s *pageSet) read(stats *QueryStats, p storage.PageID) {
+	w := int(p / 64)
+	if w >= len(s.bits) {
+		s.bits = append(s.bits, make([]uint64, max(w+1, (s.pages+63)/64)-len(s.bits))...)
+	}
+	if bit := uint64(1) << (p % 64); s.bits[w]&bit == 0 {
+		s.bits[w] |= bit
 		stats.PagesRead++
 	}
 }
@@ -101,7 +111,6 @@ func ExecuteShared(a Access, qs []SharedQuery) []SharedOutcome {
 		if st.ctx == nil {
 			st.ctx = context.Background()
 		}
-		st.seen = pageSet{}
 		outs[i].Stats.Key = q.Lo
 		if q.Hi.Compare(q.Lo) < 0 {
 			continue // empty range: answered without any access
@@ -129,17 +138,25 @@ func ExecuteShared(a Access, qs []SharedQuery) []SharedOutcome {
 	if len(scanQ) == 0 {
 		return outs
 	}
+	numPages := a.Table.NumPages()
+	for _, i := range scanQ {
+		states[i].seen.pages = numPages
+	}
 	if a.Buffer == nil {
 		// The no-buffer fallback (baseline engines with the Index Buffer
 		// disabled, or a buffer dropped between planning and execution):
-		// the same pass with no page set I, so nothing is skipped or
-		// indexed.
+		// the same pass over every page with no page set I, so nothing is
+		// skipped or indexed.
 		for _, i := range scanQ {
 			outs[i].Stats.FullScan = true
 		}
-		scanTable(a, qs, outs, states, scanQ, nil, nil)
+		every := make([]storage.PageID, numPages)
+		for p := range every {
+			every[p] = storage.PageID(p)
+		}
+		scanTable(a, qs, outs, states, scanQ, numPages, every, nil)
 	} else {
-		sharedIndexingScan(a, qs, outs, states, scanQ)
+		sharedIndexingScan(a, qs, outs, states, scanQ, numPages)
 	}
 	return outs
 }
@@ -162,20 +179,9 @@ func failActive(err error, outs []SharedOutcome, states []scanState, scanQ []int
 // (Space.SelectPagesForBuffer), chosen once for the batch; the buffer is
 // pinned for the pass's duration so a concurrent scan on another table
 // cannot displace the partitions the skip decisions depend on.
-func sharedIndexingScan(a Access, qs []SharedQuery, outs []SharedOutcome, states []scanState, scanQ []int) {
+func sharedIndexingScan(a Access, qs []SharedQuery, outs []SharedOutcome, states []scanState, scanQ []int, numPages int) {
 	release := a.Space.PinForScan(a.Buffer)
 	defer release()
-	// The pass's C[p] == 0 skip decisions read the buffer's published
-	// counter snapshot instead of taking the buffer lock per page. The
-	// snapshot is taken once at scan start and stays valid for every
-	// page: the only mutator running (we hold the table's write lock and
-	// the buffer is pinned against displacement) is this scan itself,
-	// and its ApplyPage merge starts only after every skip decision was
-	// taken. The epoch pin keeps reclamation — triggered by those
-	// ApplyPage publications — from nilling the scan-start snapshot
-	// mid-pass.
-	unpinEpoch := a.Space.PinEpoch()
-	defer unpinEpoch()
 
 	var selected []storage.PageID
 	if a.ReadOnly {
@@ -189,16 +195,12 @@ func sharedIndexingScan(a Access, qs []SharedQuery, outs []SharedOutcome, states
 			outs[i].Stats.QuotaDegraded = true
 		}
 	} else {
-		selected = a.Space.SelectPagesForBufferObserved(a.Buffer, a.Table.NumPages(), a.SpaceObs) // I ← SelectPagesForBuffer()
-	}
-	inI := make(map[storage.PageID]bool, len(selected))
-	for _, p := range selected {
-		inI[p] = true
+		selected = a.Space.SelectPagesForBufferObserved(a.Buffer, numPages, a.SpaceObs) // I ← SelectPagesForBuffer()
 	}
 
 	// Index Buffer scan (lines 8–10), demultiplexed per query.
 	for _, i := range scanQ {
-		m, err := fetchRIDs(a, a.Buffer.LookupRange(qs[i].Lo, qs[i].Hi), &outs[i].Stats, states[i].seen)
+		m, err := fetchRIDs(a, a.Buffer.LookupRange(qs[i].Lo, qs[i].Hi), &outs[i].Stats, &states[i].seen)
 		if err != nil {
 			outs[i].Err = err
 			states[i].active = false
@@ -208,37 +210,44 @@ func sharedIndexingScan(a Access, qs []SharedQuery, outs []SharedOutcome, states
 		outs[i].Stats.BufferMatches = len(m)
 	}
 
-	scanTable(a, qs, outs, states, scanQ, inI, a.Buffer.CounterSnapshot())
+	// The skip view: one walk over the live counters (see
+	// IndexBuffer.NonZeroPages for why taking it once is exact).
+	scanTable(a, qs, outs, states, scanQ, numPages, a.Buffer.NonZeroPages(numPages), selected)
 }
 
 // scanTable is Algorithm 1's table scan (lines 11–17) for the scanning
-// queries: skip pages with C[p] == 0, index the pages in I exactly once,
-// demux matches to every attachee (see parallel.go for the two-phase
-// pass that does it). inI == nil is the plain full scan. Afterwards it
-// recovers covered range matches on skipped pages and fills in the
-// per-query result stats.
-func scanTable(a Access, qs []SharedQuery, outs []SharedOutcome, states []scanState, scanQ []int, inI map[storage.PageID]bool, snap *core.CounterSnap) {
-	numPages := a.Table.NumPages()
-	workers := a.scanWorkers(numPages)
+// queries: read the pages of visit (ascending; every page but those with
+// C[p] == 0), index the pages in I exactly once, demux matches to every
+// attachee (see parallel.go for the two-phase pass that does it). A full
+// scan visits every page with inI == nil. Afterwards it charges the
+// skipped pages, recovers covered range matches on them, and fills in
+// the per-query result stats.
+func scanTable(a Access, qs []SharedQuery, outs []SharedOutcome, states []scanState, scanQ []int, numPages int, visit, inI []storage.PageID) {
+	workers := a.scanWorkers(len(visit))
 	outs[scanQ[0]].Stats.ScanWorkers = workers
-	skipped, entriesAdded, aborted := runPass(a, qs, outs, states, scanQ, inI, snap, numPages, workers)
+	entriesAdded, aborted := runPass(a, qs, outs, states, scanQ, visit, inI, workers)
 
-	// Recover covered matches on skipped pages: a range straddling the
-	// coverage predicate has covered matches sitting unreachable on
-	// skipped pages (see Range). A point miss has none — its key is
-	// uncovered, so the index holds no postings for it.
-	if !aborted && a.Index != nil && len(skipped) > 0 {
+	// Every page not visited was skipped. Recover covered matches on
+	// skipped pages: a range straddling the coverage predicate has
+	// covered matches sitting unreachable on them (see Range). A point
+	// miss has none — its key is uncovered, so the index holds no
+	// postings for it.
+	if skipped := numPages - len(visit); !aborted && skipped > 0 {
 		for _, i := range scanQ {
 			if !states[i].active {
 				continue
 			}
+			outs[i].Stats.PagesSkipped += skipped
+			if a.Index == nil {
+				continue
+			}
 			var missing []storage.RID
 			for _, rid := range a.Index.ScanRange(qs[i].Lo, qs[i].Hi) {
-				if skipped[rid.Page] {
+				if _, visited := slices.BinarySearch(visit, rid.Page); !visited && int(rid.Page) < numPages {
 					missing = append(missing, rid)
 				}
 			}
-			m, err := fetchRIDs(a, missing, &outs[i].Stats, states[i].seen)
+			m, err := fetchRIDs(a, missing, &outs[i].Stats, &states[i].seen)
 			if err != nil {
 				outs[i].Err = err
 				outs[i].Matches = nil

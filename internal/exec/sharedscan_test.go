@@ -24,7 +24,7 @@ func scanFixture(t *testing.T, tb Heap) Access {
 }
 
 // spaceFixture is scanFixture with the Space configured by cfg.
-func spaceFixture(t *testing.T, tb Heap, cfg core.Config) Access {
+func spaceFixture(t testing.TB, tb Heap, cfg core.Config) Access {
 	t.Helper()
 	ix := index.NewPartial("k", 0, index.IntRange(0, 4))
 	uncovered := make([]int, tb.NumPages())

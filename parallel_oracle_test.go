@@ -294,3 +294,47 @@ func TestParallelScanCancellationNoLeaks(t *testing.T) {
 		t.Error("post-cancel scan built no buffer entries")
 	}
 }
+
+// TestConvergedMissScanWorkers checks that ScanWorkers and the
+// parallel-scan counters report the workers that actually ran. A cold
+// miss reads every page and fans out; once that scan has buffered every
+// page, a miss has no page to read, so it runs inline on one worker and
+// is not counted as a parallel scan.
+func TestConvergedMissScanWorkers(t *testing.T) {
+	db := MustOpen(Options{IMax: 1 << 20, PartitionPages: 1 << 20, PoolPages: 64, Seed: 5, ScanParallelism: 4})
+	defer db.Close()
+	tb, err := db.CreateTable("data", Int64Column("k"), StringColumn("pad"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 400; i++ {
+		if _, err := tb.Insert(int64(i%10), fmt.Sprintf("pad-%04d-%0160d", i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tb.CreatePartialRangeIndex("k", 0, 4); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct {
+		phase           string
+		workers         int
+		skipped         int
+		parallelCounted uint64
+	}{
+		{"cold", 4, 0, 1},
+		{"converged", 1, tb.NumPages(), 0},
+	} {
+		before := db.ParallelScanStats()
+		rows, stats, err := tb.Query("k", int64(7))
+		if err != nil || len(rows) != 40 {
+			t.Fatalf("%s miss: %d rows, err %v; want 40", want.phase, len(rows), err)
+		}
+		after := db.ParallelScanStats()
+		if stats.ScanWorkers != want.workers || stats.PagesSkipped != want.skipped {
+			t.Errorf("%s miss: %d workers, %d pages skipped; want %d, %d", want.phase, stats.ScanWorkers, stats.PagesSkipped, want.workers, want.skipped)
+		}
+		if scans := after.Scans - before.Scans; scans != want.parallelCounted {
+			t.Errorf("%s miss counted as %d parallel scans, want %d", want.phase, scans, want.parallelCounted)
+		}
+	}
+}
