@@ -216,9 +216,10 @@ type DB struct {
 // OpenExisting reopens a database previously persisted into o.DataDir
 // and runs crash recovery: torn page and log tails are repaired, and
 // every acknowledged operation since the last checkpoint is replayed
-// from the log — even after an unclean shutdown. Tables and partial indexes are restored; Index
-// Buffers start fresh (use Rewarm to warm them from the recovered
-// query tail). RecoveryStats reports what recovery did.
+// from the log — even after an unclean shutdown. Tables and partial
+// indexes are restored; Index Buffers start empty (they are volatile by
+// design, paper §III) and re-warm from live traffic. RecoveryStats
+// reports what recovery did.
 func OpenExisting(o Options) (*DB, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
@@ -899,8 +900,8 @@ func (db *DB) Checkpoint() error { return db.eng.Checkpoint() }
 
 // RecoveryStats describes what OpenExisting's recovery pass did: the
 // checkpoint position redo started from, records and page images
-// replayed, torn bytes repaired, surplus pages truncated, and the
-// query-tail length recovered for Rewarm. See engine.RecoveryStats.
+// replayed, torn bytes repaired, and surplus pages truncated. See
+// engine.RecoveryStats.
 type RecoveryStats = engine.RecoveryStats
 
 // RecoveryStats returns what the OpenExisting that produced this
@@ -925,11 +926,3 @@ type EpochStats = engine.EpochStats
 
 // EpochStats reads the epoch read-path statistics.
 func (db *DB) EpochStats() EpochStats { return db.eng.EpochStats() }
-
-// Rewarm replays the query tail recovered from the log through the
-// normal query path, so the volatile Index Buffers converge back toward
-// their pre-crash state without waiting for live traffic. Call it once
-// after OpenExisting (enable the timeline first to record the restart
-// as a fresh convergence episode); the tail is consumed. Returns the
-// number of queries replayed.
-func (db *DB) Rewarm(ctx context.Context) (int, error) { return db.eng.Rewarm(ctx) }

@@ -2,18 +2,20 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/engine"
 )
 
 // TestDurabilityRoundTrip exercises the public durability surface: a
 // DataDir-backed database is abandoned without Close (a crash — nothing
 // flushed), reopened with OpenExisting, and must retain every
-// acknowledged write; Rewarm then replays the recovered query tail.
+// acknowledged write. The queries in between log nothing.
 func TestDurabilityRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	db := MustOpen(Options{DataDir: dir, Seed: 3})
@@ -38,14 +40,18 @@ func TestDurabilityRoundTrip(t *testing.T) {
 	if err := tb.Delete(rids[6]); err != nil {
 		t.Fatal(err)
 	}
-	// Misses past the covered range log query descriptors; the stats of
-	// the log writer show commits were acknowledged durably.
+	// Misses past the covered range run indexing scans and append
+	// nothing to the log.
+	ws := db.WALStats()
 	for i := 0; i < 5; i++ {
 		if _, _, err := tb.Query("delay", int64(40+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := tb.Insert(int64(1), "LAX"); err != nil { // flushes the query appends
+	if got := db.WALStats(); got.Appends != ws.Appends || got.Bytes != ws.Bytes {
+		t.Fatalf("misses appended to the log: %+v -> %+v", ws, got)
+	}
+	if _, err := tb.Insert(int64(1), "LAX"); err != nil {
 		t.Fatal(err)
 	}
 	if ws := db.WALStats(); ws.Commits == 0 || ws.Syncs == 0 {
@@ -81,27 +87,86 @@ func TestDurabilityRoundTrip(t *testing.T) {
 		t.Fatalf("updated row airport = %q, want SFO", ap)
 	}
 
-	db2.EnableTimeline(true)
-	if rs.QueryTail == 0 {
-		t.Fatalf("no query tail recovered: %+v", rs)
-	}
-	warmed, err := db2.Rewarm(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmed == 0 {
-		t.Fatal("Rewarm replayed nothing")
-	}
-	var resets uint64
-	for _, c := range db2.Convergence() {
-		resets += c.Resets
-	}
-	if resets == 0 {
-		t.Fatalf("restart did not register a convergence reset: %+v", db2.Convergence())
-	}
 	// Explicit checkpoint works and clean close follows.
 	if err := db2.Checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadsNeverAppendToWAL: on a DataDir database every kind of read —
+// lock-free and locked partial-index hits, point and range, indexing
+// misses, a full scan of an unindexed column, EXPLAIN — leaves the log
+// untouched, and a read-only window never wakes the periodic
+// checkpointer.
+func TestReadsNeverAppendToWAL(t *testing.T) {
+	const every = 10 * time.Millisecond
+	for _, locked := range []bool{false, true} {
+		t.Run(fmt.Sprintf("locked=%v", locked), func(t *testing.T) {
+			db := openTuned(t, Options{DataDir: t.TempDir(), WAL: WALOptions{CheckpointEvery: every}}, false,
+				func(c *engine.Config) { c.DisableEpochReadPath = locked })
+			defer db.Close()
+			tb, err := db.CreateTable("t", Int64Column("k"), Int64Column("v"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tb.CreatePartialRangeIndex("k", 0, 99); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 400; i++ {
+				if _, err := tb.Insert(int64(i), int64(i%7)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(3 * every) // let any tick already in flight finish
+
+			type logState struct {
+				appends, bytes, lsn, checkpoints uint64
+			}
+			state := func() logState {
+				ws := db.WALStats()
+				tel, ok := db.WALTelemetry()
+				if !ok {
+					t.Fatal("DataDir database reports no WAL")
+				}
+				return logState{ws.Appends, ws.Bytes, uint64(tel.AppendedLSN), db.CheckpointStats().Completed}
+			}
+			before := state()
+			fast := db.EpochStats().FastHits
+
+			read := func(what string, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+			}
+			for k := 0; k < 10; k++ {
+				_, _, err := tb.Query("k", int64(k*7))
+				read("point hit", err)
+				_, _, err = tb.QueryRange("k", int64(k), int64(k+20))
+				read("range hit", err)
+				_, _, err = tb.Query("k", int64(200+k))
+				read("point miss", err)
+			}
+			_, _, err = tb.QueryRange("k", 300, 320)
+			read("range miss", err)
+			_, _, err = tb.Query("v", int64(3))
+			read("full scan", err)
+			_, err = db.Exec(context.Background(), "EXPLAIN SELECT * FROM t WHERE k = 350")
+			read("EXPLAIN", err)
+			_, err = db.Exec(context.Background(), "SELECT * FROM t WHERE k = 5")
+			read("SELECT", err)
+			time.Sleep(10 * every) // a read-only window of many checkpoint periods
+
+			if after := state(); after != before {
+				t.Fatalf("reads changed the log: %+v -> %+v", before, after)
+			}
+			if got := db.EpochStats().FastHits - fast; locked != (got == 0) {
+				t.Fatalf("locked=%v served %d hits lock-free", locked, got)
+			}
+		})
 	}
 }
 

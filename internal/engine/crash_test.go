@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -102,7 +101,7 @@ func newCrashRig(t *testing.T, eng *Engine) *crashRig {
 			t.Fatal(err)
 		}
 		// A narrow coverage so most queries miss and exercise indexing
-		// scans (and, post-crash, re-warming).
+		// scans.
 		if err := tb.CreatePartialIndex(0, index.IntRange(1, 20)); err != nil {
 			t.Fatal(err)
 		}
@@ -460,67 +459,6 @@ func TestLoadFailureClosesFiles(t *testing.T) {
 	}
 	if after := openFDs(t); after != before {
 		t.Errorf("fd leak across failed Load: %d -> %d", before, after)
-	}
-}
-
-// TestRewarmRegistersConvergenceEpisode crashes an engine mid-workload,
-// reloads it, and replays the recovered query tail: the buffers re-warm
-// through the normal query path and the restart registers as a fresh
-// convergence episode (Resets increments) on the adaptation timeline.
-func TestRewarmRegistersConvergenceEpisode(t *testing.T) {
-	dir := t.TempDir()
-	rig := newCrashRig(t, New(crashConfig(dir)))
-	rng := rand.New(rand.NewSource(29))
-	for i := 0; i < 30; i++ {
-		tu := storage.NewTuple(
-			storage.Int64Value(1+rng.Int63n(200)), storage.Int64Value(rng.Int63n(100)),
-			storage.StringValue(strings.Repeat("w", 200)),
-		)
-		if err := rig.apply(crashOp{kind: opInsert, table: 0, k: 1 + rng.Int63n(200), k2: rng.Int63n(100), pad: 120}); err != nil {
-			t.Fatal(err)
-		}
-		_ = tu
-	}
-	// Queries beyond the indexed range miss and are logged; the final
-	// insert's group commit flushes their records to disk.
-	for i := 0; i < 12; i++ {
-		if _, _, err := rig.tables[0].QueryEqual(0, storage.Int64Value(30+int64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rig.apply(crashOp{kind: opInsert, table: 0, k: 3, k2: 4, pad: 10}); err != nil {
-		t.Fatal(err)
-	}
-
-	recovered, err := Load(crashConfig(dir)) // crash: no Close
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recovered.Close()
-	if got := recovered.RecoveryStats().QueryTail; got < 12 {
-		t.Fatalf("QueryTail = %d, want >= 12", got)
-	}
-
-	recovered.Timeline().Enable(true)
-	n, err := recovered.Rewarm(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n < 12 {
-		t.Fatalf("Rewarm replayed %d queries, want >= 12", n)
-	}
-	var found bool
-	for _, c := range recovered.Convergence() {
-		if c.Table == "orders" && c.Resets == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no convergence entry with Resets=1 after Rewarm: %+v", recovered.Convergence())
-	}
-	// The tail is consumed: a second Rewarm is a no-op.
-	if n2, err := recovered.Rewarm(context.Background()); err != nil || n2 != 0 {
-		t.Fatalf("second Rewarm = (%d, %v), want (0, nil)", n2, err)
 	}
 }
 

@@ -137,13 +137,13 @@ type Engine struct {
 	ckptDone chan struct{}
 
 	// Checkpoint telemetry: completions, last duration, last completion
-	// instant (unix nanos; 0 until the first checkpoint finishes).
+	// instant, and the last periodic tick that found nothing to
+	// checkpoint (both unix nanos; 0 until the first happens).
 	ckptCount     atomic.Uint64
 	ckptLastNanos atomic.Int64
 	ckptLastEnd   atomic.Int64
+	ckptIdleAt    atomic.Int64
 
-	rewarmMu sync.Mutex
-	rewarm   []rewarmQuery // recovered query tail, consumed by Rewarm
 	recovery RecoveryStats
 }
 
@@ -873,16 +873,6 @@ func (t *Table) QueryRange(column int, lo, hi storage.Value) ([]exec.Match, exec
 // re-validated because exec.ExecuteShared re-dispatches on the state it
 // finds under the write lock.
 func (t *Table) QueryRangeCtx(ctx context.Context, column int, lo, hi storage.Value) ([]exec.Match, exec.QueryStats, error) {
-	matches, stats, err := t.queryRangeCtx(ctx, column, lo, hi)
-	if err == nil {
-		// Best-effort query record (no Commit; rides the next fsync) so
-		// recovery can replay the workload tail and re-warm the buffers.
-		t.logQuery(column, lo, hi)
-	}
-	return matches, stats, err
-}
-
-func (t *Table) queryRangeCtx(ctx context.Context, column int, lo, hi storage.Value) ([]exec.Match, exec.QueryStats, error) {
 	if err := t.engine.checkOpen(); err != nil {
 		return nil, exec.QueryStats{}, err
 	}

@@ -329,8 +329,6 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 		m.printf("aib_recovery_truncated_pages %d\n", rs.TruncatedPages)
 		m.head("aib_recovery_torn_bytes", "Torn page and log bytes repaired during recovery.", "gauge")
 		m.printf("aib_recovery_torn_bytes %d\n", rs.TornPageBytes+rs.TornWALBytes)
-		m.head("aib_recovery_query_tail", "Logged query descriptors recovered for Rewarm.", "gauge")
-		m.printf("aib_recovery_query_tail %d\n", rs.QueryTail)
 	}
 
 	return m.err

@@ -84,9 +84,8 @@ type loadingTable struct {
 //     repaired the same way.
 //  3. Heaps are reattached at their post-redo extents and the partial
 //     indexes rebuilt by scanning, with fresh, empty Index Buffers —
-//     volatile by design. The logged query tail is kept for Rewarm,
-//     which replays it through the normal query path so the buffers
-//     re-warm without waiting for live traffic.
+//     volatile by design (paper §III); live traffic re-warms them. The
+//     log holds only DML, so there is nothing else to recover.
 //
 // A post-recovery checkpoint then makes the redone state durable and
 // truncates the log. On any error every file opened so far is closed
@@ -175,17 +174,8 @@ func Load(cfg Config, tenants ...TenantSpec) (*Engine, error) {
 	}
 
 	// Phase 2: redo. Replay every record past the checkpoint, writing
-	// page images directly to the stores (pools do not exist yet), and
-	// collect the query tail for Rewarm.
+	// page images directly to the stores (pools do not exist yet).
 	info, err := wal.Replay(walDir(cfg.DataDir), wal.LSN(cat.CheckpointLSN), func(rec *wal.Record) error {
-		if rec.Kind == wal.KindQuery {
-			lt := byName[rec.Table]
-			if lt == nil || rec.Column < 0 || rec.Column >= lt.schema.NumColumns() {
-				return nil // tail for a table/column dropped since logging
-			}
-			e.rewarm = append(e.rewarm, rewarmQuery{table: rec.Table, column: rec.Column, lo: rec.Lo, hi: rec.Hi})
-			return nil
-		}
 		lt := byName[rec.Table]
 		if lt == nil {
 			// DDL forces a checkpoint, so post-checkpoint DML always
@@ -212,7 +202,6 @@ func Load(cfg Config, tenants ...TenantSpec) (*Engine, error) {
 		return nil, fmt.Errorf("engine: redo: %w", err)
 	}
 	e.recovery.TornWALBytes = info.TornBytes
-	e.recovery.QueryTail = len(e.rewarm)
 
 	w, err := wal.Open(walDir(cfg.DataDir), walOptions(cfg), info.Next)
 	if err != nil {

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -72,9 +71,6 @@ type RecoveryStats struct {
 	// the final segment.
 	TornPageBytes int64 `json:"torn_page_bytes"`
 	TornWALBytes  int64 `json:"torn_wal_bytes"`
-	// QueryTail is the number of logged query descriptors recovered for
-	// Rewarm.
-	QueryTail int `json:"query_tail"`
 }
 
 // RecoveryStats returns what the Load that produced this engine did
@@ -160,8 +156,9 @@ type DurabilityHealth struct {
 	LastCheckpointMillis float64 `json:"last_checkpoint_ms"`
 	CheckpointAgeSeconds float64 `json:"checkpoint_age_seconds"`
 	// CheckpointStalled is set when a periodic checkpointer is
-	// configured, log work is pending, and the age exceeds
-	// checkpointStallFactor periods.
+	// configured, log work is pending, and the checkpointer has neither
+	// completed a checkpoint nor found nothing to checkpoint for more
+	// than checkpointStallFactor periods.
 	CheckpointStalled bool `json:"checkpoint_stalled,omitempty"`
 
 	// Healthy is false on a sticky sync error, a failed WAL init, or a
@@ -199,15 +196,28 @@ func (e *Engine) DurabilityHealth() DurabilityHealth {
 		h.Reason = "wal sync error: " + err.Error()
 		return h
 	}
-	if every := e.cfg.WAL.CheckpointEvery; every > 0 &&
-		h.AppendedLSN > h.CheckpointLSN &&
-		ck.Age > checkpointStallFactor*every {
-		h.CheckpointStalled = true
-		h.Healthy = false
-		h.Reason = fmt.Sprintf("checkpointer stalled: %.1fs since last checkpoint (period %s)",
-			ck.Age.Seconds(), every)
+	if every := e.cfg.WAL.CheckpointEvery; every > 0 && h.AppendedLSN > h.CheckpointLSN {
+		if age := e.checkpointerAge(); age > checkpointStallFactor*every {
+			h.CheckpointStalled = true
+			h.Healthy = false
+			h.Reason = fmt.Sprintf("checkpointer stalled: %.1fs without catching up (period %s)",
+				age.Seconds(), every)
+		}
 	}
 	return h
+}
+
+// checkpointerAge is how long the periodic checkpointer has gone
+// without catching up: the time since the later of the last completed
+// checkpoint and the last tick that found nothing to checkpoint (engine
+// start when neither has happened). An idle spell therefore does not
+// age it, while a checkpoint that keeps failing does.
+func (e *Engine) checkpointerAge() time.Duration {
+	last := max(e.ckptLastEnd.Load(), e.ckptIdleAt.Load())
+	if last == 0 {
+		return time.Since(e.started)
+	}
+	return time.Since(time.Unix(0, last))
 }
 
 // walError surfaces a WAL that failed to initialize: the engine stays
@@ -288,24 +298,6 @@ func (t *Table) logDML(fa *flight.Active, kind wal.Kind, rid, oldRID storage.RID
 	return nil
 }
 
-// logQuery appends one query descriptor for post-recovery re-warming.
-// Best-effort and async: the record rides the next fsync (a lost query
-// record costs a little restart warmth, never correctness), and errors
-// are swallowed for the same reason.
-func (t *Table) logQuery(column int, lo, hi storage.Value) {
-	w := t.engine.wal
-	if w == nil {
-		return
-	}
-	_, _ = w.Append(&wal.Record{
-		Kind:   wal.KindQuery,
-		Table:  t.name,
-		Column: column,
-		Lo:     lo,
-		Hi:     hi,
-	})
-}
-
 // Checkpoint is the persistence call: it flushes every table's dirty
 // pages, writes a catalog consistent with them, and truncates the log
 // up to the captured position. Index Buffers are not persisted — they
@@ -325,8 +317,8 @@ func (e *Engine) Checkpoint() error {
 
 // checkpointIfWAL checkpoints when a WAL is active — the DDL epilogue.
 // DDL forcing a synchronous checkpoint keeps the log free of schema
-// records: everything in the log is DML or queries against a catalog
-// that already reflects all DDL.
+// records: everything in the log is DML against a catalog that already
+// reflects all DDL.
 func (e *Engine) checkpointIfWAL() error {
 	if e.wal == nil {
 		return nil
@@ -399,8 +391,11 @@ func (e *Engine) startCheckpointer() {
 			case <-e.ckptStop:
 				return
 			case <-tick.C:
-				// Skip when nothing was logged since the last checkpoint.
+				// Skip when nothing was logged since the last checkpoint;
+				// the checkpointer is caught up, which the stall check
+				// counts like a completed checkpoint.
 				if uint64(e.wal.AppendedLSN()) == e.lastCkpt.Load() {
+					e.ckptIdleAt.Store(time.Now().UnixNano())
 					continue
 				}
 				_ = e.checkpoint() // surfaced again by the Close checkpoint
@@ -417,57 +412,4 @@ func (e *Engine) stopCheckpointer() {
 	close(e.ckptStop)
 	<-e.ckptDone
 	e.ckptStop = nil
-}
-
-// rewarmQuery is one recovered query descriptor awaiting replay.
-type rewarmQuery struct {
-	table  string
-	column int
-	lo, hi storage.Value
-}
-
-// Rewarm replays the query tail recovered from the log through the
-// normal query path, so the volatile Index Buffers — which never
-// survive a restart by design (paper §III) — converge back toward
-// their pre-crash state without waiting for live traffic. Each
-// affected buffer gets one "buffer-reset" event first, so the restart
-// registers as a fresh convergence episode on the adaptation timeline
-// (enable the timeline before calling Rewarm to record it).
-//
-// The tail is consumed: a second call replays nothing. Returns the
-// number of queries replayed; unknown tables or columns in the tail
-// (dropped since logging) are skipped.
-func (e *Engine) Rewarm(ctx context.Context) (int, error) {
-	if err := e.checkOpen(); err != nil {
-		return 0, err
-	}
-	e.rewarmMu.Lock()
-	tail := e.rewarm
-	e.rewarm = nil
-	e.rewarmMu.Unlock()
-
-	obs := spaceSpans{tr: e.tracer, tl: e.timeline}
-	reset := make(map[string]bool)
-	n := 0
-	for _, q := range tail {
-		if err := ctx.Err(); err != nil {
-			return n, err
-		}
-		t := e.Table(q.table)
-		if t == nil || q.column < 0 || q.column >= t.schema.NumColumns() {
-			continue
-		}
-		if t.Index(q.column) == nil {
-			continue
-		}
-		if name := t.bufferName(q.column); t.Buffer(q.column) != nil && !reset[name] {
-			reset[name] = true
-			obs.SpaceEvent("buffer-reset", name, -1, 0)
-		}
-		if _, _, err := t.QueryRangeCtx(ctx, q.column, q.lo, q.hi); err != nil {
-			return n, fmt.Errorf("engine: rewarm replay on %s: %w", q.table, err)
-		}
-		n++
-	}
-	return n, nil
 }

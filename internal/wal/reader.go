@@ -14,8 +14,8 @@ type ReplayInfo struct {
 	// Next is the LSN the writer should continue from.
 	Next LSN
 	// Records is the number of records delivered to the callback
-	// (records at or below the after watermark are validated but not
-	// delivered).
+	// (records at or below the after watermark, and legacy query
+	// records, are validated but not delivered).
 	Records int
 	// Skipped counts validated records at or below the watermark.
 	Skipped int
@@ -25,7 +25,7 @@ type ReplayInfo struct {
 }
 
 // Replay scans every segment in dir in LSN order, validates frames, and
-// invokes fn for each record with LSN > after. A torn or corrupt tail
+// invokes fn for each DML record with LSN > after. A torn or corrupt tail
 // in the final segment is truncated away (the record was never
 // acknowledged — this is the crash case Replay exists for); corruption
 // anywhere else is an error, since acknowledged records would be lost.
@@ -88,10 +88,13 @@ func replaySegment(s segment, after LSN, allowTorn bool, fn func(*Record) error,
 			return fmt.Errorf("wal: segment %s: LSN %d out of order (already at %d)", s.path, rec.LSN, info.Last)
 		}
 		if rec.LSN > after {
-			if err := fn(&rec); err != nil {
-				return err
+			// A legacy query record holds an LSN but nothing to redo.
+			if rec.Kind != kindQuery {
+				if err := fn(&rec); err != nil {
+					return err
+				}
+				info.Records++
 			}
-			info.Records++
 			info.Last = rec.LSN
 		} else {
 			info.Skipped++

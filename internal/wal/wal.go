@@ -1,15 +1,15 @@
 // Package wal is the engine's write-ahead log: segmented append-only
 // files of CRC-framed records that make DataDir-backed tables
-// crash-consistent. Every DML operation appends a record carrying both
-// its logical description and the full images of the heap pages it
-// dirtied; recovery (ARIES-style redo, physical variant) replays the
+// crash-consistent. Every record is DML: it carries both the
+// operation's logical description and the full images of the heap pages
+// it dirtied; recovery (ARIES-style redo, physical variant) replays the
 // images in LSN order on top of the last checkpoint, so redo is
 // idempotent regardless of which dirty pages the buffer pool had
-// flushed before the crash. Query records — logical descriptors with no
-// images — ride along so recovery can replay the recent workload tail
-// through the normal query path and re-warm the volatile Index Buffers
-// (the paper keeps them recovery-free by design; the log merely
-// remembers what the workload was asking for).
+// flushed before the crash. Reads never write the log: the Index
+// Buffers are volatile by design (paper §III) and start empty after
+// recovery. Logs written by earlier versions may still hold query
+// records (kind 4); Replay validates them and steps past them without
+// delivering them.
 //
 // Durability is governed by a SyncPolicy: SyncBatch (the default) is
 // group commit — concurrent committers share one fsync issued by a
@@ -53,11 +53,11 @@ const (
 	// location, RID the (possibly relocated) result; Images holds one
 	// or two dirtied pages.
 	KindUpdate Kind = 3
-	// KindQuery logs one query descriptor, the range [Lo, Hi] (a point
-	// query has Lo == Hi), for post-recovery buffer re-warming. Query
-	// records carry no page images and are never needed for redo
-	// correctness.
-	KindQuery Kind = 4
+	// kindQuery is a legacy query descriptor that earlier versions
+	// logged on every successful query. Nothing writes it any more;
+	// decodePayload still validates its body (column u32, flag byte, two
+	// values) and Replay steps past it without delivering it.
+	kindQuery Kind = 4
 )
 
 func (k Kind) String() string {
@@ -68,7 +68,7 @@ func (k Kind) String() string {
 		return "delete"
 	case KindUpdate:
 		return "update"
-	case KindQuery:
+	case kindQuery:
 		return "query"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
@@ -81,8 +81,7 @@ type PageImage struct {
 	Data []byte
 }
 
-// Record is one log record. DML kinds use Pages/RID/OldRID/Images;
-// KindQuery uses Column/Lo/Hi.
+// Record is one DML log record.
 type Record struct {
 	LSN   LSN
 	Kind  Kind
@@ -94,9 +93,6 @@ type Record struct {
 	RID    storage.RID
 	OldRID storage.RID
 	Images []PageImage
-
-	Column int
-	Lo, Hi storage.Value
 }
 
 // maxPayload bounds a decoded frame's claimed payload size, so a torn
@@ -111,24 +107,8 @@ const (
 	valString  = 2
 )
 
-// appendValue encodes a storage.Value.
-func appendValue(buf []byte, v storage.Value) []byte {
-	switch v.Kind() {
-	case storage.KindInt64:
-		buf = append(buf, valInt64)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.Int64()))
-	case storage.KindString:
-		s := v.Str()
-		buf = append(buf, valString)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-		buf = append(buf, s...)
-	default:
-		buf = append(buf, valInvalid)
-	}
-	return buf
-}
-
 // readValue decodes a storage.Value, returning the remaining buffer.
+// Only legacy query records carry values.
 func readValue(buf []byte) (storage.Value, []byte, error) {
 	if len(buf) < 1 {
 		return storage.Value{}, nil, fmt.Errorf("wal: truncated value")
@@ -199,18 +179,15 @@ func encodePayload(buf []byte, r *Record) ([]byte, error) {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(im.Data)))
 			buf = append(buf, im.Data...)
 		}
-	case KindQuery:
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Column))
-		buf = append(buf, 0) // flag byte: unused, kept for format compatibility
-		buf = appendValue(buf, r.Lo)
-		buf = appendValue(buf, r.Hi)
 	default:
 		return nil, fmt.Errorf("wal: cannot encode record of kind %d", r.Kind)
 	}
 	return buf, nil
 }
 
-// decodePayload parses one payload into r.
+// decodePayload parses one payload into r. A legacy query record is
+// validated as strictly as a DML one but fills only LSN, Kind and
+// Table.
 func decodePayload(buf []byte, r *Record) error {
 	if len(buf) < 11 {
 		return fmt.Errorf("wal: payload of %d bytes is too short", len(buf))
@@ -240,6 +217,9 @@ func decodePayload(buf []byte, r *Record) error {
 		}
 		n := int(binary.LittleEndian.Uint16(buf))
 		buf = buf[2:]
+		if n > len(buf)/8 { // each image needs at least its 8-byte header
+			return fmt.Errorf("wal: truncated page image header")
+		}
 		r.Images = make([]PageImage, 0, n)
 		for i := 0; i < n; i++ {
 			if len(buf) < 8 {
@@ -256,18 +236,16 @@ func decodePayload(buf []byte, r *Record) error {
 			buf = buf[size:]
 			r.Images = append(r.Images, PageImage{Page: page, Data: img})
 		}
-	case KindQuery:
+	case kindQuery:
 		if len(buf) < 5 {
 			return fmt.Errorf("wal: truncated query record")
 		}
-		r.Column = int(binary.LittleEndian.Uint32(buf))
-		buf = buf[5:] // the flag byte is ignored
+		buf = buf[5:] // column and flag byte
 		var err error
-		if r.Lo, buf, err = readValue(buf); err != nil {
-			return err
-		}
-		if r.Hi, buf, err = readValue(buf); err != nil {
-			return err
+		for i := 0; i < 2; i++ { // lo, hi
+			if _, buf, err = readValue(buf); err != nil {
+				return err
+			}
 		}
 	default:
 		return fmt.Errorf("wal: unknown record kind %d", r.Kind)

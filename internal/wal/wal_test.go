@@ -1,9 +1,13 @@
 package wal
 
 import (
-	"fmt"
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -35,14 +39,10 @@ func TestRoundTrip(t *testing.T) {
 	}
 	var want []Record
 	for i := 0; i < 20; i++ {
-		var rec *Record
+		rec := dmlRecord("t", i)
 		if i%4 == 3 {
-			rec = &Record{
-				Kind: KindQuery, Table: "t", Column: 2,
-				Lo: storage.Int64Value(int64(i)), Hi: storage.StringValue(fmt.Sprintf("v%d", i)),
-			}
-		} else {
-			rec = dmlRecord("t", i)
+			rec.Kind = KindUpdate
+			rec.OldRID = storage.RID{Page: storage.PageID(i + 7), Slot: 1}
 		}
 		lsn, err := w.Append(rec)
 		if err != nil {
@@ -74,9 +74,7 @@ func TestRoundTrip(t *testing.T) {
 	for i := range want {
 		g, wnt := got[i], want[i]
 		if g.LSN != LSN(i+1) || g.Kind != wnt.Kind || g.Table != wnt.Table ||
-			g.Pages != wnt.Pages || g.RID != wnt.RID || g.OldRID != wnt.OldRID ||
-			g.Column != wnt.Column ||
-			!g.Lo.Equal(wnt.Lo) && g.Lo.IsValid() != wnt.Lo.IsValid() {
+			g.Pages != wnt.Pages || g.RID != wnt.RID || g.OldRID != wnt.OldRID {
 			t.Fatalf("record %d: got %+v want %+v", i, g, wnt)
 		}
 		if len(g.Images) != len(wnt.Images) {
@@ -90,29 +88,153 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQueryRecordFlagByte pins the query record's layout: the byte after
-// the column is written 0 and ignored on read, so a log that carries 1
-// there (a point query's former equality flag) still decodes to the
-// same [Lo, Hi] record.
-func TestQueryRecordFlagByte(t *testing.T) {
-	rec := Record{LSN: 7, Kind: KindQuery, Table: "t", Column: 1, Lo: storage.Int64Value(5), Hi: storage.Int64Value(5)}
-	buf, err := encodePayload(nil, &rec)
+// legacyQueryFrameHex is one complete frame — CRC, length, payload — of
+// the query record earlier versions logged on every successful query:
+// LSN 2, table "t", column 1, flag byte 0, range [5, 9]. It was produced
+// by that version's encoder and must keep replaying.
+const legacyQueryFrameHex = "2e0cd4f3230000000200000000000000" +
+	"040100740100000000010500000000000000010900000000000000"
+
+// legacyFlagOffset is the flag byte's offset in the legacy payload:
+// lsn, kind, name length, name "t", column.
+const legacyFlagOffset = 8 + 1 + 2 + 1 + 4
+
+// legacyQueryPayload returns the fixture's payload after checking that
+// its header matches it.
+func legacyQueryPayload(t testing.TB) []byte {
+	t.Helper()
+	whole, err := hex.DecodeString(legacyQueryFrameHex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flag := 8 + 1 + 2 + len(rec.Table) + 4 // lsn, kind, name length, name, column
-	if buf[flag] != 0 {
-		t.Fatalf("flag byte = %d, want 0", buf[flag])
+	if !bytes.Equal(frame(whole[8:]), whole) {
+		t.Fatal("legacy fixture header does not match its payload")
 	}
-	buf[flag] = 1
-	var got Record
-	if err := decodePayload(buf, &got); err != nil {
+	return whole[8:]
+}
+
+// frame wraps a payload in its CRC and length header.
+func frame(payload []byte) []byte {
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[0:], crc32.Checksum(payload, crcTable))
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
+	return append(hdr[:], payload...)
+}
+
+func dmlPayload(t testing.TB, lsn LSN) []byte {
+	t.Helper()
+	rec := dmlRecord("t", int(lsn))
+	rec.LSN = lsn
+	buf, err := encodePayload(nil, rec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got.LSN != rec.LSN || got.Kind != rec.Kind || got.Table != rec.Table || got.Column != rec.Column ||
-		!got.Lo.Equal(rec.Lo) || !got.Hi.Equal(rec.Hi) {
-		t.Fatalf("decoded %+v, want %+v", got, rec)
+	return buf
+}
+
+// writeSegment writes one segment starting at LSN 1 holding the given
+// frames back to back.
+func writeSegment(t *testing.T, dir string, frames ...[]byte) {
+	t.Helper()
+	var seg []byte
+	for _, f := range frames {
+		seg = append(seg, f...)
 	}
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQueryRecordFlagByte replays a log written before reads stopped
+// logging: a legacy query frame between two DML records, with its flag
+// byte 0 (as written) or 1 (a point query's former equality flag). Both
+// DML records are delivered, the query frame is not, and Last/Next
+// advance past all three.
+func TestQueryRecordFlagByte(t *testing.T) {
+	t.Parallel()
+	for _, flag := range []byte{0, 1} {
+		legacy := legacyQueryPayload(t)
+		if legacy[legacyFlagOffset] != 0 {
+			t.Fatalf("fixture flag byte = %d, want 0", legacy[legacyFlagOffset])
+		}
+		legacy[legacyFlagOffset] = flag
+		dir := t.TempDir()
+		writeSegment(t, dir, frame(dmlPayload(t, 1)), frame(legacy), frame(dmlPayload(t, 3)))
+
+		var lsns []LSN
+		info, err := Replay(dir, 0, func(r *Record) error {
+			if r.Kind != KindInsert {
+				t.Errorf("flag %d: delivered a %s record", flag, r.Kind)
+			}
+			lsns = append(lsns, r.LSN)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("flag %d: %v", flag, err)
+		}
+		if len(lsns) != 2 || lsns[0] != 1 || lsns[1] != 3 {
+			t.Fatalf("flag %d: delivered %v, want [1 3]", flag, lsns)
+		}
+		if info.Records != 2 || info.Last != 3 || info.Next != 4 || info.TornBytes != 0 {
+			t.Fatalf("flag %d: info = %+v", flag, info)
+		}
+	}
+}
+
+// TestLegacyQueryTruncatedBodyFails: a CRC-valid legacy query frame
+// whose body is cut short is structural corruption — replay refuses
+// rather than repairing it as a torn tail.
+func TestLegacyQueryTruncatedBodyFails(t *testing.T) {
+	t.Parallel()
+	legacy := legacyQueryPayload(t)
+	for cut := legacyFlagOffset - 4; cut < len(legacy); cut++ {
+		dir := t.TempDir()
+		writeSegment(t, dir, frame(dmlPayload(t, 1)), frame(legacy[:cut]))
+		info, err := Replay(dir, 0, func(*Record) error { return nil })
+		if err == nil {
+			t.Fatalf("cut %d: replay accepted a truncated query body (info %+v)", cut, info)
+		}
+		if info.TornBytes != 0 {
+			t.Fatalf("cut %d: truncated body repaired as a torn tail", cut)
+		}
+	}
+}
+
+// FuzzDecodePayload: the decoder never panics, never allocates beyond
+// maxPayload whatever the claimed counts and lengths, and every DML
+// record it accepts re-encodes to the identical bytes.
+func FuzzDecodePayload(f *testing.F) {
+	dml := dmlPayload(f, 1)
+	legacy := legacyQueryPayload(f)
+	for _, seed := range [][]byte{dml, legacy} {
+		f.Add(seed)
+		for _, cut := range []int{1, 11, 12, len(seed) / 2, len(seed) - 1} {
+			f.Add(seed[:cut])
+		}
+	}
+	// A DML header claiming 65535 page images with no bytes behind them.
+	const imageCount = 8 + 1 + 2 + 1 + 4 + 6 + 6 // lsn … old RID, name "t"
+	f.Add(append(dml[:imageCount:imageCount], 0xff, 0xff))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var r Record
+		err := decodePayload(payload, &r)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > maxPayload {
+			t.Fatalf("decoding %d bytes allocated %d bytes", len(payload), grew)
+		}
+		if err != nil || r.Kind == kindQuery {
+			return
+		}
+		re, err := encodePayload(nil, &r)
+		if err != nil {
+			t.Fatalf("decoded record does not re-encode: %v", err)
+		}
+		if !bytes.Equal(re, payload) {
+			t.Fatalf("re-encoded %x, decoded from %x", re, payload)
+		}
+	})
 }
 
 func TestReplayWatermarkSkips(t *testing.T) {
