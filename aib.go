@@ -698,9 +698,10 @@ func (db *DB) TraceReport() string { return db.eng.Tracer().Report() }
 
 // TraceEvent is one structured span event from the adaptive machinery:
 // miss admission, shared-scan leadership or attachment, Algorithm-2 page
-// selection, displacement, and page completion (C[p] → 0). Seq is a
-// process-wide monotonic sequence number; see trace.Span.
-type TraceEvent = trace.Span
+// selection, displacement, page completion (C[p] → 0) and buffer reset.
+// Seq is a process-wide monotonic sequence number and Trace the emitting
+// statement's trace ID; see flight.Span.
+type TraceEvent = flight.Span
 
 // EnableTraceEvents turns span-event recording on or off. Off (the
 // default) reduces the instrumentation on every query path to a single

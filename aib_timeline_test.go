@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/flight"
 	"repro/internal/timeline"
 )
 
@@ -80,7 +81,7 @@ func TestTimelineFacadeAndReplay(t *testing.T) {
 			}
 			return nil
 		},
-		func(rec timeline.SpanRecord) error { spans++; return nil })
+		func(flight.Span) error { spans++; return nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

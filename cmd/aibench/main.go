@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/engine"
+	"repro/internal/flight"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/timeline"
@@ -310,13 +311,13 @@ func verifyTelemetry(path string) error {
 			lastQuery[rec.Buffer] = rec.Query
 			return nil
 		},
-		func(rec timeline.SpanRecord) error {
+		func(sp flight.Span) error {
 			spans++
-			if rec.Kind == "" {
+			if sp.Kind == "" {
 				return fmt.Errorf("span without kind")
 			}
 			return nil
-		})
+		}, nil)
 	if err != nil {
 		return err
 	}

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/flight"
 	"repro/internal/storage"
 	"repro/internal/timeline"
 	"repro/internal/trace"
@@ -208,7 +209,7 @@ func runRobustnessArm(o Options, spec robustnessSpec, arm RobustnessArm) (Robust
 	// it only bumps atomic counters (per the trace package contract).
 	displaced := make([]atomic.Uint64, spec.columns)
 	eng.Tracer().EnableSpans(true)
-	eng.Tracer().SetSpanSink(func(sp trace.Span) {
+	eng.Tracer().SetSpanSink(func(sp flight.Span) {
 		if sp.Kind != trace.SpanDisplace {
 			return
 		}

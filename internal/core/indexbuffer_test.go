@@ -212,11 +212,15 @@ func TestDropBuffer(t *testing.T) {
 	s := NewSpace(Config{P: 1})
 	b, _ := s.CreateBuffer("t.a", []int{1})
 	_ = b.ApplyPage(0, pageEntries(0, 1))
-	s.DropBuffer("t.a")
+	if released := s.DropBuffer("t.a"); released != 1 {
+		t.Errorf("DropBuffer released %d entries, want 1", released)
+	}
 	if s.Buffer("t.a") != nil || s.Used() != 0 || len(s.Buffers()) != 0 {
 		t.Error("DropBuffer did not clean up")
 	}
-	s.DropBuffer("missing") // no-op
+	if released := s.DropBuffer("missing"); released != 0 { // no-op
+		t.Errorf("dropping a missing buffer released %d entries", released)
+	}
 }
 
 // TestEntryBytesAccounting pins the exact-byte occupancy bookkeeping:

@@ -35,33 +35,20 @@ type Space struct {
 	buffers map[string]*IndexBuffer
 	order   []string // creation order, for deterministic iteration
 	stats   SpaceStats
-	obs     Observer // optional management-event sink; may be nil
 
 	tenants     map[string]*Tenant
 	tenantOrder []string
 }
 
-// Observer receives buffer-management span events from the Space. The
-// kinds mirror internal/trace's span constants (this package cannot
-// import trace without a cycle): "page-select" after Algorithm 2 chose
-// the page set I (buffer = target, n = |I|), "displace" for each
-// victim partition dropped (buffer = victim's owner, n = entries
-// released), and "buffer-reset" when a buffer is dropped wholesale
-// (partial index dropped or redefined; n = entries released) — a new
-// buffer under the same name starts a fresh adaptation episode.
-// Implementations are called with Space.mu held and must not call back
-// into the Space or its buffers.
+// Observer receives Algorithm 2's management events for one selection
+// call. The kinds mirror internal/trace's span constants (this package
+// cannot import trace without a cycle): "page-select" after Algorithm 2
+// chose the page set I (buffer = target, n = |I|) and "displace" for
+// each victim partition dropped (buffer = victim's owner, n = entries
+// released). Implementations are called with Space.mu held and must not
+// call back into the Space or its buffers.
 type Observer interface {
 	SpaceEvent(kind, buffer string, page, n int)
-}
-
-// SetObserver attaches the management-event sink (nil detaches). The
-// engine points it at the tracer's span ring; emission is gated there,
-// so an attached observer costs one interface call per indexing scan.
-func (s *Space) SetObserver(o Observer) {
-	s.mu.Lock()
-	s.obs = o
-	s.mu.Unlock()
 }
 
 // SpaceStats counts management activity. CrossTenantEntriesDropped is
@@ -142,10 +129,12 @@ func (s *Space) CreateBufferFor(name string, uncovered []int, tenant *Tenant) (*
 }
 
 // DropBuffer removes a buffer and releases its entries (partial index
-// dropped or redefined).
-func (s *Space) DropBuffer(name string) {
+// dropped or redefined), returning how many entries it held (0 when no
+// buffer has the name).
+func (s *Space) DropBuffer(name string) int {
 	s.mu.Lock()
 	b, ok := s.buffers[name]
+	released := 0
 	if ok {
 		delete(s.buffers, name)
 		for i, n := range s.order {
@@ -154,14 +143,13 @@ func (s *Space) DropBuffer(name string) {
 				break
 			}
 		}
-		if s.obs != nil {
-			s.obs.SpaceEvent("buffer-reset", name, -1, b.EntryCount())
-		}
+		released = b.EntryCount()
 	}
 	s.mu.Unlock()
 	if b != nil {
 		b.Reset()
 	}
+	return released
 }
 
 // Buffer returns the named buffer, or nil.
@@ -240,13 +228,12 @@ func (s *Space) SelectPagesForBuffer(target *IndexBuffer, numPages int) []storag
 	return s.SelectPagesForBufferObserved(target, numPages, nil)
 }
 
-// SelectPagesForBufferObserved is SelectPagesForBuffer with a per-call
-// observer: perQuery (when non-nil) receives this selection's
-// management events — "displace" and "page-select" — in addition to the
-// Space-wide observer, so the caller can attribute them to the query
-// whose indexing scan triggered the selection. perQuery runs with
+// SelectPagesForBufferObserved is SelectPagesForBuffer reporting to obs:
+// when non-nil it receives this selection's management events —
+// "displace" and "page-select" — so the caller can attribute them to the
+// query whose indexing scan triggered the selection. obs runs with
 // Space.mu held and must honor the Observer contract.
-func (s *Space) SelectPagesForBufferObserved(target *IndexBuffer, numPages int, perQuery Observer) []storage.PageID {
+func (s *Space) SelectPagesForBufferObserved(target *IndexBuffer, numPages int, obs Observer) []storage.PageID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -378,11 +365,8 @@ func (s *Space) SelectPagesForBufferObserved(target *IndexBuffer, numPages int, 
 			}
 		}
 		v.owner.dropPartition(v.part)
-		if s.obs != nil {
-			s.obs.SpaceEvent("displace", v.owner.name, -1, v.entries)
-		}
-		if perQuery != nil {
-			perQuery.SpaceEvent("displace", v.owner.name, -1, v.entries)
+		if obs != nil {
+			obs.SpaceEvent("displace", v.owner.name, -1, v.entries)
 		}
 	}
 
@@ -392,11 +376,8 @@ func (s *Space) SelectPagesForBufferObserved(target *IndexBuffer, numPages int, 
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	s.stats.PagesSelected += uint64(len(out))
-	if s.obs != nil {
-		s.obs.SpaceEvent("page-select", target.name, -1, len(out))
-	}
-	if perQuery != nil {
-		perQuery.SpaceEvent("page-select", target.name, -1, len(out))
+	if obs != nil {
+		obs.SpaceEvent("page-select", target.name, -1, len(out))
 	}
 	return out
 }

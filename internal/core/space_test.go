@@ -196,13 +196,12 @@ func (r *recordingObserver) SpaceEvent(kind, buffer string, page, n int) {
 
 // TestObserverSeesSelectionAndDisplacement reuses the displacement
 // scenario of TestDisplacementPrefersLowBenefitBuffer and asserts the
-// attached observer sees the Algorithm-2 decision: one displace event
+// per-call observer sees the Algorithm-2 decision: one displace event
 // per dropped victim (attributed to the victim's owner) and a final
 // page-select for the target.
 func TestObserverSeesSelectionAndDisplacement(t *testing.T) {
 	s := NewSpace(Config{IMax: 100, P: 2, K: 2, SpaceLimit: 8, Rand: rand.New(rand.NewSource(42))})
 	obs := &recordingObserver{}
-	s.SetObserver(obs)
 	cold, _ := s.CreateBuffer("t.cold", []int{2, 2})
 	hot, _ := s.CreateBuffer("t.hot", []int{2, 2})
 	target, _ := s.CreateBuffer("t.new", []int{2, 2})
@@ -213,9 +212,7 @@ func TestObserverSeesSelectionAndDisplacement(t *testing.T) {
 	}
 	s.OnQuery(target, false)
 	s.OnQuery(target, false)
-	obs.events = nil // only observe the displacing selection
-
-	got := s.SelectPagesForBuffer(target, 2)
+	got := s.SelectPagesForBufferObserved(target, 2, obs)
 	var displaced, selected int
 	for _, e := range obs.events {
 		switch e.kind {

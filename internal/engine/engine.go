@@ -86,15 +86,6 @@ type Config struct {
 	// latency).
 	ReadLatency time.Duration
 
-	// TimelineCapacity bounds each adaptation-timeline series' sample
-	// ring. Zero means timeline.DefaultCapacity.
-	TimelineCapacity int
-
-	// ConvergenceTarget is the coverage fraction the timeline's
-	// convergence detector watches for (queries-to-target). Zero means
-	// timeline.DefaultTarget (0.95).
-	ConvergenceTarget float64
-
 	// WAL configures crash-consistent durability for DataDir-backed
 	// engines; see WALConfig. Ignored without a DataDir.
 	WAL WALConfig
@@ -171,11 +162,11 @@ func (e *Engine) SharedScanStats() metrics.SharedScanStats {
 	return e.sharedScans.Snapshot()
 }
 
-// traceCapacity is the query-event ring size of the built-in tracer.
+// traceCapacity is the span ring size of the built-in tracer.
 const traceCapacity = 512
 
 // flightRecentCap and flightSlowCap size the flight recorder's rings:
-// the recent ring matches the tracer's event ring, the slow ring is
+// the recent ring matches the tracer's span ring, the slow ring is
 // smaller because slow captures are meant to survive much longer than
 // their surrounding traffic.
 const (
@@ -215,33 +206,12 @@ func newEngine(cfg Config) *Engine {
 		space:    core.NewSpace(cfg.Space),
 		tables:   make(map[string]*Table),
 		tracer:   trace.New(traceCapacity),
-		timeline: timeline.New(cfg.TimelineCapacity, cfg.ConvergenceTarget),
+		timeline: timeline.New(timeline.DefaultCapacity, timeline.DefaultTarget),
 		flight:   flight.NewRecorder(flightRecentCap, flightSlowCap),
 		started:  time.Now(),
 		epochs:   epoch.NewDomain(),
 	}
-	// Route the Space's management events (Algorithm-2 page selection,
-	// displacement) into the tracer's span ring and the adaptation
-	// timeline; both consumers gate on their own atomic enable flag, so
-	// the attached observer is free while recording is off.
-	e.space.SetObserver(spaceSpans{tr: e.tracer, tl: e.timeline})
 	return e
-}
-
-// spaceSpans fans core.Observer events out to the tracer's span ring
-// and the adaptation-timeline recorder. Both sides honor the Observer
-// contract: they only touch their own internally synchronized state
-// (the timeline merely bumps churn counters and marks the buffer dirty
-// for resampling at the next query boundary), never the Space or a
-// buffer — the callback runs with Space.mu held.
-type spaceSpans struct {
-	tr *trace.Tracer
-	tl *timeline.Recorder
-}
-
-func (s spaceSpans) SpaceEvent(kind, buffer string, page, n int) {
-	s.tr.Span(kind, buffer, page, n)
-	s.tl.NoteEvent(kind, buffer, page, n)
 }
 
 // Tracer exposes the engine's query monitor.
@@ -250,27 +220,6 @@ func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
 // Flight exposes the engine's per-statement flight recorder. Recording
 // is off by default and costs one atomic load per gated site while off.
 func (e *Engine) Flight() *flight.Recorder { return e.flight }
-
-// flightActive resolves the calling statement's in-progress flight
-// record: nil while the recorder is disabled (one atomic load — the
-// 0-alloc contract) or when the context carries no statement.
-func (e *Engine) flightActive(ctx context.Context) *flight.Active {
-	if !e.flight.Enabled() {
-		return nil
-	}
-	return flight.FromContext(ctx)
-}
-
-// flightSpans adapts an in-progress flight record to core.Observer, so
-// Algorithm-2 page selection can attribute its management events
-// (displace, page-select) to the statement that triggered them. The
-// Active only touches its own leaf mutex, honoring the Observer
-// contract (called with Space.mu held).
-type flightSpans struct{ a *flight.Active }
-
-func (f flightSpans) SpaceEvent(kind, buffer string, page, n int) {
-	f.a.Span(kind, buffer, page, n)
-}
 
 // Timeline exposes the engine's adaptation-timeline recorder. Enable it
 // with Timeline().Enable(true); sampling is off by default and costs
@@ -298,12 +247,10 @@ func (e *Engine) SetTelemetrySink(s *timeline.Sink) {
 		return
 	}
 	e.timeline.SetSink(s)
-	e.tracer.SetSpanSink(func(sp trace.Span) {
-		s.WriteSpan(timeline.SpanRecord{Seq: sp.Seq, Kind: sp.Kind, Target: sp.Target, Page: sp.Page, N: sp.N, Trace: sp.Trace})
-	})
+	e.tracer.SetSpanSink(s.WriteSpan)
 	// Completed flight records ride the same stream (the recorder still
 	// gates: nothing completes while it is disabled).
-	e.flight.SetSink(func(r flight.Record) { s.WriteFlight(r) })
+	e.flight.SetSink(s.WriteFlight)
 	e.tracer.EnableSpans(true)
 	e.timeline.Enable(true)
 }
@@ -609,7 +556,7 @@ func (t *Table) dropIndex(column int) error {
 	defer t.endMutate()
 	delete(t.indexes, column)
 	if t.buffers[column] != nil {
-		t.engine.space.DropBuffer(t.bufferName(column))
+		t.dropBuffer(column)
 		delete(t.buffers, column)
 	}
 	t.publishReadLocked()
@@ -649,7 +596,7 @@ func (t *Table) redefineIndex(column int, cov index.Coverage) error {
 	if t.buffers[column] == nil {
 		return nil
 	}
-	t.engine.space.DropBuffer(t.bufferName(column))
+	t.dropBuffer(column)
 	uncovered := make([]int, t.heap.NumPages())
 	err := t.heap.Scan(func(rid storage.RID, tu storage.Tuple) error {
 		if !cov.Covers(tu.Value(column)) {
@@ -883,8 +830,7 @@ func (t *Table) QueryRangeCtx(ctx context.Context, column int, lo, hi storage.Va
 	// Epoch-based lock-free hit path first; only probes the immutable
 	// snapshots cannot answer fall through to the lock (readpath.go).
 	if !t.engine.cfg.DisableEpochReadPath {
-		if m, stats, ok := t.fastQuery(column, lo, hi); ok {
-			t.noteFlight(ctx, column, stats, false)
+		if m, stats, ok := t.fastQuery(ctx, column, lo, hi); ok {
 			return m, stats, nil
 		}
 	}
@@ -915,9 +861,7 @@ func (t *Table) runRange(ctx context.Context, a exec.Access, column int, lo, hi 
 	matches, stats, err := exec.Range(ctx, a, lo, hi)
 	if err == nil {
 		t.engine.noteScanWorkers(stats)
-		t.engine.tracer.Record(t.name, t.schema.Column(column).Name, stats)
-		t.sampleTimeline(column, stats, false, a.Buffer)
-		t.noteFlight(ctx, column, stats, false)
+		t.observe(ctx, column, stats, false, a.Buffer)
 	}
 	return matches, stats, err
 }
@@ -966,87 +910,8 @@ func (t *Table) accessLocked(ctx context.Context, column int) (exec.Access, erro
 		Space:       t.engine.space,
 		Parallelism: t.engine.cfg.ScanParallelism,
 	}
-	// The span callback (and the buffer-name string it captures) is built
-	// only while a consumer is on — the tracer's span ring, the
-	// adaptation timeline, or the statement's flight record — so with all
-	// disabled the access path costs three atomic loads and zero
-	// allocations. Inside the callback each consumer re-checks its own
-	// gate; flight-record calls are nil-receiver no-ops.
-	tr, tl := t.engine.tracer, t.engine.timeline
-	fa := t.engine.flightActive(ctx)
-	if tr.SpansEnabled() || tl.Enabled() || fa != nil {
-		target := t.bufferName(column)
-		traceID := fa.Trace()
-		a.Span = func(kind string, page, n int) {
-			tr.SpanTraced(kind, target, page, n, traceID)
-			tl.NoteEvent(kind, target, page, n)
-			fa.Span(kind, target, page, n)
-		}
-		if fa != nil {
-			// Algorithm-2 page selection attributes its displace /
-			// page-select events to this statement (exec threads the
-			// observer through core.Space per selection call).
-			a.SpaceObs = flightSpans{fa}
-		}
+	if tap := t.spanTap(t.engine.flightActive(ctx), column); tap != nil {
+		a.Span, a.SpaceObs = tap.scan, tap
 	}
 	return a, nil
-}
-
-// sampleTimeline records one query boundary in the adaptation timeline:
-// the queried column's mechanism mix and buffer state, plus a resample
-// of any buffer dirtied by adaptive events (e.g. a displacement victim
-// on another table) since the last boundary. buf is the queried
-// column's buffer as the caller resolved it — under the table lock
-// (t.buffers) or from a published readState (the lock-free hit path,
-// which holds no table lock at all). The timeline recorder's lock is a
-// strict leaf and dirty buffers are resolved through the Space
-// (Space.mu is below Table.mu in the documented order, and safe with
-// no table lock held). Gated on one atomic load, so the disabled path
-// allocates nothing.
-func (t *Table) sampleTimeline(column int, stats exec.QueryStats, follower bool, buf *core.IndexBuffer) {
-	tl := t.engine.timeline
-	if !tl.Enabled() {
-		return
-	}
-	var mech timeline.Mechanism
-	switch {
-	case stats.PartialHit:
-		mech = timeline.MechHit
-	case follower:
-		mech = timeline.MechFollower
-	case stats.FullScan, stats.QuotaDegraded:
-		// A quota-degraded pass is a non-indexing scan: for the timeline's
-		// mechanism mix it counts with the full scans, since it adapts
-		// nothing (the tenant's degraded counter tracks it separately).
-		mech = timeline.MechFullScan
-	default:
-		mech = timeline.MechIndexingScan
-	}
-	tl.ObserveQuery(t.name, t.schema.Column(column).Name, mech, buf, t.engine.space.Buffer)
-}
-
-// noteFlight contributes one executed query's outcome to the calling
-// statement's flight record: attribution, mechanism (the tracer's
-// vocabulary), matches and the paper's page accounting. Gated on one
-// atomic load while the recorder is off.
-func (t *Table) noteFlight(ctx context.Context, column int, stats exec.QueryStats, follower bool) {
-	fa := t.engine.flightActive(ctx)
-	if fa == nil {
-		return
-	}
-	mech := flight.Mechanism(stats.PartialHit, follower, stats.FullScan, stats.QuotaDegraded)
-	fa.Query(t.name, t.schema.Column(column).Name, mech, stats.Matches, stats.PagesRead, stats.PagesSkipped, stats.QuotaDegraded)
-}
-
-// noteSpan emits one admission-layer span to the global stream (stamped
-// with the statement's trace ID) and to the statement's flight record.
-// The target name is built only when a consumer is on.
-func (t *Table) noteSpan(fa *flight.Active, kind string, column, page, n int) {
-	tr := t.engine.tracer
-	if !tr.SpansEnabled() && fa == nil {
-		return
-	}
-	target := t.bufferName(column)
-	tr.SpanTraced(kind, target, page, n, fa.Trace())
-	fa.Span(kind, target, page, n)
 }

@@ -233,7 +233,7 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	m.printf("aib_epoch_fallbacks_total %d\n", es.Fallbacks)
 
 	// Span machinery state.
-	m.head("aib_trace_spans_total", "Span events emitted since the engine started (survives Reset).", "counter")
+	m.head("aib_trace_spans_total", "Span events emitted since the engine started.", "counter")
 	m.printf("aib_trace_spans_total %d\n", e.tracer.SpanCount())
 	m.head("aib_trace_spans_enabled", "Whether span recording is currently on.", "gauge")
 	enabled := 0
@@ -243,7 +243,7 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	m.printf("aib_trace_spans_enabled %d\n", enabled)
 
 	// Timeline machinery state.
-	m.head("aib_timeline_samples_total", "Timeline samples taken since the engine started (survives ring eviction and Reset).", "counter")
+	m.head("aib_timeline_samples_total", "Timeline samples taken since the engine started (survives ring eviction).", "counter")
 	m.printf("aib_timeline_samples_total %d\n", e.timeline.SampleCount())
 	m.head("aib_timeline_enabled", "Whether adaptation-timeline sampling is currently on.", "gauge")
 	tlOn := 0

@@ -140,9 +140,9 @@ func TestSharedScanRecordsFollowers(t *testing.T) {
 }
 
 // TestTracerStressWithQueries races real queries against every tracer
-// and metrics reader under -race: Recent, Aggregates, LatencyStats,
-// Spans, Reset, EnableSpans and WriteMetrics all run while indexing
-// scans mutate the buffers and record events.
+// and metrics reader under -race: Aggregates, LatencyStats, Spans,
+// EnableSpans and WriteMetrics all run while indexing scans mutate the
+// buffers and record events.
 func TestTracerStressWithQueries(t *testing.T) {
 	e, tb := newABC(t, Config{}, 2000, 200)
 	if err := tb.CreatePartialIndex(0, index.IntRange(1, 20)); err != nil {
@@ -169,9 +169,9 @@ func TestTracerStressWithQueries(t *testing.T) {
 			defer wg.Done()
 			var sink strings.Builder
 			for i := 0; i < 50; i++ {
-				switch i % 6 {
+				switch i % 5 {
 				case 0:
-					e.Tracer().Recent(16)
+					e.Tracer().EnableSpans(g != 0 || i != 25)
 				case 1:
 					e.Tracer().Aggregates()
 				case 2:
@@ -182,10 +182,6 @@ func TestTracerStressWithQueries(t *testing.T) {
 					sink.Reset()
 					if err := e.WriteMetrics(&sink); err != nil {
 						t.Error(err)
-					}
-				case 5:
-					if g == 0 && i == 29 {
-						e.Tracer().Reset()
 					}
 				}
 			}

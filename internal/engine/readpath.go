@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"runtime"
 	"time"
 
@@ -43,8 +44,9 @@ import (
 //     unchanged even seq proves no mutator ran concurrently, so the
 //     probe is identical to one executed under the read lock — at
 //     which point the side effects (probe counter, LRU-K history,
-//     tracer, timeline) are applied exactly once, through the same
-//     internally synchronized structures the locked path uses.
+//     tracer, timeline, flight record) are applied exactly once,
+//     through the same internally synchronized structures the locked
+//     path uses.
 //   - The epoch pin (Engine.epochs) covers reclamation, not atomicity:
 //     an epoch-retired object is freed only after every reader epoch
 //     has advanced past its retirement, so a pinned reader can never
@@ -183,7 +185,7 @@ func (e *Engine) EpochDomain() *epoch.Domain { return e.epochs }
 // function the locked path's ExecuteShared calls; the empty range is
 // answered for free, mirroring ExecuteShared's early continue (stats
 // carry only the key, no history advance, no probe).
-func (t *Table) fastQuery(column int, lo, hi storage.Value) (m []exec.Match, stats exec.QueryStats, ok bool) {
+func (t *Table) fastQuery(ctx context.Context, column int, lo, hi storage.Value) (m []exec.Match, stats exec.QueryStats, ok bool) {
 	e := t.engine
 	start := time.Now()
 	g := e.epochs.Pin()
@@ -206,8 +208,7 @@ func (t *Table) fastQuery(column int, lo, hi storage.Value) (m []exec.Match, sta
 				continue
 			}
 			stats := exec.QueryStats{Key: lo, Duration: time.Since(start)}
-			e.tracer.Record(t.name, t.schema.Column(column).Name, stats)
-			t.sampleTimeline(column, stats, false, rs.buffers[column])
+			t.observe(ctx, column, stats, false, rs.buffers[column])
 			e.fastHits.Add(1)
 			return nil, stats, true
 		}
@@ -231,7 +232,7 @@ func (t *Table) fastQuery(column int, lo, hi storage.Value) (m []exec.Match, sta
 			e.fastFallbacks.Add(1)
 			return nil, exec.QueryStats{}, false
 		}
-		t.commitFastHit(column, &stats, snap, rs, start)
+		t.commitFastHit(ctx, column, &stats, snap, rs, start)
 		return matches, stats, true
 	}
 	e.fastFallbacks.Add(1)
@@ -241,13 +242,12 @@ func (t *Table) fastQuery(column int, lo, hi storage.Value) (m []exec.Match, sta
 // commitFastHit applies a validated hit's side effects — exactly the
 // ones the locked hit path performs, through the same internally
 // synchronized structures, exactly once.
-func (t *Table) commitFastHit(column int, stats *exec.QueryStats, snap index.Snapshot, rs *readState, start time.Time) {
+func (t *Table) commitFastHit(ctx context.Context, column int, stats *exec.QueryStats, snap index.Snapshot, rs *readState, start time.Time) {
 	e := t.engine
 	snap.NoteProbe()
 	buf := rs.buffers[column]
 	e.space.OnQuery(buf, true) // Table II: a hit only advances the query clock
 	stats.Duration = time.Since(start)
-	e.tracer.Record(t.name, t.schema.Column(column).Name, *stats)
-	t.sampleTimeline(column, *stats, false, buf)
+	t.observe(ctx, column, *stats, false, buf)
 	e.fastHits.Add(1)
 }

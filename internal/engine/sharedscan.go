@@ -46,7 +46,7 @@ type attachedQuery struct {
 	lo, hi storage.Value
 
 	// canceled is set by a follower that gave up on ctx cancellation; the
-	// leader then skips tracing the query's outcome (its caller already
+	// leader then skips observing the query's outcome (its caller already
 	// returned an error and never saw the result).
 	canceled atomic.Bool
 
@@ -99,21 +99,16 @@ func (s *scanAdmission) seal(column int, b *scanBatch) []*attachedQuery {
 func (t *Table) queryShared(ctx context.Context, column int, lo, hi storage.Value) ([]exec.Match, exec.QueryStats, error) {
 	counters := &t.engine.sharedScans
 	counters.Misses.Add(1)
-	fa := t.engine.flightActive(ctx)
-	t.noteSpan(fa, trace.SpanMissAdmit, column, -1, 0)
+	tp := t.spanTap(t.engine.flightActive(ctx), column)
+	tp.scan(trace.SpanMissAdmit, -1, 0)
 
 	q := &attachedQuery{ctx: ctx, lo: lo, hi: hi}
 	batch, leader := t.scans.attach(column, q)
 	if !leader {
 		counters.Attached.Add(1)
-		t.noteSpan(fa, trace.SpanScanAttach, column, -1, 0)
+		tp.scan(trace.SpanScanAttach, -1, 0)
 		select {
 		case <-batch.done:
-			if q.err == nil && !q.canceled.Load() {
-				// The follower's own flight record: its stats, its wait-
-				// dominated wall time, attributed on its own goroutine.
-				t.noteFlight(ctx, column, q.stats, true)
-			}
 			return q.out, q.stats, q.err
 		case <-ctx.Done():
 			q.canceled.Store(true)
@@ -136,19 +131,17 @@ func (t *Table) queryShared(ctx context.Context, column int, lo, hi storage.Valu
 		}
 	} else {
 		counters.Scans.Add(1)
-		t.noteSpan(fa, trace.SpanScanLead, column, -1, len(attached))
+		tp.scan(trace.SpanScanLead, -1, len(attached))
 		t.runShared(a, column, attached)
 	}
 	t.mu.Unlock()
 	close(batch.done)
-	if q.err == nil {
-		t.noteFlight(ctx, column, q.stats, false)
-	}
 	return q.out, q.stats, q.err
 }
 
-// runShared executes one shared pass for the sealed batch and publishes
-// each query's outcome. Runs with the table's write lock held.
+// runShared executes one shared pass for the sealed batch, publishes
+// each query's outcome and observes it under the query's own context.
+// Runs with the table's write lock held.
 func (t *Table) runShared(a exec.Access, column int, attached []*attachedQuery) {
 	qs := make([]exec.SharedQuery, len(attached))
 	for i, aq := range attached {
@@ -162,7 +155,6 @@ func (t *Table) runShared(a exec.Access, column int, attached []*attachedQuery) 
 			break
 		}
 	}
-	col := t.schema.Column(column).Name
 	for i, aq := range attached {
 		o := outs[i]
 		aq.out, aq.stats, aq.err = o.Matches, o.Stats, o.Err
@@ -171,12 +163,7 @@ func (t *Table) runShared(a exec.Access, column int, attached []*attachedQuery) 
 			// whose wall time is the scan itself. Followers spent their time
 			// waiting on the leader, so their latency is tracked under a
 			// separate mechanism to keep the scan histograms honest.
-			if i == 0 {
-				t.engine.tracer.Record(t.name, col, o.Stats)
-			} else {
-				t.engine.tracer.RecordFollower(t.name, col, o.Stats)
-			}
-			t.sampleTimeline(column, o.Stats, i != 0, a.Buffer)
+			t.observe(aq.ctx, column, o.Stats, i != 0, a.Buffer)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/flight"
 	"repro/internal/index"
 	"repro/internal/storage"
 	"repro/internal/timeline"
@@ -409,13 +410,13 @@ func TestTelemetrySinkThroughEngine(t *testing.T) {
 			samples++
 			return nil
 		},
-		func(rec timeline.SpanRecord) error {
-			if rec.Kind == "" {
-				return fmt.Errorf("span without kind: %+v", rec)
+		func(sp flight.Span) error {
+			if sp.Kind == "" {
+				return fmt.Errorf("span without kind: %+v", sp)
 			}
 			spans++
 			return nil
-		})
+		}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

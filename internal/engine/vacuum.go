@@ -230,7 +230,7 @@ func (t *Table) vacuum() (pagesBefore, pagesAfter int, err error) {
 		if t.buffers[col] == nil {
 			continue
 		}
-		t.engine.space.DropBuffer(t.bufferName(col))
+		t.dropBuffer(col)
 		uncovered := make([]int, t.heap.NumPages())
 		err := t.heap.Scan(func(rid storage.RID, tu storage.Tuple) error {
 			if !ix.Covers(tu.Value(col)) {

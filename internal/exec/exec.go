@@ -117,20 +117,19 @@ type Access struct {
 	// assume its partitions stay put.
 	ReadOnly bool
 
-	// Span, when non-nil, receives span events from the indexing scan —
+	// Span, when non-nil, receives span events from the table scan —
 	// currently "scan-parallel" (the scan fanned out, n = workers) and
 	// "page-complete" (page fully buffered, the C[p]→0 transition) with
-	// the page id and the entries added for it. The engine wires it to
-	// the tracer's span ring and the adaptation-timeline recorder only
-	// while at least one of them is enabled, so the nil check is the
-	// entire disabled-path cost.
+	// the page id and the entries added for it.
 	Span func(kind string, page, n int)
 
 	// SpaceObs, when non-nil, is threaded through Algorithm-2 page
-	// selection (Space.SelectPagesForBufferObserved) so the selection's
-	// management events — displace, page-select — are attributed to the
-	// statement that triggered them, in addition to the Space-wide
-	// observer. The engine wires it to the statement's flight record.
+	// selection (Space.SelectPagesForBufferObserved) and receives the
+	// selection's management events — displace, page-select.
+	//
+	// The engine sets both hooks to its one span fan-out, bound to the
+	// calling statement, only while some span consumer is on, so the
+	// nil checks are the entire disabled-path cost.
 	SpaceObs core.Observer
 }
 

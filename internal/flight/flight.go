@@ -31,14 +31,24 @@ import (
 	"time"
 )
 
-// Span is one named event attributed to a single statement — the same
-// vocabulary as trace.Span (page-select, displace, scan-lead, ...), but
-// collected per query instead of into the global ring.
+// Span is one structured event from the adaptive machinery (miss
+// admission, shared-scan batching, Algorithm-2 page selection,
+// displacement, C[p]→0 transitions; the kinds are trace's Span*
+// constants). The same value enters the global span ring, the JSONL
+// telemetry stream and the emitting statement's flight record.
 type Span struct {
+	// Seq is the global span stream's monotonic sequence number (0 when
+	// the span was not recorded there), so consumers can order spans
+	// across ring snapshots and detect drops.
+	Seq    uint64 `json:"seq"`
 	Kind   string `json:"kind"`
-	Target string `json:"target,omitempty"`
-	Page   int    `json:"page"`
-	N      int    `json:"n"`
+	Target string `json:"target"` // buffer name, "table.column"
+	Page   int    `json:"page"`   // page id for page-scoped kinds, else -1
+	N      int    `json:"n"`      // kind-specific count payload
+	// Trace is the statement trace ID the span was emitted under ("" when
+	// the emitting path carried none) — the key joining the global stream
+	// to flight records.
+	Trace string `json:"trace,omitempty"`
 }
 
 // Record is one completed statement's flight record.
@@ -79,7 +89,8 @@ type Record struct {
 func (r Record) Duration() time.Duration { return time.Duration(r.DurationNanos) }
 
 // Mechanism derives the per-query mechanism label from the executor's
-// outcome flags, matching the tracer's vocabulary exactly.
+// outcome flags — the one vocabulary the tracer's latency histograms,
+// the timeline's query mix and flight records share.
 func Mechanism(partialHit, follower, fullScan, degraded bool) string {
 	switch {
 	case partialHit:
@@ -114,12 +125,12 @@ func (a *Active) Trace() string {
 }
 
 // Span appends one span event to the statement's span tree.
-func (a *Active) Span(kind, target string, page, n int) {
+func (a *Active) Span(sp Span) {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
-	a.rec.Spans = append(a.rec.Spans, Span{Kind: kind, Target: target, Page: page, N: n})
+	a.rec.Spans = append(a.rec.Spans, sp)
 	a.mu.Unlock()
 }
 
@@ -200,7 +211,7 @@ type Stats struct {
 // Recorder keeps the two bounded rings of completed records: every
 // completion enters the recent ring (eviction by age), and completions
 // at or above the slow threshold additionally enter the slow ring. Both
-// rings survive Reset-free indefinitely under constant memory.
+// rings run indefinitely under constant memory.
 type Recorder struct {
 	on     atomic.Bool
 	slowNS atomic.Int64 // capture threshold; records at/above enter slow ring
@@ -402,19 +413,6 @@ func (r *Recorder) Find(trace, tenant string, minDur time.Duration, n int) []Rec
 		}
 	}
 	return out
-}
-
-// Reset drops all retained records; counters and enablement persist.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	for i := range r.recent {
-		r.recent[i] = Record{}
-	}
-	for i := range r.slow {
-		r.slow[i] = Record{}
-	}
-	r.recentN, r.recentSz, r.slowN, r.slowSz = 0, 0, 0, 0
-	r.mu.Unlock()
 }
 
 // Stats returns the recorder's counters.

@@ -39,7 +39,7 @@ func TestMechanismPriority(t *testing.T) {
 
 func TestActiveNilSafe(t *testing.T) {
 	var a *Active
-	a.Span("page-select", "t.a", 3, 10)
+	a.Span(Span{Kind: "page-select", Target: "t.a", Page: 3, N: 10})
 	a.Query("t", "a", "hit", 1, 2, 3, false)
 	a.WAL(time.Millisecond, 4)
 	if a.Trace() != "" {
@@ -67,8 +67,8 @@ func TestActiveAccumulation(t *testing.T) {
 	}
 	a.Query("t", "a", "indexing-scan", 5, 10, 2, false)
 	a.Query("t", "a", "hit", 7, 3, 1, true) // last mechanism wins, pages accumulate
-	a.Span("scan-lead", "t.a", -1, 2)
-	a.Span("page-complete", "t.a", 9, 40)
+	a.Span(Span{Kind: "scan-lead", Target: "t.a", Page: -1, N: 2})
+	a.Span(Span{Kind: "page-complete", Target: "t.a", Page: 9, N: 40})
 	a.WAL(2*time.Millisecond, 3)
 	a.WAL(3*time.Millisecond, 5)
 	r.Complete(a, errors.New("boom"))
@@ -171,14 +171,6 @@ func TestRingsEvictionAndSlowCapture(t *testing.T) {
 	if st.Completed != 10 || st.Slow != 3 {
 		t.Errorf("Stats = %+v, want Completed 10, Slow 3", st)
 	}
-
-	r.Reset()
-	if len(r.Recent(0)) != 0 || len(r.Slow(0)) != 0 {
-		t.Error("Reset left records behind")
-	}
-	if got := r.Stats(); got.Completed != 10 {
-		t.Errorf("Reset cleared counters: %+v", got)
-	}
 }
 
 func TestFindFiltersAndDedup(t *testing.T) {
@@ -247,7 +239,7 @@ func TestFlightDisabledIsInert(t *testing.T) {
 			t.Fatal("recorder enabled by default")
 		}
 		a := FromContext(ctx)
-		a.Span("page-select", "t.a", 1, 2)
+		a.Span(Span{Kind: "page-select", Target: "t.a", Page: 1, N: 2})
 		a.Query("t", "a", "hit", 1, 1, 0, false)
 		a.WAL(time.Millisecond, 1)
 		_ = a.Trace()
@@ -262,7 +254,7 @@ func TestFlightDisabledIsInert(t *testing.T) {
 
 // TestConcurrentRecorder exercises every public surface at once under
 // the race detector: writers completing records, readers snapshotting
-// all three views, a resetter, and enable/disable flapping.
+// all three views, and threshold changes.
 func TestConcurrentRecorder(t *testing.T) {
 	r := NewRecorder(16, 8)
 	r.Enable(1)
@@ -276,7 +268,7 @@ func TestConcurrentRecorder(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				a, _ := r.Begin(context.Background(), fmt.Sprintf("tn%d", w), "stmt")
-				a.Span("scan-lead", "t.a", -1, 1)
+				a.Span(Span{Kind: "scan-lead", Target: "t.a", Page: -1, N: 1})
 				a.Query("t", "a", "indexing-scan", 1, 2, 0, false)
 				var err error
 				if i%7 == 0 {
@@ -312,15 +304,12 @@ func TestConcurrentRecorder(t *testing.T) {
 				return
 			default:
 			}
-			if i%3 == 0 {
-				r.Reset()
-			}
-			r.Enable(0)
+			r.Enable(time.Duration(1 + i%3))
 		}
 	}()
 
-	// Writers finish on their own; stop the readers and resetter once
-	// every completion has been counted.
+	// Writers finish on their own; stop the readers and the threshold
+	// changer once every completion has been counted.
 	for r.Stats().Completed < writers*perWriter {
 		time.Sleep(time.Millisecond)
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -369,15 +370,24 @@ func TestServerTracePropagation(t *testing.T) {
 		t.Errorf("flight record missing execution detail: %+v", rec)
 	}
 
-	// Span stream: the statement's events carry the trace ID.
-	traced := 0
+	// Span stream: the global spans carrying the trace ID are exactly the
+	// flight record's spans — every kind, Algorithm 2's included.
+	type spanKey struct {
+		kind, target string
+		page, n      int
+	}
+	want := map[spanKey]int{}
+	for _, sp := range rec.Spans {
+		want[spanKey{sp.Kind, sp.Target, sp.Page, sp.N}]++
+	}
+	got := map[spanKey]int{}
 	for _, sp := range db.TraceEvents() {
 		if sp.Trace == traceID {
-			traced++
+			got[spanKey{sp.Kind, sp.Target, sp.Page, sp.N}]++
 		}
 	}
-	if traced == 0 {
-		t.Error("no span event carries the client trace ID")
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("global spans under %q = %v, flight record spans = %v", traceID, got, want)
 	}
 
 	// Without a TRACE prefix the server mints: the response still

@@ -31,24 +31,15 @@ type SampleRecord struct {
 	Sample
 }
 
-// SpanRecord is one exported trace span (the trace package's Span
-// fields; duplicated here so decoding telemetry needs only this
-// package).
-type SpanRecord struct {
-	Type   string `json:"type"`
-	Seq    uint64 `json:"seq"`
-	Kind   string `json:"kind"`
-	Target string `json:"target"`
-	Page   int    `json:"page"`
-	N      int    `json:"n"`
-	// Trace is the emitting statement's trace ID, when the span was
-	// recorded under one ("" otherwise).
-	Trace string `json:"trace,omitempty"`
+// spanLine and flightLine are the exported span and flight-record
+// lines: the type tag around the flight package's Span and Record
+// fields.
+type spanLine struct {
+	Type string `json:"type"`
+	flight.Span
 }
 
-// FlightRecord is one exported per-statement flight record: the record
-// envelope around the flight package's Record fields.
-type FlightRecord struct {
+type flightLine struct {
 	Type string `json:"type"`
 	flight.Record
 }
@@ -85,14 +76,13 @@ func (s *Sink) WriteSample(rec SampleRecord) {
 }
 
 // WriteSpan exports one span record.
-func (s *Sink) WriteSpan(rec SpanRecord) {
-	rec.Type = RecordSpan
-	s.writeJSON(rec)
+func (s *Sink) WriteSpan(sp flight.Span) {
+	s.writeJSON(spanLine{Type: RecordSpan, Span: sp})
 }
 
 // WriteFlight exports one completed flight record.
 func (s *Sink) WriteFlight(rec flight.Record) {
-	s.writeJSON(FlightRecord{Type: RecordFlight, Record: rec})
+	s.writeJSON(flightLine{Type: RecordFlight, Record: rec})
 }
 
 func (s *Sink) writeJSON(v any) {
@@ -131,20 +121,12 @@ func (s *Sink) Err() error {
 }
 
 // ScanRecords decodes a JSONL telemetry stream, dispatching each record
-// to the matching callback (either may be nil to skip that type). It
+// to the matching callback (any may be nil to skip that type). It
 // returns the number of records decoded; a malformed line, an unknown
 // record type, or a callback error stops the scan with an error naming
 // the line. This is the decode half of the sink — aibench's
-// -verify-telemetry mode and the replay tests are built on it. Flight
-// records in the stream are counted but skipped; use ScanAllRecords to
-// receive them.
-func ScanRecords(r io.Reader, onSample func(SampleRecord) error, onSpan func(SpanRecord) error) (int, error) {
-	return ScanAllRecords(r, onSample, onSpan, nil)
-}
-
-// ScanAllRecords is ScanRecords extended with the flight-record
-// callback (any callback may be nil to skip its type).
-func ScanAllRecords(r io.Reader, onSample func(SampleRecord) error, onSpan func(SpanRecord) error, onFlight func(FlightRecord) error) (int, error) {
+// -verify-telemetry mode and the replay tests are built on it.
+func ScanRecords(r io.Reader, onSample func(SampleRecord) error, onSpan func(flight.Span) error, onFlight func(flight.Record) error) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	n, line := 0, 0
@@ -160,39 +142,19 @@ func ScanAllRecords(r io.Reader, onSample func(SampleRecord) error, onSpan func(
 		if err := json.Unmarshal(raw, &probe); err != nil {
 			return n, fmt.Errorf("timeline: line %d: %w", line, err)
 		}
+		var err error
 		switch probe.Type {
 		case RecordSample:
-			var rec SampleRecord
-			if err := json.Unmarshal(raw, &rec); err != nil {
-				return n, fmt.Errorf("timeline: line %d: %w", line, err)
-			}
-			if onSample != nil {
-				if err := onSample(rec); err != nil {
-					return n, fmt.Errorf("timeline: line %d: %w", line, err)
-				}
-			}
+			err = decode(raw, onSample)
 		case RecordSpan:
-			var rec SpanRecord
-			if err := json.Unmarshal(raw, &rec); err != nil {
-				return n, fmt.Errorf("timeline: line %d: %w", line, err)
-			}
-			if onSpan != nil {
-				if err := onSpan(rec); err != nil {
-					return n, fmt.Errorf("timeline: line %d: %w", line, err)
-				}
-			}
+			err = decode(raw, func(l spanLine) error { return call(onSpan, l.Span) })
 		case RecordFlight:
-			var rec FlightRecord
-			if err := json.Unmarshal(raw, &rec); err != nil {
-				return n, fmt.Errorf("timeline: line %d: %w", line, err)
-			}
-			if onFlight != nil {
-				if err := onFlight(rec); err != nil {
-					return n, fmt.Errorf("timeline: line %d: %w", line, err)
-				}
-			}
+			err = decode(raw, func(l flightLine) error { return call(onFlight, l.Record) })
 		default:
-			return n, fmt.Errorf("timeline: line %d: unknown record type %q", line, probe.Type)
+			err = fmt.Errorf("unknown record type %q", probe.Type)
+		}
+		if err != nil {
+			return n, fmt.Errorf("timeline: line %d: %w", line, err)
 		}
 		n++
 	}
@@ -200,4 +162,21 @@ func ScanAllRecords(r io.Reader, onSample func(SampleRecord) error, onSpan func(
 		return n, fmt.Errorf("timeline: %w", err)
 	}
 	return n, nil
+}
+
+// decode unmarshals one line as T and hands it to fn.
+func decode[T any](raw []byte, fn func(T) error) error {
+	var v T
+	if err := json.Unmarshal(raw, &v); err != nil {
+		return err
+	}
+	return call(fn, v)
+}
+
+// call runs fn on v unless fn is nil (that record type is skipped).
+func call[T any](fn func(T) error, v T) error {
+	if fn == nil {
+		return nil
+	}
+	return fn(v)
 }

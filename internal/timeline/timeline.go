@@ -12,10 +12,10 @@
 // Concurrency: the Recorder's mutex is a strict leaf — no method
 // acquires any other lock while holding it, and buffer state is
 // snapshotted *before* the mutex is taken. That lets NoteEvent be
-// called from the core.Observer bridge (which runs with Space.mu held)
-// without ordering constraints: NoteEvent only bumps counters and marks
-// the buffer dirty; the actual coverage sample of a dirtied buffer is
-// taken later, on the next query boundary, outside all core locks.
+// called from the engine's span fan-out (which may run with Space.mu
+// held) without ordering constraints: NoteEvent only bumps counters and
+// marks the buffer dirty; the actual coverage sample of a dirtied buffer
+// is taken later, on the next query boundary, outside all core locks.
 //
 // Disabled (the default), every entry point is a single atomic load
 // with no allocation, so the recorder can stay attached to a production
@@ -31,38 +31,6 @@ import (
 
 	"repro/internal/core"
 )
-
-// Mechanism classifies how a query was answered; the values mirror the
-// trace package's mechanism strings.
-type Mechanism int
-
-const (
-	// MechHit: answered by the partial index alone.
-	MechHit Mechanism = iota
-	// MechIndexingScan: answered by an Algorithm-1 indexing scan.
-	MechIndexingScan
-	// MechFullScan: answered by a plain full table scan (no buffer).
-	MechFullScan
-	// MechFollower: rode along on another query's shared scan.
-	MechFollower
-
-	numMechanisms
-)
-
-// String returns the trace-compatible mechanism name.
-func (m Mechanism) String() string {
-	switch m {
-	case MechHit:
-		return "hit"
-	case MechIndexingScan:
-		return "indexing-scan"
-	case MechFullScan:
-		return "full-scan"
-	case MechFollower:
-		return "shared-follower"
-	}
-	return "unknown"
-}
 
 // Sample event triggers.
 const (
@@ -177,7 +145,7 @@ type series struct {
 	dropped uint64
 
 	queries uint64
-	mech    [numMechanisms]uint64
+	mix     queryMix
 
 	displacements    uint64
 	displacedEntries uint64
@@ -194,6 +162,27 @@ type series struct {
 	regressed       bool
 	regressedAt     uint64
 	resets          uint64
+}
+
+// queryMix is a series' cumulative per-mechanism query counts.
+type queryMix struct {
+	hits, indexingScans, fullScans, followers uint64
+}
+
+// count advances the counter for mech (the flight.Mechanism vocabulary).
+// A quota-degraded pass counts with the full scans: it adapts nothing
+// (the tenant's degraded counter tracks it separately).
+func (m *queryMix) count(mech string) {
+	switch mech {
+	case "hit":
+		m.hits++
+	case "indexing-scan":
+		m.indexingScans++
+	case "full-scan", "degraded-scan":
+		m.fullScans++
+	case "shared-follower":
+		m.followers++
+	}
 }
 
 // snapshot is a buffer-state reading taken outside the recorder lock.
@@ -259,7 +248,7 @@ func (r *Recorder) Enabled() bool { return r.enabled.Load() }
 func (r *Recorder) Target() float64 { return r.target }
 
 // SampleCount returns the number of samples ever taken (survives ring
-// eviction and Reset).
+// eviction).
 func (r *Recorder) SampleCount() uint64 { return r.samples.Load() }
 
 // SetSink attaches a telemetry sink: every sample appended from now on
@@ -272,13 +261,14 @@ func (r *Recorder) SetSink(s *Sink) {
 	r.sink.Store(s)
 }
 
-// ObserveQuery records a query boundary for (table, column): the
-// mechanism mix always advances, and when buf is non-nil its coverage,
-// counter distribution and occupancy are sampled. It then re-samples
+// ObserveQuery records a query boundary for (table, column) answered by
+// mechanism mech (the flight.Mechanism vocabulary): the mechanism mix
+// always advances, and when buf is non-nil its coverage, counter
+// distribution and occupancy are sampled. It then re-samples
 // any buffers dirtied by adaptive events since the last boundary, using
 // resolve to map buffer names to buffers (resolve may be nil to skip).
 // No recorder lock is held while buffer state is read.
-func (r *Recorder) ObserveQuery(table, column string, mech Mechanism, buf *core.IndexBuffer, resolve func(string) *core.IndexBuffer) {
+func (r *Recorder) ObserveQuery(table, column, mech string, buf *core.IndexBuffer, resolve func(string) *core.IndexBuffer) {
 	if !r.enabled.Load() {
 		return
 	}
@@ -292,9 +282,7 @@ func (r *Recorder) ObserveQuery(table, column string, mech Mechanism, buf *core.
 		s.table, s.column = table, column
 	}
 	s.queries++
-	if mech >= 0 && mech < numMechanisms {
-		s.mech[mech]++
-	}
+	s.mix.count(mech)
 	delete(r.dirty, key) // this boundary samples the queried buffer itself
 	sample := r.appendLocked(s, EventQuery, now, snap)
 	rec := SampleRecord{Type: RecordSample, Buffer: s.buffer, Table: s.table, Column: s.column, Sample: sample}
@@ -337,8 +325,8 @@ func (r *Recorder) Resample(name string, buf *core.IndexBuffer) {
 // kind/target/page/n). It only touches recorder-internal state — bumps
 // churn counters, resets the convergence episode on "buffer-reset",
 // marks the target buffer dirty for the next query boundary — so it is
-// safe to call with any core lock held, including from the
-// core.Observer bridge (Space.mu held).
+// safe to call with any core lock held, including from the engine's
+// span fan-out under Space.mu.
 func (r *Recorder) NoteEvent(kind, target string, page, n int) {
 	if !r.enabled.Load() {
 		return
@@ -436,15 +424,6 @@ func (r *Recorder) Convergence() []Convergence {
 	return out
 }
 
-// Reset clears all series and dirty marks; the total sample count keeps
-// counting, mirroring the tracer's span sequence across Reset.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.series = make(map[string]*series)
-	r.dirty = make(map[string]struct{})
-}
-
 // seriesLocked returns (creating on first touch) the series for key.
 func (r *Recorder) seriesLocked(key string) *series {
 	s := r.series[key]
@@ -478,10 +457,10 @@ func (r *Recorder) appendLocked(s *series, event string, unixMicros int64, snap 
 		Displacements:    s.displacements,
 		DisplacedEntries: s.displacedEntries,
 		PageCompletes:    s.pageCompletes,
-		Hits:             s.mech[MechHit],
-		IndexingScans:    s.mech[MechIndexingScan],
-		FullScans:        s.mech[MechFullScan],
-		Followers:        s.mech[MechFollower],
+		Hits:             s.mix.hits,
+		IndexingScans:    s.mix.indexingScans,
+		FullScans:        s.mix.fullScans,
+		Followers:        s.mix.followers,
 	}
 	s.ring[s.next] = sample
 	s.next = (s.next + 1) % len(s.ring)

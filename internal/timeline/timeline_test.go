@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/flight"
 )
 
 // mkBuf builds a real IndexBuffer whose coverage is determined by the
@@ -21,21 +22,6 @@ func mkBuf(t *testing.T, name string, uncovered []int) *core.IndexBuffer {
 	return b
 }
 
-func TestMechanismString(t *testing.T) {
-	want := map[Mechanism]string{
-		MechHit:          "hit",
-		MechIndexingScan: "indexing-scan",
-		MechFullScan:     "full-scan",
-		MechFollower:     "shared-follower",
-		Mechanism(99):    "unknown",
-	}
-	for m, s := range want {
-		if got := m.String(); got != s {
-			t.Errorf("Mechanism(%d).String() = %q, want %q", m, got, s)
-		}
-	}
-}
-
 func TestTimelineDisabledIsInert(t *testing.T) {
 	r := New(0, 0)
 	if r.Enabled() {
@@ -43,7 +29,7 @@ func TestTimelineDisabledIsInert(t *testing.T) {
 	}
 	buf := mkBuf(t, "t.a", []int{0, 0})
 	allocs := testing.AllocsPerRun(100, func() {
-		r.ObserveQuery("t", "a", MechHit, buf, nil)
+		r.ObserveQuery("t", "a", "hit", buf, nil)
 		r.NoteEvent("displace", "t.a", 0, 3)
 		r.Resample("t.a", buf)
 	})
@@ -60,7 +46,7 @@ func TestTimelineRingEvictionAndDropped(t *testing.T) {
 	r.Enable(true)
 	buf := mkBuf(t, "t.a", []int{0, 1})
 	for i := 0; i < 10; i++ {
-		r.ObserveQuery("t", "a", MechIndexingScan, buf, nil)
+		r.ObserveQuery("t", "a", "indexing-scan", buf, nil)
 	}
 	s, ok := r.SeriesFor("t.a")
 	if !ok {
@@ -90,7 +76,7 @@ func TestTimelineSampleFields(t *testing.T) {
 	r.Enable(true)
 	// Counters {0, 2, 5, 0}: 2 of 4 skippable, non-zero distribution {2, 5}.
 	buf := mkBuf(t, "t.a", []int{0, 2, 5, 0})
-	r.ObserveQuery("t", "a", MechHit, buf, nil)
+	r.ObserveQuery("t", "a", "hit", buf, nil)
 	s, _ := r.SeriesFor("t.a")
 	sm := s.Samples[0]
 	if sm.Event != EventQuery || sm.Query != 1 {
@@ -113,7 +99,7 @@ func TestTimelineSampleFields(t *testing.T) {
 func TestTimelineNilBufferQueryMixOnly(t *testing.T) {
 	r := New(8, 0.95)
 	r.Enable(true)
-	r.ObserveQuery("t", "a", MechFullScan, nil, nil)
+	r.ObserveQuery("t", "a", "full-scan", nil, nil)
 	s, _ := r.SeriesFor("t.a")
 	sm := s.Samples[0]
 	if sm.TotalPages != 0 || sm.Coverage != 0 {
@@ -124,13 +110,29 @@ func TestTimelineNilBufferQueryMixOnly(t *testing.T) {
 	}
 }
 
+// TestTimelineQueryMix pins the mechanism vocabulary the timeline counts:
+// a quota-degraded scan adapts nothing, so it counts with the full
+// scans; an unknown label advances the query ordinal but no mix counter.
+func TestTimelineQueryMix(t *testing.T) {
+	r := New(8, 0.95)
+	r.Enable(true)
+	for _, mech := range []string{"hit", "indexing-scan", "full-scan", "degraded-scan", "shared-follower", "bogus"} {
+		r.ObserveQuery("t", "a", mech, nil, nil)
+	}
+	s, _ := r.SeriesFor("t.a")
+	sm := s.Samples[len(s.Samples)-1]
+	if sm.Query != 6 || sm.Hits != 1 || sm.IndexingScans != 1 || sm.FullScans != 2 || sm.Followers != 1 {
+		t.Errorf("query mix = %+v", sm)
+	}
+}
+
 func TestConvergenceAchieveRegressRecover(t *testing.T) {
 	r := New(16, 0.75)
 	r.Enable(true)
 	low := mkBuf(t, "t.a", []int{1, 1, 1, 0})  // coverage 0.25
 	high := mkBuf(t, "t.b", []int{0, 0, 0, 1}) // coverage 0.75
 
-	r.ObserveQuery("t", "a", MechIndexingScan, low, nil)
+	r.ObserveQuery("t", "a", "indexing-scan", low, nil)
 	c := r.Convergence()[0]
 	if c.Achieved || c.Regressed {
 		t.Fatalf("premature verdict: %+v", c)
@@ -139,14 +141,14 @@ func TestConvergenceAchieveRegressRecover(t *testing.T) {
 		t.Errorf("coverage tracking = %g/%g", c.Coverage, c.MaxCoverage)
 	}
 
-	r.ObserveQuery("t", "a", MechIndexingScan, high, nil)
+	r.ObserveQuery("t", "a", "indexing-scan", high, nil)
 	c = r.Convergence()[0]
 	if !c.Achieved || c.QueriesToTarget != 2 {
 		t.Fatalf("achieve not detected: %+v", c)
 	}
 
 	// Coverage drops below target after achieving: regression.
-	r.ObserveQuery("t", "a", MechIndexingScan, low, nil)
+	r.ObserveQuery("t", "a", "indexing-scan", low, nil)
 	c = r.Convergence()[0]
 	if !c.Regressed || c.RegressedAt != 3 {
 		t.Fatalf("regression not flagged: %+v", c)
@@ -156,7 +158,7 @@ func TestConvergenceAchieveRegressRecover(t *testing.T) {
 	}
 
 	// Recovery clears the flag but keeps the first-crossing ordinal.
-	r.ObserveQuery("t", "a", MechIndexingScan, high, nil)
+	r.ObserveQuery("t", "a", "indexing-scan", high, nil)
 	c = r.Convergence()[0]
 	if c.Regressed {
 		t.Errorf("regression flag not cleared on recovery: %+v", c)
@@ -180,7 +182,7 @@ func TestConvergenceBufferResetStartsNewEpisode(t *testing.T) {
 	high := mkBuf(t, "t.a", []int{0, 0, 0, 1}) // coverage 0.75
 	low := mkBuf(t, "t.a", []int{1, 1, 1, 0})  // coverage 0.25
 
-	r.ObserveQuery("t", "a", MechIndexingScan, high, nil)
+	r.ObserveQuery("t", "a", "indexing-scan", high, nil)
 	if c := r.Convergence()[0]; !c.Achieved || c.QueriesToTarget != 1 {
 		t.Fatalf("setup verdict: %+v", c)
 	}
@@ -203,11 +205,11 @@ func TestConvergenceBufferResetStartsNewEpisode(t *testing.T) {
 
 	// The fresh buffer starts low, then re-achieves: the second episode
 	// gets its own crossing ordinal, not the first's.
-	r.ObserveQuery("t", "a", MechIndexingScan, low, nil)
+	r.ObserveQuery("t", "a", "indexing-scan", low, nil)
 	if c := r.Convergence()[0]; c.Achieved || c.Regressed {
 		t.Fatalf("new episode inherited old verdict: %+v", c)
 	}
-	r.ObserveQuery("t", "a", MechIndexingScan, high, nil)
+	r.ObserveQuery("t", "a", "indexing-scan", high, nil)
 	c = r.Convergence()[0]
 	if !c.Achieved || c.QueriesToTarget != 3 {
 		t.Fatalf("re-achievement verdict: %+v", c)
@@ -228,7 +230,7 @@ func TestNoteEventDirtyResample(t *testing.T) {
 	r.NoteEvent("scan-start", "u.b", 0, 0) // not a churn event: ignored
 
 	resolved := map[string]*core.IndexBuffer{"u.b": victim}
-	r.ObserveQuery("t", "a", MechHit, queried, func(name string) *core.IndexBuffer {
+	r.ObserveQuery("t", "a", "hit", queried, func(name string) *core.IndexBuffer {
 		return resolved[name]
 	})
 
@@ -264,21 +266,6 @@ func TestTakeDirtySortedAndCleared(t *testing.T) {
 	}
 }
 
-func TestRecorderReset(t *testing.T) {
-	r := New(8, 0.95)
-	r.Enable(true)
-	r.ObserveQuery("t", "a", MechHit, nil, nil)
-	before := r.SampleCount()
-	r.Reset()
-	if len(r.Series()) != 0 {
-		t.Error("Reset left series behind")
-	}
-	r.ObserveQuery("t", "a", MechHit, nil, nil)
-	if r.SampleCount() != before+1 {
-		t.Errorf("sample count restarted: %d", r.SampleCount())
-	}
-}
-
 func TestSinkRoundTrip(t *testing.T) {
 	var out bytes.Buffer
 	sink := NewSink(&out)
@@ -287,25 +274,28 @@ func TestSinkRoundTrip(t *testing.T) {
 	r.SetSink(sink)
 
 	buf := mkBuf(t, "t.a", []int{0, 1})
-	r.ObserveQuery("t", "a", MechIndexingScan, buf, nil)
-	r.ObserveQuery("t", "a", MechHit, buf, nil)
-	sink.WriteSpan(SpanRecord{Seq: 7, Kind: "displace", Target: "t.a", Page: 3, N: 2})
+	r.ObserveQuery("t", "a", "indexing-scan", buf, nil)
+	r.ObserveQuery("t", "a", "hit", buf, nil)
+	sink.WriteSpan(flight.Span{Seq: 7, Kind: "displace", Target: "t.a", Page: 3, N: 2, Trace: "tr-1"})
+	sink.WriteFlight(flight.Record{Seq: 1, Trace: "tr-1", Mechanism: "hit", Spans: []flight.Span{{Kind: "page-select", Target: "t.a", Page: -1, N: 1}}})
 
-	if st := sink.Stats(); st.Lines != 3 || st.Errors != 0 {
+	if st := sink.Stats(); st.Lines != 4 || st.Errors != 0 {
 		t.Fatalf("sink stats = %+v", st)
 	}
 
 	var samples []SampleRecord
-	var spans []SpanRecord
+	var spans []flight.Span
+	var flights []flight.Record
 	n, err := ScanRecords(&out,
 		func(rec SampleRecord) error { samples = append(samples, rec); return nil },
-		func(rec SpanRecord) error { spans = append(spans, rec); return nil },
+		func(sp flight.Span) error { spans = append(spans, sp); return nil },
+		func(rec flight.Record) error { flights = append(flights, rec); return nil },
 	)
-	if err != nil || n != 3 {
+	if err != nil || n != 4 {
 		t.Fatalf("ScanRecords = %d, %v", n, err)
 	}
-	if len(samples) != 2 || len(spans) != 1 {
-		t.Fatalf("decoded %d samples, %d spans", len(samples), len(spans))
+	if len(samples) != 2 || len(spans) != 1 || len(flights) != 1 {
+		t.Fatalf("decoded %d samples, %d spans, %d flight records", len(samples), len(spans), len(flights))
 	}
 	if samples[0].Buffer != "t.a" || samples[0].Table != "t" || samples[0].Column != "a" {
 		t.Errorf("sample envelope = %+v", samples[0])
@@ -316,8 +306,11 @@ func TestSinkRoundTrip(t *testing.T) {
 	if samples[1].Coverage != 0.5 || samples[1].Hits != 1 {
 		t.Errorf("replayed sample = %+v", samples[1].Sample)
 	}
-	if spans[0].Kind != "displace" || spans[0].Seq != 7 || spans[0].N != 2 {
+	if spans[0].Kind != "displace" || spans[0].Seq != 7 || spans[0].N != 2 || spans[0].Trace != "tr-1" {
 		t.Errorf("replayed span = %+v", spans[0])
+	}
+	if f := flights[0]; f.Trace != "tr-1" || f.Mechanism != "hit" || len(f.Spans) != 1 || f.Spans[0].Kind != "page-select" {
+		t.Errorf("replayed flight record = %+v", f)
 	}
 }
 
@@ -331,7 +324,7 @@ func TestScanRecordsRejectsMalformed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ScanRecords(strings.NewReader(tc.input), nil, nil)
+			_, err := ScanRecords(strings.NewReader(tc.input), nil, nil, nil)
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("error = %v, want mention of %q", err, tc.wantErr)
 			}
@@ -340,7 +333,7 @@ func TestScanRecordsRejectsMalformed(t *testing.T) {
 	// Blank lines are tolerated; callback errors propagate with the line.
 	cbErr := errors.New("boom")
 	_, err := ScanRecords(strings.NewReader("\n{\"type\":\"span\",\"kind\":\"x\"}\n"),
-		nil, func(SpanRecord) error { return cbErr })
+		nil, func(flight.Span) error { return cbErr }, nil)
 	if err == nil || !errors.Is(err, cbErr) || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("callback error = %v", err)
 	}

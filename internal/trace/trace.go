@@ -1,13 +1,13 @@
-// Package trace implements query monitoring: a bounded ring of recent
-// query outcomes, per-column aggregates (hit rates, page costs, buffer
-// effectiveness, mean wall-clock), per-mechanism latency histograms,
-// and — opt-in — a ring of structured span events emitted by the
-// adaptive machinery (miss admission, shared-scan batching, Algorithm-2
-// page selection, displacement, C[p]→0 transitions). It is the
-// observability layer a DBA would use to see whether the Index Buffer
-// is earning its memory — the engine records into an attached Tracer,
-// the shell exposes it as SHOW STATS, the facade as DB.TraceReport /
-// DB.TraceEvents, and the HTTP endpoint as /metrics.
+// Package trace implements query monitoring: per-column aggregates (hit
+// rates, page costs, buffer effectiveness, mean wall-clock),
+// per-mechanism latency histograms, and — opt-in — a ring of structured
+// span events emitted by the adaptive machinery (miss admission,
+// shared-scan batching, Algorithm-2 page selection, displacement, C[p]→0
+// transitions). It is the observability layer a DBA would use to see
+// whether the Index Buffer is earning its memory — the engine records
+// into an attached Tracer, the shell exposes it as SHOW STATS, the
+// facade as DB.TraceReport / DB.TraceEvents, and the HTTP endpoint as
+// /metrics. The per-statement history lives in the flight recorder.
 //
 // Every method is safe for concurrent use. Span emission is gated by a
 // single atomic load and is allocation-free while disabled, so the
@@ -22,21 +22,11 @@ import (
 	"sync/atomic"
 
 	"repro/internal/exec"
+	"repro/internal/flight"
 	"repro/internal/metrics"
 )
 
-// Event is one recorded query outcome.
-type Event struct {
-	Table      string
-	Column     string
-	Mechanism  string // "hit", "indexing-scan", "full-scan", "degraded-scan", "shared-follower"
-	PagesRead  int
-	Skipped    int
-	Matches    int
-	WallMicros int64
-}
-
-// Aggregate summarizes the events of one (table, column) pair.
+// Aggregate summarizes the query outcomes of one (table, column) pair.
 type Aggregate struct {
 	Table, Column string
 	Queries       uint64
@@ -106,43 +96,30 @@ const (
 	// N is the worker count; emitted once per parallel scan, before the
 	// workers start.
 	SpanScanParallel = "scan-parallel"
+	// SpanBufferReset: Target's buffer was dropped wholesale (partial
+	// index dropped or redefined, or the table vacuumed); a buffer later
+	// created under the name starts a fresh adaptation episode. N is the
+	// entries released.
+	SpanBufferReset = "buffer-reset"
 )
 
-// Span is one structured event from the adaptive machinery. Seq is a
-// monotonic sequence number over the tracer's lifetime (it survives
-// Reset), so consumers can order spans across ring snapshots and detect
-// drops.
-type Span struct {
-	Seq    uint64
-	Kind   string // one of the Span* constants
-	Target string // buffer name, "table.column"
-	Page   int    // page id for page-scoped kinds, else -1
-	N      int    // kind-specific count payload (see the constants)
-	// Trace is the statement trace ID the span was emitted under, when
-	// the emitting path carried one ("" otherwise) — the per-query
-	// correlation key joining the global stream to flight records.
-	Trace string
-}
-
-// Tracer records query events and span events. Safe for concurrent use.
+// Tracer records query outcomes and span events. Safe for concurrent
+// use.
 type Tracer struct {
-	mu     sync.Mutex
-	ring   []Event
-	next   int
-	filled int
-	aggs   map[string]*Aggregate         // keyed by table+"."+column
-	lat    map[string]*metrics.Histogram // per-mechanism latency (µs)
+	mu   sync.Mutex
+	aggs map[string]*Aggregate         // keyed by table+"."+column
+	lat  map[string]*metrics.Histogram // per-mechanism latency (µs)
 
 	spansOn atomic.Bool   // gate checked before any span work
-	seq     atomic.Uint64 // monotonic span sequence, survives Reset
+	seq     atomic.Uint64 // monotonic span sequence, advanced under spanMu
 
 	// spanSink, when set, receives every recorded span after it enters
-	// the ring — the telemetry-export tap. Atomic so Span's hot path
-	// never takes a lock for it.
-	spanSink atomic.Pointer[func(Span)]
+	// the ring — the telemetry-export tap. Atomic so SpanTraced's hot
+	// path never takes a lock for it.
+	spanSink atomic.Pointer[func(flight.Span)]
 
 	spanMu     sync.Mutex
-	spans      []Span
+	spans      []flight.Span
 	spanNext   int
 	spanFilled int
 }
@@ -152,67 +129,25 @@ type Tracer struct {
 // sampled estimates past this many observations per mechanism.
 const latReservoir = 4096
 
-// New creates a tracer keeping the last capacity query events and the
-// last capacity span events (min 1 each).
+// New creates a tracer keeping the last capacity span events (min 1).
 func New(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &Tracer{
-		ring:  make([]Event, capacity),
-		spans: make([]Span, capacity),
+		spans: make([]flight.Span, capacity),
 		aggs:  make(map[string]*Aggregate),
 		lat:   make(map[string]*metrics.Histogram),
 	}
 }
 
-// Record ingests one query outcome, deriving the mechanism from the
-// stats: partial-index hit, full scan, quota-degraded scan, or indexing
-// scan.
-func (t *Tracer) Record(table, column string, stats exec.QueryStats) {
-	mech := "indexing-scan"
-	switch {
-	case stats.PartialHit:
-		mech = "hit"
-	case stats.FullScan:
-		mech = "full-scan"
-	case stats.QuotaDegraded:
-		mech = "degraded-scan"
-	}
-	t.record(table, column, mech, stats)
-}
-
-// RecordFollower ingests the outcome of a query that rode along on
-// another query's shared scan. A follower whose predicate was served by
-// the partial index (re-dispatch after an index redefinition) still
-// counts as a hit; any scanning outcome is attributed to the
-// "shared-follower" mechanism so its latency — dominated by waiting on
-// the leader — does not distort the indexing-scan histogram.
-func (t *Tracer) RecordFollower(table, column string, stats exec.QueryStats) {
-	mech := "shared-follower"
-	if stats.PartialHit {
-		mech = "hit"
-	}
-	t.record(table, column, mech, stats)
-}
-
-func (t *Tracer) record(table, column, mech string, stats exec.QueryStats) {
-	ev := Event{
-		Table:      table,
-		Column:     column,
-		Mechanism:  mech,
-		PagesRead:  stats.PagesRead,
-		Skipped:    stats.PagesSkipped,
-		Matches:    stats.Matches,
-		WallMicros: stats.Duration.Microseconds(),
-	}
+// Record ingests one query outcome answered by mechanism mech (the
+// flight.Mechanism vocabulary): it advances the column's aggregate and
+// the mechanism's latency histogram.
+func (t *Tracer) Record(table, column, mech string, stats exec.QueryStats) {
+	wall := stats.Duration.Microseconds()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.ring[t.next] = ev
-	t.next = (t.next + 1) % len(t.ring)
-	if t.filled < len(t.ring) {
-		t.filled++
-	}
 	key := table + "." + column
 	a := t.aggs[key]
 	if a == nil {
@@ -225,42 +160,14 @@ func (t *Tracer) record(table, column, mech string, stats exec.QueryStats) {
 	}
 	a.PagesRead += uint64(stats.PagesRead)
 	a.PagesSkipped += uint64(stats.PagesSkipped)
-	a.WallMicros += uint64(ev.WallMicros)
+	a.WallMicros += uint64(wall)
 
 	h := t.lat[mech]
 	if h == nil {
 		h = metrics.NewReservoirHistogram(latReservoir, int64(len(t.lat)+1))
 		t.lat[mech] = h
 	}
-	h.Observe(float64(ev.WallMicros))
-}
-
-// clampTake bounds a caller-supplied "last n" request to what a ring
-// actually holds: negative n reads as 0 (historically Recent panicked
-// on the negative make cap) and oversized n reads as everything
-// retained. Recent and Spans share it so the two rings can never
-// drift apart on boundary behavior again.
-func clampTake(n, filled int) int {
-	if n < 0 {
-		return 0
-	}
-	if n > filled {
-		return filled
-	}
-	return n
-}
-
-// Recent returns up to n most-recent events, newest first. n < 0 is
-// treated as 0 (historically this panicked on the negative make cap).
-func (t *Tracer) Recent(n int) []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n = clampTake(n, t.filled)
-	out := make([]Event, 0, n)
-	for i := 1; i <= n; i++ {
-		out = append(out, t.ring[(t.next-i+len(t.ring))%len(t.ring)])
-	}
-	return out
+	h.Observe(float64(wall))
 }
 
 // Aggregates returns per-column summaries sorted by table then column.
@@ -304,8 +211,8 @@ func (t *Tracer) LatencyStats() []MechanismLatency {
 }
 
 // EnableSpans turns span-event recording on or off. Off (the default)
-// makes Span a single atomic load — no lock, no allocation — so the
-// instrumented hot paths cost ~nothing in production.
+// makes SpanTraced a single atomic load — no lock, no allocation — so
+// the instrumented hot paths cost ~nothing in production.
 func (t *Tracer) EnableSpans(on bool) { t.spansOn.Store(on) }
 
 // SpansEnabled reports whether span events are being recorded. Callers
@@ -313,21 +220,20 @@ func (t *Tracer) EnableSpans(on bool) { t.spansOn.Store(on) }
 // check it first to keep the disabled path allocation-free.
 func (t *Tracer) SpansEnabled() bool { return t.spansOn.Load() }
 
-// Span records one span event into the span ring, stamping it with the
-// next monotonic sequence number. A no-op while spans are disabled.
-func (t *Tracer) Span(kind, target string, page, n int) {
-	t.SpanTraced(kind, target, page, n, "")
-}
-
-// SpanTraced is Span carrying the emitting statement's trace ID, so the
-// global stream stays joinable to per-statement flight records. Paths
-// without statement context pass "" (via Span).
-func (t *Tracer) SpanTraced(kind, target string, page, n int, traceID string) {
+// SpanTraced records one span event into the span ring, stamped with
+// the next monotonic sequence number and the emitting statement's trace
+// ID ("" without statement context), so the global stream stays
+// joinable to per-statement flight records. It returns the assigned
+// sequence number, or 0 (a no-op) while spans are disabled.
+func (t *Tracer) SpanTraced(kind, target string, page, n int, traceID string) uint64 {
 	if !t.spansOn.Load() {
-		return
+		return 0
 	}
-	sp := Span{Seq: t.seq.Add(1), Kind: kind, Target: target, Page: page, N: n, Trace: traceID}
+	sp := flight.Span{Kind: kind, Target: target, Page: page, N: n, Trace: traceID}
 	t.spanMu.Lock()
+	// Numbered under the ring lock, so the ring holds spans in sequence
+	// order even when emitters race.
+	sp.Seq = t.seq.Add(1)
 	t.spans[t.spanNext] = sp
 	t.spanNext = (t.spanNext + 1) % len(t.spans)
 	if t.spanFilled < len(t.spans) {
@@ -337,6 +243,7 @@ func (t *Tracer) SpanTraced(kind, target string, page, n int, traceID string) {
 	if fn := t.spanSink.Load(); fn != nil {
 		(*fn)(sp)
 	}
+	return sp.Seq
 }
 
 // SetSpanSink registers fn to receive every span after it enters the
@@ -344,7 +251,7 @@ func (t *Tracer) SpanTraced(kind, target string, page, n int, traceID string) {
 // nothing while spans are disabled — and fn runs on the emitting
 // goroutine, so it must be fast and must not call back into the
 // tracer's span path.
-func (t *Tracer) SetSpanSink(fn func(Span)) {
+func (t *Tracer) SetSpanSink(fn func(flight.Span)) {
 	if fn == nil {
 		t.spanSink.Store(nil)
 		return
@@ -352,13 +259,13 @@ func (t *Tracer) SetSpanSink(fn func(Span)) {
 	t.spanSink.Store(&fn)
 }
 
-// Spans returns up to n most-recent span events, newest first (n < 0 is
-// treated as 0, like Recent).
-func (t *Tracer) Spans(n int) []Span {
+// Spans returns up to n most-recent span events, newest first: n < 0
+// reads as 0 and n beyond the retained count as everything retained.
+func (t *Tracer) Spans(n int) []flight.Span {
 	t.spanMu.Lock()
 	defer t.spanMu.Unlock()
-	n = clampTake(n, t.spanFilled)
-	out := make([]Span, 0, n)
+	n = max(0, min(n, t.spanFilled))
+	out := make([]flight.Span, 0, n)
 	for i := 1; i <= n; i++ {
 		out = append(out, t.spans[(t.spanNext-i+len(t.spans))%len(t.spans)])
 	}
@@ -366,22 +273,8 @@ func (t *Tracer) Spans(n int) []Span {
 }
 
 // SpanCount returns the number of span events ever emitted (the last
-// assigned sequence number); it keeps counting across Reset.
+// assigned sequence number).
 func (t *Tracer) SpanCount() uint64 { return t.seq.Load() }
-
-// Reset clears all recorded state (events, aggregates, latency
-// histograms, span ring). The span sequence number keeps counting so
-// pre- and post-Reset spans remain ordered.
-func (t *Tracer) Reset() {
-	t.mu.Lock()
-	t.next, t.filled = 0, 0
-	t.aggs = make(map[string]*Aggregate)
-	t.lat = make(map[string]*metrics.Histogram)
-	t.mu.Unlock()
-	t.spanMu.Lock()
-	t.spanNext, t.spanFilled = 0, 0
-	t.spanMu.Unlock()
-}
 
 // Report renders the aggregates as an aligned text table.
 func (t *Tracer) Report() string {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/flight"
 )
 
 func stats(hit, full bool, pages, skipped, matches int) exec.QueryStats {
@@ -20,11 +21,16 @@ func stats(hit, full bool, pages, skipped, matches int) exec.QueryStats {
 	}
 }
 
+// record ingests st under the mechanism the engine would derive for it.
+func record(tr *Tracer, table, column string, follower bool, st exec.QueryStats) {
+	tr.Record(table, column, flight.Mechanism(st.PartialHit, follower, st.FullScan, st.QuotaDegraded), st)
+}
+
 func TestRecordAndAggregates(t *testing.T) {
 	tr := New(16)
-	tr.Record("t", "a", stats(true, false, 5, 0, 2))
-	tr.Record("t", "a", stats(false, false, 10, 90, 1))
-	tr.Record("t", "b", stats(false, true, 100, 0, 0))
+	record(tr, "t", "a", false, stats(true, false, 5, 0, 2))
+	record(tr, "t", "a", false, stats(false, false, 10, 90, 1))
+	record(tr, "t", "b", false, stats(false, true, 100, 0, 0))
 
 	aggs := tr.Aggregates()
 	if len(aggs) != 2 {
@@ -56,39 +62,15 @@ func TestZeroQueryAggregates(t *testing.T) {
 	}
 }
 
-func TestRecentRingOrder(t *testing.T) {
-	tr := New(3)
-	for i := 1; i <= 5; i++ {
-		tr.Record("t", "a", stats(false, false, i, 0, 0))
-	}
-	got := tr.Recent(10) // more than capacity: clipped to 3
-	if len(got) != 3 {
-		t.Fatalf("recent = %d events", len(got))
-	}
-	// Newest first: pages 5, 4, 3.
-	for i, want := range []int{5, 4, 3} {
-		if got[i].PagesRead != want {
-			t.Errorf("recent[%d].PagesRead = %d, want %d", i, got[i].PagesRead, want)
-		}
-	}
-	if got[0].Mechanism != "indexing-scan" {
-		t.Errorf("mechanism = %q", got[0].Mechanism)
-	}
-}
-
 func TestReportAndReset(t *testing.T) {
 	tr := New(8)
 	if tr.Report() != "no queries recorded" {
 		t.Errorf("empty report = %q", tr.Report())
 	}
-	tr.Record("flights", "airport", stats(true, false, 3, 0, 1))
+	record(tr, "flights", "airport", false, stats(true, false, 3, 0, 1))
 	rep := tr.Report()
 	if !strings.Contains(rep, "flights.airport") || !strings.Contains(rep, "100.0%") {
 		t.Errorf("report = %q", rep)
-	}
-	tr.Reset()
-	if tr.Report() != "no queries recorded" || len(tr.Recent(5)) != 0 {
-		t.Error("reset did not clear")
 	}
 }
 
@@ -100,8 +82,7 @@ func TestTracerConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				tr.Record("t", "a", stats(i%2 == 0, false, 1, 1, 0))
-				_ = tr.Recent(5)
+				record(tr, "t", "a", false, stats(i%2 == 0, false, 1, 1, 0))
 				_ = tr.Aggregates()
 			}
 		}()
@@ -113,8 +94,8 @@ func TestTracerConcurrent(t *testing.T) {
 	}
 }
 
-// TestTracerStress hammers every tracer entry point — including Reset
-// and the span ring — from parallel goroutines; under -race this is the
+// TestTracerStress hammers every tracer entry point — including the
+// span ring — from parallel goroutines; under -race this is the
 // monitor-correctness stress test CI runs.
 func TestTracerStress(t *testing.T) {
 	tr := New(32)
@@ -127,30 +108,26 @@ func TestTracerStress(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				switch i % 6 {
 				case 0:
-					tr.Record("t", "a", stats(i%2 == 0, false, 2, 1, 1))
+					record(tr, "t", "a", false, stats(i%2 == 0, false, 2, 1, 1))
 				case 1:
-					tr.RecordFollower("t", "a", stats(false, false, 2, 1, 1))
+					record(tr, "t", "a", true, stats(false, false, 2, 1, 1))
 				case 2:
-					tr.Span(SpanMissAdmit, "t.a", -1, 0)
+					tr.SpanTraced(SpanMissAdmit, "t.a", -1, 0, "")
 					_ = tr.Spans(10)
 				case 3:
-					_ = tr.Recent(7)
 					_ = tr.Aggregates()
+					_ = tr.SpanCount()
 				case 4:
 					_ = tr.LatencyStats()
 					_ = tr.Report()
 				case 5:
-					if g == 0 {
-						tr.Reset()
-					} else {
-						_ = tr.SpanCount()
-					}
+					tr.EnableSpans(g != 0 || i%12 != 5)
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	// Sequence numbers stay monotonic across concurrent Resets.
+	// Sequence numbers stay monotonic under concurrent emitters.
 	spans := tr.Spans(32)
 	for i := 1; i < len(spans); i++ {
 		if spans[i-1].Seq <= spans[i].Seq {
@@ -159,25 +136,12 @@ func TestTracerStress(t *testing.T) {
 	}
 }
 
-// TestRecentNegative is the regression test for the Recent(n < 0) panic
-// (negative cap passed to make).
-func TestRecentNegative(t *testing.T) {
-	tr := New(4)
-	tr.Record("t", "a", stats(false, false, 1, 0, 0))
-	if got := tr.Recent(-1); len(got) != 0 {
-		t.Errorf("Recent(-1) = %d events, want 0", len(got))
-	}
-	if got := tr.Spans(-3); len(got) != 0 {
-		t.Errorf("Spans(-3) = %d spans, want 0", len(got))
-	}
-}
-
 // TestReportMeanMicros covers the µs/query column: WallMicros was
 // historically accumulated into the aggregate but never surfaced.
 func TestReportMeanMicros(t *testing.T) {
 	tr := New(8)
-	tr.Record("t", "a", stats(true, false, 1, 0, 0)) // 3ms each
-	tr.Record("t", "a", stats(true, false, 1, 0, 0))
+	record(tr, "t", "a", false, stats(true, false, 1, 0, 0)) // 3ms each
+	record(tr, "t", "a", false, stats(true, false, 1, 0, 0))
 	a := tr.Aggregates()[0]
 	if got := a.MeanWallMicros(); got != 3000 {
 		t.Errorf("MeanWallMicros = %v, want 3000", got)
@@ -193,11 +157,11 @@ func TestReportMeanMicros(t *testing.T) {
 
 func TestLatencyStatsPerMechanism(t *testing.T) {
 	tr := New(8)
-	tr.Record("t", "a", stats(true, false, 1, 0, 0))  // hit
-	tr.Record("t", "a", stats(false, false, 5, 0, 0)) // indexing-scan
-	tr.Record("t", "b", stats(false, true, 9, 0, 0))  // full-scan
-	tr.RecordFollower("t", "a", stats(false, false, 5, 0, 0))
-	tr.RecordFollower("t", "a", stats(true, false, 1, 0, 0)) // follower served as hit
+	record(tr, "t", "a", false, stats(true, false, 1, 0, 0))  // hit
+	record(tr, "t", "a", false, stats(false, false, 5, 0, 0)) // indexing-scan
+	record(tr, "t", "b", false, stats(false, true, 9, 0, 0))  // full-scan
+	record(tr, "t", "a", true, stats(false, false, 5, 0, 0))
+	record(tr, "t", "a", true, stats(true, false, 1, 0, 0)) // follower served as hit
 
 	ls := tr.LatencyStats()
 	got := map[string]int{}
@@ -217,7 +181,7 @@ func TestLatencyStatsPerMechanism(t *testing.T) {
 
 func TestSpansDisabledByDefault(t *testing.T) {
 	tr := New(8)
-	tr.Span(SpanMissAdmit, "t.a", -1, 0)
+	tr.SpanTraced(SpanMissAdmit, "t.a", -1, 0, "")
 	if got := tr.Spans(10); len(got) != 0 {
 		t.Errorf("spans recorded while disabled: %v", got)
 	}
@@ -233,7 +197,7 @@ func TestSpanRingOrderAndWrap(t *testing.T) {
 	tr := New(3)
 	tr.EnableSpans(true)
 	for i := 1; i <= 5; i++ {
-		tr.Span(SpanPageComplete, "t.a", i, i*10)
+		tr.SpanTraced(SpanPageComplete, "t.a", i, i*10, "")
 	}
 	got := tr.Spans(10)
 	if len(got) != 3 {
@@ -251,25 +215,20 @@ func TestSpanRingOrderAndWrap(t *testing.T) {
 	if tr.SpanCount() != 5 {
 		t.Errorf("SpanCount = %d, want 5", tr.SpanCount())
 	}
-	// Reset clears the ring but the sequence keeps counting.
-	tr.Reset()
-	if len(tr.Spans(10)) != 0 {
-		t.Error("Reset did not clear spans")
-	}
-	tr.Span(SpanMissAdmit, "t.a", -1, 0)
-	if got := tr.Spans(1); len(got) != 1 || got[0].Seq != 6 {
-		t.Errorf("post-Reset span = %+v, want seq 6", got)
+	// The returned sequence number is the one the ring holds.
+	if seq := tr.SpanTraced(SpanMissAdmit, "t.a", -1, 0, ""); seq != 6 || tr.Spans(1)[0].Seq != 6 {
+		t.Errorf("SpanTraced returned seq %d, ring holds %+v, want 6", seq, tr.Spans(1))
 	}
 }
 
 // TestSpanDisabledZeroAlloc pins the overhead contract: with spans
-// disabled, Span is one atomic load and allocates nothing.
+// disabled, SpanTraced is one atomic load and allocates nothing.
 func TestSpanDisabledZeroAlloc(t *testing.T) {
 	tr := New(8)
 	if avg := testing.AllocsPerRun(200, func() {
-		tr.Span(SpanPageSelect, "t.a", -1, 12)
+		tr.SpanTraced(SpanPageSelect, "t.a", -1, 12, "")
 	}); avg != 0 {
-		t.Errorf("disabled Span allocates %v per call, want 0", avg)
+		t.Errorf("disabled SpanTraced allocates %v per call, want 0", avg)
 	}
 }
 
@@ -277,7 +236,7 @@ func BenchmarkSpanDisabled(b *testing.B) {
 	tr := New(512)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Span(SpanMissAdmit, "t.a", -1, 0)
+		tr.SpanTraced(SpanMissAdmit, "t.a", -1, 0, "")
 	}
 }
 
@@ -286,7 +245,7 @@ func BenchmarkSpanEnabled(b *testing.B) {
 	tr.EnableSpans(true)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Span(SpanMissAdmit, "t.a", -1, 0)
+		tr.SpanTraced(SpanMissAdmit, "t.a", -1, 0, "")
 	}
 }
 
@@ -295,28 +254,29 @@ func BenchmarkRecord(b *testing.B) {
 	st := stats(true, false, 3, 0, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Record("t", "a", st)
+		record(tr, "t", "a", false, st)
 	}
 }
 
 func TestCapacityClamp(t *testing.T) {
 	tr := New(0)
-	tr.Record("t", "a", stats(false, false, 1, 0, 0))
-	if got := tr.Recent(5); len(got) != 1 {
-		t.Errorf("recent = %d", len(got))
+	tr.EnableSpans(true)
+	tr.SpanTraced(SpanMissAdmit, "t.a", -1, 0, "")
+	tr.SpanTraced(SpanScanLead, "t.a", -1, 1, "")
+	if got := tr.Spans(5); len(got) != 1 || got[0].Kind != SpanScanLead {
+		t.Errorf("spans = %+v, want only the newest", got)
 	}
 }
 
-// TestRecentSpansClampBoundaries pins the shared clamp behavior of the
-// two ring readers at every boundary: negative, zero, partial, exact,
-// and oversized n must behave identically for Recent and Spans.
+// TestRecentSpansClampBoundaries pins the span ring reader's clamp at
+// every boundary: negative, zero, partial, exact, and oversized n.
+// (Negative n once panicked on the negative make cap.)
 func TestRecentSpansClampBoundaries(t *testing.T) {
 	const capacity, recorded = 4, 3
 	tr := New(capacity)
 	tr.EnableSpans(true)
 	for i := 0; i < recorded; i++ {
-		tr.Record("t", "a", stats(false, false, 1, 0, 0))
-		tr.Span(SpanMissAdmit, "t.a", -1, 0)
+		tr.SpanTraced(SpanMissAdmit, "t.a", -1, 0, "")
 	}
 	cases := []struct {
 		name string
@@ -334,9 +294,6 @@ func TestRecentSpansClampBoundaries(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := len(tr.Recent(tc.n)); got != tc.want {
-				t.Errorf("Recent(%d) = %d events, want %d", tc.n, got, tc.want)
-			}
 			if got := len(tr.Spans(tc.n)); got != tc.want {
 				t.Errorf("Spans(%d) = %d spans, want %d", tc.n, got, tc.want)
 			}
@@ -349,26 +306,26 @@ func TestRecentSpansClampBoundaries(t *testing.T) {
 func TestSpanSink(t *testing.T) {
 	tr := New(8)
 	var mu sync.Mutex
-	var got []Span
-	tr.SetSpanSink(func(sp Span) {
+	var got []flight.Span
+	tr.SetSpanSink(func(sp flight.Span) {
 		mu.Lock()
 		got = append(got, sp)
 		mu.Unlock()
 	})
 
 	// Gate closed: sink sees nothing.
-	tr.Span(SpanDisplace, "t.a", 3, 2)
+	tr.SpanTraced(SpanDisplace, "t.a", 3, 2, "")
 	if len(got) != 0 {
 		t.Fatalf("sink fired while spans disabled: %+v", got)
 	}
 
 	tr.EnableSpans(true)
-	tr.Span(SpanDisplace, "t.a", 3, 2)
-	tr.Span(SpanPageComplete, "t.a", 4, 7)
+	tr.SpanTraced(SpanDisplace, "t.a", 3, 2, "tr-1")
+	tr.SpanTraced(SpanPageComplete, "t.a", 4, 7, "")
 	if len(got) != 2 {
 		t.Fatalf("sink saw %d spans, want 2", len(got))
 	}
-	if got[0].Kind != SpanDisplace || got[0].Page != 3 || got[0].N != 2 {
+	if got[0].Kind != SpanDisplace || got[0].Page != 3 || got[0].N != 2 || got[0].Trace != "tr-1" {
 		t.Errorf("first sunk span = %+v", got[0])
 	}
 	if got[1].Seq != got[0].Seq+1 {
@@ -376,7 +333,7 @@ func TestSpanSink(t *testing.T) {
 	}
 
 	tr.SetSpanSink(nil)
-	tr.Span(SpanMissAdmit, "t.a", -1, 0)
+	tr.SpanTraced(SpanMissAdmit, "t.a", -1, 0, "")
 	if len(got) != 2 {
 		t.Errorf("sink fired after detach: %d spans", len(got))
 	}
