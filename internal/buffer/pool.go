@@ -16,6 +16,7 @@ type Frame struct {
 	data  []byte
 	pins  int
 	dirty bool
+	lsn   uint64        // log record that last imaged the page; 0 = none
 	lru   *list.Element // position in the pool's eviction list when unpinned
 
 	// ready is non-nil while the frame's store read is in flight: the
@@ -39,6 +40,12 @@ func (f *Frame) Data() []byte { return f.data }
 // store before the frame is recycled.
 func (f *Frame) MarkDirty() { f.dirty = true }
 
+// SetLSN notes the log record that now images the page. Write-back of
+// the frame first forces the log through that record (see
+// Pool.SetWriteAhead). Like MarkDirty, it is called with the frame
+// pinned.
+func (f *Frame) SetLSN(lsn uint64) { f.lsn = lsn }
+
 // PoolStats is a snapshot of buffer pool activity.
 type PoolStats struct {
 	Hits      uint64 // fetches served from memory
@@ -60,6 +67,11 @@ type Pool struct {
 	frames   map[storage.PageID]*Frame
 	evict    *list.List // unpinned frames, front = least recently used
 	stats    PoolStats
+
+	// writeAhead, when set, forces the log through a frame's LSN before
+	// the frame's image is written back: the write-ahead rule. It runs
+	// under mu, so it must never take the pool's lock.
+	writeAhead func(lsn uint64) error
 }
 
 // NewPool creates a pool holding at most capacity pages. Capacity must be
@@ -74,6 +86,27 @@ func NewPool(store Store, capacity int) (*Pool, error) {
 		frames:   make(map[storage.PageID]*Frame, capacity),
 		evict:    list.New(),
 	}, nil
+}
+
+// SetWriteAhead installs the write-ahead hook: before a dirty frame is
+// written back (eviction or FlushAll), force(lsn) must make the log
+// durable through the frame's LSN. Call it before the pool is shared.
+func (p *Pool) SetWriteAhead(force func(lsn uint64) error) { p.writeAhead = force }
+
+// writeBackLocked writes one dirty frame to the store, forcing the log
+// through the frame's LSN first.
+func (p *Pool) writeBackLocked(f *Frame) error {
+	if p.writeAhead != nil && f.lsn != 0 {
+		if err := p.writeAhead(f.lsn); err != nil {
+			return fmt.Errorf("log force: %w", err)
+		}
+	}
+	if err := p.store.Write(f.id, f.data); err != nil {
+		return err
+	}
+	p.stats.Flushes++
+	f.dirty = false
+	return nil
 }
 
 // Capacity returns the configured frame count.
@@ -203,11 +236,9 @@ func (p *Pool) evictOneLocked() ([]byte, error) {
 	}
 	f := el.Value.(*Frame)
 	if f.dirty {
-		if err := p.store.Write(f.id, f.data); err != nil {
+		if err := p.writeBackLocked(f); err != nil {
 			return nil, fmt.Errorf("buffer: writeback of page %d: %w", f.id, err)
 		}
-		p.stats.Flushes++
-		f.dirty = false
 	}
 	p.evict.Remove(el)
 	f.lru = nil
@@ -225,11 +256,9 @@ func (p *Pool) FlushAll() error {
 	defer p.mu.Unlock()
 	for _, f := range p.frames {
 		if f.dirty {
-			if err := p.store.Write(f.id, f.data); err != nil {
+			if err := p.writeBackLocked(f); err != nil {
 				return fmt.Errorf("buffer: flush of page %d: %w", f.id, err)
 			}
-			p.stats.Flushes++
-			f.dirty = false
 		}
 	}
 	return nil

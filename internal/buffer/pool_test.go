@@ -113,6 +113,52 @@ func TestPoolWritebackOnEvict(t *testing.T) {
 	}
 }
 
+// TestPoolWriteAheadHook: both write-back sites force the log through
+// the frame's LSN before the store write, skip frames no record images,
+// and keep the frame dirty when the force fails.
+func TestPoolWriteAheadHook(t *testing.T) {
+	p, d := newPoolT(t, 1, 3)
+	var forced []uint64
+	var fail error
+	p.SetWriteAhead(func(lsn uint64) error {
+		forced = append(forced, lsn)
+		return fail
+	})
+	dirty := func(id storage.PageID, lsn uint64) {
+		t.Helper()
+		f, err := p.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.MarkDirty()
+		f.SetLSN(lsn)
+		p.Unpin(f)
+	}
+	dirty(0, 7)
+	dirty(1, 0) // evicts page 0 after forcing LSN 7; page 1 has no record
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if len(forced) != 1 || forced[0] != 7 {
+		t.Fatalf("forced %v, want [7]", forced)
+	}
+	if w := d.Stats().Writes; w != 2 {
+		t.Fatalf("store writes = %d, want 2", w)
+	}
+
+	fail = errors.New("log down")
+	dirty(2, 9)
+	if err := p.FlushAll(); !errors.Is(err, fail) {
+		t.Fatalf("FlushAll with failing force = %v", err)
+	}
+	if w := d.Stats().Writes; w != 2 {
+		t.Fatalf("page written despite the failed force: %d writes", w)
+	}
+	if p.DirtyCount() != 1 {
+		t.Fatal("frame lost its dirty mark with the failed force")
+	}
+}
+
 func TestPoolAllPinnedFails(t *testing.T) {
 	p, _ := newPoolT(t, 1, 2)
 	f, err := p.Fetch(0)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -21,7 +22,9 @@ import (
 // WAL-backed engine that is abandoned ("crashed") at some boundary,
 // reopened via Load, and diffed — RIDs, tuples, counts, and query
 // results — against a never-crashed in-memory oracle that executed the
-// same acknowledged prefix.
+// same acknowledged prefix. Besides one-row DML the stream carries
+// multi-row statements (a k-row insert, a delete-by-key), each run as
+// one Table.Exec with one commit.
 
 const (
 	opInsert = iota
@@ -30,6 +33,8 @@ const (
 	opQueryEqual
 	opQueryRange
 	opCheckpoint
+	opInsertMany // one statement inserting n rows
+	opDeleteKey  // one statement deleting every row with key k
 	opKinds
 )
 
@@ -39,7 +44,12 @@ type crashOp struct {
 	k, k2 int64 // value draws
 	pick  int64 // live-RID selector for update/delete
 	pad   int   // payload size
+	n     int   // rows of an opInsertMany
 }
+
+// statement reports whether the op is a multi-row statement, whose rows
+// a crash inside it may leave in either state.
+func (op crashOp) statement() bool { return op.kind == opInsertMany || op.kind == opDeleteKey }
 
 // crashScript derives a deterministic op stream: a seeded bulk-load
 // prefix, then a DML/query/checkpoint mix with values from the
@@ -60,7 +70,7 @@ func crashScript(seed int64, loads, mixed int) []crashOp {
 			k:     draw(rng), k2: draw(rng),
 			pick: rng.Int63(), pad: 1 + rng.Intn(900),
 		}
-		switch r := rng.Intn(10); {
+		switch r := rng.Intn(12); {
 		case r < 3:
 			op.kind = opInsert
 		case r < 5:
@@ -71,8 +81,13 @@ func crashScript(seed int64, loads, mixed int) []crashOp {
 			op.kind = opQueryEqual
 		case r < 9:
 			op.kind = opQueryRange
-		default:
+		case r < 10:
 			op.kind = opCheckpoint
+		case r < 11:
+			op.kind = opInsertMany
+			op.n = 2 + rng.Intn(5)
+		default:
+			op.kind = opDeleteKey
 		}
 		ops = append(ops, op)
 	}
@@ -151,6 +166,51 @@ func (r *crashRig) apply(op crashOp) error {
 			return err
 		}
 		*rids = append((*rids)[:i], (*rids)[i+1:]...)
+	case opInsertMany:
+		var added []storage.RID
+		err := tb.Exec(context.Background(), func(s *Stmt) error {
+			for j := 0; j < op.n; j++ {
+				tu := storage.NewTuple(
+					storage.Int64Value(op.k+int64(j)), storage.Int64Value(op.k2),
+					storage.StringValue(strings.Repeat("m", op.pad)),
+				)
+				rid, err := s.Insert(tu)
+				if err != nil {
+					return err
+				}
+				added = append(added, rid)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		*rids = append(*rids, added...)
+	case opDeleteKey:
+		matches, _, err := tb.QueryEqual(0, storage.Int64Value(op.k))
+		if err != nil {
+			return err
+		}
+		gone := make(map[storage.RID]bool, len(matches))
+		err = tb.Exec(context.Background(), func(s *Stmt) error {
+			for _, m := range matches {
+				if err := s.Delete(m.RID); err != nil {
+					return err
+				}
+				gone[m.RID] = true
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		kept := (*rids)[:0]
+		for _, rid := range *rids {
+			if !gone[rid] {
+				kept = append(kept, rid)
+			}
+		}
+		*rids = kept
 	case opQueryEqual:
 		_, _, err := tb.QueryEqual(0, storage.Int64Value(op.k))
 		return err
@@ -214,6 +274,57 @@ func diffRigs(t *testing.T, label string, got, want *crashRig) {
 	}
 }
 
+// diffInFlight is diffRigs for a crash inside a multi-row statement:
+// before is the oracle without the statement, after the oracle with all
+// of it. Each of the statement's rows may be in either state, so every
+// row both oracles hold must survive, and every recovered row must be
+// one of either oracle's. Queries must agree with the recovered rows.
+func diffInFlight(t *testing.T, label string, got, before, after *crashRig) {
+	t.Helper()
+	for i := range before.tables {
+		name := before.tables[i].Name()
+		inBefore, inAfter := map[string]bool{}, map[string]bool{}
+		for _, r := range contents(t, before.tables[i]) {
+			inBefore[r] = true
+		}
+		for _, r := range contents(t, after.tables[i]) {
+			inAfter[r] = true
+		}
+		g := got.eng.Table(name)
+		have := map[string]bool{}
+		for _, r := range contents(t, g) {
+			if !inBefore[r] && !inAfter[r] {
+				t.Fatalf("%s: table %s recovered row %s is in neither oracle", label, name, r)
+			}
+			have[r] = true
+		}
+		for r := range inBefore {
+			if inAfter[r] && !have[r] {
+				t.Fatalf("%s: table %s lost row %s, which the statement never touched", label, name, r)
+			}
+		}
+		for _, key := range []int64{5, 50, 150} {
+			want := 0
+			err := g.Scan(func(_ storage.RID, tu storage.Tuple) error {
+				if tu.Value(0).Equal(storage.Int64Value(key)) {
+					want++
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s: scan: %v", label, err)
+			}
+			gm, _, err := g.QueryEqual(0, storage.Int64Value(key))
+			if err != nil {
+				t.Fatalf("%s: recovered query: %v", label, err)
+			}
+			if len(gm) != want {
+				t.Fatalf("%s: table %s key %d: %d matches, %d rows hold the key", label, name, key, len(gm), want)
+			}
+		}
+	}
+}
+
 // oracleRig replays the first n ops on a fresh in-memory engine.
 func oracleRig(t *testing.T, ops []crashOp, n int) *crashRig {
 	t.Helper()
@@ -269,45 +380,86 @@ func TestCrashRecoveryAtEveryOpBoundary(t *testing.T) {
 
 // TestCrashDuringFlush injects store-level write faults so the "crash"
 // lands inside a page writeback or checkpoint flush, at a sweep of
-// countdown positions. Acknowledged ops must still recover exactly.
+// countdown positions. Acknowledged ops must still recover exactly; the
+// rows of a multi-row statement the fault interrupts may be in either
+// state. The mixed stream's faults land in checkpoint flushes; the
+// statement stream arms them after loading a heap several times the
+// pool, so they land in evictions inside statements, between one row's
+// append and the statement's commit.
 func TestCrashDuringFlush(t *testing.T) {
-	ops := crashScript(11, 24, 140)
-	for _, writesLeft := range []int{0, 1, 2, 4, 7, 12} {
-		writesLeft := writesLeft
-		t.Run(fmt.Sprintf("writesLeft=%d", writesLeft), func(t *testing.T) {
-			t.Parallel()
-			dir := t.TempDir()
-			cfg := crashConfig(dir)
-			var faults []*buffer.FaultStore
-			cfg.wrapStore = func(_ string, s pageStore) pageStore {
-				fs := buffer.NewFaultStore(s)
-				fs.SetWritesLeft(writesLeft)
-				faults = append(faults, fs)
-				return fs
-			}
-			rig := newCrashRig(t, New(cfg))
-			acked := 0
-			for _, op := range ops {
-				if err := rig.apply(op); err != nil {
-					if !errors.Is(err, buffer.ErrInjected) {
-						t.Fatalf("op %d: unexpected error: %v", acked, err)
-					}
-					break
+	sweep := func(prefix string, ops []crashOp, armAt int) {
+		for _, writesLeft := range []int{0, 1, 2, 4, 7, 12} {
+			writesLeft := writesLeft
+			t.Run(fmt.Sprintf("%swritesLeft=%d", prefix, writesLeft), func(t *testing.T) {
+				t.Parallel()
+				dir := t.TempDir()
+				cfg := crashConfig(dir)
+				var faults []*buffer.FaultStore
+				cfg.wrapStore = func(_ string, s pageStore) pageStore {
+					fs := buffer.NewFaultStore(s)
+					faults = append(faults, fs)
+					return fs
 				}
-				acked++
-			}
-			if acked == len(ops) {
-				t.Fatalf("fault never fired (writesLeft=%d)", writesLeft)
-			}
-			recovered, err := Load(crashConfig(dir))
-			if err != nil {
-				t.Fatalf("Load after mid-flush crash: %v", err)
-			}
-			defer recovered.Close()
-			got := &crashRig{eng: recovered}
-			diffRigs(t, fmt.Sprintf("mid-flush, %d acked", acked), got, oracleRig(t, ops, acked))
+				rig := newCrashRig(t, New(cfg))
+				acked := 0
+				for i, op := range ops {
+					if i == armAt {
+						for _, fs := range faults {
+							fs.SetWritesLeft(writesLeft)
+						}
+					}
+					if err := rig.apply(op); err != nil {
+						if !errors.Is(err, buffer.ErrInjected) {
+							t.Fatalf("op %d: unexpected error: %v", acked, err)
+						}
+						break
+					}
+					acked++
+				}
+				if acked == len(ops) {
+					t.Fatalf("fault never fired (writesLeft=%d)", writesLeft)
+				}
+				recovered, err := Load(crashConfig(dir))
+				if err != nil {
+					t.Fatalf("Load after mid-flush crash: %v", err)
+				}
+				defer recovered.Close()
+				got := &crashRig{eng: recovered}
+				label := fmt.Sprintf("mid-flush, %d acked", acked)
+				if ops[acked].statement() {
+					diffInFlight(t, label, got, oracleRig(t, ops, acked), oracleRig(t, ops, acked+1))
+					return
+				}
+				diffRigs(t, label, got, oracleRig(t, ops, acked))
+			})
+		}
+	}
+	sweep("", crashScript(11, 24, 140), 0)
+	const loads = 80
+	sweep("stmt-", statementScript(43, loads, 40), loads)
+}
+
+// statementScript is a load of wide rows over a small key domain, then
+// only multi-row statements: k-row inserts alternating with deletes of
+// every row holding a key.
+func statementScript(seed int64, loads, stmts int) []crashOp {
+	rng := rand.New(rand.NewSource(seed))
+	draw := workload.Uniform(1, 30)
+	var ops []crashOp
+	for i := 0; i < loads; i++ {
+		ops = append(ops, crashOp{
+			kind: opInsert, table: i % 2,
+			k: draw(rng), k2: draw(rng), pad: 500 + rng.Intn(400),
 		})
 	}
+	for i := 0; i < stmts; i++ {
+		op := crashOp{kind: opDeleteKey, table: rng.Intn(2), k: draw(rng), k2: draw(rng)}
+		if i%2 == 0 {
+			op.kind, op.n, op.pad = opInsertMany, 2+rng.Intn(5), 500+rng.Intn(400)
+		}
+		ops = append(ops, op)
+	}
+	return ops
 }
 
 // TestTornWALTailRecovery scribbles garbage onto the end of the last

@@ -22,6 +22,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -383,7 +384,7 @@ func (e *Engine) createTable(tn *core.Tenant, name string, schema *storage.Schem
 	if e.cfg.wrapStore != nil {
 		store = e.cfg.wrapStore(name, store)
 	}
-	pool, err := buffer.NewPool(store, e.cfg.PoolPages)
+	pool, err := e.newPool(store)
 	if err != nil {
 		return nil, err
 	}
@@ -615,28 +616,107 @@ func (t *Table) redefineIndex(column int, cov index.Coverage) error {
 	return nil
 }
 
-// Insert adds a tuple, maintaining every index and Index Buffer. On
-// WAL-backed engines the operation is durable when Insert returns (per
-// the sync policy): the record carries the dirtied page's full image,
-// and Commit blocks until the log reaches stable storage.
-func (t *Table) Insert(tu storage.Tuple) (storage.RID, error) {
-	return t.InsertCtx(context.Background(), tu)
+// Stmt is one DML statement's exclusive section, handed to the
+// function Exec runs. Its Insert, Delete and Update apply one row each
+// and append that row's log record; the statement's one commit waits
+// for the last record after Exec releases the table lock. A Stmt is
+// valid only inside its Exec call.
+type Stmt struct {
+	t       *Table
+	fa      *flight.Active
+	last    wal.LSN       // the statement's last record; 0 until one is logged
+	walTime time.Duration // append time so far, for the flight record
 }
 
-// InsertCtx is Insert carrying statement context: a flight-recorded
-// statement attributes the WAL commit latency and group-commit batch to
-// its record. The insert itself does not honor cancellation (a started
-// mutation always completes and commits).
-func (t *Table) InsertCtx(ctx context.Context, tu storage.Tuple) (storage.RID, error) {
+// Exec runs fn as one DML statement: it takes the table lock once, lets
+// fn apply any number of rows through the Stmt, releases the lock, and
+// then commits the statement's log records with one Commit. On
+// WAL-backed engines every row fn applied is durable when Exec returns
+// (per the sync policy), rows applied before fn's error included; a
+// failed commit is joined to that error. Waiting for the fsync outside
+// the lock lets concurrent statements share group-commit fsyncs instead
+// of queueing behind each other's. A flight-recorded statement in ctx
+// gets the append and commit time and the group-commit batch. Rows do
+// not honor cancellation: a started mutation always completes and
+// commits.
+func (t *Table) Exec(ctx context.Context, fn func(*Stmt) error) error {
+	s, err := t.begin(ctx)
+	if err != nil {
+		return err
+	}
+	return s.end(fn(&s))
+}
+
+// begin opens a statement: it refuses a closed engine or a failed WAL,
+// then takes the table lock exclusive. Every begin is paired with end.
+func (t *Table) begin(ctx context.Context) (Stmt, error) {
 	if err := t.engine.checkOpen(); err != nil {
-		return storage.InvalidRID, err
+		return Stmt{}, err
 	}
 	if err := t.engine.walError(); err != nil {
-		return storage.InvalidRID, err
+		return Stmt{}, err
 	}
 	fa := t.engine.flightActive(ctx)
 	t.mu.Lock()
-	defer t.mu.Unlock()
+	return Stmt{t: t, fa: fa}, nil
+}
+
+// end closes the statement: it releases the table lock, then commits
+// the rows applied, joining a commit failure to err.
+func (s *Stmt) end(err error) error {
+	s.t.mu.Unlock()
+	if cerr := s.commit(); cerr != nil {
+		err = errors.Join(err, cerr)
+	}
+	return err
+}
+
+// Insert adds a tuple, maintaining every index and Index Buffer. On
+// WAL-backed engines the operation is durable when Insert returns (per
+// the sync policy): the record carries the dirtied page's full image,
+// and the commit blocks until the log reaches stable storage.
+// It is a one-row Exec.
+func (t *Table) Insert(tu storage.Tuple) (storage.RID, error) {
+	s, err := t.begin(context.Background())
+	if err != nil {
+		return storage.InvalidRID, err
+	}
+	rid, err := s.Insert(tu)
+	return rid, s.end(err)
+}
+
+// Get fetches the tuple at rid.
+func (t *Table) Get(rid storage.RID) (storage.Tuple, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.heap.Get(rid)
+}
+
+// Delete removes the tuple at rid, maintaining indexes and buffers.
+// Durable on return for WAL-backed engines, like Insert.
+func (t *Table) Delete(rid storage.RID) error {
+	s, err := t.begin(context.Background())
+	if err != nil {
+		return err
+	}
+	return s.end(s.Delete(rid))
+}
+
+// Update replaces the tuple at rid, returning the possibly relocated RID
+// and maintaining indexes and buffers per the paper's Table I. Durable
+// on return for WAL-backed engines.
+func (t *Table) Update(rid storage.RID, tu storage.Tuple) (storage.RID, error) {
+	s, err := t.begin(context.Background())
+	if err != nil {
+		return storage.InvalidRID, err
+	}
+	newRID, err := s.Update(rid, tu)
+	return newRID, s.end(err)
+}
+
+// Insert adds one row of the statement; see Table.Insert.
+func (s *Stmt) Insert(tu storage.Tuple) (storage.RID, error) {
+	t := s.t
 	t.beginMutate()
 	rid, err := t.heap.Insert(tu)
 	if err != nil {
@@ -655,42 +735,21 @@ func (t *Table) InsertCtx(ctx context.Context, tu storage.Tuple) (storage.RID, e
 	}
 	// The seqlock window closes here, before the WAL append: the heap,
 	// indexes and buffers already carry the final state, so lock-free
-	// readers may proceed while this operation waits out its fsync —
+	// readers may proceed while the statement waits out its fsync —
 	// exactly the reader/writer convoy the epoch read path removes.
 	t.endMutate()
 	// The dirtied page is still resident (nothing fetched since the heap
-	// write), so the image capture is a pool hit; see wal.go for why the
-	// record must precede any eviction of that page.
-	if err := t.logDML(fa, wal.KindInsert, rid, storage.InvalidRID, rid.Page); err != nil {
+	// write), so the image capture is a pool hit; see Stmt.log for why
+	// the record must precede any eviction of that page.
+	if err := s.log(wal.KindInsert, rid, storage.InvalidRID, rid.Page); err != nil {
 		return rid, err
 	}
 	return rid, nil
 }
 
-// Get fetches the tuple at rid.
-func (t *Table) Get(rid storage.RID) (storage.Tuple, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.heap.Get(rid)
-}
-
-// Delete removes the tuple at rid, maintaining indexes and buffers.
-// Durable on return for WAL-backed engines, like Insert.
-func (t *Table) Delete(rid storage.RID) error {
-	return t.DeleteCtx(context.Background(), rid)
-}
-
-// DeleteCtx is Delete carrying statement context; see InsertCtx.
-func (t *Table) DeleteCtx(ctx context.Context, rid storage.RID) error {
-	if err := t.engine.checkOpen(); err != nil {
-		return err
-	}
-	if err := t.engine.walError(); err != nil {
-		return err
-	}
-	fa := t.engine.flightActive(ctx)
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// Delete removes one row of the statement; see Table.Delete.
+func (s *Stmt) Delete(rid storage.RID) error {
+	t := s.t
 	old, err := t.heap.Get(rid)
 	if err != nil {
 		return err
@@ -710,42 +769,25 @@ func (t *Table) DeleteCtx(ctx context.Context, rid storage.RID) error {
 			b.MaintainDelete(v, rid, wasInIX)
 		}
 	}
-	t.endMutate() // before the WAL append; see Insert
-	return t.logDML(fa, wal.KindDelete, rid, storage.InvalidRID, rid.Page)
+	t.endMutate() // before the WAL append; see Stmt.Insert
+	return s.log(wal.KindDelete, rid, storage.InvalidRID, rid.Page)
 }
 
-// Update replaces the tuple at rid, returning the possibly relocated RID
-// and maintaining indexes and buffers per the paper's Table I. Durable
-// on return for WAL-backed engines.
-func (t *Table) Update(rid storage.RID, tu storage.Tuple) (storage.RID, error) {
-	return t.UpdateCtx(context.Background(), rid, tu)
-}
-
-// UpdateCtx is Update carrying statement context; see InsertCtx.
-func (t *Table) UpdateCtx(ctx context.Context, rid storage.RID, tu storage.Tuple) (storage.RID, error) {
-	if err := t.engine.checkOpen(); err != nil {
-		return storage.InvalidRID, err
-	}
-	if err := t.engine.walError(); err != nil {
-		return storage.InvalidRID, err
-	}
-	fa := t.engine.flightActive(ctx)
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// Update replaces one row of the statement; see Table.Update.
+func (s *Stmt) Update(rid storage.RID, tu storage.Tuple) (storage.RID, error) {
+	t := s.t
 	old, err := t.heap.Get(rid)
 	if err != nil {
 		return storage.InvalidRID, err
 	}
-	// Pin the pre-image page for the duration of the operation. A
-	// relocating update dirties the old page and then allocates into
-	// others; without the pin those fetches could evict the dirty old
-	// page — writing it to the store before its log record exists, the
-	// one ordering the write-ahead rule forbids (a crash in that window
-	// would lose the tuple: gone from the old page, never logged into
-	// the new one).
-	var oldFrame *buffer.Frame
+	// Pin the pre-image page until the row is logged. A relocating
+	// update dirties the old page and then allocates into others;
+	// without the pin those fetches could evict the dirty old page —
+	// writing it to the store before its log record exists, a window the
+	// frame-LSN guard cannot cover (a crash in it would lose the tuple:
+	// gone from the old page, never logged into the new one).
 	if t.engine.wal != nil {
-		oldFrame, err = t.pool.Fetch(rid.Page)
+		oldFrame, err := t.pool.Fetch(rid.Page)
 		if err != nil {
 			return storage.InvalidRID, err
 		}
@@ -765,8 +807,8 @@ func (t *Table) UpdateCtx(ctx context.Context, rid storage.RID, tu storage.Tuple
 			b.MaintainUpdate(oldV, newV, rid, newRID, oldIn, newIn)
 		}
 	}
-	t.endMutate() // before the WAL append; see Insert
-	if err := t.logDML(fa, wal.KindUpdate, newRID, rid, rid.Page, newRID.Page); err != nil {
+	t.endMutate() // before the WAL append; see Stmt.Insert
+	if err := s.log(wal.KindUpdate, newRID, rid, rid.Page, newRID.Page); err != nil {
 		return newRID, err
 	}
 	return newRID, nil

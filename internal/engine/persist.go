@@ -222,7 +222,7 @@ func Load(cfg Config, tenants ...TenantSpec) (*Engine, error) {
 		if cfg.wrapStore != nil {
 			store = cfg.wrapStore(lt.tm.Name, store)
 		}
-		pool, err := buffer.NewPool(store, e.cfg.PoolPages)
+		pool, err := e.newPool(store)
 		if err != nil {
 			return fail(err)
 		}

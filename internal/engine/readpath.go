@@ -16,9 +16,9 @@ import (
 // This file is the epoch-based lock-free read path: partial-index hits
 // — the hot case once the Index Buffer has adapted — answered without
 // touching the table's RWMutex at all. The classic convoy this removes:
-// DML holds the table lock exclusive across its WAL fsync, so under the
-// old protocol every index-covered read on the table stalled behind
-// every synchronous write. Now a read pins an epoch, resolves the probe
+// a DML statement holds the table lock exclusive across every row it
+// applies and logs, so under the old protocol every index-covered read
+// on the table stalled behind every write. Now a read pins an epoch, resolves the probe
 // against immutable snapshots (the partial index's atomic
 // coverage+tree state, the heap via the published readState), and
 // validates a per-table sequence counter; only probes the snapshots
@@ -29,12 +29,12 @@ import (
 //
 //   - Table.seq is even at rest and odd strictly while a mutator is
 //     changing reader-visible in-memory state. DML makes its window as
-//     small as possible: seq goes even again *before* the WAL append +
-//     fsync, which is safe because the log write publishes nothing a
+//     small as possible: seq goes even again *before* the row's WAL
+//     append, which is safe because the log write publishes nothing a
 //     reader can observe — the heap, indexes and buffers already carry
-//     the final state. That ordering is the whole throughput win: the
-//     fsync (hundreds of microseconds to milliseconds) no longer sits
-//     inside any window a reader waits on.
+//     the final state. The statement's fsync waits after it releases
+//     the table lock, so it sits inside no window a reader or another
+//     statement waits on.
 //   - Table.read holds the readState: the heap handle and the
 //     index/buffer sets, republished (atomically, copy-on-write) by
 //     every DDL, vacuum and Load — never by DML, which mutates in
@@ -106,9 +106,10 @@ const fastAttempts = 8
 // fastSpins bounds how long the fast path waits out an odd seq before
 // falling back. It is deliberately much larger than fastAttempts: a
 // DML mutator's in-memory window is microseconds (the window closes
-// before the WAL fsync), so re-reading is vastly cheaper than the
-// fallback, which queues on the table lock the mutator still holds
-// across its fsync — the exact convoy this path exists to avoid. Only
+// before the row's WAL append), so re-reading is vastly cheaper than
+// the fallback, which queues on the table lock the statement still
+// holds across its remaining rows — the convoy this path exists to
+// avoid. Only
 // a long writer window (DDL, vacuum) exhausts the budget, and waiting
 // on the lock is then correct.
 const fastSpins = 4096

@@ -170,7 +170,7 @@ func (t *Table) vacuum() (pagesBefore, pagesAfter int, err error) {
 		}
 	}
 
-	newPool, err := buffer.NewPool(newStore, t.engine.cfg.PoolPages)
+	newPool, err := t.engine.newPool(newStore)
 	if err != nil {
 		cleanupTmp()
 		return pagesBefore, 0, err

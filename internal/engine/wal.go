@@ -3,12 +3,12 @@ package engine
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/catalog"
-	"repro/internal/flight"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -229,34 +229,39 @@ func (e *Engine) walError() error {
 	return nil
 }
 
-// capturePage copies the current image of one heap page. Called with
-// the table lock exclusive; the page is resident (just dirtied by the
-// operation being logged, or pinned by the caller), so this is a pool
-// hit, not device I/O.
-func (t *Table) capturePage(p storage.PageID) (wal.PageImage, error) {
-	f, err := t.pool.Fetch(p)
+// newPool creates a table's buffer pool. On a WAL-backed engine it
+// installs the write-ahead rule: a dirty page is written back only
+// once the log is durable through the record that last imaged it. A
+// statement commits after it releases the table lock, so its own later
+// rows, other statements' fetches, and checkpoint flushes can all reach
+// a page whose record is appended but not yet durable.
+func (e *Engine) newPool(store pageStore) (*buffer.Pool, error) {
+	pool, err := buffer.NewPool(store, e.cfg.PoolPages)
 	if err != nil {
-		return wal.PageImage{}, err
+		return nil, err
 	}
-	img := make([]byte, buffer.PageSize)
-	copy(img, f.Data())
-	t.pool.Unpin(f)
-	return wal.PageImage{Page: p, Data: img}, nil
+	if w := e.wal; w != nil {
+		pool.SetWriteAhead(func(lsn uint64) error { return w.Force(wal.LSN(lsn)) })
+	}
+	return pool, nil
 }
 
-// logDML appends one DML record — logical fields plus full images of
-// the dirtied pages — and blocks until it is durable per the sync
-// policy. Called with the table lock exclusive, after the heap
-// operation and index maintenance succeeded. Pages may repeat (an
-// in-place update names the same page twice); duplicates are captured
-// once.
-func (t *Table) logDML(fa *flight.Active, kind wal.Kind, rid, oldRID storage.RID, pages ...storage.PageID) error {
+// log appends one DML record — logical fields plus full images of the
+// dirtied pages — and notes its LSN on each imaged frame, so write-back
+// of those pages waits for the log (see newPool). Durability comes
+// from the statement's commit. Called with the table lock exclusive,
+// after the heap operation and index maintenance succeeded. Pages may
+// repeat (an in-place update names the same page twice); duplicates
+// are captured once. The pages are resident (just dirtied, or pinned
+// by the caller), so the captures are pool hits, not device I/O.
+func (s *Stmt) log(kind wal.Kind, rid, oldRID storage.RID, pages ...storage.PageID) error {
+	t := s.t
 	w := t.engine.wal
 	if w == nil {
 		return nil
 	}
 	var start time.Time
-	if fa != nil {
+	if s.fa != nil {
 		start = time.Now()
 	}
 	rec := &wal.Record{
@@ -266,34 +271,55 @@ func (t *Table) logDML(fa *flight.Active, kind wal.Kind, rid, oldRID storage.RID
 		RID:    rid,
 		OldRID: oldRID,
 	}
-	for _, p := range pages {
-		dup := false
-		for _, im := range rec.Images {
-			if im.Page == p {
-				dup = true
-				break
-			}
+	pinned := make([]*buffer.Frame, 0, len(pages))
+	defer func() {
+		for _, f := range pinned {
+			t.pool.Unpin(f)
 		}
-		if dup {
+	}()
+	for _, p := range pages {
+		if slices.ContainsFunc(pinned, func(f *buffer.Frame) bool { return f.ID() == p }) {
 			continue
 		}
-		im, err := t.capturePage(p)
+		f, err := t.pool.Fetch(p)
 		if err != nil {
 			return fmt.Errorf("engine: wal image of %s page %d: %w", t.name, p, err)
 		}
-		rec.Images = append(rec.Images, im)
+		pinned = append(pinned, f)
+		rec.Images = append(rec.Images, wal.PageImage{Page: p, Data: append([]byte(nil), f.Data()...)})
 	}
 	lsn, err := w.Append(rec)
 	if err != nil {
 		return fmt.Errorf("engine: wal append: %w", err)
 	}
-	if err := w.Commit(lsn); err != nil {
+	for _, f := range pinned {
+		f.SetLSN(uint64(lsn))
+	}
+	s.last = lsn
+	if s.fa != nil {
+		s.walTime += time.Since(start)
+	}
+	return nil
+}
+
+// commit makes the statement's records durable per the sync policy:
+// one Commit, after the table lock is released. The flight record gets
+// the statement's append and commit time and the group-commit batch
+// the covering fsync made durable with it.
+func (s *Stmt) commit() error {
+	w := s.t.engine.wal
+	if w == nil || s.last == 0 {
+		return nil
+	}
+	var start time.Time
+	if s.fa != nil {
+		start = time.Now()
+	}
+	if err := w.Commit(s.last); err != nil {
 		return fmt.Errorf("engine: wal commit: %w", err)
 	}
-	if fa != nil {
-		// Append+Commit wall time is the statement's durability cost; the
-		// batch is the group the covering fsync made durable with it.
-		fa.WAL(time.Since(start), w.LastBatch())
+	if s.fa != nil {
+		s.fa.WAL(s.walTime+time.Since(start), w.LastBatch())
 	}
 	return nil
 }

@@ -71,10 +71,10 @@ type Record struct {
 	PagesSkipped  int  `json:"pages_skipped"`
 	QuotaDegraded bool `json:"quota_degraded,omitempty"`
 
-	// WALCommitNanos is the wall time the statement spent in
-	// Append+Commit making its DML durable (0 for read-only statements
-	// or when the WAL is disabled); WALBatch is the size of the
-	// group-commit batch whose fsync covered it.
+	// WALCommitNanos is the wall time the statement spent appending its
+	// records and in its one Commit making its DML durable (0 for
+	// read-only statements or when the WAL is disabled); WALBatch is
+	// the size of the group-commit batch whose fsync covered it.
 	WALCommitNanos int64  `json:"wal_commit_ns,omitempty"`
 	WALBatch       uint64 `json:"wal_batch,omitempty"`
 
@@ -153,9 +153,9 @@ func (a *Active) Query(table, column, mechanism string, matches, pagesRead, page
 	a.mu.Unlock()
 }
 
-// WAL accumulates the statement's WAL commit cost and notes the
-// group-commit batch that made it durable. DML statements touching
-// several records (UPDATE over many matches) accumulate.
+// WAL adds the statement's WAL append and commit cost and notes the
+// group-commit batch that made it durable. The engine calls it once
+// per DML statement, however many rows the statement touched.
 func (a *Active) WAL(commit time.Duration, batch uint64) {
 	if a == nil {
 		return

@@ -390,7 +390,9 @@ func (s *Shell) evalInsert(ctx context.Context, p *parser) (Result, error) {
 	if err := p.word("VALUES"); err != nil {
 		return Result{}, err
 	}
-	count := 0
+	// Parse and validate every tuple before the first row is applied, so
+	// a malformed or mistyped tuple anywhere fails the whole statement.
+	var rows []storage.Tuple
 	for {
 		if err := p.punct("("); err != nil {
 			return Result{}, err
@@ -413,10 +415,11 @@ func (s *Shell) evalInsert(ctx context.Context, p *parser) (Result, error) {
 				return Result{}, fmt.Errorf("expected , or ) in tuple, got %q", sep.text)
 			}
 		}
-		if _, err := t.InsertCtx(ctx, storage.NewTuple(vals...)); err != nil {
+		tu := storage.NewTuple(vals...)
+		if err := t.Schema().Validate(tu); err != nil {
 			return Result{}, err
 		}
-		count++
+		rows = append(rows, tu)
 		if p.done() {
 			break
 		}
@@ -424,7 +427,18 @@ func (s *Shell) evalInsert(ctx context.Context, p *parser) (Result, error) {
 			return Result{}, err
 		}
 	}
-	return Result{Output: fmt.Sprintf("inserted %d row(s)", count), Rows: count}, nil
+	err = t.Exec(ctx, func(st *engine.Stmt) error {
+		for _, tu := range rows {
+			if _, err := st.Insert(tu); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Output: fmt.Sprintf("inserted %d row(s)", len(rows)), Rows: len(rows)}, nil
 }
 
 // wherePredicate parses "WHERE col = literal" and returns the column
@@ -471,10 +485,16 @@ func (s *Shell) evalDelete(ctx context.Context, p *parser) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	for _, m := range matches {
-		if err := t.DeleteCtx(ctx, m.RID); err != nil {
-			return Result{}, err
+	err = t.Exec(ctx, func(st *engine.Stmt) error {
+		for _, m := range matches {
+			if err := st.Delete(m.RID); err != nil {
+				return err
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		return Result{}, err
 	}
 	return Result{Output: fmt.Sprintf("deleted %d row(s)", len(matches)), Rows: len(matches)}, nil
 }
@@ -514,13 +534,23 @@ func (s *Shell) evalUpdate(ctx context.Context, p *parser) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	for _, m := range matches {
-		if err := t.Schema().Validate(m.Tuple.WithValue(setCol, newVal)); err != nil {
+	rows := make([]storage.Tuple, len(matches))
+	for i, m := range matches {
+		rows[i] = m.Tuple.WithValue(setCol, newVal)
+		if err := t.Schema().Validate(rows[i]); err != nil {
 			return Result{}, err
 		}
-		if _, err := t.UpdateCtx(ctx, m.RID, m.Tuple.WithValue(setCol, newVal)); err != nil {
-			return Result{}, err
+	}
+	err = t.Exec(ctx, func(st *engine.Stmt) error {
+		for i, m := range matches {
+			if _, err := st.Update(m.RID, rows[i]); err != nil {
+				return err
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		return Result{}, err
 	}
 	return Result{Output: fmt.Sprintf("updated %d row(s)", len(matches)), Rows: len(matches)}, nil
 }

@@ -2,11 +2,14 @@ package shell
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 func newShell(t *testing.T) *Shell {
@@ -317,6 +320,77 @@ func TestUpdateCommand(t *testing.T) {
 	mustFail(t, s, "UPDATE t SET a = 'nan' WHERE a = 99")
 	mustFail(t, s, "UPDATE t SET nope = 1 WHERE a = 99")
 	mustFail(t, s, "UPDATE missing SET a = 1 WHERE a = 1")
+}
+
+// TestInsertAllOrNothing: a multi-row INSERT whose later tuple is
+// mistyped or malformed fails before its first row is applied.
+func TestInsertAllOrNothing(t *testing.T) {
+	s := newShell(t)
+	mustEval(t, s, "CREATE TABLE t (a INT, b INT)")
+	mustFail(t, s, "INSERT INTO t VALUES (1, 2), (3, 'x')")
+	mustFail(t, s, "INSERT INTO t VALUES (5, 6), (7 8)")
+	mustFail(t, s, "INSERT INTO t VALUES (9, 10), (11)")
+	n, err := s.eng.Table("t").Count()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 0 {
+		t.Fatalf("failed INSERTs left %d row(s), want 0", n)
+	}
+	if r := mustEval(t, s, "INSERT INTO t VALUES (1, 2), (3, 4)"); r.Rows != 2 {
+		t.Fatalf("valid INSERT = %+v", r)
+	}
+}
+
+// TestStatementCommitsOnce: a multi-row INSERT, DELETE and UPDATE each
+// commit once, and under SyncAlways each costs exactly one fsync. A
+// one-row Table.Insert is still durable when it returns.
+func TestStatementCommitsOnce(t *testing.T) {
+	eng := engine.New(engine.Config{DataDir: t.TempDir(), WAL: engine.WALConfig{SyncPolicy: wal.SyncAlways}})
+	defer eng.Close()
+	s := New(eng)
+	mustEval(t, s, "CREATE TABLE t (a INT, b VARCHAR)")
+	var tuples []string
+	for i := 0; i < 20; i++ {
+		tuples = append(tuples, fmt.Sprintf("(%d, 'row%d')", i%4, i))
+	}
+	for _, c := range []struct {
+		stmt string
+		rows int
+	}{
+		{"INSERT INTO t VALUES " + strings.Join(tuples, ", "), 20},
+		{"DELETE FROM t WHERE a = 1", 5},
+		{"UPDATE t SET b = 'changed' WHERE a = 2", 5},
+	} {
+		verb := strings.Fields(c.stmt)[0]
+		before := eng.WALStats()
+		if r := mustEval(t, s, c.stmt); r.Rows != c.rows {
+			t.Fatalf("%s: %d row(s), want %d", verb, r.Rows, c.rows)
+		}
+		after := eng.WALStats()
+		if got := after.Appends - before.Appends; got != uint64(c.rows) {
+			t.Errorf("%s: %d records, want %d", verb, got, c.rows)
+		}
+		if got := after.Commits - before.Commits; got != 1 {
+			t.Errorf("%s: %d commits, want 1", verb, got)
+		}
+		if got := after.Syncs - before.Syncs; got != 1 {
+			t.Errorf("%s: %d fsyncs, want 1", verb, got)
+		}
+	}
+
+	batch := engine.New(engine.Config{DataDir: t.TempDir()}) // group commit
+	defer batch.Close()
+	tb, err := batch.CreateTable("t", storage.MustSchema(storage.Column{Name: "a", Kind: storage.KindInt64}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.Insert(storage.NewTuple(storage.Int64Value(1))); err != nil {
+		t.Fatal(err)
+	}
+	if tel, _ := batch.WALTelemetry(); tel.DurableLSN < tel.AppendedLSN {
+		t.Fatalf("Insert returned with the log durable through %d, its record is %d", tel.DurableLSN, tel.AppendedLSN)
+	}
 }
 
 func TestVacuumCommand(t *testing.T) {

@@ -558,6 +558,38 @@ func TestSyncAlwaysOneFsyncPerCommit(t *testing.T) {
 	}
 }
 
+// TestForceWriteAhead: Force fsyncs under every policy, including
+// SyncNever, only when the log is not yet durable through the LSN, and
+// never counts as a Commit.
+func TestForceWriteAhead(t *testing.T) {
+	t.Parallel()
+	w, err := Create(t.TempDir(), Options{Policy: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	first, err := w.Append(dmlRecord("t", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := w.Append(dmlRecord("t", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Force(first); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.DurableLSN(); got != second {
+		t.Fatalf("DurableLSN after Force = %d, want %d (everything appended)", got, second)
+	}
+	if err := w.Force(second); err != nil { // already durable: no fsync
+		t.Fatal(err)
+	}
+	if st := w.Stats(); st.Syncs != 1 || st.Commits != 0 {
+		t.Fatalf("after two Forces: %d fsyncs, %d commits; want 1, 0", st.Syncs, st.Commits)
+	}
+}
+
 func TestCreateClearsStaleSegments(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()

@@ -414,6 +414,28 @@ func (w *Writer) Commit(lsn LSN) error {
 func (w *Writer) Sync() error {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
+	return w.syncLocked()
+}
+
+// Force makes the log durable through lsn whatever the policy. It is
+// the write-ahead rule's entry point: a page imaged by the record at
+// lsn may reach its store only once Force returns. It is not a Commit
+// and leaves the commit counter alone. An fsync already in flight that
+// covers lsn is waited for rather than repeated.
+func (w *Writer) Force(lsn LSN) error {
+	if LSN(w.durable.Load()) >= lsn {
+		return nil
+	}
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
+	if LSN(w.durable.Load()) >= lsn {
+		return nil
+	}
+	return w.syncLocked()
+}
+
+// syncLocked is Sync's body; the caller holds syncMu.
+func (w *Writer) syncLocked() error {
 	w.condMu.Lock()
 	stuck := w.syncErr
 	w.condMu.Unlock()
