@@ -142,13 +142,11 @@ type WALOptions struct {
 type SyncPolicy int
 
 const (
-	// SyncBatch is group commit, the default: commits wait for
-	// durability, but one fsync covers every record appended while the
-	// previous fsync was in flight. Durability of SyncAlways at a
-	// fraction of the fsyncs under concurrency.
+	// SyncBatch is group commit, the default: a commit returns once its
+	// record is on stable storage, and one fsync covers every record
+	// appended while the previous fsync was in flight. A lone committer
+	// pays one fsync per commit; concurrent committers share them.
 	SyncBatch SyncPolicy = iota
-	// SyncAlways fsyncs on every commit.
-	SyncAlways
 	// SyncNever lets commits return without forcing the log; a crash
 	// can lose the unforced tail (but never corrupts).
 	SyncNever
@@ -156,14 +154,10 @@ const (
 
 // policy maps the enum to the wal package's policy.
 func (s SyncPolicy) policy() wal.SyncPolicy {
-	switch s {
-	case SyncAlways:
-		return wal.SyncAlways
-	case SyncNever:
+	if s == SyncNever {
 		return wal.SyncNever
-	default:
-		return wal.SyncBatch
 	}
+	return wal.SyncBatch
 }
 
 // Tenant declares one budget domain for Options.Tenants / CreateTenant:
@@ -287,7 +281,7 @@ func (o Options) validate() error {
 		return fmt.Errorf("repro: unknown Options.Selection %d", o.Selection)
 	}
 	switch o.WAL.Sync {
-	case SyncBatch, SyncAlways, SyncNever:
+	case SyncBatch, SyncNever:
 	default:
 		return fmt.Errorf("repro: unknown Options.WAL.Sync %d", o.WAL.Sync)
 	}

@@ -61,7 +61,7 @@ func TestEpochReaderWriterConvoy(t *testing.T) {
 		PoolPages: 64,
 		Seed:      7,
 		DataDir:   dir,
-		WAL:       WALOptions{Sync: SyncAlways},
+		WAL:       WALOptions{Sync: SyncBatch},
 	}, true, func(c *engine.Config) { c.WAL.SyncDelay = syncDelay })
 	defer db.Close()
 	tb = db.Table("data")

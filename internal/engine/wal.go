@@ -367,7 +367,7 @@ func (e *Engine) checkpoint() error {
 	defer e.mu.RUnlock()
 
 	lsn := e.wal.AppendedLSN()
-	if err := e.wal.Sync(); err != nil {
+	if err := e.wal.Force(lsn); err != nil {
 		return err
 	}
 

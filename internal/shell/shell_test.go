@@ -343,10 +343,11 @@ func TestInsertAllOrNothing(t *testing.T) {
 }
 
 // TestStatementCommitsOnce: a multi-row INSERT, DELETE and UPDATE each
-// commit once, and under SyncAlways each costs exactly one fsync. A
-// one-row Table.Insert is still durable when it returns.
+// commit once, and under group commit with no other committer each
+// costs exactly one fsync. A one-row Table.Insert is still durable when
+// it returns.
 func TestStatementCommitsOnce(t *testing.T) {
-	eng := engine.New(engine.Config{DataDir: t.TempDir(), WAL: engine.WALConfig{SyncPolicy: wal.SyncAlways}})
+	eng := engine.New(engine.Config{DataDir: t.TempDir(), WAL: engine.WALConfig{SyncPolicy: wal.SyncBatch}})
 	defer eng.Close()
 	s := New(eng)
 	mustEval(t, s, "CREATE TABLE t (a INT, b VARCHAR)")

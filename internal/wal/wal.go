@@ -12,10 +12,11 @@
 // delivering them.
 //
 // Durability is governed by a SyncPolicy: SyncBatch (the default) is
-// group commit — concurrent committers share one fsync issued by a
-// background flusher, so throughput scales with the commit concurrency
-// — while SyncAlways pays one fsync per commit and SyncNever leaves
-// syncing to the OS (and to checkpoints, which always fsync).
+// group commit — a commit forces the log through its record, and
+// committers that queue behind an fsync in flight are covered by the
+// next one, so throughput scales with the commit concurrency — while
+// SyncNever leaves syncing to the OS (and to Force, which checkpoints
+// and the write-ahead rule always call).
 //
 // On-disk format, little-endian throughout:
 //

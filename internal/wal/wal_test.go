@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -233,6 +234,52 @@ func FuzzDecodePayload(f *testing.F) {
 		}
 		if !bytes.Equal(re, payload) {
 			t.Fatalf("re-encoded %x, decoded from %x", re, payload)
+		}
+	})
+}
+
+// FuzzReplay writes a segment of n%4 valid records followed by
+// arbitrary bytes. Replay never panics; when it succeeds it delivers
+// the valid prefix and strictly increasing LSNs, and a second replay of
+// the repaired log delivers the same records with nothing to repair.
+func FuzzReplay(f *testing.F) {
+	f.Add(uint8(3), []byte{})
+	f.Add(uint8(2), frame(dmlPayload(f, 3))[:20])
+	f.Add(uint8(2), frame(dmlPayload(f, 3)))
+	f.Add(uint8(2), frame(dmlPayload(f, 2))) // an LSN out of order
+	f.Add(uint8(1), frame(legacyQueryPayload(f)))
+	f.Add(uint8(0), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	f.Fuzz(func(t *testing.T, n uint8, tail []byte) {
+		dir := t.TempDir()
+		prefix := int(n % 4)
+		var frames [][]byte
+		for lsn := 1; lsn <= prefix; lsn++ {
+			frames = append(frames, frame(dmlPayload(t, LSN(lsn))))
+		}
+		writeSegment(t, dir, append(frames, tail)...)
+		replay := func() ([]LSN, ReplayInfo, error) {
+			var lsns []LSN
+			info, err := Replay(dir, 0, func(r *Record) error {
+				lsns = append(lsns, r.LSN)
+				return nil
+			})
+			return lsns, info, err
+		}
+		first, _, err := replay()
+		if err != nil {
+			return
+		}
+		if len(first) < prefix {
+			t.Fatalf("delivered %v, lost part of the %d-record valid prefix", first, prefix)
+		}
+		for i, lsn := range first {
+			if i < prefix && lsn != LSN(i+1) || i > 0 && lsn <= first[i-1] {
+				t.Fatalf("delivered LSNs %v", first)
+			}
+		}
+		again, info, err := replay()
+		if err != nil || info.TornBytes != 0 || !slices.Equal(again, first) {
+			t.Fatalf("second replay: %v %+v %v, first delivered %v", again, info, err, first)
 		}
 	})
 }
@@ -534,10 +581,51 @@ func TestGroupCommitDurability(t *testing.T) {
 	}
 }
 
-func TestSyncAlwaysOneFsyncPerCommit(t *testing.T) {
+// BenchmarkGroupCommit runs two committers that each spend cpu of
+// processor time per statement, as a server does parsing and
+// answering, then append and commit one record: the shape in which a
+// handed-over fsync slot must start its fsync at once.
+//
+//	go test -run '^$' -bench GroupCommit -benchtime 3000x ./internal/wal
+func BenchmarkGroupCommit(b *testing.B) {
+	const committers, cpu = 2, 100 * time.Microsecond
+	w, err := Create(b.TempDir(), Options{Policy: SyncBatch})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for g := 0; g < committers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < b.N; i += committers {
+				for end := time.Now().Add(cpu); time.Now().Before(end); {
+				}
+				lsn, err := w.Append(dmlRecord("t", i))
+				if err == nil {
+					err = w.Commit(lsn)
+				}
+				if err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	b.StopTimer()
+	st := w.Stats()
+	b.ReportMetric(float64(st.Commits)/float64(st.Syncs), "commits/fsync")
+}
+
+// TestLoneCommitterOneFsyncPerCommit: with no other committer to share
+// with, group commit pays exactly one fsync per Commit.
+func TestLoneCommitterOneFsyncPerCommit(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	w, err := Create(dir, Options{Policy: SyncAlways})
+	w, err := Create(dir, Options{Policy: SyncBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,8 +638,8 @@ func TestSyncAlwaysOneFsyncPerCommit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := w.Stats(); st.Syncs < 10 {
-		t.Errorf("SyncAlways issued %d fsyncs for 10 commits", st.Syncs)
+	if st := w.Stats(); st.Syncs != 10 {
+		t.Errorf("a lone committer issued %d fsyncs for 10 commits", st.Syncs)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -619,7 +707,7 @@ func TestCreateClearsStaleSegments(t *testing.T) {
 func TestCrashLoopReopenKeepsAcknowledgedRecords(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	opts := Options{Policy: SyncAlways}
+	opts := Options{Policy: SyncBatch}
 	w, err := Create(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -687,11 +775,12 @@ func TestCrashLoopReopenKeepsAcknowledgedRecords(t *testing.T) {
 	}
 }
 
-// TestSyncDuringRotationNotSticky hammers explicit Syncs and group
-// commits against appends that constantly rotate segments. A Sync that
-// loses the race — its captured file is rotated away and closed before
-// the fsync — must not record the resulting ErrClosed as the sticky
-// syncErr: the rotation already made those bytes durable.
+// TestSyncDuringRotationNotSticky races two committers, each appending
+// and forcing its own records, against segments that rotate every few
+// records. An fsync that loses the race — its captured file is rotated
+// away and closed before the fsync — must not record the resulting
+// ErrClosed as the sticky syncErr: the rotation already made those
+// bytes durable.
 func TestSyncDuringRotationNotSticky(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -719,7 +808,12 @@ func TestSyncDuringRotationNotSticky(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 300; i++ {
-			if err := w.Sync(); err != nil {
+			lsn, err := w.Append(dmlRecord("t", 300+i))
+			if err != nil {
+				errCh <- err
+				return
+			}
+			if err := w.Force(lsn); err != nil {
 				errCh <- err
 				return
 			}
@@ -734,7 +828,7 @@ func TestSyncDuringRotationNotSticky(t *testing.T) {
 		t.Fatal(err)
 	}
 	info, err := Replay(dir, 0, func(*Record) error { return nil })
-	if err != nil || info.Records != 300 {
+	if err != nil || info.Records != 600 {
 		t.Fatalf("replay: %+v %v", info, err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,17 +23,16 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncBatch is group commit: Commit wakes a background flusher and
-	// waits for the one fsync that covers every record appended so far.
-	// While an fsync is in flight, arriving commits pile onto the next
-	// one, so the fsync cost amortizes over the commit concurrency.
+	// SyncBatch is group commit: Commit forces the log through its
+	// record. Committers that arrive while an fsync is in flight queue
+	// behind it; the first to get its turn fsyncs every record appended
+	// so far and the rest find their record already durable, so the
+	// fsync cost amortizes over the commit concurrency while a lone
+	// committer pays one fsync per commit.
 	SyncBatch SyncPolicy = iota
-	// SyncAlways issues one fsync per Commit — the classical
-	// durability-first policy, and the benchmark's contrast arm.
-	SyncAlways
-	// SyncNever leaves syncing to the OS and to explicit Sync calls
-	// (checkpoints always fsync). Commit returns as soon as the record
-	// is in the OS page cache; an OS crash can lose the tail.
+	// SyncNever leaves syncing to the OS and to Force (checkpoints and
+	// the write-ahead rule always force). Commit returns as soon as the
+	// record is in the OS page cache; an OS crash can lose the tail.
 	SyncNever
 )
 
@@ -40,8 +40,6 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncBatch:
 		return "batch"
-	case SyncAlways:
-		return "always"
 	case SyncNever:
 		return "never"
 	default:
@@ -86,9 +84,9 @@ type Telemetry struct {
 	// plus any not yet reclaimed by TruncateTo) — the segment backlog a
 	// stalled checkpointer lets grow.
 	ActiveSegments int
-	// AppendedLSN / DurableLSN bound the volume of acknowledged-but-not-
-	// yet-durable records (zero under SyncAlways, the group under
-	// SyncBatch while a flush is in flight).
+	// AppendedLSN / DurableLSN bound the records appended but not yet
+	// durable: under SyncBatch, the group waiting for the next fsync;
+	// under SyncNever, everything since the last Force.
 	AppendedLSN LSN
 	DurableLSN  LSN
 	// LastBatch is the size (in records) of the most recent durable
@@ -115,7 +113,7 @@ type Writer struct {
 	opts Options
 
 	mu       sync.Mutex // guards the fields below: append order, rotation
-	f        *os.File
+	f        segFile
 	buf      *bufio.Writer
 	segBytes int
 	nextLSN  LSN
@@ -124,19 +122,18 @@ type Writer struct {
 	segs     []segment // live segments, oldest first; last is open
 	closed   bool
 
-	closeOnce atomic.Bool
-
-	syncMu  sync.Mutex // serializes fsyncs; never held with mu or condMu
+	// syncQ serializes fsyncs and is the group-commit queue: a one-slot
+	// channel, taken by sending into it and freed by releaseSync. A
+	// release hands the slot to the longest waiter, where a sync.Mutex
+	// would let the committer that just released it barge back in, fsync
+	// its next record alone and leave earlier waiters, already covered,
+	// queued for up to the mutex's 1 ms starvation threshold. Taken
+	// before mu, never after it.
+	syncQ   chan struct{}
 	durable atomic.Uint64
-
-	// group commit: Commit signals flushCh (capacity 1) and waits on
-	// cond until durable covers its LSN; the flusher loops on flushCh.
-	flushCh chan struct{}
-	quit    chan struct{}
-	done    chan struct{}
-	condMu  sync.Mutex
-	cond    *sync.Cond
-	syncErr error // sticky; guarded by condMu
+	// syncErr is the sticky sync error, set only through fail. It is
+	// atomic so SyncError never waits behind an fsync in flight.
+	syncErr atomic.Pointer[error]
 
 	appends  atomic.Uint64
 	commits  atomic.Uint64
@@ -152,6 +149,26 @@ type Writer struct {
 	fsyncLat  *metrics.Histogram
 	batchSize *metrics.Histogram
 }
+
+// segFile is the writer's view of an open segment file.
+type segFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
+// openSegFile opens a segment file for appending. Tests replace it to
+// inject device faults.
+var openSegFile = func(path string) (segFile, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// errClosed is returned by every operation on a closed writer.
+var errClosed = errors.New("wal: writer is closed")
 
 // segment is one live log file.
 type segment struct {
@@ -240,15 +257,12 @@ func newWriter(dir string, opts Options, next LSN) (*Writer, error) {
 		dir:     dir,
 		opts:    opts,
 		nextLSN: next,
-		flushCh: make(chan struct{}, 1),
-		quit:    make(chan struct{}),
-		done:    make(chan struct{}),
+		syncQ:   make(chan struct{}, 1),
 		// Bounded reservoirs so a long-lived writer's memory stays flat;
 		// fixed seeds keep runs reproducible (repo seeding convention).
 		fsyncLat:  metrics.NewReservoirHistogram(4096, 41),
 		batchSize: metrics.NewReservoirHistogram(4096, 43),
 	}
-	w.cond = sync.NewCond(&w.condMu)
 	w.appended = next - 1
 	w.durable.Store(uint64(next - 1))
 	segs, err := listSegments(dir)
@@ -272,7 +286,6 @@ func newWriter(dir string, opts Options, next LSN) (*Writer, error) {
 	if err := w.openSegmentLocked(next); err != nil {
 		return nil, err
 	}
-	go w.flusher()
 	return w, nil
 }
 
@@ -280,7 +293,7 @@ func newWriter(dir string, opts Options, next LSN) (*Writer, error) {
 // first. Caller holds mu (or is the constructor).
 func (w *Writer) openSegmentLocked(first LSN) error {
 	path := filepath.Join(w.dir, segName(first))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	f, err := openSegFile(path)
 	if err != nil {
 		return fmt.Errorf("wal: open segment: %w", err)
 	}
@@ -314,13 +327,13 @@ func syncDir(dir string) error {
 }
 
 // Append encodes the record, assigns it the next LSN and writes it to
-// the current segment (buffered; durability comes from Commit or Sync).
+// the current segment (buffered; durability comes from Commit or Force).
 // The assigned LSN is returned and also stored in rec.LSN.
 func (w *Writer) Append(rec *Record) (LSN, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
-		return 0, fmt.Errorf("wal: writer is closed")
+		return 0, errClosed
 	}
 	if w.segBytes >= w.opts.SegmentBytes {
 		if err := w.rotateLocked(); err != nil {
@@ -352,101 +365,91 @@ func (w *Writer) Append(rec *Record) (LSN, error) {
 
 // rotateLocked finishes the current segment (flushed and fsynced, so
 // the durable watermark never points past un-synced bytes in an
-// abandoned file) and opens the next one.
+// abandoned file) and opens the next one. A failed fsync is sticky: a
+// retried fsync can report success after the kernel dropped the dirty
+// pages, and a later Force would then call lost records durable. So is
+// a failure to start the next segment, which leaves no open file.
 func (w *Writer) rotateLocked() error {
 	if err := w.buf.Flush(); err != nil {
 		return fmt.Errorf("wal: rotate flush: %w", err)
 	}
 	start := time.Now()
 	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("wal: rotate sync: %w", err)
+		return w.fail(fmt.Errorf("wal: rotate sync: %w", err))
 	}
 	if err := w.f.Close(); err != nil {
 		return fmt.Errorf("wal: rotate close: %w", err)
 	}
 	w.syncs.Add(1)
 	w.fsyncLat.Observe(time.Since(start).Seconds())
-	return w.openSegmentLocked(w.nextLSN)
+	if err := w.openSegmentLocked(w.nextLSN); err != nil {
+		return w.fail(err)
+	}
+	return nil
 }
 
-// Commit blocks until the record at lsn is durable per the policy.
+// Commit blocks until the record at lsn is durable per the policy:
+// under SyncBatch it is Force(lsn), under SyncNever a flush to the OS.
 func (w *Writer) Commit(lsn LSN) error {
 	w.commits.Add(1)
-	switch w.opts.Policy {
-	case SyncNever:
-		// No fsync, but the policy's contract is "in the OS page cache":
-		// push the user-space buffer out so only an OS crash — not a mere
-		// process crash — can lose the record.
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		if w.closed {
-			return fmt.Errorf("wal: writer is closed")
-		}
-		if err := w.buf.Flush(); err != nil {
-			return fmt.Errorf("wal: commit flush: %w", err)
-		}
-		return nil
-	case SyncAlways:
-		return w.Sync()
-	default: // SyncBatch
-		if LSN(w.durable.Load()) >= lsn {
-			return nil
-		}
-		select {
-		case w.flushCh <- struct{}{}:
-		default: // a flush signal is already pending
-		}
-		w.condMu.Lock()
-		defer w.condMu.Unlock()
-		for LSN(w.durable.Load()) < lsn {
-			if w.syncErr != nil {
-				return w.syncErr
-			}
-			w.cond.Wait()
-		}
-		return nil
+	if w.opts.Policy != SyncNever {
+		return w.Force(lsn)
 	}
+	// No fsync, but the policy's contract is "in the OS page cache":
+	// push the user-space buffer out so only an OS crash — not a mere
+	// process crash — can lose the record.
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return errClosed
+	}
+	if err := w.buf.Flush(); err != nil {
+		return fmt.Errorf("wal: commit flush: %w", err)
+	}
+	return nil
 }
 
-// Sync flushes buffered appends and fsyncs the current segment,
-// advancing the durable watermark. Checkpoints call it regardless of
-// policy: the log must be durable before page flushes may proceed.
-func (w *Writer) Sync() error {
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
-	return w.syncLocked()
-}
-
-// Force makes the log durable through lsn whatever the policy. It is
-// the write-ahead rule's entry point: a page imaged by the record at
-// lsn may reach its store only once Force returns. It is not a Commit
-// and leaves the commit counter alone. An fsync already in flight that
-// covers lsn is waited for rather than repeated.
+// Force makes the log durable through lsn whatever the policy; it is
+// group commit and the write-ahead rule's entry point (a page imaged by
+// the record at lsn may reach its store only once Force returns). It is
+// not a Commit and leaves the commit counter alone. Callers that arrive
+// while an fsync is in flight queue on syncQ; the first to get it
+// fsyncs every record appended so far, and the rest return without an
+// fsync when that one covered them.
 func (w *Writer) Force(lsn LSN) error {
 	if LSN(w.durable.Load()) >= lsn {
 		return nil
 	}
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
+	w.syncQ <- struct{}{}
+	defer w.releaseSync()
+	return w.forceLocked(lsn)
+}
+
+// releaseSync frees the fsync slot. When a waiter has taken it over,
+// the caller yields its processor so that the new leader issues its
+// fsync now rather than whenever the caller next blocks; otherwise the
+// log device idles between back-to-back fsyncs for as long as the
+// waiter takes to be scheduled.
+func (w *Writer) releaseSync() {
+	<-w.syncQ
+	if len(w.syncQ) > 0 {
+		runtime.Gosched()
+	}
+}
+
+// forceLocked is Force's body; the caller holds syncQ.
+func (w *Writer) forceLocked(lsn LSN) error {
 	if LSN(w.durable.Load()) >= lsn {
 		return nil
 	}
-	return w.syncLocked()
-}
-
-// syncLocked is Sync's body; the caller holds syncMu.
-func (w *Writer) syncLocked() error {
-	w.condMu.Lock()
-	stuck := w.syncErr
-	w.condMu.Unlock()
-	if stuck != nil {
-		return stuck
+	if err := w.SyncError(); err != nil {
+		return err
 	}
 
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
-		return fmt.Errorf("wal: writer is closed")
+		return errClosed
 	}
 	target := w.appended
 	err := w.buf.Flush()
@@ -463,6 +466,7 @@ func (w *Writer) syncLocked() error {
 				// closing, and our own buffered bytes were flushed into f
 				// under mu above, so everything up to target is already
 				// durable — not a fault, and it must not poison syncErr.
+				// (Close holds syncQ, so it cannot be the closer.)
 				rotated = true
 			} else {
 				err = serr
@@ -470,12 +474,7 @@ func (w *Writer) syncLocked() error {
 		}
 	}
 	if err != nil {
-		werr := fmt.Errorf("wal: sync: %w", err)
-		w.condMu.Lock()
-		w.syncErr = werr
-		w.cond.Broadcast()
-		w.condMu.Unlock()
-		return werr
+		return w.fail(fmt.Errorf("wal: sync: %w", err))
 	}
 	if !rotated {
 		w.syncs.Add(1)
@@ -486,32 +485,21 @@ func (w *Writer) syncLocked() error {
 		// observed latency just as it does in the benchmark's shape.
 		w.fsyncLat.Observe(time.Since(start).Seconds())
 	}
-	// Monotonic advance; another Sync cannot be concurrent (syncMu).
+	// Monotonic advance; no other fsync is concurrent (syncQ).
 	if prev := LSN(w.durable.Load()); prev < target {
 		w.durable.Store(uint64(target))
 		batch := uint64(target - prev)
 		w.lastBatch.Store(batch)
 		w.batchSize.Observe(float64(batch))
 	}
-	w.condMu.Lock()
-	w.cond.Broadcast()
-	w.condMu.Unlock()
 	return nil
 }
 
-// flusher is the group-commit daemon: each wakeup issues one fsync
-// covering every record appended so far. Commits arriving during the
-// fsync pile onto the next wakeup.
-func (w *Writer) flusher() {
-	defer close(w.done)
-	for {
-		select {
-		case <-w.quit:
-			return
-		case <-w.flushCh:
-			_ = w.Sync() // errors are sticky; waiters observe syncErr
-		}
-	}
+// fail records err as the sticky sync error unless one is already set,
+// and returns the sticky error. Every fsync failure goes through it.
+func (w *Writer) fail(err error) error {
+	w.syncErr.CompareAndSwap(nil, &err)
+	return *w.syncErr.Load()
 }
 
 // AppendedLSN returns the last appended LSN (0 if none).
@@ -564,9 +552,10 @@ func (w *Writer) Stats() Stats {
 // healthy. Once set it never clears: the log can no longer promise
 // durability, and health surfaces should go unhealthy.
 func (w *Writer) SyncError() error {
-	w.condMu.Lock()
-	defer w.condMu.Unlock()
-	return w.syncErr
+	if p := w.syncErr.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // LastBatch returns the record count of the most recent group-commit
@@ -594,15 +583,14 @@ func (w *Writer) Telemetry() Telemetry {
 	return t
 }
 
-// Close flushes and fsyncs outstanding records and releases the
-// segment file. Further Appends fail.
+// Close forces the last appended record and releases the segment
+// file. Further Appends, Commits and Forces fail with errClosed.
 func (w *Writer) Close() error {
-	if !w.closeOnce.CompareAndSwap(false, true) {
-		return nil
-	}
-	err := w.Sync()
-	close(w.quit)
-	<-w.done
+	// Holding syncQ across the close keeps any fsync from running on
+	// the closed file, where os.ErrClosed would read as a rotation.
+	w.syncQ <- struct{}{}
+	defer w.releaseSync()
+	err := w.forceLocked(w.AppendedLSN())
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -612,10 +600,5 @@ func (w *Writer) Close() error {
 	if cerr := w.f.Close(); err == nil && cerr != nil {
 		err = cerr
 	}
-	// Wake any committer still waiting so it observes closed/syncErr
-	// instead of blocking forever.
-	w.condMu.Lock()
-	w.cond.Broadcast()
-	w.condMu.Unlock()
 	return err
 }
