@@ -911,13 +911,10 @@ type WALStats = wal.Stats
 // WALStats reads the log writer's counters.
 func (db *DB) WALStats() WALStats { return db.eng.WALStats() }
 
-// EpochStats reports the epoch-based lock-free read path's health: the
-// reclamation domain's state (current epoch, pinned readers, retired
-// backlog, reclaimed total, reclamation lag) plus the fast-path
-// counters (queries served lock-free, attempts that fell back to the
-// locked path). A quiescent database reports a drained backlog; see
-// engine.EpochStats.
+// EpochStats reports the lock-free read path's counters: queries served
+// without the table lock, and attempts that fell back to the locked
+// path. See engine.EpochStats.
 type EpochStats = engine.EpochStats
 
-// EpochStats reads the epoch read-path statistics.
+// EpochStats reads the lock-free read-path counters.
 func (db *DB) EpochStats() EpochStats { return db.eng.EpochStats() }

@@ -451,7 +451,7 @@ func TestOpenValidation(t *testing.T) {
 
 // BenchmarkParallelQuery measures index-hit read throughput at
 // increasing goroutine counts on a warm, fully index-covered workload —
-// the path the epoch-based read path takes off the per-table RWMutex.
+// the path the lock-free read path takes off the per-table RWMutex.
 // The uncontended arms show reader-reader scaling; the contended arms
 // run one writer goroutine inserting throughout the read phase, the
 // convoy case: under the rwmutex arm (engine.Config.DisableEpochReadPath)

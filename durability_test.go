@@ -1,7 +1,9 @@
 package repro
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -269,4 +271,102 @@ func TestBackgroundCheckpointer(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("background checkpointer never truncated the log: %+v", db.WALStats())
+}
+
+// TestTableNameStaysInsideDataDir checks that no table name reaches a
+// page file outside DataDir — neither at CreateTable nor through a
+// catalog entry at Load — while plain names with odd characters, and
+// tenant-qualified names, still round-trip.
+func TestTableNameStaysInsideDataDir(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "data")
+	o := Options{DataDir: dir, Tenants: []Tenant{{Name: "acme"}}}
+	db := MustOpen(o)
+	for _, name := range []string{"", ".", "..", "../outside", "a/b"} {
+		if _, err := db.CreateTable(name, Int64Column("k")); !errors.Is(err, ErrInvalidTableName) {
+			t.Errorf("CreateTable(%q) = %v, want ErrInvalidTableName", name, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(root, "outside.pages")); !os.IsNotExist(err) {
+		t.Errorf("CreateTable(\"../outside\") left a file outside DataDir: %v", err)
+	}
+	if _, err := db.CreateTable("we\"ird\ta\nble", Int64Column("k")); err != nil {
+		t.Fatal(err)
+	}
+	acme, err := db.Session("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := acme.Exec(context.Background(), "CREATE TABLE t (k INT)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = OpenExisting(o); err != nil {
+		t.Fatal(err)
+	}
+	if db.Table("we\"ird\ta\nble") == nil || db.eng.Table("acme:t") == nil {
+		t.Fatal("odd or tenant-qualified table name did not survive reopen")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A catalog entry naming ../x must not open (and truncate) x.pages.
+	outside := filepath.Join(root, "x.pages")
+	data := bytes.Repeat([]byte{0xAB}, 3*8192)
+	if err := os.WriteFile(outside, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cat, err := catalog.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat.Tables[0].Name = "../x"
+	if err := catalog.Save(dir, cat); err != nil {
+		t.Fatal(err)
+	}
+	if db, err := OpenExisting(o); !errors.Is(err, ErrInvalidTableName) {
+		if err == nil {
+			db.Close()
+		}
+		t.Fatalf("OpenExisting with a ../x catalog entry = %v, want ErrInvalidTableName", err)
+	}
+	if got, err := os.ReadFile(outside); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("file outside DataDir changed by Load (err %v)", err)
+	}
+}
+
+// TestLoadRefusesDuplicateCatalogTable checks that Load rejects a
+// catalog naming one table twice instead of opening its page file twice.
+func TestLoadRefusesDuplicateCatalogTable(t *testing.T) {
+	dir := t.TempDir()
+	db := MustOpen(Options{DataDir: dir})
+	tb, err := db.CreateTable("t", Int64Column("k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if _, err := tb.Insert(int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cat, err := catalog.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat.Tables = append(cat.Tables, cat.Tables[0])
+	if err := catalog.Save(dir, cat); err != nil {
+		t.Fatal(err)
+	}
+	if db, err := OpenExisting(Options{DataDir: dir}); !errors.Is(err, ErrDuplicateTable) {
+		if err == nil {
+			db.Close()
+		}
+		t.Fatalf("OpenExisting with a duplicated catalog entry = %v, want ErrDuplicateTable", err)
+	}
 }

@@ -12,7 +12,7 @@ import (
 // This file is the epoch read-path arm of the serial-oracle property
 // harness (see parallel_oracle_test.go for the parallel-scan arm). The
 // oracle engine runs maximally conservative — scan parallelism 1 and
-// the epoch-based lock-free read path disabled, so every query goes
+// the lock-free read path disabled, so every query goes
 // through the table RWMutex — while the subject engine runs with the
 // fast path enabled at parallelism 1, 2 and NumCPU. Both are driven
 // through the same seeded mixed stream of queries, DML, index
@@ -61,33 +61,12 @@ func newEpochHarness(t *testing.T, parallelism int, disableEpoch, wal bool, rows
 	return h
 }
 
-// drainEpochs asserts the harness's epoch domain is healthy at rest: no
-// pinned readers, and the retired-snapshot backlog drains to zero within
-// a few opportunistic advances (each EpochStats call advances once).
-func drainEpochs(t *testing.T, h *oracleHarness) {
-	t.Helper()
-	var es EpochStats
-	for i := 0; i < 8; i++ {
-		es = h.db.EpochStats()
-		if es.RetiredBacklog == 0 {
-			break
-		}
-	}
-	if es.PinnedReaders != 0 {
-		t.Errorf("quiescent engine reports %d pinned readers, want 0", es.PinnedReaders)
-	}
-	if es.RetiredBacklog != 0 {
-		t.Errorf("retired-snapshot backlog stuck at %d after advances (lag %d epochs)",
-			es.RetiredBacklog, es.ReclamationLag)
-	}
-}
-
 // TestEpochSerialOracleBattery drives the locked oracle and the
 // lock-free subject through the same seeded mixed stream and checks
 // identity after every operation, at subject parallelism 1, 2 and
 // NumCPU, in memory (wal=false) and on a DataDir (wal=true). The covered fraction is large enough
 // that a healthy subject serves a meaningful share of the stream on the
-// fast path — asserted at the end, alongside epoch-domain hygiene.
+// fast path — asserted at the end.
 func TestEpochSerialOracleBattery(t *testing.T) {
 	const (
 		rows      = 400
@@ -188,8 +167,6 @@ func TestEpochSerialOracleBattery(t *testing.T) {
 				if ses.FastHits == 0 {
 					t.Error("subject recorded zero fast hits; the battery never exercised the lock-free path")
 				}
-				drainEpochs(t, oracle)
-				drainEpochs(t, subject)
 			})
 		}
 	}

@@ -2,7 +2,9 @@ package repro
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,11 +19,10 @@ import (
 // fsync charged tens of milliseconds) while NumCPU readers hammer
 // index-covered point queries. Under the old protocol every one of
 // those reads queued behind the writer's table lock for the duration of
-// the fsync; with the epoch-based read path a hit never touches the
+// the fsync; with the lock-free read path a hit never touches the
 // lock, so read latency stays bounded well below the fsync cost and the
 // overwhelming majority of reads are served lock-free. Afterwards the
-// engine must return to baseline: no leaked goroutines, no pinned
-// readers, retired-snapshot backlog drained.
+// engine must return to baseline: no leaked goroutines.
 func TestEpochReaderWriterConvoy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive stress test")
@@ -157,7 +158,7 @@ func TestEpochReaderWriterConvoy(t *testing.T) {
 	p50 := latencies[len(latencies)/2]
 	p99 := latencies[len(latencies)*99/100]
 	max := latencies[len(latencies)-1]
-	t.Logf("stress: %d reads, %d writes, read latency p50 %v p99 %v max %v, epoch stats %+v",
+	t.Logf("stress: %d reads, %d writes, read latency p50 %v p99 %v max %v, read-path counters %+v",
 		reads, writes.Load(), p50, p99, max, db.EpochStats())
 
 	// The convoy property: reads do not wait out writer fsyncs. With the
@@ -182,7 +183,7 @@ func TestEpochReaderWriterConvoy(t *testing.T) {
 		t.Errorf("only %d of %d reads were served lock-free, want >= %d", fast, reads, min)
 	}
 
-	// Baseline restoration: goroutines reaped, epoch domain quiescent.
+	// Baseline restoration: goroutines reaped.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
@@ -193,17 +194,149 @@ func TestEpochReaderWriterConvoy(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	var es EpochStats
-	for i := 0; i < 8; i++ {
-		es = db.EpochStats()
-		if es.RetiredBacklog == 0 {
-			break
+}
+
+// TestRepublishRaceLockFreeHits races lock-free hits against readState
+// republication on a static table. Readers issue covered point and
+// range hits while one goroutine loops Vacuum (a fresh heap and pool,
+// and on a DataDir a closed page store) and drops, creates and
+// redefines a partial index on a second column. Every republish swaps
+// out a heap or index snapshot a reader may still hold: the seqlock
+// must reject what such a reader saw, and the garbage collector must
+// keep it readable until then. Every result must equal the fixed
+// ground truth. Every fourth row is deleted before the race, so the
+// first vacuum moves every RID after the first hole.
+func TestRepublishRaceLockFreeHits(t *testing.T) {
+	const (
+		rows      = 300
+		keyDomain = 30
+		covered   = 20
+		rounds    = 12
+		readers   = 3
+	)
+	// want[k] lists the j values of the live rows with key k, ascending.
+	want := make([][]int64, keyDomain)
+	for i := 0; i < rows; i++ {
+		if i%4 != 3 {
+			want[i%keyDomain] = append(want[i%keyDomain], int64(i))
 		}
 	}
-	if es.PinnedReaders != 0 {
-		t.Errorf("%d readers still pinned after the stress", es.PinnedReaders)
+	expect := func(lo, hi int) []int64 {
+		var js []int64
+		for k := lo; k <= hi; k++ {
+			js = append(js, want[k]...)
+		}
+		slices.Sort(js)
+		return js
 	}
-	if es.RetiredBacklog != 0 {
-		t.Errorf("retired-snapshot backlog stuck at %d (lag %d epochs)", es.RetiredBacklog, es.ReclamationLag)
+	for _, dataDir := range []bool{false, true} {
+		t.Run(fmt.Sprintf("datadir=%v", dataDir), func(t *testing.T) {
+			o := Options{PoolPages: 32, Seed: 3}
+			if dataDir {
+				o.DataDir = t.TempDir()
+			}
+			db := MustOpen(o)
+			defer db.Close()
+			tb, err := db.CreateTable("data", Int64Column("k"), Int64Column("j"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < rows; i++ {
+				rid, err := tb.Insert(int64(i%keyDomain), int64(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i%4 == 3 {
+					if err := tb.Delete(rid); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := tb.CreatePartialRangeIndex("k", 0, covered-1); err != nil {
+				t.Fatal(err)
+			}
+			jcol, err := tb.columnIndex("j")
+			if err != nil {
+				t.Fatal(err)
+			}
+			fastBefore := db.EpochStats().FastHits
+
+			var (
+				stop  atomic.Bool
+				wg    sync.WaitGroup
+				reads atomic.Int64
+			)
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed))
+					for !stop.Load() {
+						lo := rng.Intn(covered)
+						hi := lo
+						if rng.Intn(2) == 0 {
+							hi += rng.Intn(covered - lo)
+						}
+						var res []Row
+						var stats QueryStats
+						var err error
+						if lo == hi {
+							res, stats, err = tb.Query("k", int64(lo))
+						} else {
+							res, stats, err = tb.QueryRange("k", int64(lo), int64(hi))
+						}
+						if err != nil {
+							t.Errorf("[%d,%d]: %v", lo, hi, err)
+							return
+						}
+						if !stats.PartialHit {
+							t.Errorf("[%d,%d]: covered range was not an index hit", lo, hi)
+							return
+						}
+						got := make([]int64, len(res))
+						for i, row := range res {
+							if got[i], err = row.Int64("j"); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+						slices.Sort(got)
+						if w := expect(lo, hi); !slices.Equal(got, w) {
+							t.Errorf("[%d,%d]: got %v, want %v", lo, hi, got, w)
+							return
+						}
+						reads.Add(1)
+					}
+				}(int64(r + 1))
+			}
+
+			for r := 0; r < rounds && !t.Failed(); r++ {
+				if _, _, err := tb.Vacuum(); err != nil {
+					t.Errorf("round %d: vacuum: %v", r, err)
+					break
+				}
+				if err := tb.CreatePartialRangeIndex("j", 0, rows/2); err != nil {
+					t.Errorf("round %d: create: %v", r, err)
+					break
+				}
+				if err := tb.RedefineRangeIndex("j", rows/4, rows-1); err != nil {
+					t.Errorf("round %d: redefine: %v", r, err)
+					break
+				}
+				if err := tb.t.DropIndex(jcol); err != nil {
+					t.Errorf("round %d: drop: %v", r, err)
+					break
+				}
+			}
+			stop.Store(true)
+			wg.Wait()
+			if reads.Load() == 0 {
+				t.Fatal("no reads completed; the race never ran")
+			}
+			if db.EpochStats().FastHits == fastBefore {
+				t.Error("no hit was served lock-free; the race never exercised the fast path")
+			}
+			t.Logf("%d reads across %d republish rounds", reads.Load(), rounds)
+		})
 	}
 }

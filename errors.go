@@ -21,6 +21,9 @@ var (
 	ErrDuplicateIndex = engine.ErrDuplicateIndex
 	// ErrDuplicateTable is returned by CreateTable for a taken name.
 	ErrDuplicateTable = engine.ErrDuplicateTable
+	// ErrInvalidTableName is returned by CreateTable for a name that is
+	// empty, "." or "..", or contains a path separator.
+	ErrInvalidTableName = engine.ErrInvalidTableName
 	// ErrClosed is returned by every operation after DB.Close.
 	ErrClosed = engine.ErrClosed
 	// ErrQuotaExceeded is returned when a strict tenant's miss needs an

@@ -13,7 +13,7 @@ import (
 // receiver (path copying), so a reader holding an old root keeps a
 // fully consistent view while a serialized writer publishes new roots
 // with one atomic pointer store. The partial secondary index uses it so
-// the epoch-based read path can probe without locks.
+// the lock-free read path can probe without locks.
 //
 // Differences from Tree, both invisible to callers:
 //

@@ -20,7 +20,7 @@ import (
 // clock shared by every history of one Space. "This query lengthens
 // every unused buffer's running interval" then costs a single atomic
 // increment of the clock instead of a per-buffer mutex walk, which is
-// what lets the epoch-based read path record its queries without
+// what lets the lock-free read path record its queries without
 // taking any lock (Space.OnQuery). Only an actual use — rare, and
 // already serialized per buffer by the owning table's write lock —
 // touches the history's mutex. The observable values (Mean, Snapshot)

@@ -179,7 +179,7 @@ func (s *Space) Buffers() []*IndexBuffer {
 // The common case — a hit, or a query on an unbuffered column — is one
 // atomic increment of the shared query clock and takes no lock at all
 // (every history derives its running interval from the clock), which is
-// what the engine's epoch-based read path relies on. A use additionally
+// what the engine's lock-free read path relies on. A use additionally
 // touches the used buffer's History mutex; uses are misses, which hold
 // the owning table's write lock anyway.
 func (s *Space) OnQuery(queried *IndexBuffer, partialHit bool) {

@@ -26,13 +26,13 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/core"
-	"repro/internal/epoch"
 	"repro/internal/exec"
 	"repro/internal/flight"
 	"repro/internal/heap"
@@ -70,8 +70,8 @@ type Config struct {
 	DisableIndexBuffer bool
 
 	// DisableEpochReadPath forces every query through the table-lock
-	// read path, turning the epoch-based lock-free hit path off. It is
-	// the reference arm the epoch oracle and convoy tests compare the
+	// read path, turning the seqlock-validated lock-free hit path off. It
+	// is the reference arm the epoch oracle and convoy tests compare the
 	// lock-free path against; results are identical either way (see
 	// readpath.go).
 	DisableEpochReadPath bool
@@ -111,9 +111,7 @@ type Engine struct {
 	flight   *flight.Recorder
 	started  time.Time
 
-	// Epoch-based read path (readpath.go): the reclamation domain every
-	// retired snapshot goes through, and the fast-path counters.
-	epochs        *epoch.Domain
+	// Lock-free read path (readpath.go) counters.
 	fastHits      atomic.Uint64
 	fastFallbacks atomic.Uint64
 
@@ -210,7 +208,6 @@ func newEngine(cfg Config) *Engine {
 		timeline: timeline.New(timeline.DefaultCapacity, timeline.DefaultTarget),
 		flight:   flight.NewRecorder(flightRecentCap, flightSlowCap),
 		started:  time.Now(),
-		epochs:   epoch.NewDomain(),
 	}
 	return e
 }
@@ -333,7 +330,7 @@ type Table struct {
 	indexes map[int]*index.Partial    // by column ordinal
 	buffers map[int]*core.IndexBuffer // by column ordinal
 
-	// Epoch-based read path (readpath.go): seq is the table's seqlock —
+	// Lock-free read path (readpath.go): seq is the table's seqlock —
 	// even at rest, odd strictly while a mutator changes reader-visible
 	// in-memory state (never across a WAL fsync); read is the published
 	// copy-on-write access-path state lock-free readers resolve against.
@@ -358,10 +355,23 @@ func (e *Engine) CreateTable(name string, schema *storage.Schema) (*Table, error
 	return t, nil
 }
 
+// checkTableName rejects a name that is not a plain file name: a
+// table's pages live at <DataDir>/<name>.pages, so a separator or a
+// "." or ".." name could reach a file outside DataDir.
+func checkTableName(name string) error {
+	if name == "" || name == "." || name == ".." || strings.ContainsRune(name, '/') || strings.ContainsRune(name, filepath.Separator) {
+		return fmt.Errorf("engine: table %q: %w", name, ErrInvalidTableName)
+	}
+	return nil
+}
+
 // createTable registers a table under its qualified catalog name; tn is
 // the owning tenant (nil = default).
 func (e *Engine) createTable(tn *core.Tenant, name string, schema *storage.Schema) (*Table, error) {
 	if err := e.checkOpen(); err != nil {
+		return nil, err
+	}
+	if err := checkTableName(name); err != nil {
 		return nil, err
 	}
 	e.mu.Lock()
@@ -736,7 +746,7 @@ func (s *Stmt) Insert(tu storage.Tuple) (storage.RID, error) {
 	// The seqlock window closes here, before the WAL append: the heap,
 	// indexes and buffers already carry the final state, so lock-free
 	// readers may proceed while the statement waits out its fsync —
-	// exactly the reader/writer convoy the epoch read path removes.
+	// exactly the reader/writer convoy the lock-free read path removes.
 	t.endMutate()
 	// The dirtied page is still resident (nothing fetched since the heap
 	// write), so the image capture is a pool hit; see Stmt.log for why

@@ -12,7 +12,7 @@ import (
 	"repro/internal/workload"
 )
 
-// Torn-publication battery for the epoch-based read path: store faults
+// Torn-publication battery for the lock-free read path: store faults
 // are injected at a sweep of countdown positions so that operations die
 // between their in-memory publication (the seqlock window has closed,
 // the mutation is reader-visible) and their WAL record becoming

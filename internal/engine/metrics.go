@@ -213,20 +213,8 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 		m.printf("aib_query_latency_microseconds_count{mechanism=\"%s\"} %d\n", mech, l.Count)
 	}
 
-	// Epoch-based read path: domain reclamation state and fast-path
-	// counters. EpochStats advances the domain first, so a quiescent
-	// engine scrapes with a drained backlog.
+	// Lock-free read path counters.
 	es := e.EpochStats()
-	m.head("aib_epoch_current", "Current global epoch of the engine's reclamation domain.", "gauge")
-	m.printf("aib_epoch_current %d\n", es.Epoch)
-	m.head("aib_epoch_pinned_readers", "Readers currently pinned in the epoch domain.", "gauge")
-	m.printf("aib_epoch_pinned_readers %d\n", es.PinnedReaders)
-	m.head("aib_epoch_retired_backlog", "Retired snapshots awaiting reclamation.", "gauge")
-	m.printf("aib_epoch_retired_backlog %d\n", es.RetiredBacklog)
-	m.head("aib_epoch_reclaimed_total", "Retired snapshots freed since the engine started.", "counter")
-	m.printf("aib_epoch_reclaimed_total %d\n", es.Reclaimed)
-	m.head("aib_epoch_reclamation_lag", "Age in epochs of the oldest unreclaimed retirement (0 = drained).", "gauge")
-	m.printf("aib_epoch_reclamation_lag %d\n", es.ReclamationLag)
 	m.head("aib_epoch_fast_hits_total", "Queries fully served by the lock-free read path.", "counter")
 	m.printf("aib_epoch_fast_hits_total %d\n", es.FastHits)
 	m.head("aib_epoch_fallbacks_total", "Lock-free read attempts that fell back to the locked path.", "counter")

@@ -42,7 +42,7 @@ func (e *Engine) flightActive(ctx context.Context) *flight.Active {
 func (t *Table) observe(ctx context.Context, column int, stats exec.QueryStats, follower bool, buf *core.IndexBuffer) {
 	e := t.engine
 	col := t.schema.Column(column).Name
-	mech := flight.Mechanism(stats.PartialHit, follower, stats.FullScan, stats.QuotaDegraded)
+	mech := flight.Mechanism(stats.EmptyRange, stats.PartialHit, follower, stats.FullScan, stats.QuotaDegraded)
 	e.tracer.Record(t.name, col, mech, stats)
 	if e.timeline.Enabled() {
 		e.timeline.ObserveQuery(t.name, col, mech, buf, e.space.Buffer)

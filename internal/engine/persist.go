@@ -98,6 +98,19 @@ func Load(cfg Config, tenants ...TenantSpec) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Vet every cataloged name before any page file is opened: a name
+	// could reach outside DataDir, and a repeated one would open (and
+	// leak) a second store over the same file.
+	seen := make(map[string]bool, len(cat.Tables))
+	for _, tm := range cat.Tables {
+		if err := checkTableName(tm.Name); err != nil {
+			return nil, err
+		}
+		if seen[tm.Name] {
+			return nil, fmt.Errorf("engine: catalog names table %q twice: %w", tm.Name, ErrDuplicateTable)
+		}
+		seen[tm.Name] = true
+	}
 	e := newEngine(cfg)
 	e.recovery.CheckpointLSN = cat.CheckpointLSN
 	for _, ts := range tenants {

@@ -6,19 +6,18 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/epoch"
 	"repro/internal/exec"
 	"repro/internal/heap"
 	"repro/internal/index"
 	"repro/internal/storage"
 )
 
-// This file is the epoch-based lock-free read path: partial-index hits
-// — the hot case once the Index Buffer has adapted — answered without
-// touching the table's RWMutex at all. The classic convoy this removes:
-// a DML statement holds the table lock exclusive across every row it
-// applies and logs, so under the old protocol every index-covered read
-// on the table stalled behind every write. Now a read pins an epoch, resolves the probe
+// This file is the lock-free read path: partial-index hits — the hot
+// case once the Index Buffer has adapted — answered without touching
+// the table's RWMutex at all. The classic convoy this removes: a DML
+// statement holds the table lock exclusive across every row it applies
+// and logs, so under the old protocol every index-covered read on the
+// table stalled behind every write. Now a read resolves the probe
 // against immutable snapshots (the partial index's atomic
 // coverage+tree state, the heap via the published readState), and
 // validates a per-table sequence counter; only probes the snapshots
@@ -47,10 +46,13 @@ import (
 //     tracer, timeline, flight record) are applied exactly once,
 //     through the same internally synchronized structures the locked
 //     path uses.
-//   - The epoch pin (Engine.epochs) covers reclamation, not atomicity:
-//     an epoch-retired object is freed only after every reader epoch
-//     has advanced past its retirement, so a pinned reader can never
-//     observe reclaimed memory. See internal/epoch.
+//   - The seqlock gives atomicity; Go's garbage collector gives
+//     lifetime. A reader keeps whatever readState, heap and index
+//     snapshot it loaded reachable for as long as it holds them, so a
+//     republish never frees memory under it. The one resource a
+//     republish does release is a vacuumed heap's page store: a probe
+//     against it either fails (and falls back) or is discarded because
+//     vacuum's window moved seq.
 //
 // The serial-oracle guarantee is preserved: for a serially driven
 // stream the fast path performs the same probes and the same side
@@ -135,21 +137,8 @@ func (t *Table) awaitEven(spins *int) bool {
 	return true
 }
 
-// EpochStats reports the epoch-based read path's health: the domain's
-// reclamation state plus the engine-wide fast-path counters.
+// EpochStats reports the lock-free read path's engine-wide counters.
 type EpochStats struct {
-	// Epoch is the domain's current global epoch.
-	Epoch uint64 `json:"epoch"`
-	// PinnedReaders is the number of readers currently pinned.
-	PinnedReaders int64 `json:"pinned_readers"`
-	// RetiredBacklog is the number of retired snapshots not yet
-	// reclaimed.
-	RetiredBacklog int `json:"retired_backlog"`
-	// Reclaimed is the total number of retired snapshots freed.
-	Reclaimed uint64 `json:"reclaimed"`
-	// ReclamationLag is the age in epochs of the oldest unreclaimed
-	// retire (0 when the limbo list is empty).
-	ReclamationLag uint64 `json:"reclamation_lag"`
 	// FastHits counts queries fully served by the lock-free path.
 	FastHits uint64 `json:"fast_hits"`
 	// Fallbacks counts queries that attempted the lock-free path and
@@ -158,25 +147,10 @@ type EpochStats struct {
 	Fallbacks uint64 `json:"fallbacks"`
 }
 
-// EpochStats returns the engine's epoch read-path statistics. It first
-// advances the domain opportunistically, so a quiescent engine reports
-// a drained backlog.
+// EpochStats returns the engine's lock-free read-path counters.
 func (e *Engine) EpochStats() EpochStats {
-	s := e.epochs.Stats()
-	return EpochStats{
-		Epoch:          s.Epoch,
-		PinnedReaders:  s.Pinned,
-		RetiredBacklog: s.RetiredBacklog,
-		Reclaimed:      s.Reclaimed,
-		ReclamationLag: s.ReclamationLag,
-		FastHits:       e.fastHits.Load(),
-		Fallbacks:      e.fastFallbacks.Load(),
-	}
+	return EpochStats{FastHits: e.fastHits.Load(), Fallbacks: e.fastFallbacks.Load()}
 }
-
-// EpochDomain exposes the engine's epoch domain (tests advance it to
-// assert reclamation).
-func (e *Engine) EpochDomain() *epoch.Domain { return e.epochs }
 
 // fastQuery attempts lo <= column <= hi (a point query is [k, k]) on the
 // lock-free read path. ok reports success; on false the caller runs the
@@ -189,8 +163,6 @@ func (e *Engine) EpochDomain() *epoch.Domain { return e.epochs }
 func (t *Table) fastQuery(ctx context.Context, column int, lo, hi storage.Value) (m []exec.Match, stats exec.QueryStats, ok bool) {
 	e := t.engine
 	start := time.Now()
-	g := e.epochs.Pin()
-	defer g.Unpin()
 	for attempt, spins := 0, 0; attempt < fastAttempts; {
 		s1 := t.seq.Load()
 		if s1&1 != 0 {
@@ -208,7 +180,7 @@ func (t *Table) fastQuery(ctx context.Context, column int, lo, hi storage.Value)
 				attempt++
 				continue
 			}
-			stats := exec.QueryStats{Key: lo, Duration: time.Since(start)}
+			stats := exec.QueryStats{Key: lo, EmptyRange: true, Duration: time.Since(start)}
 			t.observe(ctx, column, stats, false, rs.buffers[column])
 			e.fastHits.Add(1)
 			return nil, stats, true

@@ -47,6 +47,7 @@ type QueryStats struct {
 	Key        storage.Value
 	PartialHit bool // answered by the partial index
 	FullScan   bool // no buffer available: plain full table scan
+	EmptyRange bool // hi < lo: answered without any access
 
 	// QuotaDegraded marks a miss executed read-only because the owning
 	// tenant's Index-Buffer quota was exhausted: existing buffer state

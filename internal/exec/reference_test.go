@@ -72,7 +72,8 @@ func (r *refAlg1) batch(qs []SharedQuery, workers int) ([][]storage.RID, []Query
 		lo, hi, st := q.Lo.Int64(), q.Hi.Int64(), &stats[i]
 		st.Key = q.Lo
 		if hi < lo {
-			continue // empty range: no access at all
+			st.EmptyRange = true
+			continue // no access at all
 		}
 		st.PartialHit = r.covered(lo) && r.covered(hi) // coverage is one interval
 		read := map[storage.PageID]bool{}              // pages fetched, each counted once

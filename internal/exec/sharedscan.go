@@ -113,7 +113,8 @@ func ExecuteShared(a Access, qs []SharedQuery) []SharedOutcome {
 		}
 		outs[i].Stats.Key = q.Lo
 		if q.Hi.Compare(q.Lo) < 0 {
-			continue // empty range: answered without any access
+			outs[i].Stats.EmptyRange = true
+			continue // answered without any access
 		}
 		var snap index.Snapshot
 		hit := false

@@ -91,8 +91,10 @@ func (r Record) Duration() time.Duration { return time.Duration(r.DurationNanos)
 // Mechanism derives the per-query mechanism label from the executor's
 // outcome flags — the one vocabulary the tracer's latency histograms,
 // the timeline's query mix and flight records share.
-func Mechanism(partialHit, follower, fullScan, degraded bool) string {
+func Mechanism(emptyRange, partialHit, follower, fullScan, degraded bool) string {
 	switch {
+	case emptyRange:
+		return "empty-range"
 	case partialHit:
 		return "hit"
 	case follower:

@@ -20,19 +20,20 @@ func spin() {
 
 func TestMechanismPriority(t *testing.T) {
 	cases := []struct {
-		hit, follower, full, degraded bool
-		want                          string
+		empty, hit, follower, full, degraded bool
+		want                                 string
 	}{
-		{true, true, true, true, "hit"},
-		{false, true, true, true, "shared-follower"},
-		{false, false, true, true, "full-scan"},
-		{false, false, false, true, "degraded-scan"},
-		{false, false, false, false, "indexing-scan"},
+		{true, true, true, true, true, "empty-range"},
+		{false, true, true, true, true, "hit"},
+		{false, false, true, true, true, "shared-follower"},
+		{false, false, false, true, true, "full-scan"},
+		{false, false, false, false, true, "degraded-scan"},
+		{false, false, false, false, false, "indexing-scan"},
 	}
 	for _, c := range cases {
-		if got := Mechanism(c.hit, c.follower, c.full, c.degraded); got != c.want {
-			t.Errorf("Mechanism(%v,%v,%v,%v) = %q, want %q",
-				c.hit, c.follower, c.full, c.degraded, got, c.want)
+		if got := Mechanism(c.empty, c.hit, c.follower, c.full, c.degraded); got != c.want {
+			t.Errorf("Mechanism(%v,%v,%v,%v,%v) = %q, want %q",
+				c.empty, c.hit, c.follower, c.full, c.degraded, got, c.want)
 		}
 	}
 }

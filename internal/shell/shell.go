@@ -656,6 +656,8 @@ func renderMatches(t *engine.Table, matches []engineMatch) []rowOut {
 func statsString(st engineStats) string {
 	mech := "indexing scan"
 	switch {
+	case st.EmptyRange:
+		mech = "empty range"
 	case st.PartialHit:
 		mech = "partial index hit"
 	case st.FullScan:

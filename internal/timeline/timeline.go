@@ -171,7 +171,8 @@ type queryMix struct {
 
 // count advances the counter for mech (the flight.Mechanism vocabulary).
 // A quota-degraded pass counts with the full scans: it adapts nothing
-// (the tenant's degraded counter tracks it separately).
+// (the tenant's degraded counter tracks it separately). An empty range
+// touches nothing and counts nowhere.
 func (m *queryMix) count(mech string) {
 	switch mech {
 	case "hit":

@@ -23,7 +23,7 @@ func stats(hit, full bool, pages, skipped, matches int) exec.QueryStats {
 
 // record ingests st under the mechanism the engine would derive for it.
 func record(tr *Tracer, table, column string, follower bool, st exec.QueryStats) {
-	tr.Record(table, column, flight.Mechanism(st.PartialHit, follower, st.FullScan, st.QuotaDegraded), st)
+	tr.Record(table, column, flight.Mechanism(st.EmptyRange, st.PartialHit, follower, st.FullScan, st.QuotaDegraded), st)
 }
 
 func TestRecordAndAggregates(t *testing.T) {

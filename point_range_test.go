@@ -1,11 +1,14 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/storage"
 )
@@ -155,5 +158,32 @@ func TestPointQueryEqualsRange(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestEmptyRangeIsNotAScan checks that a range with hi < lo is labelled
+// an empty range on both read arms — in the shell's summary line and as
+// the mechanism of the latency histograms — and never counted as the
+// indexing scan it does not run.
+func TestEmptyRangeIsNotAScan(t *testing.T) {
+	ctx := context.Background()
+	for _, locked := range []bool{false, true} {
+		t.Run(fmt.Sprintf("locked=%v", locked), func(t *testing.T) {
+			db := openTuned(t, Options{}, false, func(c *engine.Config) { c.DisableEpochReadPath = locked })
+			defer db.Close()
+			for _, stmt := range []string{"CREATE TABLE t (k INT)", "INSERT INTO t VALUES (4)"} {
+				if _, err := db.Exec(ctx, stmt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := db.Exec(ctx, "SELECT * FROM t WHERE k BETWEEN 5 AND 3")
+			if err != nil || res.Rows != 0 || !strings.Contains(res.Output, "empty range:") {
+				t.Fatalf("empty range = %+v, %v; want 0 rows reported as an empty range", res, err)
+			}
+			lat := db.eng.Tracer().LatencyStats()
+			if len(lat) != 1 || lat[0].Mechanism != "empty-range" || lat[0].Count != 1 {
+				t.Fatalf("latency mechanisms = %+v, want one empty-range query", lat)
+			}
+		})
 	}
 }
