@@ -22,8 +22,11 @@ var (
 	// ErrDuplicateTable is returned by CreateTable for a taken name.
 	ErrDuplicateTable = engine.ErrDuplicateTable
 	// ErrInvalidTableName is returned by CreateTable for a name that is
-	// empty, "." or "..", or contains a path separator.
+	// empty or contains a path separator, '.' or ':'.
 	ErrInvalidTableName = engine.ErrInvalidTableName
+	// ErrInvalidTenantName is returned by CreateTenant (and Open) for a
+	// tenant name that contains '.' or ':'.
+	ErrInvalidTenantName = engine.ErrInvalidTenantName
 	// ErrClosed is returned by every operation after DB.Close.
 	ErrClosed = engine.ErrClosed
 	// ErrQuotaExceeded is returned when a strict tenant's miss needs an

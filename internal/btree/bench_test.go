@@ -74,3 +74,16 @@ func BenchmarkAscendRange(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCloneInsert measures one partial-index write: clone the
+// published tree, insert into the clone and publish it, on a tree of
+// 100,000 keys.
+func BenchmarkCloneInsert(b *testing.B) {
+	tr, _ := benchTree(100000)
+	rng := rand.New(rand.NewSource(4))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr = tr.Clone()
+		tr.Insert(storage.Int64Value(rng.Int63n(1<<30)), storage.RID{Page: storage.PageID(i), Slot: 1})
+	}
+}

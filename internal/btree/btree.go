@@ -1,16 +1,37 @@
-// Package btree implements an in-memory B+-tree mapping column values to
-// posting lists of record identifiers. It is the index structure behind
-// both the partial secondary indexes and every Index Buffer partition —
-// the paper builds on "a normal B*-Tree" and calls the concrete
-// structure not essential (§III).
+// Package btree implements an in-memory copy-on-write B+-tree mapping
+// column values to posting lists of record identifiers. It is the index
+// structure behind both the partial secondary indexes and every Index
+// Buffer partition — the paper builds on "a normal B*-Tree" and calls
+// the concrete structure not essential (§III).
 //
 // The tree supports duplicate keys via per-key posting lists kept in RID
-// order, ordered iteration, and full delete rebalancing (borrow/merge).
+// order and ordered iteration. Leaves are not chained, so a change
+// copies at most one root-to-leaf path; iteration, Min and range seeks
+// descend from the root instead. Delete prunes emptied nodes but never
+// borrows or merges: a sparse tree still descends in O(height), and Bulk
+// re-packs.
+//
+// Ownership. The tree and each of its nodes carry an ownership token.
+// Insert and Delete change a node the tree owns in place and copy any
+// other node on their path first, taking ownership of the copy. Clone is
+// O(1): it shares the root and gives both trees fresh tokens, so from
+// then on neither changes a shared node and each is an immutable
+// snapshot of the other. Two rules keep that true:
+//
+//   - A leaf copied for ownership caps every posting it inherits at its
+//     length (p[:len(p):len(p)]), so growing one reallocates instead of
+//     writing into an array a clone still reads; and removing a RID
+//     always builds a fresh posting.
+//   - Every clone gets a unique token. Tokens come from a process-wide
+//     counter; a zero-size allocation such as new(struct{}) would not
+//     do, because Go may return the same address for all of them.
 package btree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/storage"
 )
@@ -22,51 +43,57 @@ const DefaultOrder = 64
 // Tree is a B+-tree from storage.Value keys to RID posting lists.
 // The zero Tree is not usable; construct with New.
 //
-// Tree is not safe for concurrent use; callers serialize access (the
-// engine holds its own locks).
+// Tree is not safe for concurrent mutation; callers serialize Insert,
+// Delete and Clone (the engine holds its own locks). Readers may walk a
+// tree concurrently with a mutator as long as nobody mutates that tree
+// itself: Clone writes only the receiver's token, which no reader uses.
 type Tree struct {
 	order    int
-	root     node
-	first    *leaf // leftmost leaf, head of the leaf chain
-	distinct int   // number of keys with non-empty postings
-	entries  int   // number of (key, rid) pairs
+	root     *node // nil when empty
+	owner    uint64
+	distinct int // number of keys with non-empty postings
+	entries  int // number of (key, rid) pairs
 }
 
-type node interface {
-	isNode()
-}
-
-// leaf holds keys and their posting lists. keys[i] corresponds to
-// posts[i]; postings are sorted by RID and non-empty.
-type leaf struct {
-	keys  []storage.Value
-	posts [][]storage.RID
-	next  *leaf
-}
-
-// inner holds separator keys and children. children[i] covers keys <
-// keys[i]; children[len(keys)] covers the rest. Each keys[i] equals the
-// smallest key reachable under children[i+1].
-type inner struct {
+// node is a leaf when children is nil. A leaf's keys[i] maps to
+// posts[i], a non-empty posting sorted by RID. An inner node's
+// children[i] covers keys < keys[i] and children[len(keys)] the rest;
+// every key under children[i+1] is >= keys[i]. A node changes in place
+// only under the tree whose token it carries.
+type node struct {
 	keys     []storage.Value
-	children []node
+	children []*node
+	posts    [][]storage.RID
+	owner    uint64
 }
 
-func (*leaf) isNode()  {}
-func (*inner) isNode() {}
+func (n *node) leaf() bool { return n.children == nil }
 
-// New creates an empty tree. Order must be at least 4 to keep splits and
-// merges well-formed; New panics otherwise (a static misconfiguration).
+var lastToken atomic.Uint64
+
+func newToken() uint64 { return lastToken.Add(1) }
+
+// New creates an empty tree. Order must be at least 4 to keep splits
+// well-formed; New panics otherwise (a static misconfiguration).
 func New(order int) *Tree {
 	if order < 4 {
 		panic(fmt.Sprintf("btree: order %d, want >= 4", order))
 	}
-	lf := &leaf{}
-	return &Tree{order: order, root: lf, first: lf}
+	return &Tree{order: order, owner: newToken()}
 }
 
 // NewDefault creates an empty tree with DefaultOrder.
 func NewDefault() *Tree { return New(DefaultOrder) }
+
+// Clone returns a tree with the same contents in O(1). The two trees
+// share every node until one of them changes it, so a clone taken before
+// a batch of mutations is a stable snapshot, and mutating a clone never
+// shows through the receiver.
+func (t *Tree) Clone() *Tree {
+	c := *t
+	t.owner, c.owner = newToken(), newToken()
+	return &c
+}
 
 // Len returns the number of distinct keys.
 func (t *Tree) Len() int { return t.distinct }
@@ -75,14 +102,8 @@ func (t *Tree) Len() int { return t.distinct }
 // Index Buffer Space budget is expressed in.
 func (t *Tree) EntryCount() int { return t.entries }
 
-// minLeafKeys is the underflow bound for leaves.
-func (t *Tree) minLeafKeys() int { return t.order / 2 }
-
-// minInnerChildren is the underflow bound for inner nodes.
-func (t *Tree) minInnerChildren() int { return (t.order + 1) / 2 }
-
-// searchKeys returns the number of keys in ks strictly less than k — the
-// child index to descend into for inner nodes.
+// searchKeys returns the number of keys in ks less than or equal to k —
+// the child index to descend into for inner nodes.
 func searchKeys(ks []storage.Value, k storage.Value) int {
 	return sort.Search(len(ks), func(i int) bool { return ks[i].Compare(k) > 0 })
 }
@@ -94,363 +115,289 @@ func leafSlot(ks []storage.Value, k storage.Value) (int, bool) {
 	return i, i < len(ks) && ks[i].Equal(k)
 }
 
+// ridSlot returns the position of rid in post and whether it is present.
+func ridSlot(post []storage.RID, rid storage.RID) (int, bool) {
+	j := sort.Search(len(post), func(j int) bool { return !post[j].Less(rid) })
+	return j, j < len(post) && post[j] == rid
+}
+
+// mut returns n when t owns it, otherwise a copy t owns.
+func (t *Tree) mut(n *node) *node {
+	if n.owner == t.owner {
+		return n
+	}
+	return t.copyOf(n)
+}
+
+// copyOf copies n for t. The copy has room for one more key and caps
+// every posting it inherits.
+func (t *Tree) copyOf(n *node) *node {
+	c := &node{owner: t.owner, keys: append(make([]storage.Value, 0, len(n.keys)+1), n.keys...)}
+	if n.leaf() {
+		c.posts = make([][]storage.RID, len(n.posts), len(n.posts)+1)
+		for i, p := range n.posts {
+			c.posts[i] = p[:len(p):len(p)]
+		}
+	} else {
+		c.children = append(make([]*node, 0, len(n.children)+1), n.children...)
+	}
+	return c
+}
+
 // Insert adds (key, rid) to the tree. Inserting a duplicate (key, rid)
 // pair is a no-op returning false; otherwise it returns true.
 func (t *Tree) Insert(key storage.Value, rid storage.RID) bool {
 	if !key.IsValid() {
 		panic("btree: insert of invalid key")
 	}
-	added, sepKey, sibling := t.insert(t.root, key, rid)
-	if sibling != nil {
-		t.root = &inner{
-			keys:     []storage.Value{sepKey},
-			children: []node{t.root, sibling},
-		}
+	if t.root == nil {
+		t.root = &node{owner: t.owner, keys: []storage.Value{key}, posts: [][]storage.RID{{rid}}}
+		t.distinct, t.entries = 1, 1
+		return true
 	}
-	return added
+	root, sep, sib := t.insert(t.root, key, rid)
+	if root == nil {
+		return false
+	}
+	if sib != nil {
+		root = &node{owner: t.owner, keys: []storage.Value{sep}, children: []*node{root, sib}}
+	}
+	t.root = root
+	t.entries++
+	return true
 }
 
-// insert descends to the leaf. When a child splits, it returns the
-// separator key and new right sibling for the caller to absorb.
-func (t *Tree) insert(n node, key storage.Value, rid storage.RID) (added bool, sepKey storage.Value, sibling node) {
-	switch nd := n.(type) {
-	case *leaf:
-		i, found := leafSlot(nd.keys, key)
+// insert adds (key, rid) under n. It returns nil when the pair was
+// already there; otherwise n or its owned copy and, when that node
+// split, the separator and new right sibling for the caller to absorb.
+func (t *Tree) insert(n *node, key storage.Value, rid storage.RID) (*node, storage.Value, *node) {
+	if n.leaf() {
+		i, found := leafSlot(n.keys, key)
 		if found {
-			post := nd.posts[i]
-			j := sort.Search(len(post), func(j int) bool { return !post[j].Less(rid) })
-			if j < len(post) && post[j] == rid {
-				return false, storage.Value{}, nil
+			j, dup := ridSlot(n.posts[i], rid)
+			if dup {
+				return nil, storage.Value{}, nil
 			}
-			nd.posts[i] = append(post, storage.RID{})
-			copy(nd.posts[i][j+1:], nd.posts[i][j:])
-			nd.posts[i][j] = rid
-			t.entries++
-			return true, storage.Value{}, nil
+			n = t.mut(n)
+			n.posts[i] = slices.Insert(n.posts[i], j, rid)
+			return n, storage.Value{}, nil
 		}
-		nd.keys = append(nd.keys, storage.Value{})
-		copy(nd.keys[i+1:], nd.keys[i:])
-		nd.keys[i] = key
-		nd.posts = append(nd.posts, nil)
-		copy(nd.posts[i+1:], nd.posts[i:])
-		nd.posts[i] = []storage.RID{rid}
+		n = t.mut(n)
+		n.keys = slices.Insert(n.keys, i, key)
+		n.posts = slices.Insert(n.posts, i, []storage.RID{rid})
 		t.distinct++
-		t.entries++
-		if len(nd.keys) > t.order {
-			sk, sib := t.splitLeaf(nd)
-			return true, sk, sib
+		if len(n.keys) > t.order {
+			sep, sib := t.split(n)
+			return n, sep, sib
 		}
-		return true, storage.Value{}, nil
-
-	case *inner:
-		ci := searchKeys(nd.keys, key)
-		added, sk, sib := t.insert(nd.children[ci], key, rid)
-		if sib != nil {
-			nd.keys = append(nd.keys, storage.Value{})
-			copy(nd.keys[ci+1:], nd.keys[ci:])
-			nd.keys[ci] = sk
-			nd.children = append(nd.children, nil)
-			copy(nd.children[ci+2:], nd.children[ci+1:])
-			nd.children[ci+1] = sib
-			if len(nd.children) > t.order {
-				sk2, sib2 := t.splitInner(nd)
-				return added, sk2, sib2
-			}
-		}
-		return added, storage.Value{}, nil
-	default:
-		panic("btree: unknown node type")
+		return n, storage.Value{}, nil
 	}
+	ci := searchKeys(n.keys, key)
+	child, sep, sib := t.insert(n.children[ci], key, rid)
+	if child == nil {
+		return nil, storage.Value{}, nil
+	}
+	// A child changed in place is owned, and so then is n.
+	if child != n.children[ci] {
+		n = t.mut(n)
+		n.children[ci] = child
+	}
+	if sib != nil {
+		n.keys = slices.Insert(n.keys, ci, sep)
+		n.children = slices.Insert(n.children, ci+1, sib)
+		if len(n.children) > t.order {
+			sep, sib = t.split(n)
+			return n, sep, sib
+		}
+	}
+	return n, storage.Value{}, nil
 }
 
-// splitLeaf splits nd in half, returning the separator (first key of the
-// right half) and the new right leaf.
-func (t *Tree) splitLeaf(nd *leaf) (storage.Value, node) {
-	mid := len(nd.keys) / 2
-	right := &leaf{
-		keys:  append([]storage.Value(nil), nd.keys[mid:]...),
-		posts: append([][]storage.RID(nil), nd.posts[mid:]...),
-		next:  nd.next,
+// split halves the owned node n, returning the separator and the new
+// right sibling. A leaf's separator is the right half's first key; an
+// inner node promotes its middle key.
+func (t *Tree) split(n *node) (storage.Value, *node) {
+	mid := len(n.keys) / 2
+	if n.leaf() {
+		r := &node{owner: t.owner, keys: slices.Clone(n.keys[mid:]), posts: slices.Clone(n.posts[mid:])}
+		n.keys, n.posts = n.keys[:mid:mid], n.posts[:mid:mid]
+		return r.keys[0], r
 	}
-	nd.keys = nd.keys[:mid:mid]
-	nd.posts = nd.posts[:mid:mid]
-	nd.next = right
-	return right.keys[0], right
-}
-
-// splitInner splits nd, promoting the middle key.
-func (t *Tree) splitInner(nd *inner) (storage.Value, node) {
-	mid := len(nd.keys) / 2
-	sep := nd.keys[mid]
-	right := &inner{
-		keys:     append([]storage.Value(nil), nd.keys[mid+1:]...),
-		children: append([]node(nil), nd.children[mid+1:]...),
-	}
-	nd.keys = nd.keys[:mid:mid]
-	nd.children = nd.children[: mid+1 : mid+1]
-	return sep, right
+	sep := n.keys[mid]
+	r := &node{owner: t.owner, keys: slices.Clone(n.keys[mid+1:]), children: slices.Clone(n.children[mid+1:])}
+	n.keys, n.children = n.keys[:mid:mid], n.children[:mid+1:mid+1]
+	return sep, r
 }
 
 // Lookup returns the posting list for key, or nil. The returned slice is
-// owned by the tree; callers must not mutate it.
+// shared with the tree and its clones; callers must not mutate it.
 func (t *Tree) Lookup(key storage.Value) []storage.RID {
 	n := t.root
-	for {
-		switch nd := n.(type) {
-		case *leaf:
-			if i, found := leafSlot(nd.keys, key); found {
-				return nd.posts[i]
-			}
-			return nil
-		case *inner:
-			n = nd.children[searchKeys(nd.keys, key)]
-		}
+	if n == nil {
+		return nil
 	}
+	for !n.leaf() {
+		n = n.children[searchKeys(n.keys, key)]
+	}
+	if i, found := leafSlot(n.keys, key); found {
+		return n.posts[i]
+	}
+	return nil
 }
 
 // Contains reports whether (key, rid) is in the tree.
 func (t *Tree) Contains(key storage.Value, rid storage.RID) bool {
-	for _, r := range t.Lookup(key) {
-		if r == rid {
-			return true
-		}
-	}
-	return false
+	_, found := ridSlot(t.Lookup(key), rid)
+	return found
 }
 
 // Delete removes (key, rid). It returns false when the pair was absent.
 func (t *Tree) Delete(key storage.Value, rid storage.RID) bool {
-	removed := t.delete(t.root, key, rid)
+	if t.root == nil {
+		return false
+	}
+	root, removed := t.delete(t.root, key, rid)
 	if !removed {
 		return false
 	}
-	// Collapse a root inner node with a single child.
-	if in, ok := t.root.(*inner); ok && len(in.children) == 1 {
-		t.root = in.children[0]
+	// Collapse root inner nodes left with a single child.
+	for root != nil && len(root.children) == 1 {
+		root = root.children[0]
 	}
+	t.root = root
+	t.entries--
 	return true
 }
 
-func (t *Tree) delete(n node, key storage.Value, rid storage.RID) bool {
-	switch nd := n.(type) {
-	case *leaf:
-		i, found := leafSlot(nd.keys, key)
+// delete removes (key, rid) under n. On success it returns n or its
+// owned copy, or nil when n emptied and its parent must prune it.
+func (t *Tree) delete(n *node, key storage.Value, rid storage.RID) (*node, bool) {
+	if n.leaf() {
+		i, found := leafSlot(n.keys, key)
 		if !found {
-			return false
+			return n, false
 		}
-		post := nd.posts[i]
-		j := sort.Search(len(post), func(j int) bool { return !post[j].Less(rid) })
-		if j >= len(post) || post[j] != rid {
-			return false
+		post := n.posts[i]
+		j, found := ridSlot(post, rid)
+		if !found {
+			return n, false
 		}
-		nd.posts[i] = append(post[:j], post[j+1:]...)
-		t.entries--
-		if len(nd.posts[i]) == 0 {
-			nd.keys = append(nd.keys[:i], nd.keys[i+1:]...)
-			nd.posts = append(nd.posts[:i], nd.posts[i+1:]...)
-			t.distinct--
+		if len(post) > 1 {
+			n = t.mut(n)
+			n.posts[i] = append(append(make([]storage.RID, 0, len(post)-1), post[:j]...), post[j+1:]...)
+			return n, true
 		}
-		return true
-
-	case *inner:
-		ci := searchKeys(nd.keys, key)
-		if !t.delete(nd.children[ci], key, rid) {
-			return false
+		t.distinct--
+		if len(n.keys) == 1 {
+			return nil, true
 		}
-		t.rebalance(nd, ci)
-		return true
-	default:
-		panic("btree: unknown node type")
+		n = t.mut(n)
+		n.keys = slices.Delete(n.keys, i, i+1)
+		n.posts = slices.Delete(n.posts, i, i+1)
+		return n, true
 	}
-}
-
-// rebalance fixes a potential underflow of nd.children[ci] by borrowing
-// from or merging with a sibling.
-func (t *Tree) rebalance(nd *inner, ci int) {
-	switch child := nd.children[ci].(type) {
-	case *leaf:
-		if len(child.keys) >= t.minLeafKeys() {
-			return
-		}
-		// Borrow from right sibling.
-		if ci+1 < len(nd.children) {
-			r := nd.children[ci+1].(*leaf)
-			if len(r.keys) > t.minLeafKeys() {
-				child.keys = append(child.keys, r.keys[0])
-				child.posts = append(child.posts, r.posts[0])
-				r.keys = r.keys[1:]
-				r.posts = r.posts[1:]
-				nd.keys[ci] = r.keys[0]
-				return
-			}
-		}
-		// Borrow from left sibling.
-		if ci > 0 {
-			l := nd.children[ci-1].(*leaf)
-			if len(l.keys) > t.minLeafKeys() {
-				last := len(l.keys) - 1
-				child.keys = append([]storage.Value{l.keys[last]}, child.keys...)
-				child.posts = append([][]storage.RID{l.posts[last]}, child.posts...)
-				l.keys = l.keys[:last]
-				l.posts = l.posts[:last]
-				nd.keys[ci-1] = child.keys[0]
-				return
-			}
-		}
-		// Merge with a sibling.
-		if ci+1 < len(nd.children) {
-			t.mergeLeaves(nd, ci)
-		} else if ci > 0 {
-			t.mergeLeaves(nd, ci-1)
-		}
-
-	case *inner:
-		if len(child.children) >= t.minInnerChildren() {
-			return
-		}
-		if ci+1 < len(nd.children) {
-			r := nd.children[ci+1].(*inner)
-			if len(r.children) > t.minInnerChildren() {
-				// Rotate left through the separator.
-				child.keys = append(child.keys, nd.keys[ci])
-				child.children = append(child.children, r.children[0])
-				nd.keys[ci] = r.keys[0]
-				r.keys = r.keys[1:]
-				r.children = r.children[1:]
-				return
-			}
-		}
-		if ci > 0 {
-			l := nd.children[ci-1].(*inner)
-			if len(l.children) > t.minInnerChildren() {
-				// Rotate right through the separator.
-				child.keys = append([]storage.Value{nd.keys[ci-1]}, child.keys...)
-				child.children = append([]node{l.children[len(l.children)-1]}, child.children...)
-				nd.keys[ci-1] = l.keys[len(l.keys)-1]
-				l.keys = l.keys[:len(l.keys)-1]
-				l.children = l.children[:len(l.children)-1]
-				return
-			}
-		}
-		if ci+1 < len(nd.children) {
-			t.mergeInners(nd, ci)
-		} else if ci > 0 {
-			t.mergeInners(nd, ci-1)
-		}
+	ci := searchKeys(n.keys, key)
+	child, removed := t.delete(n.children[ci], key, rid)
+	if !removed {
+		return n, false
 	}
-}
-
-// mergeLeaves merges nd.children[i+1] into nd.children[i].
-func (t *Tree) mergeLeaves(nd *inner, i int) {
-	l := nd.children[i].(*leaf)
-	r := nd.children[i+1].(*leaf)
-	l.keys = append(l.keys, r.keys...)
-	l.posts = append(l.posts, r.posts...)
-	l.next = r.next
-	nd.keys = append(nd.keys[:i], nd.keys[i+1:]...)
-	nd.children = append(nd.children[:i+1], nd.children[i+2:]...)
-}
-
-// mergeInners merges nd.children[i+1] into nd.children[i], pulling down
-// the separator.
-func (t *Tree) mergeInners(nd *inner, i int) {
-	l := nd.children[i].(*inner)
-	r := nd.children[i+1].(*inner)
-	l.keys = append(append(l.keys, nd.keys[i]), r.keys...)
-	l.children = append(l.children, r.children...)
-	nd.keys = append(nd.keys[:i], nd.keys[i+1:]...)
-	nd.children = append(nd.children[:i+1], nd.children[i+2:]...)
+	if child == nil && len(n.children) == 1 {
+		return nil, true
+	}
+	n = t.mut(n)
+	if child != nil {
+		n.children[ci] = child
+		return n, true
+	}
+	// Pruning children[ci] drops its separator keys[ci-1], or keys[0]
+	// for the first child.
+	ki := max(ci-1, 0)
+	n.keys = slices.Delete(n.keys, ki, ki+1)
+	n.children = slices.Delete(n.children, ci, ci+1)
+	return n, true
 }
 
 // Ascend calls fn for every (key, posting) in key order until fn returns
 // false.
 func (t *Tree) Ascend(fn func(key storage.Value, post []storage.RID) bool) {
-	for lf := t.first; lf != nil; lf = lf.next {
-		for i, k := range lf.keys {
-			if !fn(k, lf.posts[i]) {
-				return
-			}
-		}
-	}
+	t.AscendRange(storage.Value{}, storage.Value{}, fn)
 }
 
 // AscendRange calls fn for every key in [lo, hi] in order until fn
 // returns false. An invalid lo means "from the minimum"; an invalid hi
 // means "to the maximum".
 func (t *Tree) AscendRange(lo, hi storage.Value, fn func(key storage.Value, post []storage.RID) bool) {
-	lf, start := t.seek(lo)
-	for ; lf != nil; lf = lf.next {
-		for i := start; i < len(lf.keys); i++ {
-			if hi.IsValid() && lf.keys[i].Compare(hi) > 0 {
-				return
-			}
-			if !fn(lf.keys[i], lf.posts[i]) {
-				return
-			}
-		}
-		start = 0
+	if t.root != nil {
+		ascendRange(t.root, lo, hi, fn)
 	}
 }
 
-// seek positions at the first key >= lo (or the first key overall when lo
-// is invalid).
-func (t *Tree) seek(lo storage.Value) (*leaf, int) {
-	if !lo.IsValid() {
-		return t.first, 0
-	}
-	n := t.root
-	for {
-		switch nd := n.(type) {
-		case *leaf:
-			i, _ := leafSlot(nd.keys, lo)
-			if i == len(nd.keys) {
-				return nd.next, 0
-			}
-			return nd, i
-		case *inner:
-			n = nd.children[searchKeys(nd.keys, lo)]
+// ascendRange walks the subtree in order; it returns false once fn
+// stopped the iteration or a key passed hi, which unwinds the whole
+// walk.
+func ascendRange(n *node, lo, hi storage.Value, fn func(key storage.Value, post []storage.RID) bool) bool {
+	if n.leaf() {
+		start := 0
+		if lo.IsValid() {
+			start, _ = leafSlot(n.keys, lo)
 		}
+		for i := start; i < len(n.keys); i++ {
+			if hi.IsValid() && n.keys[i].Compare(hi) > 0 {
+				return false
+			}
+			if !fn(n.keys[i], n.posts[i]) {
+				return false
+			}
+		}
+		return true
 	}
+	start := 0
+	if lo.IsValid() {
+		start = searchKeys(n.keys, lo)
+	}
+	for _, c := range n.children[start:] {
+		if !ascendRange(c, lo, hi, fn) {
+			return false
+		}
+		lo = storage.Value{} // every later child holds only keys > lo
+	}
+	return true
 }
 
-// Min returns the smallest key, or an invalid Value when empty.
+// Min returns the smallest key, or an invalid Value when empty. Leaves
+// are never empty, so the leftmost leaf holds it.
 func (t *Tree) Min() storage.Value {
-	for lf := t.first; lf != nil; lf = lf.next {
-		if len(lf.keys) > 0 {
-			return lf.keys[0]
-		}
+	n := t.root
+	if n == nil {
+		return storage.Value{}
 	}
-	return storage.Value{}
+	for !n.leaf() {
+		n = n.children[0]
+	}
+	return n.keys[0]
 }
 
 // Max returns the largest key, or an invalid Value when empty.
 func (t *Tree) Max() storage.Value {
-	var out storage.Value
 	n := t.root
-	for {
-		switch nd := n.(type) {
-		case *leaf:
-			if len(nd.keys) > 0 {
-				out = nd.keys[len(nd.keys)-1]
-			}
-			return out
-		case *inner:
-			n = nd.children[len(nd.children)-1]
-		}
+	if n == nil {
+		return storage.Value{}
 	}
+	for !n.leaf() {
+		n = n.children[len(n.children)-1]
+	}
+	return n.keys[len(n.keys)-1]
 }
 
-// Height returns the number of levels (1 for a lone leaf). Exposed for
-// tests and stats.
+// Height returns the number of levels (1 for a lone leaf, 0 when
+// empty). Exposed for tests and stats.
 func (t *Tree) Height() int {
-	h := 1
-	n := t.root
-	for {
-		in, ok := n.(*inner)
-		if !ok {
-			return h
-		}
-		h++
-		n = in.children[0]
+	if t.root == nil {
+		return 0
 	}
+	h := 1
+	for n := t.root; !n.leaf(); n = n.children[0] {
+		h++
+	}
+	return h
 }

@@ -190,6 +190,9 @@ func TestDeleteBasic(t *testing.T) {
 	}
 }
 
+// TestDeleteRebalancing drains a deep tree from both ends and then
+// front to back, so leaves and inner nodes empty at the left edge, the
+// right edge and in the middle and are pruned.
 func TestDeleteRebalancing(t *testing.T) {
 	t.Parallel()
 	tr := New(4)
@@ -197,8 +200,7 @@ func TestDeleteRebalancing(t *testing.T) {
 	for k := 0; k < n; k++ {
 		tr.Insert(iv(int64(k)), rid(k, 0))
 	}
-	// Delete in an order that exercises left/right borrows and merges:
-	// front, back, then every other.
+	// Delete front, back, then everything in order.
 	order := make([]int, 0, n)
 	for i := 0; i < n/4; i++ {
 		order = append(order, i, n-1-i)
@@ -214,8 +216,11 @@ func TestDeleteRebalancing(t *testing.T) {
 			t.Fatalf("delete %d: got %v, want %v", k, got, want)
 		}
 		deleted[k] = true
+		if k%97 == 0 {
+			checkInvariants(t, tr)
+		}
 	}
-	if tr.Len() != 0 {
+	if tr.Len() != 0 || tr.Height() != 0 {
 		t.Fatalf("tree not empty: %d keys", tr.Len())
 	}
 }
@@ -223,80 +228,80 @@ func TestDeleteRebalancing(t *testing.T) {
 // checkInvariants walks the tree verifying structural invariants.
 func checkInvariants(t *testing.T, tr *Tree) {
 	t.Helper()
-	var walk func(n node, depth int) (min, max storage.Value, leafDepth int)
-	walk = func(n node, depth int) (storage.Value, storage.Value, int) {
-		switch nd := n.(type) {
-		case *leaf:
-			for i := 1; i < len(nd.keys); i++ {
-				if nd.keys[i-1].Compare(nd.keys[i]) >= 0 {
-					t.Fatalf("leaf keys out of order: %v, %v", nd.keys[i-1], nd.keys[i])
+	if tr.root == nil {
+		if tr.Len() != 0 || tr.EntryCount() != 0 {
+			t.Fatalf("nil root with Len=%d EntryCount=%d", tr.Len(), tr.EntryCount())
+		}
+		return
+	}
+	var walk func(n *node, depth int) (min, max storage.Value, leafDepth int)
+	walk = func(n *node, depth int) (storage.Value, storage.Value, int) {
+		if n.leaf() {
+			if len(n.keys) == 0 || len(n.posts) != len(n.keys) {
+				t.Fatalf("leaf has %d keys and %d postings", len(n.keys), len(n.posts))
+			}
+			for i := 1; i < len(n.keys); i++ {
+				if n.keys[i-1].Compare(n.keys[i]) >= 0 {
+					t.Fatalf("leaf keys out of order: %v, %v", n.keys[i-1], n.keys[i])
 				}
 			}
-			for i, post := range nd.posts {
+			for i, post := range n.posts {
 				if len(post) == 0 {
-					t.Fatalf("empty posting for key %v", nd.keys[i])
+					t.Fatalf("empty posting for key %v", n.keys[i])
 				}
 				for j := 1; j < len(post); j++ {
 					if !post[j-1].Less(post[j]) {
-						t.Fatalf("posting unsorted for key %v", nd.keys[i])
+						t.Fatalf("posting unsorted for key %v", n.keys[i])
 					}
 				}
 			}
-			if len(nd.keys) == 0 {
-				return storage.Value{}, storage.Value{}, depth
-			}
-			return nd.keys[0], nd.keys[len(nd.keys)-1], depth
-		case *inner:
-			if len(nd.children) != len(nd.keys)+1 {
-				t.Fatalf("inner has %d children for %d keys", len(nd.children), len(nd.keys))
-			}
-			var lo, hi storage.Value
-			leafDepth := -1
-			for i, c := range nd.children {
-				cmin, cmax, d := walk(c, depth+1)
-				if leafDepth == -1 {
-					leafDepth = d
-				} else if d != leafDepth {
-					t.Fatal("leaves at different depths")
-				}
-				if i > 0 && cmin.IsValid() && cmin.Compare(nd.keys[i-1]) < 0 {
-					t.Fatalf("child %d min %v < separator %v", i, cmin, nd.keys[i-1])
-				}
-				if i < len(nd.keys) && cmax.IsValid() && cmax.Compare(nd.keys[i]) >= 0 {
-					t.Fatalf("child %d max %v >= separator %v", i, cmax, nd.keys[i])
-				}
-				if i == 0 {
-					lo = cmin
-				}
-				if i == len(nd.children)-1 {
-					hi = cmax
-				}
-			}
-			return lo, hi, leafDepth
-		default:
-			t.Fatal("unknown node")
-			return storage.Value{}, storage.Value{}, 0
+			return n.keys[0], n.keys[len(n.keys)-1], depth
 		}
+		if len(n.children) != len(n.keys)+1 {
+			t.Fatalf("inner has %d children for %d keys", len(n.children), len(n.keys))
+		}
+		var lo, hi storage.Value
+		leafDepth := -1
+		for i, c := range n.children {
+			cmin, cmax, d := walk(c, depth+1)
+			if leafDepth == -1 {
+				leafDepth = d
+			} else if d != leafDepth {
+				t.Fatal("leaves at different depths")
+			}
+			if i > 0 && cmin.Compare(n.keys[i-1]) < 0 {
+				t.Fatalf("child %d min %v < separator %v", i, cmin, n.keys[i-1])
+			}
+			if i < len(n.keys) && cmax.Compare(n.keys[i]) >= 0 {
+				t.Fatalf("child %d max %v >= separator %v", i, cmax, n.keys[i])
+			}
+			if i == 0 {
+				lo = cmin
+			}
+			if i == len(n.children)-1 {
+				hi = cmax
+			}
+		}
+		return lo, hi, leafDepth
 	}
 	walk(tr.root, 0)
 
-	// The leaf chain must visit exactly the keys, in order.
-	var chainKeys []storage.Value
+	// Iteration by descent must visit exactly the keys, in order.
+	var keys []storage.Value
 	entries := 0
-	for lf := tr.first; lf != nil; lf = lf.next {
-		for i, k := range lf.keys {
-			chainKeys = append(chainKeys, k)
-			entries += len(lf.posts[i])
-		}
-	}
-	if len(chainKeys) != tr.Len() {
-		t.Fatalf("leaf chain has %d keys, Len says %d", len(chainKeys), tr.Len())
+	tr.Ascend(func(k storage.Value, post []storage.RID) bool {
+		keys = append(keys, k)
+		entries += len(post)
+		return true
+	})
+	if len(keys) != tr.Len() {
+		t.Fatalf("iteration found %d keys, Len says %d", len(keys), tr.Len())
 	}
 	if entries != tr.EntryCount() {
-		t.Fatalf("leaf chain has %d entries, EntryCount says %d", entries, tr.EntryCount())
+		t.Fatalf("iteration found %d entries, EntryCount says %d", entries, tr.EntryCount())
 	}
-	if !sort.SliceIsSorted(chainKeys, func(i, j int) bool { return chainKeys[i].Compare(chainKeys[j]) < 0 }) {
-		t.Fatal("leaf chain out of order")
+	if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i].Compare(keys[j]) < 0 }) {
+		t.Fatal("iteration out of order")
 	}
 }
 

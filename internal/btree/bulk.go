@@ -15,9 +15,10 @@ type Entry struct {
 // Bulk builds a tree from entries in O(n log n) for the sort plus O(n)
 // construction — far cheaper than n individual inserts with their splits.
 // Duplicate keys merge into posting lists; exact duplicate pairs
-// collapse. Index creation and rebuild use it (the paper charges these
-// as the expensive disk-side adaptation; cheap construction keeps the
-// reproduction's emphasis on the scan costs).
+// collapse. Bulk sorts entries in place. Index creation and rebuild use
+// it (the paper charges these as the expensive disk-side adaptation;
+// cheap construction keeps the reproduction's emphasis on the scan
+// costs).
 func Bulk(order int, entries []Entry) *Tree {
 	t := New(order)
 	if len(entries) == 0 {
@@ -30,108 +31,46 @@ func Bulk(order int, entries []Entry) *Tree {
 		return entries[i].RID.Less(entries[j].RID)
 	})
 
-	// Group into (key, posting) pairs.
-	type kp struct {
-		key  storage.Value
-		post []storage.RID
-	}
-	var pairs []kp
+	// Leaf level: fill each leaf to `order` keys. Delete never rebalances,
+	// so a short last leaf needs no fixing up.
+	var level []*node
+	var mins []storage.Value
+	var lf *node
 	for _, e := range entries {
-		if n := len(pairs); n > 0 && pairs[n-1].key.Equal(e.Key) {
-			post := pairs[n-1].post
-			if post[len(post)-1] == e.RID {
-				continue // exact duplicate pair
+		if lf != nil && lf.keys[len(lf.keys)-1].Equal(e.Key) {
+			i := len(lf.posts) - 1
+			if lf.posts[i][len(lf.posts[i])-1] != e.RID { // else an exact duplicate pair
+				lf.posts[i] = append(lf.posts[i], e.RID)
+				t.entries++
 			}
-			pairs[n-1].post = append(post, e.RID)
 			continue
 		}
-		pairs = append(pairs, kp{key: e.Key, post: []storage.RID{e.RID}})
-	}
-	t.distinct = len(pairs)
-	for _, p := range pairs {
-		t.entries += len(p.post)
+		if lf == nil || len(lf.keys) == order {
+			lf = &node{owner: t.owner}
+			level = append(level, lf)
+			mins = append(mins, e.Key)
+		}
+		lf.keys = append(lf.keys, e.Key)
+		lf.posts = append(lf.posts, []storage.RID{e.RID})
+		t.distinct++
+		t.entries++
 	}
 
-	// Build the leaf level, filling each leaf to `order` keys and
-	// rebalancing the final pair so no leaf underflows.
-	perLeaf := order
-	numLeaves := (len(pairs) + perLeaf - 1) / perLeaf
-	leaves := make([]*leaf, 0, numLeaves)
-	for start := 0; start < len(pairs); start += perLeaf {
-		end := start + perLeaf
-		if end > len(pairs) {
-			end = len(pairs)
-		}
-		lf := &leaf{}
-		for _, p := range pairs[start:end] {
-			lf.keys = append(lf.keys, p.key)
-			lf.posts = append(lf.posts, p.post)
-		}
-		leaves = append(leaves, lf)
-	}
-	if n := len(leaves); n >= 2 {
-		last := leaves[n-1]
-		if len(last.keys) < t.minLeafKeys() {
-			// Shift keys from the second-to-last leaf to fix underflow.
-			prev := leaves[n-2]
-			need := t.minLeafKeys() - len(last.keys)
-			cut := len(prev.keys) - need
-			last.keys = append(append([]storage.Value{}, prev.keys[cut:]...), last.keys...)
-			last.posts = append(append([][]storage.RID{}, prev.posts[cut:]...), last.posts...)
-			prev.keys = prev.keys[:cut:cut]
-			prev.posts = prev.posts[:cut:cut]
-		}
-	}
-	for i := 0; i+1 < len(leaves); i++ {
-		leaves[i].next = leaves[i+1]
-	}
-	t.first = leaves[0]
-
-	// Build inner levels bottom-up. Each inner node takes up to `order`
-	// children; separators are the minimum keys of children 1..n-1.
-	level := make([]node, len(leaves))
-	mins := make([]storage.Value, len(leaves))
-	for i, lf := range leaves {
-		level[i] = lf
-		mins[i] = lf.keys[0]
-	}
+	// Inner levels bottom-up; separators are the minimum keys of
+	// children 1..n-1.
 	for len(level) > 1 {
-		var nextLevel []node
+		var nextLevel []*node
 		var nextMins []storage.Value
 		for start := 0; start < len(level); start += order {
-			end := start + order
-			if end > len(level) {
-				end = len(level)
-			}
-			// Avoid a single-child final inner node: steal one from the
-			// previous group.
-			if end-start == 1 && len(nextLevel) > 0 {
-				prev := nextLevel[len(nextLevel)-1].(*inner)
-				stolen := prev.children[len(prev.children)-1]
-				stolenMin := prev.keys[len(prev.keys)-1]
-				prev.children = prev.children[:len(prev.children)-1]
-				prev.keys = prev.keys[:len(prev.keys)-1]
-				in := &inner{
-					keys:     []storage.Value{mins[start]},
-					children: []node{stolen, level[start]},
-				}
-				nextLevel[len(nextLevel)-1] = prev
-				nextLevel = append(nextLevel, in)
-				nextMins = append(nextMins, stolenMin)
-				continue
-			}
-			in := &inner{}
-			for i := start; i < end; i++ {
-				in.children = append(in.children, level[i])
-				if i > start {
-					in.keys = append(in.keys, mins[i])
-				}
-			}
-			nextLevel = append(nextLevel, in)
+			end := min(start+order, len(level))
+			nextLevel = append(nextLevel, &node{
+				owner:    t.owner,
+				keys:     append([]storage.Value(nil), mins[start+1:end]...),
+				children: append([]*node(nil), level[start:end]...),
+			})
 			nextMins = append(nextMins, mins[start])
 		}
-		level = nextLevel
-		mins = nextMins
+		level, mins = nextLevel, nextMins
 	}
 	t.root = level[0]
 	return t

@@ -10,9 +10,13 @@ import (
 func TestBulkEmpty(t *testing.T) {
 	t.Parallel()
 	tr := Bulk(8, nil)
-	if tr.Len() != 0 || tr.EntryCount() != 0 {
+	if tr.Len() != 0 || tr.EntryCount() != 0 || tr.Height() != 0 {
 		t.Error("empty bulk not empty")
 	}
+	tr.Ascend(func(storage.Value, []storage.RID) bool {
+		t.Fatal("ascend on empty tree called fn")
+		return false
+	})
 	if tr.Lookup(iv(1)) != nil {
 		t.Error("lookup on empty bulk")
 	}

@@ -70,13 +70,6 @@ func (f *FaultStore) Crash() {
 	f.mu.Unlock()
 }
 
-// Crashed reports whether Crash has been called.
-func (f *FaultStore) Crashed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.crashed
-}
-
 // gate consumes one unit of the given budget, reporting the error to
 // inject (nil to pass through).
 func (f *FaultStore) gate(budget *int) error {

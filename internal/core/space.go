@@ -112,6 +112,10 @@ func (s *Space) CreateBufferFor(name string, uncovered []int, tenant *Tenant) (*
 	if _, dup := s.buffers[name]; dup {
 		return nil, fmt.Errorf("core: buffer %q already exists", name)
 	}
+	return s.addBufferLocked(name, uncovered, tenant), nil
+}
+
+func (s *Space) addBufferLocked(name string, uncovered []int, tenant *Tenant) *IndexBuffer {
 	b := &IndexBuffer{
 		name:      name,
 		space:     s,
@@ -125,31 +129,52 @@ func (s *Space) CreateBufferFor(name string, uncovered []int, tenant *Tenant) (*
 	}
 	s.buffers[name] = b
 	s.order = append(s.order, name)
-	return b, nil
+	return b
+}
+
+// removeBufferLocked unregisters the named buffer and returns it with
+// the number of entries it held (nil, 0 when no buffer has the name).
+func (s *Space) removeBufferLocked(name string) (*IndexBuffer, int) {
+	b, ok := s.buffers[name]
+	if !ok {
+		return nil, 0
+	}
+	delete(s.buffers, name)
+	for i, n := range s.order {
+		if n == name {
+			s.order = append(s.order[:i], s.order[i+1:]...)
+			break
+		}
+	}
+	return b, b.EntryCount()
 }
 
 // DropBuffer removes a buffer and releases its entries (partial index
-// dropped or redefined), returning how many entries it held (0 when no
-// buffer has the name).
+// dropped), returning how many entries it held (0 when no buffer has
+// the name).
 func (s *Space) DropBuffer(name string) int {
 	s.mu.Lock()
-	b, ok := s.buffers[name]
-	released := 0
-	if ok {
-		delete(s.buffers, name)
-		for i, n := range s.order {
-			if n == name {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
-		}
-		released = b.EntryCount()
-	}
+	b, released := s.removeBufferLocked(name)
 	s.mu.Unlock()
 	if b != nil {
 		b.Reset()
 	}
 	return released
+}
+
+// ReplaceBuffer swaps the registered buffer b for a fresh, empty one
+// with the same name and tenant whose page counters are uncovered
+// (partial index redefined or its table vacuumed). It is DropBuffer and
+// CreateBufferFor in one step under the Space lock, so no other caller
+// can take the name in between and the swap cannot fail. It returns the
+// new buffer and the number of entries b held.
+func (s *Space) ReplaceBuffer(b *IndexBuffer, uncovered []int) (*IndexBuffer, int) {
+	s.mu.Lock()
+	_, released := s.removeBufferLocked(b.name)
+	nb := s.addBufferLocked(b.name, uncovered, b.tenant)
+	s.mu.Unlock()
+	b.Reset()
+	return nb, released
 }
 
 // Buffer returns the named buffer, or nil.

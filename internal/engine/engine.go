@@ -355,18 +355,21 @@ func (e *Engine) CreateTable(name string, schema *storage.Schema) (*Table, error
 	return t, nil
 }
 
-// checkTableName rejects a name that is not a plain file name: a
-// table's pages live at <DataDir>/<name>.pages, so a separator or a
-// "." or ".." name could reach a file outside DataDir.
+// checkTableName rejects an unqualified table name that is empty or
+// contains a path separator, '.' or ':'. A table's pages live at
+// <DataDir>/<name>.pages, so a separator or a "." or ".." name could
+// reach a file outside DataDir; and a table's buffer, tracer and
+// timeline key is "<table>.<column>" and a tenant table's catalog key
+// "<tenant>:<table>", so a '.' or ':' would let two tables share a key.
 func checkTableName(name string) error {
-	if name == "" || name == "." || name == ".." || strings.ContainsRune(name, '/') || strings.ContainsRune(name, filepath.Separator) {
+	if name == "" || strings.ContainsAny(name, "./:"+string(filepath.Separator)) {
 		return fmt.Errorf("engine: table %q: %w", name, ErrInvalidTableName)
 	}
 	return nil
 }
 
 // createTable registers a table under its qualified catalog name; tn is
-// the owning tenant (nil = default).
+// the owning tenant (nil = default) and name the unqualified name.
 func (e *Engine) createTable(tn *core.Tenant, name string, schema *storage.Schema) (*Table, error) {
 	if err := e.checkOpen(); err != nil {
 		return nil, err
@@ -374,6 +377,7 @@ func (e *Engine) createTable(tn *core.Tenant, name string, schema *storage.Schem
 	if err := checkTableName(name); err != nil {
 		return nil, err
 	}
+	name = qualifiedName(tn, name)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, dup := e.tables[name]; dup {
@@ -516,27 +520,26 @@ func (t *Table) createPartialIndex(column int, cov index.Coverage) error {
 		return fmt.Errorf("engine: column %d of %s: %w", column, t.name, ErrDuplicateIndex)
 	}
 	ix := index.NewPartial(t.bufferName(column), column, cov)
-	uncovered := make([]int, t.heap.NumPages())
-	err := t.heap.Scan(func(rid storage.RID, tu storage.Tuple) error {
-		v := tu.Value(column)
-		if !ix.Add(v, rid) {
-			uncovered[rid.Page]++
+	if _, err := ix.Rebuild(cov, t.heap); err != nil {
+		return fmt.Errorf("engine: building index: %w", err)
+	}
+	// Register the buffer before attaching anything, so a failure leaves
+	// the table as it was.
+	var b *core.IndexBuffer
+	if !t.engine.cfg.DisableIndexBuffer {
+		uncovered, err := t.countUncovered(column, ix.Coverage())
+		if err != nil {
+			return fmt.Errorf("engine: building index on %s: %w", t.bufferName(column), err)
 		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("engine: building index on %s: %w", t.bufferName(column), err)
+		if b, err = t.engine.space.CreateBufferFor(t.bufferName(column), uncovered, t.tenant); err != nil {
+			return err
+		}
 	}
 	t.beginMutate()
 	defer t.endMutate()
 	defer t.publishReadLocked()
 	t.indexes[column] = ix
-
-	if !t.engine.cfg.DisableIndexBuffer {
-		b, err := t.engine.space.CreateBufferFor(t.bufferName(column), uncovered, t.tenant)
-		if err != nil {
-			return err
-		}
+	if b != nil {
 		t.buffers[column] = b
 	}
 	return nil
@@ -598,16 +601,31 @@ func (t *Table) redefineIndex(column int, cov index.Coverage) error {
 	if ix == nil {
 		return fmt.Errorf("engine: column %d of %s: %w", column, t.name, ErrNoIndex)
 	}
+	// Both scans run before anything changes and Rebuild publishes only
+	// on success, so a failure leaves the old index and buffer in place.
+	var uncovered []int
+	if t.buffers[column] != nil {
+		var err error
+		if uncovered, err = t.countUncovered(column, cov); err != nil {
+			return err
+		}
+	}
 	t.beginMutate()
 	defer t.endMutate()
 	defer t.publishReadLocked()
 	if _, err := ix.Rebuild(cov, t.heap); err != nil {
 		return err
 	}
-	if t.buffers[column] == nil {
-		return nil
+	if t.buffers[column] != nil {
+		t.resetBuffer(column, uncovered)
 	}
-	t.dropBuffer(column)
+	return nil
+}
+
+// countUncovered returns, per heap page, the number of live tuples whose
+// column value cov does not cover — an Index Buffer's initial page
+// counters (paper §III).
+func (t *Table) countUncovered(column int, cov index.Coverage) ([]int, error) {
 	uncovered := make([]int, t.heap.NumPages())
 	err := t.heap.Scan(func(rid storage.RID, tu storage.Tuple) error {
 		if !cov.Covers(tu.Value(column)) {
@@ -615,15 +633,7 @@ func (t *Table) redefineIndex(column int, cov index.Coverage) error {
 		}
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	b, err := t.engine.space.CreateBufferFor(t.bufferName(column), uncovered, t.tenant)
-	if err != nil {
-		return err
-	}
-	t.buffers[column] = b
-	return nil
+	return uncovered, err
 }
 
 // Stmt is one DML statement's exclusive section, handed to the

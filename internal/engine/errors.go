@@ -15,9 +15,11 @@ var (
 	ErrDuplicateIndex = errors.New("column already indexed")
 	// ErrDuplicateTable marks creation of a table whose name is taken.
 	ErrDuplicateTable = errors.New("table already exists")
-	// ErrInvalidTableName marks a table name that is empty, "." or
-	// "..", or contains a path separator.
+	// ErrInvalidTableName marks a table name that is empty or contains
+	// a path separator, '.' or ':'.
 	ErrInvalidTableName = errors.New("invalid table name")
+	// ErrInvalidTenantName marks a tenant name that contains '.' or ':'.
+	ErrInvalidTenantName = errors.New("invalid tenant name")
 	// ErrClosed marks any operation on an engine after Close.
 	ErrClosed = errors.New("database is closed")
 	// ErrQuotaExceeded marks a strict tenant's miss rejected because the

@@ -103,3 +103,12 @@ func (t *Table) dropBuffer(column int) {
 	name := t.bufferName(column)
 	t.engine.emit(nil, trace.SpanBufferReset, name, -1, t.engine.space.DropBuffer(name))
 }
+
+// resetBuffer swaps the column's Index Buffer for a fresh one, with the
+// same name and tenant, whose page counters are uncovered, and emits
+// buffer-reset for the old one.
+func (t *Table) resetBuffer(column int, uncovered []int) {
+	b, released := t.engine.space.ReplaceBuffer(t.buffers[column], uncovered)
+	t.engine.emit(nil, trace.SpanBufferReset, b.Name(), -1, released)
+	t.buffers[column] = b
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"repro/internal/buffer"
 	"repro/internal/catalog"
@@ -103,7 +104,14 @@ func Load(cfg Config, tenants ...TenantSpec) (*Engine, error) {
 	// leak) a second store over the same file.
 	seen := make(map[string]bool, len(cat.Tables))
 	for _, tm := range cat.Tables {
-		if err := checkTableName(tm.Name); err != nil {
+		base := tm.Name
+		if tm.Tenant != "" {
+			base = strings.TrimPrefix(tm.Name, tm.Tenant+":")
+			if base == tm.Name {
+				return nil, fmt.Errorf("engine: catalog table %q of tenant %q: %w", tm.Name, tm.Tenant, ErrInvalidTableName)
+			}
+		}
+		if err := checkTableName(base); err != nil {
 			return nil, err
 		}
 		if seen[tm.Name] {

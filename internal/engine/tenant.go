@@ -35,10 +35,15 @@ type TenantSpec struct {
 // CreateTenant registers a budget domain carved from the Index Buffer
 // Space. quota is the tenant's entry budget (<= 0 = unlimited); strict
 // makes over-quota misses fail with ErrQuotaExceeded instead of
-// degrading to unindexed scans.
+// degrading to unindexed scans. A name containing ':' or '.' fails with
+// ErrInvalidTenantName: the tenant is the part of a catalog key before
+// the ':' and of a buffer key before the first '.'.
 func (e *Engine) CreateTenant(name string, quota int, strict bool) (*core.Tenant, error) {
 	if err := e.checkOpen(); err != nil {
 		return nil, err
+	}
+	if strings.ContainsAny(name, ".:") {
+		return nil, fmt.Errorf("engine: tenant %q: %w", name, ErrInvalidTenantName)
 	}
 	return e.space.CreateTenant(name, quota, strict)
 }
@@ -74,7 +79,7 @@ func qualifiedName(tn *core.Tenant, name string) string {
 // default tenant). Index Buffers later created for the table's indexes
 // charge tn's quota.
 func (e *Engine) CreateTableFor(tn *core.Tenant, name string, schema *storage.Schema) (*Table, error) {
-	return e.createTable(tn, qualifiedName(tn, name), schema)
+	return e.createTable(tn, name, schema)
 }
 
 // TableFor returns tn's table with the given (unqualified) name, or nil.

@@ -230,22 +230,11 @@ func (t *Table) vacuum() (pagesBefore, pagesAfter int, err error) {
 		if t.buffers[col] == nil {
 			continue
 		}
-		t.dropBuffer(col)
-		uncovered := make([]int, t.heap.NumPages())
-		err := t.heap.Scan(func(rid storage.RID, tu storage.Tuple) error {
-			if !ix.Covers(tu.Value(col)) {
-				uncovered[rid.Page]++
-			}
-			return nil
-		})
+		uncovered, err := t.countUncovered(col, ix.Coverage())
 		if err != nil {
 			return pagesBefore, 0, err
 		}
-		b, err := t.engine.space.CreateBuffer(t.bufferName(col), uncovered)
-		if err != nil {
-			return pagesBefore, 0, err
-		}
-		t.buffers[col] = b
+		t.resetBuffer(col, uncovered)
 	}
 	t.publishReadLocked() // readers must resolve against the new heap
 	return pagesBefore, t.heap.NumPages(), nil

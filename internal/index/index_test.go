@@ -1,6 +1,11 @@
 package index
 
 import (
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/storage"
@@ -354,4 +359,44 @@ func TestPartialAccessors(t *testing.T) {
 	if p.Coverage().String() != "BETWEEN 1 AND 5" {
 		t.Errorf("coverage = %v", p.Coverage())
 	}
+}
+
+// TestPartialSnapshotClonesStayFixed has one goroutine add, remove and
+// update entries — each mutation clones the published tree and
+// publishes the changed clone — while readers probe a Snapshot twice
+// and require the same answer both times: no later mutation may show
+// through a published clone. Run it with -race.
+func TestPartialSnapshotClonesStayFixed(t *testing.T) {
+	p := NewPartial("ix", 0, IntRange(0, 40))
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				s := p.Snapshot()
+				first := s.LookupRange(iv(0), iv(40))
+				runtime.Gosched()
+				if again := s.LookupRange(iv(0), iv(40)); !slices.Equal(first, again) {
+					t.Errorf("snapshot changed: %d rids, then %d", len(first), len(again))
+					return
+				}
+			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 5000; i++ {
+		v, r := iv(int64(rng.Intn(50))), rid(rng.Intn(8), rng.Intn(8))
+		switch rng.Intn(3) {
+		case 0:
+			p.Add(v, r)
+		case 1:
+			p.Remove(v, r)
+		default:
+			p.Update(v, iv(int64(rng.Intn(50))), r, rid(rng.Intn(8), rng.Intn(8)))
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
 }

@@ -18,21 +18,22 @@ type Stats struct {
 	Probes  uint64 // lookups served
 }
 
-// partialState is one immutable (coverage, tree) pair. Mutators derive
-// a new state from the current one and publish it with a single atomic
-// store; the persistent B+-tree shares all unchanged nodes with its
-// predecessor, so a published state never mutates and a reader that
-// loaded it may keep probing it for as long as it likes.
+// partialState is one immutable (coverage, tree) pair. Mutators clone
+// the published tree, change the clone and publish it in a new state
+// with a single atomic store; the clone shares all unchanged nodes with
+// its predecessor and copies the path it changes, so a published state
+// never mutates and a reader that loaded it may keep probing it for as
+// long as it likes.
 type partialState struct {
 	cov  Coverage
-	tree *btree.PTree
+	tree *btree.Tree
 }
 
 // Partial is a partial secondary index over one column of a table. The
 // index contains exactly the (value, rid) pairs of live tuples whose
 // value satisfies the coverage predicate.
 //
-// Concurrency: the index state (coverage predicate + persistent B+-tree)
+// Concurrency: the index state (coverage predicate + B+-tree snapshot)
 // lives behind one atomic pointer. Probes (Lookup, LookupRange,
 // ScanRange, Contains, Covers, Ascend, Snapshot) load it and need no
 // lock at all — they may run concurrently with each other and with a
@@ -58,7 +59,7 @@ func NewPartial(name string, column int, cov Coverage) *Partial {
 		cov = NoneCoverage{}
 	}
 	p := &Partial{name: name, column: column}
-	p.state.Store(&partialState{cov: cov, tree: btree.NewPTreeDefault()})
+	p.state.Store(&partialState{cov: cov, tree: btree.NewDefault()})
 	return p
 }
 
@@ -89,7 +90,7 @@ func (p *Partial) Stats() Stats {
 }
 
 // Snapshot is a stable view of the index at one instant: a coverage
-// predicate and a persistent tree that no later mutation will touch.
+// predicate and a tree snapshot that no later mutation will touch.
 // A partial-index hit — on the engine's lock-free read path and under
 // the table lock alike — resolves its whole probe against one Snapshot
 // and defers the only side effect (the probe counter) to NoteProbe, so
@@ -193,8 +194,8 @@ func (p *Partial) Add(v storage.Value, rid storage.RID) bool {
 	if !st.cov.Covers(v) {
 		return false
 	}
-	tree, added := st.tree.Insert(v, rid)
-	if !added {
+	tree := st.tree.Clone()
+	if !tree.Insert(v, rid) {
 		return false
 	}
 	p.state.Store(&partialState{cov: st.cov, tree: tree})
@@ -205,8 +206,8 @@ func (p *Partial) Add(v storage.Value, rid storage.RID) bool {
 // Remove deletes (v, rid); it reports whether an entry was removed.
 func (p *Partial) Remove(v storage.Value, rid storage.RID) bool {
 	st := p.state.Load()
-	tree, removed := st.tree.Delete(v, rid)
-	if !removed {
+	tree := st.tree.Clone()
+	if !tree.Delete(v, rid) {
 		return false
 	}
 	p.state.Store(&partialState{cov: st.cov, tree: tree})
@@ -230,17 +231,18 @@ func (p *Partial) Update(old, new storage.Value, oldRID, newRID storage.RID) {
 		if old.Equal(new) && oldRID == newRID {
 			return
 		}
-		tree, _ := st.tree.Delete(old, oldRID)
-		tree, _ = tree.Insert(new, newRID)
-		p.state.Store(&partialState{cov: st.cov, tree: tree})
+		tree := st.tree.Clone()
+		if removed, added := tree.Delete(old, oldRID), tree.Insert(new, newRID); removed || added {
+			p.state.Store(&partialState{cov: st.cov, tree: tree})
+		}
 		p.updates.Add(1)
 	case oldIn && !newIn:
-		if tree, ok := st.tree.Delete(old, oldRID); ok {
+		if tree := st.tree.Clone(); tree.Delete(old, oldRID) {
 			p.state.Store(&partialState{cov: st.cov, tree: tree})
 			p.removes.Add(1)
 		}
 	case !oldIn && newIn:
-		if tree, ok := st.tree.Insert(new, newRID); ok {
+		if tree := st.tree.Clone(); tree.Insert(new, newRID) {
 			p.state.Store(&partialState{cov: st.cov, tree: tree})
 			p.adds.Add(1)
 		}
@@ -279,7 +281,7 @@ func (p *Partial) Rebuild(cov Coverage, table TupleSource) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("index %s: rebuild: %w", p.name, err)
 	}
-	fresh := btree.PBulk(btree.DefaultOrder, entries)
+	fresh := btree.Bulk(btree.DefaultOrder, entries)
 	p.adds.Add(uint64(fresh.EntryCount()))
 	p.state.Store(&partialState{cov: cov, tree: fresh})
 	return fresh.EntryCount(), nil

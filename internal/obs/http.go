@@ -265,11 +265,6 @@ func Handler(eng *engine.Engine) http.Handler {
 	return NewServer(func() *engine.Engine { return eng })
 }
 
-// DynamicHandler is Handler for a moving target; see NewServer.
-func DynamicHandler(current func() *engine.Engine) http.Handler {
-	return NewServer(current)
-}
-
 // Serve binds addr (e.g. "localhost:9090", or ":0" for an ephemeral
 // port) and serves Handler(eng) on it in a background goroutine. It
 // returns the server and the bound address so callers can print where
@@ -278,13 +273,8 @@ func Serve(addr string, eng *engine.Engine) (*http.Server, string, error) {
 	return serve(addr, Handler(eng))
 }
 
-// ServeDynamic is Serve over a DynamicHandler.
-func ServeDynamic(addr string, current func() *engine.Engine) (*http.Server, string, error) {
-	return serve(addr, DynamicHandler(current))
-}
-
 // Start is Serve over this Server, keeping a handle on the scrape
-// counters (unlike ServeDynamic, which hides the Server value).
+// counters.
 func (s *Server) Start(addr string) (*http.Server, string, error) {
 	return serve(addr, s)
 }

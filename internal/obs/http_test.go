@@ -138,7 +138,7 @@ func TestHealthzEndpoint(t *testing.T) {
 // TestNilEngineEndpoints pins the moving-target contract: without an
 // engine, the data endpoints refuse while the liveness probe answers.
 func TestNilEngineEndpoints(t *testing.T) {
-	h := DynamicHandler(func() *engine.Engine { return nil })
+	h := NewServer(func() *engine.Engine { return nil })
 	for _, path := range []string{"/metrics", "/timeline"} {
 		if resp, _ := get(t, h, path); resp.StatusCode != http.StatusServiceUnavailable {
 			t.Errorf("GET %s with nil engine = %d, want 503", path, resp.StatusCode)
@@ -409,7 +409,7 @@ func TestQueriesEndpoint(t *testing.T) {
 			t.Errorf("GET /debug/queries%s = %d, want 400", bad, resp.StatusCode)
 		}
 	}
-	if resp, _ := get(t, DynamicHandler(func() *engine.Engine { return nil }), "/debug/queries"); resp.StatusCode != http.StatusServiceUnavailable {
+	if resp, _ := get(t, NewServer(func() *engine.Engine { return nil }), "/debug/queries"); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("nil engine /debug/queries = %d, want 503", resp.StatusCode)
 	}
 }

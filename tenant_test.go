@@ -347,3 +347,51 @@ func TestTimelineTenantFilter(t *testing.T) {
 		}
 	}
 }
+
+// TestTableAndTenantNamesCannotCollide drives the two ways distinct
+// tables could share a key. A table "a.b" with column "c" and a table
+// "a" with column "b.c" would share the buffer key "a.b.c"; a
+// default-tenant table "acme:t" would take the catalog key of tenant
+// acme's table "t". Table names may carry neither '.' nor ':', and
+// tenant names neither, so each key parses one way only.
+func TestTableAndTenantNamesCannotCollide(t *testing.T) {
+	db := MustOpen(Options{Tenants: []Tenant{{Name: "acme"}}})
+	defer db.Close()
+	ctx := context.Background()
+	exec := func(s interface {
+		Exec(context.Context, string) (ExecResult, error)
+	}, stmt string) error {
+		_, err := s.Exec(ctx, stmt)
+		return err
+	}
+
+	if err := exec(db, "CREATE TABLE a.b (c INT)"); !errors.Is(err, ErrInvalidTableName) {
+		t.Fatalf("CREATE TABLE a.b = %v, want ErrInvalidTableName", err)
+	}
+	for _, stmt := range []string{
+		"CREATE TABLE a (b.c INT)",
+		"CREATE PARTIAL INDEX ON a (b.c) COVERING 1 TO 5",
+	} {
+		if err := exec(db, stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+
+	// The shell's lexer refuses ':', so this one goes through the API.
+	if _, err := db.CreateTable("acme:t", Int64Column("k")); !errors.Is(err, ErrInvalidTableName) {
+		t.Fatalf("CreateTable(acme:t) = %v, want ErrInvalidTableName", err)
+	}
+	acme, err := db.Session("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := exec(acme, "CREATE TABLE t (k INT)"); err != nil {
+		t.Fatalf("tenant acme's CREATE TABLE t: %v", err)
+	}
+
+	for _, name := range []string{"x:y", "x.y"} {
+		if err := db.CreateTenant(Tenant{Name: name}); !errors.Is(err, ErrInvalidTenantName) {
+			t.Errorf("CreateTenant(%q) = %v, want ErrInvalidTenantName", name, err)
+		}
+	}
+}
