@@ -156,6 +156,29 @@ func TestDeleteToEmpty(t *testing.T) {
 	}
 }
 
+// TestBulkEmptyClone checks that an empty bulk tree and its clone are
+// both empty and stay apart: an insert into the clone leaves the
+// original with nil root.
+func TestBulkEmptyClone(t *testing.T) {
+	tr := Bulk(4, nil)
+	cl := tr.Clone()
+	for _, x := range []*Tree{tr, cl} {
+		if x.EntryCount() != 0 || x.Height() != 0 {
+			t.Fatal("empty bulk not empty")
+		}
+		x.Ascend(func(storage.Value, []storage.RID) bool {
+			t.Fatal("ascend on empty tree called fn")
+			return false
+		})
+	}
+	if !cl.Insert(iv(1), rid(0, 0)) || cl.EntryCount() != 1 || cl.Height() != 1 {
+		t.Fatalf("insert into clone: entries %d height %d", cl.EntryCount(), cl.Height())
+	}
+	if tr.EntryCount() != 0 || tr.Height() != 0 || dump(tr) != nil {
+		t.Fatal("insert into clone reached the original")
+	}
+}
+
 // TestDuplicateSemantics checks the posting-list rules on clones:
 // duplicate pairs are no-ops, same-key rids accumulate in RID order.
 func TestDuplicateSemantics(t *testing.T) {
