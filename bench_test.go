@@ -447,7 +447,7 @@ func BenchmarkAblationVictimPolicy(b *testing.B) {
 				b.StopTimer()
 				eng := engine.New(engine.Config{Space: core.Config{
 					IMax: 50, P: 100, SpaceLimit: 20000, Victims: vp,
-					Rand: rand.New(rand.NewSource(17)),
+					Seed: 17,
 				}})
 				schema := storage.MustSchema(
 					storage.Column{Name: "a", Kind: storage.KindInt64},

@@ -453,8 +453,9 @@ func TestOpenValidation(t *testing.T) {
 // increasing goroutine counts on a warm, fully index-covered workload —
 // the path the lock-free read path takes off the per-table RWMutex.
 // The uncontended arms show reader-reader scaling; the contended arms
-// run one writer goroutine inserting throughout the read phase, the
-// convoy case: under the rwmutex arm (engine.Config.DisableEpochReadPath)
+// run one writer goroutine updating a fixed row set in place throughout
+// the read phase (the tables never grow, so every arm measures the same
+// work), the convoy case: under the rwmutex arm (engine.Config.DisableEpochReadPath)
 // every read queues behind every commit's exclusive section, while the
 // epoch arm's hits never touch the lock. TestEpochReaderWriterConvoy
 // pins the same effect with a synchronous WAL charging the writer fsync
@@ -465,17 +466,24 @@ func BenchmarkParallelQuery(b *testing.B) {
 		keyDomain = 100
 		rows      = 1000
 	)
-	build := func(b *testing.B, disableEpoch bool) (*DB, []*Table) {
+	// build returns the tables and, per table, the RIDs of its first
+	// keyDomain rows (one per key): the writer's row set.
+	build := func(b *testing.B, disableEpoch bool) (*DB, []*Table, [][]RID) {
 		db := openTuned(b, Options{Seed: 1, PoolPages: 4096}, false, func(c *engine.Config) { c.DisableEpochReadPath = disableEpoch })
 		var tabs []*Table
+		written := make([][]RID, numTables)
 		for i := 0; i < numTables; i++ {
 			tb, err := db.CreateTable(fmt.Sprintf("t%d", i), Int64Column("k"), StringColumn("pad"))
 			if err != nil {
 				b.Fatal(err)
 			}
 			for j := 0; j < rows; j++ {
-				if _, err := tb.Insert(int64(j%keyDomain), fmt.Sprintf("p-%04d-%032d", j, j)); err != nil {
+				rid, err := tb.Insert(int64(j%keyDomain), fmt.Sprintf("p-%04d-%032d", j, j))
+				if err != nil {
 					b.Fatal(err)
+				}
+				if j < keyDomain {
+					written[i] = append(written[i], rid)
 				}
 			}
 			// Full coverage: every query is a partial-index hit, and the pool
@@ -491,7 +499,7 @@ func BenchmarkParallelQuery(b *testing.B) {
 			}
 			tabs = append(tabs, tb)
 		}
-		return db, tabs
+		return db, tabs, written
 	}
 	arms := []struct {
 		name         string
@@ -507,7 +515,7 @@ func BenchmarkParallelQuery(b *testing.B) {
 		goroutines = append(goroutines, n)
 	}
 	for _, arm := range arms {
-		db, tabs := build(b, arm.disableEpoch)
+		db, tabs, written := build(b, arm.disableEpoch)
 		for _, g := range goroutines {
 			b.Run(fmt.Sprintf("%s/goroutines=%d", arm.name, g), func(b *testing.B) {
 				b.ReportAllocs()
@@ -522,11 +530,15 @@ func BenchmarkParallelQuery(b *testing.B) {
 					go func() {
 						defer writeWG.Done()
 						for n := 0; !stop.Load(); n++ {
-							tb := tabs[n%numTables]
-							if _, err := tb.Insert(int64(n%keyDomain), "w"); err != nil {
+							// Same key, same-length payload: the row keeps
+							// its size, its key and its answer.
+							i, j := n%numTables, n/numTables%keyDomain
+							rid, err := tabs[i].Update(written[i][j], int64(j), fmt.Sprintf("w-%04d-%032d", j, n))
+							if err != nil {
 								b.Error(err)
 								return
 							}
+							written[i][j] = rid
 							writes++
 						}
 					}()

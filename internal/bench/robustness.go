@@ -19,7 +19,6 @@ import (
 	"repro/internal/flight"
 	"repro/internal/storage"
 	"repro/internal/timeline"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -210,7 +209,7 @@ func runRobustnessArm(o Options, spec robustnessSpec, arm RobustnessArm) (Robust
 	displaced := make([]atomic.Uint64, spec.columns)
 	eng.Tracer().EnableSpans(true)
 	eng.Tracer().SetSpanSink(func(sp flight.Span) {
-		if sp.Kind != trace.SpanDisplace {
+		if sp.Kind != flight.SpanDisplace {
 			return
 		}
 		if c := bufferColumn(sp.Target); c >= 0 && c < len(displaced) {

@@ -102,17 +102,12 @@ type Config struct {
 	// Values are clamped to [0, 1].
 	DisplacementJitter float64
 
-	// Rand drives the benefit-weighted random victim selection. Nil
-	// means a stream derived from Seed; set it only to override that
-	// stream (the selection and jitter streams always derive from Seed).
-	Rand *rand.Rand
-
-	// selRand and jitterRand are the derived sub-streams for the
-	// RandomOrder candidate shuffle and the displacement jitter. They
-	// are populated by withDefaults and intentionally unexported:
-	// deriving them from Seed (rather than sharing Rand) keeps victim
-	// selection bit-for-bit identical whether or not the stochastic
-	// policies consume randomness.
+	// victimRand, selRand and jitterRand are the Space's random streams,
+	// populated by withDefaults: the stage-1 victim draw, the
+	// RandomOrder candidate shuffle and the displacement jitter. Each
+	// derives from Seed separately, so victim selection replays bit for
+	// bit whether or not the stochastic policies consume randomness.
+	victimRand *rand.Rand
 	selRand    *rand.Rand
 	jitterRand *rand.Rand
 }
@@ -123,7 +118,7 @@ const (
 	DefaultP    = 10000
 	DefaultK    = 2
 	// DefaultSeed seeds the Space's random streams when Config.Seed is
-	// zero — the same constant the nil-Rand fallback has always used.
+	// zero; the victim stream is then rand.NewSource(1).
 	DefaultSeed = 1
 )
 
@@ -155,9 +150,7 @@ func (c Config) withDefaults() Config {
 	} else if c.DisplacementJitter > 1 {
 		c.DisplacementJitter = 1
 	}
-	if c.Rand == nil {
-		c.Rand = rand.New(rand.NewSource(c.Seed))
-	}
+	c.victimRand = rand.New(rand.NewSource(c.Seed))
 	c.selRand = rand.New(rand.NewSource(c.Seed + seedOffsetSelection))
 	c.jitterRand = rand.New(rand.NewSource(c.Seed + seedOffsetJitter))
 	return c

@@ -7,6 +7,14 @@
 // Buffer Space, a bounded share of the database buffer managed by benefit
 // (partition page coverage ÷ LRU-K mean access interval) and size
 // (Algorithm 2, Tables I and II of the paper).
+//
+// Algorithm 2 is a plan and its application. Space.Select gathers
+// snapshots under the Space lock — the target's candidate pages and,
+// only when space must be freed, a view of every other buffer's
+// partitions — and a pure function decides the page set I and the
+// victim set D over them. The Space then drops D's partitions and
+// returns the Plan; the caller reports it after the lock is released,
+// so core never calls back into its callers.
 package core
 
 import (
@@ -340,10 +348,6 @@ func (b *IndexBuffer) BufferedPages() int {
 func (b *IndexBuffer) Benefit() float64 {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return b.benefitLocked()
-}
-
-func (b *IndexBuffer) benefitLocked() float64 {
 	t := b.hist.Mean()
 	sum := 0.0
 	for _, p := range b.parts {

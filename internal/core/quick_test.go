@@ -38,7 +38,7 @@ func TestSelectPagesProperties(t *testing.T) {
 
 		s := NewSpace(Config{
 			IMax: imax, P: p, SpaceLimit: limit,
-			Rand: rand.New(rand.NewSource(c.Seed)),
+			Seed: c.Seed,
 		})
 		b, err := s.CreateBuffer("t.x", counters)
 		if err != nil {
@@ -97,7 +97,7 @@ func TestMultiBufferSelectionBudgetProperty(t *testing.T) {
 		s := NewSpace(Config{
 			IMax: 1 + rng.Intn(10), P: 1 + rng.Intn(4),
 			SpaceLimit: limit, K: 1 + rng.Intn(4),
-			Rand: rand.New(rand.NewSource(seed + 1)),
+			Seed: seed + 1,
 		})
 		var bufs []*IndexBuffer
 		for i := 0; i < 3; i++ {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/storage"
@@ -25,7 +24,7 @@ func TestSelectionOrderPolicies(t *testing.T) {
 	counters := []int{5, 1, 4, 2, 3}
 
 	pick := func(sel SelectionOrder, imax int) []storage.PageID {
-		s := NewSpace(Config{IMax: imax, P: 10, Selection: sel, Rand: rand.New(rand.NewSource(3))})
+		s := NewSpace(Config{IMax: imax, P: 10, Selection: sel, Seed: 3})
 		b, err := s.CreateBuffer("t.a", counters)
 		if err != nil {
 			t.Fatal(err)
@@ -66,7 +65,7 @@ func TestSelectionAscendingMaximizesSkipsPerEntry(t *testing.T) {
 		counters[i] = 1 + i%10 // counters 1..10
 	}
 	run := func(sel SelectionOrder) int {
-		s := NewSpace(Config{IMax: 1000, P: 50, SpaceLimit: 60, Selection: sel, Rand: rand.New(rand.NewSource(4))})
+		s := NewSpace(Config{IMax: 1000, P: 50, SpaceLimit: 60, Selection: sel, Seed: 4})
 		b, err := s.CreateBuffer("t.a", counters)
 		if err != nil {
 			t.Fatal(err)
@@ -91,7 +90,7 @@ func TestVictimPolicyProtectsHotBuffer(t *testing.T) {
 		// choice, not wholesale eviction, decides who shrinks.
 		s := NewSpace(Config{
 			IMax: 4, P: 2, K: 2, SpaceLimit: 40,
-			Victims: policy, Rand: rand.New(rand.NewSource(seed)),
+			Victims: policy, Seed: seed,
 		})
 		mk := func(name string) *IndexBuffer {
 			counters := make([]int, 20)
@@ -126,7 +125,9 @@ func TestVictimPolicyProtectsHotBuffer(t *testing.T) {
 
 	weightedHotLost, weightedColdLost := 0, 0
 	uniformHotLost := 0
-	for seed := int64(0); seed < 10; seed++ {
+	// The victim streams of rand.NewSource(0..9): Seed 0 means
+	// DefaultSeed, and math/rand maps source seed 0 to 89482311.
+	for _, seed := range []int64{89482311, 1, 2, 3, 4, 5, 6, 7, 8, 9} {
 		h, c := run(BenefitWeighted, seed)
 		weightedHotLost += h
 		weightedColdLost += c
@@ -143,8 +144,8 @@ func TestVictimPolicyProtectsHotBuffer(t *testing.T) {
 }
 
 // TestSelectionSeedDeterminism pins the seeding convention for the
-// Space's random streams: a Config with only a Seed (nil Rand) must
-// replay bit-for-bit, and different seeds must be able to differ.
+// Space's random streams: a Config with only a Seed must replay
+// bit-for-bit, and different seeds must be able to differ.
 func TestSelectionSeedDeterminism(t *testing.T) {
 	counters := make([]int, 64)
 	for i := range counters {

@@ -19,7 +19,7 @@ func TestCounterSnapshotProperty(t *testing.T) {
 	displaced := uint64(0)
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		s := NewSpace(Config{IMax: 4, P: 3, SpaceLimit: 15, Rand: rand.New(rand.NewSource(seed))})
+		s := NewSpace(Config{IMax: 4, P: 3, SpaceLimit: 15, Seed: seed})
 		uncovered := make([]int, 8)
 		for p := range uncovered {
 			uncovered[p] = rng.Intn(4)

@@ -73,7 +73,7 @@ func TestSelectPagesRespectsSpaceLimitWithoutVictims(t *testing.T) {
 }
 
 func TestDisplacementPrefersLowBenefitBuffer(t *testing.T) {
-	s := NewSpace(Config{IMax: 100, P: 2, K: 2, SpaceLimit: 8, Rand: rand.New(rand.NewSource(42))})
+	s := NewSpace(Config{IMax: 100, P: 2, K: 2, SpaceLimit: 8, Seed: 42})
 	cold, _ := s.CreateBuffer("t.cold", []int{2, 2})
 	hot, _ := s.CreateBuffer("t.hot", []int{2, 2})
 	target, _ := s.CreateBuffer("t.new", []int{2, 2})
@@ -130,7 +130,7 @@ func TestDisplacementBenefitGate(t *testing.T) {
 	// A fresh (high-benefit-per-entry) victim should NOT be dropped for
 	// low-benefit new information: make the target's history long (cold)
 	// so b_I is small, while the victim's buffer is hot.
-	s := NewSpace(Config{IMax: 100, P: 2, K: 2, SpaceLimit: 4, Rand: rand.New(rand.NewSource(7))})
+	s := NewSpace(Config{IMax: 100, P: 2, K: 2, SpaceLimit: 4, Seed: 7})
 	hot, _ := s.CreateBuffer("t.hot", []int{2, 2})
 	target, _ := s.CreateBuffer("t.tgt", []int{2, 2})
 	indexPages(t, hot, s.SelectPagesForBuffer(hot, 2))
@@ -158,50 +158,31 @@ func TestVictimStageTwoOrdering(t *testing.T) {
 	indexPages(t, b, []storage.PageID{2, 3}) // partition 1: complete, 7 entries
 	indexPages(t, b, []storage.PageID{4})    // partition 2: incomplete (1 of 2 pages)
 
-	excluded := map[*Partition]bool{}
-	v1 := b.pickVictimPartitionLocked(excluded, b.cfg)
-	if v1.PageCount() != 1 {
-		t.Fatalf("first victim should be the incomplete partition, got %d pages / %d entries", v1.PageCount(), v1.EntryCount())
+	view := s.victimViewLocked(nil)
+	v1 := view[0].takePartition(b.cfg)
+	if v1.pages != 1 {
+		t.Fatalf("first victim should be the incomplete partition, got %d pages / %d entries", v1.pages, v1.entries)
 	}
-	excluded[v1] = true
-	v2 := b.pickVictimPartitionLocked(excluded, b.cfg)
-	if v2.EntryCount() != 7 {
-		t.Fatalf("second victim should be the biggest complete partition, got %d entries", v2.EntryCount())
+	v2 := view[0].takePartition(b.cfg)
+	if v2.entries != 7 {
+		t.Fatalf("second victim should be the biggest complete partition, got %d entries", v2.entries)
 	}
-	excluded[v2] = true
-	v3 := b.pickVictimPartitionLocked(excluded, b.cfg)
-	if v3.EntryCount() != 3 {
-		t.Fatalf("third victim: got %d entries", v3.EntryCount())
+	v3 := view[0].takePartition(b.cfg)
+	if v3.entries != 3 {
+		t.Fatalf("third victim: got %d entries", v3.entries)
 	}
-	excluded[v3] = true
-	if b.pickVictimPartitionLocked(excluded, b.cfg) != nil {
+	if len(view[0].parts) != 0 || pickVictimBuffer(view, nil, false, b.cfg) != nil {
 		t.Error("exhausted buffer still yields victims")
 	}
 }
 
-// recordingObserver collects SpaceEvent calls for assertions.
-type recordingObserver struct {
-	events []struct {
-		kind, buffer string
-		n            int
-	}
-}
-
-func (r *recordingObserver) SpaceEvent(kind, buffer string, page, n int) {
-	r.events = append(r.events, struct {
-		kind, buffer string
-		n            int
-	}{kind, buffer, n})
-}
-
-// TestObserverSeesSelectionAndDisplacement reuses the displacement
+// TestPlanReportsSelectionAndDisplacement reuses the displacement
 // scenario of TestDisplacementPrefersLowBenefitBuffer and asserts the
-// per-call observer sees the Algorithm-2 decision: one displace event
-// per dropped victim (attributed to the victim's owner) and a final
-// page-select for the target.
-func TestObserverSeesSelectionAndDisplacement(t *testing.T) {
-	s := NewSpace(Config{IMax: 100, P: 2, K: 2, SpaceLimit: 8, Rand: rand.New(rand.NewSource(42))})
-	obs := &recordingObserver{}
+// returned Plan is the Algorithm-2 decision that was applied: every
+// drop attributed to the victim's owner with the entries it released,
+// and the page set I that the target indexes.
+func TestPlanReportsSelectionAndDisplacement(t *testing.T) {
+	s := NewSpace(Config{IMax: 100, P: 2, K: 2, SpaceLimit: 8, Seed: 42})
 	cold, _ := s.CreateBuffer("t.cold", []int{2, 2})
 	hot, _ := s.CreateBuffer("t.hot", []int{2, 2})
 	target, _ := s.CreateBuffer("t.new", []int{2, 2})
@@ -212,32 +193,29 @@ func TestObserverSeesSelectionAndDisplacement(t *testing.T) {
 	}
 	s.OnQuery(target, false)
 	s.OnQuery(target, false)
-	got := s.SelectPagesForBufferObserved(target, 2, obs)
-	var displaced, selected int
-	for _, e := range obs.events {
-		switch e.kind {
-		case "displace":
-			displaced++
-			if e.buffer != "t.cold" {
-				t.Errorf("displace attributed to %q, want t.cold", e.buffer)
-			}
-			if e.n <= 0 {
-				t.Errorf("displace released %d entries", e.n)
-			}
-		case "page-select":
-			selected++
-			if e.buffer != "t.new" || e.n != len(got) {
-				t.Errorf("page-select event = %+v, want target t.new n=%d", e, len(got))
-			}
-		default:
-			t.Errorf("unexpected event kind %q", e.kind)
+	before := cold.EntryCount()
+	p := s.Select(target, 2)
+	if len(p.Drops) == 0 {
+		t.Fatal("no drops despite displacement")
+	}
+	released := 0
+	for _, d := range p.Drops {
+		if d.Buffer != "t.cold" {
+			t.Errorf("drop attributed to %q, want t.cold", d.Buffer)
 		}
+		if d.Entries <= 0 {
+			t.Errorf("drop released %d entries", d.Entries)
+		}
+		released += d.Entries
 	}
-	if displaced == 0 {
-		t.Error("no displace events despite displacement")
+	if cold.EntryCount() != before-released {
+		t.Errorf("cold holds %d entries, want %d after the plan's drops", cold.EntryCount(), before-released)
 	}
-	if selected != 1 {
-		t.Errorf("page-select events = %d, want 1", selected)
+	if len(p.Pages) == 0 || p.Exhausted {
+		t.Errorf("plan = %+v, want pages selected and no exhaustion", p)
+	}
+	if st := s.Stats(); st.PagesSelected != uint64(4+len(p.Pages)) || st.PartitionsDropped != uint64(len(p.Drops)) {
+		t.Errorf("stats = %+v, want the plan counted", st)
 	}
 }
 
@@ -262,7 +240,7 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.IMax != DefaultIMax || cfg.P != DefaultP || cfg.K != DefaultK {
 		t.Errorf("defaults = %+v", cfg)
 	}
-	if cfg.Rand == nil {
+	if cfg.victimRand == nil {
 		t.Error("rand default missing")
 	}
 }
@@ -273,7 +251,7 @@ func TestConfigDefaults(t *testing.T) {
 func TestSpaceLimitNeverExceededByScans(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	const limit = 50
-	s := NewSpace(Config{IMax: 4, P: 2, SpaceLimit: limit, Rand: rng})
+	s := NewSpace(Config{IMax: 4, P: 2, SpaceLimit: limit, Seed: 123})
 	counters := func() []int {
 		u := make([]int, 20)
 		for i := range u {

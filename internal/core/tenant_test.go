@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 )
 
@@ -89,7 +88,7 @@ func TestTenantQuotaCapsSelection(t *testing.T) {
 // tenant's own buffers — never from other tenants or the default pool.
 func TestTenantIntraDisplacement(t *testing.T) {
 	s := NewSpace(Config{IMax: 100, P: 2, K: 2, SpaceLimit: 100,
-		Rand: rand.New(rand.NewSource(42))})
+		Seed: 42})
 	tn, err := s.CreateTenant("acme", 4, false)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +147,7 @@ func TestTenantIntraDisplacement(t *testing.T) {
 // displace another tenant — counted on both ledgers.
 func TestTenantOvercommitSpillsGlobally(t *testing.T) {
 	s := NewSpace(Config{IMax: 100, P: 2, K: 2, SpaceLimit: 4,
-		Rand: rand.New(rand.NewSource(7))})
+		Seed: 7})
 	a, _ := s.CreateTenant("a", 4, false)
 	bT, _ := s.CreateTenant("b", 4, false) // 4+4 quota > SpaceLimit 4
 

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/buffer"
@@ -72,5 +75,66 @@ func TestFailedRedefineIndexKeepsState(t *testing.T) {
 	}
 	if b := tb.Buffer(0); b == old || e.Space().Buffer(name) != b {
 		t.Fatal("redefinition did not register a fresh buffer")
+	}
+}
+
+// TestFailedVacuumKeepsState fails Vacuum at every page read of the
+// rewritten heap in turn — its copy and the rebuild of the index and
+// buffer against it — and checks that each failure leaves the table
+// answering every key exactly as before, RIDs included; with enough
+// reads the vacuum succeeds and the answers keep their rows.
+func TestFailedVacuumKeepsState(t *testing.T) {
+	readsLeft := -1 // armed on each store as it is created
+	var fs *buffer.FaultStore
+	cfg := Config{Space: core.Config{IMax: 100000, P: 1000}, PoolPages: 4}
+	cfg.wrapStore = func(_ string, s pageStore) pageStore {
+		fs = buffer.NewFaultStore(s)
+		fs.SetReadsLeft(readsLeft)
+		return fs
+	}
+	_, tb := newABC(t, cfg, 1000, 100)
+	if err := tb.CreatePartialIndex(0, index.IntRange(1, 50)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := tb.QueryEqual(0, iv(90)); err != nil { // warm the buffer
+		t.Fatal(err)
+	}
+	churn(t, tb)
+	answers := func(withRIDs bool) map[int64][]string {
+		out := map[int64][]string{}
+		for k := int64(1); k <= 100; k++ {
+			ms, _, err := tb.QueryEqual(0, iv(k))
+			if err != nil {
+				t.Fatalf("key %d: %v", k, err)
+			}
+			for _, m := range ms {
+				row := fmt.Sprint(m.Tuple)
+				if withRIDs {
+					row = fmt.Sprint(m.RID, row)
+				}
+				out[k] = append(out[k], row)
+			}
+			sort.Strings(out[k])
+		}
+		return out
+	}
+	want, wantRows := answers(true), answers(false)
+	for reads := 0; ; reads++ {
+		readsLeft = reads
+		_, _, err := tb.Vacuum()
+		readsLeft = -1
+		fs.SetReadsLeft(-1) // the last store created: the vacuum's
+		if err == nil {
+			break
+		}
+		if got := answers(true); !reflect.DeepEqual(got, want) {
+			t.Fatalf("reads=%d: failed vacuum (%v) changed the answers", reads, err)
+		}
+		if reads > 10*tb.heap.NumPages() {
+			t.Fatal("vacuum never succeeded")
+		}
+	}
+	if got := answers(false); !reflect.DeepEqual(got, wantRows) {
+		t.Fatal("vacuum changed the answers' rows")
 	}
 }

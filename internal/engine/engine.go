@@ -527,7 +527,7 @@ func (t *Table) createPartialIndex(column int, cov index.Coverage) error {
 	// the table as it was.
 	var b *core.IndexBuffer
 	if !t.engine.cfg.DisableIndexBuffer {
-		uncovered, err := t.countUncovered(column, ix.Coverage())
+		uncovered, err := countUncovered(t.heap, column, ix.Coverage())
 		if err != nil {
 			return fmt.Errorf("engine: building index on %s: %w", t.bufferName(column), err)
 		}
@@ -606,7 +606,7 @@ func (t *Table) redefineIndex(column int, cov index.Coverage) error {
 	var uncovered []int
 	if t.buffers[column] != nil {
 		var err error
-		if uncovered, err = t.countUncovered(column, cov); err != nil {
+		if uncovered, err = countUncovered(t.heap, column, cov); err != nil {
 			return err
 		}
 	}
@@ -622,12 +622,12 @@ func (t *Table) redefineIndex(column int, cov index.Coverage) error {
 	return nil
 }
 
-// countUncovered returns, per heap page, the number of live tuples whose
+// countUncovered returns, per page of h, the number of live tuples whose
 // column value cov does not cover — an Index Buffer's initial page
 // counters (paper §III).
-func (t *Table) countUncovered(column int, cov index.Coverage) ([]int, error) {
-	uncovered := make([]int, t.heap.NumPages())
-	err := t.heap.Scan(func(rid storage.RID, tu storage.Tuple) error {
+func countUncovered(h *heap.Table, column int, cov index.Coverage) ([]int, error) {
+	uncovered := make([]int, h.NumPages())
+	err := h.Scan(func(rid storage.RID, tu storage.Tuple) error {
 		if !cov.Covers(tu.Value(column)) {
 			uncovered[rid.Page]++
 		}
@@ -973,7 +973,7 @@ func (t *Table) accessLocked(ctx context.Context, column int) (exec.Access, erro
 		Parallelism: t.engine.cfg.ScanParallelism,
 	}
 	if tap := t.spanTap(t.engine.flightActive(ctx), column); tap != nil {
-		a.Span, a.SpaceObs = tap.scan, tap
+		a.Span = tap.span
 	}
 	return a, nil
 }

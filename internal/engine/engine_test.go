@@ -232,7 +232,7 @@ func TestQueryCorrectnessUnderRandomWorkload(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	cfg := Config{Space: core.Config{
 		IMax: 20, P: 5, K: 2, SpaceLimit: 400,
-		Rand: rand.New(rand.NewSource(2)),
+		Seed: 2,
 	}}
 	_, tb := newABC(t, cfg, 1500, 60)
 	for col, hi := range map[int]int64{0: 20, 1: 30, 2: 10} {
@@ -424,7 +424,7 @@ func TestQueryRangeThroughEngine(t *testing.T) {
 // ground truth continuously.
 func TestRangeAndDMLInterleaved(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	cfg := Config{Space: core.Config{IMax: 30, P: 10, SpaceLimit: 800, Rand: rand.New(rand.NewSource(8))}}
+	cfg := Config{Space: core.Config{IMax: 30, P: 10, SpaceLimit: 800, Seed: 8}}
 	_, tb := newABC(t, cfg, 1200, 60)
 	if err := tb.CreatePartialIndex(0, index.IntRange(1, 20)); err != nil {
 		t.Fatal(err)
@@ -743,7 +743,7 @@ func TestEngineExplainAndIntrospection(t *testing.T) {
 func TestCrossTableBufferSpace(t *testing.T) {
 	e := New(Config{Space: core.Config{
 		IMax: 30, P: 60, K: 2, SpaceLimit: 2500,
-		Rand: rand.New(rand.NewSource(3)),
+		Seed: 3,
 	}})
 	mkTable := func(name string) *Table {
 		schema := storage.MustSchema(

@@ -5,8 +5,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/flight"
 	"repro/internal/index"
-	"repro/internal/trace"
 )
 
 // runMixedQueries drives hits (covered keys) and misses (uncovered keys,
@@ -78,21 +78,21 @@ func TestSpansThroughEngine(t *testing.T) {
 	var target string
 	for _, s := range e.Tracer().Spans(1 << 20) {
 		kinds[s.Kind]++
-		if s.Kind == trace.SpanMissAdmit {
+		if s.Kind == flight.SpanMissAdmit {
 			target = s.Target
 		}
 	}
-	if kinds[trace.SpanMissAdmit] != 11 {
-		t.Errorf("miss-admit spans = %d, want 11", kinds[trace.SpanMissAdmit])
+	if kinds[flight.SpanMissAdmit] != 11 {
+		t.Errorf("miss-admit spans = %d, want 11", kinds[flight.SpanMissAdmit])
 	}
-	if kinds[trace.SpanScanLead] != 11 {
-		t.Errorf("scan-lead spans = %d, want 11", kinds[trace.SpanScanLead])
+	if kinds[flight.SpanScanLead] != 11 {
+		t.Errorf("scan-lead spans = %d, want 11", kinds[flight.SpanScanLead])
 	}
 	// Each indexing scan selects at least one page and completes it.
-	if kinds[trace.SpanPageSelect] == 0 {
+	if kinds[flight.SpanPageSelect] == 0 {
 		t.Error("no page-select spans recorded")
 	}
-	if kinds[trace.SpanPageComplete] == 0 {
+	if kinds[flight.SpanPageComplete] == 0 {
 		t.Error("no page-complete spans recorded")
 	}
 	if target != "flights.a" {

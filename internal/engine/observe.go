@@ -1,12 +1,12 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/flight"
-	"repro/internal/trace"
 )
 
 // This file is the engine's one observation path. Every query outcome
@@ -52,9 +52,7 @@ func (t *Table) observe(ctx context.Context, column int, stats exec.QueryStats, 
 
 // emit is the one span fan-out: the global span stream (stamped with
 // the statement's trace ID), the timeline's churn counters, and the
-// statement's flight record (fa may be nil). Each consumer touches only
-// its own leaf-locked state, so emit honours the core.Observer contract
-// and may run with Space.mu held.
+// statement's flight record (fa may be nil).
 func (e *Engine) emit(fa *flight.Active, kind, target string, page, n int) {
 	traceID := fa.Trace()
 	seq := e.tracer.SpanTraced(kind, target, page, n, traceID)
@@ -63,9 +61,8 @@ func (e *Engine) emit(fa *flight.Active, kind, target string, page, n int) {
 }
 
 // tap binds emit to one statement's access to one column. It is the
-// exec.Access span hook, Algorithm 2's per-call observer and the
-// admission layer's emitter. A nil *tap — nothing is listening — drops
-// every event.
+// exec.Access span hook and the admission layer's emitter. A nil *tap —
+// nothing is listening — drops every event.
 type tap struct {
 	e      *Engine
 	fa     *flight.Active
@@ -83,17 +80,13 @@ func (t *Table) spanTap(fa *flight.Active, column int) *tap {
 	return &tap{e: e, fa: fa, target: t.bufferName(column)}
 }
 
-// scan emits an event about the accessed column itself.
-func (p *tap) scan(kind string, page, n int) {
+// span emits one event about target's buffer; an empty target is the
+// accessed column's own (a displacement victim may belong to another
+// column).
+func (p *tap) span(kind, target string, page, n int) {
 	if p != nil {
-		p.e.emit(p.fa, kind, p.target, page, n)
+		p.e.emit(p.fa, kind, cmp.Or(target, p.target), page, n)
 	}
-}
-
-// SpaceEvent implements core.Observer; buffer is the event's own target
-// (a displacement victim may belong to another column).
-func (p *tap) SpaceEvent(kind, buffer string, page, n int) {
-	p.e.emit(p.fa, kind, buffer, page, n)
 }
 
 // dropBuffer releases the column's Index Buffer from the Space and
@@ -101,7 +94,7 @@ func (p *tap) SpaceEvent(kind, buffer string, page, n int) {
 // adaptation episode.
 func (t *Table) dropBuffer(column int) {
 	name := t.bufferName(column)
-	t.engine.emit(nil, trace.SpanBufferReset, name, -1, t.engine.space.DropBuffer(name))
+	t.engine.emit(nil, flight.SpanBufferReset, name, -1, t.engine.space.DropBuffer(name))
 }
 
 // resetBuffer swaps the column's Index Buffer for a fresh one, with the
@@ -109,6 +102,6 @@ func (t *Table) dropBuffer(column int) {
 // buffer-reset for the old one.
 func (t *Table) resetBuffer(column int, uncovered []int) {
 	b, released := t.engine.space.ReplaceBuffer(t.buffers[column], uncovered)
-	t.engine.emit(nil, trace.SpanBufferReset, b.Name(), -1, released)
+	t.engine.emit(nil, flight.SpanBufferReset, b.Name(), -1, released)
 	t.buffers[column] = b
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/flight"
 	"repro/internal/index"
 	"repro/internal/storage"
-	"repro/internal/trace"
 )
 
 // stmt runs one range query as a flight-recorded statement and returns
@@ -195,7 +194,7 @@ func TestObservationViewsAgree(t *testing.T) {
 func TestTracedSpansReachGlobalStream(t *testing.T) {
 	cfg := Config{Space: core.Config{
 		IMax: 20, P: 5, K: 2, SpaceLimit: 400,
-		Rand: rand.New(rand.NewSource(3)),
+		Seed: 3,
 	}}
 	e, tb := newABC(t, cfg, 1500, 60)
 	for col, hi := range map[int]int64{0: 20, 1: 30} {
@@ -222,7 +221,7 @@ func TestTracedSpansReachGlobalStream(t *testing.T) {
 		want := map[span]int{}
 		for _, sp := range rec.Spans {
 			want[span{sp.Kind, sp.Target, sp.Page, sp.N}]++
-			displaced = displaced || sp.Kind == trace.SpanDisplace
+			displaced = displaced || sp.Kind == flight.SpanDisplace
 		}
 		got := map[span]int{}
 		for _, sp := range e.Tracer().Spans(1 << 20) {

@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 
 	"repro/internal/exec"
+	"repro/internal/flight"
 	"repro/internal/storage"
-	"repro/internal/trace"
 )
 
 // This file is the admission layer of scan sharing. A query that misses
@@ -100,13 +100,13 @@ func (t *Table) queryShared(ctx context.Context, column int, lo, hi storage.Valu
 	counters := &t.engine.sharedScans
 	counters.Misses.Add(1)
 	tp := t.spanTap(t.engine.flightActive(ctx), column)
-	tp.scan(trace.SpanMissAdmit, -1, 0)
+	tp.span(flight.SpanMissAdmit, "", -1, 0)
 
 	q := &attachedQuery{ctx: ctx, lo: lo, hi: hi}
 	batch, leader := t.scans.attach(column, q)
 	if !leader {
 		counters.Attached.Add(1)
-		tp.scan(trace.SpanScanAttach, -1, 0)
+		tp.span(flight.SpanScanAttach, "", -1, 0)
 		select {
 		case <-batch.done:
 			return q.out, q.stats, q.err
@@ -131,7 +131,7 @@ func (t *Table) queryShared(ctx context.Context, column int, lo, hi storage.Valu
 		}
 	} else {
 		counters.Scans.Add(1)
-		tp.scan(trace.SpanScanLead, -1, len(attached))
+		tp.span(flight.SpanScanLead, "", -1, len(attached))
 		t.runShared(a, column, attached)
 	}
 	t.mu.Unlock()

@@ -16,7 +16,7 @@ import (
 // ("<tenant>:<table>"), so the tracer, the timeline, and the metrics
 // families distinguish tenants for free; buffers created for a tenant's
 // indexes are charged against the tenant's entry quota (see
-// core.Space.SelectPagesForBuffer for the two-level displacement
+// core.Space.Select for the two-level displacement
 // competition, and QueryRangeCtx for over-quota admission).
 
 // TenantSpec declares one budget domain for CreateTenant or Load.
@@ -114,7 +114,7 @@ func (e *Engine) TableNamesFor(tn *core.Tenant) []string {
 // The gate is advisory — DML maintenance and a concurrent scan admitted
 // a moment earlier can still move usage — but the hard invariant
 // (tenant used never grows past quota through scans) is enforced by
-// SelectPagesForBuffer's budget cap regardless of this check.
+// Space.Select's budget cap regardless of this check.
 func (t *Table) admitMiss(a *exec.Access) (degrade bool, err error) {
 	tn := t.tenant
 	if tn == nil || !tn.OverQuota() {

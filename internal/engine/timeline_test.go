@@ -96,7 +96,7 @@ func TestTimelineDisabledByDefaultInEngine(t *testing.T) {
 func TestTimelineDisplacementResample(t *testing.T) {
 	cfg := Config{Space: core.Config{
 		IMax: 20, P: 5, K: 2, SpaceLimit: 400,
-		Rand: rand.New(rand.NewSource(3)),
+		Seed: 3,
 	}}
 	e, tb := newABC(t, cfg, 1500, 60)
 	for col, hi := range map[int]int64{0: 20, 1: 30} {

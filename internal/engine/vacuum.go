@@ -163,16 +163,16 @@ func (t *Table) vacuum() (pagesBefore, pagesAfter int, err error) {
 	if t.engine.cfg.wrapStore != nil {
 		newStore = t.engine.cfg.wrapStore(t.name, newStore)
 	}
-	cleanupTmp := func() {
-		if tmpPath != "" {
+	swapped := false
+	defer func() {
+		if !swapped && tmpPath != "" {
 			newFS.Close()
 			os.Remove(tmpPath)
 		}
-	}
+	}()
 
 	newPool, err := t.engine.newPool(newStore)
 	if err != nil {
-		cleanupTmp()
 		return pagesBefore, 0, err
 	}
 	newHeap := heap.NewTable(t.schema, newPool)
@@ -181,19 +181,37 @@ func (t *Table) vacuum() (pagesBefore, pagesAfter int, err error) {
 		return err
 	})
 	if err != nil {
-		cleanupTmp()
 		return pagesBefore, 0, fmt.Errorf("engine: vacuum copy of %s: %w", t.name, err)
 	}
 
+	// Rebuild index contents and buffer counters against the new RIDs
+	// before anything is swapped: until the commit below, a failure
+	// leaves the table exactly as it was.
+	var commit []func()
+	for col, ix := range t.indexes {
+		publish, err := ix.Stage(ix.Coverage(), newHeap)
+		var uncovered []int
+		if err == nil && t.buffers[col] != nil {
+			uncovered, err = countUncovered(newHeap, col, ix.Coverage())
+		}
+		if err != nil {
+			return pagesBefore, 0, fmt.Errorf("engine: vacuum reindex of %s: %w", t.name, err)
+		}
+		commit = append(commit, func() {
+			publish()
+			if t.buffers[col] != nil {
+				t.resetBuffer(col, uncovered)
+			}
+		})
+	}
+
 	// For file-backed tables, persist the staged pages and move the file
-	// into place; the open descriptor stays valid across the rename.
+	// into place; the old store stays open until the swap succeeded.
 	if tmpPath != "" {
 		if err := newPool.FlushAll(); err != nil {
-			cleanupTmp()
 			return pagesBefore, 0, err
 		}
 		if err := newFS.Sync(); err != nil {
-			cleanupTmp()
 			return pagesBefore, 0, err
 		}
 		// Commit point: once the marker is durable, a crash anywhere up
@@ -201,41 +219,29 @@ func (t *Table) vacuum() (pagesBefore, pagesAfter int, err error) {
 		// still old (marker ignored) or file swapped (marker names its
 		// complete extent).
 		if err := writeVacuumMarker(t.engine.cfg.DataDir, t.name, newHeap.NumPages()); err != nil {
-			cleanupTmp()
 			return pagesBefore, 0, err
-		}
-		if old, ok := t.store.(interface{ Close() error }); ok {
-			_ = old.Close()
 		}
 		final := filepath.Join(t.engine.cfg.DataDir, t.name+".pages")
 		if err := os.Rename(tmpPath, final); err != nil {
-			cleanupTmp()
-			return pagesBefore, 0, fmt.Errorf("engine: vacuum swap of %s: %w", t.name, err)
-		}
-		if err := syncDirPath(t.engine.cfg.DataDir); err != nil {
 			return pagesBefore, 0, fmt.Errorf("engine: vacuum swap of %s: %w", t.name, err)
 		}
 	}
 
-	// Swap the heap in, then rebuild index contents and buffers against
-	// the new RIDs.
-	t.store = newStore
-	t.pool = newPool
-	t.heap = newHeap
-
-	for col, ix := range t.indexes {
-		if _, err := ix.Rebuild(ix.Coverage(), t.heap); err != nil {
-			return pagesBefore, 0, fmt.Errorf("engine: vacuum reindex of %s: %w", t.name, err)
-		}
-		if t.buffers[col] == nil {
-			continue
-		}
-		uncovered, err := t.countUncovered(col, ix.Coverage())
-		if err != nil {
-			return pagesBefore, 0, err
-		}
-		t.resetBuffer(col, uncovered)
+	// Swap the heap in, publish the rebuilt indexes and fresh buffers,
+	// and only then release the old store.
+	old := t.store
+	t.store, t.pool, t.heap, swapped = newStore, newPool, newHeap, true
+	for _, c := range commit {
+		c()
 	}
 	t.publishReadLocked() // readers must resolve against the new heap
-	return pagesBefore, t.heap.NumPages(), nil
+	if tmpPath != "" {
+		if c, ok := old.(interface{ Close() error }); ok {
+			_ = c.Close()
+		}
+		if err := syncDirPath(t.engine.cfg.DataDir); err != nil {
+			return pagesBefore, newHeap.NumPages(), fmt.Errorf("engine: vacuum swap of %s: %w", t.name, err)
+		}
+	}
+	return pagesBefore, newHeap.NumPages(), nil
 }

@@ -118,20 +118,13 @@ type Access struct {
 	// assume its partitions stay put.
 	ReadOnly bool
 
-	// Span, when non-nil, receives span events from the table scan —
-	// currently "scan-parallel" (the scan fanned out, n = workers) and
-	// "page-complete" (page fully buffered, the C[p]→0 transition) with
-	// the page id and the entries added for it.
-	Span func(kind string, page, n int)
-
-	// SpaceObs, when non-nil, is threaded through Algorithm-2 page
-	// selection (Space.SelectPagesForBufferObserved) and receives the
-	// selection's management events — displace, page-select.
-	//
-	// The engine sets both hooks to its one span fan-out, bound to the
-	// calling statement, only while some span consumer is on, so the
-	// nil checks are the entire disabled-path cost.
-	SpaceObs core.Observer
+	// Span, when non-nil, receives the pass's span events (flight.Span*
+	// kinds): the Plan of Algorithm 2 — SpanDisplace per victim, whose
+	// buffer is the target, then SpanPageSelect with n = |I| — and the
+	// scan's SpanScanParallel and SpanPageComplete. An empty target is
+	// the accessed column's own buffer. The engine sets it only while
+	// some span consumer is on, so the nil check is the disabled cost.
+	Span func(kind, target string, page, n int)
 }
 
 // scanWorkers resolves the effective worker count for a pass that reads

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/flight"
 	"repro/internal/heap"
 	"repro/internal/storage"
 )
@@ -126,7 +127,7 @@ func runPass(a Access, qs []SharedQuery, outs []SharedOutcome, states []scanStat
 			}
 			entriesAdded += len(res.entries)
 			if a.Span != nil {
-				a.Span("page-complete", int(res.page), len(res.entries))
+				a.Span(flight.SpanPageComplete, "", int(res.page), len(res.entries))
 			}
 		}
 	}
@@ -147,7 +148,7 @@ func (s *scanPass) run(workers int) error {
 		s.worker()
 	} else {
 		if s.a.Span != nil {
-			s.a.Span("scan-parallel", -1, workers)
+			s.a.Span(flight.SpanScanParallel, "", -1, workers)
 		}
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {

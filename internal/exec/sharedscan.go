@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/flight"
 	"repro/internal/index"
 	"repro/internal/storage"
 )
@@ -176,10 +177,11 @@ func failActive(err error, outs []SharedOutcome, states []scanState, scanQ []int
 }
 
 // sharedIndexingScan is the paper's Algorithm 1 generalized to a
-// predicate set. The page set I comes from Algorithm 2
-// (Space.SelectPagesForBuffer), chosen once for the batch; the buffer is
-// pinned for the pass's duration so a concurrent scan on another table
-// cannot displace the partitions the skip decisions depend on.
+// predicate set. The page set I comes from Algorithm 2 (Space.Select),
+// chosen once for the batch and reported after the Space lock is
+// released; the buffer is pinned for the pass's duration so a
+// concurrent scan on another table cannot displace the partitions the
+// skip decisions depend on.
 func sharedIndexingScan(a Access, qs []SharedQuery, outs []SharedOutcome, states []scanState, scanQ []int, numPages int) {
 	release := a.Space.PinForScan(a.Buffer)
 	defer release()
@@ -196,7 +198,16 @@ func sharedIndexingScan(a Access, qs []SharedQuery, outs []SharedOutcome, states
 			outs[i].Stats.QuotaDegraded = true
 		}
 	} else {
-		selected = a.Space.SelectPagesForBufferObserved(a.Buffer, numPages, a.SpaceObs) // I ← SelectPagesForBuffer()
+		plan := a.Space.Select(a.Buffer, numPages) // I, D ← SelectPagesForBuffer()
+		selected = plan.Pages
+		if a.Span != nil {
+			for _, d := range plan.Drops {
+				a.Span(flight.SpanDisplace, d.Buffer, -1, d.Entries)
+			}
+			if plan.Pages != nil { // nil: no candidate page, nothing was decided
+				a.Span(flight.SpanPageSelect, "", -1, len(plan.Pages))
+			}
+		}
 	}
 
 	// Index Buffer scan (lines 8–10), demultiplexed per query.

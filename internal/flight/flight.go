@@ -33,7 +33,7 @@ import (
 
 // Span is one structured event from the adaptive machinery (miss
 // admission, shared-scan batching, Algorithm-2 page selection,
-// displacement, C[p]→0 transitions; the kinds are trace's Span*
+// displacement, C[p]→0 transitions; the kinds are the Span*
 // constants). The same value enters the global span ring, the JSONL
 // telemetry stream and the emitting statement's flight record.
 type Span struct {
@@ -50,6 +50,38 @@ type Span struct {
 	// to flight records.
 	Trace string `json:"trace,omitempty"`
 }
+
+// Span kinds, in the order the adaptive machinery emits them.
+const (
+	// SpanMissAdmit: a query missed the partial index and entered the
+	// scan-sharing admission layer. N is 0.
+	SpanMissAdmit = "miss-admit"
+	// SpanScanAttach: a query joined another query's forming batch
+	// instead of leading its own scan. N is 0.
+	SpanScanAttach = "scan-attach"
+	// SpanScanLead: a batch leader sealed its batch and is about to run
+	// one shared Algorithm-1 pass. N is the batch size.
+	SpanScanLead = "scan-lead"
+	// SpanPageSelect: Algorithm 2 chose the page set I for a scan.
+	// N is |I|.
+	SpanPageSelect = "page-select"
+	// SpanDisplace: a victim partition was dropped from Target's buffer
+	// on behalf of another buffer's scan. N is the entries released.
+	SpanDisplace = "displace"
+	// SpanPageComplete: an indexing scan finished buffering a page — the
+	// C[p]→0 transition that makes the page skippable. Page is the page,
+	// N the entries added for it.
+	SpanPageComplete = "page-complete"
+	// SpanScanParallel: a table-scan stage fanned out to a worker pool.
+	// N is the worker count; emitted once per parallel scan, before the
+	// workers start.
+	SpanScanParallel = "scan-parallel"
+	// SpanBufferReset: Target's buffer was dropped wholesale (partial
+	// index dropped or redefined, or the table vacuumed); a buffer later
+	// created under the name starts a fresh adaptation episode. N is the
+	// entries released.
+	SpanBufferReset = "buffer-reset"
+)
 
 // Record is one completed statement's flight record.
 type Record struct {
@@ -109,9 +141,8 @@ func Mechanism(emptyRange, partialHit, follower, fullScan, degraded bool) string
 }
 
 // Active is one in-progress statement record. Span contributions may
-// arrive concurrently (parallel scan workers, core observer callbacks
-// under Space.mu), so the span list is mutex-guarded; the mutex is a
-// strict leaf — no Active method calls out while holding it. All
+// arrive concurrently, so the span list is mutex-guarded; the mutex is
+// a strict leaf — no Active method calls out while holding it. All
 // methods are nil-receiver safe no-ops.
 type Active struct {
 	mu  sync.Mutex

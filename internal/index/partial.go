@@ -267,11 +267,23 @@ type TupleSource interface {
 // of entries in the rebuilt index. The new coverage and the new tree
 // become visible to lock-free probes in one atomic publication.
 func (p *Partial) Rebuild(cov Coverage, table TupleSource) (int, error) {
+	publish, err := p.Stage(cov, table)
+	if err != nil {
+		return 0, err
+	}
+	return publish(), nil
+}
+
+// Stage is Rebuild's scan: it builds the index for cov over table and
+// returns the function that publishes it. Until publish runs, probes
+// see the old index, so a caller can stage several rebuilds and publish
+// them only once all have succeeded.
+func (p *Partial) Stage(cov Coverage, table TupleSource) (publish func() int, err error) {
 	if cov == nil {
 		cov = NoneCoverage{}
 	}
 	var entries []btree.Entry
-	err := table.Scan(func(rid storage.RID, tu storage.Tuple) error {
+	err = table.Scan(func(rid storage.RID, tu storage.Tuple) error {
 		v := tu.Value(p.column)
 		if cov.Covers(v) {
 			entries = append(entries, btree.Entry{Key: v, RID: rid})
@@ -279,10 +291,12 @@ func (p *Partial) Rebuild(cov Coverage, table TupleSource) (int, error) {
 		return nil
 	})
 	if err != nil {
-		return 0, fmt.Errorf("index %s: rebuild: %w", p.name, err)
+		return nil, fmt.Errorf("index %s: rebuild: %w", p.name, err)
 	}
 	fresh := btree.Bulk(btree.DefaultOrder, entries)
-	p.adds.Add(uint64(fresh.EntryCount()))
-	p.state.Store(&partialState{cov: cov, tree: fresh})
-	return fresh.EntryCount(), nil
+	return func() int {
+		p.adds.Add(uint64(fresh.EntryCount()))
+		p.state.Store(&partialState{cov: cov, tree: fresh})
+		return fresh.EntryCount()
+	}, nil
 }

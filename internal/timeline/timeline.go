@@ -11,11 +11,10 @@
 //
 // Concurrency: the Recorder's mutex is a strict leaf — no method
 // acquires any other lock while holding it, and buffer state is
-// snapshotted *before* the mutex is taken. That lets NoteEvent be
-// called from the engine's span fan-out (which may run with Space.mu
-// held) without ordering constraints: NoteEvent only bumps counters and
-// marks the buffer dirty; the actual coverage sample of a dirtied buffer
-// is taken later, on the next query boundary, outside all core locks.
+// snapshotted *before* the mutex is taken. NoteEvent only bumps
+// counters and marks the buffer dirty; the actual coverage sample of a
+// dirtied buffer is taken later, on the next query boundary, outside
+// all core locks.
 //
 // Disabled (the default), every entry point is a single atomic load
 // with no allocation, so the recorder can stay attached to a production
@@ -30,6 +29,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/flight"
 )
 
 // Sample event triggers.
@@ -322,12 +322,10 @@ func (r *Recorder) Resample(name string, buf *core.IndexBuffer) {
 	}
 }
 
-// NoteEvent ingests one adaptive event (the trace span vocabulary:
-// kind/target/page/n). It only touches recorder-internal state — bumps
-// churn counters, resets the convergence episode on "buffer-reset",
-// marks the target buffer dirty for the next query boundary — so it is
-// safe to call with any core lock held, including from the engine's
-// span fan-out under Space.mu.
+// NoteEvent ingests one adaptive event (the flight span vocabulary:
+// kind/target/page/n). It only touches recorder-internal state: it bumps
+// churn counters, resets the convergence episode on buffer-reset and
+// marks the target buffer dirty for the next query boundary.
 func (r *Recorder) NoteEvent(kind, target string, page, n int) {
 	if !r.enabled.Load() {
 		return
@@ -337,14 +335,14 @@ func (r *Recorder) NoteEvent(kind, target string, page, n int) {
 	defer r.mu.Unlock()
 	s := r.seriesLocked(target)
 	switch kind {
-	case "displace":
+	case flight.SpanDisplace:
 		s.displacements++
 		s.displacedEntries += uint64(n)
 		r.dirty[target] = struct{}{}
-	case "page-complete":
+	case flight.SpanPageComplete:
 		s.pageCompletes++
 		r.dirty[target] = struct{}{}
-	case "buffer-reset":
+	case flight.SpanBufferReset:
 		// The buffer was dropped wholesale (partial index dropped or
 		// redefined); any successor under the same name is a new
 		// adaptation episode. Clearing the episode state here fixes the

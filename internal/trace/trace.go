@@ -69,40 +69,6 @@ func (a Aggregate) SkipShare() float64 {
 	return float64(a.PagesSkipped) / float64(total)
 }
 
-// Span kinds, in the order the adaptive machinery emits them. The core
-// package emits SpanPageSelect and SpanDisplace through its Observer
-// interface using these literal strings (it cannot import this package).
-const (
-	// SpanMissAdmit: a query missed the partial index and entered the
-	// scan-sharing admission layer. N is 0.
-	SpanMissAdmit = "miss-admit"
-	// SpanScanAttach: a query joined another query's forming batch
-	// instead of leading its own scan. N is 0.
-	SpanScanAttach = "scan-attach"
-	// SpanScanLead: a batch leader sealed its batch and is about to run
-	// one shared Algorithm-1 pass. N is the batch size.
-	SpanScanLead = "scan-lead"
-	// SpanPageSelect: Algorithm 2 chose the page set I for a scan.
-	// N is |I|.
-	SpanPageSelect = "page-select"
-	// SpanDisplace: a victim partition was dropped from Target's buffer
-	// on behalf of another buffer's scan. N is the entries released.
-	SpanDisplace = "displace"
-	// SpanPageComplete: an indexing scan finished buffering a page — the
-	// C[p]→0 transition that makes the page skippable. Page is the page,
-	// N the entries added for it.
-	SpanPageComplete = "page-complete"
-	// SpanScanParallel: a table-scan stage fanned out to a worker pool.
-	// N is the worker count; emitted once per parallel scan, before the
-	// workers start.
-	SpanScanParallel = "scan-parallel"
-	// SpanBufferReset: Target's buffer was dropped wholesale (partial
-	// index dropped or redefined, or the table vacuumed); a buffer later
-	// created under the name starts a fresh adaptation episode. N is the
-	// entries released.
-	SpanBufferReset = "buffer-reset"
-)
-
 // Tracer records query outcomes and span events. Safe for concurrent
 // use.
 type Tracer struct {

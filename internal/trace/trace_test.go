@@ -112,7 +112,7 @@ func TestTracerStress(t *testing.T) {
 				case 1:
 					record(tr, "t", "a", true, stats(false, false, 2, 1, 1))
 				case 2:
-					tr.SpanTraced(SpanMissAdmit, "t.a", -1, 0, "")
+					tr.SpanTraced(flight.SpanMissAdmit, "t.a", -1, 0, "")
 					_ = tr.Spans(10)
 				case 3:
 					_ = tr.Aggregates()
@@ -181,7 +181,7 @@ func TestLatencyStatsPerMechanism(t *testing.T) {
 
 func TestSpansDisabledByDefault(t *testing.T) {
 	tr := New(8)
-	tr.SpanTraced(SpanMissAdmit, "t.a", -1, 0, "")
+	tr.SpanTraced(flight.SpanMissAdmit, "t.a", -1, 0, "")
 	if got := tr.Spans(10); len(got) != 0 {
 		t.Errorf("spans recorded while disabled: %v", got)
 	}
@@ -197,7 +197,7 @@ func TestSpanRingOrderAndWrap(t *testing.T) {
 	tr := New(3)
 	tr.EnableSpans(true)
 	for i := 1; i <= 5; i++ {
-		tr.SpanTraced(SpanPageComplete, "t.a", i, i*10, "")
+		tr.SpanTraced(flight.SpanPageComplete, "t.a", i, i*10, "")
 	}
 	got := tr.Spans(10)
 	if len(got) != 3 {
@@ -208,7 +208,7 @@ func TestSpanRingOrderAndWrap(t *testing.T) {
 		if got[i].Page != want || got[i].Seq != uint64(want) || got[i].N != want*10 {
 			t.Errorf("spans[%d] = %+v, want page/seq %d", i, got[i], want)
 		}
-		if got[i].Kind != SpanPageComplete || got[i].Target != "t.a" {
+		if got[i].Kind != flight.SpanPageComplete || got[i].Target != "t.a" {
 			t.Errorf("spans[%d] = %+v", i, got[i])
 		}
 	}
@@ -216,7 +216,7 @@ func TestSpanRingOrderAndWrap(t *testing.T) {
 		t.Errorf("SpanCount = %d, want 5", tr.SpanCount())
 	}
 	// The returned sequence number is the one the ring holds.
-	if seq := tr.SpanTraced(SpanMissAdmit, "t.a", -1, 0, ""); seq != 6 || tr.Spans(1)[0].Seq != 6 {
+	if seq := tr.SpanTraced(flight.SpanMissAdmit, "t.a", -1, 0, ""); seq != 6 || tr.Spans(1)[0].Seq != 6 {
 		t.Errorf("SpanTraced returned seq %d, ring holds %+v, want 6", seq, tr.Spans(1))
 	}
 }
@@ -226,7 +226,7 @@ func TestSpanRingOrderAndWrap(t *testing.T) {
 func TestSpanDisabledZeroAlloc(t *testing.T) {
 	tr := New(8)
 	if avg := testing.AllocsPerRun(200, func() {
-		tr.SpanTraced(SpanPageSelect, "t.a", -1, 12, "")
+		tr.SpanTraced(flight.SpanPageSelect, "t.a", -1, 12, "")
 	}); avg != 0 {
 		t.Errorf("disabled SpanTraced allocates %v per call, want 0", avg)
 	}
@@ -236,7 +236,7 @@ func BenchmarkSpanDisabled(b *testing.B) {
 	tr := New(512)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.SpanTraced(SpanMissAdmit, "t.a", -1, 0, "")
+		tr.SpanTraced(flight.SpanMissAdmit, "t.a", -1, 0, "")
 	}
 }
 
@@ -245,7 +245,7 @@ func BenchmarkSpanEnabled(b *testing.B) {
 	tr.EnableSpans(true)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.SpanTraced(SpanMissAdmit, "t.a", -1, 0, "")
+		tr.SpanTraced(flight.SpanMissAdmit, "t.a", -1, 0, "")
 	}
 }
 
@@ -261,9 +261,9 @@ func BenchmarkRecord(b *testing.B) {
 func TestCapacityClamp(t *testing.T) {
 	tr := New(0)
 	tr.EnableSpans(true)
-	tr.SpanTraced(SpanMissAdmit, "t.a", -1, 0, "")
-	tr.SpanTraced(SpanScanLead, "t.a", -1, 1, "")
-	if got := tr.Spans(5); len(got) != 1 || got[0].Kind != SpanScanLead {
+	tr.SpanTraced(flight.SpanMissAdmit, "t.a", -1, 0, "")
+	tr.SpanTraced(flight.SpanScanLead, "t.a", -1, 1, "")
+	if got := tr.Spans(5); len(got) != 1 || got[0].Kind != flight.SpanScanLead {
 		t.Errorf("spans = %+v, want only the newest", got)
 	}
 }
@@ -276,7 +276,7 @@ func TestRecentSpansClampBoundaries(t *testing.T) {
 	tr := New(capacity)
 	tr.EnableSpans(true)
 	for i := 0; i < recorded; i++ {
-		tr.SpanTraced(SpanMissAdmit, "t.a", -1, 0, "")
+		tr.SpanTraced(flight.SpanMissAdmit, "t.a", -1, 0, "")
 	}
 	cases := []struct {
 		name string
@@ -314,18 +314,18 @@ func TestSpanSink(t *testing.T) {
 	})
 
 	// Gate closed: sink sees nothing.
-	tr.SpanTraced(SpanDisplace, "t.a", 3, 2, "")
+	tr.SpanTraced(flight.SpanDisplace, "t.a", 3, 2, "")
 	if len(got) != 0 {
 		t.Fatalf("sink fired while spans disabled: %+v", got)
 	}
 
 	tr.EnableSpans(true)
-	tr.SpanTraced(SpanDisplace, "t.a", 3, 2, "tr-1")
-	tr.SpanTraced(SpanPageComplete, "t.a", 4, 7, "")
+	tr.SpanTraced(flight.SpanDisplace, "t.a", 3, 2, "tr-1")
+	tr.SpanTraced(flight.SpanPageComplete, "t.a", 4, 7, "")
 	if len(got) != 2 {
 		t.Fatalf("sink saw %d spans, want 2", len(got))
 	}
-	if got[0].Kind != SpanDisplace || got[0].Page != 3 || got[0].N != 2 || got[0].Trace != "tr-1" {
+	if got[0].Kind != flight.SpanDisplace || got[0].Page != 3 || got[0].N != 2 || got[0].Trace != "tr-1" {
 		t.Errorf("first sunk span = %+v", got[0])
 	}
 	if got[1].Seq != got[0].Seq+1 {
@@ -333,7 +333,7 @@ func TestSpanSink(t *testing.T) {
 	}
 
 	tr.SetSpanSink(nil)
-	tr.SpanTraced(SpanMissAdmit, "t.a", -1, 0, "")
+	tr.SpanTraced(flight.SpanMissAdmit, "t.a", -1, 0, "")
 	if len(got) != 2 {
 		t.Errorf("sink fired after detach: %d spans", len(got))
 	}
