@@ -708,12 +708,13 @@ func (db *DB) EnableTraceEvents(on bool) { db.eng.Tracer().EnableSpans(on) }
 func (db *DB) TraceEvents() []TraceEvent { return db.eng.Tracer().Spans(1 << 30) }
 
 // LatencyStats is one execution mechanism's query-latency summary in
-// microseconds: exact count, sum, mean and max, with reservoir-sampled
-// p50/p95/p99.
+// microseconds: exact count, sum, mean and max, with p50/p95/p99 read
+// from log-linear buckets (within 1/16 of the exact value).
 type LatencyStats = trace.MechanismLatency
 
-// LatencyStats returns per-mechanism latency summaries (hit,
-// indexing-scan, full-scan, shared-follower), sorted by mechanism.
+// LatencyStats returns the latency summaries of the mechanisms (hit,
+// indexing-scan, full-scan, degraded-scan, shared-follower, empty-range)
+// that answered at least one query, sorted by mechanism.
 func (db *DB) LatencyStats() []LatencyStats { return db.eng.Tracer().LatencyStats() }
 
 // WriteMetrics renders every monitor — scan-sharing counters, Index

@@ -34,7 +34,7 @@ func (r *Fig6Result) Frame() *metrics.Frame {
 func (r *Fig6Result) WallSummary() string {
 	h := metrics.NewHistogram()
 	for _, v := range r.WallMicros.Y {
-		h.Observe(v)
+		h.Observe(uint64(v))
 	}
 	return h.Summary("us")
 }

@@ -338,6 +338,31 @@ type Table struct {
 	read atomic.Pointer[readState]
 
 	scans scanAdmission // per-column batching of concurrent miss queries
+
+	traced []*trace.Column // the tracer's aggregate handle per column ordinal
+}
+
+// newTable builds a table over an opened store, pool and heap, resolves
+// its tracer handles and publishes its (empty) access-path state. The
+// table is unshared until the caller registers it.
+func (e *Engine) newTable(name string, tn *core.Tenant, schema *storage.Schema, store pageStore, pool *buffer.Pool, hp *heap.Table) *Table {
+	t := &Table{
+		engine:  e,
+		name:    name,
+		tenant:  tn,
+		schema:  schema,
+		store:   store,
+		pool:    pool,
+		heap:    hp,
+		indexes: make(map[int]*index.Partial),
+		buffers: make(map[int]*core.IndexBuffer),
+		traced:  make([]*trace.Column, schema.NumColumns()),
+	}
+	for i := range t.traced {
+		t.traced[i] = e.tracer.Column(name, schema.Column(i).Name)
+	}
+	t.publishReadLocked()
+	return t
 }
 
 // CreateTable registers a new empty table under the default tenant.
@@ -402,18 +427,7 @@ func (e *Engine) createTable(tn *core.Tenant, name string, schema *storage.Schem
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{
-		engine:  e,
-		name:    name,
-		tenant:  tn,
-		schema:  schema,
-		store:   store,
-		pool:    pool,
-		heap:    heap.NewTable(schema, pool),
-		indexes: make(map[int]*index.Partial),
-		buffers: make(map[int]*core.IndexBuffer),
-	}
-	t.publishReadLocked() // t is unshared until the map insert below
+	t := e.newTable(name, tn, schema, store, pool, heap.NewTable(schema, pool))
 	e.tables[name] = t
 	return t, nil
 }

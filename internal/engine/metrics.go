@@ -39,12 +39,13 @@ func (m *metricsWriter) head(name, help, typ string) {
 	m.printf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
-// escapeLabel escapes a label value per the exposition format: backslash,
-// double quote and newline.
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// labelEscaper escapes a label value per the exposition format:
+// backslash, double quote and newline. A Replacer is safe for concurrent
+// use, so one serves every scrape.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// escapeLabel escapes one label value.
+func escapeLabel(v string) string { return labelEscaper.Replace(v) }
 
 // WriteMetrics renders every engine monitor to w in the Prometheus text
 // exposition format v0.0.4. It is safe to call concurrently with queries;
@@ -201,8 +202,8 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	}
 
 	// Per-mechanism latency, rendered as a Prometheus summary: quantile
-	// lines plus _sum and _count. Quantiles are reservoir-sampled; sum and
-	// count are exact.
+	// lines plus _sum and _count. Quantiles come from log-linear buckets
+	// (within 1/16); sum and count are exact.
 	m.head("aib_query_latency_microseconds", "Query latency by execution mechanism.", "summary")
 	for _, l := range e.tracer.LatencyStats() {
 		mech := escapeLabel(l.Mechanism)

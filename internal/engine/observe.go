@@ -43,7 +43,7 @@ func (t *Table) observe(ctx context.Context, column int, stats exec.QueryStats, 
 	e := t.engine
 	col := t.schema.Column(column).Name
 	mech := flight.Mechanism(stats.EmptyRange, stats.PartialHit, follower, stats.FullScan, stats.QuotaDegraded)
-	e.tracer.Record(t.name, col, mech, stats)
+	e.tracer.Record(t.traced[column], mech, stats)
 	if e.timeline.Enabled() {
 		e.timeline.ObserveQuery(t.name, col, mech, buf, e.space.Buffer)
 	}

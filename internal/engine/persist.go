@@ -10,7 +10,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/heap"
-	"repro/internal/index"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -251,18 +250,7 @@ func Load(cfg Config, tenants ...TenantSpec) (*Engine, error) {
 		if err != nil {
 			return fail(fmt.Errorf("engine: reopening heap %s: %w", lt.tm.Name, err))
 		}
-		t := &Table{
-			engine:  e,
-			name:    lt.tm.Name,
-			tenant:  lt.tenant,
-			schema:  lt.schema,
-			store:   store,
-			pool:    pool,
-			heap:    hp,
-			indexes: make(map[int]*index.Partial),
-			buffers: make(map[int]*core.IndexBuffer),
-		}
-		t.publishReadLocked() // unshared until the map insert below
+		t := e.newTable(lt.tm.Name, lt.tenant, lt.schema, store, pool, hp)
 		e.tables[lt.tm.Name] = t
 
 		for _, im := range lt.tm.Indexes {

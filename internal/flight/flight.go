@@ -120,6 +120,10 @@ type Record struct {
 // Duration returns the statement's wall time.
 func (r Record) Duration() time.Duration { return time.Duration(r.DurationNanos) }
 
+// Mechanisms is the closed vocabulary of Mechanism labels, in name
+// order.
+var Mechanisms = [...]string{"degraded-scan", "empty-range", "full-scan", "hit", "indexing-scan", "shared-follower"}
+
 // Mechanism derives the per-query mechanism label from the executor's
 // outcome flags — the one vocabulary the tracer's latency histograms,
 // the timeline's query mix and flight records share.

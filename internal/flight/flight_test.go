@@ -38,6 +38,28 @@ func TestMechanismPriority(t *testing.T) {
 	}
 }
 
+// TestMechanismsVocabulary pins Mechanisms to exactly the labels
+// Mechanism returns, in name order: the tracer indexes its latency
+// histograms by position and reports them in this order.
+func TestMechanismsVocabulary(t *testing.T) {
+	seen := map[string]bool{}
+	for flags := 0; flags < 1<<5; flags++ {
+		bit := func(i int) bool { return flags&(1<<i) != 0 }
+		seen[Mechanism(bit(0), bit(1), bit(2), bit(3), bit(4))] = true
+	}
+	if len(seen) != len(Mechanisms) {
+		t.Errorf("Mechanism returns %d labels, Mechanisms lists %d", len(seen), len(Mechanisms))
+	}
+	for i, m := range Mechanisms {
+		if !seen[m] {
+			t.Errorf("Mechanisms[%d] = %q is never returned by Mechanism", i, m)
+		}
+		if i > 0 && Mechanisms[i-1] >= m {
+			t.Errorf("Mechanisms not in name order at %q, %q", Mechanisms[i-1], m)
+		}
+	}
+}
+
 func TestActiveNilSafe(t *testing.T) {
 	var a *Active
 	a.Span(Span{Kind: "page-select", Target: "t.a", Page: 3, N: 10})

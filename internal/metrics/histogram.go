@@ -3,155 +3,134 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
-	"sync"
+	"math/bits"
+	"sync/atomic"
 )
 
-// Histogram accumulates observations and reports order statistics
-// (p50/p95/p99). The bench harness uses it to summarize per-query
-// wall-clock latencies, and the tracer keeps one per query mechanism.
+// Histogram accumulates non-negative integer observations in the
+// caller's unit (µs for query latency, ns for fsyncs, records for
+// commit batches) and reports p50/p95/p99. It is a fixed log-linear
+// bucket histogram of atomic counters: each value below 16 has its own
+// bucket and each power of two above is split into 16 sub-buckets, so
+// a bucket is at most 1/16 of its lower edge wide. Observe takes no
+// lock, allocates nothing and retains no values (~8 KB for the whole
+// uint64 range). Count, Sum, Mean and Max are exact; quantiles are
+// within 1/16 of the exact nearest-rank value (see quantile).
 //
-// Concurrency guarantee: a Histogram is safe for concurrent use —
-// Observe, Count, Sum, Mean, Quantile, Summary and Stats may all be
-// called from different goroutines without external locking, and no
-// reader mutates the observation slice another reader is sorting (the
-// historical data race: Quantile sorted the live slice in place).
-// Quantiles are served from a sorted copy that is cached until the next
-// Observe invalidates it.
-//
-// An unbounded Histogram (NewHistogram) retains every observation and
-// reports exact order statistics. A bounded one
-// (NewReservoirHistogram) keeps a fixed-size uniform reservoir sample
-// (Vitter's Algorithm R), so memory stays constant under production
-// query volumes; Count, Sum, Mean and Max remain exact, quantiles
-// become estimates over the sample.
+// It is safe for concurrent use and its zero value is ready. Stats
+// reads each counter atomically but not the set: under concurrent
+// Observe, Sum may hold a value no bucket shows yet.
 type Histogram struct {
-	mu     sync.Mutex
-	values []float64  // retained observations (all of them, or the reservoir)
-	sorted []float64  // cached sorted copy of values; nil when stale
-	count  uint64     // observations ever made (>= len(values) when bounded)
-	sum    float64    // exact running sum
-	max    float64    // exact running max
-	limit  int        // reservoir capacity; 0 = retain everything
-	rng    *rand.Rand // reservoir replacement randomness (limit > 0 only)
+	// sum, max and notMin sit together, and Observe writes sum first,
+	// so the two reads that follow usually find their line in cache.
+	sum     atomic.Uint64
+	max     atomic.Uint64
+	notMin  atomic.Uint64 // ^min, so the zero value reads as "no minimum yet"
+	buckets [numBuckets]atomic.Uint64
 }
 
-// NewHistogram creates an empty, unbounded histogram: every observation
-// is retained and quantiles are exact.
+const (
+	subBits    = 4 // 1<<subBits sub-buckets per power of two
+	subBuckets = 1 << subBits
+	numBuckets = (64 - subBits + 1) * subBuckets
+)
+
+// bucketOf returns the bucket holding v: v itself below subBuckets,
+// else the block of v's power of two plus the subBits bits below its
+// leading one.
+func bucketOf(v uint64) int {
+	if v < subBuckets {
+		return int(v)
+	}
+	shift := bits.Len64(v) - subBits - 1
+	return (shift+1)*subBuckets + int(v>>shift)&(subBuckets-1)
+}
+
+// bucketRange returns bucket i's lower edge and width.
+func bucketRange(i int) (lo, width uint64) {
+	if i < subBuckets {
+		return uint64(i), 1
+	}
+	shift := i/subBuckets - 1
+	return uint64(subBuckets+i%subBuckets) << shift, 1 << shift
+}
+
+// NewHistogram creates an empty histogram.
 func NewHistogram() *Histogram { return &Histogram{} }
 
-// NewReservoirHistogram creates a histogram bounded to limit retained
-// observations via uniform reservoir sampling; limit <= 0 means
-// unbounded. The seed makes the sampling deterministic for tests.
-func NewReservoirHistogram(limit int, seed int64) *Histogram {
-	if limit <= 0 {
-		return NewHistogram()
-	}
-	return &Histogram{limit: limit, rng: rand.New(rand.NewSource(seed))}
+// Observe records one value. The min and max are published before the
+// bucket, so a reader that sees the bucket also sees bounds covering it.
+func (h *Histogram) Observe(v uint64) {
+	h.sum.Add(v)
+	storeMax(&h.max, v)
+	storeMax(&h.notMin, ^v)
+	h.buckets[bucketOf(v)].Add(1)
 }
 
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.count++
-	h.sum += v
-	if h.count == 1 || v > h.max {
-		h.max = v
+// storeMax raises a to v if v is larger.
+func storeMax(a *atomic.Uint64, v uint64) {
+	for cur := a.Load(); v > cur && !a.CompareAndSwap(cur, v); cur = a.Load() {
 	}
-	if h.limit == 0 || len(h.values) < h.limit {
-		h.values = append(h.values, v)
-	} else if j := h.rng.Int63n(int64(h.count)); j < int64(h.limit) {
-		h.values[j] = v // Algorithm R: keep each observation with prob limit/count
-	} else {
-		return // reservoir unchanged; sorted cache stays valid
-	}
-	h.sorted = nil
 }
 
-// Count returns the number of observations made (not the number
-// retained, which a bounded histogram caps).
-func (h *Histogram) Count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return int(h.count)
-}
-
-// Sum returns the total of all observations (exact even when bounded).
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Mean returns the arithmetic mean (0 when empty; exact even when
-// bounded).
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.meanLocked()
-}
-
-func (h *Histogram) meanLocked() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) using nearest-rank on
-// the sorted retained observations; 0 when empty. q >= 1 reports the
-// exact maximum even when the reservoir has since evicted it.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(q)
-}
-
-func (h *Histogram) quantileLocked(q float64) float64 {
-	if len(h.values) == 0 {
-		return 0
-	}
-	if q >= 1 {
-		return h.max
-	}
-	if h.sorted == nil {
-		h.sorted = append(make([]float64, 0, len(h.values)), h.values...)
-		sort.Float64s(h.sorted)
-	}
-	if q <= 0 {
-		return h.sorted[0]
-	}
-	rank := int(math.Ceil(q*float64(len(h.sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return h.sorted[rank]
-}
-
-// HistogramStats is a consistent point-in-time snapshot of a
-// histogram's summary statistics, taken under one lock acquisition.
+// HistogramStats is a point-in-time snapshot of a histogram's summary
+// statistics, in the unit of its observations.
 type HistogramStats struct {
 	Count          int
 	Sum, Mean, Max float64
 	P50, P95, P99  float64
 }
 
-// Stats snapshots count/sum/mean/max and the p50/p95/p99 quantiles
-// atomically with respect to concurrent Observe calls.
+// Stats snapshots count (the bucket total), sum, mean, max and the
+// p50/p95/p99 quantiles.
 func (h *Histogram) Stats() HistogramStats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return HistogramStats{
-		Count: int(h.count),
-		Sum:   h.sum,
-		Mean:  h.meanLocked(),
-		Max:   h.max,
-		P50:   h.quantileLocked(0.5),
-		P95:   h.quantileLocked(0.95),
-		P99:   h.quantileLocked(0.99),
+	var counts [numBuckets]uint64
+	var n uint64
+	for i := range counts {
+		counts[i] = h.buckets[i].Load()
+		n += counts[i]
 	}
+	if n == 0 {
+		return HistogramStats{}
+	}
+	sum, lo, hi := h.sum.Load(), ^h.notMin.Load(), h.max.Load()
+	return HistogramStats{
+		Count: int(n), Sum: float64(sum), Mean: float64(sum) / float64(n), Max: float64(hi),
+		P50: quantile(&counts, n, 0.5, lo, hi),
+		P95: quantile(&counts, n, 0.95, lo, hi),
+		P99: quantile(&counts, n, 0.99, lo, hi),
+	}
+}
+
+// Scaled returns s with every value statistic multiplied by f — a unit
+// change, such as ns observations reported in seconds. Count is kept.
+func (s HistogramStats) Scaled(f float64) HistogramStats {
+	return HistogramStats{Count: s.Count, Sum: s.Sum * f, Mean: s.Mean * f, Max: s.Max * f,
+		P50: s.P50 * f, P95: s.P95 * f, P99: s.P99 * f}
+}
+
+// quantile returns the nearest-rank q-quantile (0 <= q <= 1) of n > 0
+// bucketed observations whose exact min and max are lo and hi. The
+// first and last ranks are lo and hi; any other rank is placed inside
+// its bucket as if the bucket's observations were spread evenly across
+// its width — which reproduces a dense integer stream exactly — and
+// clamped to [lo, hi]. It never leaves the bucket holding the
+// nearest-rank observation, so it is within 1/16 of it.
+func quantile(counts *[numBuckets]uint64, n uint64, q float64, lo, hi uint64) float64 {
+	rank := uint64(math.Ceil(q * float64(n)))
+	switch {
+	case rank <= 1:
+		return float64(lo)
+	case rank >= n:
+		return float64(hi)
+	}
+	i := 0
+	for ; rank > counts[i]; i++ {
+		rank -= counts[i]
+	}
+	edge, width := bucketRange(i)
+	v := float64(edge) + math.Floor(float64(rank-1)*float64(width)/float64(counts[i]))
+	return min(max(v, float64(lo)), float64(hi))
 }
 
 // Summary renders count/mean/p50/p95/p99/max in one line with the given

@@ -2,6 +2,9 @@ package metrics
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -136,38 +139,51 @@ func TestFormatNum(t *testing.T) {
 	}
 }
 
+// quantileOf snapshots h and returns its q-quantile, the way Stats
+// computes p50/p95/p99.
+func quantileOf(h *Histogram, q float64) float64 {
+	var counts [numBuckets]uint64
+	var n uint64
+	for i := range counts {
+		counts[i] = h.buckets[i].Load()
+		n += counts[i]
+	}
+	return quantile(&counts, n, q, ^h.notMin.Load(), h.max.Load())
+}
+
 func TestHistogram(t *testing.T) {
 	h := NewHistogram()
-	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
+	if s := h.Stats(); s.Count != 0 || s.Mean != 0 || s.P50 != 0 {
 		t.Error("empty histogram stats should be 0")
 	}
 	if h.Summary("ms") != "(no observations)" {
 		t.Errorf("empty summary = %q", h.Summary("ms"))
 	}
 	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
+		h.Observe(uint64(i))
 	}
-	if h.Count() != 100 || h.Sum() != 5050 {
-		t.Errorf("count=%d sum=%v", h.Count(), h.Sum())
+	s := h.Stats()
+	if s.Count != 100 || s.Sum != 5050 {
+		t.Errorf("count=%d sum=%v", s.Count, s.Sum)
 	}
-	if got := h.Mean(); got != 50.5 {
-		t.Errorf("mean = %v", got)
+	if s.Mean != 50.5 {
+		t.Errorf("mean = %v", s.Mean)
 	}
-	if got := h.Quantile(0.5); got != 50 {
-		t.Errorf("p50 = %v", got)
+	if s.P50 != 50 {
+		t.Errorf("p50 = %v", s.P50)
 	}
-	if got := h.Quantile(0.95); got != 95 {
-		t.Errorf("p95 = %v", got)
+	if s.P95 != 95 {
+		t.Errorf("p95 = %v", s.P95)
 	}
-	if got := h.Quantile(0); got != 1 {
+	if got := quantileOf(h, 0); got != 1 {
 		t.Errorf("q0 = %v", got)
 	}
-	if got := h.Quantile(1); got != 100 {
+	if got := quantileOf(h, 1); got != 100 {
 		t.Errorf("q1 = %v", got)
 	}
-	// Observations after a quantile query still work (re-sort).
+	// Observations after a snapshot still count.
 	h.Observe(1000)
-	if got := h.Quantile(1); got != 1000 {
+	if got := quantileOf(h, 1); got != 1000 || h.Stats().Max != 1000 {
 		t.Errorf("q1 after new obs = %v", got)
 	}
 	if !strings.Contains(h.Summary("us"), "p95=") {
@@ -175,9 +191,9 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-// TestHistogramConcurrent hammers observations and quantile reads from
-// parallel goroutines; under -race this is the regression test for the
-// historical in-place sort race between Quantile/Summary and Observe.
+// TestHistogramConcurrent hammers observations and snapshot reads from
+// parallel goroutines; under -race it checks that Observe and Stats
+// share no unsynchronized state.
 func TestHistogramConcurrent(t *testing.T) {
 	h := NewHistogram()
 	var wg sync.WaitGroup
@@ -186,62 +202,71 @@ func TestHistogramConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				h.Observe(float64(g*500 + i))
-				_ = h.Quantile(0.95)
+				h.Observe(uint64(g*500 + i))
 				_ = h.Summary("us")
 				_ = h.Stats()
-				_ = h.Mean()
 			}
 		}(g)
 	}
 	wg.Wait()
-	if h.Count() != 4000 {
-		t.Errorf("count = %d, want 4000", h.Count())
+	s := h.Stats()
+	if s.Count != 4000 {
+		t.Errorf("count = %d, want 4000", s.Count)
 	}
-	if got := h.Quantile(1); got != 3999 {
-		t.Errorf("max = %v, want 3999", got)
+	if s.Max != 3999 {
+		t.Errorf("max = %v, want 3999", s.Max)
 	}
 }
 
-func TestReservoirHistogramBounds(t *testing.T) {
-	h := NewReservoirHistogram(64, 1)
-	for i := 1; i <= 10000; i++ {
-		h.Observe(float64(i))
+// TestHistogramBucketBounds checks the bucket layout over every value
+// below 2^20 and a seeded spread of the uint64 range: each value lies in
+// its bucket, and a bucket is at most 1/16 of its lower edge wide. It
+// then checks that quantiles of seeded exponential and uniform streams
+// are within 1/16 of the exact nearest-rank values.
+func TestHistogramBucketBounds(t *testing.T) {
+	check := func(v uint64) {
+		i := bucketOf(v)
+		if i < 0 || i >= numBuckets {
+			t.Fatalf("bucketOf(%d) = %d, outside [0, %d)", v, i, numBuckets)
+		}
+		lo, width := bucketRange(i)
+		if v < lo || v-lo >= width {
+			t.Fatalf("%d in bucket %d = [%d, %d+%d)", v, i, lo, lo, width)
+		}
+		if width > 1 && width*subBuckets > lo {
+			t.Fatalf("bucket %d = [%d, %d+%d) wider than 1/16 of its edge", i, lo, lo, width)
+		}
 	}
-	if h.Count() != 10000 {
-		t.Errorf("count = %d, want 10000 (total observed, not retained)", h.Count())
+	for v := uint64(0); v < 1<<20; v++ {
+		check(v)
 	}
-	h.mu.Lock()
-	retained := len(h.values)
-	h.mu.Unlock()
-	if retained != 64 {
-		t.Errorf("retained %d values, want reservoir size 64", retained)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		check(rng.Uint64() >> rng.Intn(64))
 	}
-	// Exact statistics survive sampling.
-	if h.Sum() != 50005000 {
-		t.Errorf("sum = %v", h.Sum())
+	check(math.MaxUint64)
+	if bucketOf(math.MaxUint64) != numBuckets-1 {
+		t.Errorf("MaxUint64 lands in bucket %d, want the last, %d", bucketOf(math.MaxUint64), numBuckets-1)
 	}
-	if got := h.Mean(); got != 5000.5 {
-		t.Errorf("mean = %v", got)
+
+	streams := map[string]func() uint64{
+		"exponential": func() uint64 { return uint64(rng.ExpFloat64() * 1000) },
+		"uniform":     func() uint64 { return uint64(rng.Int63n(1_000_000)) },
 	}
-	if got := h.Quantile(1); got != 10000 {
-		t.Errorf("max = %v, want exact 10000", got)
-	}
-	// The sampled median is an estimate; for a uniform stream of 10k
-	// observations and a 64-slot reservoir it lands well inside the bulk.
-	if p50 := h.Quantile(0.5); p50 < 1500 || p50 > 8500 {
-		t.Errorf("sampled p50 = %v, implausibly far from 5000", p50)
-	}
-	// limit <= 0 degrades to unbounded.
-	u := NewReservoirHistogram(0, 1)
-	for i := 0; i < 100; i++ {
-		u.Observe(float64(i))
-	}
-	u.mu.Lock()
-	n := len(u.values)
-	u.mu.Unlock()
-	if n != 100 {
-		t.Errorf("unbounded fallback retained %d, want 100", n)
+	for name, next := range streams {
+		h := NewHistogram()
+		vals := make([]uint64, 20000)
+		for i := range vals {
+			vals[i] = next()
+			h.Observe(vals[i])
+		}
+		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+		for _, q := range []float64{0.01, 0.5, 0.9, 0.95, 0.99, 0.999} {
+			exact := float64(vals[int(math.Ceil(q*float64(len(vals))))-1])
+			if got := quantileOf(h, q); math.Abs(got-exact) > exact/subBuckets {
+				t.Errorf("%s q%v = %v, exact nearest rank %v: beyond 1/16", name, q, got, exact)
+			}
+		}
 	}
 }
 
@@ -251,7 +276,7 @@ func TestHistogramStatsSnapshot(t *testing.T) {
 		t.Errorf("empty stats = %+v", s)
 	}
 	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
+		h.Observe(uint64(i))
 	}
 	s := h.Stats()
 	if s.Count != 100 || s.Sum != 5050 || s.Mean != 50.5 || s.Max != 100 {

@@ -11,6 +11,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -182,12 +183,16 @@ func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	var minDur time.Duration
 	if v := q.Get("min_ms"); v != "" {
+		// NaN compares false to everything and an out-of-range float
+		// converts to an arbitrary Duration, so both are refused rather
+		// than left to invert the filter.
 		ms, err := strconv.ParseFloat(v, 64)
-		if err != nil || ms < 0 {
-			http.Error(w, "bad min_ms: want a non-negative number", http.StatusBadRequest)
+		ns := ms * float64(time.Millisecond)
+		if err != nil || math.IsNaN(ms) || ms < 0 || ns >= math.MaxInt64 {
+			http.Error(w, "bad min_ms: want a finite non-negative number of milliseconds", http.StatusBadRequest)
 			return
 		}
-		minDur = time.Duration(ms * float64(time.Millisecond))
+		minDur = time.Duration(ns)
 	}
 	n := 100
 	if v := q.Get("n"); v != "" {

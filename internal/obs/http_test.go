@@ -414,6 +414,35 @@ func TestQueriesEndpoint(t *testing.T) {
 	}
 }
 
+// TestQueriesRejectsBadMinMS pins the min_ms parse: NaN, infinities and
+// values whose Duration overflows answer 400 instead of wrapping into a
+// filter that keeps every record, while the largest representable
+// threshold still filters normally.
+func TestQueriesRejectsBadMinMS(t *testing.T) {
+	e := newEngine(t)
+	h := Handler(e)
+	fr := e.Flight()
+	fr.Enable(1)
+	a, _ := fr.Begin(context.Background(), "", "SELECT 1")
+	fr.Complete(a, nil)
+
+	for _, bad := range []string{"NaN", "Inf", "-Inf", "1e300", "9.3e12"} {
+		if resp, body := get(t, h, "/debug/queries?min_ms="+bad); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("min_ms=%s = %d, want 400: %s", bad, resp.StatusCode, body)
+		}
+	}
+	resp, body := get(t, h, "/debug/queries?min_ms=9.2e12")
+	var qr struct {
+		Records []json.RawMessage `json:"records"`
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("min_ms=9.2e12 = %d, want 200", resp.StatusCode)
+	}
+	if err := json.Unmarshal([]byte(body), &qr); err != nil || len(qr.Records) != 0 {
+		t.Errorf("min_ms=9.2e12 (~292 years) returned %d records (err %v)", len(qr.Records), err)
+	}
+}
+
 // TestHealthzUnhealthyDurability pins the liveness-vs-durability split:
 // an engine whose WAL failed to initialize answers 503 with the failure
 // in the durability section, while a healthy WAL-less engine stays 200.

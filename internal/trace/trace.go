@@ -9,14 +9,17 @@
 // facade as DB.TraceReport / DB.TraceEvents, and the HTTP endpoint as
 // /metrics. The per-statement history lives in the flight recorder.
 //
-// Every method is safe for concurrent use. Span emission is gated by a
-// single atomic load and is allocation-free while disabled, so the
-// tracer can stay attached to a production engine at ~zero cost.
+// Every method is safe for concurrent use. Recording a query is atomic
+// adds on a per-column handle and a bucket histogram — no lock, no
+// allocation — and span emission is gated by a single atomic load and
+// is allocation-free while disabled, so the tracer can stay attached to
+// a production engine at ~zero cost.
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -69,12 +72,24 @@ func (a Aggregate) SkipShare() float64 {
 	return float64(a.PagesSkipped) / float64(total)
 }
 
+// Column is one (table, column) pair's aggregate counters: a handle
+// resolved once, by Tracer.Column, when the table is built, so Record
+// is atomic adds on counters the caller already holds.
+type Column struct {
+	queries       atomic.Uint64
+	hits          atomic.Uint64
+	pagesRead     atomic.Uint64
+	pagesSkipped  atomic.Uint64
+	wallMicros    atomic.Uint64
+	table, column string
+}
+
 // Tracer records query outcomes and span events. Safe for concurrent
-// use.
+// use; Record takes no lock.
 type Tracer struct {
-	mu   sync.Mutex
-	aggs map[string]*Aggregate         // keyed by table+"."+column
-	lat  map[string]*metrics.Histogram // per-mechanism latency (µs)
+	colMu sync.Mutex // guards cols (handles sorted by table, column); never taken by Record
+	cols  []*Column
+	lat   [len(flight.Mechanisms)]metrics.Histogram // latency (µs), indexed like flight.Mechanisms
 
 	spansOn atomic.Bool   // gate checked before any span work
 	seq     atomic.Uint64 // monotonic span sequence, advanced under spanMu
@@ -90,66 +105,62 @@ type Tracer struct {
 	spanFilled int
 }
 
-// latReservoir bounds each mechanism's latency histogram so a
-// long-running engine keeps constant tracer memory; quantiles become
-// sampled estimates past this many observations per mechanism.
-const latReservoir = 4096
-
 // New creates a tracer keeping the last capacity span events (min 1).
 func New(capacity int) *Tracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Tracer{
-		spans: make([]flight.Span, capacity),
-		aggs:  make(map[string]*Aggregate),
-		lat:   make(map[string]*metrics.Histogram),
-	}
+	return &Tracer{spans: make([]flight.Span, max(capacity, 1))}
 }
 
-// Record ingests one query outcome answered by mechanism mech (the
-// flight.Mechanism vocabulary): it advances the column's aggregate and
-// the mechanism's latency histogram.
-func (t *Tracer) Record(table, column, mech string, stats exec.QueryStats) {
-	wall := stats.Duration.Microseconds()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	key := table + "." + column
-	a := t.aggs[key]
-	if a == nil {
-		a = &Aggregate{Table: table, Column: column}
-		t.aggs[key] = a
-	}
-	a.Queries++
-	if stats.PartialHit {
-		a.Hits++
-	}
-	a.PagesRead += uint64(stats.PagesRead)
-	a.PagesSkipped += uint64(stats.PagesSkipped)
-	a.WallMicros += uint64(wall)
-
-	h := t.lat[mech]
-	if h == nil {
-		h = metrics.NewReservoirHistogram(latReservoir, int64(len(t.lat)+1))
-		t.lat[mech] = h
-	}
-	h.Observe(float64(wall))
-}
-
-// Aggregates returns per-column summaries sorted by table then column.
-func (t *Tracer) Aggregates() []Aggregate {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Aggregate, 0, len(t.aggs))
-	for _, a := range t.aggs {
-		out = append(out, *a)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Table != out[j].Table {
-			return out[i].Table < out[j].Table
-		}
-		return out[i].Column < out[j].Column
+// Column returns the aggregate handle of table.column, registering it
+// on first use; every call with the same pair returns the same handle.
+func (t *Tracer) Column(table, column string) *Column {
+	t.colMu.Lock()
+	defer t.colMu.Unlock()
+	i, found := slices.BinarySearchFunc(t.cols, &Column{table: table, column: column}, func(a, b *Column) int {
+		return cmp.Or(cmp.Compare(a.table, b.table), cmp.Compare(a.column, b.column))
 	})
+	if !found { // a fresh array: readers may still range over the old one
+		t.cols = slices.Insert(slices.Clip(t.cols), i, &Column{table: table, column: column})
+	}
+	return t.cols[i]
+}
+
+// Record ingests one query outcome on column c answered by mechanism
+// mech (the flight.Mechanisms vocabulary; any other label counts toward
+// the aggregate only): it advances the column's aggregate and the
+// mechanism's latency histogram with atomic operations only. Queries
+// is bumped before Hits, and Aggregates loads them in the other order,
+// so no snapshot shows more hits than queries.
+func (t *Tracer) Record(c *Column, mech string, stats exec.QueryStats) {
+	wall := uint64(stats.Duration.Microseconds())
+	c.queries.Add(1)
+	if stats.PartialHit {
+		c.hits.Add(1)
+	}
+	c.pagesRead.Add(uint64(stats.PagesRead))
+	c.pagesSkipped.Add(uint64(stats.PagesSkipped))
+	c.wallMicros.Add(wall)
+	for i, m := range flight.Mechanisms {
+		if m == mech {
+			t.lat[i].Observe(wall)
+			return
+		}
+	}
+}
+
+// Aggregates returns the summaries of columns with at least one query,
+// sorted by table then column.
+func (t *Tracer) Aggregates() []Aggregate {
+	t.colMu.Lock()
+	cols := t.cols
+	t.colMu.Unlock()
+	out := make([]Aggregate, 0, len(cols))
+	for _, c := range cols {
+		hits := c.hits.Load() // before queries: see Record
+		if q := c.queries.Load(); q > 0 {
+			out = append(out, Aggregate{Table: c.table, Column: c.column, Queries: q, Hits: hits,
+				PagesRead: c.pagesRead.Load(), PagesSkipped: c.pagesSkipped.Load(), WallMicros: c.wallMicros.Load()})
+		}
+	}
 	return out
 }
 
@@ -159,20 +170,15 @@ type MechanismLatency struct {
 	metrics.HistogramStats
 }
 
-// LatencyStats returns per-mechanism latency summaries sorted by
-// mechanism name.
+// LatencyStats returns the latency summaries of mechanisms with at
+// least one query, sorted by mechanism name.
 func (t *Tracer) LatencyStats() []MechanismLatency {
-	t.mu.Lock()
-	hists := make(map[string]*metrics.Histogram, len(t.lat))
-	for m, h := range t.lat {
-		hists[m] = h
+	out := make([]MechanismLatency, 0, len(t.lat))
+	for i, m := range flight.Mechanisms {
+		if s := t.lat[i].Stats(); s.Count > 0 {
+			out = append(out, MechanismLatency{Mechanism: m, HistogramStats: s})
+		}
 	}
-	t.mu.Unlock()
-	out := make([]MechanismLatency, 0, len(hists))
-	for m, h := range hists {
-		out = append(out, MechanismLatency{Mechanism: m, HistogramStats: h.Stats()})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Mechanism < out[j].Mechanism })
 	return out
 }
 

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -21,9 +22,10 @@ func stats(hit, full bool, pages, skipped, matches int) exec.QueryStats {
 	}
 }
 
-// record ingests st under the mechanism the engine would derive for it.
+// record ingests st on table.column's handle under the mechanism the
+// engine would derive for it.
 func record(tr *Tracer, table, column string, follower bool, st exec.QueryStats) {
-	tr.Record(table, column, flight.Mechanism(st.EmptyRange, st.PartialHit, follower, st.FullScan, st.QuotaDegraded), st)
+	tr.Record(tr.Column(table, column), flight.Mechanism(st.EmptyRange, st.PartialHit, follower, st.FullScan, st.QuotaDegraded), st)
 }
 
 func TestRecordAndAggregates(t *testing.T) {
@@ -249,13 +251,95 @@ func BenchmarkSpanEnabled(b *testing.B) {
 	}
 }
 
-func BenchmarkRecord(b *testing.B) {
+// BenchmarkTracerRecord measures the always-on path every query takes:
+// one Record through a resolved handle, from every GOMAXPROCS
+// goroutine at once (run it at -cpu 1,2 to see contention).
+func BenchmarkTracerRecord(b *testing.B) {
 	tr := New(512)
+	c := tr.Column("t", "a")
 	st := stats(true, false, 3, 0, 1)
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		record(tr, "t", "a", false, st)
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			tr.Record(c, "hit", st)
+		}
+	})
+}
+
+// TestRecordZeroAlloc pins the always-on contract: Record through a
+// handle allocates nothing.
+func TestRecordZeroAlloc(t *testing.T) {
+	tr := New(8)
+	c := tr.Column("t", "a")
+	st := stats(true, false, 3, 0, 1)
+	if avg := testing.AllocsPerRun(200, func() { tr.Record(c, "hit", st) }); avg != 0 {
+		t.Errorf("Record allocates %v per call, want 0", avg)
 	}
+}
+
+// TestColumnHandleShared checks that registering a pair twice yields
+// one handle, so every table built over the name feeds one aggregate;
+// that a registered column with no queries is not reported; and that
+// Aggregates sorts by table then column whatever the registration
+// order.
+func TestColumnHandleShared(t *testing.T) {
+	tr := New(8)
+	c := tr.Column("t", "b")
+	if tr.Column("t", "b") != c || tr.Column("t", "a") == c {
+		t.Fatal("Column does not return one handle per (table, column)")
+	}
+	if aggs := tr.Aggregates(); len(aggs) != 0 {
+		t.Errorf("columns without queries reported: %+v", aggs)
+	}
+	if ls := tr.LatencyStats(); len(ls) != 0 {
+		t.Errorf("mechanisms without queries reported: %+v", ls)
+	}
+	for _, k := range [][2]string{{"t", "b"}, {"s", "z"}, {"t", "a"}, {"t", "b"}} {
+		record(tr, k[0], k[1], false, stats(true, false, 1, 0, 1))
+	}
+	var got []string
+	for _, a := range tr.Aggregates() {
+		got = append(got, fmt.Sprintf("%s.%s=%d", a.Table, a.Column, a.Queries))
+	}
+	if want := "s.z=1 t.a=1 t.b=2"; strings.Join(got, " ") != want {
+		t.Errorf("aggregates = %v, want %s", got, want)
+	}
+}
+
+// TestAggregatesNeverShowMoreHitsThanQueries races hit-only recorders
+// against snapshot readers: Record bumps Queries before Hits and
+// Aggregates loads Hits first, so every snapshot has Hits <= Queries.
+func TestAggregatesNeverShowMoreHitsThanQueries(t *testing.T) {
+	tr := New(8)
+	c := tr.Column("t", "a")
+	st := stats(true, false, 1, 0, 1)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					tr.Record(c, "hit", st)
+				}
+			}
+		}()
+	}
+	for i := 0; i < 20000; i++ {
+		for _, a := range tr.Aggregates() {
+			if a.Hits > a.Queries {
+				close(stop)
+				wg.Wait()
+				t.Fatalf("snapshot %d: hits %d > queries %d", i, a.Hits, a.Queries)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 func TestCapacityClamp(t *testing.T) {

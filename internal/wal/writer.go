@@ -143,11 +143,11 @@ type Writer struct {
 	removed  atomic.Uint64
 
 	// lastBatch is the record count of the most recent durable advance;
-	// fsyncLat and batchSize are bounded reservoirs (internally
-	// synchronized) feeding the aib_wal_* summary families.
+	// fsyncLat (ns) and batchSize (records) are the lock-free histograms
+	// feeding the aib_wal_* summary families.
 	lastBatch atomic.Uint64
-	fsyncLat  *metrics.Histogram
-	batchSize *metrics.Histogram
+	fsyncLat  metrics.Histogram
+	batchSize metrics.Histogram
 }
 
 // segFile is the writer's view of an open segment file.
@@ -258,10 +258,6 @@ func newWriter(dir string, opts Options, next LSN) (*Writer, error) {
 		opts:    opts,
 		nextLSN: next,
 		syncQ:   make(chan struct{}, 1),
-		// Bounded reservoirs so a long-lived writer's memory stays flat;
-		// fixed seeds keep runs reproducible (repo seeding convention).
-		fsyncLat:  metrics.NewReservoirHistogram(4096, 41),
-		batchSize: metrics.NewReservoirHistogram(4096, 43),
 	}
 	w.appended = next - 1
 	w.durable.Store(uint64(next - 1))
@@ -381,7 +377,7 @@ func (w *Writer) rotateLocked() error {
 		return fmt.Errorf("wal: rotate close: %w", err)
 	}
 	w.syncs.Add(1)
-	w.fsyncLat.Observe(time.Since(start).Seconds())
+	w.fsyncLat.Observe(uint64(time.Since(start)))
 	if err := w.openSegmentLocked(w.nextLSN); err != nil {
 		return w.fail(err)
 	}
@@ -483,14 +479,14 @@ func (w *Writer) forceLocked(lsn LSN) error {
 		}
 		// SyncDelay is part of the simulated device, so it belongs in the
 		// observed latency just as it does in the benchmark's shape.
-		w.fsyncLat.Observe(time.Since(start).Seconds())
+		w.fsyncLat.Observe(uint64(time.Since(start)))
 	}
 	// Monotonic advance; no other fsync is concurrent (syncQ).
 	if prev := LSN(w.durable.Load()); prev < target {
 		w.durable.Store(uint64(target))
 		batch := uint64(target - prev)
 		w.lastBatch.Store(batch)
-		w.batchSize.Observe(float64(batch))
+		w.batchSize.Observe(batch)
 	}
 	return nil
 }
@@ -574,7 +570,7 @@ func (w *Writer) Telemetry() Telemetry {
 		AppendedLSN:    appended,
 		DurableLSN:     LSN(w.durable.Load()),
 		LastBatch:      w.lastBatch.Load(),
-		FsyncLatency:   w.fsyncLat.Stats(),
+		FsyncLatency:   w.fsyncLat.Stats().Scaled(1e-9), // ns to s
 		CommitBatch:    w.batchSize.Stats(),
 	}
 	if err := w.SyncError(); err != nil {
