@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -197,24 +196,37 @@ func (s *Server) handle(conn net.Conn) {
 	if err != nil {
 		return // closed database; nothing to say
 	}
+	// The scanner's limit counts the newline; a line of MaxLineBytes is
+	// accepted, one byte more is refused.
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), s.cfg.MaxLineBytes)
+	sc.Buffer(make([]byte, min(64<<10, s.cfg.MaxLineBytes+1)), s.cfg.MaxLineBytes+1)
+	var out []byte // response line, reused across the connection's statements
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		if !sc.Scan() {
-			// EOF, idle timeout, an oversized line, or the drain poke
-			// from Shutdown (which expires the pending read).
+		var resp response
+		quit := false
+		switch {
+		case sc.Scan():
+			resp, quit = s.serveLine(&sess, strings.TrimSpace(sc.Text()))
+		case errors.Is(sc.Err(), bufio.ErrTooLong):
+			// The rest of the line was never read, so no statement
+			// boundary is left to resume from: answer, then close.
+			s.errored.Add(1)
+			resp = response{Code: CodeBadStatement, Error: fmt.Sprintf("statement line exceeds %d bytes", s.cfg.MaxLineBytes)}
+			quit = true
+		default:
+			// EOF, idle timeout, or the drain poke from Shutdown (which
+			// expires the pending read).
 			return
 		}
-		resp, quit := s.serveLine(&sess, strings.TrimSpace(sc.Text()))
 
 		_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		enc, err := json.Marshal(resp)
-		if err != nil {
-			enc = []byte(fmt.Sprintf(`{"ok":false,"code":%q,"error":"response encoding failed"}`, CodeBadStatement))
-		}
-		if _, err := conn.Write(append(enc, '\n')); err != nil {
+		out = appendResponse(out[:0], resp)
+		if _, err := conn.Write(out); err != nil {
 			return
+		}
+		if cap(out) > 64<<10 {
+			out = nil // one large result must not pin its buffer for the connection's life
 		}
 		if quit || s.isDraining() {
 			return
@@ -280,7 +292,8 @@ func (s *Server) isDraining() bool {
 // TENANT handshakes).
 func (s *Server) Statements() uint64 { return s.statements.Load() }
 
-// Errors returns the number of statements (and handshakes) that failed.
+// Errors returns the number of statements (and handshakes) that failed,
+// counting an over-long request line as one.
 func (s *Server) Errors() uint64 { return s.errored.Load() }
 
 // Shutdown drains the server: the listener closes, idle connections are

@@ -410,3 +410,34 @@ func TestServerTracePropagation(t *testing.T) {
 		t.Errorf("recorder off: client trace not echoed: %+v", r4)
 	}
 }
+
+// TestServerMaxLineBytes: a line of MaxLineBytes runs; a longer one is
+// answered with one bad_statement line, then the connection closes.
+func TestServerMaxLineBytes(t *testing.T) {
+	db := openDB(t, repro.Options{})
+	const limit = 64
+	srv, addr := startServer(t, db, Config{MaxLineBytes: limit})
+	c := dialProto(t, addr)
+
+	fits := "SELECT * FROM t WHERE a = 1" + strings.Repeat(" ", limit-27)
+	if r := c.do(fits); r.OK || r.Code != CodeBadStatement || !strings.Contains(r.Error, `no table "t"`) {
+		t.Fatalf("%d-byte line: got %+v, want the statement's own error", len(fits), r)
+	}
+	if _, err := fmt.Fprintf(c.conn, "%s\n", fits+"x"); err != nil {
+		t.Fatal(err)
+	}
+	_ = c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if !c.sc.Scan() {
+		t.Fatalf("no response to an over-long line: %v", c.sc.Err())
+	}
+	want := `{"ok":false,"code":"bad_statement","error":"statement line exceeds 64 bytes"}`
+	if got := c.sc.Text(); got != want {
+		t.Fatalf("over-long line answered %s, want %s", got, want)
+	}
+	if c.sc.Scan() {
+		t.Fatalf("connection still open after an over-long line: %q", c.sc.Text())
+	}
+	if got := srv.Errors(); got != 2 {
+		t.Fatalf("Errors() = %d, want 2 (the bad statement and the over-long line)", got)
+	}
+}

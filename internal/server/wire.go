@@ -15,7 +15,9 @@
 //	C: SELECT * FROM nope WHERE a = 7
 //	S: {"ok":false,"code":"bad_statement","error":"no table \"nope\""}
 //
-// EXIT/QUIT answers {"ok":true} and closes the connection.
+// EXIT/QUIT answers {"ok":true} and closes the connection. A request
+// line longer than Config.MaxLineBytes is answered with bad_statement,
+// and then the connection closes.
 package server
 
 import (

@@ -2,10 +2,12 @@ package shell
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/storage"
 )
 
 // FuzzEval throws arbitrary command lines at the shell; it must return
@@ -35,6 +37,34 @@ func FuzzEval(f *testing.F) {
 		// The shell must remain usable after any input.
 		if _, err := s.EvalCtx(ctx, "SELECT * FROM t WHERE a = 1"); err != nil {
 			t.Fatalf("shell broken after %q: %v", line, err)
+		}
+	})
+}
+
+// FuzzRenderCell checks the SELECT cell rule against referenceCell for
+// any VARCHAR, appended after existing bytes as renderSelect does.
+func FuzzRenderCell(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"x",
+		strings.Repeat("a", 21),
+		strings.Repeat("a", 22),
+		strings.Repeat("a", 23),
+		strings.Repeat("a", 24),
+		strings.Repeat("p", 100),
+		"a" + strings.Repeat("é", 20),
+		strings.Repeat("日", 30),
+		"\x00\xff\"\\\n\t",
+		strings.Repeat("\n", 12),
+		"\ufffd\xe2\x82 \u2028 \u2029 " + strings.Repeat("\U0001F600", 8),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		v := storage.StringValue(s)
+		got := string(appendCell([]byte("[0:1] "), v))
+		if want := "[0:1] " + referenceCell(v); got != want {
+			t.Fatalf("cell of %q = %q, want %q", s, got, want)
 		}
 	})
 }

@@ -1,11 +1,13 @@
 package shell
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -618,42 +620,84 @@ func (s *Shell) evalSelect(ctx context.Context, p *parser, explain bool) (Result
 	if err != nil {
 		return Result{}, err
 	}
-	rows := renderMatches(t, matches)
-	var sb strings.Builder
-	for _, r := range rows {
-		sb.WriteString(r.line)
-		sb.WriteByte('\n')
-	}
-	fmt.Fprintf(&sb, "%d row(s) | %s", len(rows), statsString(stats))
-	return Result{Output: sb.String(), Rows: len(rows), Stats: &stats}, nil
+	return Result{Output: renderSelect(matches, stats), Rows: len(matches), Stats: &stats}, nil
 }
 
-type rowOut struct{ line string }
+// A rendered cell is at most cellWidth bytes: a longer quoted VARCHAR
+// keeps its first cellKeep bytes, cut back to a rune boundary, and ends
+// in `..."`.
+const (
+	cellWidth = 24
+	cellKeep  = 21
+)
 
-// renderMatches formats result tuples, truncating long strings, in RID
-// order for stable output.
-func renderMatches(t *engine.Table, matches []engineMatch) []rowOut {
-	sorted := append([]engineMatch(nil), matches...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].RID.Less(sorted[j].RID) })
-	out := make([]rowOut, len(sorted))
-	for i, m := range sorted {
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "[%v]", m.RID)
-		for c := 0; c < t.Schema().NumColumns(); c++ {
-			v := m.Tuple.Value(c)
-			text := v.String()
-			if len(text) > 24 {
-				text = text[:21] + `..."`
-			}
-			sb.WriteByte(' ')
-			sb.WriteString(text)
+// renderSelect formats a SELECT's rows in RID order, one line each,
+// then the trailer line, appending everything into one buffer. It sorts
+// matches in place: the engine hands every query a slice of its own (a
+// shared scan demultiplexes into one slice per attached query), and a
+// hit's arrives in RID order already.
+func renderSelect(matches []engineMatch, st engineStats) string {
+	slices.SortFunc(matches, func(a, b engineMatch) int {
+		if c := cmp.Compare(a.RID.Page, b.RID.Page); c != 0 {
+			return c
 		}
-		out[i] = rowOut{line: sb.String()}
+		return cmp.Compare(a.RID.Slot, b.RID.Slot)
+	})
+	b := make([]byte, 0, 64*len(matches)+96)
+	for _, m := range matches {
+		b = append(b, '[')
+		b = strconv.AppendUint(b, uint64(m.RID.Page), 10)
+		b = append(b, ':')
+		b = strconv.AppendUint(b, uint64(m.RID.Slot), 10)
+		b = append(b, ']')
+		for c := 0; c < m.Tuple.Len(); c++ {
+			b = append(b, ' ')
+			b = appendCell(b, m.Tuple.Value(c))
+		}
+		b = append(b, '\n')
 	}
-	return out
+	b = strconv.AppendInt(b, int64(len(matches)), 10)
+	b = append(b, " row(s) | "...)
+	b = appendStats(b, st)
+	return string(b)
 }
 
-func statsString(st engineStats) string {
+// appendCell appends one value as the SELECT output shows it: an
+// integer in decimal, a VARCHAR Go-quoted and cut to cellWidth bytes.
+func appendCell(b []byte, v storage.Value) []byte {
+	switch v.Kind() {
+	case storage.KindInt64:
+		return strconv.AppendInt(b, v.Int64(), 10) // at most 20 bytes: never cut
+	case storage.KindString:
+		return appendVarchar(b, v.Str())
+	}
+	return append(b, v.String()...)
+}
+
+// appendVarchar appends strconv.Quote(s), cut as a cell. Every rune
+// quotes to at least one byte, so only the first cellWidth-1 runes can
+// reach the kept bytes, and a string with more is cut whatever its tail
+// holds: only that prefix is quoted.
+func appendVarchar(b []byte, s string) []byte {
+	end := 0
+	for n := 0; end < len(s) && n < cellWidth-1; n++ {
+		_, w := utf8.DecodeRuneInString(s[end:])
+		end += w
+	}
+	start := len(b)
+	b = strconv.AppendQuote(b, s[:end])
+	if end == len(s) && len(b)-start <= cellWidth {
+		return b
+	}
+	cut := start + cellKeep
+	for !utf8.RuneStart(b[cut]) {
+		cut--
+	}
+	return append(b[:cut], `..."`...)
+}
+
+// appendStats appends the trailer's mechanism and page counts.
+func appendStats(b []byte, st engineStats) []byte {
 	mech := "indexing scan"
 	switch {
 	case st.EmptyRange:
@@ -665,8 +709,14 @@ func statsString(st engineStats) string {
 	case st.QuotaDegraded:
 		mech = "degraded scan (tenant over quota)"
 	}
-	return fmt.Sprintf("%s: %d pages read, %d skipped, %d buffer entries added",
-		mech, st.PagesRead, st.PagesSkipped, st.EntriesAdded)
+	b = append(b, mech...)
+	b = append(b, ": "...)
+	b = strconv.AppendInt(b, int64(st.PagesRead), 10)
+	b = append(b, " pages read, "...)
+	b = strconv.AppendInt(b, int64(st.PagesSkipped), 10)
+	b = append(b, " skipped, "...)
+	b = strconv.AppendInt(b, int64(st.EntriesAdded), 10)
+	return append(b, " buffer entries added"...)
 }
 
 func (s *Shell) evalShow(p *parser) (Result, error) {
