@@ -175,9 +175,6 @@ const (
 	// SelectAscending is the paper's policy: cheapest counters first
 	// (pages needing the fewest entries to become skippable).
 	SelectAscending SelectionPolicy = iota
-	// SelectDescending buffers the most expensive pages first; it exists
-	// for ablation benchmarks.
-	SelectDescending
 	// SelectRandom shuffles the candidates (seeded by Options.Seed).
 	// Deterministic selection re-picks the same pages after every
 	// displacement, so adversarial or unluckily aligned workloads can
@@ -189,8 +186,6 @@ const (
 // order maps the enum to the core policy.
 func (s SelectionPolicy) order() core.SelectionOrder {
 	switch s {
-	case SelectDescending:
-		return core.DescendingCounter
 	case SelectRandom:
 		return core.RandomOrder
 	default:
@@ -276,7 +271,7 @@ func (o Options) validate() error {
 		return fmt.Errorf("repro: Options.DisplacementJitter %v is outside [0, 1]", o.DisplacementJitter)
 	}
 	switch o.Selection {
-	case SelectAscending, SelectDescending, SelectRandom:
+	case SelectAscending, SelectRandom:
 	default:
 		return fmt.Errorf("repro: unknown Options.Selection %d", o.Selection)
 	}
@@ -690,23 +685,6 @@ func (db *DB) ParallelScanStats() ParallelScanStats { return db.eng.ParallelScan
 // skip, and mean wall-clock microseconds per query.
 func (db *DB) TraceReport() string { return db.eng.Tracer().Report() }
 
-// TraceEvent is one structured span event from the adaptive machinery:
-// miss admission, shared-scan leadership or attachment, Algorithm-2 page
-// selection, displacement, page completion (C[p] → 0) and buffer reset.
-// Seq is a process-wide monotonic sequence number and Trace the emitting
-// statement's trace ID; see flight.Span.
-type TraceEvent = flight.Span
-
-// EnableTraceEvents turns span-event recording on or off. Off (the
-// default) reduces the instrumentation on every query path to a single
-// atomic load — see the overhead contract in DESIGN.md, "Observability".
-func (db *DB) EnableTraceEvents(on bool) { db.eng.Tracer().EnableSpans(on) }
-
-// TraceEvents returns the retained span events, newest first. Recording
-// must have been enabled with EnableTraceEvents; the ring keeps the most
-// recent events only.
-func (db *DB) TraceEvents() []TraceEvent { return db.eng.Tracer().Spans(1 << 30) }
-
 // LatencyStats is one execution mechanism's query-latency summary in
 // microseconds: exact count, sum, mean and max, with p50/p95/p99 read
 // from log-linear buckets (within 1/16 of the exact value).
@@ -755,7 +733,8 @@ type Convergence = timeline.Convergence
 
 // EnableTimeline turns adaptation-timeline sampling on or off. Off (the
 // default) reduces the instrumentation on every query path to a single
-// atomic load, the same contract as EnableTraceEvents. While on, every
+// atomic load — see the overhead contract in DESIGN.md,
+// "Observability". While on, every
 // query boundary samples the queried column's coverage, counter
 // distribution and occupancy, and adaptive events (displacement,
 // page completion) mark their buffer for resampling.
@@ -774,12 +753,17 @@ func (db *DB) Convergence() []Convergence { return db.eng.Convergence() }
 // and write failures; see timeline.SinkStats.
 type TelemetryStats = timeline.SinkStats
 
-// EnableTelemetrySink streams structured telemetry — every trace span
-// and every timeline sample, one JSON object per line — to w, enabling
-// trace events and timeline sampling as a side effect. The caller owns
-// w's lifecycle; writes are serialized internally and a failed write
-// drops that record (see TelemetryStats) rather than failing queries.
-// A nil w detaches the current sink and leaves recording enabled.
+// EnableTelemetrySink streams structured telemetry to w, one JSON
+// object per line: every span event from the adaptive machinery (miss
+// admission, shared-scan leadership or attachment, Algorithm-2 page
+// selection, displacement, page completion, buffer reset), every
+// timeline sample and every completed flight record. It is the one
+// global span stream; each statement's flight record also keeps the
+// spans that statement emitted. Attaching a sink turns timeline
+// sampling on as a side effect. The caller owns w's lifecycle; writes
+// are serialized internally and a failed write drops that record (see
+// TelemetryStats) rather than failing queries. A nil w detaches the
+// current sink and leaves the timeline on.
 func (db *DB) EnableTelemetrySink(w io.Writer) {
 	if w == nil {
 		db.eng.SetTelemetrySink(nil)
@@ -820,7 +804,7 @@ type FlightStats = flight.Stats
 // above slowThreshold are additionally kept in a separate slow-query
 // ring (0 keeps the current threshold, initially 10ms). Off (the
 // default) reduces the per-statement cost to a single atomic load, the
-// same contract as EnableTraceEvents.
+// same contract as EnableTimeline.
 func (db *DB) EnableFlightRecorder(slowThreshold time.Duration) {
 	db.eng.Flight().Enable(slowThreshold)
 }

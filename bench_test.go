@@ -7,6 +7,7 @@ package repro
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"sync"
@@ -631,20 +632,21 @@ func BenchmarkChurn(b *testing.B) {
 }
 
 // BenchmarkTraceOverhead measures the observability layer's per-query
-// cost on the hot hit path. With span recording and timeline sampling
-// off (the default) every instrumentation point is a single atomic load
-// and the access path allocates nothing extra, so the "off" sub-benchmark
-// should be within noise of the enabled ones — the overhead contract in
-// DESIGN.md, "Observability" and "Adaptation timeline".
+// cost on the hot hit path. With no telemetry sink, timeline sampling
+// and the flight recorder off (the default) every instrumentation point
+// is a single atomic load and the access path allocates nothing extra,
+// so the "off" sub-benchmark should be within noise of the enabled
+// ones — the overhead contract in DESIGN.md, "Observability" and
+// "Adaptation timeline". The sink arms stream to io.Discard; attaching
+// a sink turns the timeline on as well.
 func BenchmarkTraceOverhead(b *testing.B) {
 	cases := []struct {
-		name                    string
-		spans, timeline, flight bool
+		name                   string
+		sink, timeline, flight bool
 	}{
 		{"off", false, false, false},
-		{"spans-on", true, false, false},
 		{"timeline-on", false, true, false},
-		{"spans-and-timeline-on", true, true, false},
+		{"sink-on", true, true, false},
 		{"flight-on", false, false, true},
 		{"all-on", true, true, true},
 	}
@@ -667,7 +669,9 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			if err := tb.CreatePartialRangeIndex("k", 0, 99); err != nil {
 				b.Fatal(err)
 			}
-			db.EnableTraceEvents(tc.spans)
+			if tc.sink {
+				db.EnableTelemetrySink(io.Discard)
+			}
 			db.EnableTimeline(tc.timeline)
 			if tc.flight {
 				// The Table.Query path has no statement boundary, so the

@@ -99,7 +99,6 @@ func main() {
 	observing := *listen != "" || sink != nil
 	if observing {
 		bench.SetEngineObserver(func(e *engine.Engine) {
-			e.Tracer().EnableSpans(true)
 			e.Timeline().Enable(true)
 			if sink != nil {
 				e.SetTelemetrySink(sink)

@@ -108,11 +108,10 @@ func open(opts repro.Options) (*repro.DB, error) {
 }
 
 // serveObs mounts db.MetricsHandler on its own HTTP listener and turns
-// on timeline sampling, span recording and the per-statement flight
-// recorder, so /timeline, /debug/queries and SHOW SLOW have data.
+// on timeline sampling and the per-statement flight recorder, so
+// /timeline, /debug/queries and SHOW SLOW have data.
 func serveObs(db *repro.DB, addr string) (interface{ Close() error }, string, error) {
 	db.EnableTimeline(true)
-	db.EnableTraceEvents(true)
 	db.EnableFlightRecorder(0)
 	return db.ServeMetrics(addr)
 }

@@ -36,7 +36,7 @@ import (
 func main() {
 	demo := flag.Bool("demo", false, "preload a populated flights table")
 	data := flag.String("data", "", "directory for persistent storage (reopened if a catalog exists)")
-	listen := flag.String("listen", "", "serve /metrics, /timeline and /debug/pprof on this address (e.g. localhost:9090); also enables span recording and timeline sampling")
+	listen := flag.String("listen", "", "serve /metrics, /timeline and /debug/pprof on this address (e.g. localhost:9090); also enables timeline sampling")
 	tenant := flag.String("tenant", "", "run as this tenant (declared with an unlimited quota)")
 	flag.Parse()
 
@@ -70,7 +70,6 @@ func main() {
 			os.Exit(1)
 		}
 		defer srv.Close()
-		db.EnableTraceEvents(true)
 		db.EnableTimeline(true)
 		fmt.Printf("observability: http://%s/metrics, /timeline and /debug/pprof/ (SHOW TIMELINE works too)\n", addr)
 	}

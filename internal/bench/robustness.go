@@ -12,11 +12,8 @@ package bench
 
 import (
 	"fmt"
-	"strings"
-	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/flight"
 	"repro/internal/storage"
 	"repro/internal/timeline"
 	"repro/internal/workload"
@@ -179,16 +176,6 @@ func RunRobustness(o Options) (*RobustnessResult, error) {
 	return r, nil
 }
 
-// bufferColumn maps a span target like "t.b" to its key-column index
-// (-1 when the name is not a single-letter column of table t).
-func bufferColumn(target string) int {
-	suffix, ok := strings.CutPrefix(target, "t.")
-	if !ok || len(suffix) != 1 || suffix[0] < 'a' || suffix[0] > 'z' {
-		return -1
-	}
-	return int(suffix[0] - 'a')
-}
-
 // runRobustnessArm drives one scenario under one selection arm and
 // reports when (if ever) column 0's buffer converged.
 func runRobustnessArm(o Options, spec robustnessSpec, arm RobustnessArm) (RobustnessArmResult, error) {
@@ -203,19 +190,12 @@ func runRobustnessArm(o Options, spec robustnessSpec, arm RobustnessArm) (Robust
 	defer eng.Close()
 	eng.Timeline().Enable(true)
 
-	// Displacement feedback for reactive scenarios: the tracer's span
-	// sink runs on the emitting goroutine with the Space lock held, so
-	// it only bumps atomic counters (per the trace package contract).
-	displaced := make([]atomic.Uint64, spec.columns)
-	eng.Tracer().EnableSpans(true)
-	eng.Tracer().SetSpanSink(func(sp flight.Span) {
-		if sp.Kind != flight.SpanDisplace {
-			return
-		}
-		if c := bufferColumn(sp.Target); c >= 0 && c < len(displaced) {
-			displaced[c].Add(uint64(sp.N))
-		}
-	})
+	// Displacement feedback for reactive scenarios: the timeline counts
+	// every displace span's entries per buffer.
+	buffers := make([]string, spec.columns)
+	for c := range buffers {
+		buffers[c] = tb.Name() + "." + tb.Schema().Column(c).Name
+	}
 
 	sc := spec.mk()
 	fb := workload.Feedback{DisplacedEntries: make([]uint64, spec.columns)}
@@ -228,7 +208,7 @@ func runRobustnessArm(o Options, spec robustnessSpec, arm RobustnessArm) (Robust
 	}
 	for q := 0; q < o.Queries; q++ {
 		for c := range fb.DisplacedEntries {
-			fb.DisplacedEntries[c] = displaced[c].Load()
+			fb.DisplacedEntries[c] = eng.Timeline().DisplacedEntries(buffers[c])
 		}
 		op := sc.Next(q, fb)
 		switch op.Kind {
@@ -265,7 +245,7 @@ func runRobustnessArm(o Options, spec robustnessSpec, arm RobustnessArm) (Robust
 		res.MaxCoverage = v.MaxCoverage
 		res.Regressed = v.Regressed
 	}
-	res.DisplacedEntries = displaced[0].Load()
+	res.DisplacedEntries = eng.Timeline().DisplacedEntries(buffers[0])
 	return res, nil
 }
 

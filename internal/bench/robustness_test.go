@@ -158,15 +158,3 @@ func TestCompareBaseline(t *testing.T) {
 		t.Fatalf("never-converged arm flagged: %v", regs)
 	}
 }
-
-func TestBufferColumn(t *testing.T) {
-	cases := map[string]int{
-		"t.a": 0, "t.b": 1, "t.c": 2, "t.z": 25,
-		"x.a": -1, "t.ab": -1, "t.": -1, "t": -1, "t.A": -1,
-	}
-	for in, want := range cases {
-		if got := bufferColumn(in); got != want {
-			t.Errorf("bufferColumn(%q) = %d, want %d", in, got, want)
-		}
-	}
-}

@@ -111,6 +111,11 @@ type Engine struct {
 	flight   *flight.Recorder
 	started  time.Time
 
+	// The global span stream (observe.go): the attached telemetry sink,
+	// nil while none is, and the last span sequence number emit assigned.
+	sink    atomic.Pointer[timeline.Sink]
+	spanSeq atomic.Uint64
+
 	// Lock-free read path (readpath.go) counters.
 	fastHits      atomic.Uint64
 	fastFallbacks atomic.Uint64
@@ -161,13 +166,9 @@ func (e *Engine) SharedScanStats() metrics.SharedScanStats {
 	return e.sharedScans.Snapshot()
 }
 
-// traceCapacity is the span ring size of the built-in tracer.
-const traceCapacity = 512
-
 // flightRecentCap and flightSlowCap size the flight recorder's rings:
-// the recent ring matches the tracer's span ring, the slow ring is
-// smaller because slow captures are meant to survive much longer than
-// their surrounding traffic.
+// the slow ring is smaller because slow captures are meant to survive
+// much longer than their surrounding traffic.
 const (
 	flightRecentCap = 512
 	flightSlowCap   = 128
@@ -204,7 +205,7 @@ func newEngine(cfg Config) *Engine {
 		cfg:      cfg,
 		space:    core.NewSpace(cfg.Space),
 		tables:   make(map[string]*Table),
-		tracer:   trace.New(traceCapacity),
+		tracer:   trace.New(),
 		timeline: timeline.New(timeline.DefaultCapacity, timeline.DefaultTarget),
 		flight:   flight.NewRecorder(flightRecentCap, flightSlowCap),
 		started:  time.Now(),
@@ -232,24 +233,23 @@ func (e *Engine) Convergence() []timeline.Convergence {
 	return e.timeline.Convergence()
 }
 
-// SetTelemetrySink streams structured telemetry — every trace span and
-// every timeline sample — to s as JSONL, enabling span recording and
-// timeline sampling as a side effect. A nil s detaches the sink and
-// leaves recording on (turn it off via Tracer().EnableSpans and
-// Timeline().Enable if desired).
+// SetTelemetrySink streams structured telemetry — every span event,
+// every timeline sample and every completed flight record — to s as
+// JSONL, enabling timeline sampling as a side effect. It is the one
+// global span stream. A nil s detaches the sink and leaves the timeline
+// on (turn it off via Timeline().Enable if desired).
 func (e *Engine) SetTelemetrySink(s *timeline.Sink) {
 	if s == nil {
-		e.tracer.SetSpanSink(nil)
+		e.sink.Store(nil)
 		e.timeline.SetSink(nil)
 		e.flight.SetSink(nil)
 		return
 	}
 	e.timeline.SetSink(s)
-	e.tracer.SetSpanSink(s.WriteSpan)
+	e.sink.Store(s)
 	// Completed flight records ride the same stream (the recorder still
 	// gates: nothing completes while it is disabled).
 	e.flight.SetSink(s.WriteFlight)
-	e.tracer.EnableSpans(true)
 	e.timeline.Enable(true)
 }
 

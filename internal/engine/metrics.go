@@ -223,13 +223,7 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 
 	// Span machinery state.
 	m.head("aib_trace_spans_total", "Span events emitted since the engine started.", "counter")
-	m.printf("aib_trace_spans_total %d\n", e.tracer.SpanCount())
-	m.head("aib_trace_spans_enabled", "Whether span recording is currently on.", "gauge")
-	enabled := 0
-	if e.tracer.SpansEnabled() {
-		enabled = 1
-	}
-	m.printf("aib_trace_spans_enabled %d\n", enabled)
+	m.printf("aib_trace_spans_total %d\n", e.spanSeq.Load())
 
 	// Timeline machinery state.
 	m.head("aib_timeline_samples_total", "Timeline samples taken since the engine started (survives ring eviction).", "counter")

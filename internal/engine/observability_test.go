@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"io"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/flight"
 	"repro/internal/index"
+	"repro/internal/timeline"
 )
 
 // runMixedQueries drives hits (covered keys) and misses (uncovered keys,
@@ -52,7 +54,7 @@ func TestWriteMetrics(t *testing.T) {
 		`aib_query_latency_microseconds{mechanism="indexing-scan",quantile="0.99"}`,
 		`aib_query_latency_microseconds_count{mechanism="hit"} 10`,
 		`aib_query_latency_microseconds_count{mechanism="indexing-scan"} 11`,
-		"aib_trace_spans_enabled 0",
+		"# TYPE aib_trace_spans_total counter",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q\n---\n%s", want, out)
@@ -71,12 +73,13 @@ func TestSpansThroughEngine(t *testing.T) {
 	if err := tb.CreatePartialIndex(0, index.IntRange(1, 50)); err != nil {
 		t.Fatal(err)
 	}
-	e.Tracer().EnableSpans(true)
+	spans := sinkSpans(t, e)
 	runMixedQueries(t, tb)
 
 	kinds := make(map[string]int)
 	var target string
-	for _, s := range e.Tracer().Spans(1 << 20) {
+	streamed := spans()
+	for _, s := range streamed {
 		kinds[s.Kind]++
 		if s.Kind == flight.SpanMissAdmit {
 			target = s.Target
@@ -98,8 +101,8 @@ func TestSpansThroughEngine(t *testing.T) {
 	if target != "flights.a" {
 		t.Errorf("miss-admit target = %q, want flights.a", target)
 	}
-	if e.Tracer().SpanCount() == 0 {
-		t.Error("SpanCount is zero after recorded spans")
+	if last := streamed[len(streamed)-1].Seq; last != e.spanSeq.Load() {
+		t.Errorf("last streamed span has seq %d, engine assigned %d", last, e.spanSeq.Load())
 	}
 }
 
@@ -140,15 +143,16 @@ func TestSharedScanRecordsFollowers(t *testing.T) {
 }
 
 // TestTracerStressWithQueries races real queries against every tracer
-// and metrics reader under -race: Aggregates, LatencyStats, Spans,
-// EnableSpans and WriteMetrics all run while indexing scans mutate the
-// buffers and record events.
+// and metrics reader under -race: Aggregates, LatencyStats, timeline
+// reads, telemetry-sink attach and detach, and WriteMetrics all run
+// while indexing scans mutate the buffers and emit span events.
 func TestTracerStressWithQueries(t *testing.T) {
 	e, tb := newABC(t, Config{}, 2000, 200)
 	if err := tb.CreatePartialIndex(0, index.IntRange(1, 20)); err != nil {
 		t.Fatal(err)
 	}
-	e.Tracer().EnableSpans(true)
+	telemetry := timeline.NewSink(io.Discard)
+	e.SetTelemetrySink(telemetry)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -171,13 +175,17 @@ func TestTracerStressWithQueries(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				switch i % 5 {
 				case 0:
-					e.Tracer().EnableSpans(g != 0 || i != 25)
+					if g == 0 && i == 25 {
+						e.SetTelemetrySink(nil)
+					} else {
+						e.SetTelemetrySink(telemetry)
+					}
 				case 1:
 					e.Tracer().Aggregates()
 				case 2:
 					e.Tracer().LatencyStats()
 				case 3:
-					e.Tracer().Spans(32)
+					e.Timeline().Series()
 				case 4:
 					sink.Reset()
 					if err := e.WriteMetrics(&sink); err != nil {

@@ -10,11 +10,13 @@ import (
 )
 
 // This file is the engine's one observation path. Every query outcome
-// goes through observe and every adaptive event through emit, each of
-// which feeds the three monitors — the tracer, the adaptation timeline
-// and the calling statement's flight record — in one vocabulary. The
-// span ring, the timeline and the flight recorder each gate on their
-// own atomic flag, so while they are off only the tracer's always-on
+// goes through observe, which feeds the tracer, the adaptation timeline
+// and the calling statement's flight record in one vocabulary. Every
+// adaptive event goes through emit, which numbers it and feeds the
+// statement's flight record, the timeline's churn counters and the
+// telemetry sink — the one global span stream. The timeline and the
+// flight recorder each gate on their own atomic flag and the sink is one
+// atomic pointer, so while all three are off only the tracer's always-on
 // aggregates do work, and nothing allocates.
 
 // flightActive resolves the calling statement's in-progress flight
@@ -50,14 +52,18 @@ func (t *Table) observe(ctx context.Context, column int, stats exec.QueryStats, 
 	e.flightActive(ctx).Query(t.name, col, mech, stats.Matches, stats.PagesRead, stats.PagesSkipped, stats.QuotaDegraded)
 }
 
-// emit is the one span fan-out: the global span stream (stamped with
-// the statement's trace ID), the timeline's churn counters, and the
-// statement's flight record (fa may be nil).
+// emit is the one span fan-out. It stamps the span with the next
+// engine-wide sequence number and the statement's trace ID, then hands
+// it to the telemetry sink (the global stream, when one is attached),
+// the timeline's churn counters, and the statement's flight record (fa
+// may be nil).
 func (e *Engine) emit(fa *flight.Active, kind, target string, page, n int) {
-	traceID := fa.Trace()
-	seq := e.tracer.SpanTraced(kind, target, page, n, traceID)
+	sp := flight.Span{Seq: e.spanSeq.Add(1), Kind: kind, Target: target, Page: page, N: n, Trace: fa.Trace()}
+	if s := e.sink.Load(); s != nil {
+		s.WriteSpan(sp)
+	}
 	e.timeline.NoteEvent(kind, target, page, n)
-	fa.Span(flight.Span{Seq: seq, Kind: kind, Target: target, Page: page, N: n, Trace: traceID})
+	fa.Span(sp)
 }
 
 // tap binds emit to one statement's access to one column. It is the
@@ -70,11 +76,11 @@ type tap struct {
 }
 
 // spanTap returns the tap for the statement fa accessing column, or nil
-// while no span consumer is on, so the buffer name is formatted only
-// when someone will read it.
+// while no flight record, timeline or sink is listening, so the buffer
+// name is formatted only when someone will read it.
 func (t *Table) spanTap(fa *flight.Active, column int) *tap {
 	e := t.engine
-	if fa == nil && !e.tracer.SpansEnabled() && !e.timeline.Enabled() {
+	if fa == nil && !e.timeline.Enabled() && e.sink.Load() == nil {
 		return nil
 	}
 	return &tap{e: e, fa: fa, target: t.bufferName(column)}

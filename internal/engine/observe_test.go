@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/flight"
 	"repro/internal/index"
 	"repro/internal/storage"
+	"repro/internal/timeline"
 )
 
 // stmt runs one range query as a flight-recorded statement and returns
@@ -32,15 +34,35 @@ func stmt(t *testing.T, e *Engine, tb *Table, traceID string, column int, lo, hi
 	return recs[0]
 }
 
+// sinkSpans attaches a telemetry sink writing into a buffer and returns
+// a reader decoding the spans streamed so far, in stream order. Call the
+// reader only while no statement runs.
+func sinkSpans(t *testing.T, e *Engine) func() []flight.Span {
+	t.Helper()
+	var out bytes.Buffer
+	e.SetTelemetrySink(timeline.NewSink(&out))
+	return func() []flight.Span {
+		t.Helper()
+		var spans []flight.Span
+		if _, err := timeline.ScanRecords(bytes.NewReader(out.Bytes()), nil, func(sp flight.Span) error {
+			spans = append(spans, sp)
+			return nil
+		}, nil); err != nil {
+			t.Fatal(err)
+		}
+		return spans
+	}
+}
+
 // TestObservationViewsAgree drives a seeded stream through every
 // observation site — lock-free and locked hits, an empty range, a
 // coalesced miss batch (followers), plain indexing misses, full scans of
-// an unindexed column and quota-degraded misses — with spans, the
-// timeline and the flight recorder all on, then checks that the three
-// monitors tell the same story: per column the same query count, per
-// mechanism the same latency count as flight records, and a timeline
-// query mix matching the flight records (a degraded scan counts as a
-// full scan there).
+// an unindexed column and quota-degraded misses — with the telemetry
+// sink, the timeline and the flight recorder all on, then checks that
+// the monitors tell the same story: per column the same query count, per
+// mechanism the same latency count as flight records, a timeline query
+// mix matching the flight records (a degraded scan counts as a full scan
+// there), and every flight-record span in the sink's stream.
 func TestObservationViewsAgree(t *testing.T) {
 	e, tb := newABC(t, Config{Space: core.Config{IMax: 100, P: 100, SpaceLimit: 10000}}, 1500, 100)
 	if err := tb.CreatePartialIndex(0, index.IntRange(1, 50)); err != nil {
@@ -51,8 +73,7 @@ func TestObservationViewsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	tiny := newTenantTable(t, e, tn, 200, 50, 5)
-	e.Tracer().EnableSpans(true)
-	e.Timeline().Enable(true)
+	spans := sinkSpans(t, e) // turns the timeline on too
 	e.Flight().Enable(time.Hour)
 
 	rng := rand.New(rand.NewSource(1))
@@ -183,6 +204,22 @@ func TestObservationViewsAgree(t *testing.T) {
 			t.Errorf("%s timeline mix (hits, indexing, full, followers) = %v, flight records %v", s.Buffer, got, want)
 		}
 	}
+	streamed := map[uint64]flight.Span{}
+	for _, sp := range spans() {
+		streamed[sp.Seq] = sp
+	}
+	recorded := 0
+	for _, r := range recs {
+		for _, sp := range r.Spans {
+			recorded++
+			if streamed[sp.Seq] != sp {
+				t.Errorf("%s: span %+v streamed as %+v", r.Trace, sp, streamed[sp.Seq])
+			}
+		}
+	}
+	if recorded == 0 {
+		t.Error("no flight record carries a span")
+	}
 }
 
 // TestTracedSpansReachGlobalStream checks that every span a traced
@@ -207,7 +244,7 @@ func TestTracedSpansReachGlobalStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.Tracer().EnableSpans(true)
+	spans := sinkSpans(t, e)
 	e.Flight().Enable(time.Hour)
 
 	type span struct {
@@ -224,7 +261,7 @@ func TestTracedSpansReachGlobalStream(t *testing.T) {
 			displaced = displaced || sp.Kind == flight.SpanDisplace
 		}
 		got := map[span]int{}
-		for _, sp := range e.Tracer().Spans(1 << 20) {
+		for _, sp := range spans() {
 			if sp.Trace == id {
 				got[span{sp.Kind, sp.Target, sp.Page, sp.N}]++
 			}
@@ -235,5 +272,74 @@ func TestTracedSpansReachGlobalStream(t *testing.T) {
 	}
 	if !displaced {
 		t.Fatal("no traced miss displaced; test premise broken")
+	}
+}
+
+// TestSinkStreamsEverySpanOnce races flight-recorded misses on two
+// columns, whose indexing scans displace each other's entries from a
+// full space, and checks the sink's stream against the engine's span
+// numbering: every sequence number assigned after the sink attached
+// appears exactly once, and every span a flight record kept is streamed
+// unchanged.
+func TestSinkStreamsEverySpanOnce(t *testing.T) {
+	cfg := Config{Space: core.Config{IMax: 20, P: 5, K: 2, SpaceLimit: 400, Seed: 3}}
+	e, tb := newABC(t, cfg, 1500, 60)
+	for col, hi := range map[int]int64{0: 20, 1: 30} {
+		if err := tb.CreatePartialIndex(col, index.IntRange(1, hi)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := int64(35); k < 60; k++ { // fill the space with column a's entries
+		if _, _, err := tb.QueryEqual(0, iv(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Flight().Enable(time.Hour)
+	spans := sinkSpans(t, e)
+	first := e.spanSeq.Load() + 1
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 15; i++ {
+				id := fmt.Sprintf("g%d-%d", g, i)
+				fa, ctx := e.Flight().Begin(flight.WithTrace(context.Background(), id), "", "query")
+				_, _, err := tb.QueryEqualCtx(ctx, g%2, iv(int64(31+(g*17+i*7)%29)))
+				e.Flight().Complete(fa, err)
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	last := e.spanSeq.Load()
+	streamed := map[uint64]flight.Span{}
+	for _, sp := range spans() {
+		if _, dup := streamed[sp.Seq]; dup {
+			t.Fatalf("seq %d streamed twice", sp.Seq)
+		}
+		if sp.Seq < first || sp.Seq > last {
+			t.Fatalf("streamed seq %d outside [%d, %d]", sp.Seq, first, last)
+		}
+		streamed[sp.Seq] = sp
+	}
+	if uint64(len(streamed)) != last-first+1 {
+		t.Fatalf("stream holds %d spans, engine emitted %d", len(streamed), last-first+1)
+	}
+	displaced := false
+	for _, r := range e.Flight().Recent(0) {
+		for _, sp := range r.Spans {
+			if streamed[sp.Seq] != sp {
+				t.Errorf("%s: span %+v streamed as %+v", r.Trace, sp, streamed[sp.Seq])
+			}
+			displaced = displaced || sp.Kind == flight.SpanDisplace
+		}
+	}
+	if !displaced {
+		t.Error("no miss displaced; test premise broken")
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"regexp"
 	"strconv"
@@ -363,8 +364,7 @@ func TestMetricsExpositionLint(t *testing.T) {
 	if err := nasty.CreatePartialIndex(1, index.IntRange(1, 10)); err != nil {
 		t.Fatal(err)
 	}
-	e.Tracer().EnableSpans(true)
-	e.Timeline().Enable(true)
+	e.SetTelemetrySink(timeline.NewSink(io.Discard)) // spans streamed, timeline on
 	runMixedQueries(t, tb)
 	if _, _, err := nasty.QueryEqual(1, iv(5)); err != nil {
 		t.Fatal(err)
@@ -392,8 +392,8 @@ func TestTelemetrySinkThroughEngine(t *testing.T) {
 	var out bytes.Buffer
 	sink := timeline.NewSink(&out)
 	e.SetTelemetrySink(sink)
-	if !e.Tracer().SpansEnabled() || !e.Timeline().Enabled() {
-		t.Fatal("SetTelemetrySink did not enable recording")
+	if !e.Timeline().Enabled() {
+		t.Fatal("SetTelemetrySink did not enable the timeline")
 	}
 	runMixedQueries(t, tb)
 

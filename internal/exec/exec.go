@@ -20,7 +20,7 @@ package exec
 import (
 	"context"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -201,23 +201,27 @@ func materialize(schema *storage.Schema, raw []byte, tu *storage.Tuple) error {
 	return err
 }
 
-// fetchRIDs materializes tuples for a posting list, page by page. Pages
-// are charged to stats through seen, so a page the query already fetched
-// in another stage is not double-counted. A nil seen means this fetch is
-// the query's only stage (a hit): the list is sorted, so each distinct
-// page is charged where it first appears, and no set is built.
+// fetchRIDs materializes tuples for a posting list, page by page. It
+// sorts rids into RID order in place, so the caller must own the slice
+// (every caller passes one a range lookup just built); a list already in
+// order is left as it is. Pages are charged to stats through seen, so a
+// page the query already fetched in another stage is not double-counted.
+// A nil seen means this fetch is the query's only stage (a hit): the
+// list is sorted, so each distinct page is charged where it first
+// appears, and no set is built.
 func fetchRIDs(a Access, rids []storage.RID, stats *QueryStats, seen *pageSet) ([]Match, error) {
 	if len(rids) == 0 {
 		return nil, nil
 	}
-	sorted := append([]storage.RID(nil), rids...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
+	if !slices.IsSortedFunc(rids, storage.RID.Compare) {
+		slices.SortFunc(rids, storage.RID.Compare)
+	}
 
 	var out []Match
-	for k, rid := range sorted {
+	for k, rid := range rids {
 		if seen != nil {
 			seen.read(stats, rid.Page)
-		} else if k == 0 || rid.Page != sorted[k-1].Page {
+		} else if k == 0 || rid.Page != rids[k-1].Page {
 			stats.PagesRead++
 		}
 		tu, err := a.Table.Get(rid)

@@ -125,8 +125,9 @@ func TestFetchRIDsCountsDistinctPages(t *testing.T) {
 	})
 	// Reversed, so the fetch has to sort. A nil set is the single-stage
 	// (hit) mode; a set also dedups against other stages.
-	slices.Reverse(rids)
 	for i, seen := range []*pageSet{nil, {}, {pages: tb.NumPages()}} {
+		rids := slices.Clone(rids)
+		slices.Reverse(rids)
 		var stats QueryStats
 		got, err := fetchRIDs(Access{Table: tb, Column: 0}, rids, &stats, seen)
 		if err != nil {
@@ -145,6 +146,42 @@ func TestFetchRIDsCountsDistinctPages(t *testing.T) {
 			t.Errorf("set %d: a second stage over the same pages: PagesRead = %d, err %v", i, stats.PagesRead, err)
 		}
 	}
+	// A multi-key posting list as a range lookup concatenates it: each
+	// key's postings in RID order, the keys' runs interleaved on pages.
+	// The fetch sorts the caller's slice in place and returns RID order.
+	var multi []storage.RID
+	keyOf := map[storage.RID]int64{}
+	for _, k := range []int64{7, 5} {
+		_ = tb.Scan(func(rid storage.RID, tu storage.Tuple) error {
+			if tu.Value(0).Int64() == k {
+				multi = append(multi, rid)
+				keyOf[rid] = k
+			}
+			return nil
+		})
+	}
+	if slices.IsSortedFunc(multi, storage.RID.Compare) {
+		t.Fatal("test premise: the two-key posting list is already in RID order")
+	}
+	var stats QueryStats
+	got, err := fetchRIDs(Access{Table: tb, Column: 0}, multi, &stats, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(keyOf) || !slices.IsSortedFunc(multi, storage.RID.Compare) {
+		t.Fatalf("fetched %d of %d; caller's slice sorted in place: %v", len(got), len(keyOf), slices.IsSortedFunc(multi, storage.RID.Compare))
+	}
+	multiPages := map[storage.PageID]bool{}
+	for i, m := range got {
+		multiPages[m.RID.Page] = true
+		if m.RID != multi[i] || m.Tuple.Value(0).Int64() != keyOf[m.RID] {
+			t.Errorf("match %d = %v key %d, want %v key %d", i, m.RID, m.Tuple.Value(0).Int64(), multi[i], keyOf[multi[i]])
+		}
+	}
+	if stats.PagesRead != len(multiPages) {
+		t.Errorf("multi-key PagesRead = %d, want %d distinct pages", stats.PagesRead, len(multiPages))
+	}
+
 	// Empty posting: zero cost.
 	var empty QueryStats
 	if out, err := fetchRIDs(Access{Table: tb}, nil, &empty, &pageSet{}); err != nil || out != nil || empty.PagesRead != 0 {

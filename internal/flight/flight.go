@@ -34,12 +34,12 @@ import (
 // Span is one structured event from the adaptive machinery (miss
 // admission, shared-scan batching, Algorithm-2 page selection,
 // displacement, C[p]→0 transitions; the kinds are the Span*
-// constants). The same value enters the global span ring, the JSONL
-// telemetry stream and the emitting statement's flight record.
+// constants). The same value enters the JSONL telemetry stream (the
+// one global span stream) and the emitting statement's flight record.
 type Span struct {
-	// Seq is the global span stream's monotonic sequence number (0 when
-	// the span was not recorded there), so consumers can order spans
-	// across ring snapshots and detect drops.
+	// Seq is the engine-wide sequence number the span was emitted under:
+	// unique, and increasing in emission order, so consumers can order
+	// spans from the stream and the flight records alike and detect gaps.
 	Seq    uint64 `json:"seq"`
 	Kind   string `json:"kind"`
 	Target string `json:"target"` // buffer name, "table.column"

@@ -14,11 +14,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/flight"
 	"repro/internal/index"
 	"repro/internal/storage"
+	"repro/internal/timeline"
 )
 
 func newEngine(t *testing.T) *engine.Engine {
@@ -249,8 +251,7 @@ func TestScrapeErrorCounted(t *testing.T) {
 // doubles as the data-race check for the whole scrape path.
 func TestConcurrentScrapeTimelineE2E(t *testing.T) {
 	e := newEngine(t)
-	e.Timeline().Enable(true)
-	e.Tracer().EnableSpans(true)
+	e.SetTelemetrySink(timeline.NewSink(io.Discard)) // spans streamed, timeline on
 	tb := e.Table("t")
 	s := NewServer(func() *engine.Engine { return e })
 	srv, addr, err := s.Start("127.0.0.1:0")
@@ -330,6 +331,11 @@ func TestConcurrentScrapeTimelineE2E(t *testing.T) {
 		}()
 	}
 	work.Wait() // workload done
+	// A fast workload can finish before any poller completes a scrape;
+	// keep polling until one has, so the stats check below means something.
+	for deadline := time.Now().Add(5 * time.Second); s.ScrapeStats().Scrapes == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	close(stop)
 	poll.Wait()
 

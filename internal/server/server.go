@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
 
 	"repro"
 	"repro/internal/flight"
@@ -154,10 +155,16 @@ func errResponse(err error) response {
 	return response{Code: CodeOf(err), Error: err.Error()}
 }
 
-// tenantStmt recognizes the "TENANT <name>" handshake.
+// tenantStmt recognizes the "TENANT <name>" handshake. Lines that do
+// not start with the keyword return before any allocation, so ordinary
+// statements pay nothing for the check.
 func tenantStmt(line string) (string, bool) {
+	const kw = "TENANT"
+	if t := strings.TrimLeftFunc(line, unicode.IsSpace); len(t) < len(kw) || !strings.EqualFold(t[:len(kw)], kw) {
+		return "", false
+	}
 	f := strings.Fields(line)
-	if len(f) == 2 && strings.EqualFold(f[0], "TENANT") {
+	if len(f) == 2 && strings.EqualFold(f[0], kw) {
 		return f[1], true
 	}
 	return "", false

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,10 +11,13 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/flight"
+	"repro/internal/timeline"
 )
 
 func openDB(t *testing.T, o repro.Options) *repro.DB {
@@ -308,14 +312,34 @@ func TestServerShutdownDrain(t *testing.T) {
 	}
 }
 
+// lockedBuffer is a telemetry sink target the test reads while the
+// server may still be writing completed flight records to it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) snapshot() []byte {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return bytes.Clone(b.buf.Bytes())
+}
+
 // TestServerTracePropagation pins the end-to-end trace-context path: a
 // client-supplied TRACE ID must come back in the response JSON, appear
-// on the span events the statement emitted, and key the statement's
-// flight record — for that exact statement.
+// on the span events the statement emitted to the telemetry stream, and
+// key the statement's flight record — for that exact statement.
 func TestServerTracePropagation(t *testing.T) {
 	db := openDB(t, repro.Options{})
 	db.EnableFlightRecorder(time.Hour) // record everything, capture nothing as slow
-	db.EnableTraceEvents(true)
+	var stream lockedBuffer
+	db.EnableTelemetrySink(&stream)
 	_, addr := startServer(t, db, Config{})
 	c := dialProto(t, addr)
 
@@ -381,10 +405,13 @@ func TestServerTracePropagation(t *testing.T) {
 		want[spanKey{sp.Kind, sp.Target, sp.Page, sp.N}]++
 	}
 	got := map[spanKey]int{}
-	for _, sp := range db.TraceEvents() {
+	if _, err := timeline.ScanRecords(bytes.NewReader(stream.snapshot()), nil, func(sp flight.Span) error {
 		if sp.Trace == traceID {
 			got[spanKey{sp.Kind, sp.Target, sp.Page, sp.N}]++
 		}
+		return nil
+	}, nil); err != nil {
+		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("global spans under %q = %v, flight record spans = %v", traceID, got, want)
@@ -439,5 +466,31 @@ func TestServerMaxLineBytes(t *testing.T) {
 	}
 	if got := srv.Errors(); got != 2 {
 		t.Fatalf("Errors() = %d, want 2 (the bad statement and the over-long line)", got)
+	}
+}
+
+// TestTenantStmt pins the TENANT handshake rule — the whitespace-split
+// "TENANT <name>", keyword in any case — and its cost on every other
+// request line: a SELECT is turned away without allocating.
+func TestTenantStmt(t *testing.T) {
+	for line, want := range map[string]string{
+		"TENANT acme":        "acme",
+		" \ttenant  acme\t ": "acme",
+		"Tenant x":           "x",
+		"TENANT":             "",
+		"TENANT a b":         "",
+		"TENANTS acme":       "",
+		"TENANTacme":         "",
+		"SELECT * FROM t":    "",
+		"":                   "",
+	} {
+		name, ok := tenantStmt(line)
+		if name != want || ok != (want != "") {
+			t.Errorf("tenantStmt(%q) = %q, %v; want %q", line, name, ok, want)
+		}
+	}
+	line := "SELECT * FROM t WHERE a BETWEEN 3 AND 9"
+	if avg := testing.AllocsPerRun(100, func() { tenantStmt(line) }); avg != 0 {
+		t.Errorf("tenantStmt allocates %v per non-handshake line, want 0", avg)
 	}
 }

@@ -43,6 +43,18 @@ func (r RID) Less(o RID) bool {
 	return r.Slot < o.Slot
 }
 
+// Compare is Less as a three-way comparison (-1, 0, +1), for
+// slices.SortFunc and friends.
+func (r RID) Compare(o RID) int {
+	switch {
+	case r.Less(o):
+		return -1
+	case o.Less(r):
+		return 1
+	}
+	return 0
+}
+
 // Tuple is an ordered list of values conforming to some schema. Tuples
 // are immutable once constructed.
 type Tuple struct {

@@ -410,6 +410,18 @@ func (r *Recorder) SeriesFor(name string) (Series, bool) {
 	return s.export(), true
 }
 
+// DisplacedEntries returns the entries displaced from buffer name since
+// its series began (0 for a buffer never seen): the cumulative counter
+// every sample carries, read without copying the series.
+func (r *Recorder) DisplacedEntries(name string) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s := r.series[name]; s != nil {
+		return s.displacedEntries
+	}
+	return 0
+}
+
 // Convergence returns the detector's verdict for every series, sorted
 // by buffer name.
 func (r *Recorder) Convergence() []Convergence {

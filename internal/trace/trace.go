@@ -1,19 +1,17 @@
 // Package trace implements query monitoring: per-column aggregates (hit
-// rates, page costs, buffer effectiveness, mean wall-clock),
-// per-mechanism latency histograms, and — opt-in — a ring of structured
-// span events emitted by the adaptive machinery (miss admission,
-// shared-scan batching, Algorithm-2 page selection, displacement, C[p]→0
-// transitions). It is the observability layer a DBA would use to see
-// whether the Index Buffer is earning its memory — the engine records
-// into an attached Tracer, the shell exposes it as SHOW STATS, the
-// facade as DB.TraceReport / DB.TraceEvents, and the HTTP endpoint as
-// /metrics. The per-statement history lives in the flight recorder.
+// rates, page costs, buffer effectiveness, mean wall-clock) and
+// per-mechanism latency histograms. It is the observability layer a DBA
+// would use to see whether the Index Buffer is earning its memory — the
+// engine records into an attached Tracer, the shell exposes it as SHOW
+// STATS, the facade as DB.TraceReport / DB.LatencyStats, and the HTTP
+// endpoint as /metrics. Span events from the adaptive machinery are not
+// kept here: they go to each statement's flight record and to the
+// telemetry sink, the one global span stream (see the engine's emit).
 //
 // Every method is safe for concurrent use. Recording a query is atomic
 // adds on a per-column handle and a bucket histogram — no lock, no
-// allocation — and span emission is gated by a single atomic load and
-// is allocation-free while disabled, so the tracer can stay attached to
-// a production engine at ~zero cost.
+// allocation — so the tracer can stay attached to a production engine
+// at ~zero cost.
 package trace
 
 import (
@@ -84,31 +82,16 @@ type Column struct {
 	table, column string
 }
 
-// Tracer records query outcomes and span events. Safe for concurrent
-// use; Record takes no lock.
+// Tracer records query outcomes. Safe for concurrent use; Record takes
+// no lock.
 type Tracer struct {
 	colMu sync.Mutex // guards cols (handles sorted by table, column); never taken by Record
 	cols  []*Column
 	lat   [len(flight.Mechanisms)]metrics.Histogram // latency (µs), indexed like flight.Mechanisms
-
-	spansOn atomic.Bool   // gate checked before any span work
-	seq     atomic.Uint64 // monotonic span sequence, advanced under spanMu
-
-	// spanSink, when set, receives every recorded span after it enters
-	// the ring — the telemetry-export tap. Atomic so SpanTraced's hot
-	// path never takes a lock for it.
-	spanSink atomic.Pointer[func(flight.Span)]
-
-	spanMu     sync.Mutex
-	spans      []flight.Span
-	spanNext   int
-	spanFilled int
 }
 
-// New creates a tracer keeping the last capacity span events (min 1).
-func New(capacity int) *Tracer {
-	return &Tracer{spans: make([]flight.Span, max(capacity, 1))}
-}
+// New creates an empty tracer.
+func New() *Tracer { return &Tracer{} }
 
 // Column returns the aggregate handle of table.column, registering it
 // on first use; every call with the same pair returns the same handle.
@@ -181,72 +164,6 @@ func (t *Tracer) LatencyStats() []MechanismLatency {
 	}
 	return out
 }
-
-// EnableSpans turns span-event recording on or off. Off (the default)
-// makes SpanTraced a single atomic load — no lock, no allocation — so
-// the instrumented hot paths cost ~nothing in production.
-func (t *Tracer) EnableSpans(on bool) { t.spansOn.Store(on) }
-
-// SpansEnabled reports whether span events are being recorded. Callers
-// that must build a span's arguments (closures, name formatting) should
-// check it first to keep the disabled path allocation-free.
-func (t *Tracer) SpansEnabled() bool { return t.spansOn.Load() }
-
-// SpanTraced records one span event into the span ring, stamped with
-// the next monotonic sequence number and the emitting statement's trace
-// ID ("" without statement context), so the global stream stays
-// joinable to per-statement flight records. It returns the assigned
-// sequence number, or 0 (a no-op) while spans are disabled.
-func (t *Tracer) SpanTraced(kind, target string, page, n int, traceID string) uint64 {
-	if !t.spansOn.Load() {
-		return 0
-	}
-	sp := flight.Span{Kind: kind, Target: target, Page: page, N: n, Trace: traceID}
-	t.spanMu.Lock()
-	// Numbered under the ring lock, so the ring holds spans in sequence
-	// order even when emitters race.
-	sp.Seq = t.seq.Add(1)
-	t.spans[t.spanNext] = sp
-	t.spanNext = (t.spanNext + 1) % len(t.spans)
-	if t.spanFilled < len(t.spans) {
-		t.spanFilled++
-	}
-	t.spanMu.Unlock()
-	if fn := t.spanSink.Load(); fn != nil {
-		(*fn)(sp)
-	}
-	return sp.Seq
-}
-
-// SetSpanSink registers fn to receive every span after it enters the
-// ring (nil unregisters). The span gate still applies — a sink sees
-// nothing while spans are disabled — and fn runs on the emitting
-// goroutine, so it must be fast and must not call back into the
-// tracer's span path.
-func (t *Tracer) SetSpanSink(fn func(flight.Span)) {
-	if fn == nil {
-		t.spanSink.Store(nil)
-		return
-	}
-	t.spanSink.Store(&fn)
-}
-
-// Spans returns up to n most-recent span events, newest first: n < 0
-// reads as 0 and n beyond the retained count as everything retained.
-func (t *Tracer) Spans(n int) []flight.Span {
-	t.spanMu.Lock()
-	defer t.spanMu.Unlock()
-	n = max(0, min(n, t.spanFilled))
-	out := make([]flight.Span, 0, n)
-	for i := 1; i <= n; i++ {
-		out = append(out, t.spans[(t.spanNext-i+len(t.spans))%len(t.spans)])
-	}
-	return out
-}
-
-// SpanCount returns the number of span events ever emitted (the last
-// assigned sequence number).
-func (t *Tracer) SpanCount() uint64 { return t.seq.Load() }
 
 // Report renders the aggregates as an aligned text table.
 func (t *Tracer) Report() string {

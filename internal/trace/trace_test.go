@@ -29,7 +29,7 @@ func record(tr *Tracer, table, column string, follower bool, st exec.QueryStats)
 }
 
 func TestRecordAndAggregates(t *testing.T) {
-	tr := New(16)
+	tr := New()
 	record(tr, "t", "a", false, stats(true, false, 5, 0, 2))
 	record(tr, "t", "a", false, stats(false, false, 10, 90, 1))
 	record(tr, "t", "b", false, stats(false, true, 100, 0, 0))
@@ -65,7 +65,7 @@ func TestZeroQueryAggregates(t *testing.T) {
 }
 
 func TestReportAndReset(t *testing.T) {
-	tr := New(8)
+	tr := New()
 	if tr.Report() != "no queries recorded" {
 		t.Errorf("empty report = %q", tr.Report())
 	}
@@ -77,7 +77,7 @@ func TestReportAndReset(t *testing.T) {
 }
 
 func TestTracerConcurrent(t *testing.T) {
-	tr := New(64)
+	tr := New()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -96,52 +96,43 @@ func TestTracerConcurrent(t *testing.T) {
 	}
 }
 
-// TestTracerStress hammers every tracer entry point — including the
-// span ring — from parallel goroutines; under -race this is the
-// monitor-correctness stress test CI runs.
+// TestTracerStress hammers every tracer entry point — recording on new
+// and existing columns beside every reader — from parallel goroutines;
+// under -race this is the monitor-correctness stress test CI runs.
 func TestTracerStress(t *testing.T) {
-	tr := New(32)
-	tr.EnableSpans(true)
+	tr := New()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
-				switch i % 6 {
+				switch i % 5 {
 				case 0:
 					record(tr, "t", "a", false, stats(i%2 == 0, false, 2, 1, 1))
 				case 1:
-					record(tr, "t", "a", true, stats(false, false, 2, 1, 1))
+					record(tr, "t", fmt.Sprint(g), true, stats(false, false, 2, 1, 1))
 				case 2:
-					tr.SpanTraced(flight.SpanMissAdmit, "t.a", -1, 0, "")
-					_ = tr.Spans(10)
-				case 3:
 					_ = tr.Aggregates()
-					_ = tr.SpanCount()
-				case 4:
+				case 3:
 					_ = tr.LatencyStats()
+				case 4:
 					_ = tr.Report()
-				case 5:
-					tr.EnableSpans(g != 0 || i%12 != 5)
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	// Sequence numbers stay monotonic under concurrent emitters.
-	spans := tr.Spans(32)
-	for i := 1; i < len(spans); i++ {
-		if spans[i-1].Seq <= spans[i].Seq {
-			t.Fatalf("spans not newest-first monotonic: %d then %d", spans[i-1].Seq, spans[i].Seq)
-		}
+	aggs := tr.Aggregates()
+	if len(aggs) != 9 || aggs[8].Column != "a" || aggs[8].Queries != 8*60 {
+		t.Errorf("aggregates after stress = %+v", aggs)
 	}
 }
 
 // TestReportMeanMicros covers the µs/query column: WallMicros was
 // historically accumulated into the aggregate but never surfaced.
 func TestReportMeanMicros(t *testing.T) {
-	tr := New(8)
+	tr := New()
 	record(tr, "t", "a", false, stats(true, false, 1, 0, 0)) // 3ms each
 	record(tr, "t", "a", false, stats(true, false, 1, 0, 0))
 	a := tr.Aggregates()[0]
@@ -158,7 +149,7 @@ func TestReportMeanMicros(t *testing.T) {
 }
 
 func TestLatencyStatsPerMechanism(t *testing.T) {
-	tr := New(8)
+	tr := New()
 	record(tr, "t", "a", false, stats(true, false, 1, 0, 0))  // hit
 	record(tr, "t", "a", false, stats(false, false, 5, 0, 0)) // indexing-scan
 	record(tr, "t", "b", false, stats(false, true, 9, 0, 0))  // full-scan
@@ -181,81 +172,11 @@ func TestLatencyStatsPerMechanism(t *testing.T) {
 	}
 }
 
-func TestSpansDisabledByDefault(t *testing.T) {
-	tr := New(8)
-	tr.SpanTraced(flight.SpanMissAdmit, "t.a", -1, 0, "")
-	if got := tr.Spans(10); len(got) != 0 {
-		t.Errorf("spans recorded while disabled: %v", got)
-	}
-	if tr.SpansEnabled() {
-		t.Error("spans enabled by default")
-	}
-	if tr.SpanCount() != 0 {
-		t.Errorf("SpanCount = %d while disabled", tr.SpanCount())
-	}
-}
-
-func TestSpanRingOrderAndWrap(t *testing.T) {
-	tr := New(3)
-	tr.EnableSpans(true)
-	for i := 1; i <= 5; i++ {
-		tr.SpanTraced(flight.SpanPageComplete, "t.a", i, i*10, "")
-	}
-	got := tr.Spans(10)
-	if len(got) != 3 {
-		t.Fatalf("spans = %d, want 3", len(got))
-	}
-	// Newest first: pages 5, 4, 3 with seq 5, 4, 3.
-	for i, want := range []int{5, 4, 3} {
-		if got[i].Page != want || got[i].Seq != uint64(want) || got[i].N != want*10 {
-			t.Errorf("spans[%d] = %+v, want page/seq %d", i, got[i], want)
-		}
-		if got[i].Kind != flight.SpanPageComplete || got[i].Target != "t.a" {
-			t.Errorf("spans[%d] = %+v", i, got[i])
-		}
-	}
-	if tr.SpanCount() != 5 {
-		t.Errorf("SpanCount = %d, want 5", tr.SpanCount())
-	}
-	// The returned sequence number is the one the ring holds.
-	if seq := tr.SpanTraced(flight.SpanMissAdmit, "t.a", -1, 0, ""); seq != 6 || tr.Spans(1)[0].Seq != 6 {
-		t.Errorf("SpanTraced returned seq %d, ring holds %+v, want 6", seq, tr.Spans(1))
-	}
-}
-
-// TestSpanDisabledZeroAlloc pins the overhead contract: with spans
-// disabled, SpanTraced is one atomic load and allocates nothing.
-func TestSpanDisabledZeroAlloc(t *testing.T) {
-	tr := New(8)
-	if avg := testing.AllocsPerRun(200, func() {
-		tr.SpanTraced(flight.SpanPageSelect, "t.a", -1, 12, "")
-	}); avg != 0 {
-		t.Errorf("disabled SpanTraced allocates %v per call, want 0", avg)
-	}
-}
-
-func BenchmarkSpanDisabled(b *testing.B) {
-	tr := New(512)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.SpanTraced(flight.SpanMissAdmit, "t.a", -1, 0, "")
-	}
-}
-
-func BenchmarkSpanEnabled(b *testing.B) {
-	tr := New(512)
-	tr.EnableSpans(true)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.SpanTraced(flight.SpanMissAdmit, "t.a", -1, 0, "")
-	}
-}
-
 // BenchmarkTracerRecord measures the always-on path every query takes:
 // one Record through a resolved handle, from every GOMAXPROCS
 // goroutine at once (run it at -cpu 1,2 to see contention).
 func BenchmarkTracerRecord(b *testing.B) {
-	tr := New(512)
+	tr := New()
 	c := tr.Column("t", "a")
 	st := stats(true, false, 3, 0, 1)
 	b.ReportAllocs()
@@ -269,7 +190,7 @@ func BenchmarkTracerRecord(b *testing.B) {
 // TestRecordZeroAlloc pins the always-on contract: Record through a
 // handle allocates nothing.
 func TestRecordZeroAlloc(t *testing.T) {
-	tr := New(8)
+	tr := New()
 	c := tr.Column("t", "a")
 	st := stats(true, false, 3, 0, 1)
 	if avg := testing.AllocsPerRun(200, func() { tr.Record(c, "hit", st) }); avg != 0 {
@@ -283,7 +204,7 @@ func TestRecordZeroAlloc(t *testing.T) {
 // Aggregates sorts by table then column whatever the registration
 // order.
 func TestColumnHandleShared(t *testing.T) {
-	tr := New(8)
+	tr := New()
 	c := tr.Column("t", "b")
 	if tr.Column("t", "b") != c || tr.Column("t", "a") == c {
 		t.Fatal("Column does not return one handle per (table, column)")
@@ -310,7 +231,7 @@ func TestColumnHandleShared(t *testing.T) {
 // against snapshot readers: Record bumps Queries before Hits and
 // Aggregates loads Hits first, so every snapshot has Hits <= Queries.
 func TestAggregatesNeverShowMoreHitsThanQueries(t *testing.T) {
-	tr := New(8)
+	tr := New()
 	c := tr.Column("t", "a")
 	st := stats(true, false, 1, 0, 1)
 	var wg sync.WaitGroup
@@ -340,88 +261,4 @@ func TestAggregatesNeverShowMoreHitsThanQueries(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-func TestCapacityClamp(t *testing.T) {
-	tr := New(0)
-	tr.EnableSpans(true)
-	tr.SpanTraced(flight.SpanMissAdmit, "t.a", -1, 0, "")
-	tr.SpanTraced(flight.SpanScanLead, "t.a", -1, 1, "")
-	if got := tr.Spans(5); len(got) != 1 || got[0].Kind != flight.SpanScanLead {
-		t.Errorf("spans = %+v, want only the newest", got)
-	}
-}
-
-// TestRecentSpansClampBoundaries pins the span ring reader's clamp at
-// every boundary: negative, zero, partial, exact, and oversized n.
-// (Negative n once panicked on the negative make cap.)
-func TestRecentSpansClampBoundaries(t *testing.T) {
-	const capacity, recorded = 4, 3
-	tr := New(capacity)
-	tr.EnableSpans(true)
-	for i := 0; i < recorded; i++ {
-		tr.SpanTraced(flight.SpanMissAdmit, "t.a", -1, 0, "")
-	}
-	cases := []struct {
-		name string
-		n    int
-		want int
-	}{
-		{"negative", -1, 0},
-		{"very negative", -1 << 30, 0},
-		{"zero", 0, 0},
-		{"partial", 2, 2},
-		{"exact", recorded, recorded},
-		{"over filled", recorded + 1, recorded},
-		{"over capacity", capacity + 100, recorded},
-		{"huge", 1 << 30, recorded},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := len(tr.Spans(tc.n)); got != tc.want {
-				t.Errorf("Spans(%d) = %d spans, want %d", tc.n, got, tc.want)
-			}
-		})
-	}
-}
-
-// TestSpanSink covers the telemetry tap: the sink sees every span after
-// it enters the ring, respects the span gate, and detaches cleanly.
-func TestSpanSink(t *testing.T) {
-	tr := New(8)
-	var mu sync.Mutex
-	var got []flight.Span
-	tr.SetSpanSink(func(sp flight.Span) {
-		mu.Lock()
-		got = append(got, sp)
-		mu.Unlock()
-	})
-
-	// Gate closed: sink sees nothing.
-	tr.SpanTraced(flight.SpanDisplace, "t.a", 3, 2, "")
-	if len(got) != 0 {
-		t.Fatalf("sink fired while spans disabled: %+v", got)
-	}
-
-	tr.EnableSpans(true)
-	tr.SpanTraced(flight.SpanDisplace, "t.a", 3, 2, "tr-1")
-	tr.SpanTraced(flight.SpanPageComplete, "t.a", 4, 7, "")
-	if len(got) != 2 {
-		t.Fatalf("sink saw %d spans, want 2", len(got))
-	}
-	if got[0].Kind != flight.SpanDisplace || got[0].Page != 3 || got[0].N != 2 || got[0].Trace != "tr-1" {
-		t.Errorf("first sunk span = %+v", got[0])
-	}
-	if got[1].Seq != got[0].Seq+1 {
-		t.Errorf("sink spans out of sequence: %d then %d", got[0].Seq, got[1].Seq)
-	}
-
-	tr.SetSpanSink(nil)
-	tr.SpanTraced(flight.SpanMissAdmit, "t.a", -1, 0, "")
-	if len(got) != 2 {
-		t.Errorf("sink fired after detach: %d spans", len(got))
-	}
-	if tr.SpanCount() != 3 {
-		t.Errorf("ring recording disturbed by sink lifecycle: %d spans", tr.SpanCount())
-	}
 }

@@ -1,12 +1,16 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/flight"
+	"repro/internal/timeline"
 )
 
 // newObsDB builds a small database with a partial index and runs a hit
@@ -35,6 +39,9 @@ func newObsDB(t *testing.T) *DB {
 	return db
 }
 
+// TestDBTraceEvents reads span events from the one global stream, the
+// telemetry sink: nothing emitted before the sink attaches reaches it,
+// and a fresh indexing scan afterwards streams its full span sequence.
 func TestDBTraceEvents(t *testing.T) {
 	db := MustOpen(Options{})
 	tb, err := db.CreateTable("t", Int64Column("a"), Int64Column("b"))
@@ -56,27 +63,27 @@ func TestDBTraceEvents(t *testing.T) {
 	if _, _, err := tb.Query("a", 60); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(db.TraceEvents()); n != 0 {
-		t.Fatalf("%d trace events recorded while disabled", n)
-	}
 
-	// The miss on b runs a fresh indexing scan, so the enabled path sees
-	// the full span sequence: admission, leadership, page selection and
+	// The miss on b runs a fresh indexing scan, so the stream sees the
+	// full span sequence: admission, leadership, page selection and
 	// page completion.
-	db.EnableTraceEvents(true)
+	var out bytes.Buffer
+	db.EnableTelemetrySink(&out)
 	if _, _, err := tb.Query("b", 70); err != nil {
 		t.Fatal(err)
 	}
-	events := db.TraceEvents()
-	if len(events) == 0 {
-		t.Fatal("no trace events after EnableTraceEvents(true)")
-	}
 	kinds := make(map[string]bool)
-	for _, ev := range events {
-		kinds[ev.Kind] = true
-		if ev.Seq == 0 {
+	if _, err := timeline.ScanRecords(&out, nil, func(sp flight.Span) error {
+		kinds[sp.Kind] = true
+		if sp.Seq == 0 {
 			t.Error("span with zero sequence number")
 		}
+		if sp.Target != "t.b" {
+			t.Errorf("span %+v: only the miss on b ran while the sink was attached", sp)
+		}
+		return nil
+	}, nil); err != nil {
+		t.Fatal(err)
 	}
 	for _, want := range []string{"miss-admit", "scan-lead", "page-select", "page-complete"} {
 		if !kinds[want] {

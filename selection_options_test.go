@@ -15,10 +15,10 @@ func TestOptionsValidateSelection(t *testing.T) {
 	}{
 		{"zero value", Options{}, ""},
 		{"random selection", Options{Selection: SelectRandom, Seed: 42}, ""},
-		{"descending selection", Options{Selection: SelectDescending}, ""},
 		{"full jitter", Options{DisplacementJitter: 1}, ""},
 		{"half jitter", Options{Selection: SelectRandom, DisplacementJitter: 0.5}, ""},
 		{"unknown selection", Options{Selection: SelectionPolicy(7)}, "unknown Options.Selection"},
+		{"one past the last policy", Options{Selection: SelectRandom + 1}, "unknown Options.Selection"},
 		{"negative selection", Options{Selection: SelectionPolicy(-1)}, "unknown Options.Selection"},
 		{"negative jitter", Options{DisplacementJitter: -0.1}, "outside [0, 1]"},
 		{"jitter above one", Options{DisplacementJitter: 1.5}, "outside [0, 1]"},
