@@ -736,8 +736,9 @@ type Convergence = timeline.Convergence
 // atomic load — see the overhead contract in DESIGN.md,
 // "Observability". While on, every
 // query boundary samples the queried column's coverage, counter
-// distribution and occupancy, and adaptive events (displacement,
-// page completion) mark their buffer for resampling.
+// distribution and occupancy, and resamples every other buffer whose
+// displacement or page-completion counters moved since its last
+// sample.
 func (db *DB) EnableTimeline(on bool) { db.eng.Timeline().Enable(on) }
 
 // Timeline returns the retained adaptation timeline, one series per

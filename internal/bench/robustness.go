@@ -190,11 +190,12 @@ func runRobustnessArm(o Options, spec robustnessSpec, arm RobustnessArm) (Robust
 	defer eng.Close()
 	eng.Timeline().Enable(true)
 
-	// Displacement feedback for reactive scenarios: the timeline counts
-	// every displace span's entries per buffer.
-	buffers := make([]string, spec.columns)
+	// Displacement feedback for reactive scenarios: each buffer counts
+	// the entries displaced from it. Every column is indexed and the arm
+	// never drops or redefines an index, so the buffers stay put.
+	buffers := make([]*core.IndexBuffer, spec.columns)
 	for c := range buffers {
-		buffers[c] = tb.Name() + "." + tb.Schema().Column(c).Name
+		buffers[c] = tb.Buffer(c)
 	}
 
 	sc := spec.mk()
@@ -208,7 +209,7 @@ func runRobustnessArm(o Options, spec robustnessSpec, arm RobustnessArm) (Robust
 	}
 	for q := 0; q < o.Queries; q++ {
 		for c := range fb.DisplacedEntries {
-			fb.DisplacedEntries[c] = eng.Timeline().DisplacedEntries(buffers[c])
+			fb.DisplacedEntries[c] = buffers[c].Churn().DisplacedEntries
 		}
 		op := sc.Next(q, fb)
 		switch op.Kind {
@@ -245,7 +246,7 @@ func runRobustnessArm(o Options, spec robustnessSpec, arm RobustnessArm) (Robust
 		res.MaxCoverage = v.MaxCoverage
 		res.Regressed = v.Regressed
 	}
-	res.DisplacedEntries = eng.Timeline().DisplacedEntries(buffers[0])
+	res.DisplacedEntries = buffers[0].Churn().DisplacedEntries
 	return res, nil
 }
 

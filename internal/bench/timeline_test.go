@@ -50,12 +50,12 @@ func TestFig6ConvergenceTimeline(t *testing.T) {
 
 	// With unlimited space the Fig. 6 buffer ends fully built: the
 	// coverage curve must be non-decreasing and end at 1.
-	ser, ok := captured.Timeline().SeriesFor("t.a")
-	if !ok {
-		t.Fatal("series t.a missing")
+	all := captured.Timeline().Series()
+	if len(all) != 1 || all[0].Buffer != "t.a" {
+		t.Fatalf("series = %+v, want t.a alone", all)
 	}
 	prev := -1.0
-	for i, sm := range ser.Samples {
+	for i, sm := range all[0].Samples {
 		if sm.Coverage < prev {
 			t.Fatalf("coverage regressed at sample %d: %g -> %g", i, prev, sm.Coverage)
 		}

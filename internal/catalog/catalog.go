@@ -235,7 +235,7 @@ func Save(dir string, c Catalog) error {
 		return fmt.Errorf("catalog: marshal: %w", err)
 	}
 	tmp := filepath.Join(dir, FileName+".tmp")
-	if err := writeFileSync(tmp, data); err != nil {
+	if err := WriteFileSync(tmp, data); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("catalog: write: %w", err)
 	}
@@ -243,14 +243,14 @@ func Save(dir string, c Catalog) error {
 		os.Remove(tmp)
 		return fmt.Errorf("catalog: rename: %w", err)
 	}
-	if err := syncDir(dir); err != nil {
+	if err := SyncDir(dir); err != nil {
 		return fmt.Errorf("catalog: sync dir: %w", err)
 	}
 	return nil
 }
 
-// writeFileSync writes data to path and fsyncs it before closing.
-func writeFileSync(path string, data []byte) error {
+// WriteFileSync writes data to path and fsyncs it before closing.
+func WriteFileSync(path string, data []byte) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
@@ -265,9 +265,9 @@ func writeFileSync(path string, data []byte) error {
 	return err
 }
 
-// syncDir fsyncs a directory so a just-completed rename inside it is
-// durable.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so a just-completed rename, creation or
+// removal inside it is durable.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

@@ -22,6 +22,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/storage"
 )
@@ -79,7 +80,27 @@ type IndexBuffer struct {
 	// space.mu, not b.mu (victim selection runs under space.mu).
 	scanPins int
 
+	// The buffer's cumulative churn since it was created (see Churn):
+	// displacement is counted per owner by Space.applyLocked, page
+	// completion by ApplyPage. Atomic, so samplers read them without
+	// b.mu.
+	displacements, displacedEntries, pageCompletes atomic.Uint64
+
 	hist *History
+}
+
+// Churn is what adaptation did to one buffer since it was created:
+// partitions and entries lost to displacement, and pages an indexing
+// scan completed. Reset does not count as displacement.
+type Churn struct {
+	Displacements    uint64
+	DisplacedEntries uint64
+	PageCompletes    uint64
+}
+
+// Churn reads the buffer's cumulative churn counters.
+func (b *IndexBuffer) Churn() Churn {
+	return Churn{b.displacements.Load(), b.displacedEntries.Load(), b.pageCompletes.Load()}
 }
 
 // NonZeroPages walks the effective counters of pages [0, numPages) once
@@ -417,6 +438,7 @@ func (b *IndexBuffer) ApplyPage(p storage.PageID, entries []PageEntry) error {
 	if err := b.beginPageLocked(p); err != nil {
 		return err
 	}
+	b.pageCompletes.Add(1)
 	part := b.byPage[p]
 	added := 0
 	for _, e := range entries {

@@ -291,14 +291,17 @@ func (b *victimBuf) takePartition(cfg *Config) victimPart {
 }
 
 // applyLocked performs p for target's scan: it drops D's partitions,
-// counts them — a drop from another tenant also on the victim tenant's
-// evicted ledger — and latches the tenant's exhaustion. Callers hold
-// s.mu, which keeps every victim registered since the view was taken.
+// counts them — in the Space's stats and the owner's churn, and a drop
+// from another tenant also on the victim tenant's evicted ledger — and
+// latches the tenant's exhaustion. Callers hold s.mu, which keeps every
+// victim registered since the view was taken.
 func (s *Space) applyLocked(target *IndexBuffer, p Plan) {
 	for _, d := range p.Drops {
 		owner := s.buffers[d.Buffer]
 		s.stats.PartitionsDropped++
 		s.stats.EntriesDropped += uint64(d.Entries)
+		owner.displacements.Add(1)
+		owner.displacedEntries.Add(uint64(d.Entries))
 		if owner.tenant != target.tenant {
 			s.stats.CrossTenantEntriesDropped += uint64(d.Entries)
 			if owner.tenant != nil {

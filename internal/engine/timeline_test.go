@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -512,4 +513,171 @@ func TestMetricsWALFamiliesLint(t *testing.T) {
 	if strings.Contains(sb.String(), "aib_wal_") || strings.Contains(sb.String(), "aib_checkpoint_") {
 		t.Error("in-memory engine exposes WAL families")
 	}
+}
+
+// sinkSamples decodes the sample records of a telemetry stream, in
+// stream order.
+func sinkSamples(t *testing.T, stream []byte) []timeline.SampleRecord {
+	t.Helper()
+	var out []timeline.SampleRecord
+	if _, err := timeline.ScanRecords(bytes.NewReader(stream), func(rec timeline.SampleRecord) error {
+		out = append(out, rec)
+		return nil
+	}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// checkOrdinals fails when a buffer's query ordinal goes backwards in
+// the stream — the rule aibench -verify-telemetry applies.
+func checkOrdinals(t *testing.T, samples []timeline.SampleRecord) {
+	t.Helper()
+	last := map[string]uint64{}
+	backwards := 0
+	for _, rec := range samples {
+		if rec.Query < last[rec.Buffer] {
+			backwards++
+		}
+		last[rec.Buffer] = rec.Query
+	}
+	if backwards > 0 {
+		t.Errorf("%d samples went back to an earlier ordinal of their buffer", backwards)
+	}
+}
+
+// TestSinkSampleOrdinalsNeverGoBackward races covered hits on one column
+// with a sink attached: however the boundaries interleave, each buffer's
+// samples must reach the stream in ordinal order.
+func TestSinkSampleOrdinalsNeverGoBackward(t *testing.T) {
+	e, tb := newABC(t, Config{}, 500, 50)
+	if err := tb.CreatePartialIndex(0, index.IntRange(1, 50)); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	e.SetTelemetrySink(timeline.NewSink(&out))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				if _, _, err := tb.QueryEqual(0, iv(int64(1+(g+i)%50))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	samples := sinkSamples(t, out.Bytes())
+	if len(samples) != 8000 {
+		t.Fatalf("streamed %d samples, want 8000", len(samples))
+	}
+	checkOrdinals(t, samples)
+}
+
+// TestTimelineChurnStressSink races misses on two tables whose indexing
+// scans displace each other's entries from one bounded Space, with the
+// timeline and a sink on, while Series, Convergence and /metrics are
+// read. Afterwards each buffer's last sample must carry exactly its
+// buffer's churn counters and its column's query mix, the buffers'
+// displaced entries must sum to the Space's, and the stream's ordinals
+// must never go backwards.
+func TestTimelineChurnStressSink(t *testing.T) {
+	cfg := Config{Space: core.Config{IMax: 20, P: 5, K: 2, SpaceLimit: 400, Seed: 3}}
+	e, first := newABC(t, cfg, 1500, 60)
+	second, err := e.CreateTable("second", first.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 1500; i++ {
+		if _, err := second.Insert(storage.NewTuple(iv(1+rng.Int63n(60)), iv(1), iv(1), storage.StringValue(strings.Repeat("y", 1+rng.Intn(256))))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tables := []*Table{first, second}
+	for _, tb := range tables {
+		if err := tb.CreatePartialIndex(0, index.IntRange(1, 20)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out bytes.Buffer
+	e.SetTelemetrySink(timeline.NewSink(&out))
+	// Fill the Space one scan at a time: a scan pins its own buffer, so
+	// two tables scanning at once cannot displace each other, and the
+	// race below alone might never displace.
+	for i := 0; i < 20; i++ {
+		if _, _, err := tables[i%2].QueryEqual(0, iv(int64(21+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e.Space().Stats().PartitionsDropped == 0 {
+		t.Fatal("workload produced no displacement; test premise broken")
+	}
+
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			e.Timeline().Series()
+			e.Convergence()
+			if err := e.WriteMetrics(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				if _, _, err := tables[(g+i)%2].QueryEqual(0, iv(int64(21+(g*13+i*7)%40))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
+
+	last := map[string]timeline.Sample{}
+	for _, s := range e.Timeline().Series() {
+		last[s.Buffer] = s.Samples[len(s.Samples)-1]
+	}
+	queries := map[string]uint64{}
+	for _, a := range e.Tracer().Aggregates() {
+		queries[a.Table+"."+a.Column] = a.Queries
+	}
+	var displaced uint64
+	for _, b := range e.Space().Buffers() {
+		c := b.Churn()
+		displaced += c.DisplacedEntries
+		sm, ok := last[b.Name()]
+		if !ok {
+			t.Fatalf("no series for %s", b.Name())
+		}
+		if got := (core.Churn{Displacements: sm.Displacements, DisplacedEntries: sm.DisplacedEntries, PageCompletes: sm.PageCompletes}); got != c {
+			t.Errorf("%s: last sample churn %+v, buffer %+v", b.Name(), got, c)
+		}
+		if mix := sm.Hits + sm.IndexingScans + sm.FullScans + sm.Followers; mix != queries[b.Name()] {
+			t.Errorf("%s: last sample mix sums to %d, tracer counted %d queries", b.Name(), mix, queries[b.Name()])
+		}
+	}
+	if want := e.Space().Stats().EntriesDropped; displaced != want {
+		t.Errorf("buffers' displaced entries sum to %d, Space dropped %d", displaced, want)
+	}
+	checkOrdinals(t, sinkSamples(t, out.Bytes()))
 }

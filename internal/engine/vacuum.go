@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/buffer"
+	"repro/internal/catalog"
 	"repro/internal/heap"
 	"repro/internal/storage"
 )
@@ -32,19 +33,9 @@ func writeVacuumMarker(dataDir, table string, pages int) error {
 		return fmt.Errorf("engine: vacuum marker: %w", err)
 	}
 	path := vacuumMarkerPath(dataDir, table)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("engine: vacuum marker: %w", err)
-	}
-	_, err = f.Write(data)
+	err = catalog.WriteFileSync(path, data)
 	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = syncDirPath(dataDir)
+		err = catalog.SyncDir(dataDir)
 	}
 	if err != nil {
 		os.Remove(path)
@@ -77,25 +68,8 @@ func removeVacuumMarker(dataDir, table string) {
 		return
 	}
 	if err := os.Remove(vacuumMarkerPath(dataDir, table)); err == nil {
-		_ = syncDirPath(dataDir)
+		_ = catalog.SyncDir(dataDir)
 	}
-}
-
-// syncDirPath fsyncs a directory so renames and removals inside it are
-// durable.
-func syncDirPath(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("engine: open dir for sync: %w", err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("engine: sync dir: %w", err)
-	}
-	return nil
 }
 
 // Vacuum rewrites the table's heap densely — live tuples packed into
@@ -239,7 +213,7 @@ func (t *Table) vacuum() (pagesBefore, pagesAfter int, err error) {
 		if c, ok := old.(interface{ Close() error }); ok {
 			_ = c.Close()
 		}
-		if err := syncDirPath(t.engine.cfg.DataDir); err != nil {
+		if err := catalog.SyncDir(t.engine.cfg.DataDir); err != nil {
 			return pagesBefore, newHeap.NumPages(), fmt.Errorf("engine: vacuum swap of %s: %w", t.name, err)
 		}
 	}

@@ -2,42 +2,50 @@
 // Buffer's adaptation: per-(table, column) ring-buffered time-series of
 // coverage fraction, C[p] counter distribution, occupancy bytes,
 // displacement/page-complete churn, and the per-mechanism query mix,
-// sampled on query boundaries and re-sampled after adaptive events. The
-// paper's headline claims are convergence curves (Figs. 5–6 plot
-// coverage and scan cost over query count); this package makes those
-// curves a live observable instead of an offline aibench artifact, and
-// derives a convergence verdict ("queries to 95% coverage", regression
-// flags) from them.
+// sampled on query boundaries. The paper's headline claims are
+// convergence curves (Figs. 5–6 plot coverage and scan cost over query
+// count); this package makes those curves a live observable instead of
+// an offline aibench artifact, and derives a convergence verdict
+// ("queries to 95% coverage", regression flags) from them.
 //
-// Concurrency: the Recorder's mutex is a strict leaf — no method
-// acquires any other lock while holding it, and buffer state is
-// snapshotted *before* the mutex is taken. NoteEvent only bumps
-// counters and marks the buffer dirty; the actual coverage sample of a
-// dirtied buffer is taken later, on the next query boundary, outside
-// all core locks.
+// The recorder only samples; it counts nothing of its own. A sample's
+// churn is the buffer's own counters (core.IndexBuffer.Churn) and its
+// query mix the tracer's per-column handle (trace.Column.Mix), so every
+// fact is counted once, where it happens. Each query boundary samples
+// the queried buffer, then re-samples, in name order, every other
+// buffer whose churn moved since its last sample or that was Reset
+// since.
+//
+// Concurrency: one mutex, taken once per query boundary and per Reset,
+// orders each series' samples and their delivery to the sink. Lock
+// order: Recorder.mu → Space.mu (resolving a reset buffer's successor)
+// → IndexBuffer.mu (reading a sample), and Recorder.mu → Sink.mu. No
+// core lock ever calls into the recorder.
 //
 // Disabled (the default), every entry point is a single atomic load
 // with no allocation, so the recorder can stay attached to a production
-// engine at ~zero cost — the same contract the trace package's span
-// gate established.
+// engine at ~zero cost.
 package timeline
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/flight"
+	"repro/internal/trace"
 )
 
 // Sample event triggers.
 const (
 	// EventQuery: taken on a query boundary for the queried column.
 	EventQuery = "query"
-	// EventResample: taken after an adaptive event (displacement,
-	// page-complete) changed a buffer another query was not touching.
+	// EventResample: taken at another column's query boundary, for a
+	// buffer whose churn moved since its last sample (a displacement
+	// victim) or that was reset since.
 	EventResample = "resample"
 )
 
@@ -72,12 +80,14 @@ type Sample struct {
 	CP95 int `json:"c_p95"`
 	CMax int `json:"c_max"`
 
-	// Cumulative churn counters for this buffer.
+	// Cumulative churn of the buffers under this name: their own
+	// counters (core.Churn), summed across resets.
 	Displacements    uint64 `json:"displacements"`
 	DisplacedEntries uint64 `json:"displaced_entries"`
 	PageCompletes    uint64 `json:"page_completes"`
 
-	// Cumulative per-mechanism query mix for this (table, column).
+	// Cumulative per-mechanism query mix for this (table, column), read
+	// from the tracer's per-column handle.
 	Hits          uint64 `json:"hits"`
 	IndexingScans uint64 `json:"indexing_scans"`
 	FullScans     uint64 `json:"full_scans"`
@@ -90,8 +100,8 @@ type Series struct {
 	// Buffer is the Index Buffer name, "table.column".
 	Buffer string `json:"buffer"`
 	// Table and Column are filled on the first query observation; a
-	// series created by an adaptive event alone has them empty until a
-	// query touches the column.
+	// series created by a Reset alone has them empty until a query
+	// touches the column.
 	Table  string `json:"table,omitempty"`
 	Column string `json:"column,omitempty"`
 	// Samples are oldest-first. Dropped counts samples evicted from the
@@ -139,22 +149,32 @@ type series struct {
 	buffer        string
 	table, column string
 
+	// mix is the tracer's handle for the column, whose per-mechanism
+	// counts are the samples' query mix; nil until a query boundary.
+	mix *trace.Column
+	// buf is the buffer re-samples read, nil when none is known.
+	buf *core.IndexBuffer
+	// base is the churn of the buffers Reset retired under this name,
+	// so the series' counts stay cumulative across a swap; retired is
+	// the latest of them, whose counters base already holds.
+	base    core.Churn
+	retired *core.IndexBuffer
+	// churn is what the latest sample carried; reset asks the next
+	// boundary for a re-sample.
+	churn core.Churn
+	reset bool
+
 	ring    []Sample
 	next    int
 	filled  int
 	dropped uint64
 
 	queries uint64
-	mix     queryMix
-
-	displacements    uint64
-	displacedEntries uint64
-	pageCompletes    uint64
 
 	// convergence state, updated incrementally at every append so the
-	// verdict survives ring eviction. A buffer-reset event clears the
-	// episode fields (achieved through regressedAt) — the buffer was
-	// recreated from scratch, so the old verdict no longer describes it.
+	// verdict survives ring eviction. Reset clears the episode fields
+	// (achieved through regressedAt) — the buffer was recreated from
+	// scratch, so the old verdict no longer describes it.
 	achieved        bool
 	queriesToTarget uint64
 	coverage        float64
@@ -164,33 +184,18 @@ type series struct {
 	resets          uint64
 }
 
-// queryMix is a series' cumulative per-mechanism query counts.
-type queryMix struct {
-	hits, indexingScans, fullScans, followers uint64
-}
-
-// count advances the counter for mech (the flight.Mechanism vocabulary).
-// A quota-degraded pass counts with the full scans: it adapts nothing
-// (the tenant's degraded counter tracks it separately). An empty range
-// touches nothing and counts nowhere.
-func (m *queryMix) count(mech string) {
-	switch mech {
-	case "hit":
-		m.hits++
-	case "indexing-scan":
-		m.indexingScans++
-	case "full-scan", "degraded-scan":
-		m.fullScans++
-	case "shared-follower":
-		m.followers++
+// churnOf returns the series' cumulative churn with b as its current
+// buffer. A stale read of the retired buffer (a lock-free hit that
+// resolved it before the swap) adds nothing: base holds its counters.
+func (s *series) churnOf(b *core.IndexBuffer) core.Churn {
+	c := s.base
+	if b != nil && b != s.retired {
+		bc := b.Churn()
+		c.Displacements += bc.Displacements
+		c.DisplacedEntries += bc.DisplacedEntries
+		c.PageCompletes += bc.PageCompletes
 	}
-}
-
-// snapshot is a buffer-state reading taken outside the recorder lock.
-type snapshot struct {
-	counters core.CounterStats
-	entries  int
-	bytes    int
+	return c
 }
 
 // Defaults.
@@ -214,8 +219,7 @@ type Recorder struct {
 	sink atomic.Pointer[Sink]
 
 	mu     sync.Mutex
-	series map[string]*series
-	dirty  map[string]struct{}
+	series []*series // sorted by buffer name
 }
 
 // New creates a recorder keeping capacity samples per series (<= 0
@@ -228,12 +232,7 @@ func New(capacity int, target float64) *Recorder {
 	if target <= 0 || target > 1 {
 		target = DefaultTarget
 	}
-	return &Recorder{
-		capacity: capacity,
-		target:   target,
-		series:   make(map[string]*series),
-		dirty:    make(map[string]struct{}),
-	}
+	return &Recorder{capacity: capacity, target: target}
 }
 
 // Enable turns sampling on or off. Off (the default) makes every entry
@@ -254,135 +253,62 @@ func (r *Recorder) SampleCount() uint64 { return r.samples.Load() }
 
 // SetSink attaches a telemetry sink: every sample appended from now on
 // is also streamed to it as one JSONL record. nil detaches.
-func (r *Recorder) SetSink(s *Sink) {
-	if s == nil {
-		r.sink.Store(nil)
-		return
-	}
-	r.sink.Store(s)
-}
+func (r *Recorder) SetSink(s *Sink) { r.sink.Store(s) }
 
-// ObserveQuery records a query boundary for (table, column) answered by
-// mechanism mech (the flight.Mechanism vocabulary): the mechanism mix
-// always advances, and when buf is non-nil its coverage, counter
-// distribution and occupancy are sampled. It then re-samples
-// any buffers dirtied by adaptive events since the last boundary, using
-// resolve to map buffer names to buffers (resolve may be nil to skip).
-// No recorder lock is held while buffer state is read.
-func (r *Recorder) ObserveQuery(table, column, mech string, buf *core.IndexBuffer, resolve func(string) *core.IndexBuffer) {
+// ObserveQuery records a query boundary for (table, column): it samples
+// buf, the column's buffer (nil samples an empty buffer), with the query
+// mix counted in the column's tracer handle mix. It then re-samples, in
+// name order, every other buffer whose churn moved since its last
+// sample or that was Reset since; a reset buffer's successor is looked
+// up by name in space (nil skips them).
+func (r *Recorder) ObserveQuery(table, column string, mix *trace.Column, buf *core.IndexBuffer, space *core.Space) {
 	if !r.enabled.Load() {
 		return
 	}
-	key := bufferKey(table, column)
-	snap := takeSnapshot(buf)
-	now := time.Now().UnixMicro()
-
 	r.mu.Lock()
-	s := r.seriesLocked(key)
-	if s.table == "" {
-		s.table, s.column = table, column
+	defer r.mu.Unlock()
+	s := r.seriesLocked(bufferKey(table, column))
+	s.table, s.column, s.mix = table, column, mix
+	if buf != s.retired {
+		s.buf = buf
 	}
+	s.reset = false // this boundary samples the queried buffer itself
 	s.queries++
-	s.mix.count(mech)
-	delete(r.dirty, key) // this boundary samples the queried buffer itself
-	sample := r.appendLocked(s, EventQuery, now, snap)
-	rec := SampleRecord{Type: RecordSample, Buffer: s.buffer, Table: s.table, Column: s.column, Sample: sample}
-	dirty := r.takeDirtyLocked()
-	r.mu.Unlock()
-
-	if sink := r.sink.Load(); sink != nil {
-		sink.WriteSample(rec)
-	}
-	if resolve != nil {
-		for _, name := range dirty {
-			r.Resample(name, resolve(name))
+	r.appendLocked(s, EventQuery, buf)
+	for _, o := range r.series {
+		if o == s {
+			continue
 		}
+		if o.reset && space != nil {
+			o.buf = space.Buffer(o.buffer)
+		}
+		if o.buf != nil && (o.reset || o.churnOf(o.buf) != o.churn) {
+			r.appendLocked(o, EventResample, o.buf)
+		}
+		o.reset = false
 	}
 }
 
-// Resample takes an EventResample sample of one buffer — used after
-// adaptive events dirtied a buffer no query boundary would otherwise
-// visit (e.g. a displacement victim on another table). A nil buf is
-// ignored (the buffer was dropped between dirtying and resampling).
-func (r *Recorder) Resample(name string, buf *core.IndexBuffer) {
-	if buf == nil || !r.enabled.Load() {
-		return
-	}
-	snap := takeSnapshot(buf)
-	now := time.Now().UnixMicro()
-
-	r.mu.Lock()
-	s := r.seriesLocked(name)
-	sample := r.appendLocked(s, EventResample, now, snap)
-	rec := SampleRecord{Type: RecordSample, Buffer: s.buffer, Table: s.table, Column: s.column, Sample: sample}
-	r.mu.Unlock()
-
-	if sink := r.sink.Load(); sink != nil {
-		sink.WriteSample(rec)
-	}
-}
-
-// NoteEvent ingests one adaptive event (the flight span vocabulary:
-// kind/target/page/n). It only touches recorder-internal state: it bumps
-// churn counters, resets the convergence episode on buffer-reset and
-// marks the target buffer dirty for the next query boundary.
-func (r *Recorder) NoteEvent(kind, target string, page, n int) {
+// Reset records that old, one partial index's buffer, was discarded
+// wholesale (the index dropped or redefined). Its churn stays in the
+// series' cumulative counts, its successor under the same name (if any)
+// is re-sampled at the next query boundary, and the series starts a
+// fresh convergence episode: the verdict would otherwise report the
+// pre-shift convergence (merely "regressed") for a buffer that no
+// longer exists.
+func (r *Recorder) Reset(old *core.IndexBuffer) {
 	if !r.enabled.Load() {
 		return
 	}
-	_ = page
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := r.seriesLocked(target)
-	switch kind {
-	case flight.SpanDisplace:
-		s.displacements++
-		s.displacedEntries += uint64(n)
-		r.dirty[target] = struct{}{}
-	case flight.SpanPageComplete:
-		s.pageCompletes++
-		r.dirty[target] = struct{}{}
-	case flight.SpanBufferReset:
-		// The buffer was dropped wholesale (partial index dropped or
-		// redefined); any successor under the same name is a new
-		// adaptation episode. Clearing the episode state here fixes the
-		// detector's stale-converged false positive under shifting
-		// workloads: the verdict would otherwise report the pre-shift
-		// convergence (merely "regressed") for a buffer that no longer
-		// exists.
-		s.resets++
-		s.achieved = false
-		s.queriesToTarget = 0
-		s.maxCoverage = 0
-		s.regressed = false
-		s.regressedAt = 0
-		r.dirty[target] = struct{}{}
+	s := r.seriesLocked(old.Name())
+	if old != s.retired {
+		s.base, s.retired = s.churnOf(old), old
 	}
-}
-
-// TakeDirty returns and clears the set of buffer names dirtied by
-// adaptive events since the last call. The caller resolves each name to
-// its buffer (outside core's locks) and calls Resample.
-func (r *Recorder) TakeDirty() []string {
-	if !r.enabled.Load() {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.takeDirtyLocked()
-}
-
-func (r *Recorder) takeDirtyLocked() []string {
-	if len(r.dirty) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(r.dirty))
-	for k := range r.dirty {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	r.dirty = make(map[string]struct{})
-	return out
+	s.buf, s.reset = nil, true
+	s.resets++
+	s.achieved, s.queriesToTarget, s.maxCoverage, s.regressed, s.regressedAt = false, 0, 0, false, 0
 }
 
 // Series returns a snapshot of every series, sorted by buffer name,
@@ -394,32 +320,7 @@ func (r *Recorder) Series() []Series {
 	for _, s := range r.series {
 		out = append(out, s.export())
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Buffer < out[j].Buffer })
 	return out
-}
-
-// SeriesFor returns the series for one buffer name and whether it
-// exists.
-func (r *Recorder) SeriesFor(name string) (Series, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.series[name]
-	if !ok {
-		return Series{}, false
-	}
-	return s.export(), true
-}
-
-// DisplacedEntries returns the entries displaced from buffer name since
-// its series began (0 for a buffer never seen): the cumulative counter
-// every sample carries, read without copying the series.
-func (r *Recorder) DisplacedEntries(name string) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s := r.series[name]; s != nil {
-		return s.displacedEntries
-	}
-	return 0
 }
 
 // Convergence returns the detector's verdict for every series, sorted
@@ -431,47 +332,50 @@ func (r *Recorder) Convergence() []Convergence {
 	for _, s := range r.series {
 		out = append(out, s.verdict(r.target))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Buffer < out[j].Buffer })
 	return out
 }
 
 // seriesLocked returns (creating on first touch) the series for key.
 func (r *Recorder) seriesLocked(key string) *series {
-	s := r.series[key]
-	if s == nil {
-		s = &series{buffer: key, ring: make([]Sample, r.capacity)}
-		r.series[key] = s
+	i, found := slices.BinarySearchFunc(r.series, key, func(s *series, k string) int { return strings.Compare(s.buffer, k) })
+	if !found {
+		r.series = slices.Insert(r.series, i, &series{buffer: key, ring: make([]Sample, r.capacity)})
 	}
-	return s
+	return r.series[i]
 }
 
-// appendLocked builds a sample from the snapshot, appends it to the
-// series ring, and advances the convergence state. Returns the sample.
-func (r *Recorder) appendLocked(s *series, event string, unixMicros int64, snap snapshot) Sample {
-	cov := 0.0
-	if snap.counters.Pages > 0 {
-		cov = float64(snap.counters.Skippable) / float64(snap.counters.Pages)
+// appendLocked samples buf (nil reads as an empty buffer) into the
+// series ring, advances the convergence state and streams the sample to
+// the sink, all under r.mu, so each series' samples reach the sink in
+// ordinal order.
+func (r *Recorder) appendLocked(s *series, event string, buf *core.IndexBuffer) {
+	var sample Sample
+	if buf != nil {
+		c := buf.CounterSummary()
+		sample = Sample{
+			TotalPages: c.Pages, Skippable: c.Skippable, Coverage: c.Coverage(),
+			Entries: buf.EntryCount(), Bytes: buf.EntryBytes(),
+			CMin: c.Min, CP50: c.P50, CP95: c.P95, CMax: c.Max,
+		}
 	}
-	sample := Sample{
-		Query:            s.queries,
-		Event:            event,
-		UnixMicros:       unixMicros,
-		TotalPages:       snap.counters.Pages,
-		Skippable:        snap.counters.Skippable,
-		Coverage:         cov,
-		Entries:          snap.entries,
-		Bytes:            snap.bytes,
-		CMin:             snap.counters.Min,
-		CP50:             snap.counters.P50,
-		CP95:             snap.counters.P95,
-		CMax:             snap.counters.Max,
-		Displacements:    s.displacements,
-		DisplacedEntries: s.displacedEntries,
-		PageCompletes:    s.pageCompletes,
-		Hits:             s.mix.hits,
-		IndexingScans:    s.mix.indexingScans,
-		FullScans:        s.mix.fullScans,
-		Followers:        s.mix.followers,
+	sample.Query, sample.Event, sample.UnixMicros = s.queries, event, time.Now().UnixMicro()
+	s.churn = s.churnOf(buf)
+	sample.Displacements, sample.DisplacedEntries, sample.PageCompletes = s.churn.Displacements, s.churn.DisplacedEntries, s.churn.PageCompletes
+	if s.mix != nil {
+		// A quota-degraded pass counts with the full scans: it adapts
+		// nothing. An empty range touches nothing and counts nowhere.
+		for i, n := range s.mix.Mix() {
+			switch flight.Mechanisms[i] {
+			case "hit":
+				sample.Hits = n
+			case "indexing-scan":
+				sample.IndexingScans = n
+			case "full-scan", "degraded-scan":
+				sample.FullScans += n
+			case "shared-follower":
+				sample.Followers = n
+			}
+		}
 	}
 	s.ring[s.next] = sample
 	s.next = (s.next + 1) % len(s.ring)
@@ -481,11 +385,13 @@ func (r *Recorder) appendLocked(s *series, event string, unixMicros int64, snap 
 		s.dropped++
 	}
 	r.samples.Add(1)
+	if sink := r.sink.Load(); sink != nil {
+		sink.WriteSample(SampleRecord{Buffer: s.buffer, Table: s.table, Column: s.column, Sample: sample})
+	}
 
-	// Convergence advances only on samples that actually measured a
-	// buffer; a nil-buffer query-mix sample (TotalPages == 0 with no
-	// buffer) still measures zero coverage honestly, which is correct:
-	// no buffer means nothing is skippable.
+	// Convergence advances on every sample; a nil-buffer sample measures
+	// zero coverage honestly: no buffer means nothing is skippable.
+	cov := sample.Coverage
 	s.coverage = cov
 	if cov > s.maxCoverage {
 		s.maxCoverage = cov
@@ -504,7 +410,6 @@ func (r *Recorder) appendLocked(s *series, event string, unixMicros int64, snap 
 			s.regressed = false
 		}
 	}
-	return sample
 }
 
 // export copies the retained samples oldest-first.
@@ -536,19 +441,6 @@ func (s *series) verdict(target float64) Convergence {
 		RegressedAt:     s.regressedAt,
 		Resets:          s.resets,
 		Queries:         s.queries,
-	}
-}
-
-// takeSnapshot reads buffer state through its own accessors — never
-// with the recorder lock held.
-func takeSnapshot(buf *core.IndexBuffer) snapshot {
-	if buf == nil {
-		return snapshot{}
-	}
-	return snapshot{
-		counters: buf.CounterSummary(),
-		entries:  buf.EntryCount(),
-		bytes:    buf.EntryBytes(),
 	}
 }
 

@@ -7,19 +7,49 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/flight"
+	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
-// mkBuf builds a real IndexBuffer whose coverage is determined by the
-// uncovered-counter array: pages with counter 0 are skippable.
-func mkBuf(t *testing.T, name string, uncovered []int) *core.IndexBuffer {
+// mkBufIn registers a buffer with sp.
+func mkBufIn(t *testing.T, sp *core.Space, name string, uncovered []int) *core.IndexBuffer {
 	t.Helper()
-	s := core.NewSpace(core.Config{})
-	b, err := s.CreateBuffer(name, uncovered)
+	b, err := sp.CreateBuffer(name, uncovered)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// mkBuf builds a real IndexBuffer, alone in its own Space, whose
+// coverage is determined by the uncovered-counter array: pages with
+// counter 0 are skippable.
+func mkBuf(t *testing.T, name string, uncovered []int) *core.IndexBuffer {
+	t.Helper()
+	return mkBufIn(t, core.NewSpace(core.Config{}), name, uncovered)
+}
+
+// column returns a tracer handle for t.a that recorded one query per
+// mechanism label.
+func column(mechs ...string) *trace.Column {
+	tr := trace.New()
+	c := tr.Column("t", "a")
+	for _, m := range mechs {
+		tr.Record(c, m, exec.QueryStats{})
+	}
+	return c
+}
+
+// only returns the recorder's one series.
+func only(t *testing.T, r *Recorder) Series {
+	t.Helper()
+	all := r.Series()
+	if len(all) != 1 {
+		t.Fatalf("series = %+v, want exactly one", all)
+	}
+	return all[0]
 }
 
 func TestTimelineDisabledIsInert(t *testing.T) {
@@ -29,14 +59,13 @@ func TestTimelineDisabledIsInert(t *testing.T) {
 	}
 	buf := mkBuf(t, "t.a", []int{0, 0})
 	allocs := testing.AllocsPerRun(100, func() {
-		r.ObserveQuery("t", "a", "hit", buf, nil)
-		r.NoteEvent("displace", "t.a", 0, 3)
-		r.Resample("t.a", buf)
+		r.ObserveQuery("t", "a", nil, buf, nil)
+		r.Reset(buf)
 	})
 	if allocs != 0 {
 		t.Errorf("disabled path allocates: %v allocs/op", allocs)
 	}
-	if r.SampleCount() != 0 || len(r.Series()) != 0 || r.TakeDirty() != nil {
+	if r.SampleCount() != 0 || len(r.Series()) != 0 {
 		t.Error("disabled recorder retained state")
 	}
 }
@@ -46,12 +75,9 @@ func TestTimelineRingEvictionAndDropped(t *testing.T) {
 	r.Enable(true)
 	buf := mkBuf(t, "t.a", []int{0, 1})
 	for i := 0; i < 10; i++ {
-		r.ObserveQuery("t", "a", "indexing-scan", buf, nil)
+		r.ObserveQuery("t", "a", nil, buf, nil)
 	}
-	s, ok := r.SeriesFor("t.a")
-	if !ok {
-		t.Fatal("series missing")
-	}
+	s := only(t, r)
 	if len(s.Samples) != 4 {
 		t.Fatalf("retained %d samples, want 4", len(s.Samples))
 	}
@@ -76,9 +102,8 @@ func TestTimelineSampleFields(t *testing.T) {
 	r.Enable(true)
 	// Counters {0, 2, 5, 0}: 2 of 4 skippable, non-zero distribution {2, 5}.
 	buf := mkBuf(t, "t.a", []int{0, 2, 5, 0})
-	r.ObserveQuery("t", "a", "hit", buf, nil)
-	s, _ := r.SeriesFor("t.a")
-	sm := s.Samples[0]
+	r.ObserveQuery("t", "a", column("hit"), buf, nil)
+	sm := only(t, r).Samples[0]
 	if sm.Event != EventQuery || sm.Query != 1 {
 		t.Errorf("event/ordinal = %q/%d", sm.Event, sm.Query)
 	}
@@ -99,9 +124,8 @@ func TestTimelineSampleFields(t *testing.T) {
 func TestTimelineNilBufferQueryMixOnly(t *testing.T) {
 	r := New(8, 0.95)
 	r.Enable(true)
-	r.ObserveQuery("t", "a", "full-scan", nil, nil)
-	s, _ := r.SeriesFor("t.a")
-	sm := s.Samples[0]
+	r.ObserveQuery("t", "a", column("full-scan"), nil, nil)
+	sm := only(t, r).Samples[0]
 	if sm.TotalPages != 0 || sm.Coverage != 0 {
 		t.Errorf("nil buffer sampled as %d pages, coverage %g", sm.TotalPages, sm.Coverage)
 	}
@@ -110,18 +134,22 @@ func TestTimelineNilBufferQueryMixOnly(t *testing.T) {
 	}
 }
 
-// TestTimelineQueryMix pins the mechanism vocabulary the timeline counts:
-// a quota-degraded scan adapts nothing, so it counts with the full
-// scans; an unknown label advances the query ordinal but no mix counter.
+// TestTimelineQueryMix pins the mechanism vocabulary the timeline reads
+// from the tracer's handle: a quota-degraded scan adapts nothing, so it
+// counts with the full scans; an empty range or an unknown label
+// advances the query ordinal but no mix counter.
 func TestTimelineQueryMix(t *testing.T) {
 	r := New(8, 0.95)
 	r.Enable(true)
-	for _, mech := range []string{"hit", "indexing-scan", "full-scan", "degraded-scan", "shared-follower", "bogus"} {
-		r.ObserveQuery("t", "a", mech, nil, nil)
+	tr := trace.New()
+	c := tr.Column("t", "a")
+	for _, mech := range []string{"hit", "indexing-scan", "full-scan", "degraded-scan", "shared-follower", "empty-range", "bogus"} {
+		tr.Record(c, mech, exec.QueryStats{})
+		r.ObserveQuery("t", "a", c, nil, nil)
 	}
-	s, _ := r.SeriesFor("t.a")
+	s := only(t, r)
 	sm := s.Samples[len(s.Samples)-1]
-	if sm.Query != 6 || sm.Hits != 1 || sm.IndexingScans != 1 || sm.FullScans != 2 || sm.Followers != 1 {
+	if sm.Query != 7 || sm.Hits != 1 || sm.IndexingScans != 1 || sm.FullScans != 2 || sm.Followers != 1 {
 		t.Errorf("query mix = %+v", sm)
 	}
 }
@@ -132,7 +160,7 @@ func TestConvergenceAchieveRegressRecover(t *testing.T) {
 	low := mkBuf(t, "t.a", []int{1, 1, 1, 0})  // coverage 0.25
 	high := mkBuf(t, "t.b", []int{0, 0, 0, 1}) // coverage 0.75
 
-	r.ObserveQuery("t", "a", "indexing-scan", low, nil)
+	r.ObserveQuery("t", "a", nil, low, nil)
 	c := r.Convergence()[0]
 	if c.Achieved || c.Regressed {
 		t.Fatalf("premature verdict: %+v", c)
@@ -141,14 +169,14 @@ func TestConvergenceAchieveRegressRecover(t *testing.T) {
 		t.Errorf("coverage tracking = %g/%g", c.Coverage, c.MaxCoverage)
 	}
 
-	r.ObserveQuery("t", "a", "indexing-scan", high, nil)
+	r.ObserveQuery("t", "a", nil, high, nil)
 	c = r.Convergence()[0]
 	if !c.Achieved || c.QueriesToTarget != 2 {
 		t.Fatalf("achieve not detected: %+v", c)
 	}
 
 	// Coverage drops below target after achieving: regression.
-	r.ObserveQuery("t", "a", "indexing-scan", low, nil)
+	r.ObserveQuery("t", "a", nil, low, nil)
 	c = r.Convergence()[0]
 	if !c.Regressed || c.RegressedAt != 3 {
 		t.Fatalf("regression not flagged: %+v", c)
@@ -158,7 +186,7 @@ func TestConvergenceAchieveRegressRecover(t *testing.T) {
 	}
 
 	// Recovery clears the flag but keeps the first-crossing ordinal.
-	r.ObserveQuery("t", "a", "indexing-scan", high, nil)
+	r.ObserveQuery("t", "a", nil, high, nil)
 	c = r.Convergence()[0]
 	if c.Regressed {
 		t.Errorf("regression flag not cleared on recovery: %+v", c)
@@ -172,23 +200,30 @@ func TestConvergenceAchieveRegressRecover(t *testing.T) {
 }
 
 // TestConvergenceBufferResetStartsNewEpisode pins the episode
-// semantics: a buffer-reset event (partial index dropped or redefined)
-// clears the stale "converged" verdict — the detector would otherwise
-// report the old buffer's achievement for its fresh replacement,
-// flagging the rebuild as a mere regression.
+// semantics: a Reset (partial index dropped or redefined) clears the
+// stale "converged" verdict — the detector would otherwise report the
+// old buffer's achievement for its fresh replacement, flagging the
+// rebuild as a mere regression — while the series' churn stays
+// cumulative across the swap and the successor is re-sampled at the
+// next boundary of another column.
 func TestConvergenceBufferResetStartsNewEpisode(t *testing.T) {
 	r := New(16, 0.75)
 	r.Enable(true)
-	high := mkBuf(t, "t.a", []int{0, 0, 0, 1}) // coverage 0.75
-	low := mkBuf(t, "t.a", []int{1, 1, 1, 0})  // coverage 0.25
+	high := mkBuf(t, "t.a", []int{0, 0, 0, 1}) // coverage 1 once page 3 completes
+	sp := core.NewSpace(core.Config{})
+	low := mkBufIn(t, sp, "t.a", []int{1, 1, 1, 0}) // coverage 0.25: high's successor
+	other := mkBufIn(t, sp, "t.b", []int{0})
+	if err := high.ApplyPage(3, nil); err != nil {
+		t.Fatal(err)
+	}
 
-	r.ObserveQuery("t", "a", "indexing-scan", high, nil)
+	r.ObserveQuery("t", "a", nil, high, nil)
 	if c := r.Convergence()[0]; !c.Achieved || c.QueriesToTarget != 1 {
 		t.Fatalf("setup verdict: %+v", c)
 	}
 
 	// The index is redefined: the buffer is dropped and recreated.
-	r.NoteEvent("buffer-reset", "t.a", -1, 3)
+	r.Reset(high)
 	c := r.Convergence()[0]
 	if c.Achieved || c.Regressed || c.QueriesToTarget != 0 {
 		t.Fatalf("stale verdict survived buffer reset: %+v", c)
@@ -199,17 +234,21 @@ func TestConvergenceBufferResetStartsNewEpisode(t *testing.T) {
 	if c.MaxCoverage != 0 {
 		t.Errorf("MaxCoverage = %g, want 0 after reset", c.MaxCoverage)
 	}
-	if d := r.TakeDirty(); len(d) != 1 || d[0] != "t.a" {
-		t.Errorf("buffer-reset did not dirty the series: %v", d)
+
+	// The next boundary, on another column, re-samples the successor.
+	r.ObserveQuery("t", "b", nil, other, sp)
+	a := r.Series()[0]
+	if sm := a.Samples[len(a.Samples)-1]; sm.Event != EventResample || sm.Coverage != 0.25 || sm.PageCompletes != 1 {
+		t.Fatalf("successor sample = %+v, want a resample at 0.25 keeping the retired page complete", sm)
 	}
 
 	// The fresh buffer starts low, then re-achieves: the second episode
 	// gets its own crossing ordinal, not the first's.
-	r.ObserveQuery("t", "a", "indexing-scan", low, nil)
+	r.ObserveQuery("t", "a", nil, low, nil)
 	if c := r.Convergence()[0]; c.Achieved || c.Regressed {
 		t.Fatalf("new episode inherited old verdict: %+v", c)
 	}
-	r.ObserveQuery("t", "a", "indexing-scan", high, nil)
+	r.ObserveQuery("t", "a", nil, high, nil) // a stale read of the retired buffer
 	c = r.Convergence()[0]
 	if !c.Achieved || c.QueriesToTarget != 3 {
 		t.Fatalf("re-achievement verdict: %+v", c)
@@ -217,52 +256,55 @@ func TestConvergenceBufferResetStartsNewEpisode(t *testing.T) {
 	if c.Resets != 1 || c.Queries != 3 {
 		t.Errorf("episode bookkeeping: %+v", c)
 	}
-}
-
-func TestNoteEventDirtyResample(t *testing.T) {
-	r := New(8, 0.95)
-	r.Enable(true)
-	victim := mkBuf(t, "u.b", []int{0, 3})
-	queried := mkBuf(t, "t.a", []int{0})
-
-	r.NoteEvent("displace", "u.b", 1, 5)
-	r.NoteEvent("page-complete", "u.b", 1, 0)
-	r.NoteEvent("scan-start", "u.b", 0, 0) // not a churn event: ignored
-
-	resolved := map[string]*core.IndexBuffer{"u.b": victim}
-	r.ObserveQuery("t", "a", "hit", queried, func(name string) *core.IndexBuffer {
-		return resolved[name]
-	})
-
-	s, ok := r.SeriesFor("u.b")
-	if !ok {
-		t.Fatal("victim series missing")
-	}
-	if len(s.Samples) != 1 || s.Samples[0].Event != EventResample {
-		t.Fatalf("victim samples = %+v", s.Samples)
-	}
-	sm := s.Samples[0]
-	if sm.Displacements != 1 || sm.DisplacedEntries != 5 || sm.PageCompletes != 1 {
-		t.Errorf("churn counters = %d/%d/%d", sm.Displacements, sm.DisplacedEntries, sm.PageCompletes)
-	}
-	// The queried buffer's own boundary sample cleared its dirty mark;
-	// nothing is left pending.
-	if d := r.TakeDirty(); d != nil {
-		t.Errorf("dirty set not drained: %v", d)
+	a = r.Series()[0]
+	if sm := a.Samples[len(a.Samples)-1]; sm.PageCompletes != 1 {
+		t.Errorf("stale read of the retired buffer counted its churn twice: %+v", sm)
 	}
 }
 
-func TestTakeDirtySortedAndCleared(t *testing.T) {
+// TestTimelineResampleFollowsBufferChurn checks that a query boundary
+// re-samples other buffers exactly when their own churn counters moved
+// since their last sample, in name order, after the queried buffer's
+// own sample.
+func TestTimelineResampleFollowsBufferChurn(t *testing.T) {
+	var out bytes.Buffer
 	r := New(8, 0.95)
 	r.Enable(true)
-	r.NoteEvent("displace", "z.z", 0, 1)
-	r.NoteEvent("displace", "a.a", 0, 1)
-	got := r.TakeDirty()
-	if len(got) != 2 || got[0] != "a.a" || got[1] != "z.z" {
-		t.Fatalf("TakeDirty = %v, want sorted [a.a z.z]", got)
+	r.SetSink(NewSink(&out))
+	sp := core.NewSpace(core.Config{})
+	queried := mkBufIn(t, sp, "t.a", []int{0})
+	victims := []*core.IndexBuffer{mkBufIn(t, sp, "z.b", []int{0, 3}), mkBufIn(t, sp, "u.b", []int{0, 3})}
+	for _, v := range victims {
+		table, column, _ := strings.Cut(v.Name(), ".")
+		r.ObserveQuery(table, column, nil, v, sp)
 	}
-	if again := r.TakeDirty(); again != nil {
-		t.Errorf("second TakeDirty = %v, want nil", again)
+	r.ObserveQuery("t", "a", nil, queried, sp) // nothing moved
+	if n := r.SampleCount(); n != 3 {
+		t.Fatalf("%d samples before any churn, want 3", n)
+	}
+
+	entries := []core.PageEntry{{Key: storage.Int64Value(7), RID: storage.RID{Page: 1, Slot: 0}}}
+	for _, v := range victims {
+		if err := v.ApplyPage(1, entries); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out.Reset()
+	r.ObserveQuery("t", "a", nil, queried, sp)
+	r.ObserveQuery("t", "a", nil, queried, sp) // churn unchanged since the resamples
+	var got []string
+	if _, err := ScanRecords(&out, func(rec SampleRecord) error {
+		got = append(got, rec.Buffer+" "+rec.Event)
+		if rec.Event == EventResample && (rec.Query != 1 || rec.PageCompletes != 1 || rec.Entries != 1) {
+			t.Errorf("resample = %+v", rec)
+		}
+		return nil
+	}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"t.a query", "u.b resample", "z.b resample", "t.a query"}
+	if strings.Join(got, ", ") != strings.Join(want, ", ") {
+		t.Errorf("stream = %v, want %v", got, want)
 	}
 }
 
@@ -274,8 +316,12 @@ func TestSinkRoundTrip(t *testing.T) {
 	r.SetSink(sink)
 
 	buf := mkBuf(t, "t.a", []int{0, 1})
-	r.ObserveQuery("t", "a", "indexing-scan", buf, nil)
-	r.ObserveQuery("t", "a", "hit", buf, nil)
+	tr := trace.New()
+	c := tr.Column("t", "a")
+	for _, mech := range []string{"indexing-scan", "hit"} {
+		tr.Record(c, mech, exec.QueryStats{})
+		r.ObserveQuery("t", "a", c, buf, nil)
+	}
 	sink.WriteSpan(flight.Span{Seq: 7, Kind: "displace", Target: "t.a", Page: 3, N: 2, Trace: "tr-1"})
 	sink.WriteFlight(flight.Record{Seq: 1, Trace: "tr-1", Mechanism: "hit", Spans: []flight.Span{{Kind: "page-select", Target: "t.a", Page: -1, N: 1}}})
 

@@ -8,6 +8,10 @@
 // kept here: they go to each statement's flight record and to the
 // telemetry sink, the one global span stream (see the engine's emit).
 //
+// Each per-column handle counts the column's queries once, per
+// mechanism; the adaptation timeline reads its query mix from the same
+// handle rather than keeping a count of its own.
+//
 // Every method is safe for concurrent use. Recording a query is atomic
 // adds on a per-column handle and a bucket histogram — no lock, no
 // allocation — so the tracer can stay attached to a production engine
@@ -72,14 +76,27 @@ func (a Aggregate) SkipShare() float64 {
 
 // Column is one (table, column) pair's aggregate counters: a handle
 // resolved once, by Tracer.Column, when the table is built, so Record
-// is atomic adds on counters the caller already holds.
+// is atomic adds on counters the caller already holds. Queries are
+// counted once, per mechanism; the aggregate's query and hit counts and
+// the timeline's query mix are all read from that one counter set.
 type Column struct {
-	queries       atomic.Uint64
-	hits          atomic.Uint64
+	mix           [len(flight.Mechanisms)]atomic.Uint64 // queries, indexed like flight.Mechanisms
 	pagesRead     atomic.Uint64
 	pagesSkipped  atomic.Uint64
 	wallMicros    atomic.Uint64
 	table, column string
+}
+
+// hitSlot is the index of "hit" in flight.Mechanisms.
+var hitSlot = slices.Index(flight.Mechanisms[:], "hit")
+
+// Mix returns the column's query counts per mechanism, indexed like
+// flight.Mechanisms.
+func (c *Column) Mix() (m [len(flight.Mechanisms)]uint64) {
+	for i := range c.mix {
+		m[i] = c.mix[i].Load()
+	}
+	return m
 }
 
 // Tracer records query outcomes. Safe for concurrent use; Record takes
@@ -108,26 +125,20 @@ func (t *Tracer) Column(table, column string) *Column {
 }
 
 // Record ingests one query outcome on column c answered by mechanism
-// mech (the flight.Mechanisms vocabulary; any other label counts toward
-// the aggregate only): it advances the column's aggregate and the
-// mechanism's latency histogram with atomic operations only. Queries
-// is bumped before Hits, and Aggregates loads them in the other order,
-// so no snapshot shows more hits than queries.
+// mech, which must be one of flight.Mechanisms (any other label is not
+// counted): it advances the column's counters and the mechanism's
+// latency histogram with atomic operations only.
 func (t *Tracer) Record(c *Column, mech string, stats exec.QueryStats) {
-	wall := uint64(stats.Duration.Microseconds())
-	c.queries.Add(1)
-	if stats.PartialHit {
-		c.hits.Add(1)
+	i := slices.Index(flight.Mechanisms[:], mech)
+	if i < 0 {
+		return
 	}
+	wall := uint64(stats.Duration.Microseconds())
+	c.mix[i].Add(1)
 	c.pagesRead.Add(uint64(stats.PagesRead))
 	c.pagesSkipped.Add(uint64(stats.PagesSkipped))
 	c.wallMicros.Add(wall)
-	for i, m := range flight.Mechanisms {
-		if m == mech {
-			t.lat[i].Observe(wall)
-			return
-		}
-	}
+	t.lat[i].Observe(wall)
 }
 
 // Aggregates returns the summaries of columns with at least one query,
@@ -138,9 +149,13 @@ func (t *Tracer) Aggregates() []Aggregate {
 	t.colMu.Unlock()
 	out := make([]Aggregate, 0, len(cols))
 	for _, c := range cols {
-		hits := c.hits.Load() // before queries: see Record
-		if q := c.queries.Load(); q > 0 {
-			out = append(out, Aggregate{Table: c.table, Column: c.column, Queries: q, Hits: hits,
+		mix := c.Mix()
+		var q uint64
+		for _, n := range mix {
+			q += n
+		}
+		if q > 0 {
+			out = append(out, Aggregate{Table: c.table, Column: c.column, Queries: q, Hits: mix[hitSlot],
 				PagesRead: c.pagesRead.Load(), PagesSkipped: c.pagesSkipped.Load(), WallMicros: c.wallMicros.Load()})
 		}
 	}
