@@ -1,9 +1,9 @@
 package buffer
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/storage"
 )
@@ -16,8 +16,17 @@ type Frame struct {
 	data  []byte
 	pins  int
 	dirty bool
-	lsn   uint64        // log record that last imaged the page; 0 = none
-	lru   *list.Element // position in the pool's eviction list when unpinned
+	lsn   uint64 // log record that last imaged the page; 0 = none
+
+	// checked records that the image passed the heap's structural check
+	// since it was loaded or allocated (each of which builds a new Frame)
+	// or last marked dirty. It is atomic because readers holding only a
+	// shared heap lock set it concurrently.
+	checked atomic.Bool
+
+	// prev and next link the frame into the pool's eviction list while
+	// it is unpinned, and are nil while it is pinned.
+	prev, next *Frame
 
 	// ready is non-nil while the frame's store read is in flight: the
 	// loading fetcher closes it once data is populated (or loadErr set),
@@ -37,8 +46,20 @@ func (f *Frame) ID() storage.PageID { return f.id }
 func (f *Frame) Data() []byte { return f.data }
 
 // MarkDirty records that the page image was modified and must reach the
-// store before the frame is recycled.
-func (f *Frame) MarkDirty() { f.dirty = true }
+// store before the frame is recycled. The modified image is no longer
+// checked.
+func (f *Frame) MarkDirty() {
+	f.dirty = true
+	f.checked.Store(false)
+}
+
+// Checked reports whether SetChecked was called since the image was
+// loaded, allocated or last marked dirty.
+func (f *Frame) Checked() bool { return f.checked.Load() }
+
+// SetChecked records that the current image passed the caller's
+// structural check, so readers of the unchanged image can skip it.
+func (f *Frame) SetChecked() { f.checked.Store(true) }
 
 // SetLSN notes the log record that now images the page. Write-back of
 // the frame first forces the log through that record (see
@@ -65,8 +86,11 @@ type Pool struct {
 	store    Store
 	capacity int
 	frames   map[storage.PageID]*Frame
-	evict    *list.List // unpinned frames, front = least recently used
-	stats    PoolStats
+	// lru is the sentinel of the circular eviction list of unpinned
+	// frames: lru.next is the least recently used, lru.prev the most.
+	// Linking a frame in or out allocates nothing.
+	lru   Frame
+	stats PoolStats
 
 	// writeAhead, when set, forces the log through a frame's LSN before
 	// the frame's image is written back: the write-ahead rule. It runs
@@ -80,12 +104,27 @@ func NewPool(store Store, capacity int) (*Pool, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("buffer: pool capacity %d, want >= 1", capacity)
 	}
-	return &Pool{
+	p := &Pool{
 		store:    store,
 		capacity: capacity,
 		frames:   make(map[storage.PageID]*Frame, capacity),
-		evict:    list.New(),
-	}, nil
+	}
+	p.lru.prev, p.lru.next = &p.lru, &p.lru
+	return p, nil
+}
+
+// pushBackLocked links f in as the most recently used unpinned frame.
+func (p *Pool) pushBackLocked(f *Frame) {
+	f.prev, f.next = p.lru.prev, &p.lru
+	f.prev.next = f
+	p.lru.prev = f
+}
+
+// unlinkLocked takes f out of the eviction list.
+func (p *Pool) unlinkLocked(f *Frame) {
+	f.prev.next = f.next
+	f.next.prev = f.prev
+	f.prev, f.next = nil, nil
 }
 
 // SetWriteAhead installs the write-ahead hook: before a dirty frame is
@@ -133,9 +172,8 @@ func (p *Pool) Fetch(id storage.PageID) (*Frame, error) {
 
 	if f, ok := p.frames[id]; ok {
 		p.stats.Hits++
-		if f.pins == 0 && f.lru != nil {
-			p.evict.Remove(f.lru)
-			f.lru = nil
+		if f.pins == 0 {
+			p.unlinkLocked(f)
 		}
 		f.pins++ // pin before waiting so the loading frame cannot be evicted
 		ready := f.ready
@@ -219,7 +257,7 @@ func (p *Pool) Unpin(f *Frame) {
 	}
 	f.pins--
 	if f.pins == 0 {
-		f.lru = p.evict.PushBack(f)
+		p.pushBackLocked(f)
 	}
 }
 
@@ -230,18 +268,16 @@ func (p *Pool) Unpin(f *Frame) {
 // the victim's writeback fails — the victim then stays resident at the
 // front of the LRU list, still evictable once the store recovers.
 func (p *Pool) evictOneLocked() ([]byte, error) {
-	el := p.evict.Front()
-	if el == nil {
+	f := p.lru.next
+	if f == &p.lru {
 		return nil, fmt.Errorf("buffer: pool exhausted: all %d frames pinned", p.capacity)
 	}
-	f := el.Value.(*Frame)
 	if f.dirty {
 		if err := p.writeBackLocked(f); err != nil {
 			return nil, fmt.Errorf("buffer: writeback of page %d: %w", f.id, err)
 		}
 	}
-	p.evict.Remove(el)
-	f.lru = nil
+	p.unlinkLocked(f)
 	delete(p.frames, f.id)
 	p.stats.Evictions++
 	data := f.data

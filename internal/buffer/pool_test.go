@@ -5,6 +5,7 @@ import (
 	"errors"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/storage"
@@ -386,4 +387,176 @@ func TestPoolRecycleAfterReadFault(t *testing.T) {
 	fs.SetReadsLeft(-1)
 	fetchExpect(t, p, 1, pageImage(1))
 	fetchExpect(t, p, 0, pageImage(0))
+}
+
+// TestPoolConcurrentHitsAndEvictions: goroutines fetch hot (mostly
+// resident) and cold pages through a pool smaller than the page set, so
+// hits, coalesced loads and evictions interleave. Every pinned frame
+// must hold its own page's bytes, and at the end no pin is left, the
+// pool is within capacity and its eviction list links exactly the
+// resident frames.
+func TestPoolConcurrentHitsAndEvictions(t *testing.T) {
+	const pages, workers, iters = 12, 4, 1000
+	d := NewSimDisk()
+	writeImages(t, d, pages)
+	p, err := NewPool(d, workers) // one pin per worker: a victim always exists
+	if err != nil {
+		t.Fatal(err)
+	}
+	images := make([][]byte, pages)
+	for i := range images {
+		images[i] = pageImage(i)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				id := (w + i) % 2 // hot pages 0 and 1
+				if i%3 == 0 {
+					id = 2 + (w*7+i)%(pages-2)
+				}
+				f, err := p.Fetch(storage.PageID(id))
+				if err != nil {
+					t.Errorf("fetch %d: %v", id, err)
+					return
+				}
+				if !bytes.Equal(f.Data(), images[id]) {
+					t.Errorf("pinned page %d does not hold its own image", id)
+				}
+				p.Unpin(f)
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	if r := p.Resident(); r > p.Capacity() {
+		t.Errorf("Resident() = %d > Capacity() = %d", r, p.Capacity())
+	}
+	if s := p.Stats(); s.Evictions == 0 || s.Hits == 0 {
+		t.Errorf("stats %+v: want both hits and evictions", s)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for id, f := range p.frames {
+		if f.pins != 0 {
+			t.Errorf("page %d left with %d pins", id, f.pins)
+		}
+	}
+	linked := 0
+	for f := p.lru.next; f != &p.lru; f = f.next {
+		if p.frames[f.id] != f {
+			t.Errorf("eviction list links page %d, which is not resident", f.id)
+		}
+		linked++
+	}
+	if linked != len(p.frames) {
+		t.Errorf("eviction list links %d frames, %d resident", linked, len(p.frames))
+	}
+}
+
+// TestFrameRevalidatedAfterLoadAllocateDirty: the checked mark is the
+// caller's to set; a loaded page, an allocated page and a page reloaded
+// after eviction all start unchecked, and MarkDirty clears it.
+func TestFrameRevalidatedAfterLoadAllocateDirty(t *testing.T) {
+	p, _ := newPoolT(t, 1, 2)
+	f, err := p.Fetch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Checked() {
+		t.Error("freshly loaded frame is checked")
+	}
+	f.SetChecked()
+	p.Unpin(f)
+	if f, _ = p.Fetch(0); !f.Checked() {
+		t.Error("a hit lost the checked mark")
+	}
+	f.MarkDirty()
+	if f.Checked() {
+		t.Error("MarkDirty left the frame checked")
+	}
+	f.SetChecked()
+	p.Unpin(f)
+
+	a, err := p.Allocate() // evicts page 0
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Checked() {
+		t.Error("allocated frame is checked")
+	}
+	p.Unpin(a)
+	if f, _ = p.Fetch(0); f.Checked() {
+		t.Error("page reloaded after eviction is checked")
+	}
+	p.Unpin(f)
+}
+
+// TestPoolResidentFetchAllocs pins a resident Fetch+Unpin at zero
+// allocations: relinking the frame into the eviction list allocates
+// nothing.
+func TestPoolResidentFetchAllocs(t *testing.T) {
+	p, _ := newPoolT(t, 4, 4)
+	for id := storage.PageID(0); id < 4; id++ {
+		fetchUnpin(t, p, id)
+	}
+	id := storage.PageID(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		f, err := p.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Unpin(f)
+		id = (id + 1) % 4
+	})
+	if allocs != 0 {
+		t.Errorf("resident Fetch+Unpin: %v allocs, want 0", allocs)
+	}
+}
+
+func fetchUnpin(tb testing.TB, p *Pool, id storage.PageID) {
+	tb.Helper()
+	f, err := p.Fetch(id)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p.Unpin(f)
+}
+
+// BenchmarkPoolFetchResident measures a resident Fetch+Unpin on a
+// 4,096-frame pool holding 1,024 pages, each goroutine striding through
+// the pages so most fetches touch a cold frame, as a covered hit's rows
+// do. Run with -cpu 1,2 to see Pool.mu under two cores.
+func BenchmarkPoolFetchResident(b *testing.B) {
+	const pages = 1024
+	d := NewSimDisk()
+	for i := 0; i < pages; i++ {
+		if _, err := d.Allocate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	p, err := NewPool(d, 4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for id := storage.PageID(0); id < pages; id++ {
+		fetchUnpin(b, p, id)
+	}
+	var seq atomic.Uint32
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		id := seq.Add(1) * 337
+		for pb.Next() {
+			id = (id + 97) % pages
+			f, err := p.Fetch(storage.PageID(id))
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			p.Unpin(f)
+		}
+	})
 }

@@ -217,7 +217,7 @@ func fetchRIDs(a Access, rids []storage.RID, stats *QueryStats, seen *pageSet) (
 		slices.SortFunc(rids, storage.RID.Compare)
 	}
 
-	var out []Match
+	out := make([]Match, 0, len(rids))
 	for k, rid := range rids {
 		if seen != nil {
 			seen.read(stats, rid.Page)

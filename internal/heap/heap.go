@@ -161,8 +161,8 @@ func (t *Table) Get(rid storage.RID) (storage.Tuple, error) {
 	if err != nil {
 		return storage.Tuple{}, err
 	}
-	if err := sp.Validate(); err != nil {
-		return storage.Tuple{}, fmt.Errorf("heap: page %d: %w", rid.Page, err)
+	if err := validateOnce(f, sp); err != nil {
+		return storage.Tuple{}, err
 	}
 	raw, err := sp.Tuple(int(rid.Slot))
 	if err != nil {
@@ -310,8 +310,8 @@ func (t *Table) ScanPage(p storage.PageID, col int, fn func(rid storage.RID, key
 }
 
 // scanPageLocked is the page loop under ScanPage and Scan: it pins and
-// validates page p and hands fn every live slot's bytes, which alias the
-// pinned page.
+// validates page p (validateOnce) and hands fn every live slot's bytes,
+// which alias the pinned page.
 func (t *Table) scanPageLocked(p storage.PageID, fn func(rid storage.RID, raw []byte) error) error {
 	if int(p) >= t.numPages {
 		return fmt.Errorf("heap: page %d out of range (table has %d pages)", p, t.numPages)
@@ -325,8 +325,8 @@ func (t *Table) scanPageLocked(p storage.PageID, fn func(rid storage.RID, raw []
 	if err != nil {
 		return err
 	}
-	if err := sp.Validate(); err != nil {
-		return fmt.Errorf("heap: page %d: %w", p, err)
+	if err := validateOnce(f, sp); err != nil {
+		return err
 	}
 	for s := 0; s < sp.NumSlots(); s++ {
 		if !sp.Live(s) {
@@ -340,6 +340,25 @@ func (t *Table) scanPageLocked(p storage.PageID, fn func(rid storage.RID, raw []
 			return err
 		}
 	}
+	return nil
+}
+
+// validateOnce runs sp.Validate on pinned frame f's image unless that
+// image already passed since the pool loaded or allocated it or it was
+// last marked dirty. A read fails exactly as if it validated every time:
+// an image changes only by a load, an Allocate (each builds a new
+// Frame) or a heap mutation, and every mutation runs under Table.mu held
+// exclusively and marks the frame dirty before the lock is released. A
+// failed SlottedPage.Insert leaves the page as it was: it compacts only
+// when compaction makes the room.
+func validateOnce(f *buffer.Frame, sp *SlottedPage) error {
+	if f.Checked() {
+		return nil
+	}
+	if err := sp.Validate(); err != nil {
+		return fmt.Errorf("heap: page %d: %w", f.ID(), err)
+	}
+	f.SetChecked()
 	return nil
 }
 

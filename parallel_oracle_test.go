@@ -211,11 +211,17 @@ func TestParallelSerialOracleProperty(t *testing.T) {
 // the aborted scan applied nothing to the Index Buffer (every C[p] still
 // reads its full uncovered count — no page assignment to roll back), and
 // every worker goroutine exits.
+//
+// The deadline must land mid-scan however late a loaded machine fires
+// it, so one page read alone outlasts the deadline fourfold and a
+// parallel pass over the ~28 pages on 8 workers lasts about 80 ms,
+// 16 times the deadline.
 func TestParallelScanCancellationNoLeaks(t *testing.T) {
 	const (
-		rows      = 1200
-		keyDomain = 100
-		covered   = 5
+		rows        = 1200
+		keyDomain   = 100
+		covered     = 5
+		readLatency = 20 * time.Millisecond
 	)
 	// The pool is far smaller than the table so the scan stays
 	// device-bound: with LRU and a sequential walk, essentially every
@@ -224,7 +230,7 @@ func TestParallelScanCancellationNoLeaks(t *testing.T) {
 		PoolPages:       12,
 		Seed:            3,
 		ScanParallelism: 8,
-	}, false, func(c *engine.Config) { c.ReadLatency = 2 * time.Millisecond })
+	}, false, func(c *engine.Config) { c.ReadLatency = readLatency })
 	defer db.Close()
 	tb, err := db.CreateTable("data", Int64Column("k"), StringColumn("pad"))
 	if err != nil {
@@ -239,7 +245,7 @@ func TestParallelScanCancellationNoLeaks(t *testing.T) {
 		t.Fatal(err)
 	}
 	pages := tb.NumPages()
-	serialFloor := time.Duration(pages) * 2 * time.Millisecond // what a serial scan would cost
+	serialFloor := time.Duration(pages) * readLatency // what a serial scan would cost
 
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
