@@ -18,10 +18,10 @@ type Frame struct {
 	dirty bool
 	lsn   uint64 // log record that last imaged the page; 0 = none
 
-	// checked records that the image passed the heap's structural check
-	// since it was loaded or allocated (each of which builds a new Frame)
-	// or last marked dirty. It is atomic because readers holding only a
-	// shared heap lock set it concurrently.
+	// checked is set by SetChecked and cleared by MarkDirty. A load or
+	// an Allocate builds a new Frame, so a new image starts unchecked.
+	// It is atomic because readers holding only a shared heap lock set
+	// it concurrently.
 	checked atomic.Bool
 
 	// prev and next link the frame into the pool's eviction list while
@@ -172,7 +172,7 @@ func (p *Pool) Fetch(id storage.PageID) (*Frame, error) {
 
 	if f, ok := p.frames[id]; ok {
 		p.stats.Hits++
-		if f.pins == 0 {
+		if f.pins == 0 { // every unpinned resident frame is linked
 			p.unlinkLocked(f)
 		}
 		f.pins++ // pin before waiting so the loading frame cannot be evicted

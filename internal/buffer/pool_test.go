@@ -461,16 +461,21 @@ func TestPoolConcurrentHitsAndEvictions(t *testing.T) {
 // after eviction all start unchecked, and MarkDirty clears it.
 func TestFrameRevalidatedAfterLoadAllocateDirty(t *testing.T) {
 	p, _ := newPoolT(t, 1, 2)
-	f, err := p.Fetch(0)
-	if err != nil {
-		t.Fatal(err)
+	fetch := func() *Frame {
+		t.Helper()
+		f, err := p.Fetch(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
 	}
+	f := fetch()
 	if f.Checked() {
 		t.Error("freshly loaded frame is checked")
 	}
 	f.SetChecked()
 	p.Unpin(f)
-	if f, _ = p.Fetch(0); !f.Checked() {
+	if f = fetch(); !f.Checked() {
 		t.Error("a hit lost the checked mark")
 	}
 	f.MarkDirty()
@@ -488,7 +493,7 @@ func TestFrameRevalidatedAfterLoadAllocateDirty(t *testing.T) {
 		t.Error("allocated frame is checked")
 	}
 	p.Unpin(a)
-	if f, _ = p.Fetch(0); f.Checked() {
+	if f = fetch(); f.Checked() {
 		t.Error("page reloaded after eviction is checked")
 	}
 	p.Unpin(f)

@@ -310,8 +310,8 @@ func (t *Table) ScanPage(p storage.PageID, col int, fn func(rid storage.RID, key
 }
 
 // scanPageLocked is the page loop under ScanPage and Scan: it pins and
-// validates page p (validateOnce) and hands fn every live slot's bytes,
-// which alias the pinned page.
+// validates page p and hands fn every live slot's bytes, which alias the
+// pinned page.
 func (t *Table) scanPageLocked(p storage.PageID, fn func(rid storage.RID, raw []byte) error) error {
 	if int(p) >= t.numPages {
 		return fmt.Errorf("heap: page %d out of range (table has %d pages)", p, t.numPages)

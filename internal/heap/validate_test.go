@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/buffer"
@@ -145,4 +146,38 @@ func BenchmarkHeapGet(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(rids))/16, "rows/page")
+}
+
+// TestConcurrentRevalidation: readers sharing the table lock validate
+// and mark frames concurrently while a pool smaller than the table keeps
+// loading fresh, unchecked images; every read returns its own row.
+func TestConcurrentRevalidation(t *testing.T) {
+	tb, _ := newTable(t, 4) // one pin per reader: a victim always exists
+	var rids []storage.RID
+	for i := 0; tb.NumPages() < 8; i++ {
+		rid, err := tb.Insert(row(int64(i), strings.Repeat("p", 300)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 2*len(rids); i++ {
+				k := (w*17 + i*5) % len(rids)
+				tu, err := tb.Get(rids[k])
+				if err != nil {
+					t.Errorf("Get(%v): %v", rids[k], err)
+					return
+				}
+				if tu.Value(0).Int64() != int64(k) {
+					t.Errorf("Get(%v) = row %d, want %d", rids[k], tu.Value(0).Int64(), k)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
