@@ -1,7 +1,9 @@
 package buffer
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -171,11 +173,7 @@ func (p *Pool) Fetch(id storage.PageID) (*Frame, error) {
 	p.mu.Lock()
 
 	if f, ok := p.frames[id]; ok {
-		p.stats.Hits++
-		if f.pins == 0 { // every unpinned resident frame is linked
-			p.unlinkLocked(f)
-		}
-		f.pins++ // pin before waiting so the loading frame cannot be evicted
+		p.pinLocked(f) // pin before waiting so the loading frame cannot be evicted
 		ready := f.ready
 		p.mu.Unlock()
 		if ready != nil {
@@ -218,6 +216,37 @@ func (p *Pool) Fetch(id storage.PageID) (*Frame, error) {
 	return f, nil
 }
 
+// pinLocked pins resident frame f, counting a hit.
+func (p *Pool) pinLocked(f *Frame) {
+	p.stats.Hits++
+	if f.pins == 0 { // every unpinned resident frame is linked
+		p.unlinkLocked(f)
+	}
+	f.pins++
+}
+
+// PinResident pins the pages ids[0], ids[1], ... in one latch section
+// for as long as each is resident and loaded, at most len(frames) of
+// them, stores their frames in frames, and returns how many it pinned.
+// Each pin is a hit, as if Fetch had been called for the page; a page
+// that is absent or still loading ends the run, so PinResident never
+// reads, evicts or waits. Release the pins with Unpin or UnpinRun.
+func (p *Pool) PinResident(ids []storage.PageID, frames []*Frame) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for n < len(ids) && n < len(frames) {
+		f, ok := p.frames[ids[n]]
+		if !ok || f.ready != nil {
+			break
+		}
+		p.pinLocked(f)
+		frames[n] = f
+		n++
+	}
+	return n
+}
+
 // Allocate creates a new zeroed page in the store and returns it pinned.
 func (p *Pool) Allocate() (*Frame, error) {
 	id, err := p.store.Allocate()
@@ -252,6 +281,20 @@ func (p *Pool) frameDataLocked() ([]byte, error) {
 func (p *Pool) Unpin(f *Frame) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.unpinLocked(f)
+}
+
+// UnpinRun releases one pin on each of frames, in order, in one latch
+// section: the same effect as an Unpin of each in turn.
+func (p *Pool) UnpinRun(frames []*Frame) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, f := range frames {
+		p.unpinLocked(f)
+	}
+}
+
+func (p *Pool) unpinLocked(f *Frame) {
 	if f.pins <= 0 {
 		panic(fmt.Sprintf("buffer: Unpin of page %d with %d pins", f.id, f.pins))
 	}
@@ -285,16 +328,23 @@ func (p *Pool) evictOneLocked() ([]byte, error) {
 	return data, nil
 }
 
-// FlushAll writes every dirty frame back to the store. Pinned frames are
-// flushed but stay resident.
+// FlushAll writes every dirty frame back to the store in page-id order,
+// so a checkpoint's writes reach the device sequentially and in the same
+// order on every run. It stops at the first failed write-back. Pinned
+// frames are flushed but stay resident.
 func (p *Pool) FlushAll() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	var dirty []*Frame
 	for _, f := range p.frames {
 		if f.dirty {
-			if err := p.writeBackLocked(f); err != nil {
-				return fmt.Errorf("buffer: flush of page %d: %w", f.id, err)
-			}
+			dirty = append(dirty, f)
+		}
+	}
+	slices.SortFunc(dirty, func(a, b *Frame) int { return cmp.Compare(a.id, b.id) })
+	for _, f := range dirty {
+		if err := p.writeBackLocked(f); err != nil {
+			return fmt.Errorf("buffer: flush of page %d: %w", f.id, err)
 		}
 	}
 	return nil

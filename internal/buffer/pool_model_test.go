@@ -67,6 +67,26 @@ type poolModel struct {
 	failRead, failWrite, failWAL bool
 }
 
+// writeBack forces the log through f's LSN and writes f to the store.
+func (m *poolModel) writeBack(f *modelFrame) error {
+	if f.lsn != 0 {
+		m.log = append(m.log, fmt.Sprintf("wal %d", f.lsn))
+		if m.failWAL {
+			m.failWAL = false
+			return errModelFault
+		}
+	}
+	if m.failWrite {
+		m.failWrite = false
+		return errModelFault
+	}
+	m.log = append(m.log, fmt.Sprintf("write %d v%d", f.id, f.ver))
+	m.store[f.id] = f.ver
+	m.stats.Flushes++
+	f.dirty = false
+	return nil
+}
+
 func (m *poolModel) evict() error {
 	el := m.lru.Front()
 	if el == nil {
@@ -74,21 +94,9 @@ func (m *poolModel) evict() error {
 	}
 	f := el.Value.(*modelFrame)
 	if f.dirty {
-		if f.lsn != 0 {
-			m.log = append(m.log, fmt.Sprintf("wal %d", f.lsn))
-			if m.failWAL {
-				m.failWAL = false
-				return errModelFault
-			}
+		if err := m.writeBack(f); err != nil {
+			return err
 		}
-		if m.failWrite {
-			m.failWrite = false
-			return errModelFault
-		}
-		m.log = append(m.log, fmt.Sprintf("write %d v%d", f.id, f.ver))
-		m.store[f.id] = f.ver
-		m.stats.Flushes++
-		f.dirty = false
 	}
 	m.lru.Remove(el)
 	delete(m.frames, f.id)
@@ -144,18 +152,34 @@ func (m *poolModel) unpin(f *modelFrame) {
 	}
 }
 
-func (m *poolModel) flushAll() {
-	for _, f := range m.frames {
-		if f.dirty {
-			if f.lsn != 0 {
-				m.log = append(m.log, fmt.Sprintf("wal %d", f.lsn))
+// flushAll writes the dirty frames back in page-id order and stops at
+// the first failure.
+func (m *poolModel) flushAll() error {
+	for id := range m.store {
+		if f, ok := m.frames[storage.PageID(id)]; ok && f.dirty {
+			if err := m.writeBack(f); err != nil {
+				return err
 			}
-			m.log = append(m.log, fmt.Sprintf("write %d v%d", f.id, f.ver))
-			m.store[f.id] = f.ver
-			m.stats.Flushes++
-			f.dirty = false
 		}
 	}
+	return nil
+}
+
+// pinResident is a run pin as a sequence of single fetches: it fetches
+// ids in order while each is resident, at most limit of them.
+func (m *poolModel) pinResident(ids []storage.PageID, limit int) []*modelFrame {
+	var run []*modelFrame
+	for _, id := range ids {
+		if len(run) == limit {
+			break
+		}
+		if _, ok := m.frames[id]; !ok {
+			break
+		}
+		f, _ := m.fetch(id)
+		run = append(run, f)
+	}
+	return run
 }
 
 // pin is one outstanding pin held by the test, on both sides.
@@ -165,13 +189,15 @@ type pin struct {
 }
 
 // TestPoolLRUMatchesModel drives seeded random sequences of Fetch,
-// Unpin, Allocate, MarkDirty, SetLSN and FlushAll, with one-shot read,
-// write and log-force faults, through pools of 3 to 8 frames, and
-// checks after every operation that the pool agrees with a reference
-// LRU model on the outcome, every store write and log force (in order,
-// except within FlushAll, whose order is unspecified), every eviction
-// victim, the resident frames' pins and dirty marks, the counters, and
-// the bytes of every frame it hands out.
+// Unpin, PinResident, UnpinRun, Allocate, MarkDirty, SetLSN and
+// FlushAll, with one-shot read, write and log-force faults, through
+// pools of 3 to 8 frames, and checks after every operation that the
+// pool agrees with a reference LRU model on the outcome, every store
+// write and log force in order (FlushAll's in page-id order), every
+// eviction victim, the resident frames' pins and dirty marks, the
+// counters, and the bytes of every frame it hands out. The model has
+// no run operations: a run pin is its fetches one at a time, a run
+// unpin its unpins in order.
 func TestPoolLRUMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		capacity := int(seed) + 2
@@ -213,12 +239,30 @@ func runPoolModel(t *testing.T, seed int64, capacity, ops int) {
 		before := residentIDs(p)
 		var op string
 		var realErr, modelErr error
-		unordered := false
 		r := rng.Intn(100)
 		if len(pins) > capacity {
 			r = 50 // unpin: keep the pool from staying exhausted
 		}
 		switch {
+		case r < 8:
+			ids := make([]storage.PageID, 1+rng.Intn(4))
+			for k := range ids {
+				ids[k] = storage.PageID(rng.Intn(len(m.store)))
+			}
+			slices.Sort(ids)
+			frames := make([]*Frame, 1+rng.Intn(len(ids)))
+			n := p.PinResident(ids, frames)
+			run := m.pinResident(ids, len(frames))
+			op = fmt.Sprintf("pin run %v max %d: pinned %d", ids, len(frames), n)
+			if n != len(run) {
+				t.Fatalf("seed %d op %d (%s): model pinned %d", seed, i, op, len(run))
+			}
+			for k, f := range frames[:n] {
+				if f.ID() != ids[k] {
+					t.Fatalf("seed %d op %d (%s): frame %d holds page %d", seed, i, op, k, f.ID())
+				}
+				pins = append(pins, pin{f, run[k]})
+			}
 		case r < 40 || len(pins) == 0 && r < 70:
 			id := storage.PageID(rng.Intn(len(m.store)))
 			op = fmt.Sprintf("fetch %d", id)
@@ -228,12 +272,25 @@ func runPoolModel(t *testing.T, seed int64, capacity, ops int) {
 			if err == nil && merr == nil {
 				pins = append(pins, pin{f, mf})
 			}
-		case r < 70:
+		case r < 62:
 			k := rng.Intn(len(pins))
 			op = fmt.Sprintf("unpin %d", pins[k].model.id)
 			p.Unpin(pins[k].real)
 			m.unpin(pins[k].model)
 			pins = slices.Delete(pins, k, k+1)
+		case r < 70:
+			rng.Shuffle(len(pins), func(a, b int) { pins[a], pins[b] = pins[b], pins[a] })
+			run := pins[:1+rng.Intn(len(pins))]
+			frames := make([]*Frame, len(run))
+			var ids []storage.PageID
+			for k, pn := range run {
+				frames[k] = pn.real
+				ids = append(ids, pn.model.id)
+				m.unpin(pn.model)
+			}
+			op = fmt.Sprintf("unpin run %v", ids)
+			p.UnpinRun(frames)
+			pins = slices.Delete(pins, 0, len(run))
 		case r < 75:
 			op = "allocate"
 			f, err := p.Allocate()
@@ -262,13 +319,9 @@ func runPoolModel(t *testing.T, seed int64, capacity, ops int) {
 			pn.real.SetLSN(lsn)
 			pn.model.lsn = lsn
 		case r < 93:
-			if store.failRead || store.failWrite || failWAL {
-				continue // FlushAll's order is unspecified, so a fault's victim would be too
-			}
 			op = "flushall"
 			realErr = p.FlushAll()
-			m.flushAll()
-			unordered = true
+			modelErr = m.flushAll()
 		default:
 			switch rng.Intn(3) {
 			case 0:
@@ -284,13 +337,8 @@ func runPoolModel(t *testing.T, seed int64, capacity, ops int) {
 		if (realErr == nil) != (modelErr == nil) {
 			t.Fatalf("%s: pool err %v, model err %v", op, realErr, modelErr)
 		}
-		gotLog, wantLog := log, m.log
-		if unordered {
-			slices.Sort(gotLog)
-			slices.Sort(wantLog)
-		}
-		if !slices.Equal(gotLog, wantLog) {
-			t.Fatalf("%s: pool wrote %q, model %q", op, gotLog, wantLog)
+		if !slices.Equal(log, m.log) {
+			t.Fatalf("%s: pool wrote %q, model %q", op, log, m.log)
 		}
 		after := residentIDs(p)
 		var modelIDs []storage.PageID

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -564,4 +565,70 @@ func BenchmarkPoolFetchResident(b *testing.B) {
 			p.Unpin(f)
 		}
 	})
+}
+
+// gatedStore blocks every Read of page gated until release is closed.
+type gatedStore struct {
+	*SimDisk
+	gated   storage.PageID
+	reading chan struct{} // closed when the gated read starts
+	release chan struct{}
+}
+
+func (s *gatedStore) Read(id storage.PageID, buf []byte) error {
+	if id == s.gated {
+		close(s.reading)
+		<-s.release
+	}
+	return s.SimDisk.Read(id, buf)
+}
+
+// TestPoolRunStopsAtLoadingPage: PinResident pins resident pages up to
+// the first page that is absent or still being loaded, counting a hit
+// for each, and never waits for a load; UnpinRun leaves them unpinned
+// in the order given.
+func TestPoolRunStopsAtLoadingPage(t *testing.T) {
+	d := NewSimDisk()
+	writeImages(t, d, 4)
+	s := &gatedStore{SimDisk: d, gated: 1, reading: make(chan struct{}), release: make(chan struct{})}
+	p, err := NewPool(s, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetchUnpin(t, p, 2)
+	fetchUnpin(t, p, 0)
+	loaded := make(chan error)
+	go func() {
+		f, err := p.Fetch(1)
+		if err == nil {
+			p.Unpin(f)
+		}
+		loaded <- err
+	}()
+	<-s.reading
+
+	frames := make([]*Frame, 3)
+	if n := p.PinResident([]storage.PageID{2, 0, 1}, frames); n != 2 || frames[0].ID() != 2 || frames[1].ID() != 0 {
+		t.Fatalf("PinResident pinned %d frames %v, want pages 2 and 0", n, frames)
+	}
+	if n := p.PinResident([]storage.PageID{3, 2}, frames); n != 0 {
+		t.Fatalf("PinResident pinned %d frames of an absent first page", n)
+	}
+	if st := p.Stats(); st.Hits != 2 || st.Misses != 3 {
+		t.Errorf("stats %+v, want 2 hits and 3 misses", st)
+	}
+	p.UnpinRun(frames[:2])
+	close(s.release)
+	if err := <-loaded; err != nil {
+		t.Fatal(err)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var order []storage.PageID
+	for f := p.lru.next; f != &p.lru; f = f.next {
+		order = append(order, f.id)
+	}
+	if want := []storage.PageID{2, 0, 1}; !slices.Equal(order, want) {
+		t.Errorf("eviction order %v, want %v", order, want)
+	}
 }

@@ -77,6 +77,10 @@ type QueryStats struct {
 // RID materialization. *heap.Table implements it; tests substitute
 // fault-injecting wrappers.
 //
+// ReadRows is the one row read (heap.Table.ReadRows): it hands fn the
+// tuple at each of rids, in order, after reading them all, and on an
+// error has handed over exactly the rows before the failing one.
+//
 // ScanPage is the key-first scan kernel (heap.Table.ScanPage): it hands
 // over each live tuple's value of column col plus its encoded bytes, and
 // the executor decodes the whole tuple (storage.DecodeTuple with Schema)
@@ -84,7 +88,7 @@ type QueryStats struct {
 type Heap interface {
 	NumPages() int
 	Schema() *storage.Schema
-	Get(rid storage.RID) (storage.Tuple, error)
+	ReadRows(rids []storage.RID, fn func(k int, tu storage.Tuple)) error
 	ScanPage(p storage.PageID, col int, fn func(rid storage.RID, key storage.Value, raw []byte) error) error
 }
 
@@ -201,14 +205,15 @@ func materialize(schema *storage.Schema, raw []byte, tu *storage.Tuple) error {
 	return err
 }
 
-// fetchRIDs materializes tuples for a posting list, page by page. It
-// sorts rids into RID order in place, so the caller must own the slice
-// (every caller passes one a range lookup just built); a list already in
-// order is left as it is. Pages are charged to stats through seen, so a
-// page the query already fetched in another stage is not double-counted.
-// A nil seen means this fetch is the query's only stage (a hit): the
-// list is sorted, so each distinct page is charged where it first
-// appears, and no set is built.
+// fetchRIDs materializes tuples for a posting list in one Heap.ReadRows
+// call. It sorts rids into RID order in place, so the caller must own
+// the slice (every caller passes one a range lookup just built); a list
+// already in order is left as it is. Pages are charged to stats through
+// seen, so a page the query already fetched in another stage is not
+// double-counted. A nil seen means this fetch is the query's only stage
+// (a hit): the list is sorted, so each distinct page is charged where it
+// first appears, and no set is built. On an error, the pages up to the
+// failing row's are charged.
 func fetchRIDs(a Access, rids []storage.RID, stats *QueryStats, seen *pageSet) ([]Match, error) {
 	if len(rids) == 0 {
 		return nil, nil
@@ -218,17 +223,22 @@ func fetchRIDs(a Access, rids []storage.RID, stats *QueryStats, seen *pageSet) (
 	}
 
 	out := make([]Match, 0, len(rids))
-	for k, rid := range rids {
+	err := a.Table.ReadRows(rids, func(k int, tu storage.Tuple) {
+		out = append(out, Match{RID: rids[k], Tuple: tu})
+	})
+	read := rids[:len(out)]
+	if err != nil {
+		read = rids[:len(out)+1]
+	}
+	for k, rid := range read {
 		if seen != nil {
 			seen.read(stats, rid.Page)
 		} else if k == 0 || rid.Page != rids[k-1].Page {
 			stats.PagesRead++
 		}
-		tu, err := a.Table.Get(rid)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Match{RID: rid, Tuple: tu})
+	}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

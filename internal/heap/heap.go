@@ -145,30 +145,120 @@ func (t *Table) insertLocked(payload []byte) (storage.RID, error) {
 	return storage.RID{Page: page, Slot: uint16(slot)}, nil
 }
 
-// Get fetches the tuple at rid.
+// Get fetches the tuple at rid: a ReadRows of one RID.
 func (t *Table) Get(rid storage.RID) (storage.Tuple, error) {
+	var tu storage.Tuple
+	err := t.ReadRows([]storage.RID{rid}, func(_ int, got storage.Tuple) { tu = got })
+	return tu, err
+}
+
+// maxRunPins caps the pages one ReadRows run holds pinned at once. On
+// two connections' covered hits, runs of 8 and 16 pages measured a worse
+// p99 than runs of 4; a run holds Pool.mu through one frame-map lookup
+// per page, which another reader waits out.
+const maxRunPins = 4
+
+// ReadRows is the table's one row read. It reads the tuples at rids
+// under one shared lock and hands each to fn with its index in rids, in
+// order, after the last row is read. On an error, which is the one a
+// Get of the failing RID reports, fn has seen exactly the rows before
+// it.
+//
+// rids should be in RID order (a posting list sorted by page): the rows
+// of one page are then read under one pin and one validateOnce, and the
+// pages of a run of resident pages are pinned in one pool latch section
+// and unpinned in order in another. A run holds at most 1/64 of the pool
+// (between 1 and maxRunPins pages), and its pins are released before a
+// page that is not resident is fetched, so a reader never holds more
+// than one pin while it loads. The pool's effects are those of one
+// Fetch and Unpin per distinct page in RID order: its Hits count pages,
+// not rows. On an error, the pages of the failing run after the failing
+// page were pinned and unpinned too.
+//
+// All the tuples share one RowSlab: one []Value and one string. fn runs
+// after the lock and every pin are released.
+func (t *Table) ReadRows(rids []storage.RID, fn func(k int, tu storage.Tuple)) error {
+	slab := storage.NewRowSlab(t.schema, len(rids))
+	err := t.readRows(rids, &slab)
+	slab.Finish()
+	for k := 0; k < slab.Rows(); k++ {
+		fn(k, slab.Tuple(k))
+	}
+	return err
+}
+
+// readRows decodes the rows at rids into slab under the shared lock, one
+// run of pinned pages at a time, until the first error.
+func (t *Table) readRows(rids []storage.RID, slab *storage.RowSlab) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if err := t.checkRIDLocked(rid); err != nil {
-		return storage.Tuple{}, err
+	var ids [maxRunPins]storage.PageID
+	var frames [maxRunPins]*buffer.Frame
+	runPins := min(maxRunPins, max(1, t.pool.Capacity()/64))
+	for k := 0; k < len(rids); {
+		// The next run: the distinct pages of the rows from k on, up to
+		// runPins of them, ending before an out-of-range RID.
+		n := 0
+		for _, rid := range rids[k:] {
+			if int(rid.Page) >= t.numPages { // InvalidRID included
+				break
+			}
+			if n == 0 || rid.Page != ids[n-1] {
+				if n == runPins {
+					break
+				}
+				ids[n] = rid.Page
+				n++
+			}
+		}
+		if n == 0 {
+			return t.checkRIDLocked(rids[k])
+		}
+		pinned := t.pool.PinResident(ids[:n], frames[:n])
+		if pinned == 0 {
+			// The first page is not resident: load it with no other pin
+			// held.
+			f, err := t.pool.Fetch(ids[0])
+			if err != nil {
+				return err
+			}
+			frames[0], pinned = f, 1
+		}
+		var err error
+		for _, f := range frames[:pinned] {
+			if k, err = decodePageRows(f, rids, k, slab); err != nil {
+				break
+			}
+		}
+		t.pool.UnpinRun(frames[:pinned])
+		if err != nil {
+			return err
+		}
 	}
-	f, err := t.pool.Fetch(rid.Page)
-	if err != nil {
-		return storage.Tuple{}, err
-	}
-	defer t.pool.Unpin(f)
+	return nil
+}
+
+// decodePageRows decodes rids[k], rids[k+1], ... for as long as they lie
+// on pinned frame f's page, and returns the index of the first row it
+// did not decode.
+func decodePageRows(f *buffer.Frame, rids []storage.RID, k int, slab *storage.RowSlab) (int, error) {
 	sp, err := AsPage(f.Data())
 	if err != nil {
-		return storage.Tuple{}, err
+		return k, err
 	}
 	if err := validateOnce(f, sp); err != nil {
-		return storage.Tuple{}, err
+		return k, err
 	}
-	raw, err := sp.Tuple(int(rid.Slot))
-	if err != nil {
-		return storage.Tuple{}, err
+	for ; k < len(rids) && rids[k].Page == f.ID(); k++ {
+		raw, err := sp.Tuple(int(rids[k].Slot))
+		if err != nil {
+			return k, err
+		}
+		if err := slab.Decode(raw); err != nil {
+			return k, err
+		}
 	}
-	return storage.DecodeTuple(t.schema, raw)
+	return k, nil
 }
 
 // Delete removes the tuple at rid.

@@ -148,6 +148,49 @@ func BenchmarkHeapGet(b *testing.B) {
 	b.ReportMetric(float64(len(rids))/16, "rows/page")
 }
 
+// BenchmarkHeapReadRows measures ReadRows of sorted runs of rows=4 and
+// rows=40 rows of a resident 64-page table, each row on its own page, as
+// a covered point hit and a ten-key range hit read them. The pool has
+// 1,024 frames, so a run pins up to maxRunPins pages at a time.
+func BenchmarkHeapReadRows(b *testing.B) {
+	const pages = 64
+	d := buffer.NewSimDisk()
+	pool, err := buffer.NewPool(d, 1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tb := NewTable(testSchema(), pool)
+	var rids []storage.RID
+	for i := 0; tb.NumPages() <= pages; i++ {
+		rid, err := tb.Insert(row(int64(i), strings.Repeat("p", 88)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	perPage := len(rids) / pages
+	for _, rows := range []int{4, 40} {
+		runs := make([][]storage.RID, 64)
+		for r := range runs {
+			first := r * 7 % (pages - rows)
+			for p := first; p < first+rows; p++ {
+				runs[r] = append(runs[r], rids[p*perPage+(r+p)%perPage])
+			}
+		}
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			n := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := tb.ReadRows(runs[i%len(runs)], func(int, storage.Tuple) { n++ }); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(n)/float64(b.N), "rows/op")
+		})
+	}
+}
+
 // TestConcurrentRevalidation: readers sharing the table lock validate
 // and mark frames concurrently while a pool smaller than the table keeps
 // loading fresh, unchecked images; every read returns its own row.

@@ -677,8 +677,22 @@ func appendCell(b []byte, v storage.Value) []byte {
 // appendVarchar appends strconv.Quote(s), cut as a cell. Every rune
 // quotes to at least one byte, so only the first cellWidth-1 runes can
 // reach the kept bytes, and a string with more is cut whatever its tail
-// holds: only that prefix is quoted.
+// holds: only that prefix is quoted. When the bytes that reach the cell
+// are printable ASCII other than '"' and '\', the quote keeps them as
+// they are, and they are appended directly.
 func appendVarchar(b []byte, s string) []byte {
+	shown, long := s, len(s) > cellWidth-2
+	if long {
+		shown = s[:cellKeep-1]
+	}
+	if plainASCII(shown) {
+		b = append(b, '"')
+		b = append(b, shown...)
+		if long {
+			return append(b, `..."`...)
+		}
+		return append(b, '"')
+	}
 	end := 0
 	for n := 0; end < len(s) && n < cellWidth-1; n++ {
 		_, w := utf8.DecodeRuneInString(s[end:])
@@ -694,6 +708,17 @@ func appendVarchar(b []byte, s string) []byte {
 		cut--
 	}
 	return append(b[:cut], `..."`...)
+}
+
+// plainASCII reports whether every byte of s is one strconv.Quote
+// copies unchanged: printable ASCII other than '"' and '\'.
+func plainASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return false
+		}
+	}
+	return true
 }
 
 // appendStats appends the trailer's mechanism and page counts.

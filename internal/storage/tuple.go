@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // PageID identifies a page within a table's heap file. Page numbering is
@@ -119,22 +121,107 @@ func EncodeTuple(s *Schema, t Tuple, buf []byte) ([]byte, error) {
 
 // DecodeTuple parses a tuple of schema s from buf. The buffer must
 // contain exactly one tuple (trailing bytes are an error), matching how
-// slotted pages store one tuple per slot.
+// slotted pages store one tuple per slot. It is a RowSlab of one row.
 func DecodeTuple(s *Schema, buf []byte) (Tuple, error) {
-	values := make([]Value, s.NumColumns())
+	b := NewRowSlab(s, 1)
+	err := b.Decode(buf)
+	b.Finish()
+	if err != nil {
+		return Tuple{}, err
+	}
+	return b.Tuple(0), nil
+}
+
+// RowSlab decodes the tuples of one read into one []Value, sized exactly
+// for the rows it was made for. The VARCHAR values of all its tuples
+// become substrings of one string, so a read of n rows allocates twice
+// (once with no VARCHAR column) however large n is; a retained tuple
+// keeps the whole read's slab and string alive. A slab of one row
+// converts each VARCHAR on its own, as DecodeTuple always did, which
+// with one VARCHAR column is the same two allocations without the
+// scratch buffer. Decode the rows, call Finish, then read them with
+// Tuple.
+type RowSlab struct {
+	schema *Schema
+	vals   []Value
+	rows   int // rows decoded
+	// strs holds the VARCHAR bytes decoded so far, in a pooled scratch
+	// buffer taken at the first VARCHAR. Until Finish, a VARCHAR value
+	// in vals carries its offset into strs << 16 | its length in i.
+	strs *[]byte
+}
+
+// strScratch recycles RowSlab's VARCHAR scratch buffers; a buffer grown
+// past maxPooledScratch is left to the collector.
+var strScratch = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+
+const maxPooledScratch = 64 << 10
+
+// NewRowSlab returns a slab for up to rows tuples of schema s.
+func NewRowSlab(s *Schema, rows int) RowSlab {
+	return RowSlab{schema: s, vals: make([]Value, rows*s.NumColumns())}
+}
+
+// Decode parses one tuple from buf into the next row, with DecodeTuple's
+// checks and errors. A row that fails to decode is not kept.
+func (b *RowSlab) Decode(buf []byte) error {
+	c := b.schema.NumColumns()
+	row := b.vals[b.rows*c : (b.rows+1)*c]
 	off := 0
-	for i := 0; i < s.NumColumns(); i++ {
-		v, n, err := decodeValue(s.Column(i).Kind, buf[off:])
+	for i := range row {
+		kind := b.schema.Column(i).Kind
+		n, err := valueLen(kind, buf[off:])
 		if err != nil {
-			return Tuple{}, columnError(s, i, err)
+			return columnError(b.schema, i, err)
 		}
-		values[i] = v
+		switch {
+		case kind == KindInt64:
+			row[i] = Int64Value(int64(binary.LittleEndian.Uint64(buf[off:])))
+		case len(b.vals) == c: // one row: its VARCHARs need no scratch
+			row[i] = StringValue(string(buf[off+2 : off+n]))
+		default:
+			if b.strs == nil {
+				b.strs = strScratch.Get().(*[]byte)
+			}
+			row[i] = Value{kind: KindString, i: int64(len(*b.strs))<<16 | int64(n-2)}
+			*b.strs = append(*b.strs, buf[off+2:off+n]...)
+		}
 		off += n
 	}
 	if off != len(buf) {
-		return Tuple{}, trailingError(len(buf) - off)
+		return trailingError(len(buf) - off)
 	}
-	return Tuple{values: values}, nil
+	b.rows++
+	return nil
+}
+
+// Finish makes the rows' one VARCHAR string and returns the scratch
+// buffer. Call it once, after the last Decode.
+func (b *RowSlab) Finish() {
+	if b.strs == nil {
+		return
+	}
+	all := string(*b.strs)
+	for i := range b.vals[:b.rows*b.schema.NumColumns()] {
+		if v := &b.vals[i]; v.kind == KindString {
+			off, n := v.i>>16, v.i&0xffff
+			v.s, v.i = all[off:off+n], 0
+		}
+	}
+	if cap(*b.strs) <= maxPooledScratch {
+		*b.strs = (*b.strs)[:0]
+		strScratch.Put(b.strs)
+	}
+	b.strs = nil
+}
+
+// Rows returns the number of rows decoded.
+func (b *RowSlab) Rows() int { return b.rows }
+
+// Tuple returns row k, which must be below Rows, of a finished slab.
+func (b *RowSlab) Tuple(k int) Tuple {
+	c := b.schema.NumColumns()
+	return Tuple{values: b.vals[k*c : (k+1)*c : (k+1)*c]}
 }
 
 // DecodeColumn parses only column col of a tuple of schema s from buf.
