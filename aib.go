@@ -880,8 +880,8 @@ func (db *DB) Close() error { return db.eng.Close() }
 func (db *DB) Checkpoint() error { return db.eng.Checkpoint() }
 
 // RecoveryStats describes what OpenExisting's recovery pass did: the
-// checkpoint position redo started from, records and page images
-// replayed, torn bytes repaired, and surplus pages truncated. See
+// checkpoint position redo started from, records replayed and pages
+// patched, torn bytes repaired, and surplus pages truncated. See
 // engine.RecoveryStats.
 type RecoveryStats = engine.RecoveryStats
 

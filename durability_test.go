@@ -258,7 +258,12 @@ func TestBackgroundCheckpointer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 20; i++ {
+	// Insert until the log rotates past its first 4 KiB segment, which
+	// leaves a closed segment for a checkpoint to remove.
+	for i := 0; db.WALStats().Segments < 2; i++ {
+		if i == 10000 {
+			t.Fatalf("10000 inserts never rotated the log: %+v", db.WALStats())
+		}
 		if _, err := tb.Insert(int64(i)); err != nil {
 			t.Fatal(err)
 		}

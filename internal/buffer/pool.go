@@ -18,7 +18,7 @@ type Frame struct {
 	data  []byte
 	pins  int
 	dirty bool
-	lsn   uint64 // log record that last imaged the page; 0 = none
+	lsn   uint64 // log record that last logged the page; 0 = none
 
 	// checked is set by SetChecked and cleared by MarkDirty. A load or
 	// an Allocate builds a new Frame, so a new image starts unchecked.
@@ -63,7 +63,7 @@ func (f *Frame) Checked() bool { return f.checked.Load() }
 // structural check, so readers of the unchanged image can skip it.
 func (f *Frame) SetChecked() { f.checked.Store(true) }
 
-// SetLSN notes the log record that now images the page. Write-back of
+// SetLSN notes the log record that last logged the page. Write-back of
 // the frame first forces the log through that record (see
 // Pool.SetWriteAhead). Like MarkDirty, it is called with the frame
 // pinned.

@@ -340,6 +340,11 @@ type Table struct {
 	scans scanAdmission // per-column batching of concurrent miss queries
 
 	traced []*trace.Column // the tracer's aggregate handle per column ordinal
+
+	// logRec and logSpans are Stmt.log's scratch record and span list,
+	// reused under the table lock held exclusive.
+	logRec   wal.Record
+	logSpans []heap.Span
 }
 
 // newTable builds a table over an opened store, pool and heap, resolves
@@ -360,6 +365,9 @@ func (e *Engine) newTable(name string, tn *core.Tenant, schema *storage.Schema, 
 	}
 	for i := range t.traced {
 		t.traced[i] = e.tracer.Column(name, schema.Column(i).Name)
+	}
+	if e.wal != nil {
+		hp.TrackSpans()
 	}
 	t.publishReadLocked()
 	return t
@@ -707,8 +715,8 @@ func (s *Stmt) end(err error) error {
 
 // Insert adds a tuple, maintaining every index and Index Buffer. On
 // WAL-backed engines the operation is durable when Insert returns (per
-// the sync policy): the record carries the dirtied page's full image,
-// and the commit blocks until the log reaches stable storage.
+// the sync policy): the record carries the byte spans it wrote on the
+// dirtied page, and the commit blocks until the log reaches stable storage.
 // It is a one-row Exec.
 func (t *Table) Insert(tu storage.Tuple) (storage.RID, error) {
 	s, err := t.begin(context.Background())
@@ -773,7 +781,7 @@ func (s *Stmt) Insert(tu storage.Tuple) (storage.RID, error) {
 	// exactly the reader/writer convoy the lock-free read path removes.
 	t.endMutate()
 	// The dirtied page is still resident (nothing fetched since the heap
-	// write), so the image capture is a pool hit; see Stmt.log for why
+	// write), so the span capture is a pool hit; see Stmt.log for why
 	// the record must precede any eviction of that page.
 	if err := s.log(wal.KindInsert, rid, storage.InvalidRID, rid.Page); err != nil {
 		return rid, err
@@ -831,6 +839,14 @@ func (s *Stmt) Update(rid storage.RID, tu storage.Tuple) (storage.RID, error) {
 	newRID, err := t.heap.Update(rid, tu)
 	if err != nil {
 		t.endMutate()
+		// A relocation that failed after freeing the slot put the row
+		// back, possibly by compacting the page. Log that change now,
+		// as an update of the row onto itself, while the page is still
+		// pinned: a write-back of a layout no record holds would let
+		// redo patch the earlier records' offsets onto it.
+		if len(t.heap.Spans(rid.Page, nil)) > 0 {
+			err = errors.Join(err, s.log(wal.KindUpdate, rid, rid, rid.Page))
+		}
 		return storage.InvalidRID, err
 	}
 	for col, ix := range t.indexes {

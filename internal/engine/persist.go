@@ -77,11 +77,15 @@ type loadingTable struct {
 //     checkpointed extent (either tail is an append that was never
 //     acknowledged — keeping it would leave garbage for redo to build
 //     on).
-//  2. The log is replayed from the catalog's checkpoint LSN, writing
-//     each record's full page images straight into the page files —
-//     idempotent regardless of which dirty pages the buffer pool had
-//     flushed before the crash. A torn record at the log's tail is
-//     repaired the same way.
+//  2. The log is replayed from the catalog's checkpoint LSN, patching
+//     each record's byte spans onto the page files: read the page (a
+//     zero page past the file's end), copy the spans in, write it back.
+//     Every byte changed since the checkpoint ends with the last value
+//     the log holds for it, and every other byte has the same value in
+//     every durable version of the page, torn write-backs included, so
+//     redo is idempotent regardless of which dirty pages the buffer
+//     pool had flushed before the crash (DESIGN.md §14). A torn record
+//     at the log's tail is repaired the way a torn page tail is.
 //  3. Heaps are reattached at their post-redo extents and the partial
 //     indexes rebuilt by scanning, with fresh, empty Index Buffers —
 //     volatile by design (paper §III); live traffic re-warms them. The
@@ -193,8 +197,9 @@ func Load(cfg Config, tenants ...TenantSpec) (*Engine, error) {
 		}
 	}
 
-	// Phase 2: redo. Replay every record past the checkpoint, writing
-	// page images directly to the stores (pools do not exist yet).
+	// Phase 2: redo. Replay every record past the checkpoint, patching
+	// its spans onto the stores (pools do not exist yet).
+	page := make([]byte, buffer.PageSize)
 	info, err := wal.Replay(walDir(cfg.DataDir), wal.LSN(cat.CheckpointLSN), func(rec *wal.Record) error {
 		lt := byName[rec.Table]
 		if lt == nil {
@@ -202,15 +207,17 @@ func Load(cfg Config, tenants ...TenantSpec) (*Engine, error) {
 			// names a cataloged table; anything else is corruption.
 			return fmt.Errorf("engine: redo record %d names unknown table %q", rec.LSN, rec.Table)
 		}
-		for _, im := range rec.Images {
-			for int(im.Page) >= lt.fs.NumPages() {
-				if _, err := lt.fs.Allocate(); err != nil {
-					return err
-				}
-			}
-			if err := lt.fs.Write(im.Page, im.Data); err != nil {
+		// The heap extent first: a failed insert can grow the heap by
+		// an empty page that no span names.
+		if err := extendStore(lt.fs, rec.Pages); err != nil {
+			return err
+		}
+		for i := 0; i < len(rec.Images); {
+			n, err := redoPage(lt.fs, rec.Images[i:], page)
+			if err != nil {
 				return err
 			}
+			i += n
 			e.recovery.RedoPages++
 		}
 		lt.pages = rec.Pages
@@ -283,4 +290,38 @@ func Load(cfg Config, tenants ...TenantSpec) (*Engine, error) {
 		removeVacuumMarker(cfg.DataDir, lt.tm.Name)
 	}
 	return e, nil
+}
+
+// extendStore grows fs with zero pages to at least pages pages.
+func extendStore(fs *buffer.FileStore, pages int) error {
+	for fs.NumPages() < pages {
+		if _, err := fs.Allocate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// redoPage patches the leading spans of ims that name one page onto
+// that page of fs, using buf as the page image, and returns how many it
+// applied. A page past the file's end is allocated, as zeros, first; a
+// full image is written without reading the page.
+func redoPage(fs *buffer.FileStore, ims []wal.PageImage, buf []byte) (int, error) {
+	p := ims[0].Page
+	n := 1
+	for n < len(ims) && ims[n].Page == p {
+		n++
+	}
+	if err := extendStore(fs, int(p)+1); err != nil {
+		return 0, err
+	}
+	if n > 1 || ims[0].Off != 0 || len(ims[0].Data) != len(buf) {
+		if err := fs.Read(p, buf); err != nil {
+			return 0, err
+		}
+	}
+	for _, im := range ims[:n] {
+		copy(buf[im.Off:], im.Data)
+	}
+	return n, fs.Write(p, buf)
 }

@@ -202,7 +202,11 @@ func (t *Table) vacuum() (pagesBefore, pagesAfter int, err error) {
 	}
 
 	// Swap the heap in, publish the rebuilt indexes and fresh buffers,
-	// and only then release the old store.
+	// and only then release the old store. The copy's pages are already
+	// flushed, so the new heap tracks the spans of later mutations only.
+	if t.engine.wal != nil {
+		newHeap.TrackSpans()
+	}
 	old := t.store
 	t.store, t.pool, t.heap, swapped = newStore, newPool, newHeap, true
 	for _, c := range commit {

@@ -54,8 +54,8 @@ type RecoveryStats struct {
 	// CheckpointLSN is the catalog's checkpoint position redo started
 	// from.
 	CheckpointLSN uint64 `json:"checkpoint_lsn"`
-	// RedoRecords and RedoPages count replayed DML records and the page
-	// images they wrote.
+	// RedoRecords counts replayed DML records; RedoPages counts the
+	// pages they patched, one per page a record wrote.
 	RedoRecords int `json:"redo_records"`
 	RedoPages   int `json:"redo_pages"`
 	// TruncatedPages counts heap pages dropped because the page file ran
@@ -231,7 +231,7 @@ func (e *Engine) walError() error {
 
 // newPool creates a table's buffer pool. On a WAL-backed engine it
 // installs the write-ahead rule: a dirty page is written back only
-// once the log is durable through the record that last imaged it. A
+// once the log is durable through the record that last logged it. A
 // statement commits after it releases the table lock, so its own later
 // rows, other statements' fetches, and checkpoint flushes can all reach
 // a page whose record is appended but not yet durable.
@@ -246,14 +246,19 @@ func (e *Engine) newPool(store pageStore) (*buffer.Pool, error) {
 	return pool, nil
 }
 
-// log appends one DML record — logical fields plus full images of the
-// dirtied pages — and notes its LSN on each imaged frame, so write-back
-// of those pages waits for the log (see newPool). Durability comes
-// from the statement's commit. Called with the table lock exclusive,
-// after the heap operation and index maintenance succeeded. Pages may
-// repeat (an in-place update names the same page twice); duplicates
-// are captured once. The pages are resident (just dirtied, or pinned
-// by the caller), so the captures are pool hits, not device I/O.
+// log appends one DML record — logical fields plus, for each dirtied
+// page, the byte spans the heap wrote on it since a record last took
+// them — and notes its LSN on each logged frame, so write-back of those
+// pages waits for the log (see newPool). Durability comes from the
+// statement's commit. Called with the table lock exclusive, after the
+// heap operation and index maintenance succeeded. Pages may repeat (an
+// in-place update names the same page twice); duplicates are logged
+// once. The heap keeps span offsets; the bytes are read here, from
+// whichever frame holds the page now: a lock-free reader may have
+// evicted the dirtied frame since the heap write, and the reload holds
+// the bytes the write-back wrote. A page with no tracked spans is
+// logged as a full image. A failed append leaves the spans with the
+// heap, for the page's next record.
 func (s *Stmt) log(kind wal.Kind, rid, oldRID storage.RID, pages ...storage.PageID) error {
 	t := s.t
 	w := t.engine.wal
@@ -264,18 +269,22 @@ func (s *Stmt) log(kind wal.Kind, rid, oldRID storage.RID, pages ...storage.Page
 	if s.fa != nil {
 		start = time.Now()
 	}
-	rec := &wal.Record{
+	rec := &t.logRec
+	*rec = wal.Record{
 		Kind:   kind,
 		Table:  t.name,
 		Pages:  t.heap.NumPages(),
 		RID:    rid,
 		OldRID: oldRID,
+		Images: rec.Images[:0],
 	}
-	pinned := make([]*buffer.Frame, 0, len(pages))
+	var frames [2]*buffer.Frame
+	pinned := frames[:0]
 	defer func() {
 		for _, f := range pinned {
 			t.pool.Unpin(f)
 		}
+		clear(rec.Images) // drop the references to frame images
 	}()
 	for _, p := range pages {
 		if slices.ContainsFunc(pinned, func(f *buffer.Frame) bool { return f.ID() == p }) {
@@ -286,13 +295,21 @@ func (s *Stmt) log(kind wal.Kind, rid, oldRID storage.RID, pages ...storage.Page
 			return fmt.Errorf("engine: wal image of %s page %d: %w", t.name, p, err)
 		}
 		pinned = append(pinned, f)
-		rec.Images = append(rec.Images, wal.PageImage{Page: p, Data: append([]byte(nil), f.Data()...)})
+		data := f.Data()
+		t.logSpans = t.heap.Spans(p, t.logSpans[:0])
+		if len(t.logSpans) == 0 {
+			rec.Images = append(rec.Images, wal.PageImage{Page: p, Data: data})
+		}
+		for _, sp := range t.logSpans {
+			rec.Images = append(rec.Images, wal.PageImage{Page: p, Off: sp.Off, Data: data[sp.Off:sp.End]})
+		}
 	}
 	lsn, err := w.Append(rec)
 	if err != nil {
 		return fmt.Errorf("engine: wal append: %w", err)
 	}
 	for _, f := range pinned {
+		t.heap.SpansLogged(f.ID())
 		f.SetLSN(uint64(lsn))
 	}
 	s.last = lsn
@@ -357,8 +374,8 @@ func (e *Engine) checkpointIfWAL() error {
 // backwards: capture the log position, make the log durable up to it,
 // then flush pages, then publish a catalog naming the position, then
 // reclaim the log. Records appended mid-checkpoint are beyond the
-// captured position and simply replay on top after a crash — redo by
-// full page images is idempotent.
+// captured position and simply replay on top after a crash — redo of
+// the byte spans written since the checkpoint is idempotent.
 func (e *Engine) checkpoint() error {
 	start := time.Now()
 	e.ckptMu.Lock()

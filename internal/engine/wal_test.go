@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/buffer"
 	"repro/internal/catalog"
 	"repro/internal/storage"
 	"repro/internal/wal"
@@ -96,8 +97,12 @@ func insertRows(tb *Table, n int) error {
 }
 
 // checkWriteAhead closes e and holds every recorded write to the
-// write-ahead rule: some log record must carry the written image, and
+// write-ahead rule: some log record must produce the written image, and
 // the earliest such record must have been durable when the write landed.
+// A record produces an image of each page it names: its spans patched,
+// in LSN order, onto the page's image after the previous record, from a
+// zero page. The log holds every record since the table was created
+// empty, so the zero page is each page's checkpointed image.
 func checkWriteAhead(t *testing.T, e *Engine, dir string, guard *walGuardStore) {
 	t.Helper()
 	if err := e.Close(); err != nil {
@@ -107,10 +112,21 @@ func checkWriteAhead(t *testing.T, e *Engine, dir string, guard *walGuardStore) 
 		lsn  wal.LSN
 		data []byte
 	}
+	current := map[storage.PageID][]byte{}
 	logged := map[storage.PageID][]image{}
 	_, err := wal.Replay(walDir(dir), 0, func(rec *wal.Record) error {
+		touched := map[storage.PageID]bool{}
 		for _, im := range rec.Images {
-			logged[im.Page] = append(logged[im.Page], image{rec.LSN, im.Data})
+			page := current[im.Page]
+			if page == nil {
+				page = make([]byte, buffer.PageSize)
+				current[im.Page] = page
+			}
+			copy(page[im.Off:], im.Data)
+			touched[im.Page] = true
+		}
+		for p := range touched {
+			logged[p] = append(logged[p], image{rec.LSN, bytes.Clone(current[p])})
 		}
 		return nil
 	})

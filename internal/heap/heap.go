@@ -25,6 +25,15 @@ type Table struct {
 	// page. Values are refreshed on each touch; a stale overestimate only
 	// costs one extra probe.
 	freeHint []int
+	// tracked is set on a table whose mutations a log records (see
+	// TrackSpans). pending then holds, for each page written since a
+	// record last took its spans, those spans. An entry whose spans a
+	// record took is empty and free for the next page written: the set
+	// stays as large as the most pages ever unlogged at once, one or two
+	// in steady state. Entries never move, so a page view keeps writing
+	// into its entry while an insert adds another.
+	tracked bool
+	pending []*pageSpans
 }
 
 // NewTable creates an empty heap table over the pool.
@@ -54,6 +63,83 @@ func OpenTable(schema *storage.Schema, pool *buffer.Pool, numPages int) (*Table,
 		pool.Unpin(f)
 	}
 	return t, nil
+}
+
+// pageSpans is one page's spans that no log record has taken yet.
+type pageSpans struct {
+	page  storage.PageID
+	spans spanList
+}
+
+// TrackSpans makes every later mutation record, per page, the byte
+// spans it writes, until SpansLogged drops them. A table whose changes
+// are logged calls it before its first mutation; a table that is not
+// logged records nothing.
+func (t *Table) TrackSpans() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.tracked = true
+}
+
+// Spans appends to dst the spans page p was written in since
+// SpansLogged last dropped them, in offset order. They include the
+// writes of a mutation that then failed (a failed relocation's undo
+// compacts the page): a record of the page must carry them all, or
+// redo would patch its later offsets onto the wrong layout.
+func (t *Table) Spans(p storage.PageID, dst []Span) []Span {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if ps := t.pendingLocked(p); ps != nil {
+		dst = append(dst, ps.spans...)
+	}
+	return dst
+}
+
+// SpansLogged drops page p's spans: a log record now carries them.
+func (t *Table) SpansLogged(p storage.PageID) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if ps := t.pendingLocked(p); ps != nil {
+		ps.spans = ps.spans[:0]
+	}
+}
+
+// pendingLocked returns page p's entry in the pending set, or nil when
+// the page has no unlogged spans.
+func (t *Table) pendingLocked(p storage.PageID) *pageSpans {
+	for _, ps := range t.pending {
+		if len(ps.spans) > 0 && ps.page == p {
+			return ps
+		}
+	}
+	return nil
+}
+
+// spansFor returns the list page p's next write adds to: its entry in
+// the pending set, or a free entry, or a new one. Called on a page
+// view's first write, under t.mu held exclusively; the write fills the
+// entry at once, so an empty entry is never one a view holds.
+func (t *Table) spansFor(p storage.PageID) *spanList {
+	if ps := t.pendingLocked(p); ps != nil {
+		return &ps.spans
+	}
+	for _, ps := range t.pending {
+		if len(ps.spans) == 0 {
+			ps.page = p
+			return &ps.spans
+		}
+	}
+	ps := &pageSpans{page: p}
+	t.pending = append(t.pending, ps)
+	return &ps.spans
+}
+
+// track makes sp, a view of pinned frame f about to be mutated, add
+// its writes to the page's pending entry when the table tracks spans.
+func (t *Table) track(sp *SlottedPage, f *buffer.Frame) {
+	if t.tracked {
+		sp.owner, sp.id = t, f.ID()
+	}
 }
 
 // Schema returns the table's schema.
@@ -91,6 +177,7 @@ func (t *Table) insertLocked(payload []byte) (storage.RID, error) {
 		if err != nil {
 			return storage.InvalidRID, false, err
 		}
+		t.track(sp, f)
 		slot, ok := sp.Insert(payload)
 		t.freeHint[page] = sp.FreeSpace()
 		if !ok {
@@ -136,6 +223,7 @@ func (t *Table) insertLocked(payload []byte) (storage.RID, error) {
 	if err != nil {
 		return storage.InvalidRID, err
 	}
+	t.track(sp, f)
 	slot, ok := sp.Insert(payload)
 	t.freeHint[page] = sp.FreeSpace()
 	if !ok {
@@ -277,6 +365,7 @@ func (t *Table) Delete(rid storage.RID) error {
 	if err != nil {
 		return err
 	}
+	t.track(sp, f)
 	if err := sp.Delete(int(rid.Slot)); err != nil {
 		return err
 	}
@@ -308,6 +397,7 @@ func (t *Table) Update(rid storage.RID, tu storage.Tuple) (storage.RID, error) {
 		t.pool.Unpin(f)
 		return storage.InvalidRID, err
 	}
+	t.track(sp, f)
 	// Keep a copy of the current payload: the in-place attempt below may
 	// free the slot (and compact the old bytes away) before reporting
 	// that a relocation is needed, and a relocation that then fails must

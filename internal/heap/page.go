@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"repro/internal/buffer"
+	"repro/internal/storage"
 )
 
 // Slotted page layout (all offsets little-endian):
@@ -30,9 +31,71 @@ const (
 
 // SlottedPage is a view over a PageSize byte buffer. It does not own the
 // buffer; the heap layer wraps pinned frames directly, so mutations go
-// straight to the buffer pool image.
+// straight to the buffer pool image. When spans is set, or owner is
+// (a view of page id of a table that tracks spans), every write adds
+// the byte range it touched to the list, which is what a log record of
+// the mutation carries instead of the whole page.
 type SlottedPage struct {
-	data []byte
+	data  []byte
+	spans *spanList
+	owner *Table
+	id    storage.PageID
+}
+
+// Span is the byte range [Off, End) of a page that writes touched.
+type Span struct{ Off, End int }
+
+// spanMergeGap is the widest run of untouched bytes one span may cover
+// to join two writes: a log record pays a header per span, more than a
+// few unchanged bytes cost, and an unchanged byte logged with its
+// current value replays to that same value.
+const spanMergeGap = 8
+
+// spanList is a page's written spans, sorted by offset and at least
+// spanMergeGap+1 bytes apart.
+type spanList []Span
+
+// add records a write of [off, end), merging it with every span it
+// overlaps or comes within spanMergeGap bytes of.
+func (l *spanList) add(off, end int) {
+	s := *l
+	i := 0
+	for i < len(s) && s[i].End+spanMergeGap < off {
+		i++
+	}
+	j := i
+	for j < len(s) && s[j].Off <= end+spanMergeGap {
+		off, end = min(off, s[j].Off), max(end, s[j].End)
+		j++
+	}
+	if i == j {
+		s = append(s, Span{})
+		copy(s[i+1:], s[i:])
+	} else {
+		s = append(s[:i+1], s[j:]...)
+	}
+	s[i] = Span{off, end}
+	*l = s
+}
+
+// wrote records that [off, off+n) changed, when the page tracks spans.
+// It is the inlined check; record does the work.
+func (p *SlottedPage) wrote(off, n int) {
+	if p.spans != nil || p.owner != nil {
+		p.record(off, n)
+	}
+}
+
+// record adds [off, off+n) to the page's span list, which a view of a
+// tracked table finds on its first write.
+func (p *SlottedPage) record(off, n int) {
+	if n == 0 {
+		return
+	}
+	if p.spans == nil {
+		p.spans = p.owner.spansFor(p.id)
+	}
+	p.spans.add(off, off+n)
 }
 
 // AsPage interprets buf (which must be buffer.PageSize bytes) as a
@@ -47,6 +110,7 @@ func AsPage(buf []byte) (*SlottedPage, error) {
 func (p *SlottedPage) numSlots() int { return int(binary.LittleEndian.Uint16(p.data[0:2])) }
 func (p *SlottedPage) setNumSlots(n int) {
 	binary.LittleEndian.PutUint16(p.data[0:2], uint16(n))
+	p.wrote(0, 2)
 }
 
 // dataStart returns the lowest offset occupied by tuple data; 0 encodes
@@ -60,6 +124,7 @@ func (p *SlottedPage) dataStart() int {
 }
 func (p *SlottedPage) setDataStart(v int) {
 	binary.LittleEndian.PutUint16(p.data[2:4], uint16(v))
+	p.wrote(2, 2)
 }
 
 func (p *SlottedPage) slot(i int) (offset, length int) {
@@ -71,6 +136,13 @@ func (p *SlottedPage) setSlot(i, offset, length int) {
 	base := headerSize + i*slotEntrySize
 	binary.LittleEndian.PutUint16(p.data[base:base+2], uint16(offset))
 	binary.LittleEndian.PutUint16(p.data[base+2:base+4], uint16(length))
+	p.wrote(base, slotEntrySize)
+}
+
+// put copies payload to offset off of the data area.
+func (p *SlottedPage) put(off int, payload []byte) {
+	copy(p.data[off:], payload)
+	p.wrote(off, len(payload))
 }
 
 // NumSlots returns the size of the slot directory, including dead slots.
@@ -210,7 +282,7 @@ func (p *SlottedPage) Insert(payload []byte) (slot int, ok bool) {
 		p.setNumSlots(slot + 1)
 	}
 	start := p.dataStart() - need
-	copy(p.data[start:], payload)
+	p.put(start, payload)
 	p.setDataStart(start)
 	p.setSlot(slot, start, need)
 	return slot, true
@@ -236,7 +308,7 @@ func (p *SlottedPage) insertAt(i int, payload []byte) bool {
 		}
 	}
 	start := p.dataStart() - need
-	copy(p.data[start:], payload)
+	p.put(start, payload)
 	p.setDataStart(start)
 	p.setSlot(i, start, need)
 	return true
@@ -267,7 +339,7 @@ func (p *SlottedPage) Update(i int, payload []byte) (ok bool, err error) {
 	}
 	off, length := p.slot(i)
 	if len(payload) <= length {
-		copy(p.data[off:], payload)
+		p.put(off, payload)
 		p.setSlot(i, off, len(payload))
 		return true, nil
 	}
@@ -286,21 +358,22 @@ func (p *SlottedPage) Update(i int, payload []byte) (ok bool, err error) {
 			return false, nil
 		}
 		start := p.dataStart() - len(payload)
-		copy(p.data[start:], payload)
+		p.put(start, payload)
 		p.setDataStart(start)
 		p.setSlot(i, start, len(payload))
 		return true, nil
 	}
 	p.setSlot(i, deadSlot, 0)
 	start := p.dataStart() - len(payload)
-	copy(p.data[start:], payload)
+	p.put(start, payload)
 	p.setDataStart(start)
 	p.setSlot(i, start, len(payload))
 	return true, nil
 }
 
 // compact rewrites live payloads to the end of the page, squeezing out
-// dead space. Slot ids are preserved.
+// dead space. Slot ids are preserved. Its span is the whole new data
+// area, plus the slot entries and data start it rewrites.
 func (p *SlottedPage) compact() {
 	type entry struct{ slot, off, length int }
 	var live []entry
@@ -320,7 +393,7 @@ func (p *SlottedPage) compact() {
 		pos += e.length
 	}
 	start := buffer.PageSize - len(scratch)
-	copy(p.data[start:], scratch)
+	p.put(start, scratch)
 	for i, e := range live {
 		p.setSlot(e.slot, start+offsets[i], e.length)
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/buffer"
 	"repro/internal/storage"
 )
 
@@ -133,6 +134,132 @@ func dmlPayload(t testing.TB, lsn LSN) []byte {
 	return buf
 }
 
+// spanRecord is a two-page update at lsn: three spans of page 4 (the
+// page header, a slot entry and a payload) and one of page 9.
+func spanRecord(lsn LSN) *Record {
+	return &Record{
+		LSN: lsn, Kind: KindUpdate, Table: "t", Pages: 10,
+		RID: storage.RID{Page: 9, Slot: 0}, OldRID: storage.RID{Page: 4, Slot: 2},
+		Images: []PageImage{
+			{Page: 4, Off: 0, Data: []byte{3, 0, 0x10, 0x1f}},
+			{Page: 4, Off: 16, Data: []byte{0xff, 0xff, 0, 0}},
+			{Page: 4, Off: 8000, Data: bytes.Repeat([]byte{7}, 192)},
+			{Page: 9, Off: 8, Data: []byte{0xc0, 0x1f, 0x40, 0}},
+		},
+	}
+}
+
+func encoded(t testing.TB, rec *Record) []byte {
+	t.Helper()
+	buf, err := encodePayload(nil, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// legacyDMLPayload is the encoder of versions that logged full page
+// images: the kind byte without spanLayout, and each entry
+// page(u32) | size(u32) | image.
+func legacyDMLPayload(rec *Record) []byte {
+	var buf []byte
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(rec.LSN))
+	buf = append(buf, byte(rec.Kind))
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(rec.Table)))
+	buf = append(buf, rec.Table...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(rec.Pages))
+	buf = appendRID(buf, rec.RID)
+	buf = appendRID(buf, rec.OldRID)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(rec.Images)))
+	for _, im := range rec.Images {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(im.Page))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(im.Data)))
+		buf = append(buf, im.Data...)
+	}
+	return buf
+}
+
+// legacyImageRecord is a full-image insert at lsn, as earlier versions
+// logged every insert.
+func legacyImageRecord(lsn LSN) *Record {
+	img := make([]byte, buffer.PageSize)
+	for i := range img {
+		img[i] = byte(i * 7)
+	}
+	return &Record{LSN: lsn, Kind: KindInsert, Table: "t", Pages: 3,
+		RID: storage.RID{Page: 2, Slot: 5}, OldRID: storage.InvalidRID,
+		Images: []PageImage{{Page: 2, Data: img}}}
+}
+
+// outOfPagePayload is spanRecord(lsn) with its payload span's length
+// field grown by one byte, so the span ends one byte past the page; the
+// bytes after it still parse.
+func outOfPagePayload(t testing.TB, lsn LSN) []byte {
+	t.Helper()
+	rec := spanRecord(lsn)
+	rec.Images = rec.Images[2:3]
+	buf := encoded(t, rec)
+	lenAt := len(buf) - 192 - 2
+	if binary.LittleEndian.Uint16(buf[lenAt:]) != 192 {
+		t.Fatal("out-of-page fixture: length field not where expected")
+	}
+	binary.LittleEndian.PutUint16(buf[lenAt:], 193)
+	return append(buf, 7)
+}
+
+// TestSpanRecordLayouts round-trips a multi-span two-page record,
+// decodes a full-image record of an earlier version as one span at
+// offset 0, and refuses spans that do not lie inside their page at both
+// ends of the codec.
+func TestSpanRecordLayouts(t *testing.T) {
+	t.Parallel()
+	want := spanRecord(5)
+	var got Record
+	if err := decodePayload(encoded(t, want), &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.LSN != want.LSN || got.Kind != want.Kind || got.Pages != want.Pages ||
+		got.RID != want.RID || got.OldRID != want.OldRID || len(got.Images) != len(want.Images) {
+		t.Fatalf("decoded %+v, want %+v", got, want)
+	}
+	for i, im := range got.Images {
+		w := want.Images[i]
+		if im.Page != w.Page || im.Off != w.Off || !bytes.Equal(im.Data, w.Data) {
+			t.Fatalf("span %d: %+v, want %+v", i, im, w)
+		}
+	}
+
+	legacy := legacyImageRecord(6)
+	var old Record
+	if err := decodePayload(legacyDMLPayload(legacy), &old); err != nil {
+		t.Fatal(err)
+	}
+	if old.Kind != KindInsert || len(old.Images) != 1 || old.Images[0].Page != 2 || old.Images[0].Off != 0 ||
+		!bytes.Equal(old.Images[0].Data, legacy.Images[0].Data) {
+		t.Fatalf("legacy full image decoded as %+v", old)
+	}
+
+	if err := decodePayload(outOfPagePayload(t, 7), &got); err == nil {
+		t.Fatal("decoded a span that ends past the page")
+	}
+	for _, im := range []PageImage{
+		{Page: 1, Off: buffer.PageSize - 3, Data: make([]byte, 4)},
+		{Page: 1, Off: 0, Data: make([]byte, buffer.PageSize+1)},
+		{Page: 1, Off: 12},
+	} {
+		rec := spanRecord(8)
+		rec.Images = append(rec.Images, im)
+		if _, err := encodePayload(nil, rec); err == nil {
+			t.Errorf("encoded a span of %d bytes at offset %d", len(im.Data), im.Off)
+		}
+	}
+	tooLong := legacyImageRecord(9)
+	tooLong.Images[0].Data = append(tooLong.Images[0].Data, 0)
+	if err := decodePayload(legacyDMLPayload(tooLong), &got); err == nil {
+		t.Fatal("decoded a full image larger than a page")
+	}
+}
+
 // writeSegment writes one segment starting at LSN 1 holding the given
 // frames back to back.
 func writeSegment(t *testing.T, dir string, frames ...[]byte) {
@@ -203,11 +330,15 @@ func TestLegacyQueryTruncatedBodyFails(t *testing.T) {
 
 // FuzzDecodePayload: the decoder never panics, never allocates beyond
 // maxPayload whatever the claimed counts and lengths, and every DML
-// record it accepts re-encodes to the identical bytes.
+// record it accepts re-encodes to the identical bytes — in the span
+// layout, which a full-image record of an earlier version re-encodes to
+// as the same record.
 func FuzzDecodePayload(f *testing.F) {
 	dml := dmlPayload(f, 1)
 	legacy := legacyQueryPayload(f)
-	for _, seed := range [][]byte{dml, legacy} {
+	seeds := [][]byte{dml, legacy, encoded(f, spanRecord(2)),
+		outOfPagePayload(f, 3), legacyDMLPayload(legacyImageRecord(4))}
+	for _, seed := range seeds {
 		f.Add(seed)
 		for _, cut := range []int{1, 11, 12, len(seed) / 2, len(seed) - 1} {
 			f.Add(seed[:cut])
@@ -232,6 +363,18 @@ func FuzzDecodePayload(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded record does not re-encode: %v", err)
 		}
+		if payload[8]&spanLayout == 0 {
+			// A full-image record: its span layout must carry the same
+			// record, which the old encoder then reproduces.
+			var again Record
+			if err := decodePayload(re, &again); err != nil {
+				t.Fatalf("re-encoded full-image record does not decode: %v", err)
+			}
+			if !bytes.Equal(legacyDMLPayload(&again), payload) {
+				t.Fatalf("full-image record %x changed in the span layout", payload)
+			}
+			return
+		}
 		if !bytes.Equal(re, payload) {
 			t.Fatalf("re-encoded %x, decoded from %x", re, payload)
 		}
@@ -249,6 +392,9 @@ func FuzzReplay(f *testing.F) {
 	f.Add(uint8(2), frame(dmlPayload(f, 2))) // an LSN out of order
 	f.Add(uint8(1), frame(legacyQueryPayload(f)))
 	f.Add(uint8(0), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	f.Add(uint8(1), frame(encoded(f, spanRecord(2))))
+	f.Add(uint8(3), frame(outOfPagePayload(f, 4)))
+	f.Add(uint8(2), frame(legacyDMLPayload(legacyImageRecord(3))))
 	f.Fuzz(func(t *testing.T, n uint8, tail []byte) {
 		dir := t.TempDir()
 		prefix := int(n % 4)

@@ -406,7 +406,7 @@ func (w *Writer) Commit(lsn LSN) error {
 }
 
 // Force makes the log durable through lsn whatever the policy; it is
-// group commit and the write-ahead rule's entry point (a page imaged by
+// group commit and the write-ahead rule's entry point (a page logged by
 // the record at lsn may reach its store only once Force returns). It is
 // not a Commit and leaves the commit counter alone. Callers that arrive
 // while an fsync is in flight queue on syncQ; the first to get it
