@@ -118,7 +118,7 @@ func TestTornPublicationFaultSweep(t *testing.T) {
 				}
 				// Property 1: the faulted op must not have died inside a WAL
 				// image capture — captures are pool hits by construction.
-				if strings.Contains(opErr.Error(), "wal image") {
+				if errors.Is(opErr, errWALImage) {
 					t.Fatalf("op %d died capturing a WAL image — a mutated page was evicted before its record existed: %v", acked, opErr)
 				}
 				for _, fs := range faults {
@@ -249,7 +249,7 @@ func TestTornPublicationRecoveryAfterFailedRelocation(t *testing.T) {
 		if !errors.Is(err, buffer.ErrInjected) {
 			t.Fatalf("update %d: unexpected error: %v", i, err)
 		}
-		if strings.Contains(err.Error(), "wal image") {
+		if errors.Is(err, errWALImage) {
 			t.Fatalf("update %d died capturing a WAL image: %v", i, err)
 		}
 		faulted = true

@@ -29,3 +29,10 @@ var (
 	// ErrTenantUnknown marks a reference to an unregistered tenant.
 	ErrTenantUnknown = errors.New("unknown tenant")
 )
+
+// errWALImage marks a DML record's capture of a page it logs failing to
+// pin that page. The statement pinned or just wrote every page it logs,
+// so a capture is a pool hit; one that has to read the store means a
+// mutated page was written back before its record existed, a
+// write-ahead violation the crash tests look for with errors.Is.
+var errWALImage = errors.New("engine: wal image")

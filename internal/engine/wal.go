@@ -292,7 +292,7 @@ func (s *Stmt) log(kind wal.Kind, rid, oldRID storage.RID, pages ...storage.Page
 		}
 		f, err := t.pool.Fetch(p)
 		if err != nil {
-			return fmt.Errorf("engine: wal image of %s page %d: %w", t.name, p, err)
+			return fmt.Errorf("%w of %s page %d: %w", errWALImage, t.name, p, err)
 		}
 		pinned = append(pinned, f)
 		data := f.Data()

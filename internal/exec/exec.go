@@ -81,15 +81,17 @@ type QueryStats struct {
 // tuple at each of rids, in order, after reading them all, and on an
 // error has handed over exactly the rows before the failing one.
 //
-// ScanPage is the key-first scan kernel (heap.Table.ScanPage): it hands
-// over each live tuple's value of column col plus its encoded bytes, and
-// the executor decodes the whole tuple (storage.DecodeTuple with Schema)
-// only when some attached query matches the key.
+// ScanPage is the page kernel (heap.Table.ScanPage): it fills a batch
+// with each live tuple's slot, its value of column col (an int64 vector
+// for an INTEGER column) and its encoded bytes, and calls fn once per
+// page, while the page is pinned. The executor evaluates every attached
+// predicate over the key vector and decodes a whole tuple
+// (storage.DecodeTuple with Schema) only when some query matches it.
 type Heap interface {
 	NumPages() int
 	Schema() *storage.Schema
 	ReadRows(rids []storage.RID, fn func(k int, tu storage.Tuple)) error
-	ScanPage(p storage.PageID, col int, fn func(rid storage.RID, key storage.Value, raw []byte) error) error
+	ScanPage(p storage.PageID, col int, b *heap.PageBatch, fn func(*heap.PageBatch) error) error
 }
 
 var _ Heap = (*heap.Table)(nil)
@@ -191,18 +193,6 @@ func FetchHit(a Access, snap index.Snapshot, lo, hi storage.Value) ([]Match, Que
 	}
 	stats.Matches = len(m)
 	return m, stats, nil
-}
-
-// materialize decodes a scanned tuple's bytes into *tu unless an earlier
-// match on the same tuple already did: a scan decodes each tuple at most
-// once, and only when some attached query matches its key.
-func materialize(schema *storage.Schema, raw []byte, tu *storage.Tuple) error {
-	if tu.Len() > 0 { // schemas have at least one column
-		return nil
-	}
-	var err error
-	*tu, err = storage.DecodeTuple(schema, raw)
-	return err
 }
 
 // fetchRIDs materializes tuples for a posting list in one Heap.ReadRows

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/heap"
+	"repro/internal/index"
 	"repro/internal/storage"
 )
 
@@ -84,6 +86,16 @@ type scanPass struct {
 	states []scanState
 	scanQ  []int
 
+	// The predicates, compiled once per pass. On an INTEGER key column
+	// every query is an int64 interval (its scanState's bounds) and a
+	// RangeCoverage is covInts; any other partial-index predicate stays
+	// in coverage and is asked per key. Other key kinds compare Values:
+	// each query's Lo and Hi, and coverage. covInts is empty and
+	// coverage nil where there is nothing to ask.
+	intKey   bool
+	covInts  intRange
+	coverage index.Coverage
+
 	results  []pageResult     // one slot per visited page, ascending
 	canceled []atomic.Bool    // by position in scanQ
 	chunks   []heap.PageRange // ranges of positions in results
@@ -110,6 +122,7 @@ func runPass(a Access, qs []SharedQuery, outs []SharedOutcome, states []scanStat
 		canceled: make([]atomic.Bool, len(scanQ)),
 		chunks:   heap.Chunks(len(visit), workers*chunksPerWorker),
 	}
+	s.compile()
 	for i, p := range visit {
 		s.results[i].page = p
 		_, s.results[i].index = slices.BinarySearch(inI, p)
@@ -192,8 +205,60 @@ func (s *scanPass) pollCancel() bool {
 	return any
 }
 
+// intRange is the closed interval [lo, hi] of int64 keys; lo > hi is
+// empty.
+type intRange struct{ lo, hi int64 }
+
+var emptyRange = intRange{lo: 1, hi: 0}
+
+func (r intRange) has(k int64) bool { return r.lo <= k && k <= r.hi }
+
+// intBounds compiles lo <= v <= hi, in Value.Compare's order, to the
+// int64 keys it admits. Values of different kinds order by kind, so a
+// bound that is not an INTEGER lies below or above every integer and
+// opens or empties its side.
+func intBounds(lo, hi storage.Value) intRange {
+	r := intRange{lo: math.MinInt64, hi: math.MaxInt64}
+	zero := storage.Int64Value(0)
+	switch {
+	case lo.Kind() == storage.KindInt64:
+		r.lo = lo.Int64()
+	case lo.Compare(zero) > 0:
+		return emptyRange
+	}
+	switch {
+	case hi.Kind() == storage.KindInt64:
+		r.hi = hi.Int64()
+	case hi.Compare(zero) < 0:
+		return emptyRange
+	}
+	return r
+}
+
+// compile fills the pass's compiled predicates.
+func (s *scanPass) compile() {
+	s.intKey = s.schema.Column(s.a.Column).Kind == storage.KindInt64
+	s.covInts = emptyRange
+	if s.a.Index != nil {
+		s.coverage = s.a.Index.Coverage()
+	}
+	if !s.intKey {
+		return
+	}
+	for _, qi := range s.scanQ {
+		s.states[qi].bounds = intBounds(s.qs[qi].Lo, s.qs[qi].Hi)
+	}
+	// RangeCoverage.Covers is Value.Between of its bounds, as a query is.
+	if rc, ok := s.coverage.(index.RangeCoverage); ok {
+		s.covInts, s.coverage = intBounds(rc.Lo, rc.Hi), nil
+	}
+}
+
 // worker claims chunks until the cursor runs dry or the scan aborts.
+// Its scanWorker is made at its first page.
 func (s *scanPass) worker() {
+	var w *scanWorker
+	var fn func(*heap.PageBatch) error
 	for {
 		if s.abort.Load() {
 			return
@@ -211,7 +276,12 @@ func (s *scanPass) worker() {
 				s.abort.Store(true) // every attached query canceled
 				return
 			}
-			if err := s.scanOne(&s.results[i]); err != nil {
+			if w == nil {
+				w = &scanWorker{s: s}
+				fn = w.page
+			}
+			w.res = &s.results[i]
+			if err := s.a.Table.ScanPage(w.res.page, s.a.Column, &w.batch, fn); err != nil {
 				s.fail(err)
 				return
 			}
@@ -219,25 +289,86 @@ func (s *scanPass) worker() {
 	}
 }
 
-// scanOne reads one visited page into its result slot: predicate
-// evaluation for each live attached query, and candidate-entry
-// collection for pages in I. It mutates nothing shared.
-func (s *scanPass) scanOne(res *pageResult) error {
-	return s.a.Table.ScanPage(res.page, s.a.Column, func(rid storage.RID, v storage.Value, raw []byte) error {
-		var tu storage.Tuple
-		for k, qi := range s.scanQ {
-			if !s.canceled[k].Load() && s.qs[qi].matches(v) {
-				if err := materialize(s.schema, raw, &tu); err != nil {
+// scanWorker is one phase-1 worker's reused state: the batch the page
+// kernel fills, and the tuples materialised from the current one.
+type scanWorker struct {
+	s      *scanPass
+	res    *pageResult // the page being read
+	batch  heap.PageBatch
+	tuples []storage.Tuple // by batch row; the zero Tuple until decoded
+}
+
+// page reads one visited page's batch into its result slot: each live
+// attached query's predicate over the key vector, then candidate-entry
+// collection for pages in I. The cancel flags are read once per batch.
+// It mutates nothing shared.
+func (w *scanWorker) page(b *heap.PageBatch) error {
+	s := w.s
+	w.tuples = slices.Grow(w.tuples[:0], b.Len())[:b.Len()]
+	clear(w.tuples)
+	for k, qi := range s.scanQ {
+		if s.canceled[k].Load() {
+			continue
+		}
+		if s.intKey {
+			r := s.states[qi].bounds
+			if r.lo > r.hi {
+				continue
+			}
+			for i, key := range b.Ints {
+				if r.lo <= key && key <= r.hi {
+					if err := w.match(k, i, b); err != nil {
+						return err
+					}
+				}
+			}
+			continue
+		}
+		q := &s.qs[qi]
+		for i, key := range b.Keys {
+			if q.matches(key) {
+				if err := w.match(k, i, b); err != nil {
 					return err
 				}
-				res.matches = append(res.matches, qMatch{q: k, m: Match{RID: rid, Tuple: tu}})
 			}
 		}
-		if res.index && (s.a.Index == nil || !s.a.Index.Covers(v)) {
-			res.entries = append(res.entries, core.PageEntry{Key: v, RID: rid})
+	}
+	if w.res.index {
+		w.collect(b)
+	}
+	return nil
+}
+
+// match records row i of b as a match of the query at scanQ position k,
+// decoding the row's tuple unless an earlier query on this batch did.
+func (w *scanWorker) match(k, i int, b *heap.PageBatch) error {
+	tu := &w.tuples[i]
+	if tu.Len() == 0 { // schemas have at least one column
+		var err error
+		if *tu, err = storage.DecodeTuple(w.s.schema, b.Raw[i]); err != nil {
+			return err
 		}
-		return nil
-	})
+	}
+	w.res.matches = append(w.res.matches, qMatch{q: k, m: Match{RID: b.RID(i), Tuple: *tu}})
+	return nil
+}
+
+// collect adds b's uncovered rows to the page's candidate entries.
+func (w *scanWorker) collect(b *heap.PageBatch) {
+	s, res := w.s, w.res
+	if res.entries == nil {
+		res.entries = make([]core.PageEntry, 0, b.Len())
+	}
+	for i, key := range b.Ints {
+		if v := storage.Int64Value(key); !s.covInts.has(key) && (s.coverage == nil || !s.coverage.Covers(v)) {
+			res.entries = append(res.entries, core.PageEntry{Key: v, RID: b.RID(i)})
+		}
+	}
+	for i, v := range b.Keys {
+		if s.coverage == nil || !s.coverage.Covers(v) {
+			res.entries = append(res.entries, core.PageEntry{Key: v, RID: b.RID(i)})
+		}
+	}
 }
 
 // finish publishes phase-1 cancellations and faults into the outcome

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -23,9 +24,12 @@ import (
 // or whole-batch cancellation in phase 1 leaves the Index Buffer exactly
 // as it was.
 
-// raceFaultHeap runs fault on every tuple scanned after a set number of
-// tuples, with atomic state so concurrent workers may hit it. A nil
-// fault fails the scan with errInjected.
+// raceFaultHeap runs fault at every row a scan reads after a set number
+// of rows, with atomic state so concurrent workers may hit it. The fault
+// lands mid-page: the executor is handed the page's rows before the
+// first faulting row, then the fault runs, and when it returns nil the
+// executor is handed the rest of the page. A nil fault fails the scan
+// with errInjected.
 type raceFaultHeap struct {
 	*heap.Table
 	remaining atomic.Int64
@@ -33,18 +37,37 @@ type raceFaultHeap struct {
 	fault     func() error
 }
 
-func (f *raceFaultHeap) ScanPage(p storage.PageID, col int, fn func(storage.RID, storage.Value, []byte) error) error {
-	return f.Table.ScanPage(p, col, func(rid storage.RID, key storage.Value, raw []byte) error {
-		if f.armed.Load() && f.remaining.Add(-1) < 0 {
-			if f.fault == nil {
-				return errInjected
+func (f *raceFaultHeap) ScanPage(p storage.PageID, col int, b *heap.PageBatch, fn func(*heap.PageBatch) error) error {
+	return f.Table.ScanPage(p, col, b, func(b *heap.PageBatch) error {
+		for i := 0; i < b.Len() && f.armed.Load(); i++ {
+			if f.remaining.Add(-1) >= 0 {
+				continue
 			}
-			if err := f.fault(); err != nil {
+			if err := fn(batchRows(b, 0, i)); err != nil {
 				return err
 			}
+			err := errInjected
+			if f.fault != nil {
+				err = f.fault()
+			}
+			if err != nil {
+				return err
+			}
+			return fn(batchRows(b, i, b.Len()))
 		}
-		return fn(rid, key, raw)
+		return fn(b)
 	})
+}
+
+// batchRows is rows [lo, hi) of b, as a batch of its own.
+func batchRows(b *heap.PageBatch, lo, hi int) *heap.PageBatch {
+	r := &heap.PageBatch{Page: b.Page, Slots: b.Slots[lo:hi], Raw: b.Raw[lo:hi]}
+	if len(b.Ints) > 0 {
+		r.Ints = b.Ints[lo:hi]
+	} else {
+		r.Keys = b.Keys[lo:hi]
+	}
+	return r
 }
 
 // checkMidPageFault injects a fault mid-page (the 26th tuple, on the
@@ -285,5 +308,24 @@ func TestParallelOracleRandomized(t *testing.T) {
 					convergedMisses, recovered)
 			}
 		})
+	}
+}
+
+// TestIntBoundsMatchBetween holds the compiled INTEGER predicate to
+// Value.Between for bounds of every kind, integers at the edges of
+// int64 included: a bound that is not an INTEGER orders below
+// (KindInvalid) or above (VARCHAR) every integer.
+func TestIntBoundsMatchBetween(t *testing.T) {
+	bounds := []storage.Value{{}, iv(math.MinInt64), iv(-5), iv(0), iv(7), iv(math.MaxInt64), storage.StringValue(""), storage.StringValue("a")}
+	keys := []int64{math.MinInt64, -6, -5, 0, 3, 7, 8, math.MaxInt64}
+	for _, lo := range bounds {
+		for _, hi := range bounds {
+			r := intBounds(lo, hi)
+			for _, k := range keys {
+				if got, want := r.has(k), iv(k).Between(lo, hi); got != want {
+					t.Errorf("[%v, %v] compiled to %+v: has(%d) = %v, Between %v", lo, hi, r, k, got, want)
+				}
+			}
+		}
 	}
 }

@@ -52,7 +52,8 @@ type SharedOutcome struct {
 type scanState struct {
 	ctx    context.Context
 	seen   pageSet
-	active bool // attached to the table scan; false once canceled/failed
+	active bool     // attached to the table scan; false once canceled/failed
+	bounds intRange // the predicate compiled for an INTEGER key column
 }
 
 // pageSet tracks the distinct heap pages one query has fetched, so that

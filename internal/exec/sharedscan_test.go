@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,10 +29,13 @@ func spaceFixture(t testing.TB, tb Heap, cfg core.Config) Access {
 	t.Helper()
 	ix := index.NewPartial("k", 0, index.IntRange(0, 4))
 	uncovered := make([]int, tb.NumPages())
+	var b heap.PageBatch
 	for p := 0; p < tb.NumPages(); p++ {
-		err := tb.ScanPage(storage.PageID(p), 0, func(rid storage.RID, key storage.Value, _ []byte) error {
-			if !ix.Add(key, rid) {
-				uncovered[rid.Page]++
+		err := tb.ScanPage(storage.PageID(p), 0, &b, func(b *heap.PageBatch) error {
+			for i := 0; i < b.Len(); i++ {
+				if !ix.Add(b.Key(i), b.RID(i)) {
+					uncovered[p]++
+				}
 			}
 			return nil
 		})
@@ -52,21 +56,18 @@ func spaceFixture(t testing.TB, tb Heap, cfg core.Config) Access {
 // reachable through the buffer.
 func checkCounterInvariant(t *testing.T, tb *heap.Table, a Access) {
 	t.Helper()
+	var b heap.PageBatch
 	for p := 0; p < tb.NumPages(); p++ {
 		pg := storage.PageID(p)
 		if a.Buffer.Counter(pg) != 0 {
 			continue
 		}
-		err := tb.ScanPage(pg, 0, func(rid storage.RID, v storage.Value, _ []byte) error {
-			if a.Index.Covers(v) {
-				return nil
-			}
-			for _, got := range a.Buffer.Lookup(v) {
-				if got == rid {
-					return nil
+		err := tb.ScanPage(pg, 0, &b, func(b *heap.PageBatch) error {
+			for i := 0; i < b.Len(); i++ {
+				if v, rid := b.Key(i), b.RID(i); !a.Index.Covers(v) && !slices.Contains(a.Buffer.Lookup(v), rid) {
+					t.Errorf("page %d: C[p]==0 but uncovered tuple %v at %v missing from buffer", p, v, rid)
 				}
 			}
-			t.Errorf("page %d: C[p]==0 but uncovered tuple %v at %v missing from buffer", p, v, rid)
 			return nil
 		})
 		if err != nil {
@@ -161,12 +162,14 @@ type truncHeap struct {
 	key storage.Value
 }
 
-func (h *truncHeap) ScanPage(p storage.PageID, col int, fn func(storage.RID, storage.Value, []byte) error) error {
-	return h.Table.ScanPage(p, col, func(rid storage.RID, key storage.Value, raw []byte) error {
-		if key.Equal(h.key) {
-			raw = raw[:len(raw)-1]
+func (h *truncHeap) ScanPage(p storage.PageID, col int, b *heap.PageBatch, fn func(*heap.PageBatch) error) error {
+	return h.Table.ScanPage(p, col, b, func(b *heap.PageBatch) error {
+		for i, raw := range b.Raw {
+			if b.Key(i).Equal(h.key) {
+				b.Raw[i] = raw[:len(raw)-1]
+			}
 		}
-		return fn(rid, key, raw)
+		return fn(b)
 	})
 }
 
@@ -252,6 +255,76 @@ func TestScanFaultsRollBack(t *testing.T) {
 				t.Fatalf("after the fault: %d matches, err %v; want 30", len(got), err)
 			}
 			checkCounterInvariant(t, real, a)
+		})
+	}
+}
+
+// TestVarcharKeyScan runs the scan on a VARCHAR key column, where the
+// kernel hands over Value keys and the partial index is a SetCoverage
+// asked key by key: over three rounds, as the buffer indexes pages and
+// starts skipping them, every query's matches equal a filter of the
+// full table scan, at one worker and at two.
+func TestVarcharKeyScan(t *testing.T) {
+	sv := storage.StringValue
+	for _, par := range []int{1, 2} {
+		t.Run(fmt.Sprintf("p%d", par), func(t *testing.T) {
+			pool, err := buffer.NewPool(buffer.NewSimDisk(), 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb := heap.NewTable(storage.MustSchema(
+				storage.Column{Name: "k", Kind: storage.KindInt64},
+				storage.Column{Name: "s", Kind: storage.KindString},
+				storage.Column{Name: "pad", Kind: storage.KindString},
+			), pool)
+			for i := 0; i < 200; i++ {
+				if _, err := tb.Insert(storage.NewTuple(iv(int64(i)), sv(fmt.Sprintf("v%d", i%10)), sv(strings.Repeat("p", 600)))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ix := index.NewPartial("s", 1, index.NewSetCoverage(sv("v1"), sv("v2")))
+			uncovered := make([]int, tb.NumPages())
+			if err := tb.Scan(func(rid storage.RID, tu storage.Tuple) error {
+				if !ix.Add(tu.Value(1), rid) {
+					uncovered[rid.Page]++
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			space := core.NewSpace(core.Config{IMax: 4, P: 4})
+			buf, err := space.CreateBuffer("t.s", uncovered)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := Access{Table: tb, Column: 1, Index: ix, Buffer: buf, Space: space, Parallelism: par}
+			for round := 0; round < 3; round++ {
+				for _, q := range [][2]string{{"v7", "v7"}, {"v3", "v5"}, {"v0", "v9"}, {"v1", "v1"}} {
+					lo, hi := sv(q[0]), sv(q[1])
+					var want []storage.RID
+					_ = tb.Scan(func(rid storage.RID, tu storage.Tuple) error {
+						if tu.Value(1).Between(lo, hi) {
+							want = append(want, rid)
+						}
+						return nil
+					})
+					got, _, err := Range(context.Background(), a, lo, hi)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var rids []storage.RID
+					for _, m := range got {
+						rids = append(rids, m.RID)
+					}
+					sortRIDs(rids)
+					if !slices.Equal(rids, want) {
+						t.Fatalf("round %d [%s, %s]: %d matches, want %d", round, q[0], q[1], len(rids), len(want))
+					}
+				}
+			}
+			if zero, _ := buf.Skippable(); zero == 0 {
+				t.Error("no page was indexed: the rounds never skipped a page")
+			}
 		})
 	}
 }

@@ -2,6 +2,7 @@ package heap
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/buffer"
@@ -468,59 +469,108 @@ func (t *Table) PageLiveCount(p storage.PageID) (int, error) {
 	return sp.LiveCount(), nil
 }
 
-// ScanPage is the key-first page kernel of every table scan: it invokes
-// fn for every live tuple in page p, in slot order, with the tuple's RID,
-// its value of column col, and its encoded bytes. Every tuple's framing
-// is checked (storage.DecodeColumn), so a corrupt tuple fails the scan
-// whether or not the caller ever materialises it, but only col is
-// decoded; a caller wanting the whole tuple decodes raw with
-// storage.DecodeTuple. raw aliases the pinned page and is valid only
-// during the call. Returning a non-nil error from fn stops the scan and
-// propagates.
-func (t *Table) ScanPage(p storage.PageID, col int, fn func(rid storage.RID, key storage.Value, raw []byte) error) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.scanPageLocked(p, func(rid storage.RID, raw []byte) error {
-		key, err := storage.DecodeColumn(t.schema, raw, col)
-		if err != nil {
-			return err
-		}
-		return fn(rid, key, raw)
-	})
+// PageBatch is one page of a scan as the page kernel hands it over: a
+// row per live slot, in slot order, with the slot number, the value of
+// the key column and the encoded tuple. The key is in Ints when the
+// column is INTEGER and in Keys otherwise; the other slice is empty. Raw
+// aliases the pinned page and is valid only during the kernel's
+// callback; a caller wanting a whole tuple decodes Raw[i] with
+// storage.DecodeTuple there. A caller owns its batch and passes it to
+// every ScanPage call, so a scan reuses one set of slices.
+type PageBatch struct {
+	Page  storage.PageID
+	Slots []uint16
+	Ints  []int64
+	Keys  []storage.Value
+	Raw   [][]byte
 }
 
-// scanPageLocked is the page loop under ScanPage and Scan: it pins and
-// validates page p and hands fn every live slot's bytes, which alias the
-// pinned page.
-func (t *Table) scanPageLocked(p storage.PageID, fn func(rid storage.RID, raw []byte) error) error {
-	if int(p) >= t.numPages {
-		return fmt.Errorf("heap: page %d out of range (table has %d pages)", p, t.numPages)
+// Len returns the number of rows in the batch.
+func (b *PageBatch) Len() int { return len(b.Slots) }
+
+// RID returns row i's record identifier.
+func (b *PageBatch) RID(i int) storage.RID { return storage.RID{Page: b.Page, Slot: b.Slots[i]} }
+
+// Key returns row i's key as a Value, whichever slice holds it.
+func (b *PageBatch) Key(i int) storage.Value {
+	if len(b.Ints) > 0 {
+		return storage.Int64Value(b.Ints[i])
 	}
-	f, err := t.pool.Fetch(p)
+	return b.Keys[i]
+}
+
+// ScanPage is the page kernel of every table scan. It pins and validates
+// page p once, fills b with every live slot's row, keyed by column col,
+// and calls fn once with b while the page is still pinned. Every
+// tuple's framing is checked (storage.DecodeColumn's walk), so a corrupt
+// tuple fails the scan, before fn runs, whether or not the caller ever
+// materialises it; only col is decoded. fn's error is returned.
+func (t *Table) ScanPage(p storage.PageID, col int, b *PageBatch, fn func(*PageBatch) error) error {
+	if col < 0 || col >= t.schema.NumColumns() {
+		return fmt.Errorf("heap: column %d out of range (schema has %d columns)", col, t.schema.NumColumns())
+	}
+	intKey := t.schema.Column(col).Kind == storage.KindInt64
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	f, sp, err := t.pinLocked(p)
 	if err != nil {
 		return err
 	}
 	defer t.pool.Unpin(f)
-	sp, err := AsPage(f.Data())
-	if err != nil {
-		return err
+	n := sp.NumSlots()
+	b.Page = p
+	b.Slots, b.Raw = slices.Grow(b.Slots[:0], n), slices.Grow(b.Raw[:0], n)
+	b.Ints, b.Keys = b.Ints[:0], b.Keys[:0]
+	if intKey {
+		b.Ints = slices.Grow(b.Ints, n)
 	}
-	if err := validateOnce(f, sp); err != nil {
-		return err
-	}
-	for s := 0; s < sp.NumSlots(); s++ {
-		if !sp.Live(s) {
-			continue
-		}
-		raw, err := sp.Tuple(s)
+	for s := 0; s < n; s++ {
+		raw, live, err := sp.liveTuple(s)
 		if err != nil {
 			return err
 		}
-		if err := fn(storage.RID{Page: p, Slot: uint16(s)}, raw); err != nil {
-			return err
+		if !live {
+			continue
 		}
+		if intKey {
+			k, err := storage.DecodeInt64Column(t.schema, raw, col)
+			if err != nil {
+				return err
+			}
+			b.Ints = append(b.Ints, k)
+		} else {
+			k, err := storage.DecodeColumn(t.schema, raw, col)
+			if err != nil {
+				return err
+			}
+			b.Keys = append(b.Keys, k)
+		}
+		b.Slots = append(b.Slots, uint16(s))
+		b.Raw = append(b.Raw, raw)
 	}
-	return nil
+	return fn(b)
+}
+
+// pinLocked pins page p, validated, for a reader holding t.mu, and
+// returns a view of it by value, which a page loop keeps on its stack.
+// The caller unpins the frame.
+func (t *Table) pinLocked(p storage.PageID) (*buffer.Frame, SlottedPage, error) {
+	if int(p) >= t.numPages {
+		return nil, SlottedPage{}, fmt.Errorf("heap: page %d out of range (table has %d pages)", p, t.numPages)
+	}
+	f, err := t.pool.Fetch(p)
+	if err != nil {
+		return nil, SlottedPage{}, err
+	}
+	sp, err := AsPage(f.Data())
+	if err == nil {
+		err = validateOnce(f, sp)
+	}
+	if err != nil {
+		t.pool.Unpin(f)
+		return nil, SlottedPage{}, err
+	}
+	return f, *sp, nil
 }
 
 // validateOnce runs sp.Validate on pinned frame f's image unless that
@@ -547,15 +597,35 @@ func validateOnce(f *buffer.Frame, sp *SlottedPage) error {
 func (t *Table) Scan(fn func(storage.RID, storage.Tuple) error) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	decode := func(rid storage.RID, raw []byte) error {
+	for p := 0; p < t.numPages; p++ {
+		if err := t.scanDecodedLocked(storage.PageID(p), fn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// scanDecodedLocked is Scan's page loop: it hands fn every live tuple
+// of page p, fully decoded.
+func (t *Table) scanDecodedLocked(p storage.PageID, fn func(storage.RID, storage.Tuple) error) error {
+	f, sp, err := t.pinLocked(p)
+	if err != nil {
+		return err
+	}
+	defer t.pool.Unpin(f)
+	for s, n := 0, sp.NumSlots(); s < n; s++ {
+		raw, live, err := sp.liveTuple(s)
+		if err != nil {
+			return err
+		}
+		if !live {
+			continue
+		}
 		tu, err := storage.DecodeTuple(t.schema, raw)
 		if err != nil {
 			return err
 		}
-		return fn(rid, tu)
-	}
-	for p := 0; p < t.numPages; p++ {
-		if err := t.scanPageLocked(storage.PageID(p), decode); err != nil {
+		if err := fn(storage.RID{Page: p, Slot: uint16(s)}, tu); err != nil {
 			return err
 		}
 	}

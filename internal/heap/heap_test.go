@@ -1,7 +1,6 @@
 package heap
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -126,9 +125,9 @@ func TestTableUpdateInPlaceAndMove(t *testing.T) {
 	// Grow the first tuple to more than a page's remaining space: find a
 	// tuple on page 0 and grow it hugely.
 	var victim storage.RID
-	_ = tb.ScanPage(0, 0, func(r storage.RID, _ storage.Value, _ []byte) error {
-		victim = r
-		return fmt.Errorf("stop")
+	_ = tb.ScanPage(0, 0, &PageBatch{}, func(b *PageBatch) error {
+		victim = b.RID(0)
+		return nil
 	})
 	huge := strings.Repeat("H", 7000)
 	newRID, err := tb.Update(victim, row(77, huge))
@@ -188,13 +187,27 @@ func TestTableScanOrder(t *testing.T) {
 	}
 }
 
+// scanPage runs the page kernel over page p with a callback that does
+// nothing, for tests that want only its error.
+func scanPage(tb *Table, p storage.PageID) error {
+	return tb.ScanPage(p, 0, &PageBatch{}, func(*PageBatch) error { return nil })
+}
+
 func TestTableScanPageErrors(t *testing.T) {
 	tb, _ := newTable(t, 8)
-	if err := tb.ScanPage(0, 0, func(storage.RID, storage.Value, []byte) error { return nil }); err == nil {
+	if err := scanPage(tb, 0); err == nil {
 		t.Error("scan of nonexistent page should fail")
 	}
 	if _, err := tb.PageLiveCount(0); err == nil {
 		t.Error("live count of nonexistent page should fail")
+	}
+	if _, err := tb.Insert(row(1, "x")); err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range []int{-1, 2} {
+		if err := tb.ScanPage(0, col, &PageBatch{}, func(*PageBatch) error { return nil }); err == nil {
+			t.Errorf("scan keyed by column %d of a two-column table should fail", col)
+		}
 	}
 }
 
@@ -414,23 +427,36 @@ func TestScanPageKeyFirst(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	var b PageBatch
 	for col := 0; col < 2; col++ {
 		seen := 0
 		for p := 0; p < tb.NumPages(); p++ {
-			err := tb.ScanPage(storage.PageID(p), col, func(r storage.RID, key storage.Value, raw []byte) error {
-				seen++
-				want := full[r]
-				if !key.Equal(want.Value(col)) {
-					t.Errorf("col %d at %v: key %v, want %v", col, r, key, want.Value(col))
+			calls := 0
+			err := tb.ScanPage(storage.PageID(p), col, &b, func(b *PageBatch) error {
+				calls++
+				if b.Page != storage.PageID(p) || len(b.Raw) != b.Len() || (col == 0) != (len(b.Ints) == b.Len()) || len(b.Ints)+len(b.Keys) != b.Len() {
+					t.Fatalf("col %d page %d: batch of %d rows has page %d, %d raw, %d ints, %d keys",
+						col, p, b.Len(), b.Page, len(b.Raw), len(b.Ints), len(b.Keys))
 				}
-				tu, err := storage.DecodeTuple(testSchema(), raw)
-				if err != nil || tu.String() != want.String() {
-					t.Errorf("col %d at %v: raw decodes to %v (%v), want %v", col, r, tu, err, want)
+				for i := 0; i < b.Len(); i++ {
+					seen++
+					r := b.RID(i)
+					if i > 0 && b.Slots[i] <= b.Slots[i-1] {
+						t.Errorf("col %d at %v: slots out of order", col, r)
+					}
+					want := full[r]
+					if key := b.Key(i); !key.Equal(want.Value(col)) {
+						t.Errorf("col %d at %v: key %v, want %v", col, r, key, want.Value(col))
+					}
+					tu, err := storage.DecodeTuple(testSchema(), b.Raw[i])
+					if err != nil || tu.String() != want.String() {
+						t.Errorf("col %d at %v: raw decodes to %v (%v), want %v", col, r, tu, err, want)
+					}
 				}
 				return nil
 			})
-			if err != nil {
-				t.Fatal(err)
+			if err != nil || calls != 1 {
+				t.Fatalf("page %d: %d calls, err %v; want one call", p, calls, err)
 			}
 		}
 		if seen != len(full) {
@@ -451,7 +477,11 @@ func TestScanPageKeyFirst(t *testing.T) {
 	}
 	raw[8]-- // low byte of the payload's length prefix
 	tb.pool.Unpin(f)
-	err = tb.ScanPage(0, 0, func(storage.RID, storage.Value, []byte) error { return nil })
+	called := false
+	err = tb.ScanPage(0, 0, &b, func(*PageBatch) error { called = true; return nil })
+	if called {
+		t.Error("the kernel handed over a page with a corrupt tuple")
+	}
 	if err == nil || !strings.Contains(err.Error(), "trailing bytes") {
 		t.Errorf("scan over a tuple with corrupt framing: err = %v, want trailing-bytes error", err)
 	}

@@ -186,6 +186,19 @@ func (p *SlottedPage) Tuple(i int) ([]byte, error) {
 	return p.data[off : off+length], nil
 }
 
+// liveTuple is Tuple for the page loops, which walk every slot below
+// NumSlots: a dead slot reports live false and no error.
+func (p *SlottedPage) liveTuple(i int) (raw []byte, live bool, err error) {
+	off, length := p.slot(i)
+	if off == deadSlot {
+		return nil, false, nil
+	}
+	if off+length > buffer.PageSize || off < headerSize {
+		return nil, false, fmt.Errorf("heap: slot %d is corrupt (offset %d, length %d)", i, off, length)
+	}
+	return p.data[off : off+length], true, nil
+}
+
 // Validate checks the structural integrity of the page: a plausible slot
 // directory and every live slot within bounds. It is cheap enough to run
 // on page images read from an untrusted store.

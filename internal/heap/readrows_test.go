@@ -210,7 +210,7 @@ func TestReadRowsMatchesGet(t *testing.T) {
 			tb, d, live, _ := rowsFixture(t, capacity, seed)
 			for p := storage.PageID(0); p < numPages; p++ {
 				if p != target.Page {
-					if err := tb.ScanPage(p, 0, func(storage.RID, storage.Value, []byte) error { return nil }); err != nil {
+					if err := scanPage(tb, p); err != nil {
 						t.Fatal(err)
 					}
 				}

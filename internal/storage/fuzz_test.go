@@ -45,30 +45,63 @@ func FuzzDecodeTuple(f *testing.F) {
 	})
 }
 
-// FuzzDecodeColumn holds the key-first decoder to the full one: for any
-// bytes and every column, DecodeColumn fails exactly when DecodeTuple
-// fails, with the same error text, and otherwise returns the tuple's
-// value of that column.
+// columnSchemas are the layouts FuzzDecodeColumn holds the column
+// decoders to: one INTEGER before the first VARCHAR, two (the
+// benchmark's t(a, b, payload)), INTEGERs only, and a VARCHAR first,
+// which has no fixed-offset prefix at all.
+func columnSchemas() []*Schema {
+	return []*Schema{
+		fuzzSchema(),
+		MustSchema(Column{Name: "a", Kind: KindInt64}, Column{Name: "b", Kind: KindInt64}, Column{Name: "p", Kind: KindString}),
+		MustSchema(Column{Name: "a", Kind: KindInt64}, Column{Name: "b", Kind: KindInt64}),
+		MustSchema(Column{Name: "s", Kind: KindString}, Column{Name: "a", Kind: KindInt64}),
+	}
+}
+
+// FuzzDecodeColumn holds the key-first decoders to the full one: for any
+// bytes, every schema of columnSchemas and every column, DecodeColumn
+// fails exactly when DecodeTuple fails, with the same error text, and
+// otherwise returns the tuple's value of that column; on an INTEGER
+// column DecodeInt64Column does the same with the value as an int64.
 func FuzzDecodeColumn(f *testing.F) {
-	s := fuzzSchema()
-	addFuzzSeeds(f, s)
+	addFuzzSeeds(f, fuzzSchema())
+	// The fixed-offset prefix of t(a, b, payload): a buffer one byte
+	// short of it, exactly it, and one byte into the VARCHAR length.
+	two, _ := EncodeTuple(columnSchemas()[1], NewTuple(Int64Value(7), Int64Value(-7), StringValue("pad")), nil)
+	f.Add(two)
+	f.Add(two[:15])
+	f.Add(two[:16])
+	f.Add(two[:17])
+	f.Add(append(two, 1, 2))
+	f.Add(make([]byte, 16))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tu, terr := DecodeTuple(s, data)
-		for col := 0; col < s.NumColumns(); col++ {
-			v, cerr := DecodeColumn(s, data, col)
-			if (terr == nil) != (cerr == nil) {
-				t.Fatalf("col %d of %x: DecodeTuple err %v, DecodeColumn err %v", col, data, terr, cerr)
-			}
-			if terr != nil {
-				if terr.Error() != cerr.Error() {
-					t.Fatalf("col %d of %x: error %q, want %q", col, data, cerr, terr)
+		for _, s := range columnSchemas() {
+			tu, terr := DecodeTuple(s, data)
+			for col := 0; col < s.NumColumns(); col++ {
+				v, cerr := DecodeColumn(s, data, col)
+				checkSameDecode(t, s, data, col, "DecodeColumn", terr, cerr)
+				if terr == nil && !reflect.DeepEqual(v, tu.Value(col)) {
+					t.Fatalf("%v col %d of %x: DecodeColumn = %v, want %v", s, col, data, v, tu.Value(col))
 				}
-				continue
-			}
-			if want := tu.Value(col); !reflect.DeepEqual(v, want) {
-				t.Fatalf("col %d of %x: DecodeColumn = %v, want %v", col, data, v, want)
+				if s.Column(col).Kind != KindInt64 {
+					continue
+				}
+				k, ierr := DecodeInt64Column(s, data, col)
+				checkSameDecode(t, s, data, col, "DecodeInt64Column", terr, ierr)
+				if terr == nil && k != tu.Value(col).Int64() {
+					t.Fatalf("%v col %d of %x: DecodeInt64Column = %d, want %v", s, col, data, k, tu.Value(col))
+				}
 			}
 		}
 	})
+}
+
+// checkSameDecode fails t unless a column decoder's error matches
+// DecodeTuple's: both nil, or both with the same text.
+func checkSameDecode(t *testing.T, s *Schema, data []byte, col int, name string, terr, err error) {
+	t.Helper()
+	if (terr == nil) != (err == nil) || (terr != nil && terr.Error() != err.Error()) {
+		t.Fatalf("%v col %d of %x: DecodeTuple err %v, %s err %v", s, col, data, terr, name, err)
+	}
 }

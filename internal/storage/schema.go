@@ -13,6 +13,13 @@ type Column struct {
 type Schema struct {
 	cols   []Column
 	byName map[string]int
+	// kinds is each column's kind, the decoders' per-tuple walk.
+	kinds []Kind
+	// intPrefix is the byte length of the leading run of INTEGER
+	// columns. Each of those columns, and the column after them, sits
+	// at a fixed offset (8 bytes per INTEGER before it), so the decoders
+	// check the run's framing with one length test.
+	intPrefix int
 }
 
 // NewSchema builds a schema from the given columns. Column names must be
@@ -36,6 +43,10 @@ func NewSchema(cols ...Column) (*Schema, error) {
 			return nil, fmt.Errorf("storage: duplicate column name %q", c.Name)
 		}
 		s.byName[c.Name] = i
+		s.kinds = append(s.kinds, c.Kind)
+		if c.Kind == KindInt64 && s.intPrefix == 8*i {
+			s.intPrefix += 8
+		}
 	}
 	return s, nil
 }

@@ -169,7 +169,7 @@ func (b *RowSlab) Decode(buf []byte) error {
 	row := b.vals[b.rows*c : (b.rows+1)*c]
 	off := 0
 	for i := range row {
-		kind := b.schema.Column(i).Kind
+		kind := b.schema.kinds[i]
 		n, err := valueLen(kind, buf[off:])
 		if err != nil {
 			return columnError(b.schema, i, err)
@@ -229,22 +229,20 @@ func (b *RowSlab) Tuple(k int) Tuple {
 // bounds checks, the same trailing-byte check, the same errors — so it
 // fails exactly when DecodeTuple fails and otherwise returns
 // DecodeTuple(s, buf).Value(col). Only col is materialised: an INTEGER
-// column costs no allocation. This is the key-first half of a page scan,
-// which needs the predicate column of every tuple but the whole tuple
-// only of those that match.
+// column costs no allocation.
 func DecodeColumn(s *Schema, buf []byte, col int) (Value, error) {
 	if col < 0 || col >= s.NumColumns() {
 		return Value{}, fmt.Errorf("storage: column %d out of range (schema has %d columns)", col, s.NumColumns())
 	}
 	var v Value
 	off := 0
-	for i := 0; i < s.NumColumns(); i++ {
+	for i, kind := range s.kinds {
 		var n int
 		var err error
 		if i == col {
-			v, n, err = decodeValue(s.Column(i).Kind, buf[off:])
+			v, n, err = decodeValue(kind, buf[off:])
 		} else {
-			n, err = valueLen(s.Column(i).Kind, buf[off:])
+			n, err = valueLen(kind, buf[off:])
 		}
 		if err != nil {
 			return Value{}, columnError(s, i, err)
@@ -255,6 +253,58 @@ func DecodeColumn(s *Schema, buf []byte, col int) (Value, error) {
 		return Value{}, trailingError(len(buf) - off)
 	}
 	return v, nil
+}
+
+// DecodeInt64Column is DecodeColumn for an INTEGER column, typed: it
+// fails exactly when DecodeColumn fails, with the same error, and
+// otherwise returns the column's value as an int64. It is the key
+// decode of a page scan, which needs the predicate column of every
+// tuple but the whole tuple only of those that match. A tuple that
+// frames well costs one walk; any other is left to DecodeColumn, which
+// reports its error.
+func DecodeInt64Column(s *Schema, buf []byte, col int) (int64, error) {
+	if at, ok := s.frameInt64(buf, col); ok {
+		return int64(binary.LittleEndian.Uint64(buf[at:])), nil
+	}
+	if col < 0 || col >= s.NumColumns() || s.kinds[col] != KindInt64 {
+		return 0, fmt.Errorf("storage: column %d of %v is not an INTEGER column", col, s)
+	}
+	v, err := DecodeColumn(s, buf, col)
+	if err != nil {
+		return 0, err
+	}
+	return v.Int64(), nil
+}
+
+// frameInt64 walks buf's framing as one tuple of s, with DecodeTuple's
+// bounds checks and trailing-byte check, and returns the offset of
+// INTEGER column col; ok is false when buf is not exactly one tuple or
+// col is not an INTEGER column. The leading INTEGER columns sit at fixed
+// offsets, so one length test covers them and the walk starts after
+// them.
+func (s *Schema) frameInt64(buf []byte, col int) (at int, ok bool) {
+	off := s.intPrefix
+	if len(buf) < off || uint(col) >= uint(len(s.kinds)) || s.kinds[col] != KindInt64 {
+		return 0, false
+	}
+	at = 8 * col // col's offset when it is one of the leading INTEGERs
+	for i := off / 8; i < len(s.kinds); i++ {
+		if i == col {
+			at = off
+		}
+		if s.kinds[i] == KindInt64 {
+			off += 8
+		} else {
+			if len(buf)-off < 2 {
+				return 0, false
+			}
+			off += 2 + int(binary.LittleEndian.Uint16(buf[off:]))
+		}
+		if off > len(buf) {
+			return 0, false
+		}
+	}
+	return at, off == len(buf)
 }
 
 func columnError(s *Schema, i int, err error) error {

@@ -114,6 +114,26 @@ func TestTupleDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeInt64ColumnKinds: the typed decode reads the INTEGER column
+// of flightsSchema (VARCHAR, INTEGER) and refuses its VARCHAR column and
+// a column out of range.
+func TestDecodeInt64ColumnKinds(t *testing.T) {
+	t.Parallel()
+	s := flightsSchema()
+	good, err := EncodeTuple(s, NewTuple(StringValue("ORD"), Int64Value(-5)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k, err := DecodeInt64Column(s, good, 1); err != nil || k != -5 {
+		t.Errorf("DecodeInt64Column(col 1) = %d, %v; want -5", k, err)
+	}
+	for _, col := range []int{-1, 0, 2} {
+		if _, err := DecodeInt64Column(s, good, col); err == nil {
+			t.Errorf("DecodeInt64Column(col %d) of %v succeeded", col, s)
+		}
+	}
+}
+
 func TestTupleRoundTripProperty(t *testing.T) {
 	t.Parallel()
 	s := MustSchema(

@@ -113,11 +113,9 @@ func (v Value) Compare(o Value) int {
 func (v Value) Equal(o Value) bool { return v.Compare(o) == 0 }
 
 // Between reports lo <= v <= hi under Compare semantics. It is the scan
-// kernel's per-tuple predicate, so three integers compare inline.
+// kernel's predicate on a key that is not INTEGER; an INTEGER key is
+// compared as an int64 against bounds compiled once per scan.
 func (v Value) Between(lo, hi Value) bool {
-	if v.kind == KindInt64 && lo.kind == KindInt64 && hi.kind == KindInt64 {
-		return lo.i <= v.i && v.i <= hi.i
-	}
 	return v.Compare(lo) >= 0 && v.Compare(hi) <= 0
 }
 
