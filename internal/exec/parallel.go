@@ -87,13 +87,11 @@ type scanPass struct {
 	scanQ  []int
 
 	// The predicates, compiled once per pass. On an INTEGER key column
-	// every query is an int64 interval (its scanState's bounds) and a
-	// RangeCoverage is covInts; any other partial-index predicate stays
-	// in coverage and is asked per key. Other key kinds compare Values:
-	// each query's Lo and Hi, and coverage. covInts is empty and
-	// coverage nil where there is nothing to ask.
+	// every query is an int64 interval (its scanState's bounds); other
+	// key kinds compare each query's Lo and Hi as Values. The partial
+	// index's predicate, asked per key of a page in I, is coverage, nil
+	// when there is no index.
 	intKey   bool
-	covInts  intRange
 	coverage index.Coverage
 
 	results  []pageResult     // one slot per visited page, ascending
@@ -238,7 +236,6 @@ func intBounds(lo, hi storage.Value) intRange {
 // compile fills the pass's compiled predicates.
 func (s *scanPass) compile() {
 	s.intKey = s.schema.Column(s.a.Column).Kind == storage.KindInt64
-	s.covInts = emptyRange
 	if s.a.Index != nil {
 		s.coverage = s.a.Index.Coverage()
 	}
@@ -247,10 +244,6 @@ func (s *scanPass) compile() {
 	}
 	for _, qi := range s.scanQ {
 		s.states[qi].bounds = intBounds(s.qs[qi].Lo, s.qs[qi].Hi)
-	}
-	// RangeCoverage.Covers is Value.Between of its bounds, as a query is.
-	if rc, ok := s.coverage.(index.RangeCoverage); ok {
-		s.covInts, s.coverage = intBounds(rc.Lo, rc.Hi), nil
 	}
 }
 
@@ -316,7 +309,7 @@ func (w *scanWorker) page(b *heap.PageBatch) error {
 				continue
 			}
 			for i, key := range b.Ints {
-				if r.lo <= key && key <= r.hi {
+				if r.has(key) {
 					if err := w.match(k, i, b); err != nil {
 						return err
 					}
@@ -360,7 +353,7 @@ func (w *scanWorker) collect(b *heap.PageBatch) {
 		res.entries = make([]core.PageEntry, 0, b.Len())
 	}
 	for i, key := range b.Ints {
-		if v := storage.Int64Value(key); !s.covInts.has(key) && (s.coverage == nil || !s.coverage.Covers(v)) {
+		if v := storage.Int64Value(key); s.coverage == nil || !s.coverage.Covers(v) {
 			res.entries = append(res.entries, core.PageEntry{Key: v, RID: b.RID(i)})
 		}
 	}

@@ -24,12 +24,12 @@ import (
 // or whole-batch cancellation in phase 1 leaves the Index Buffer exactly
 // as it was.
 
-// raceFaultHeap runs fault at every row a scan reads after a set number
-// of rows, with atomic state so concurrent workers may hit it. The fault
-// lands mid-page: the executor is handed the page's rows before the
-// first faulting row, then the fault runs, and when it returns nil the
-// executor is handed the rest of the page. A nil fault fails the scan
-// with errInjected.
+// raceFaultHeap runs fault once per page, at the first row a scan reads
+// after a set number of rows, with atomic state so concurrent workers
+// may hit it. The fault lands mid-page: the executor is handed the
+// page's rows before that row, then the fault runs, and when it returns
+// nil the executor is handed the rest of the page. A nil fault fails the
+// scan with errInjected.
 type raceFaultHeap struct {
 	*heap.Table
 	remaining atomic.Int64

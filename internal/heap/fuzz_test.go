@@ -131,11 +131,14 @@ func encodeFrom(s *storage.Schema, body []byte) []byte {
 
 // FuzzScanPage holds the page kernel to a per-slot reference over page
 // images built from fuzz bytes, for each of scanLayouts: the reference
-// walks the live slots in order and decodes each one's key with
-// storage.DecodeColumn. The kernel must fail exactly when the reference
-// fails, with the error of the first slot that fails, without calling
-// its callback; otherwise it calls the callback once, with a batch that
-// equals the reference slot by slot: slot number, key and raw bytes.
+// walks the live slots in order and takes each one's key from
+// storage.DecodeTuple. The kernel checks framing with DecodeColumn's
+// walk; DecodeTuple walks it on its own (RowSlab.Decode), and
+// FuzzDecodeColumn holds the two decoders to the same answers. The
+// kernel must fail exactly when the reference fails, with the error of
+// the first slot that fails, without calling its callback; otherwise it
+// calls the callback once, with a batch that equals the reference slot
+// by slot: slot number, key and raw bytes.
 func FuzzScanPage(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 20, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 3, 'a', 'b', 'c'})
@@ -184,12 +187,12 @@ func checkScanPage(t *testing.T, name string, s *storage.Schema, img []byte) {
 		if err != nil {
 			t.Fatalf("%s: slot %d of a page built by Insert: %v", name, i, err)
 		}
-		key, err := storage.DecodeColumn(s, raw, col)
+		tu, err := storage.DecodeTuple(s, raw)
 		if err != nil {
 			wantErr = err
 			continue
 		}
-		slots, keys, raws = append(slots, uint16(i)), append(keys, key), append(raws, raw)
+		slots, keys, raws = append(slots, uint16(i)), append(keys, tu.Value(col)), append(raws, raw)
 	}
 
 	// A batch left over from another page must not leak into this one.

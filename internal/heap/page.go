@@ -176,18 +176,16 @@ func (p *SlottedPage) Tuple(i int) ([]byte, error) {
 	if i < 0 || i >= p.numSlots() {
 		return nil, fmt.Errorf("heap: slot %d out of range (page has %d slots)", i, p.numSlots())
 	}
-	off, length := p.slot(i)
-	if off == deadSlot {
-		return nil, fmt.Errorf("heap: slot %d is dead", i)
+	raw, live, err := p.liveTuple(i)
+	if err == nil && !live {
+		err = fmt.Errorf("heap: slot %d is dead", i)
 	}
-	if off+length > buffer.PageSize || off < headerSize {
-		return nil, fmt.Errorf("heap: slot %d is corrupt (offset %d, length %d)", i, off, length)
-	}
-	return p.data[off : off+length], nil
+	return raw, err
 }
 
-// liveTuple is Tuple for the page loops, which walk every slot below
-// NumSlots: a dead slot reports live false and no error.
+// liveTuple is Tuple without the range check, for the page loops, which
+// walk every slot below NumSlots: a dead slot reports live false and no
+// error.
 func (p *SlottedPage) liveTuple(i int) (raw []byte, live bool, err error) {
 	off, length := p.slot(i)
 	if off == deadSlot {

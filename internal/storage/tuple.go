@@ -170,9 +170,9 @@ func (b *RowSlab) Decode(buf []byte) error {
 	off := 0
 	for i := range row {
 		kind := b.schema.kinds[i]
-		n, err := valueLen(kind, buf[off:])
-		if err != nil {
-			return columnError(b.schema, i, err)
+		n, ok := valueLen(kind, buf[off:])
+		if !ok {
+			return columnError(b.schema, i, framingError(kind, buf[off:]))
 		}
 		switch {
 		case kind == KindInt64:
@@ -234,24 +234,11 @@ func DecodeColumn(s *Schema, buf []byte, col int) (Value, error) {
 	if col < 0 || col >= s.NumColumns() {
 		return Value{}, fmt.Errorf("storage: column %d out of range (schema has %d columns)", col, s.NumColumns())
 	}
-	var v Value
-	off := 0
-	for i, kind := range s.kinds {
-		var n int
-		var err error
-		if i == col {
-			v, n, err = decodeValue(kind, buf[off:])
-		} else {
-			n, err = valueLen(kind, buf[off:])
-		}
-		if err != nil {
-			return Value{}, columnError(s, i, err)
-		}
-		off += n
+	at, err := s.frame(buf, col)
+	if err != nil {
+		return Value{}, err
 	}
-	if off != len(buf) {
-		return Value{}, trailingError(len(buf) - off)
-	}
+	v, _, _ := decodeValue(s.kinds[col], buf[at:])
 	return v, nil
 }
 
@@ -259,52 +246,43 @@ func DecodeColumn(s *Schema, buf []byte, col int) (Value, error) {
 // fails exactly when DecodeColumn fails, with the same error, and
 // otherwise returns the column's value as an int64. It is the key
 // decode of a page scan, which needs the predicate column of every
-// tuple but the whole tuple only of those that match. A tuple that
-// frames well costs one walk; any other is left to DecodeColumn, which
-// reports its error.
+// tuple but the whole tuple only of those that match. Both decoders
+// check the framing with the same walk, frame.
 func DecodeInt64Column(s *Schema, buf []byte, col int) (int64, error) {
-	if at, ok := s.frameInt64(buf, col); ok {
-		return int64(binary.LittleEndian.Uint64(buf[at:])), nil
-	}
 	if col < 0 || col >= s.NumColumns() || s.kinds[col] != KindInt64 {
 		return 0, fmt.Errorf("storage: column %d of %v is not an INTEGER column", col, s)
 	}
-	v, err := DecodeColumn(s, buf, col)
+	at, err := s.frame(buf, col)
 	if err != nil {
 		return 0, err
 	}
-	return v.Int64(), nil
+	return int64(binary.LittleEndian.Uint64(buf[at:])), nil
 }
 
-// frameInt64 walks buf's framing as one tuple of s, with DecodeTuple's
-// bounds checks and trailing-byte check, and returns the offset of
-// INTEGER column col; ok is false when buf is not exactly one tuple or
-// col is not an INTEGER column. The leading INTEGER columns sit at fixed
-// offsets, so one length test covers them and the walk starts after
-// them.
-func (s *Schema) frameInt64(buf []byte, col int) (at int, ok bool) {
-	off := s.intPrefix
-	if len(buf) < off || uint(col) >= uint(len(s.kinds)) || s.kinds[col] != KindInt64 {
-		return 0, false
+// frame walks buf's framing as one tuple of s, with DecodeTuple's
+// bounds checks, trailing-byte check and errors, and returns the offset
+// of column col, which must be in range. The leading INTEGER columns
+// sit at fixed offsets, so when buf holds them all one length test
+// covers them and the walk starts after them.
+func (s *Schema) frame(buf []byte, col int) (at int, err error) {
+	off, i := 0, 0
+	if len(buf) >= s.intPrefix {
+		off, i, at = s.intPrefix, s.intPrefix/8, 8*col
 	}
-	at = 8 * col // col's offset when it is one of the leading INTEGERs
-	for i := off / 8; i < len(s.kinds); i++ {
+	for ; i < len(s.kinds); i++ {
 		if i == col {
 			at = off
 		}
-		if s.kinds[i] == KindInt64 {
-			off += 8
-		} else {
-			if len(buf)-off < 2 {
-				return 0, false
-			}
-			off += 2 + int(binary.LittleEndian.Uint16(buf[off:]))
+		n, ok := valueLen(s.kinds[i], buf[off:])
+		if !ok {
+			return 0, columnError(s, i, framingError(s.kinds[i], buf[off:]))
 		}
-		if off > len(buf) {
-			return 0, false
-		}
+		off += n
 	}
-	return at, off == len(buf)
+	if off != len(buf) {
+		return 0, trailingError(len(buf) - off)
+	}
+	return at, nil
 }
 
 func columnError(s *Schema, i int, err error) error {

@@ -171,34 +171,43 @@ const maxStringLen = 1<<16 - 1
 
 // valueLen checks the framing of one encoded value of the given kind at
 // the start of buf and returns its length in bytes, without
-// materialising it.
-func valueLen(kind Kind, buf []byte) (int, error) {
+// materialising it; ok is false when buf does not hold such a value,
+// and framingError says why. It is every decoder's per-column step, so
+// it inlines and the error is built out of line.
+func valueLen(kind Kind, buf []byte) (n int, ok bool) {
+	switch {
+	case kind == KindInt64:
+		n = 8
+	case kind == KindString && len(buf) >= 2:
+		n = 2 + int(binary.LittleEndian.Uint16(buf))
+	default:
+		return 0, false
+	}
+	return n, len(buf) >= n
+}
+
+// framingError is the error for a value of kind that buf does not hold,
+// as valueLen reports.
+func framingError(kind Kind, buf []byte) error {
 	switch kind {
 	case KindInt64:
-		if len(buf) < 8 {
-			return 0, fmt.Errorf("storage: short buffer decoding INTEGER: have %d bytes", len(buf))
-		}
-		return 8, nil
+		return fmt.Errorf("storage: short buffer decoding INTEGER: have %d bytes", len(buf))
 	case KindString:
 		if len(buf) < 2 {
-			return 0, fmt.Errorf("storage: short buffer decoding VARCHAR length: have %d bytes", len(buf))
+			return fmt.Errorf("storage: short buffer decoding VARCHAR length: have %d bytes", len(buf))
 		}
-		n := int(binary.LittleEndian.Uint16(buf))
-		if len(buf) < 2+n {
-			return 0, fmt.Errorf("storage: short buffer decoding VARCHAR body: want %d, have %d", n, len(buf)-2)
-		}
-		return 2 + n, nil
+		return fmt.Errorf("storage: short buffer decoding VARCHAR body: want %d, have %d", binary.LittleEndian.Uint16(buf), len(buf)-2)
 	default:
-		return 0, fmt.Errorf("storage: cannot decode kind %v", kind)
+		return fmt.Errorf("storage: cannot decode kind %v", kind)
 	}
 }
 
 // decodeValue reads one value of the given kind from buf, returning the
 // value and the number of bytes consumed.
 func decodeValue(kind Kind, buf []byte) (Value, int, error) {
-	n, err := valueLen(kind, buf)
-	if err != nil {
-		return Value{}, 0, err
+	n, ok := valueLen(kind, buf)
+	if !ok {
+		return Value{}, 0, framingError(kind, buf)
 	}
 	if kind == KindInt64 {
 		return Int64Value(int64(binary.LittleEndian.Uint64(buf))), n, nil
