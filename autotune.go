@@ -8,19 +8,7 @@ import (
 // AutoTunePolicy configures the online adaptation controller; zero
 // fields take sensible defaults (window 64, miss rate 0.7, bucket width
 // 1000, top 4 regions). See internal/adapt for the control loop.
-type AutoTunePolicy struct {
-	// Window is the number of recent queries monitored.
-	Window int
-	// MissRate trips adaptation when the miss fraction over the window
-	// reaches it.
-	MissRate float64
-	// MinGap is the minimum number of queries between adaptations.
-	MinGap int
-	// BucketWidth groups integer keys when choosing new coverage.
-	BucketWidth int64
-	// TopK is how many hot regions (or string values) to cover.
-	TopK int
-}
+type AutoTunePolicy = adapt.Policy
 
 // AutoTuner pairs a column's partial index with an adaptation
 // controller: queries routed through it are monitored, and a sustained
@@ -39,13 +27,7 @@ func (t *Table) AutoTune(column string, p AutoTunePolicy) (*AutoTuner, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := adapt.New(t.t, i, adapt.Policy{
-		Window:      p.Window,
-		MissRate:    p.MissRate,
-		MinGap:      p.MinGap,
-		BucketWidth: p.BucketWidth,
-		TopK:        p.TopK,
-	})
+	ctrl, err := adapt.New(t.t, i, p)
 	if err != nil {
 		return nil, err
 	}

@@ -31,7 +31,10 @@ const benchRows = 20000
 func BenchmarkFig1ControlLoopDelay(b *testing.B) {
 	var collapse, recovered float64
 	for i := 0; i < b.N; i++ {
-		r := bench.RunFig1(bench.DefaultFig1Options())
+		r, err := bench.RunFig1(bench.DefaultFig1Options())
+		if err != nil {
+			b.Fatal(err)
+		}
 		collapse = r.HitRate.MeanRange(300, 340)
 		recovered = r.HitRate.MeanRange(450, 500)
 	}

@@ -331,7 +331,10 @@ func run(fig string, opts bench.Options, format string, step int) error {
 	switch fig {
 	case "1":
 		fmt.Println("== Figure 1: control loop delay of adaptive partial indexing ==")
-		r := bench.RunFig1(bench.DefaultFig1Options())
+		r, err := bench.RunFig1(bench.DefaultFig1Options())
+		if err != nil {
+			return err
+		}
 		emit(r.Frame(), format, step)
 		fmt.Printf("summary: hit rate pre-shift %.2f, during shift %.2f, recovered %.2f\n\n",
 			r.HitRate.MeanRange(150, 200), r.HitRate.MeanRange(300, 340), r.HitRate.MeanRange(450, 500))

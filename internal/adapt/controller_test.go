@@ -52,6 +52,93 @@ func TestNewRequiresIndex(t *testing.T) {
 	}
 }
 
+func TestPolicyDefaults(t *testing.T) {
+	want := Policy{Window: 64, MissRate: 0.7, MinGap: 64, BucketWidth: 1000, TopK: 4}
+	if got := (Policy{}).withDefaults(); got != want {
+		t.Errorf("zero policy = %+v, want %+v", got, want)
+	}
+	if got := (Policy{Window: 10}).withDefaults().MinGap; got != 10 {
+		t.Errorf("MinGap defaults to %d, want the window 10", got)
+	}
+}
+
+// observe feeds one outcome to c and fails t on error.
+func observe(t *testing.T, c *Controller, key int64, hit bool) bool {
+	t.Helper()
+	adapted, err := c.Observe(iv(key), hit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return adapted
+}
+
+// TestTripsAtMissRate: the controller waits for a full window and
+// redefines the index on the first query whose window reaches the miss
+// rate, not before.
+func TestTripsAtMissRate(t *testing.T) {
+	tb := intTable(t, 200, 10000, 1000)
+	c, err := New(tb, 0, Policy{Window: 10, MissRate: 0.5, BucketWidth: 1000, TopK: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q := 0; q < 10; q++ { // 6 hits, then 4 misses: 0.4 < 0.5
+		if observe(t, c, 5000, q < 6) {
+			t.Fatalf("adapted at query %d with at most 4 misses in the window", q)
+		}
+	}
+	if !observe(t, c, 5000, false) { // the first hit leaves: 5 of 10
+		t.Fatal("did not adapt when the window reached the miss rate")
+	}
+	if !tb.Index(0).Covers(iv(5500)) || tb.Index(0).Covers(iv(500)) {
+		t.Errorf("coverage %s, want the missed bucket [5000, 5999]", tb.Index(0).Coverage())
+	}
+}
+
+// TestWindowForgetsOldMisses: misses that left the window no longer
+// count toward the miss rate.
+func TestWindowForgetsOldMisses(t *testing.T) {
+	tb := intTable(t, 200, 10000, 1000)
+	c, err := New(tb, 0, Policy{Window: 10, MissRate: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pattern := []bool{false, false, false, false, true, true, true, true, true, true}
+	for round := 0; round < 5; round++ {
+		for q, hit := range pattern {
+			if observe(t, c, 5000, hit) {
+				t.Fatalf("round %d query %d: adapted with 4 misses in any window of 10", round, q)
+			}
+		}
+	}
+	if st := c.Stats(); st.Misses != 20 || st.Adaptations != 0 {
+		t.Errorf("stats = %+v, want 20 misses and no adaptation", st)
+	}
+}
+
+// TestTopKBoundsCoverage: the redefined index covers only the TopK
+// most-missed buckets of the window.
+func TestTopKBoundsCoverage(t *testing.T) {
+	tb := intTable(t, 200, 10000, 1000)
+	c, err := New(tb, 0, Policy{Window: 12, MissRate: 1, BucketWidth: 1, TopK: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Keys 1, 2 and 3 are missed once each; 4, 5 and 6 two, three and
+	// four times.
+	keys := []int64{1, 2, 3, 4, 4, 5, 5, 5, 6, 6, 6, 6}
+	for q, k := range keys {
+		if adapted := observe(t, c, k, false); adapted != (q == len(keys)-1) {
+			t.Fatalf("query %d: adapted = %v", q, adapted)
+		}
+	}
+	cov := tb.Index(0).Coverage()
+	for k := int64(0); k <= 8; k++ {
+		if want := k >= 4 && k <= 6; cov.Covers(iv(k)) != want {
+			t.Errorf("coverage %s covers %d: %v, want %v", cov, k, !want, want)
+		}
+	}
+}
+
 func TestNoAdaptationWhileHitting(t *testing.T) {
 	tb := intTable(t, 3000, 10000, 2000)
 	c, err := New(tb, 0, Policy{Window: 30, MissRate: 0.7})
@@ -251,5 +338,50 @@ func TestBufferBridgesControllerGap(t *testing.T) {
 	mean := float64(total) / float64(len(gapCosts))
 	if mean > float64(tb.NumPages())/4 {
 		t.Errorf("gap cost %.1f pages/query of %d-page table; buffer did not bridge", mean, tb.NumPages())
+	}
+}
+
+// TestControlLoopDelayShape is Fig. 1's hit-rate shape on the
+// controller: high while the workload stays in the covered range, a
+// collapse right after it shifts out, and recovery once the control loop
+// has redefined the index.
+func TestControlLoopDelayShape(t *testing.T) {
+	tb := intTable(t, 3000, 10000, 2000)
+	c, err := New(tb, 0, Policy{Window: 30, MissRate: 0.7, BucketWidth: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	hitRate := func(from, to int64, n int) float64 {
+		hits := 0
+		for i := 0; i < n; i++ {
+			_, stats, _, err := c.Query(iv(from + rng.Int63n(to-from+1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.PartialHit {
+				hits++
+			}
+		}
+		return float64(hits) / float64(n)
+	}
+
+	warm := hitRate(1, 2000, 100) // phase 1: the covered range
+	if warm < 0.5 {
+		t.Errorf("steady-state hit rate = %.2f, want > 0.5", warm)
+	}
+	early := hitRate(5000, 6999, 20) // right after the shift
+	if early > 0.3 {
+		t.Errorf("post-shift hit rate = %.2f, want collapse below 0.3", early)
+	}
+	late := hitRate(5000, 6999, 200) // after adaptation
+	if late < 0.5 {
+		t.Errorf("recovered hit rate = %.2f, want > 0.5", late)
+	}
+	if late <= early {
+		t.Error("hit rate did not recover after adaptation")
+	}
+	if got := c.Stats().Adaptations; got != 1 {
+		t.Errorf("adaptations = %d, want exactly 1", got)
 	}
 }

@@ -1,5 +1,6 @@
 // Package bench regenerates every figure of the paper's evaluation (§V)
-// plus the two motivating simulations (Fig. 1 and Fig. 3). Each RunFigN
+// plus the two motivating figures (Fig. 1, on the engine's adaptation
+// controller, and Fig. 3's order-correlation simulation). Each RunFigN
 // function builds the paper's data setup at a configurable scale, drives
 // the paper's workload, and returns per-query series shaped like the
 // published curves. The CLI (cmd/aibench) and the repository's benchmark

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/index"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 )
@@ -18,7 +19,10 @@ func testOpts() Options {
 
 func TestRunFig1Shapes(t *testing.T) {
 	o := DefaultFig1Options()
-	r := RunFig1(o)
+	r, err := RunFig1(o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.QueriedValue.Len() != o.Queries {
 		t.Fatalf("series length %d", r.QueriedValue.Len())
 	}
@@ -42,14 +46,28 @@ func TestRunFig1Shapes(t *testing.T) {
 	if hi := r.IndexedHi.MeanRange(150, 200); hi > 15 {
 		t.Errorf("pre-shift indexed hi %.1f, want <= 15", hi)
 	}
-	// A stale low value may survive in the LRU tail, so check that the
-	// bulk of the index moved: the upper edge reached the new range and
-	// the lower edge rose substantially from the old range's floor.
+	// The index moved: the upper edge reached the new range and the
+	// lower edge rose substantially from the old range's floor.
 	if hi := r.IndexedHi.MeanRange(480, 500); hi < 25 {
 		t.Errorf("late indexed hi %.1f, want >= 25", hi)
 	}
 	if lo := r.IndexedLo.MeanRange(480, 500); lo < 10 {
 		t.Errorf("late indexed lo %.1f, want >= 10 (index should have followed)", lo)
+	}
+}
+
+func TestCoveredBand(t *testing.T) {
+	for _, tc := range []struct {
+		cov    index.Coverage
+		lo, hi int64
+	}{
+		{index.NoneCoverage{}, 0, 0},
+		{index.IntRange(3, 9), 3, 9},
+		{index.UnionCoverage{index.IntRange(20, 22), index.IntRange(4, 4), index.IntRange(16, 18)}, 4, 22},
+	} {
+		if lo, hi := coveredBand(tc.cov); lo != tc.lo || hi != tc.hi {
+			t.Errorf("coveredBand(%s) = [%d, %d], want [%d, %d]", tc.cov, lo, hi, tc.lo, tc.hi)
+		}
 	}
 }
 

@@ -1,9 +1,10 @@
 package bench
 
 import (
+	"repro/internal/adapt"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/index"
+	"repro/internal/exec"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 )
@@ -16,7 +17,7 @@ import (
 // systems run the identical query stream:
 //
 //	baseline   — partial index never adapts, no Index Buffer
-//	adapt      — partial index redefines after the monitor trips
+//	adapt      — an adapt.Controller redefines the partial index
 //	adapt+buf  — the same adaptation plus the Adaptive Index Buffer
 //
 // The paper's claim is that adapt+buf turns the long expensive window
@@ -29,9 +30,9 @@ type BridgeOptions struct {
 	Queries int // total queries; 0 = 150
 	ShiftAt int // query index of the workload shift; 0 = Queries/5
 
-	// MonitorWindow and MissThreshold model the tuning facility's
-	// control loop: the index redefines once misses within the window
-	// reach the threshold. Defaults 50 and 40.
+	// MonitorWindow and MissThreshold set the adaptation controller's
+	// policy: the index redefines once misses within the window reach
+	// the threshold. Defaults 50 and 40.
 	MonitorWindow int
 	MissThreshold int
 
@@ -85,22 +86,20 @@ func (r *BridgeResult) Cumulative() (baseline, adapt, adaptBuf float64) {
 	return sum(r.Baseline), sum(r.Adapt), sum(r.AdaptBuf)
 }
 
-// bridgeSystem is one engine under test.
+// bridgeSystem is one engine under test; ctrl is nil for the system
+// that never adapts.
 type bridgeSystem struct {
-	tb      *engine.Table
-	adapts  bool
-	adapted bool
-	misses  []bool // ring of recent miss flags
-	next    int
-	series  *metrics.Series
+	tb     *engine.Table
+	ctrl   *adapt.Controller
+	series *metrics.Series
 }
 
 // RunBridge runs the bridge experiment. Before the shift, queries draw
 // from the covered range [1, 5000]; after it, from a narrow uncovered
 // hot range. Adaptation redefines the partial index to cover the new hot
-// range, charging the rebuild's full-scan cost to the query that
-// triggered it — the paper's "adaptation adds to the total execution
-// costs" (§I).
+// range — bucket width 1000 and top 6 buckets, room for all of it — charging
+// the rebuild's full-scan cost to the query that triggered it: the
+// paper's "adaptation adds to the total execution costs" (§I).
 func RunBridge(o BridgeOptions) (*BridgeResult, error) {
 	o = o.withDefaults()
 
@@ -114,19 +113,26 @@ func RunBridge(o BridgeOptions) (*BridgeResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &bridgeSystem{
-			tb:     tb,
-			adapts: adapts,
-			misses: make([]bool, o.MonitorWindow),
-			series: metrics.NewSeries(name),
-		}, nil
+		sys := &bridgeSystem{tb: tb, series: metrics.NewSeries(name)}
+		if adapts {
+			sys.ctrl, err = adapt.New(tb, 0, adapt.Policy{
+				Window:      o.MonitorWindow,
+				MissRate:    float64(o.MissThreshold) / float64(o.MonitorWindow),
+				BucketWidth: 1000,
+				TopK:        6,
+			})
+			if err != nil {
+				return nil, err
+			}
+		}
+		return sys, nil
 	}
 
 	baseline, err := build(true, false, "baseline")
 	if err != nil {
 		return nil, err
 	}
-	adapt, err := build(true, true, "adapt_only")
+	adaptOnly, err := build(true, true, "adapt_only")
 	if err != nil {
 		return nil, err
 	}
@@ -134,11 +140,11 @@ func RunBridge(o BridgeOptions) (*BridgeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	systems := []*bridgeSystem{baseline, adapt, adaptBuf}
+	systems := []*bridgeSystem{baseline, adaptOnly, adaptBuf}
 
 	r := &BridgeResult{
 		Baseline: baseline.series,
-		Adapt:    adapt.series,
+		Adapt:    adaptOnly.series,
 		AdaptBuf: adaptBuf.series,
 	}
 	r.AdaptedAt = -1
@@ -153,36 +159,21 @@ func RunBridge(o BridgeOptions) (*BridgeResult, error) {
 			key = hot(rng)
 		}
 		for _, sys := range systems {
-			_, stats, err := sys.tb.QueryEqual(0, intVal(key))
+			var stats exec.QueryStats
+			adapted := false
+			if sys.ctrl != nil {
+				_, stats, adapted, err = sys.ctrl.Query(intVal(key))
+			} else {
+				_, stats, err = sys.tb.QueryEqual(0, intVal(key))
+			}
 			if err != nil {
 				return nil, err
 			}
 			cost := float64(stats.PagesRead)
-
-			if sys.adapts && !sys.adapted {
-				sys.misses[sys.next] = !stats.PartialHit
-				sys.next = (sys.next + 1) % len(sys.misses)
-				missCount := 0
-				for _, m := range sys.misses {
-					if m {
-						missCount++
-					}
-				}
-				if missCount >= o.MissThreshold {
-					// The control loop trips: redefine the partial index
-					// to cover both the old and the new hot range,
-					// charging the rebuild scan.
-					if err := sys.tb.RedefineIndex(0, index.UnionCoverage{
-						index.IntRange(1, coveredHi()),
-						index.IntRange(hotLo, hotHi),
-					}); err != nil {
-						return nil, err
-					}
-					cost += float64(sys.tb.NumPages())
-					sys.adapted = true
-					if sys == adapt {
-						r.AdaptedAt = q
-					}
+			if adapted {
+				cost += float64(sys.tb.NumPages())
+				if sys == adaptOnly && r.AdaptedAt < 0 {
+					r.AdaptedAt = q
 				}
 			}
 			sys.series.Add(cost)

@@ -3,43 +3,52 @@ package bench
 import (
 	"math/rand"
 
+	"repro/internal/adapt"
+	"repro/internal/engine"
+	"repro/internal/index"
 	"repro/internal/metrics"
-	"repro/internal/tuning"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
-// Fig1Options configures the control-loop-delay simulation. The paper's
+// Fig1Options configures the control-loop-delay experiment. The paper's
 // run: 500 queries over one integer column, focus shifting from values
-// <15 to >15 between queries 200 and 300; promotion window and threshold
-// per its Figure 1 caption.
+// <15 to >15 between queries 200 and 300; the tuner monitors a window of
+// recent queries and redefines the partial index when it trips.
 type Fig1Options struct {
-	Queries     int   // total queries (paper: 500)
-	ShiftStart  int   // first query of the focus shift (paper: 200)
-	ShiftEnd    int   // last query of the focus shift (paper: 300)
-	Window      int   // monitoring window; see EXPERIMENTS.md for calibration
-	Threshold   int   // promotions need this many observations in the window
-	Capacity    int   // LRU capacity of the simulated partial index (values)
-	HitRateOver int   // rolling window for the hit-rate series
-	Seed        int64 // query draw seed
+	Queries     int     // total queries (paper: 500)
+	ShiftStart  int     // first query of the focus shift (paper: 200)
+	ShiftEnd    int     // last query of the focus shift (paper: 300)
+	Window      int     // monitoring window; see EXPERIMENTS.md for calibration
+	MissRate    float64 // the index is redefined at this miss rate over the window
+	TopK        int     // most-missed values the redefined index covers
+	HitRateOver int     // rolling window for the hit-rate series
+	Seed        int64   // query draw seed
 }
 
 // DefaultFig1Options returns the calibrated reproduction parameters.
-// Window is 100 rather than the paper's literal 20: under a uniform
-// 14-value workload, 6 occurrences within 20 queries is a ~0.2% event, so
-// nothing would ever be promoted; with 100 the tuner exhibits exactly the
-// ~200-query adaptation delay the paper's Figure 1 shows.
+// Window is 100 rather than the paper's literal 20: the paper's tuner
+// promotes single values, each needing six observations within its
+// window, while adapt.Controller redefines the whole coverage once the
+// window's miss rate trips. With 100 queries and a 0.7 miss rate it
+// shows the ~100-query adaptation delay the paper's Figure 1 shows; a
+// rate of 0.5 or a window of 50 trips mid-shift and covers a mix of old
+// and new values (EXPERIMENTS.md).
 func DefaultFig1Options() Fig1Options {
 	return Fig1Options{
 		Queries:     500,
 		ShiftStart:  200,
 		ShiftEnd:    300,
 		Window:      100,
-		Threshold:   tuning.DefaultThreshold,
-		Capacity:    15,
+		MissRate:    0.7,
+		TopK:        15,
 		HitRateOver: 25,
 		Seed:        1,
 	}
 }
+
+// fig1RowsPerValue is how many rows hold each of the column's values.
+const fig1RowsPerValue = 20
 
 // Fig1Result carries the series of the paper's Figure 1.
 type Fig1Result struct {
@@ -56,15 +65,34 @@ func (r *Fig1Result) Frame() *metrics.Frame {
 }
 
 // RunFig1 reproduces Figure 1: the control loop delay of adaptive partial
-// indexing. Queries draw uniformly from a value range that shifts from
-// [1, 14] to [16, 30] between ShiftStart and ShiftEnd; the tuner promotes
-// and evicts values; the indexed range visibly lags the queried range and
-// the hit rate collapses during the shift.
-func RunFig1(o Fig1Options) *Fig1Result {
-	rng := rand.New(rand.NewSource(o.Seed))
-	tuner := tuning.New(o.Window, o.Threshold, o.Capacity)
-	drawAt := workload.ShiftingRange(1, 14, 16, 30, o.ShiftStart, o.ShiftEnd)
+// indexing. A one-column table holds the values 1..30 under a partial
+// index that starts empty; an adapt.Controller, one value per bucket,
+// redefines it as the queries miss. Queries draw uniformly from a value
+// range that shifts from [1, 14] to [16, 30] between ShiftStart and
+// ShiftEnd; the indexed range visibly lags the queried range and the hit
+// rate collapses during the shift.
+func RunFig1(o Fig1Options) (*Fig1Result, error) {
+	eng := engine.New(engine.Config{DisableIndexBuffer: true})
+	observeEngine(eng)
+	tb, err := eng.CreateTable("t", storage.MustSchema(storage.Column{Name: "a", Kind: storage.KindInt64}))
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < 30*fig1RowsPerValue; i++ {
+		if _, err := tb.Insert(storage.NewTuple(intVal(int64(i%30 + 1)))); err != nil {
+			return nil, err
+		}
+	}
+	if err := tb.CreatePartialIndex(0, index.NoneCoverage{}); err != nil {
+		return nil, err
+	}
+	ctrl, err := adapt.New(tb, 0, adapt.Policy{Window: o.Window, MissRate: o.MissRate, BucketWidth: 1, TopK: o.TopK})
+	if err != nil {
+		return nil, err
+	}
 
+	rng := rand.New(rand.NewSource(o.Seed))
+	drawAt := workload.ShiftingRange(1, 14, 16, 30, o.ShiftStart, o.ShiftEnd)
 	r := &Fig1Result{
 		QueriedValue: metrics.NewSeries("queried_value"),
 		IndexedLo:    metrics.NewSeries("indexed_lo"),
@@ -75,10 +103,13 @@ func RunFig1(o Fig1Options) *Fig1Result {
 	window := make([]float64, 0, o.HitRateOver)
 	for q := 0; q < o.Queries; q++ {
 		v := drawAt(q, rng)
-		hit := tuner.OnQuery(intVal(v))
+		_, stats, _, err := ctrl.Query(intVal(v))
+		if err != nil {
+			return nil, err
+		}
 		r.QueriedValue.Add(float64(v))
 		h := 0.0
-		if hit {
+		if stats.PartialHit {
 			h = 1
 		}
 		r.Hit.Add(h)
@@ -92,14 +123,26 @@ func RunFig1(o Fig1Options) *Fig1Result {
 		}
 		r.HitRate.Add(sum / float64(len(window)))
 
-		lo, hi, ok := tuner.IndexedRange()
-		if ok {
-			r.IndexedLo.Add(float64(lo.Int64()))
-			r.IndexedHi.Add(float64(hi.Int64()))
-		} else {
-			r.IndexedLo.Add(0)
-			r.IndexedHi.Add(0)
-		}
+		lo, hi := coveredBand(tb.Index(0).Coverage())
+		r.IndexedLo.Add(float64(lo))
+		r.IndexedHi.Add(float64(hi))
 	}
-	return r
+	return r, nil
+}
+
+// coveredBand returns the smallest and largest value an integer coverage
+// includes — the "indexed value range" band of the paper's Figure 1 —
+// or zeros for an empty one.
+func coveredBand(cov index.Coverage) (lo, hi int64) {
+	switch c := cov.(type) {
+	case index.RangeCoverage:
+		return c.Lo.Int64(), c.Hi.Int64()
+	case index.UnionCoverage:
+		lo, hi = c[0].Lo.Int64(), c[0].Hi.Int64()
+		for _, rc := range c[1:] {
+			lo, hi = min(lo, rc.Lo.Int64()), max(hi, rc.Hi.Int64())
+		}
+		return lo, hi
+	}
+	return 0, 0
 }

@@ -207,8 +207,8 @@ func Load(cfg Config, tenants ...TenantSpec) (*Engine, error) {
 			// names a cataloged table; anything else is corruption.
 			return fmt.Errorf("engine: redo record %d names unknown table %q", rec.LSN, rec.Table)
 		}
-		// The heap extent first: a failed insert can grow the heap by
-		// an empty page that no span names.
+		// The heap extent first: the record's page count may include a
+		// page that none of its spans names.
 		if err := extendStore(lt.fs, rec.Pages); err != nil {
 			return err
 		}

@@ -382,11 +382,12 @@ func TestSpanRedoLegacyFullImages(t *testing.T) {
 	}
 }
 
-// TestSpanRedoEmptyPageExtent crashes after a failed insert of a row
-// too large for any page, which grows the heap by an empty page, and a
-// delete on an earlier page. The delete's record names only that page,
-// but its page count includes the empty one, so redo must extend the
-// file to it: reopening the heap reads every page up to the count.
+// TestSpanRedoEmptyPageExtent crashes after a delete on the only page
+// of a table, then appends to the log a copy of the delete's record
+// whose page count names a second page the file does not have — the
+// extent of a heap page no record wrote. Redo must extend the file to
+// that count before patching: reopening the heap reads every page up to
+// it.
 func TestSpanRedoEmptyPageExtent(t *testing.T) {
 	dir := t.TempDir()
 	e := New(Config{DataDir: dir, PoolPages: 64})
@@ -402,18 +403,54 @@ func TestSpanRedoEmptyPageExtent(t *testing.T) {
 		}
 		rids = append(rids, rid)
 	}
-	if _, err := tb.Insert(spanRow(9, "x", buffer.PageSize)); err == nil {
-		t.Fatal("inserted a row larger than a page")
-	}
-	if n := tb.heap.NumPages(); n != 2 {
-		t.Fatalf("the failed insert left %d pages, want 2", n)
-	}
 	if err := tb.Delete(rids[1]); err != nil {
 		t.Fatal(err)
 	}
+	if n := tb.heap.NumPages(); n != 1 {
+		t.Fatalf("three small rows took %d pages, want 1", n)
+	}
 	want := contents(t, tb)
-	// Crash: abandon the engine.
+	// Crash: abandon the engine, then log the delete again with an
+	// extent one page past the file.
 	crashed := t.TempDir()
 	copyDir(t, dir, crashed)
-	sameRows(t, recoverContents(t, crashed), want)
+	var last wal.Record
+	info, err := wal.Replay(walDir(crashed), 0, func(rec *wal.Record) error {
+		last = *rec
+		last.Images = nil
+		for _, im := range rec.Images {
+			last.Images = append(last.Images, wal.PageImage{Page: im.Page, Off: im.Off, Data: bytes.Clone(im.Data)})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last.Kind != wal.KindDelete || last.Pages != 1 {
+		t.Fatalf("last record is %v over %d pages, want the delete over 1", last.Kind, last.Pages)
+	}
+	last.Pages = 2
+	w, err := wal.Open(walDir(crashed), wal.Options{}, info.Next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsn, err := w.Append(&last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(lsn); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := Load(Config{DataDir: crashed, PoolPages: 64})
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	defer recovered.Close()
+	if n := recovered.Table("t").NumPages(); n != 2 {
+		t.Errorf("recovered heap has %d pages, want the logged extent 2", n)
+	}
+	sameRows(t, contents(t, recovered.Table("t")), want)
 }

@@ -156,9 +156,10 @@ func (t *Table) NumPages() int {
 // Insert appends the tuple and returns its RID. The placement policy is
 // last-page-first, then any page with room (via the free-space hints),
 // then a fresh page — an append-mostly heap like the paper's bulk-loaded
-// table.
+// table. A tuple too large for an empty page is refused before any page
+// is touched.
 func (t *Table) Insert(tu storage.Tuple) (storage.RID, error) {
-	payload, err := storage.EncodeTuple(t.schema, tu, nil)
+	payload, err := encodeFitting(t.schema, tu)
 	if err != nil {
 		return storage.InvalidRID, err
 	}
@@ -228,10 +229,27 @@ func (t *Table) insertLocked(payload []byte) (storage.RID, error) {
 	slot, ok := sp.Insert(payload)
 	t.freeHint[page] = sp.FreeSpace()
 	if !ok {
-		return storage.InvalidRID, fmt.Errorf("heap: tuple of %d bytes does not fit an empty page", len(payload))
+		return storage.InvalidRID, errTooLarge(len(payload))
 	}
 	f.MarkDirty()
 	return storage.RID{Page: page, Slot: uint16(slot)}, nil
+}
+
+// encodeFitting encodes tu for the table, refusing a tuple no page can
+// hold.
+func encodeFitting(schema *storage.Schema, tu storage.Tuple) ([]byte, error) {
+	payload, err := storage.EncodeTuple(schema, tu, nil)
+	if err != nil {
+		return nil, err
+	}
+	if len(payload) > maxPayload {
+		return nil, errTooLarge(len(payload))
+	}
+	return payload, nil
+}
+
+func errTooLarge(n int) error {
+	return fmt.Errorf("heap: tuple of %d bytes does not fit an empty page", n)
 }
 
 // Get fetches the tuple at rid: a ReadRows of one RID.
@@ -378,9 +396,10 @@ func (t *Table) Delete(rid storage.RID) error {
 // Update replaces the tuple at rid, returning the (possibly new) RID. The
 // tuple stays in place when it fits; otherwise it relocates to another
 // page and the returned RID differs — callers maintaining indexes must
-// handle the move.
+// handle the move. A tuple too large for an empty page is refused before
+// the page is touched.
 func (t *Table) Update(rid storage.RID, tu storage.Tuple) (storage.RID, error) {
-	payload, err := storage.EncodeTuple(t.schema, tu, nil)
+	payload, err := encodeFitting(t.schema, tu)
 	if err != nil {
 		return storage.InvalidRID, err
 	}

@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -96,6 +97,66 @@ func TestTableSpillsToNewPages(t *testing.T) {
 	}
 	if cnt != n {
 		t.Errorf("count = %d, want %d", cnt, n)
+	}
+}
+
+// TestOversizeRowHasNoSideEffect refuses a row too large for an empty
+// page before touching the table: an Insert must not grow the heap or
+// its store nor leave a span pending, and an Update must leave its
+// page's bytes as they were.
+func TestOversizeRowHasNoSideEffect(t *testing.T) {
+	tb, d := newTable(t, 8)
+	tb.TrackSpans()
+	var rids []storage.RID
+	for i := 0; i < 3; i++ {
+		rid, err := tb.Insert(row(int64(i), strings.Repeat("r", 100)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	tb.SpansLogged(rids[0].Page)
+	page := func() []byte {
+		f, err := tb.pool.Fetch(rids[1].Page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tb.pool.Unpin(f)
+		return bytes.Clone(f.Data())
+	}
+	noSpans := func(op string) {
+		for p := 0; p <= tb.NumPages(); p++ {
+			if got := tb.Spans(storage.PageID(p), nil); len(got) != 0 {
+				t.Errorf("%s left spans %v pending on page %d", op, got, p)
+			}
+		}
+	}
+	before := page()
+	pages, extent := tb.NumPages(), d.NumPages()
+	big := row(9, strings.Repeat("x", buffer.PageSize))
+
+	if _, err := tb.Insert(big); err == nil || !strings.Contains(err.Error(), "does not fit an empty page") {
+		t.Fatalf("oversize insert: err = %v", err)
+	}
+	if tb.NumPages() != pages || d.NumPages() != extent {
+		t.Errorf("oversize insert grew the heap to %d pages and the store to %d, want %d and %d",
+			tb.NumPages(), d.NumPages(), pages, extent)
+	}
+	noSpans("oversize insert")
+
+	if _, err := tb.Update(rids[1], big); err == nil || !strings.Contains(err.Error(), "does not fit an empty page") {
+		t.Fatalf("oversize update: err = %v", err)
+	}
+	if !bytes.Equal(page(), before) {
+		t.Error("oversize update changed its page's bytes")
+	}
+	if tb.NumPages() != pages || d.NumPages() != extent {
+		t.Errorf("oversize update grew the heap to %d pages and the store to %d, want %d and %d",
+			tb.NumPages(), d.NumPages(), pages, extent)
+	}
+	noSpans("oversize update")
+	if got, err := tb.Get(rids[1]); err != nil || got.Value(0).Int64() != 1 {
+		t.Errorf("row after oversize update: %v, %v", got, err)
 	}
 }
 

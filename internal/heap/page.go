@@ -27,6 +27,10 @@ const (
 	headerSize    = 8
 	slotEntrySize = 4
 	deadSlot      = 0xFFFF
+
+	// maxPayload is the largest tuple payload an empty page holds: the
+	// page less its header and one slot entry.
+	maxPayload = buffer.PageSize - headerSize - slotEntrySize
 )
 
 // SlottedPage is a view over a PageSize byte buffer. It does not own the
@@ -263,7 +267,7 @@ func (p *SlottedPage) deadSpace() int {
 // Insert places payload into the page and returns its slot id. ok is
 // false when the payload does not fit even after compaction.
 func (p *SlottedPage) Insert(payload []byte) (slot int, ok bool) {
-	if len(payload) > buffer.PageSize-headerSize-slotEntrySize {
+	if len(payload) > maxPayload {
 		return 0, false
 	}
 	// Reuse a dead slot if present, otherwise grow the directory.

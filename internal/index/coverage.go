@@ -68,9 +68,9 @@ func IntRange(lo, hi int64) RangeCoverage {
 	return RangeCoverage{Lo: storage.Int64Value(lo), Hi: storage.Int64Value(hi)}
 }
 
-// SetCoverage covers an explicit set of values — the shape produced by a
-// value-granular online tuning facility (each indexed value was promoted
-// individually, like the paper's Fig. 1 simulation).
+// SetCoverage covers an explicit set of values — the shape the
+// adaptation controller (internal/adapt) chooses for a string column,
+// each covered value named individually.
 type SetCoverage struct {
 	values map[storage.Value]struct{}
 }

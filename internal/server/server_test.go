@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"reflect"
 	"runtime"
@@ -18,6 +19,7 @@ import (
 	"repro"
 	"repro/internal/flight"
 	"repro/internal/timeline"
+	"repro/internal/workload"
 )
 
 func openDB(t *testing.T, o repro.Options) *repro.DB {
@@ -81,29 +83,49 @@ type protoConn struct {
 
 func dialProto(t *testing.T, addr string) *protoConn {
 	t.Helper()
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	c, err := tryDialProto(t, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { conn.Close() })
+	t.Cleanup(func() { c.conn.Close() })
+	return c
+}
+
+// tryDialProto is dialProto for goroutines other than the test's own:
+// it reports the error, and the caller closes the connection.
+func tryDialProto(t *testing.T, addr string) (*protoConn, error) {
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		return nil, err
+	}
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	return &protoConn{t: t, conn: conn, sc: sc}
+	return &protoConn{t: t, conn: conn, sc: sc}, nil
 }
 
 func (c *protoConn) do(stmt string) response {
 	c.t.Helper()
+	r, err := c.send(stmt)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	return r
+}
+
+// send is do for goroutines other than the test's own: it reports a
+// transport or framing failure instead of failing the test.
+func (c *protoConn) send(stmt string) (response, error) {
 	if _, err := fmt.Fprintf(c.conn, "%s\n", stmt); err != nil {
-		c.t.Fatalf("write %q: %v", stmt, err)
+		return response{}, fmt.Errorf("write %q: %w", stmt, err)
 	}
 	if !c.sc.Scan() {
-		c.t.Fatalf("no response to %q: %v", stmt, c.sc.Err())
+		return response{}, fmt.Errorf("no response to %q: %v", stmt, c.sc.Err())
 	}
 	var r response
 	if err := json.Unmarshal(c.sc.Bytes(), &r); err != nil {
-		c.t.Fatalf("bad response %q: %v", c.sc.Text(), err)
+		return response{}, fmt.Errorf("bad response %q: %w", c.sc.Text(), err)
 	}
-	return r
+	return r, nil
 }
 
 func TestServerProtocol(t *testing.T) {
@@ -195,66 +217,154 @@ func TestServerStrictQuotaOverWire(t *testing.T) {
 	}
 }
 
+// stressLoad shapes one TestServerStressQuotas run: a table per tenant
+// of Rows keys drawn from [1, Domain] under a partial index covering
+// [1, Covered], then Conns connections, round-robin over the tenants,
+// each replaying Queries point SELECTs, HitRate of them covered. The
+// replay issues only SELECTs: the per-tenant quota is a hard invariant
+// for query traffic, so a replay that mixed in DML could not assert it.
+type stressLoad struct {
+	SpaceLimit      int
+	Tenants         []repro.Tenant
+	Workers         int
+	Conns, Queries  int
+	Rows            int
+	Domain, Covered int64
+	HitRate         float64
+}
+
 // TestServerStressQuotas replays seeded query-only streams from many
 // concurrent connections and asserts the hard multi-tenant invariants:
 // every tenant within its quota, the ledger sum within SpaceLimit, the
 // quota-tight tenant demonstrably degraded, no cross-tenant evictions
 // without overcommit — and no goroutine outlives Shutdown.
 func TestServerStressQuotas(t *testing.T) {
+	t.Run("small", func(t *testing.T) {
+		l := stressLoad{
+			SpaceLimit: 2000,
+			Tenants:    []repro.Tenant{{Name: "acme", Quota: 1500}, {Name: "tiny", Quota: 10}},
+			Workers:    8,
+			Conns:      32,
+			Queries:    30,
+			Rows:       400,
+			Domain:     100,
+			Covered:    20,
+			HitRate:    0.3,
+		}
+		if testing.Short() {
+			l.Conns, l.Queries = 8, 10
+		}
+		stressQuotas(t, l)
+	})
+	// 200 connections on the default worker pool against quotas sized
+	// like a deployment's: tenants acme:40000 and tiny:500.
+	t.Run("full", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("200 connections × 20 queries; skipped under -short")
+		}
+		stressQuotas(t, stressLoad{
+			SpaceLimit: 60000,
+			Tenants:    []repro.Tenant{{Name: "acme", Quota: 40000}, {Name: "tiny", Quota: 500}},
+			Conns:      200,
+			Queries:    20,
+			Rows:       2000,
+			Domain:     1000,
+			Covered:    100,
+			HitRate:    0.5,
+		})
+	})
+}
+
+func stressQuotas(t *testing.T, l stressLoad) {
 	before := runtime.NumGoroutine()
 
-	const spaceLimit = 2000
-	db := openDB(t, repro.Options{
-		SpaceLimit: spaceLimit,
-		Tenants: []repro.Tenant{
-			{Name: "acme", Quota: 1500},
-			{Name: "tiny", Quota: 10},
-		},
-	})
-	srv := New(db, Config{Workers: 8})
+	db := openDB(t, repro.Options{SpaceLimit: l.SpaceLimit, Tenants: l.Tenants})
+	srv := New(db, Config{Workers: l.Workers})
 	addr, err := srv.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cfg := DefaultLoadConfig()
-	cfg.Conns = 32
-	cfg.QueriesPerConn = 30
-	cfg.Tenants = []string{"acme", "tiny"}
-	cfg.Rows = 400
-	cfg.Domain = 100
-	cfg.Covered = 20
-	cfg.HitRate = 0.3
-	if testing.Short() {
-		cfg.Conns = 8
-		cfg.QueriesPerConn = 10
-	}
-	if err := SetupLoad(addr.String(), cfg); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := RunLoad(addr.String(), cfg, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 {
-		t.Errorf("replay saw %d statement errors", rep.Errors)
-	}
-	if want := cfg.Conns * cfg.QueriesPerConn; rep.Statements != want {
-		t.Errorf("statements = %d, want %d", rep.Statements, want)
+	// Setup: one table per tenant, filled in 500-row INSERTs.
+	for _, tn := range l.Tenants {
+		c := dialProto(t, addr.String())
+		for _, stmt := range []string{"TENANT " + tn.Name, "CREATE TABLE t (a INT, payload VARCHAR)"} {
+			if r := c.do(stmt); !r.OK {
+				t.Fatalf("%s: %+v", stmt, r)
+			}
+		}
+		rng := rand.New(rand.NewSource(18))
+		for lo := 0; lo < l.Rows; lo += 500 {
+			var sb strings.Builder
+			sb.WriteString("INSERT INTO t VALUES ")
+			for i := lo; i < min(lo+500, l.Rows); i++ {
+				if i > lo {
+					sb.WriteString(", ")
+				}
+				fmt.Fprintf(&sb, "(%d, 'p%d')", rng.Int63n(l.Domain)+1, i)
+			}
+			if r := c.do(sb.String()); !r.OK {
+				t.Fatalf("tenant %s insert: %+v", tn.Name, r)
+			}
+		}
+		if r := c.do(fmt.Sprintf("CREATE PARTIAL INDEX ON t (a) COVERING 1 TO %d", l.Covered)); !r.OK {
+			t.Fatalf("tenant %s index: %+v", tn.Name, r)
+		}
 	}
 
-	if v := VerifyQuotas(db, spaceLimit); len(v) != 0 {
-		t.Fatalf("quota invariants violated: %v", v)
+	// Replay: each connection its own seeded stream.
+	var (
+		wg         sync.WaitGroup
+		mu         sync.Mutex
+		statements int
+		stmtErrs   int
+		connErrs   []error
+	)
+	for i := 0; i < l.Conns; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			n, bad, err := replayConn(t, addr.String(), l, i)
+			mu.Lock()
+			defer mu.Unlock()
+			statements += n
+			stmtErrs += bad
+			if err != nil {
+				connErrs = append(connErrs, fmt.Errorf("conn %d: %w", i, err))
+			}
+		}(i)
 	}
+	wg.Wait()
+	if len(connErrs) != 0 {
+		t.Fatalf("%d connections failed, first: %v", len(connErrs), connErrs[0])
+	}
+	if stmtErrs != 0 {
+		t.Errorf("replay saw %d statement errors", stmtErrs)
+	}
+	if want := l.Conns * l.Queries; statements != want {
+		t.Errorf("statements = %d, want %d", statements, want)
+	}
+
+	total := 0
 	for _, ts := range db.TenantStats() {
-		if ts.Name == "tiny" && ts.Degraded == 0 {
-			t.Error("tiny tenant never degraded despite a 10-entry quota")
+		total += ts.Used
+		if ts.Quota > 0 && ts.Used > ts.Quota {
+			t.Errorf("tenant %q: used %d > quota %d", ts.Name, ts.Used, ts.Quota)
 		}
-		// Quotas (1500 + 10) fit within SpaceLimit 2000, so no scan ever
-		// needs to displace another tenant's entries.
+		if ts.Name == "tiny" && ts.Degraded == 0 {
+			t.Errorf("tiny tenant never degraded despite a %d-entry quota", ts.Quota)
+		}
+		// The quotas fit within SpaceLimit, so no scan ever needs to
+		// displace another tenant's entries.
 		if ts.Evicted != 0 {
 			t.Errorf("tenant %q lost %d entries cross-tenant without overcommit", ts.Name, ts.Evicted)
 		}
+	}
+	if total > l.SpaceLimit {
+		t.Errorf("tenant ledgers sum to %d > SpaceLimit %d", total, l.SpaceLimit)
+	}
+	if used := db.SpaceUsed(); used > l.SpaceLimit {
+		t.Errorf("space used %d > SpaceLimit %d", used, l.SpaceLimit)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
@@ -280,6 +390,35 @@ func TestServerStressQuotas(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// replayConn runs connection i of l's replay and returns the SELECTs it
+// sent and how many of them failed; err is a dial or transport failure.
+func replayConn(t *testing.T, addr string, l stressLoad, i int) (statements, failed int, err error) {
+	c, err := tryDialProto(t, addr)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer c.conn.Close()
+	tenant := l.Tenants[i%len(l.Tenants)].Name
+	if r, err := c.send("TENANT " + tenant); err != nil || !r.OK {
+		return 0, 0, fmt.Errorf("TENANT %s: %+v %v", tenant, r, err)
+	}
+	rng := rand.New(rand.NewSource(1000*int64(i) + 8))
+	draw := workload.WithHitRate(l.HitRate,
+		workload.Uniform(1, l.Covered),
+		workload.Uniform(l.Covered+1, l.Domain))
+	for q := 0; q < l.Queries; q++ {
+		r, err := c.send(fmt.Sprintf("SELECT * FROM t WHERE a = %d", draw(rng)))
+		if err != nil {
+			return statements, failed, err
+		}
+		statements++
+		if !r.OK {
+			failed++
+		}
+	}
+	return statements, failed, nil
 }
 
 // TestServerShutdownDrain checks the graceful path: idle connections
