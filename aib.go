@@ -58,46 +58,26 @@ import (
 
 // Options configures a database. The zero value gives the paper's
 // defaults: I^MAX = 5000 pages, P = 10000 pages, LRU-2 histories,
-// unlimited Index Buffer Space. Every Index Buffer is a B+-tree; the
-// paper calls the structure choice not essential (§III).
+// unlimited Index Buffer Space, ascending-counter page selection and
+// benefit-weighted displacement (Algorithm 2). Every Index Buffer is a
+// B+-tree; the paper calls the structure choice not essential (§III).
 type Options struct {
 	// IMax caps pages indexed per table scan (paper I^MAX).
 	IMax int
 	// PartitionPages is the page capacity of one buffer partition
 	// (paper P).
 	PartitionPages int
-	// HistoryDepth is the LRU-K depth (paper K).
-	HistoryDepth int
 	// SpaceLimit bounds total Index Buffer entries (paper L); 0 =
 	// unlimited.
 	SpaceLimit int
-	// PoolPages is the buffer-pool capacity per table.
+	// PoolPages is the buffer-pool capacity per table. A table scan
+	// reads pages on GOMAXPROCS workers but never more than half this
+	// many, each pinning one page, so a lone scan cannot exhaust the
+	// pool.
 	PoolPages int
-	// ScanParallelism bounds the workers that read pages in every table
-	// scan (indexing scans and full scans): 1 reads them on the querying
-	// goroutine, n > 1 splits the page range into contiguous chunks read
-	// by at most n goroutines, and 0 (the default) uses GOMAXPROCS. Every
-	// setting runs the same scan pass, so query results, QueryStats, and
-	// Index Buffer state are identical across settings — parallelism
-	// changes wall-clock time only. Each worker pins one buffer-pool page,
-	// so keep PoolPages comfortably above the parallelism.
-	ScanParallelism int
-	// Selection orders the page candidates of Algorithm 2's selection.
-	// The zero value is the paper's ascending-counter policy; see
-	// SelectRandom for the workloads where determinism backfires.
-	Selection SelectionPolicy
-	// DisplacementJitter is the probability, per victim-partition pick,
-	// that displacement drops a uniformly random partition instead of
-	// following the paper's deterministic incomplete-first order. 0 (the
-	// default) is the paper's policy; nonzero values defeat workloads
-	// that key off displacement events to starve a buffer (cf.
-	// stochastic cracking). Must be in [0, 1].
-	DisplacementJitter float64
-	// Seed drives every random stream of the database — benefit-weighted
-	// victim selection, SelectRandom page ordering and displacement
-	// jitter — per the repo seeding convention (sub-streams derive from
-	// this one seed by fixed offsets). 0 means a fixed default, so runs
-	// are reproducible unless a seed is chosen explicitly.
+	// Seed drives the database's benefit-weighted victim selection. 0
+	// means a fixed default, so runs are reproducible unless a seed is
+	// chosen explicitly.
 	Seed int64
 	// DisableIndexBuffer turns the contribution off (baseline mode):
 	// partial-index misses degrade to full scans.
@@ -127,9 +107,6 @@ type WALOptions struct {
 	// Sync selects the commit durability protocol; the zero value is
 	// SyncBatch (group commit).
 	Sync SyncPolicy
-	// SegmentBytes overrides the log segment rotation threshold
-	// (default 4 MiB).
-	SegmentBytes int
 	// CheckpointEvery, when positive, runs a background checkpoint at
 	// this period, bounding both recovery time and log size. Zero means
 	// checkpoints happen only on DDL, Vacuum, Close, and Checkpoint
@@ -166,32 +143,6 @@ func (s SyncPolicy) policy() wal.SyncPolicy {
 // ErrQuotaExceeded instead of degrading to unindexed scans; see
 // engine.TenantSpec.
 type Tenant = engine.TenantSpec
-
-// SelectionPolicy enumerates the page-selection orderings of
-// Algorithm 2 — which candidate pages an indexing scan buffers first.
-type SelectionPolicy int
-
-const (
-	// SelectAscending is the paper's policy: cheapest counters first
-	// (pages needing the fewest entries to become skippable).
-	SelectAscending SelectionPolicy = iota
-	// SelectRandom shuffles the candidates (seeded by Options.Seed).
-	// Deterministic selection re-picks the same pages after every
-	// displacement, so adversarial or unluckily aligned workloads can
-	// starve a buffer indefinitely; random order converges on them
-	// (cf. Halim et al., "Stochastic Database Cracking").
-	SelectRandom
-)
-
-// order maps the enum to the core policy.
-func (s SelectionPolicy) order() core.SelectionOrder {
-	switch s {
-	case SelectRandom:
-		return core.RandomOrder
-	default:
-		return core.AscendingCounter
-	}
-}
 
 // DB is a database instance.
 type DB struct {
@@ -259,31 +210,17 @@ func (o Options) validate() error {
 		return fmt.Errorf("repro: Options.IMax %d is negative", o.IMax)
 	case o.PartitionPages < 0:
 		return fmt.Errorf("repro: Options.PartitionPages %d is negative", o.PartitionPages)
-	case o.HistoryDepth < 0:
-		return fmt.Errorf("repro: Options.HistoryDepth %d is negative", o.HistoryDepth)
 	case o.SpaceLimit < 0:
 		return fmt.Errorf("repro: Options.SpaceLimit %d is negative", o.SpaceLimit)
 	case o.PoolPages < 0:
 		return fmt.Errorf("repro: Options.PoolPages %d is negative", o.PoolPages)
-	case o.ScanParallelism < 0:
-		return fmt.Errorf("repro: Options.ScanParallelism %d is negative", o.ScanParallelism)
-	case o.DisplacementJitter < 0 || o.DisplacementJitter > 1:
-		return fmt.Errorf("repro: Options.DisplacementJitter %v is outside [0, 1]", o.DisplacementJitter)
-	}
-	switch o.Selection {
-	case SelectAscending, SelectRandom:
-	default:
-		return fmt.Errorf("repro: unknown Options.Selection %d", o.Selection)
 	}
 	switch o.WAL.Sync {
 	case SyncBatch, SyncNever:
 	default:
 		return fmt.Errorf("repro: unknown Options.WAL.Sync %d", o.WAL.Sync)
 	}
-	switch {
-	case o.WAL.SegmentBytes < 0:
-		return fmt.Errorf("repro: Options.WAL.SegmentBytes %d is negative", o.WAL.SegmentBytes)
-	case o.WAL.CheckpointEvery < 0:
+	if o.WAL.CheckpointEvery < 0 {
 		return fmt.Errorf("repro: Options.WAL.CheckpointEvery %v is negative", o.WAL.CheckpointEvery)
 	}
 	seen := make(map[string]bool, len(o.Tenants))
@@ -304,22 +241,17 @@ func (o Options) validate() error {
 // engineConfig maps public options to the engine configuration.
 func engineConfig(o Options) engine.Config {
 	cfg := engine.Config{
-		PoolPages:       o.PoolPages,
-		ScanParallelism: o.ScanParallelism,
-		DataDir:         o.DataDir,
+		PoolPages: o.PoolPages,
+		DataDir:   o.DataDir,
 		Space: core.Config{
-			IMax:               o.IMax,
-			P:                  o.PartitionPages,
-			K:                  o.HistoryDepth,
-			SpaceLimit:         o.SpaceLimit,
-			Selection:          o.Selection.order(),
-			DisplacementJitter: o.DisplacementJitter,
-			Seed:               o.Seed,
+			IMax:       o.IMax,
+			P:          o.PartitionPages,
+			SpaceLimit: o.SpaceLimit,
+			Seed:       o.Seed,
 		},
 		DisableIndexBuffer: o.DisableIndexBuffer,
 		WAL: engine.WALConfig{
 			SyncPolicy:      o.WAL.Sync.policy(),
-			SegmentBytes:    o.WAL.SegmentBytes,
 			CheckpointEvery: o.WAL.CheckpointEvery,
 		},
 	}

@@ -198,10 +198,10 @@ func benchEngine(b *testing.B, cfg core.Config) (*engine.Engine, *engine.Table) 
 }
 
 // BenchmarkAblationSelectionOrder compares the paper's ascending-counter
-// page selection against descending and random under a tight space
-// budget, where the choice determines how many pages the budget buys.
+// page selection against random under a tight space budget, where the
+// choice determines how many pages the budget buys.
 func BenchmarkAblationSelectionOrder(b *testing.B) {
-	for _, sel := range []core.SelectionOrder{core.AscendingCounter, core.DescendingCounter, core.RandomOrder} {
+	for _, sel := range []core.SelectionOrder{core.AscendingCounter, core.RandomOrder} {
 		b.Run(sel.String(), func(b *testing.B) {
 			cfg := core.Config{IMax: 100, P: 100, SpaceLimit: 6000, Selection: sel}
 			for i := 0; i < b.N; i++ {
@@ -438,72 +438,6 @@ func BenchmarkCorrelation(b *testing.B) {
 	}
 	b.ReportMetric(clusteredShare, "natural_skips_clustered")
 	b.ReportMetric(shuffledShare, "natural_skips_shuffled")
-}
-
-// BenchmarkAblationVictimPolicy compares the paper's benefit-weighted
-// victim selection against uniform random under a three-buffer workload
-// with a skewed mix: the policy decides which buffer's partitions are
-// sacrificed, visible as total pages read.
-func BenchmarkAblationVictimPolicy(b *testing.B) {
-	for _, vp := range []core.VictimPolicy{core.BenefitWeighted, core.UniformVictims} {
-		b.Run(vp.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				eng := engine.New(engine.Config{Space: core.Config{
-					IMax: 50, P: 100, SpaceLimit: 20000, Victims: vp,
-					Seed: 17,
-				}})
-				schema := storage.MustSchema(
-					storage.Column{Name: "a", Kind: storage.KindInt64},
-					storage.Column{Name: "b", Kind: storage.KindInt64},
-					storage.Column{Name: "c", Kind: storage.KindInt64},
-					storage.Column{Name: "payload", Kind: storage.KindString},
-				)
-				tb, err := eng.CreateTable("data", schema)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(31))
-				pad := strings.Repeat("v", 220)
-				for r := 0; r < benchRows; r++ {
-					tu := storage.NewTuple(
-						storage.Int64Value(int64(1+rng.Intn(2000))),
-						storage.Int64Value(int64(1+rng.Intn(2000))),
-						storage.Int64Value(int64(1+rng.Intn(2000))),
-						storage.StringValue(pad),
-					)
-					if _, err := tb.Insert(tu); err != nil {
-						b.Fatal(err)
-					}
-				}
-				for c := 0; c < 3; c++ {
-					if err := tb.CreatePartialIndex(c, index.IntRange(1, 200)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				qrng := rand.New(rand.NewSource(42))
-				b.StartTimer()
-				total := 0
-				const queries = 90
-				for q := 0; q < queries; q++ {
-					// Skewed mix: column A gets most of the misses.
-					col := 0
-					switch {
-					case q%6 == 5:
-						col = 2
-					case q%3 == 2:
-						col = 1
-					}
-					_, stats, err := tb.QueryEqual(col, storage.Int64Value(int64(201+qrng.Intn(1800))))
-					if err != nil {
-						b.Fatal(err)
-					}
-					total += stats.PagesRead
-				}
-				b.ReportMetric(float64(total)/queries, "pages/query")
-			}
-		})
-	}
 }
 
 // BenchmarkSharedScan measures contended-miss throughput: every query

@@ -432,10 +432,8 @@ func TestOpenValidation(t *testing.T) {
 	bad := []Options{
 		{IMax: -1},
 		{PartitionPages: -5},
-		{HistoryDepth: -2},
 		{SpaceLimit: -100},
 		{PoolPages: -1},
-		{Selection: SelectionPolicy(42)},
 	}
 	for _, o := range bad {
 		if _, err := Open(o); err == nil {

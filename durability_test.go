@@ -239,7 +239,6 @@ func TestOpenExistingWithoutWALDir(t *testing.T) {
 func TestWALOptionsValidation(t *testing.T) {
 	for _, o := range []Options{
 		{WAL: WALOptions{Sync: SyncPolicy(9)}},
-		{WAL: WALOptions{SegmentBytes: -1}},
 		{WAL: WALOptions{CheckpointEvery: -time.Second}},
 	} {
 		if _, err := Open(o); err == nil {
@@ -252,7 +251,8 @@ func TestWALOptionsValidation(t *testing.T) {
 // truncates the log without an explicit Checkpoint.
 func TestBackgroundCheckpointer(t *testing.T) {
 	dir := t.TempDir()
-	db := MustOpen(Options{DataDir: dir, WAL: WALOptions{CheckpointEvery: 10 * time.Millisecond, SegmentBytes: 4096}})
+	db := openTuned(t, Options{DataDir: dir, WAL: WALOptions{CheckpointEvery: 10 * time.Millisecond}}, false,
+		func(c *engine.Config) { c.WAL.SegmentBytes = 4096 })
 	defer db.Close()
 	tb, err := db.CreateTable("t", Int64Column("k"))
 	if err != nil {

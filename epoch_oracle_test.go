@@ -31,17 +31,19 @@ import (
 func newEpochHarness(t *testing.T, parallelism int, disableEpoch, wal bool, rows, keyDomain, covered int) *oracleHarness {
 	t.Helper()
 	o := Options{
-		IMax:            60,
-		PartitionPages:  8,
-		SpaceLimit:      220, // tight: steady displacement under the stream below
-		PoolPages:       48,
-		Seed:            11,
-		ScanParallelism: parallelism,
+		IMax:           60,
+		PartitionPages: 8,
+		SpaceLimit:     220, // tight: steady displacement under the stream below
+		PoolPages:      48,
+		Seed:           11,
 	}
 	if wal {
 		o.DataDir = t.TempDir()
 	}
-	db := openTuned(t, o, false, func(c *engine.Config) { c.DisableEpochReadPath = disableEpoch })
+	db := openTuned(t, o, false, func(c *engine.Config) {
+		c.ScanParallelism = parallelism
+		c.DisableEpochReadPath = disableEpoch
+	})
 	t.Cleanup(func() { db.Close() })
 	tb, err := db.CreateTable("data", Int64Column("k"), Int64Column("v"), StringColumn("pad"))
 	if err != nil {

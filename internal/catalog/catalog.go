@@ -58,7 +58,7 @@ type IndexMeta struct {
 
 // CoverageMeta is the serialized form of an index.Coverage.
 type CoverageMeta struct {
-	Type   string         `json:"type"` // "range", "set", "union", "none", "all"
+	Type   string         `json:"type"` // "range", "set", "union", "none"
 	Lo     *ValueMeta     `json:"lo,omitempty"`
 	Hi     *ValueMeta     `json:"hi,omitempty"`
 	Values []ValueMeta    `json:"values,omitempty"`
@@ -165,8 +165,6 @@ func EncodeCoverage(cov index.Coverage) (CoverageMeta, error) {
 		return CoverageMeta{Type: "union", Ranges: ranges}, nil
 	case index.NoneCoverage:
 		return CoverageMeta{Type: "none"}, nil
-	case index.AllCoverage:
-		return CoverageMeta{Type: "all"}, nil
 	default:
 		return CoverageMeta{}, fmt.Errorf("catalog: cannot persist coverage type %T", cov)
 	}
@@ -214,8 +212,6 @@ func (m CoverageMeta) DecodeCoverage() (index.Coverage, error) {
 		return u, nil
 	case "none":
 		return index.NoneCoverage{}, nil
-	case "all":
-		return index.AllCoverage{}, nil
 	default:
 		return nil, fmt.Errorf("catalog: unknown coverage type %q", m.Type)
 	}

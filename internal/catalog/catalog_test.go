@@ -62,7 +62,6 @@ func TestCoverageRoundTrip(t *testing.T) {
 		index.NewSetCoverage(iv(1), iv(7), storage.StringValue("ORD")),
 		index.UnionCoverage{index.IntRange(1, 10), index.IntRange(50, 60)},
 		index.NoneCoverage{},
-		index.AllCoverage{},
 	}
 	probes := []storage.Value{
 		iv(0), iv(1), iv(7), iv(55), iv(4999), iv(5001),

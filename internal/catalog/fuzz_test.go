@@ -33,7 +33,6 @@ func FuzzCatalogLoad(f *testing.F) {
 			{Column: 0, Coverage: cov(index.IntRange(1, 50))},
 			{Column: 1, Coverage: cov(index.NewSetCoverage(storage.StringValue("FRA"), storage.StringValue("")))},
 			{Column: 0, Coverage: cov(index.UnionCoverage{index.IntRange(1, 2), index.IntRange(8, 9)})},
-			{Column: 1, Coverage: cov(index.AllCoverage{})},
 		},
 	}}})
 	if err != nil {

@@ -5,15 +5,13 @@ import "math/rand"
 // SelectionOrder chooses how the page-selection routine orders candidate
 // pages. The paper argues for ascending counters — "pages with many
 // already indexed tuples are more valuable for the Index Buffer" (§III)
-// because they buy a skippable page for fewer entries; the alternatives
-// exist for the ablation benchmarks.
+// because they buy a skippable page for fewer entries. RandomOrder is the
+// stochastic escape the robustness runner selects.
 type SelectionOrder int
 
 const (
 	// AscendingCounter is the paper's policy: cheapest pages first.
 	AscendingCounter SelectionOrder = iota
-	// DescendingCounter indexes the most expensive pages first.
-	DescendingCounter
 	// RandomOrder shuffles the candidates.
 	RandomOrder
 )
@@ -23,35 +21,8 @@ func (s SelectionOrder) String() string {
 	switch s {
 	case AscendingCounter:
 		return "ascending"
-	case DescendingCounter:
-		return "descending"
 	case RandomOrder:
 		return "random"
-	default:
-		return "unknown"
-	}
-}
-
-// VictimPolicy chooses the stage-1 victim buffer during displacement.
-// The paper weights buffers by inverse benefit; the uniform alternative
-// exists for the ablation benchmarks.
-type VictimPolicy int
-
-const (
-	// BenefitWeighted is the paper's policy: probability ∝ 1/b_B.
-	BenefitWeighted VictimPolicy = iota
-	// UniformVictims picks any displaceable buffer with equal
-	// probability, ignoring benefit.
-	UniformVictims
-)
-
-// String renders the policy name.
-func (v VictimPolicy) String() string {
-	switch v {
-	case BenefitWeighted:
-		return "benefit-weighted"
-	case UniformVictims:
-		return "uniform"
 	default:
 		return "unknown"
 	}
@@ -80,10 +51,6 @@ type Config struct {
 	// Selection orders page candidates during Algorithm 2; the zero
 	// value is the paper's ascending-counter policy.
 	Selection SelectionOrder
-
-	// Victims picks which buffer loses partitions during displacement;
-	// the zero value is the paper's benefit-weighted random policy.
-	Victims VictimPolicy
 
 	// Seed drives every random stream of the Space (victim selection,
 	// RandomOrder shuffling, displacement jitter) per the repo seeding

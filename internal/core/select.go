@@ -70,11 +70,11 @@ type cand struct {
 }
 
 // candidatesLocked returns the scan range's candidate pages — C[p] > 0 —
-// in the configured selection order, capped at I^MAX. Ascending counter,
-// the paper's order, puts the cheapest pages first, maximizing skippable
-// pages per buffer entry (§III: pages with many already-indexed tuples
-// are more valuable). Callers hold s.mu, which serializes the shuffle
-// stream.
+// in ascending-counter order (shuffled under RandomOrder), capped at
+// I^MAX. The paper's order puts the cheapest pages first, maximizing
+// skippable pages per buffer entry (§III: pages with many
+// already-indexed tuples are more valuable). Callers hold s.mu, which
+// serializes the shuffle stream.
 func (s *Space) candidatesLocked(target *IndexBuffer, numPages int) []cand {
 	var cands []cand
 	target.mu.Lock()
@@ -87,12 +87,8 @@ func (s *Space) candidatesLocked(target *IndexBuffer, numPages int) []cand {
 		// displacement replay.
 		s.cfg.selRand.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 	} else {
-		dir := 1 // AscendingCounter — the paper's policy
-		if s.cfg.Selection == DescendingCounter {
-			dir = -1
-		}
 		slices.SortFunc(cands, func(a, b cand) int {
-			return cmp.Or(dir*cmp.Compare(a.n, b.n), cmp.Compare(a.page, b.page))
+			return cmp.Or(cmp.Compare(a.n, b.n), cmp.Compare(a.page, b.page))
 		})
 	}
 	if len(cands) > s.cfg.IMax {
@@ -120,7 +116,7 @@ func fit(cands []cand, budget int) int {
 type victimBuf struct {
 	name   string
 	tenant *Tenant
-	weight float64 // stage-1 weight: 1/b_B, or 1 for UniformVictims
+	weight float64 // stage-1 weight: 1/b_B
 	parts  []victimPart
 }
 
@@ -143,7 +139,7 @@ func (s *Space) victimViewLocked(target *IndexBuffer) []victimBuf {
 		if b == target || b.scanPins > 0 {
 			continue
 		}
-		v := victimBuf{name: b.name, tenant: b.tenant, weight: 1}
+		v := victimBuf{name: b.name, tenant: b.tenant}
 		benefit := 0.0
 		b.mu.RLock()
 		t := b.hist.Mean()
@@ -156,13 +152,11 @@ func (s *Space) victimViewLocked(target *IndexBuffer) []victimBuf {
 		if len(v.parts) == 0 {
 			continue
 		}
-		if s.cfg.Victims == BenefitWeighted {
-			if benefit > 0 {
-				v.weight = 1.0 / benefit
-			} else {
-				// A zero-benefit buffer is the cheapest possible victim.
-				v.weight = math.MaxFloat64 / 4
-			}
+		if benefit > 0 {
+			v.weight = 1.0 / benefit
+		} else {
+			// A zero-benefit buffer is the cheapest possible victim.
+			v.weight = math.MaxFloat64 / 4
 		}
 		view = append(view, v)
 	}

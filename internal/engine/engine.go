@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -60,8 +61,8 @@ type Config struct {
 	// n > 1 fans page-range chunks out to at most n goroutines, 0
 	// defaults to GOMAXPROCS. Every setting runs the same two-phase pass,
 	// so results and Index Buffer state are identical across settings;
-	// see exec's parallel.go. Scans pin one pool page per worker, so
-	// PoolPages should comfortably exceed the parallelism.
+	// see exec's parallel.go. Each worker pins one pool page, so a scan
+	// never runs more workers than half the table's pool.
 	ScanParallelism int
 
 	// DisableIndexBuffer turns the Index Buffer machinery off: partial
@@ -994,13 +995,19 @@ func (t *Table) accessLocked(ctx context.Context, column int) (exec.Access, erro
 	if err := t.checkColumn(column); err != nil {
 		return exec.Access{}, err
 	}
+	// Each scan worker pins one pool page; capping the workers at half
+	// the pool leaves a lone scan frames to spare however small the pool.
+	workers := t.engine.cfg.ScanParallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	a := exec.Access{
 		Table:       t.heap,
 		Column:      column,
 		Index:       t.indexes[column],
 		Buffer:      t.buffers[column],
 		Space:       t.engine.space,
-		Parallelism: t.engine.cfg.ScanParallelism,
+		Parallelism: min(workers, max(1, t.pool.Capacity()/2)),
 	}
 	if tap := t.spanTap(t.engine.flightActive(ctx), column); tap != nil {
 		a.Span = tap.span

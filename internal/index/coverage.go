@@ -147,16 +147,3 @@ func (NoneCoverage) Covers(storage.Value) bool { return false }
 
 // String implements Coverage.
 func (NoneCoverage) String() string { return "NONE" }
-
-// AllCoverage covers everything — a conventional full secondary index,
-// useful as a reference access path in the benchmarks.
-type AllCoverage struct{}
-
-// Covers implements Coverage.
-func (AllCoverage) Covers(storage.Value) bool { return true }
-
-// CoversRange implements RangeCoverer.
-func (AllCoverage) CoversRange(lo, hi storage.Value) bool { return true }
-
-// String implements Coverage.
-func (AllCoverage) String() string { return "ALL" }

@@ -52,10 +52,7 @@ func TestNoneAllCoverage(t *testing.T) {
 	if (NoneCoverage{}).Covers(iv(1)) {
 		t.Error("NoneCoverage covered something")
 	}
-	if !(AllCoverage{}).Covers(iv(1)) {
-		t.Error("AllCoverage missed something")
-	}
-	if (NoneCoverage{}).String() != "NONE" || (AllCoverage{}).String() != "ALL" {
+	if (NoneCoverage{}).String() != "NONE" {
 		t.Error("String() wrong")
 	}
 }
@@ -277,9 +274,6 @@ func TestCoversWholeRange(t *testing.T) {
 	}
 	if CoversWholeRange(s, iv(7), iv(8)) {
 		t.Error("non-degenerate range on set coverage should miss")
-	}
-	if !CoversWholeRange(AllCoverage{}, iv(-1000), iv(1000)) {
-		t.Error("ALL should cover any range")
 	}
 	if CoversWholeRange(NoneCoverage{}, iv(1), iv(1)) {
 		t.Error("NONE should cover nothing")

@@ -13,7 +13,7 @@ import (
 )
 
 // This file checks that scan results do not depend on the worker count:
-// two engines differing only in Options.ScanParallelism are driven
+// two engines differing only in engine.Config.ScanParallelism are driven
 // through the same seeded stream of queries and DML, and every
 // observable — result sets, query stats, the per-page counter table
 // C[p] — must stay identical after every operation. Both engines run
@@ -37,14 +37,13 @@ type oracleHarness struct {
 // identical across calls.
 func newOracleHarness(t *testing.T, parallelism, rows, keyDomain, covered int) *oracleHarness {
 	t.Helper()
-	db := MustOpen(Options{
-		IMax:            60,
-		PartitionPages:  16,
-		SpaceLimit:      3000,
-		PoolPages:       48,
-		Seed:            11,
-		ScanParallelism: parallelism,
-	})
+	db := openTuned(t, Options{
+		IMax:           60,
+		PartitionPages: 16,
+		SpaceLimit:     3000,
+		PoolPages:      48,
+		Seed:           11,
+	}, false, func(c *engine.Config) { c.ScanParallelism = parallelism })
 	t.Cleanup(func() { db.Close() })
 	tb, err := db.CreateTable("data", Int64Column("k"), Int64Column("v"), StringColumn("pad"))
 	if err != nil {
@@ -214,8 +213,8 @@ func TestParallelSerialOracleProperty(t *testing.T) {
 //
 // The deadline must land mid-scan however late a loaded machine fires
 // it, so one page read alone outlasts the deadline fourfold and a
-// parallel pass over the ~28 pages on 8 workers lasts about 80 ms,
-// 16 times the deadline.
+// parallel pass over the ~28 pages on 6 workers (8 asked for, capped at
+// half the 12-page pool) lasts about 100 ms, 20 times the deadline.
 func TestParallelScanCancellationNoLeaks(t *testing.T) {
 	const (
 		rows        = 1200
@@ -227,10 +226,12 @@ func TestParallelScanCancellationNoLeaks(t *testing.T) {
 	// device-bound: with LRU and a sequential walk, essentially every
 	// page fetch pays the simulated read latency.
 	db := openTuned(t, Options{
-		PoolPages:       12,
-		Seed:            3,
-		ScanParallelism: 8,
-	}, false, func(c *engine.Config) { c.ReadLatency = readLatency })
+		PoolPages: 12,
+		Seed:      3,
+	}, false, func(c *engine.Config) {
+		c.ScanParallelism = 8
+		c.ReadLatency = readLatency
+	})
 	defer db.Close()
 	tb, err := db.CreateTable("data", Int64Column("k"), StringColumn("pad"))
 	if err != nil {
@@ -307,7 +308,8 @@ func TestParallelScanCancellationNoLeaks(t *testing.T) {
 // page, a miss has no page to read, so it runs inline on one worker and
 // is not counted as a parallel scan.
 func TestConvergedMissScanWorkers(t *testing.T) {
-	db := MustOpen(Options{IMax: 1 << 20, PartitionPages: 1 << 20, PoolPages: 64, Seed: 5, ScanParallelism: 4})
+	db := openTuned(t, Options{IMax: 1 << 20, PartitionPages: 1 << 20, PoolPages: 64, Seed: 5}, false,
+		func(c *engine.Config) { c.ScanParallelism = 4 })
 	defer db.Close()
 	tb, err := db.CreateTable("data", Int64Column("k"), StringColumn("pad"))
 	if err != nil {
@@ -342,5 +344,46 @@ func TestConvergedMissScanWorkers(t *testing.T) {
 		if scans := after.Scans - before.Scans; scans != want.parallelCounted {
 			t.Errorf("%s miss counted as %d parallel scans, want %d", want.phase, scans, want.parallelCounted)
 		}
+	}
+}
+
+// TestScanWorkersBoundedByPool checks that a scan's fan-out never pins
+// more than half its table's pool: with more workers than frames, an
+// uncovered point query and a full scan must both succeed on a 16-page
+// table whose pool holds one or two pages, and report at most
+// max(1, PoolPages/2) workers.
+func TestScanWorkersBoundedByPool(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, pool := range []int{1, 2} {
+		db := MustOpen(Options{PoolPages: pool, Seed: 1})
+		tb, err := db.CreateTable("data", Int64Column("k"), Int64Column("v"), StringColumn("pad"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; tb.NumPages() < 16; i++ {
+			if _, err := tb.Insert(int64(i%10), int64(i), fmt.Sprintf("pad-%0200d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tb.CreatePartialRangeIndex("k", 0, 4); err != nil {
+			t.Fatal(err)
+		}
+		limit := max(1, pool/2)
+		for _, q := range []struct{ name, column string }{
+			{"uncovered point query", "k"},
+			{"full scan", "v"},
+		} {
+			rows, stats, err := tb.Query(q.column, int64(7))
+			if err != nil {
+				t.Fatalf("pool %d, %s: %v", pool, q.name, err)
+			}
+			if len(rows) == 0 {
+				t.Errorf("pool %d, %s: no rows", pool, q.name)
+			}
+			if stats.ScanWorkers > limit {
+				t.Errorf("pool %d, %s: %d scan workers, want at most %d", pool, q.name, stats.ScanWorkers, limit)
+			}
+		}
+		db.Close()
 	}
 }

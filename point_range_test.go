@@ -39,15 +39,14 @@ var pointRangeCoverages = []struct {
 // with a partial index of the given coverage on column k.
 func newPointRangeHarness(t *testing.T, parallelism int, cov index.Coverage, noBuf bool, rows, keyDomain int) *oracleHarness {
 	t.Helper()
-	db := MustOpen(Options{
+	db := openTuned(t, Options{
 		IMax:               40,
 		PartitionPages:     8,
 		SpaceLimit:         400, // tight enough that misses displace
 		PoolPages:          48,
 		Seed:               5,
-		ScanParallelism:    parallelism,
 		DisableIndexBuffer: noBuf,
-	})
+	}, false, func(c *engine.Config) { c.ScanParallelism = parallelism })
 	t.Cleanup(func() { db.Close() })
 	tb, err := db.CreateTable("data", Int64Column("k"), Int64Column("v"), StringColumn("pad"))
 	if err != nil {

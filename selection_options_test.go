@@ -1,57 +1,20 @@
 package repro
 
 import (
-	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/engine"
 )
 
-// TestOptionsValidateSelection covers the stochastic-selection knobs:
-// Selection enum membership and the DisplacementJitter range.
-func TestOptionsValidateSelection(t *testing.T) {
-	cases := []struct {
-		name    string
-		opts    Options
-		wantErr string
-	}{
-		{"zero value", Options{}, ""},
-		{"random selection", Options{Selection: SelectRandom, Seed: 42}, ""},
-		{"full jitter", Options{DisplacementJitter: 1}, ""},
-		{"half jitter", Options{Selection: SelectRandom, DisplacementJitter: 0.5}, ""},
-		{"unknown selection", Options{Selection: SelectionPolicy(7)}, "unknown Options.Selection"},
-		{"one past the last policy", Options{Selection: SelectRandom + 1}, "unknown Options.Selection"},
-		{"negative selection", Options{Selection: SelectionPolicy(-1)}, "unknown Options.Selection"},
-		{"negative jitter", Options{DisplacementJitter: -0.1}, "outside [0, 1]"},
-		{"jitter above one", Options{DisplacementJitter: 1.5}, "outside [0, 1]"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			db, err := Open(tc.opts)
-			if err == nil {
-				db.Close()
-			}
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("Open failed: %v", err)
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("Open err = %v, want substring %q", err, tc.wantErr)
-			}
-		})
-	}
-}
-
 // TestSelectRandomFacadeSmoke drives a few misses through a database
-// opened with the stochastic knobs: queries must work and the Index
-// Buffer must still build (the policy changes page order, not
-// correctness).
+// whose Space runs the stochastic arms (random page order, displacement
+// jitter): queries must work and the Index Buffer must still build (the
+// policy changes page order, not correctness).
 func TestSelectRandomFacadeSmoke(t *testing.T) {
-	db := MustOpen(Options{
-		Selection:          SelectRandom,
-		DisplacementJitter: 0.5,
-		Seed:               7,
-		IMax:               4,
+	db := openTuned(t, Options{Seed: 7, IMax: 4}, false, func(c *engine.Config) {
+		c.Space.Selection = core.RandomOrder
+		c.Space.DisplacementJitter = 0.5
 	})
 	defer db.Close()
 	tb, err := db.CreateTable("t", Int64Column("k"), StringColumn("v"))
@@ -77,6 +40,6 @@ func TestSelectRandomFacadeSmoke(t *testing.T) {
 	}
 	stats := db.BufferStats()
 	if len(stats) != 1 || stats[0].Entries == 0 {
-		t.Fatalf("index buffer did not build under SelectRandom: %+v", stats)
+		t.Fatalf("index buffer did not build under RandomOrder: %+v", stats)
 	}
 }
