@@ -216,6 +216,31 @@ func (p *Pool) Fetch(id storage.PageID) (*Frame, error) {
 	return f, nil
 }
 
+// PinOrRead is Fetch for a reader that brings its own PageSize image
+// buf. When page id is resident and loaded it pins and returns its frame,
+// as Fetch would; otherwise it counts a miss, reads the page from the
+// store into buf outside the latch and returns a nil frame. A page read
+// into buf never enters the frame map or the eviction list, so a scan
+// that reads past the pool neither evicts nor allocates. Store faults
+// are returned as Fetch returns them.
+//
+// buf holds the page's latest image only while no one can change the
+// page: a page absent from the frame map, or still loading there, has
+// its latest bytes in the store (eviction writes a dirty victim back
+// before it unmaps it), and the caller must exclude every writer of the
+// page until it is done with buf.
+func (p *Pool) PinOrRead(id storage.PageID, buf []byte) (*Frame, error) {
+	p.mu.Lock()
+	if f, ok := p.frames[id]; ok && f.ready == nil {
+		p.pinLocked(f)
+		p.mu.Unlock()
+		return f, nil
+	}
+	p.stats.Misses++
+	p.mu.Unlock()
+	return nil, p.store.Read(id, buf)
+}
+
 // pinLocked pins resident frame f, counting a hit.
 func (p *Pool) pinLocked(f *Frame) {
 	p.stats.Hits++

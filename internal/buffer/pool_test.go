@@ -567,16 +567,18 @@ func BenchmarkPoolFetchResident(b *testing.B) {
 	})
 }
 
-// gatedStore blocks every Read of page gated until release is closed.
+// gatedStore blocks the first Read of page gated until release is
+// closed.
 type gatedStore struct {
 	*SimDisk
 	gated   storage.PageID
 	reading chan struct{} // closed when the gated read starts
 	release chan struct{}
+	fired   atomic.Bool
 }
 
 func (s *gatedStore) Read(id storage.PageID, buf []byte) error {
-	if id == s.gated {
+	if id == s.gated && s.fired.CompareAndSwap(false, true) {
 		close(s.reading)
 		<-s.release
 	}
@@ -630,5 +632,78 @@ func TestPoolRunStopsAtLoadingPage(t *testing.T) {
 	}
 	if want := []storage.PageID{2, 0, 1}; !slices.Equal(order, want) {
 		t.Errorf("eviction order %v, want %v", order, want)
+	}
+}
+
+// TestPoolBypassPinOrRead: PinOrRead pins a resident, loaded page as
+// Fetch would (a hit, the caller's image untouched), and reads a page
+// that is absent or still loading from the store into the caller's
+// image, counting a miss, with the frame map, the eviction order and
+// the eviction count unchanged. A store fault is returned as is.
+func TestPoolBypassPinOrRead(t *testing.T) {
+	d := NewSimDisk()
+	writeImages(t, d, 5)
+	fs := NewFaultStore(d)
+	s := &gatedStore{SimDisk: d, gated: 1, reading: make(chan struct{}), release: make(chan struct{})}
+	p, err := NewPool(s, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetchUnpin(t, p, 2)
+	fetchUnpin(t, p, 0)
+	loaded := make(chan error)
+	go func() {
+		f, err := p.Fetch(1)
+		if err == nil {
+			p.Unpin(f)
+		}
+		loaded <- err
+	}()
+	<-s.reading
+
+	buf := make([]byte, PageSize)
+	f, err := p.PinOrRead(2, buf)
+	if err != nil || f == nil || f.ID() != 2 || !bytes.Equal(f.Data(), pageImage(2)) {
+		t.Fatalf("PinOrRead of resident page 2 = %v, %v; want its pinned frame", f, err)
+	}
+	if !bytes.Equal(buf, make([]byte, PageSize)) {
+		t.Error("PinOrRead of a resident page wrote the caller's image")
+	}
+	p.Unpin(f)
+	for _, id := range []storage.PageID{1, 4} { // loading, absent
+		if f, err := p.PinOrRead(id, buf); err != nil || f != nil {
+			t.Fatalf("PinOrRead of page %d = %v, %v; want a read into the image", id, f, err)
+		}
+		if !bytes.Equal(buf, pageImage(int(id))) {
+			t.Errorf("page %d: image does not hold the store's page", id)
+		}
+	}
+	if st := p.Stats(); st.Hits != 1 || st.Misses != 5 || st.Evictions != 0 {
+		t.Errorf("stats %+v, want 1 hit, 5 misses and no eviction", st)
+	}
+	close(s.release)
+	if err := <-loaded; err != nil {
+		t.Fatal(err)
+	}
+	p.mu.Lock()
+	var order []storage.PageID
+	for f := p.lru.next; f != &p.lru; f = f.next {
+		order = append(order, f.id)
+	}
+	p.mu.Unlock()
+	if want := []storage.PageID{0, 2, 1}; !slices.Equal(order, want) {
+		t.Errorf("eviction order %v, want %v", order, want)
+	}
+
+	fp, err := NewPool(fs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.SetReadsLeft(0)
+	if f, err := fp.PinOrRead(3, buf); f != nil || !errors.Is(err, ErrInjected) {
+		t.Errorf("PinOrRead over a failing store = %v, %v; want ErrInjected", f, err)
+	}
+	if n := fp.Resident(); n != 0 {
+		t.Errorf("a failed read left %d frames resident", n)
 	}
 }

@@ -74,27 +74,65 @@ type cand struct {
 // I^MAX. The paper's order puts the cheapest pages first, maximizing
 // skippable pages per buffer entry (§III: pages with many
 // already-indexed tuples are more valuable). Callers hold s.mu, which
-// serializes the shuffle stream.
+// serializes the shuffle stream and guards the scratch slices the
+// result lives in until the next call.
 func (s *Space) candidatesLocked(target *IndexBuffer, numPages int) []cand {
-	var cands []cand
+	cands := s.candBuf[:0]
+	lo, hi := math.MaxInt, math.MinInt
 	target.mu.Lock()
 	target.growPagesLocked(numPages)
-	target.eachNonZeroLocked(numPages, func(p storage.PageID, c int) { cands = append(cands, cand{p, c}) })
+	target.eachNonZeroLocked(numPages, func(p storage.PageID, c int) {
+		cands = append(cands, cand{p, c})
+		lo, hi = min(lo, c), max(hi, c)
+	})
 	target.mu.Unlock()
+	s.candBuf = cands
 	if s.cfg.Selection == RandomOrder {
 		// The shuffle draws from its own derived stream, never from the
 		// victim-selection stream, so switching policies does not perturb
 		// displacement replay.
 		s.cfg.selRand.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-	} else {
+		return cands[:min(len(cands), s.cfg.IMax)]
+	}
+	return s.ascendingLocked(cands, lo, hi)
+}
+
+// maxCountSpan bounds the counter span ascendingLocked sorts by
+// counting. A page holds at most a few hundred tuples, so only a
+// synthetic buffer's counters span more.
+const maxCountSpan = 1 << 16
+
+// ascendingLocked orders cands, which are in ascending page order with
+// counters in [lo, hi], by (counter, page) and returns the first I^MAX.
+// It is a counting sort: stable, so the pages of one counter stay in
+// page order, and it places only the pages it keeps. Callers hold s.mu.
+func (s *Space) ascendingLocked(cands []cand, lo, hi int) []cand {
+	if len(cands) == 0 || hi-lo >= maxCountSpan {
 		slices.SortFunc(cands, func(a, b cand) int {
 			return cmp.Or(cmp.Compare(a.n, b.n), cmp.Compare(a.page, b.page))
 		})
+		return cands[:min(len(cands), s.cfg.IMax)]
 	}
-	if len(cands) > s.cfg.IMax {
-		cands = cands[:s.cfg.IMax]
+	// next[c-lo] is where the next page of counter c goes.
+	next := slices.Grow(s.countBuf[:0], hi-lo+1)[:hi-lo+1]
+	clear(next)
+	for _, c := range cands {
+		next[c.n-lo]++
 	}
-	return cands
+	at := 0
+	for i, n := range next {
+		next[i], at = at, at+n
+	}
+	k := min(len(cands), s.cfg.IMax)
+	out := slices.Grow(s.sortedBuf[:0], k)[:k]
+	for _, c := range cands {
+		if i := next[c.n-lo]; i < len(out) {
+			out[i] = c
+		}
+		next[c.n-lo]++
+	}
+	s.countBuf, s.sortedBuf = next, out
+	return out
 }
 
 // fit returns how many candidate pages, taken in order, fit into the

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/storage"
@@ -279,5 +283,47 @@ func TestDisplacementJitterDeterminismAndEffect(t *testing.T) {
 	}
 	if !differs {
 		t.Error("DisplacementJitter=1 never changed a victim choice across 5 seeds")
+	}
+}
+
+// TestAscendingCandidatesMatchSort holds the counting sort of
+// candidatesLocked to a comparison sort by (C[p], page) truncated to
+// I^MAX, over counter spans narrow enough to count and too wide to,
+// and across repeated calls on one Space, which reuse its scratch.
+func TestAscendingCandidatesMatchSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, span := range []int{1, 3, 60, 2 * maxCountSpan} {
+		for _, imax := range []int{1, 7, 500, 5000} {
+			s := NewSpace(Config{IMax: imax, P: 10})
+			for round := 0; round < 3; round++ {
+				counters := make([]int, 1+rng.Intn(3000))
+				for i := range counters {
+					if rng.Intn(4) > 0 { // a quarter of the pages stay 0
+						counters[i] = 1 + rng.Intn(span)
+					}
+				}
+				b, err := s.CreateBuffer(fmt.Sprintf("t.%d", round), counters)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []cand
+				for p, c := range counters {
+					if c != 0 {
+						want = append(want, cand{storage.PageID(p), c})
+					}
+				}
+				slices.SortFunc(want, func(a, b cand) int {
+					return cmp.Or(cmp.Compare(a.n, b.n), cmp.Compare(a.page, b.page))
+				})
+				want = want[:min(len(want), imax)]
+				s.mu.Lock()
+				got := s.candidatesLocked(b, len(counters))
+				s.mu.Unlock()
+				if !slices.Equal(got, want) {
+					t.Fatalf("span %d, I^MAX %d, round %d: %d candidates differ from the comparison sort's %d",
+						span, imax, round, len(got), len(want))
+				}
+			}
+		}
 	}
 }

@@ -35,6 +35,11 @@ type Space struct {
 
 	tenants     map[string]*Tenant
 	tenantOrder []string
+
+	// Algorithm 2's scratch, reused by every Select under mu: the
+	// candidate pages, the counting sort's table and its output.
+	candBuf, sortedBuf []cand
+	countBuf           []int
 }
 
 // SpaceStats counts management activity. CrossTenantEntriesDropped is

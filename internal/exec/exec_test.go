@@ -38,8 +38,14 @@ func buildTablePool(t *testing.T, rows int) (*heap.Table, *buffer.Pool) {
 // given key, in order.
 func buildTableKeys(t testing.TB, keys []int64) (*heap.Table, *buffer.Pool) {
 	t.Helper()
+	return buildTableFrames(t, keys, 64)
+}
+
+// buildTableFrames is buildTableKeys over a pool of the given frames.
+func buildTableFrames(t testing.TB, keys []int64, frames int) (*heap.Table, *buffer.Pool) {
+	t.Helper()
 	d := buffer.NewSimDisk()
-	pool, err := buffer.NewPool(d, 64)
+	pool, err := buffer.NewPool(d, frames)
 	if err != nil {
 		t.Fatal(err)
 	}

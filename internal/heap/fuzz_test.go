@@ -2,6 +2,7 @@ package heap
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -138,7 +139,9 @@ func encodeFrom(s *storage.Schema, body []byte) []byte {
 // kernel must fail exactly when the reference fails, with the error of
 // the first slot that fails, without calling its callback; otherwise it
 // calls the callback once, with a batch that equals the reference slot
-// by slot: slot number, key and raw bytes.
+// by slot: slot number, key and raw bytes. It holds to this both when
+// it reads the page resident in the pool and when it reads the page
+// past the pool into the batch's own image.
 func FuzzScanPage(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 20, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 3, 'a', 'b', 'c'})
@@ -165,7 +168,7 @@ func checkScanPage(t *testing.T, name string, s *storage.Schema, img []byte) {
 	if err := d.Write(0, img); err != nil {
 		t.Fatal(err)
 	}
-	pool, err := buffer.NewPool(d, 2)
+	pool, err := buffer.NewPool(d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,10 +198,29 @@ func checkScanPage(t *testing.T, name string, s *storage.Schema, img []byte) {
 		slots, keys, raws = append(slots, uint16(i)), append(keys, tu.Value(col)), append(raws, raw)
 	}
 
-	// A batch left over from another page must not leak into this one.
-	b := PageBatch{Page: 9, Slots: []uint16{7}, Ints: []int64{7}, Keys: []storage.Value{storage.Int64Value(7)}, Raw: [][]byte{{7}}}
+	// The kernel reads the page resident, then, once an allocation has
+	// evicted it, into a batch's own image.
+	for _, readPast := range []bool{false, true} {
+		if readPast {
+			f, err := pool.Allocate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool.Unpin(f)
+		}
+		// A batch left over from another page must not leak into this one.
+		b := PageBatch{Page: 9, Slots: []uint16{7}, Ints: []int64{7}, Keys: []storage.Value{storage.Int64Value(7)}, Raw: [][]byte{{7}}}
+		checkScanBatch(t, fmt.Sprintf("%s (read past the pool: %v)", name, readPast), tb, s, &b, slots, keys, raws, wantErr)
+	}
+}
+
+// checkScanBatch runs the kernel over page 0 of tb with b and compares
+// it with the reference rows and error.
+func checkScanBatch(t *testing.T, name string, tb *Table, s *storage.Schema, b *PageBatch, slots []uint16, keys []storage.Value, raws [][]byte, wantErr error) {
+	t.Helper()
+	const col = 1
 	calls := 0
-	err = tb.ScanPage(0, col, &b, func(b *PageBatch) error {
+	err := tb.ScanPage(0, col, b, func(b *PageBatch) error {
 		calls++
 		if b.Page != 0 || !slices.Equal(b.Slots, slots) || len(b.Raw) != len(slots) {
 			t.Fatalf("%s: batch of page %d has slots %v, %d raw; reference slots %v", name, b.Page, b.Slots, len(b.Raw), slots)

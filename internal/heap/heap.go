@@ -492,16 +492,20 @@ func (t *Table) PageLiveCount(p storage.PageID) (int, error) {
 // row per live slot, in slot order, with the slot number, the value of
 // the key column and the encoded tuple. The key is in Ints when the
 // column is INTEGER and in Keys otherwise; the other slice is empty. Raw
-// aliases the pinned page and is valid only during the kernel's
-// callback; a caller wanting a whole tuple decodes Raw[i] with
-// storage.DecodeTuple there. A caller owns its batch and passes it to
-// every ScanPage call, so a scan reuses one set of slices.
+// aliases the pinned page or the batch's own image and is valid only
+// during the kernel's callback; a caller wanting a whole tuple decodes
+// Raw[i] with storage.DecodeTuple there. A caller owns its batch and
+// passes it to every ScanPage call, so a scan reuses one set of slices.
 type PageBatch struct {
 	Page  storage.PageID
 	Slots []uint16
 	Ints  []int64
 	Keys  []storage.Value
 	Raw   [][]byte
+
+	// img is the batch's own page image, made at its first ScanPage:
+	// ScanPage reads a page the pool does not hold into it.
+	img []byte
 }
 
 // Len returns the number of rows in the batch.
@@ -519,23 +523,32 @@ func (b *PageBatch) Key(i int) storage.Value {
 }
 
 // ScanPage is the page kernel of every table scan. It pins and validates
-// page p once, fills b with every live slot's row, keyed by column col,
-// and calls fn once with b while the page is still pinned. Every
-// tuple's framing is checked (storage.DecodeColumn's walk), so a corrupt
-// tuple fails the scan, before fn runs, whether or not the caller ever
-// materialises it; only col is decoded. fn's error is returned.
+// page p once if the pool holds it, or else reads it from the store into
+// b's own image and validates it there, fills b with every live slot's
+// row, keyed by column col, and calls fn once with b while the page is
+// still pinned. A page it reads into the image never enters the pool, so
+// a scan neither evicts a frame nor allocates one, and a page a writer
+// left dirty is resident and read from its frame. Every tuple's framing
+// is checked (storage.DecodeColumn's walk), so a corrupt tuple fails the
+// scan, before fn runs, whether or not the caller ever materialises it;
+// only col is decoded. fn's error is returned.
 func (t *Table) ScanPage(p storage.PageID, col int, b *PageBatch, fn func(*PageBatch) error) error {
 	if col < 0 || col >= t.schema.NumColumns() {
 		return fmt.Errorf("heap: column %d out of range (schema has %d columns)", col, t.schema.NumColumns())
 	}
 	intKey := t.schema.Column(col).Kind == storage.KindInt64
+	if b.img == nil {
+		b.img = make([]byte, buffer.PageSize)
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	f, sp, err := t.pinLocked(p)
+	f, sp, err := t.pinLocked(p, b.img)
 	if err != nil {
 		return err
 	}
-	defer t.pool.Unpin(f)
+	if f != nil {
+		defer t.pool.Unpin(f)
+	}
 	n := sp.NumSlots()
 	b.Page = p
 	b.Slots, b.Raw = slices.Grow(b.Slots[:0], n), slices.Grow(b.Raw[:0], n)
@@ -573,13 +586,34 @@ func (t *Table) ScanPage(p storage.PageID, col int, b *PageBatch, fn func(*PageB
 // pinLocked pins page p, validated, for a reader holding t.mu, and
 // returns a view of it by value, which a page loop keeps on its stack.
 // The caller unpins the frame.
-func (t *Table) pinLocked(p storage.PageID) (*buffer.Frame, SlottedPage, error) {
+//
+// A reader may bring its own image img (nil: none). A page the pool
+// does not hold is then read into img and validated there, and the
+// returned frame is nil: the view is of img, and there is nothing to
+// unpin. This is safe under t.mu held shared: every heap mutation holds
+// t.mu exclusively, so no one changes the page while the view is read,
+// and a page absent from the pool has its latest bytes in the store
+// (see buffer.Pool.PinOrRead).
+func (t *Table) pinLocked(p storage.PageID, img []byte) (*buffer.Frame, SlottedPage, error) {
 	if int(p) >= t.numPages {
 		return nil, SlottedPage{}, fmt.Errorf("heap: page %d out of range (table has %d pages)", p, t.numPages)
 	}
-	f, err := t.pool.Fetch(p)
+	var f *buffer.Frame
+	var err error
+	if img == nil {
+		f, err = t.pool.Fetch(p)
+	} else {
+		f, err = t.pool.PinOrRead(p, img)
+	}
 	if err != nil {
 		return nil, SlottedPage{}, err
+	}
+	if f == nil { // read into img
+		sp := SlottedPage{data: img}
+		if err := sp.Validate(); err != nil {
+			return nil, SlottedPage{}, fmt.Errorf("heap: page %d: %w", p, err)
+		}
+		return nil, sp, nil
 	}
 	sp, err := AsPage(f.Data())
 	if err == nil {
@@ -627,7 +661,7 @@ func (t *Table) Scan(fn func(storage.RID, storage.Tuple) error) error {
 // scanDecodedLocked is Scan's page loop: it hands fn every live tuple
 // of page p, fully decoded.
 func (t *Table) scanDecodedLocked(p storage.PageID, fn func(storage.RID, storage.Tuple) error) error {
-	f, sp, err := t.pinLocked(p)
+	f, sp, err := t.pinLocked(p, nil)
 	if err != nil {
 		return err
 	}

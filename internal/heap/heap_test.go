@@ -254,6 +254,17 @@ func scanPage(tb *Table, p storage.PageID) error {
 	return tb.ScanPage(p, 0, &PageBatch{}, func(*PageBatch) error { return nil })
 }
 
+// loadPage loads page p into tb's pool and unpins it, evicting the
+// least recently used frame when the pool is full. A scan would not:
+// ScanPage reads a page the pool does not hold past the pool.
+func loadPage(tb *Table, p storage.PageID) error {
+	f, err := tb.pool.Fetch(p)
+	if err == nil {
+		tb.pool.Unpin(f)
+	}
+	return err
+}
+
 func TestTableScanPageErrors(t *testing.T) {
 	tb, _ := newTable(t, 8)
 	if err := scanPage(tb, 0); err == nil {

@@ -210,7 +210,7 @@ func TestReadRowsMatchesGet(t *testing.T) {
 			tb, d, live, _ := rowsFixture(t, capacity, seed)
 			for p := storage.PageID(0); p < numPages; p++ {
 				if p != target.Page {
-					if err := scanPage(tb, p); err != nil {
+					if err := loadPage(tb, p); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -80,7 +80,7 @@ func TestGetRevalidatesReloadedPage(t *testing.T) {
 	}
 	tb.pool.Unpin(f0)
 	for p := storage.PageID(1); p < 3; p++ {
-		if err := scanPage(tb, p); err != nil {
+		if err := loadPage(tb, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -229,15 +229,16 @@ func TestConcurrentRevalidation(t *testing.T) {
 // BenchmarkLayerScanPage times the page kernel over pages of about 80
 // rows keyed by their INTEGER column, as a miss reads them: resident,
 // in a pool that holds the whole table, and non-resident, in a pool of
-// 4 frames that each page is loaded into from the store. The callback
-// only sums the keys, so ns/page and allocs/page are the kernel's own
-// cost (a non-resident page adds the pool's load).
+// one frame that holds only the last page, which is never scanned, so
+// the kernel reads each page from the store into the batch's own image.
+// The callback only sums the keys, so ns/page and allocs/page are the
+// kernel's own cost (a non-resident page adds the store read).
 func BenchmarkLayerScanPage(b *testing.B) {
 	const pages = 16
 	for _, c := range []struct {
 		name   string
 		frames int
-	}{{"resident", 64}, {"nonresident", 4}} {
+	}{{"resident", 64}, {"nonresident", 1}} {
 		b.Run(c.name, func(b *testing.B) {
 			pool, err := buffer.NewPool(buffer.NewSimDisk(), c.frames)
 			if err != nil {
